@@ -55,10 +55,7 @@ func TestAdaptiveMergeCheckpointRaceStress(t *testing.T) {
 	for i := range rows {
 		rows[i] = stressRow(int64(i))
 	}
-	// The armed scheduler can race BulkLoad's final fold; the batch is
-	// already appended and committed by then, so only a real failure is
-	// fatal.
-	if err := tbl.BulkLoad(rows); err != nil && !errors.Is(err, ErrMergeInProgress) {
+	if err := tbl.BulkLoad(rows); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,12 +10,14 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
+	"tierdb/internal/column"
 	"tierdb/internal/delta"
 	"tierdb/internal/device"
 	"tierdb/internal/metrics"
@@ -79,14 +81,15 @@ type Options struct {
 	// DRAMTouch is the modeled cost of one dependent random DRAM
 	// access (cache miss); zero selects the default of 60 ns.
 	DRAMTouch time.Duration
-	// Parallelism is the number of worker goroutines for morsel-driven
-	// main-partition scans, probes and materialization; values <= 1
-	// select the serial executor. Results are byte-identical to the
-	// serial path at any level.
+	// Parallelism is the number of workers the main-partition scans,
+	// probes and materialization are spread over; values <= 1 mean one
+	// worker, which runs its morsels inline on the calling goroutine
+	// (no goroutine is started). Every level runs the same pipeline and
+	// returns byte-identical results.
 	Parallelism int
-	// MorselRows is the number of main-partition rows per morsel for
-	// parallel scans; zero selects DefaultMorselRows. SSCG scan
-	// morsels are additionally aligned to page boundaries.
+	// MorselRows is the number of main-partition rows per scan morsel;
+	// zero selects DefaultMorselRows. SSCG scan morsels are additionally
+	// aligned to page boundaries.
 	MorselRows int
 	// Registry receives executor metrics (access-path counts, scan-to-
 	// probe switchovers, morsels, rows, modeled DRAM time). Nil runs
@@ -217,7 +220,7 @@ func New(tbl *table.Table, opts Options) *Executor {
 	}
 }
 
-// Parallelism returns the configured worker count (1 = serial).
+// Parallelism returns the configured worker count (1 = inline).
 func (e *Executor) Parallelism() int { return e.parallelism }
 
 // charge adds modeled DRAM time to the clock, the exec.dram_ns counter
@@ -275,14 +278,7 @@ func (e *Executor) RunTraced(q Query, tx *mvcc.Tx) (*Result, *metrics.Trace, err
 // RunTracedCtx is RunTraced with a context; see RunCtx for the span
 // family a sampled request span receives.
 func (e *Executor) RunTracedCtx(ctx context.Context, q Query, tx *mvcc.Tx) (*Result, *metrics.Trace, error) {
-	tr := &metrics.Trace{
-		Table:          e.tbl.Name(),
-		Parallelism:    e.parallelism,
-		ProbeThreshold: e.threshold,
-	}
-	if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
-		tr.Device = timed.Profile().Name
-	}
+	tr := e.newTrace()
 	span := trace.FromContext(ctx).Child("exec.query", trace.String("table", e.tbl.Name()))
 	start := time.Now()
 	if span != nil {
@@ -337,6 +333,15 @@ func (e *Executor) Explain(q Query) (*metrics.Trace, error) {
 	if err := e.checkQuery(q); err != nil {
 		return nil, err
 	}
+	tr := e.newTrace()
+	v := e.tbl.Pin()
+	defer v.Release()
+	e.tracePredicates(tr, v, e.orderPredicates(v, q.Predicates))
+	return tr, nil
+}
+
+// newTrace opens a trace carrying the executor's settings.
+func (e *Executor) newTrace() *metrics.Trace {
 	tr := &metrics.Trace{
 		Table:          e.tbl.Name(),
 		Parallelism:    e.parallelism,
@@ -345,9 +350,16 @@ func (e *Executor) Explain(q Query) (*metrics.Trace, error) {
 	if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
 		tr.Device = timed.Profile().Name
 	}
-	v := e.tbl.Pin()
-	defer v.Release()
-	for _, p := range e.orderPredicates(v, q.Predicates) {
+	return tr
+}
+
+// tracePredicates records the chosen filter order (no-op on a nil
+// trace).
+func (e *Executor) tracePredicates(tr *metrics.Trace, v *table.View, ordered []Predicate) {
+	if tr == nil {
+		return
+	}
+	for _, p := range ordered {
 		tr.Predicate(metrics.PredicateTrace{
 			Column:               p.Column,
 			Op:                   opName(p.Op),
@@ -355,17 +367,11 @@ func (e *Executor) Explain(q Query) (*metrics.Trace, error) {
 			EstimatedSelectivity: e.estimateSelectivity(p),
 		})
 	}
-	return tr, nil
 }
 
-// opClock returns the device clock to diff for per-operator page-read
-// attribution, nil when tracing is off or the store is untimed. Like
-// the trace's query-level attribution, per-operator deltas assume no
-// concurrent query shares the clock.
-func (e *Executor) opClock(tr *metrics.Trace) *storage.Clock {
-	if tr == nil {
-		return nil
-	}
+// deviceClock returns the clock the table's timed store charges, nil
+// for an untimed store.
+func (e *Executor) deviceClock() *storage.Clock {
 	if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
 		return timed.Clock()
 	}
@@ -444,9 +450,6 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 		return nil, err
 	}
 	e.m.queries.Inc()
-	if e.parallelism > 1 {
-		e.m.parallelQueries.Inc()
-	}
 
 	// Pin the table's structure for the whole query: an online merge
 	// swapping the main partition mid-query cannot tear the reads, and
@@ -461,58 +464,21 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 	var reads0 int64
 	var elapsed0 time.Duration
 	if tr != nil {
-		if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
-			devClock = timed.Clock()
-		}
-		if devClock != nil {
+		if devClock = e.deviceClock(); devClock != nil {
 			reads0, elapsed0 = devClock.Reads(), devClock.Elapsed()
 		}
 	}
 
 	ordered := e.orderPredicates(v, q.Predicates)
-	if tr != nil {
-		for _, p := range ordered {
-			tr.Predicate(metrics.PredicateTrace{
-				Column:               p.Column,
-				Op:                   opName(p.Op),
-				Path:                 e.pathOf(v, p),
-				EstimatedSelectivity: e.estimateSelectivity(p),
-			})
-		}
-	}
+	e.tracePredicates(tr, v, ordered)
 
-	var mainIDs []uint32
-	var err error
-	if e.parallelism > 1 {
-		mainIDs, err = e.runMainParallel(v, ordered, snapshot, self, tr)
-	} else {
-		mainIDs, err = e.runMain(v, ordered, snapshot, self, tr)
-	}
+	// One worker set serves the filters and the materialization; its
+	// modeled cost reaches the clocks once, before the trace reads them.
+	ws := e.newWorkers(v)
+	res, err := e.runPinned(v, ws, ordered, q.Project, snapshot, self, tr)
+	e.settle(ws, tr)
 	if err != nil {
 		return nil, err
-	}
-	deltaIDs, err := e.runDelta(v, ordered, snapshot, self, tr)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{IDs: make([]table.RowID, 0, len(mainIDs)+len(deltaIDs))}
-	for _, p := range mainIDs {
-		res.IDs = append(res.IDs, table.RowID(p))
-	}
-	mainRows := uint64(v.MainRows())
-	for _, p := range deltaIDs {
-		res.IDs = append(res.IDs, mainRows+uint64(p))
-	}
-	if len(q.Project) > 0 {
-		if e.parallelism > 1 {
-			err = e.materializeParallel(v, res, q.Project, tr)
-		} else {
-			err = e.materialize(v, res, q.Project, tr)
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 	e.m.rowsQualified.Add(int64(len(res.IDs)))
 	if tr != nil {
@@ -527,6 +493,34 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 			} else {
 				tr.DeviceNs = total
 			}
+		}
+	}
+	return res, nil
+}
+
+// runPinned filters both partitions of the pinned view, assembles the
+// RowIDs (main first, then delta offset by the main row count) and
+// materializes the projection.
+func (e *Executor) runPinned(v *table.View, ws []worker, preds []Predicate, project []int, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) (*Result, error) {
+	mainIDs, err := e.runMain(v, ws, preds, snapshot, self, tr)
+	if err != nil {
+		return nil, err
+	}
+	deltaIDs, err := e.runDelta(v, preds, snapshot, self, tr)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{IDs: make([]table.RowID, 0, len(mainIDs)+len(deltaIDs))}
+	for _, p := range mainIDs {
+		res.IDs = append(res.IDs, table.RowID(p))
+	}
+	mainRows := uint64(v.MainRows())
+	for _, p := range deltaIDs {
+		res.IDs = append(res.IDs, mainRows+uint64(p))
+	}
+	if len(project) > 0 {
+		if err := e.materialize(v, ws, res, project, tr); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
@@ -576,8 +570,12 @@ func (e *Executor) checkQuery(q Query) error {
 // ascending selectivity. Equality predicates use the 1/distinct
 // estimate; range predicates use the column's equi-depth histogram
 // when available (Section III-A: "distinct counts and histograms").
+// The caller's slice is never reordered.
 func (e *Executor) orderPredicates(v *table.View, preds []Predicate) []Predicate {
-	out := append([]Predicate(nil), preds...)
+	if len(preds) < 2 {
+		return preds
+	}
+	out := slices.Clone(preds)
 	rank := func(p Predicate) (int, float64) {
 		sel := e.estimateSelectivity(p)
 		if v.Index(p.Column) != nil {
@@ -588,13 +586,10 @@ func (e *Executor) orderPredicates(v *table.View, preds []Predicate) []Predicate
 		}
 		return 2, sel
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		ra, sa := rank(out[a])
-		rb, sb := rank(out[b])
-		if ra != rb {
-			return ra < rb
-		}
-		return sa < sb
+	slices.SortStableFunc(out, func(a, b Predicate) int {
+		ra, sa := rank(a)
+		rb, sb := rank(b)
+		return cmp.Or(cmp.Compare(ra, rb), cmp.Compare(sa, sb))
 	})
 	return out
 }
@@ -614,8 +609,8 @@ func (e *Executor) estimateSelectivity(p Predicate) float64 {
 }
 
 // runMain evaluates the ordered predicates over the main partition and
-// returns qualifying main-row positions.
-func (e *Executor) runMain(v *table.View, preds []Predicate, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
+// returns qualifying main-row positions in ascending order.
+func (e *Executor) runMain(v *table.View, ws []worker, preds []Predicate, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
 	mainRows := v.MainRows()
 	if mainRows == 0 {
 		return nil, nil
@@ -623,171 +618,211 @@ func (e *Executor) runMain(v *table.View, preds []Predicate, snapshot mvcc.Times
 	skip := func(row int) bool {
 		return !v.MainVersions().Visible(row, snapshot, self)
 	}
-	clk := e.opClock(tr)
-	var cand []uint32
-	first := true
-	for _, p := range preds {
-		mark, reads0 := 0, int64(0)
-		if clk != nil {
-			mark, reads0 = len(tr.Operators), clk.Reads()
-		}
-		var err error
-		cand, err = e.applyMain(v, p, cand, first, skip, tr)
+	if len(preds) == 0 {
+		// No predicates: all visible rows qualify.
+		before := morselsOf(ws)
+		out, err := collect(ws, morselCount(mainRows, e.morselRows), nil, func(_ *worker, m int) ([]uint32, error) {
+			var out []uint32
+			for row, hi := m*e.morselRows, min((m+1)*e.morselRows, mainRows); row < hi; row++ {
+				if !skip(row) {
+					out = append(out, uint32(row))
+				}
+			}
+			return out, nil
+		})
 		if err != nil {
 			return nil, err
-		}
-		if clk != nil {
-			stampPageReads(tr, mark, clk.Reads()-reads0)
-		}
-		first = false
-		if len(cand) == 0 {
-			return nil, nil
-		}
-	}
-	if first {
-		// No predicates: all visible rows qualify.
-		for row := 0; row < mainRows; row++ {
-			if !skip(row) {
-				cand = append(cand, uint32(row))
-			}
 		}
 		e.m.rowsScanned.Add(int64(mainRows))
 		tr.Op(metrics.OperatorTrace{
 			Name: "visible", Partition: "main", Column: -1,
-			RowsIn: mainRows, RowsOut: len(cand),
+			RowsIn: mainRows, RowsOut: len(out), Morsels: int(morselsOf(ws) - before),
 		})
+		return out, nil
+	}
+	var cand []uint32
+	for i, p := range preds {
+		mark, reads0 := 0, int64(0)
+		if tr != nil {
+			mark, reads0 = len(tr.Operators), readsOf(ws)
+		}
+		var err error
+		cand, err = e.applyMain(v, ws, p, cand, i == 0, skip, tr)
+		if err != nil {
+			return nil, err
+		}
+		if tr != nil {
+			stampPageReads(tr, mark, readsOf(ws)-reads0)
+		}
+		if len(cand) == 0 {
+			return nil, nil
+		}
 	}
 	return cand, nil
 }
 
 // applyMain evaluates one predicate over the main partition, narrowing
-// the candidate list (nil on the first predicate).
-func (e *Executor) applyMain(v *table.View, p Predicate, cand []uint32, first bool, skip func(int) bool, tr *metrics.Trace) ([]uint32, error) {
+// the candidate list (nil on the first predicate). It picks the access
+// path — index, MRC scan or probe, SSCG scan or probe — and hands the
+// work to that path's kernel.
+func (e *Executor) applyMain(v *table.View, ws []worker, p Predicate, cand []uint32, first bool, skip func(int) bool, tr *metrics.Trace) ([]uint32, error) {
 	mainRows := v.MainRows()
-
-	// Index access path (always DRAM-resident).
-	if idx := v.Index(p.Column); idx != nil && first {
-		out := e.indexLookup(v, p, skip, tr)
+	before := morselsOf(ws)
+	op := metrics.OperatorTrace{Name: "scan", Partition: "main", Column: p.Column, RowsIn: mainRows}
+	var out []uint32
+	var err error
+	mrc := v.MRC(p.Column)
+	switch {
+	case first && v.Index(p.Column) != nil:
+		// Index access path (always DRAM-resident).
+		op.Name, op.Path = "index", "index"
 		e.m.indexLookups.Inc()
-		e.observeSelectivity(p, mainRows, len(out))
-		tr.Op(metrics.OperatorTrace{
-			Name: "index", Partition: "main", Path: "index", Column: p.Column,
-			RowsIn: mainRows, RowsOut: len(out),
-		})
-		return out, nil
-	}
-
-	if mrc := v.MRC(p.Column); mrc != nil {
-		if first {
-			// Full scan on the compressed DRAM column.
-			e.charge(tr, device.DRAM.SequentialReadTime(mrc.Bytes(), e.threads))
-			e.m.mrcScans.Inc()
-			e.m.rowsScanned.Add(int64(mainRows))
-			e.m.dramScanBytes.Add(mrc.Bytes())
-			var out []uint32
-			var err error
-			switch p.Op {
-			case Eq:
-				out, err = mrc.ScanEqual(p.Value, nil, skip)
-			default:
-				out, err = mrc.ScanRange(p.Value, p.Hi, nil, skip)
-			}
-			if err != nil {
-				return nil, err
-			}
-			e.observeSelectivity(p, mainRows, len(out))
-			tr.Op(metrics.OperatorTrace{
-				Name: "scan", Partition: "main", Path: "mrc", Column: p.Column,
-				RowsIn: mainRows, RowsOut: len(out),
-			})
-			return out, nil
-		}
+		out = e.indexLookup(v, p, skip, tr)
+	case first && mrc != nil:
+		// Full scan on the compressed DRAM column.
+		op.Path = "mrc"
+		e.m.mrcScans.Inc()
+		e.m.rowsScanned.Add(int64(mainRows))
+		e.m.dramScanBytes.Add(mrc.Bytes())
+		out, err = e.scanMRC(ws, mrc, p, mainRows, skip)
+	case mrc != nil:
 		// Subsequent predicate: probe the candidate list (always
 		// cheaper than re-scanning DRAM).
-		e.chargeTouches(tr, len(cand))
+		op.Name, op.Path, op.RowsIn = "probe", "mrc", len(cand)
 		e.m.mrcProbes.Inc()
 		e.m.rowsScanned.Add(int64(len(cand)))
-		var out []uint32
-		var err error
-		switch p.Op {
-		case Eq:
-			out, err = mrc.ProbeEqual(p.Value, cand, nil)
-		default:
-			out, err = mrc.ProbeRange(p.Value, p.Hi, cand, nil)
-		}
-		if err != nil {
-			return nil, err
-		}
-		e.observeSelectivity(p, len(cand), len(out))
-		tr.Op(metrics.OperatorTrace{
-			Name: "probe", Partition: "main", Path: "mrc", Column: p.Column,
-			RowsIn: len(cand), RowsOut: len(out),
-		})
-		return out, nil
+		out, err = probeMRC(ws, mrc, p, cand)
+	default:
+		return e.applyTiered(v, ws, p, cand, first, skip, tr)
 	}
+	if err != nil {
+		return nil, err
+	}
+	e.observeSelectivity(p, op.RowsIn, len(out))
+	op.RowsOut, op.Morsels = len(out), int(morselsOf(ws)-before)
+	tr.Op(op)
+	return out, nil
+}
 
-	// Tiered column (SSCG-placed).
+// applyTiered evaluates one predicate on an SSCG-placed column: a scan
+// of the whole group while the candidate fraction is above the probe
+// threshold, one page access per candidate below it.
+func (e *Executor) applyTiered(v *table.View, ws []worker, p Predicate, cand []uint32, first bool, skip func(int) bool, tr *metrics.Trace) ([]uint32, error) {
+	mainRows := v.MainRows()
 	gf := v.GroupField(p.Column)
-	group := v.Group()
-	if group == nil || gf < 0 {
+	if v.Group() == nil || gf < 0 {
 		return nil, fmt.Errorf("exec: column %d has no storage (internal layout error)", p.Column)
 	}
 	pred, err := e.compile(p)
 	if err != nil {
 		return nil, err
 	}
-	fraction := 1.0
+	before := morselsOf(ws)
+	op := metrics.OperatorTrace{Name: "scan", Partition: "main", Path: "sscg", Column: p.Column, RowsIn: mainRows}
+	var out []uint32
 	if !first {
-		fraction = float64(len(cand)) / float64(mainRows)
+		op.RowsIn, op.CandidateFraction = len(cand), float64(len(cand))/float64(mainRows)
 	}
-	if first || fraction > e.threshold {
+	if first || op.CandidateFraction > e.threshold {
 		// Scan the whole group (reads every page), then intersect.
 		e.m.sscgScans.Inc()
 		e.m.rowsScanned.Add(int64(mainRows))
-		matches, err := group.Scan(gf, pred, nil, skip)
+		out, err = e.scanGroup(ws, v.Group().RowsPerPage(), gf, pred, mainRows, skip)
 		if err != nil {
 			return nil, err
 		}
 		// The full-partition match count is the predicate's own marginal
 		// fraction — measured before intersecting with the candidates.
-		e.observeSelectivity(p, mainRows, len(matches))
-		out := matches
+		e.observeSelectivity(p, mainRows, len(out))
 		if !first {
-			out = intersect(cand, matches)
+			out = intersect(cand, out)
 		}
-		op := metrics.OperatorTrace{
-			Name: "scan", Partition: "main", Path: "sscg", Column: p.Column,
-			RowsIn: mainRows, RowsOut: len(out),
+	} else {
+		// The paper's scan-to-probe switchover: the candidate fraction
+		// fell below the threshold, so per-candidate page accesses beat a
+		// full scan.
+		op.Name, op.SwitchedToProbe = "probe", true
+		e.m.sscgProbes.Inc()
+		e.m.switchovers.Inc()
+		e.m.rowsScanned.Add(int64(len(cand)))
+		out, err = probeGroup(ws, gf, pred, cand)
+		if err != nil {
+			return nil, err
 		}
-		if !first {
-			op.RowsIn, op.CandidateFraction = len(cand), fraction
-		}
-		tr.Op(op)
-		return out, nil
+		e.observeSelectivity(p, len(cand), len(out))
 	}
-	// Probe: one page access per candidate. This is the paper's
-	// scan-to-probe switchover — the candidate fraction fell below the
-	// threshold, so per-candidate page accesses beat a full scan.
-	e.m.sscgProbes.Inc()
-	e.m.switchovers.Inc()
-	e.m.rowsScanned.Add(int64(len(cand)))
-	out, err := group.Probe(gf, pred, cand, nil)
-	if err != nil {
-		return nil, err
-	}
-	e.observeSelectivity(p, len(cand), len(out))
-	tr.Op(metrics.OperatorTrace{
-		Name: "probe", Partition: "main", Path: "sscg", Column: p.Column,
-		SwitchedToProbe: true, CandidateFraction: fraction,
-		RowsIn: len(cand), RowsOut: len(out),
-	})
+	op.RowsOut, op.Morsels = len(out), int(morselsOf(ws)-before)
+	tr.Op(op)
 	return out, nil
 }
 
+// scanMRC is the MRC scan kernel: the first (DRAM-resident) predicate
+// evaluated morsel-wise on the compressed column.
+func (e *Executor) scanMRC(ws []worker, mrc *column.MRC, p Predicate, mainRows int, skip func(int) bool) ([]uint32, error) {
+	out, err := collect(ws, morselCount(mainRows, e.morselRows), nil, func(w *worker, m int) ([]uint32, error) {
+		lo := m * e.morselRows
+		hi := min(lo+e.morselRows, mainRows)
+		w.scanned += hi - lo
+		if p.Op == Eq {
+			return mrc.ScanEqualIn(p.Value, lo, hi, nil, skip)
+		}
+		return mrc.ScanRangeIn(p.Value, p.Hi, lo, hi, nil, skip)
+	})
+	// Each worker streamed its share of the column's bytes with the
+	// others running concurrently: one latency charge per stream, and
+	// the whole column on one stream when there is one worker.
+	streams := max(e.threads, len(ws))
+	for i := range ws {
+		if w := &ws[i]; w.scanned > 0 {
+			share := float64(w.scanned) / float64(mainRows)
+			w.dram += device.DRAM.SequentialReadTime(int64(share*float64(mrc.Bytes())), streams)
+			w.scanned = 0
+		}
+	}
+	return out, err
+}
+
+// probeMRC is the MRC probe kernel: it refines the candidate list
+// against a DRAM column, chunk-wise, one dependent access per candidate.
+// Like probeGroup it filters cand in place: a chunk's survivors are
+// written over the chunk's own head, never past a position already read.
+func probeMRC(ws []worker, mrc *column.MRC, p Predicate, cand []uint32) ([]uint32, error) {
+	n := chunkCount(len(cand), len(ws))
+	return collect(ws, n, cand[:0], func(w *worker, m int) ([]uint32, error) {
+		lo, hi := chunkBounds(len(cand), n, m)
+		w.touches += int64(hi - lo)
+		if p.Op == Eq {
+			return mrc.ProbeEqual(p.Value, cand[lo:hi], cand[lo:lo])
+		}
+		return mrc.ProbeRange(p.Value, p.Hi, cand[lo:hi], cand[lo:lo])
+	})
+}
+
+// scanGroup is the SSCG scan kernel. Morsel boundaries align to page
+// boundaries so no page is read twice; device time flows through each
+// worker's view of the group onto that worker's clock.
+func (e *Executor) scanGroup(ws []worker, rowsPerPage, gf int, pred func(value.Value) bool, mainRows int, skip func(int) bool) ([]uint32, error) {
+	align := max(rowsPerPage, 1) // page-spanning rows: every row owns its pages
+	morsel := (e.morselRows + align - 1) / align * align
+	return collect(ws, morselCount(mainRows, morsel), nil, func(w *worker, m int) ([]uint32, error) {
+		return w.group.ScanRows(gf, pred, m*morsel, min((m+1)*morsel, mainRows), nil, skip)
+	})
+}
+
+// probeGroup is the SSCG probe kernel: one page access per candidate,
+// chunk-wise.
+func probeGroup(ws []worker, gf int, pred func(value.Value) bool, cand []uint32) ([]uint32, error) {
+	n := chunkCount(len(cand), len(ws))
+	return collect(ws, n, cand[:0], func(w *worker, m int) ([]uint32, error) {
+		lo, hi := chunkBounds(len(cand), n, m)
+		return w.group.Probe(gf, pred, cand[lo:hi], cand[lo:lo])
+	})
+}
+
 // indexLookup resolves a predicate through the column's B+-tree index,
-// returning visible matching positions in ascending row order. Shared
-// by the serial and parallel paths (index descent is DRAM-cheap and
-// stays single-threaded either way).
+// returning visible matching positions in ascending row order. The
+// tree descent is DRAM-cheap and stays on the calling goroutine at any
+// worker count.
 func (e *Executor) indexLookup(v *table.View, p Predicate, skip func(int) bool, tr *metrics.Trace) []uint32 {
 	idx := v.Index(p.Column)
 	var positions []uint32
@@ -808,7 +843,7 @@ func (e *Executor) indexLookup(v *table.View, p Predicate, skip func(int) bool, 
 			out = append(out, pos)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -939,21 +974,22 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 			return nil, nil
 		}
 	}
-	sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
+	slices.Sort(cand)
 	return shift(cand), nil
 }
 
 // materialize fills res.Rows with the projected columns of each
-// qualifying row. For main-partition rows with SSCG-placed projections,
-// one group page access delivers all grouped attributes of a row.
-func (e *Executor) materialize(v *table.View, res *Result, project []int, tr *metrics.Trace) error {
-	clk := e.opClock(tr)
+// qualifying row, chunk-wise. Each output slot is owned by exactly one
+// chunk, so no merge is needed. For main-partition rows with
+// SSCG-placed projections, one group page access delivers all grouped
+// attributes of a row.
+func (e *Executor) materialize(v *table.View, ws []worker, res *Result, project []int, tr *metrics.Trace) error {
+	before := morselsOf(ws)
 	var reads0 int64
-	if clk != nil {
-		reads0 = clk.Reads()
+	if tr != nil {
+		reads0 = readsOf(ws)
 	}
 	mainRows := uint64(v.MainRows())
-	group := v.Group()
 	needGroup := false
 	for _, c := range project {
 		if v.GroupField(c) >= 0 {
@@ -961,41 +997,48 @@ func (e *Executor) materialize(v *table.View, res *Result, project []int, tr *me
 		}
 	}
 	res.Rows = make([][]value.Value, len(res.IDs))
-	for i, id := range res.IDs {
-		row := make([]value.Value, len(project))
-		var groupRow []value.Value
-		if id < mainRows && needGroup && group != nil {
-			var err error
-			groupRow, err = group.ReadRow(int(id))
-			if err != nil {
-				return err
-			}
-		}
-		for j, c := range project {
-			if id < mainRows {
-				if gf := v.GroupField(c); gf >= 0 && groupRow != nil {
-					row[j] = groupRow[gf]
-					continue
+	n := chunkCount(len(res.IDs), len(ws))
+	err := runMorsels(ws, n, func(w *worker, m int) error {
+		lo, hi := chunkBounds(len(res.IDs), n, m)
+		for i := lo; i < hi; i++ {
+			id := res.IDs[i]
+			row := make([]value.Value, len(project))
+			var groupRow []value.Value
+			if id < mainRows && needGroup && w.group != nil {
+				var err error
+				groupRow, err = w.group.ReadRow(int(id))
+				if err != nil {
+					return err
 				}
-				e.chargeTouches(tr, 2) // value vector + dictionary
 			}
-			val, err := v.GetValue(id, c)
-			if err != nil {
-				return err
+			for j, c := range project {
+				if id < mainRows {
+					if gf := v.GroupField(c); gf >= 0 && groupRow != nil {
+						row[j] = groupRow[gf]
+						continue
+					}
+					w.touches += 2 // value vector + dictionary
+				}
+				val, err := v.GetValue(id, c)
+				if err != nil {
+					return err
+				}
+				row[j] = val
 			}
-			row[j] = val
+			res.Rows[i] = row
 		}
-		res.Rows[i] = row
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	e.m.rowsMaterialized.Add(int64(len(res.IDs)))
 	op := metrics.OperatorTrace{
 		Name: "materialize", Partition: "main", Column: -1,
-		RowsIn: len(res.IDs), RowsOut: len(res.IDs),
+		RowsIn: len(res.IDs), RowsOut: len(res.IDs), Morsels: int(morselsOf(ws) - before),
 	}
-	if clk != nil {
-		if d := clk.Reads() - reads0; d > 0 {
-			op.PageReads = d
-		}
+	if tr != nil {
+		op.PageReads = max(readsOf(ws)-reads0, 0)
 	}
 	tr.Op(op)
 	return nil

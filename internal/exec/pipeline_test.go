@@ -1,0 +1,158 @@
+package exec
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"tierdb/internal/metrics"
+	"tierdb/internal/schema"
+	"tierdb/internal/storage"
+	"tierdb/internal/table"
+	"tierdb/internal/value"
+)
+
+// Allocation ceilings of the two Parallelism-1 shapes the wall-clock
+// benchmark leans on, measured on the last commit that still had a
+// separate serial executor. The single pipeline must run one inline
+// worker without paying for it in heap allocations.
+const (
+	lookupAllocsCeiling  = 9  // indexed point lookup, 2 projected columns
+	mrcScanAllocsCeiling = 20 // MRC scan + MRC probe over 10 000 rows, ids only
+)
+
+func TestInlineWorkerAllocs(t *testing.T) {
+	tbl, _ := newTable(t, 10000, nil)
+	if err := tbl.CreateIndex(0); err != nil {
+		t.Fatal(err)
+	}
+	e := New(tbl, Options{})
+	for _, tc := range []struct {
+		name    string
+		q       Query
+		rows    int
+		ceiling float64
+	}{
+		{"indexed lookup with projection", Query{
+			Predicates: []Predicate{{Column: 0, Op: Eq, Value: value.NewInt(4242)}},
+			Project:    []int{1, 3},
+		}, 1, lookupAllocsCeiling},
+		{"two-predicate MRC scan", Query{Predicates: []Predicate{
+			{Column: 2, Op: Eq, Value: value.NewInt(42)},
+			{Column: 3, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(499)},
+		}}, 50, mrcScanAllocsCeiling},
+	} {
+		res, err := e.Run(tc.q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.IDs) != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", tc.name, len(res.IDs), tc.rows)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := e.Run(tc.q, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs/query", tc.name, got)
+		if got > tc.ceiling {
+			t.Errorf("%s: %.0f allocs/query, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
+	}
+}
+
+// goroutineProbe is a page store that records the highest goroutine
+// count seen from inside a page read — that is, from inside a scan or
+// materialize kernel.
+type goroutineProbe struct {
+	storage.Store
+	peak atomic.Int64
+}
+
+func (p *goroutineProbe) ReadPage(id storage.PageID, buf []byte) error {
+	n := int64(runtime.NumGoroutine())
+	for {
+		old := p.peak.Load()
+		if n <= old || p.peak.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	return p.Store.ReadPage(id, buf)
+}
+
+// TestOneWorkerRunsInline checks that a Parallelism-1 query does all
+// its morsel work on the calling goroutine: seen from inside the SSCG
+// scan and the tiered materialization, no goroutine has been started.
+// The same query at Parallelism 4 must show workers, which proves the
+// probe sees them.
+func TestOneWorkerRunsInline(t *testing.T) {
+	probe := &goroutineProbe{Store: storage.NewMemStore()}
+	s := schema.MustNew([]schema.Field{
+		{Name: "id", Type: value.Int64},
+		{Name: "a", Type: value.Int64},
+	})
+	tbl, err := table.New("inline", s, table.Options{Store: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]value.Value, 20000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewInt(int64(i % 10))}
+	}
+	if err := tbl.BulkAppend(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.ApplyLayout([]bool{true, false}); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{
+		Predicates: []Predicate{{Column: 1, Op: Eq, Value: value.NewInt(3)}},
+		Project:    []int{0, 1},
+	}
+	peak := func(par int) int64 {
+		probe.peak.Store(0)
+		if _, err := New(tbl, Options{Parallelism: par, MorselRows: 1024}).Run(q, nil); err != nil {
+			t.Fatal(err)
+		}
+		return probe.peak.Load()
+	}
+	base := int64(runtime.NumGoroutine())
+	if got := peak(1); got != base {
+		t.Errorf("Parallelism 1: %d goroutines inside a kernel, %d outside the query", got, base)
+	}
+	if got := peak(4); got <= base {
+		t.Errorf("Parallelism 4: %d goroutines inside a kernel, want more than %d", got, base)
+	}
+}
+
+// TestMaterializeRecordSameAtAnyParallelism checks that the
+// materialize operator is described the same way whatever the worker
+// count: only the morsel fan-out (and the wall-clock stamps) may differ.
+func TestMaterializeRecordSameAtAnyParallelism(t *testing.T) {
+	tbl, _ := newTable(t, 20000, []bool{true, true, false, false})
+	q := Query{
+		Predicates: []Predicate{{Column: 1, Op: Eq, Value: value.NewInt(7)}},
+		Project:    []int{0, 2, 3},
+	}
+	record := func(par int) metrics.OperatorTrace {
+		_, tr, err := New(tbl, Options{Parallelism: par, MorselRows: 1024}).RunTraced(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, ok := findOp(tr, "materialize", "")
+		if !ok {
+			t.Fatalf("Parallelism %d: no materialize operator in %+v", par, tr.Operators)
+		}
+		if op.PageReads == 0 {
+			t.Errorf("Parallelism %d: tiered materialize reports no page reads", par)
+		}
+		if par > 1 && op.Morsels == 0 {
+			t.Errorf("Parallelism %d: materialize reports no morsels", par)
+		}
+		op.Morsels, op.StartNs, op.EndNs = 0, 0, 0
+		return op
+	}
+	if one, four := record(1), record(4); one != four {
+		t.Errorf("materialize record differs:\n P1 %+v\n P4 %+v", one, four)
+	}
+}

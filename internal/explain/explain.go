@@ -179,7 +179,7 @@ type Node struct {
 	EndNs   int64 `json:"end_ns,omitempty"`
 	// PageReads counts timed secondary-storage page reads (ANALYZE).
 	PageReads int64 `json:"page_reads,omitempty"`
-	// Morsels is the parallel fan-out (ANALYZE, parallel path).
+	// Morsels is the operator's fan-out (ANALYZE, more than one worker).
 	Morsels int `json:"morsels,omitempty"`
 	// SwitchedToProbe marks the paper's scan-to-probe switchover.
 	SwitchedToProbe bool `json:"switched_to_probe,omitempty"`

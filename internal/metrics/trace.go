@@ -15,7 +15,7 @@ import (
 // valid everywhere and records nothing.
 //
 // A Trace is written by the goroutine driving the query (workers
-// report through their per-worker state, merged at the phase barrier),
+// report through their per-worker state, merged once per query),
 // so it needs no internal locking; read it only after the query
 // returns.
 type Trace struct {
@@ -30,8 +30,8 @@ type Trace struct {
 	Predicates []PredicateTrace `json:"predicates,omitempty"`
 	// Operators are the executed operators in order.
 	Operators []OperatorTrace `json:"operators,omitempty"`
-	// WorkerMorsels is the number of morsels each worker executed
-	// (empty for serial queries).
+	// WorkerMorsels is the number of morsels each worker pulled from the
+	// shared counter (empty when one worker ran the query inline).
 	WorkerMorsels []int64 `json:"worker_morsels,omitempty"`
 	// RowsQualified is the final result cardinality.
 	RowsQualified int `json:"rows_qualified"`
@@ -93,7 +93,7 @@ type OperatorTrace struct {
 	// RowsOut is the qualifying count leaving the operator.
 	RowsOut int `json:"rows_out"`
 	// Morsels is the number of work units the operator fanned out
-	// (0 on the serial path).
+	// (0 when one worker ran it inline).
 	Morsels int `json:"morsels,omitempty"`
 	// PageReads is the number of timed secondary-storage page reads the
 	// operator caused (0 for DRAM-only operators).
@@ -148,8 +148,8 @@ func (t *Trace) AddDRAM(ns int64) {
 	}
 }
 
-// AddWorkerMorsels merges a phase's per-worker morsel counts
-// element-wise (no-op on nil). Called once per parallel phase barrier.
+// AddWorkerMorsels merges per-worker morsel counts element-wise (no-op
+// on nil). The executor calls it once per query that fanned out.
 func (t *Trace) AddWorkerMorsels(counts []int64) {
 	if t == nil {
 		return

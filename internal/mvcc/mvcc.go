@@ -87,10 +87,19 @@ func (t *Tx) Redo() []RedoOp { return t.redo }
 
 // Manager hands out transactions and commit timestamps.
 type Manager struct {
-	mu         sync.Mutex
-	lastCommit Timestamp
-	nextTx     TxID
-	active     map[TxID]Timestamp // snapshot of every unfinished transaction
+	mu sync.Mutex
+	// lastCommit is the snapshot new transactions read: the newest
+	// timestamp with every commit at or below it published (rows
+	// stamped). allocated is the newest timestamp handed out; commits in
+	// unpublished hold one but are still being made durable or stamped.
+	// A snapshot taken at allocated instead would see such a commit's
+	// rows appear part-way through the reading transaction.
+	lastCommit  Timestamp
+	allocated   Timestamp
+	unpublished map[Timestamp]struct{}
+	published   *sync.Cond // on mu: lastCommit advanced
+	nextTx      TxID
+	active      map[TxID]Timestamp // snapshot of every unfinished transaction
 
 	// gate is the commit gate: every commit holds it shared from
 	// timestamp allocation through write publication, and a checkpoint
@@ -114,7 +123,13 @@ type Manager struct {
 // NewManager returns a manager; timestamp 0 is "before all data", so
 // freshly loaded (non-transactional) data is stamped with timestamp 1.
 func NewManager() *Manager {
-	return &Manager{lastCommit: 1, nextTx: 1, active: make(map[TxID]Timestamp)}
+	m := &Manager{
+		lastCommit: 1, allocated: 1, nextTx: 1,
+		unpublished: make(map[Timestamp]struct{}),
+		active:      make(map[TxID]Timestamp),
+	}
+	m.published = sync.NewCond(&m.mu)
+	return m
 }
 
 // Observe registers transaction-lifecycle counters (mvcc.tx.begin,
@@ -171,9 +186,8 @@ func (m *Manager) SetDurability(d Durability) { m.dur = d }
 func (m *Manager) AdvanceTo(ts Timestamp) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ts > m.lastCommit {
-		m.lastCommit = ts
-	}
+	m.allocated = max(m.allocated, ts)
+	m.lastCommit = max(m.lastCommit, ts)
 }
 
 // QuiescedLastCommit returns the newest commit timestamp with the
@@ -189,16 +203,39 @@ func (m *Manager) QuiescedLastCommit() Timestamp {
 
 // allocLocked assigns the next commit timestamp and retires t from the
 // active set; called (possibly via the durability layer) under the
-// commit gate.
+// commit gate. The timestamp stays invisible to new snapshots until
+// publish.
 func (m *Manager) allocLocked(t *Tx) Timestamp {
 	m.mu.Lock()
-	m.lastCommit++
-	ts := m.lastCommit
+	m.allocated++
+	ts := m.allocated
+	m.unpublished[ts] = struct{}{}
 	if t != nil {
 		delete(m.active, t.id)
 	}
 	m.mu.Unlock()
 	return ts
+}
+
+// publish marks the commit at ts as stamped (or rolled back) and returns
+// once every commit at or below ts is: only then may new snapshots
+// include ts, and only then is the commit acknowledged, so a caller
+// always reads its own acknowledged write.
+func (m *Manager) publish(ts Timestamp) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.unpublished, ts)
+	watermark := m.allocated
+	for pending := range m.unpublished {
+		watermark = min(watermark, pending-1)
+	}
+	if watermark > m.lastCommit {
+		m.lastCommit = watermark
+		m.published.Broadcast()
+	}
+	for m.lastCommit < ts {
+		m.published.Wait()
+	}
 }
 
 // Commit makes the transaction durable (when a log is configured) and
@@ -244,6 +281,9 @@ func (m *Manager) CommitCtx(ctx context.Context, t *Tx) (Timestamp, error) {
 			for i := len(t.onAbort) - 1; i >= 0; i-- {
 				t.onAbort[i]()
 			}
+			if allocated {
+				m.publish(ts)
+			}
 			t.status = Aborted
 			m.cAbort.Inc()
 			return 0, fmt.Errorf("mvcc: commit not durable, rolled back: %w", err)
@@ -254,6 +294,7 @@ func (m *Manager) CommitCtx(ctx context.Context, t *Tx) (Timestamp, error) {
 	for _, fn := range t.onCommit {
 		fn(ts)
 	}
+	m.publish(ts)
 	m.gate.RUnlock()
 	t.status = Committed
 	m.cCommit.Inc()
@@ -274,19 +315,28 @@ func (m *Manager) BulkCommitCtx(ctx context.Context, ops []RedoOp, apply func(ts
 	m.gate.RLock()
 	defer m.gate.RUnlock()
 	var ts Timestamp
+	alloc := func() Timestamp {
+		ts = m.allocLocked(nil)
+		return ts
+	}
+	// Whatever happens after the allocation — append failure, apply
+	// failure, success — the timestamp is published, still inside the
+	// gate: an unpublished one would hold every later commit back.
+	defer func() {
+		if ts != 0 {
+			m.publish(ts)
+		}
+	}()
 	if m.dur != nil && len(ops) > 0 {
 		span := trace.FromContext(ctx).Child("wal.commit", trace.Int("redo_ops", int64(len(ops))))
-		_, err := m.dur.AppendCommit(trace.NewContext(ctx, span), func() Timestamp {
-			ts = m.allocLocked(nil)
-			return ts
-		}, ops)
+		_, err := m.dur.AppendCommit(trace.NewContext(ctx, span), alloc, ops)
 		span.SetError(err)
 		span.End()
 		if err != nil {
 			return 0, err
 		}
 	} else {
-		ts = m.allocLocked(nil)
+		alloc()
 	}
 	if apply != nil {
 		if err := apply(ts); err != nil {

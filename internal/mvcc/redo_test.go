@@ -147,3 +147,64 @@ func TestQuiescedLastCommitAndAdvanceTo(t *testing.T) {
 		t.Fatalf("AdvanceTo moved clock backwards to %d", m.LastCommit())
 	}
 }
+
+// slowLog allocates the commit timestamp and then holds the commit
+// until released — a log whose fsync is still in flight.
+type slowLog struct {
+	allocated chan Timestamp
+	release   chan struct{}
+}
+
+func (l *slowLog) AppendCommit(_ context.Context, alloc func() Timestamp, _ []RedoOp) (Timestamp, error) {
+	ts := alloc()
+	l.allocated <- ts
+	<-l.release
+	return ts, nil
+}
+
+// TestSnapshotExcludesUnpublishedCommit pins the publication rule: a
+// transaction that begins while a commit holds a timestamp but has not
+// stamped its rows yet must read below that timestamp, or the rows
+// would appear half-way through it; once the commit is acknowledged,
+// new snapshots include it.
+func TestSnapshotExcludesUnpublishedCommit(t *testing.T) {
+	m := NewManager()
+	log := &slowLog{allocated: make(chan Timestamp), release: make(chan struct{})}
+	m.SetDurability(log)
+	v := NewVersions()
+
+	writer := m.Begin()
+	row := v.AppendPending(writer.ID())
+	writer.LogRedo(RedoOp{Table: "t"})
+	writer.OnCommit(func(ts Timestamp) { v.CommitInsert(row, ts) })
+	done := make(chan Timestamp)
+	go func() {
+		ts, err := m.Commit(writer)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- ts
+	}()
+
+	ts := <-log.allocated
+	reader := m.Begin()
+	if reader.Snapshot() >= ts {
+		t.Errorf("reader began at %d while commit %d was still unpublished", reader.Snapshot(), ts)
+	}
+	if v.Visible(row, reader.Snapshot(), reader.ID()) {
+		t.Error("unpublished row visible")
+	}
+	close(log.release)
+	if got := <-done; got != ts {
+		t.Fatalf("committed at %d, allocated %d", got, ts)
+	}
+	if v.Visible(row, reader.Snapshot(), reader.ID()) {
+		t.Error("row appeared inside a transaction that began before its commit was published")
+	}
+	if m.LastCommit() != ts {
+		t.Errorf("LastCommit = %d after the commit at %d was acknowledged", m.LastCommit(), ts)
+	}
+	if !v.Visible(row, m.Begin().Snapshot(), 0) {
+		t.Error("acknowledged row invisible to a new transaction")
+	}
+}

@@ -328,8 +328,13 @@ func decodeUnsolicited(payload []byte) (error, error) {
 	return statusError(resp), nil
 }
 
-// do writes one request and waits for its response slot.
+// do writes one request and waits for its response slot; timeout bounds
+// the whole exchange. The one timer is stopped on return: left to
+// expire, each would stay reachable for the full timeout — tens of
+// megabytes behind a connection answering 20 000 requests a second.
 func (cn *conn) do(req server.Request, timeout time.Duration) (server.Response, error) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	slot := make(chan result, 1)
 	cn.wmu.Lock()
 	if !cn.alive() {
@@ -348,7 +353,7 @@ func (cn *conn) do(req server.Request, timeout time.Duration) (server.Response, 
 	// service rate (and close's sweep empties the queue on failure).
 	select {
 	case cn.pending <- slot:
-	case <-time.After(timeout):
+	case <-timer.C:
 		cn.wmu.Unlock()
 		return server.Response{}, fmt.Errorf("client: pipeline full for %s", timeout)
 	}
@@ -383,7 +388,7 @@ func (cn *conn) do(req server.Request, timeout time.Duration) (server.Response, 
 			return resp, statusError(resp)
 		}
 		return resp, nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		// Leave the slot in the pipeline; the read loop delivers the
 		// late response into the buffered channel, keeping FIFO
 		// alignment for everyone else.

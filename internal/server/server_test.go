@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -510,5 +511,41 @@ func TestHostileSession(t *testing.T) {
 	defer c.Close()
 	if err := c.Ping(); err != nil {
 		t.Fatalf("server damaged by hostile session: %v", err)
+	}
+}
+
+// TestClientRequestsLeaveNoTimers checks that answered requests leave
+// nothing behind on the heap: the request timer must be stopped when
+// the response arrives, not left to expire RequestTimeout (30 s) later.
+// Two pending timers per request used to cost some 400 bytes each.
+func TestClientRequestsLeaveNoTimers(t *testing.T) {
+	_, addr := boot(t, newFakeEngine(), server.Config{})
+	c, err := client.Dial(client.Config{Addr: addr, PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	ping := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := c.Ping(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const n = 20000
+	ping(100) // buffers and session state exist before the first reading
+	before := live()
+	ping(n)
+	after := live()
+	if grown := int64(after) - int64(before); grown > n*16 {
+		t.Errorf("live heap grew %d bytes over %d answered requests (%d B/request): something outlives each request",
+			grown, n, grown/n)
 	}
 }

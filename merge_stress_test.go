@@ -74,6 +74,9 @@ func TestMergeSchedulerConcurrentStress(t *testing.T) {
 	if err := tbl.BulkLoad(rows); err != nil {
 		t.Fatal(err)
 	}
+	// The armed scheduler may have taken the load's merge for itself;
+	// a layout change needs it drained.
+	mustMerge(t, tbl)
 	if err := tbl.Inner().ApplyLayout([]bool{true, false, false}); err != nil {
 		t.Fatal(err)
 	}
@@ -239,5 +242,63 @@ func TestMergeAsyncAfterCloseAndShutdown(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestBulkLoadRacesScheduledMerge loads batches while the merge
+// scheduler is folding the same table. A batch that is committed and
+// visible must not be reported as failed because its own merge lost the
+// race (it used to surface ErrMergeInProgress); the scheduler folds it
+// later, and no row is lost or doubled.
+func TestBulkLoadRacesScheduledMerge(t *testing.T) {
+	const (
+		initial = 2000
+		rounds  = 1000
+		batch   = 3
+	)
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("race", stressFields())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]Value, initial)
+	for i := range rows {
+		rows[i] = stressRow(int64(i))
+	}
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	next := int64(initial)
+	for r := 0; r < rounds; r++ {
+		// A non-empty delta gives the scheduled merge work to be caught in.
+		if err := tbl.Insert(stressRow(next)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if err := tbl.MergeAsync(); err != nil {
+			t.Fatal(err)
+		}
+		load := make([][]Value, batch)
+		for i := range load {
+			load[i] = stressRow(next)
+			next++
+		}
+		if err := tbl.BulkLoad(load); err != nil {
+			t.Fatalf("round %d: BulkLoad after a visible commit: %v", r, err)
+		}
+		if got := tbl.Rows(); got != int(next) {
+			t.Fatalf("round %d: %d rows visible after BulkLoad, want %d", r, got, next)
+		}
+	}
+	mustMerge(t, tbl)
+	if got := tbl.Rows(); got != int(next) {
+		t.Errorf("%d rows after the final merge, want %d", got, next)
+	}
+	if d := tbl.Inner().DeltaRows(); d != 0 {
+		t.Errorf("%d rows left in the delta after the final merge", d)
 	}
 }

@@ -2,6 +2,7 @@ package tierdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"tierdb/internal/exec"
@@ -54,7 +55,10 @@ func (t *Table) Rows() int { return t.inner.VisibleCount() }
 
 // BulkLoad appends rows outside any transaction and merges them into
 // the main partition under the current layout. With a WAL configured
-// the whole batch is one atomic, durable commit record.
+// the whole batch is one atomic, durable commit record. An error means
+// the batch did not take effect. A nil return means it is committed and
+// visible; it is also merged unless another merge of the table was in
+// flight, in which case the merge scheduler folds it afterwards.
 func (t *Table) BulkLoad(rows [][]Value) error {
 	return t.BulkLoadCtx(context.Background(), rows)
 }
@@ -84,10 +88,18 @@ func (t *Table) BulkLoadCtx(ctx context.Context, rows [][]Value) error {
 
 // mergeCtx merges the delta partition under a "merge.wait" child span
 // of the request trace (if any): the caller's wall-clock time spent
-// waiting for the merge to complete.
+// waiting for the merge to complete. By the time it runs the batch is
+// committed and readable from the delta, so a merge that is already in
+// flight (the scheduler's, say) is no failure of the load: the table is
+// handed to the scheduler, which folds the batch once that merge drains.
+// A database closing under the load keeps the batch in its delta.
 func (t *Table) mergeCtx(ctx context.Context) error {
 	span := trace.FromContext(ctx).Child("merge.wait", trace.String("table", t.Name()))
 	err := t.inner.Merge()
+	if errors.Is(err, ErrMergeInProgress) {
+		_ = t.MergeAsync()
+		err = nil
+	}
 	span.SetError(err)
 	span.End()
 	return err

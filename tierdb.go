@@ -97,9 +97,10 @@ type Config struct {
 	// Threads is the concurrency level assumed by the device timing
 	// model; defaults to 1.
 	Threads int
-	// Parallelism is the number of worker goroutines for morsel-driven
-	// main-partition scans; values <= 1 select the serial executor.
-	// Results are identical to serial execution at any level.
+	// Parallelism is the number of workers main-partition scans, probes
+	// and materialization are spread over; values <= 1 mean one worker,
+	// which runs inline on the querying goroutine. Every level runs the
+	// same pipeline and returns identical results.
 	Parallelism int
 	// PageFile, when set, backs pages with a real file at this path
 	// instead of memory (the timing model still applies).
