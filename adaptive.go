@@ -3,15 +3,16 @@ package tierdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tierdb/internal/core"
 	"tierdb/internal/metrics"
 	"tierdb/internal/obsrv"
 	"tierdb/internal/table"
-	"tierdb/internal/workload"
 )
 
 // AdaptiveReport is the adaptive placement scheduler's status: config,
@@ -48,18 +49,19 @@ type adaptiveState struct {
 	cooldown   int
 }
 
-// adaptiveScheduler closes the paper's loop: it periodically rotates
-// each table's workload-history window, re-solves the explicit column
-// selection model with reallocation costs (Theorem 2 on formulation
-// (6)-(7), y = the current placement), and applies the recommendation
-// online through the same ApplyLayout path a DBA would use — WAL-logged
-// DDL, so adapted placements survive recovery.
+// adaptiveScheduler is the adaptive placement policy, which closes the
+// paper's loop: each cycle rotates every table's workload window,
+// re-solves the explicit column selection model with reallocation costs
+// (Theorem 2 on formulation (6)-(7), y = the current placement), and
+// applies the recommendation online through the same ApplyLayout path a
+// DBA would use — WAL-logged DDL, so adapted placements survive
+// recovery.
 //
-// Like the merge scheduler it owns one goroutine; applies run there one
-// at a time, never overlapping a merge of the same table (the table
-// layer rejects overlap, and the daemon skips tables that are
-// mid-merge), and each durable apply is sealed with a checkpoint, which
-// db.ckptMu serializes against every other checkpoint.
+// Cycles run on the database's scheduler goroutine, so an apply never
+// overlaps a scheduled merge; while a caller's own merge holds a table
+// the table layer rejects the apply, which the policy reports as a
+// skip. Each durable apply is sealed with a checkpoint, which db.ckptMu
+// serializes against every other checkpoint.
 type adaptiveScheduler struct {
 	db       *DB
 	interval time.Duration
@@ -69,14 +71,9 @@ type adaptiveScheduler struct {
 	minGain  float64
 	maxMove  float64
 	cooldown int
-
-	trigger  chan chan error // AdaptOnce rendezvous
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	enabled  atomic.Bool // the periodic tick acts only while set
 
 	mu      sync.Mutex
-	enabled bool
 	cycles  uint64
 	applies uint64
 	skips   uint64
@@ -93,11 +90,10 @@ type adaptiveScheduler struct {
 	hSolve  *metrics.Histogram
 }
 
-// startAdaptiveScheduler launches the daemon goroutine. It always
-// starts (AdaptOnce and the server opcodes work regardless); the
-// periodic loop only acts while enabled, which Config.AdaptiveInterval
-// > 0 turns on at boot.
-func startAdaptiveScheduler(db *DB, cfg Config) *adaptiveScheduler {
+// newAdaptiveScheduler builds the policy from the Config.Adaptive*
+// fields. DB.AdaptOnce and the server opcodes work regardless of
+// Config.AdaptiveInterval; > 0 only turns the periodic tick on at boot.
+func newAdaptiveScheduler(db *DB, cfg Config) *adaptiveScheduler {
 	s := &adaptiveScheduler{
 		db:       db,
 		interval: cfg.AdaptiveInterval,
@@ -107,13 +103,10 @@ func startAdaptiveScheduler(db *DB, cfg Config) *adaptiveScheduler {
 		minGain:  cfg.AdaptiveMinGain,
 		maxMove:  cfg.AdaptiveMaxMove,
 		cooldown: cfg.AdaptiveCooldown,
-		enabled:  cfg.AdaptiveInterval > 0,
-		trigger:  make(chan chan error),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 		last:     make(map[string]AdaptiveDecision),
 		state:    make(map[string]*adaptiveState),
 	}
+	s.enabled.Store(cfg.AdaptiveInterval > 0)
 	if s.interval <= 0 {
 		s.interval = DefaultAdaptiveInterval
 	}
@@ -133,37 +126,7 @@ func startAdaptiveScheduler(db *DB, cfg Config) *adaptiveScheduler {
 	s.cErr = r.Counter("adaptive.errors")
 	s.cMoved = r.Counter("adaptive.moved_bytes")
 	s.hSolve = r.Histogram("adaptive.solve_ns", metrics.IOLatencyBuckets())
-	go s.loop()
 	return s
-}
-
-func (s *adaptiveScheduler) loop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case reply := <-s.trigger:
-			s.cycle()
-			reply <- nil
-		case <-t.C:
-			s.mu.Lock()
-			enabled := s.enabled
-			s.mu.Unlock()
-			if enabled {
-				s.cycle()
-			}
-		}
-	}
-}
-
-// shutdown stops the daemon and waits for an in-flight cycle; safe to
-// call more than once.
-func (s *adaptiveScheduler) shutdown() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
 }
 
 // cycle runs one adaptation pass over every table.
@@ -173,13 +136,7 @@ func (s *adaptiveScheduler) cycle() {
 	cycle := s.cycles
 	s.mu.Unlock()
 	s.cCycles.Inc()
-	s.db.mu.Lock()
-	tables := make([]*Table, 0, len(s.db.tables))
-	for _, t := range s.db.tables {
-		tables = append(tables, t)
-	}
-	s.db.mu.Unlock()
-	for _, t := range tables {
+	for _, t := range s.db.tableList() {
 		d := s.adaptTable(t, cycle)
 		s.mu.Lock()
 		s.last[d.Table] = d
@@ -217,7 +174,7 @@ func (s *adaptiveScheduler) adaptTable(t *Table, cycle uint64) AdaptiveDecision 
 	if st.cooldown > 0 {
 		st.cooldown--
 	}
-	plans := t.history.Rotate()
+	plans := t.plans.Rotate()
 	for _, p := range plans {
 		d.WindowQueries += p.Count
 	}
@@ -225,18 +182,12 @@ func (s *adaptiveScheduler) adaptTable(t *Table, cycle uint64) AdaptiveDecision 
 		d.Action, d.Reason = "skipped", "no workload in window"
 		return d
 	}
-	w, err := workload.ExtractPlans(t.inner, plans, nil)
+	w, err := t.model(plans, nil)
 	if err != nil {
 		d.Action, d.Reason = "error", err.Error()
 		return d
 	}
-	// Columns with enough runtime selectivity observations feed the
-	// model their EWMA, exactly like the on-demand advisor.
-	for i := range w.Columns {
-		if sel, n := t.inner.ObservedSelectivity(i); n >= int64(DefaultAdvisorMinSamples) && sel > 0 {
-			w.Columns[i].Selectivity = sel
-		}
-	}
+	t.observe(w, DefaultAdvisorMinSamples)
 	costs := core.DefaultCostParams()
 	current := t.inner.Layout()
 	start := time.Now()
@@ -289,12 +240,12 @@ func (s *adaptiveScheduler) adaptTable(t *Table, cycle uint64) AdaptiveDecision 
 			d.MovedBytes, total, 100*s.maxMove)
 		return d
 	}
-	if t.Merging() {
-		d.Action, d.Reason = "skipped", "online merge in flight"
-		return d
-	}
 	flipBack := st.prevLayout != nil && equalLayout(alloc.InDRAM, st.prevLayout)
-	if err := t.ApplyLayout(Layout{InDRAM: alloc.InDRAM}); err != nil {
+	// The shared tail seals the WAL-logged layout DDL with a checkpoint,
+	// like a scheduled merge. Scheduled merges cannot be in flight here
+	// (same goroutine); a caller's own Merge or ApplyLayout can.
+	err = s.db.rebuild(t, "adapt", func() error { return t.ApplyLayout(Layout{InDRAM: alloc.InDRAM}) })
+	if err != nil {
 		if errors.Is(err, table.ErrMergeInProgress) {
 			d.Action, d.Reason = "skipped", "online merge in flight"
 			return d
@@ -314,14 +265,6 @@ func (s *adaptiveScheduler) adaptTable(t *Table, cycle uint64) AdaptiveDecision 
 		d.CooldownLeft = st.cooldown
 		d.Reason = "re-solved placement (flip-back; cooling down)"
 	}
-	if s.db.wal != nil {
-		// Seal the WAL-logged layout DDL with a checkpoint, like a
-		// scheduled merge does; a failed checkpoint only means recovery
-		// replays a longer log.
-		if err := s.db.Checkpoint(); err != nil {
-			s.db.log.Warn("post-adapt checkpoint failed", "table", d.Table, "err", err)
-		}
-	}
 	return d
 }
 
@@ -335,11 +278,7 @@ func (s *adaptiveScheduler) solve(w *core.Workload, costs core.CostParams, curre
 	if s.alpha > 0 {
 		return core.ContinuousPenaltyRealloc(w, costs, s.alpha, current, s.beta)
 	}
-	budget := s.budget
-	if budget == 0 {
-		budget = core.MemoryUsed(w, current)
-	}
-	return core.ExplicitForBudget(w, costs, budget, current, s.beta)
+	return core.ExplicitForBudget(w, costs, resolveBudget(w, s.budget, 0, current), current, s.beta)
 }
 
 func (s *adaptiveScheduler) tableState(name string) *adaptiveState {
@@ -353,24 +292,14 @@ func (s *adaptiveScheduler) tableState(name string) *adaptiveState {
 	return st
 }
 
-func equalLayout(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func equalLayout(a, b []bool) bool { return slices.Equal(a, b) }
 
 // report builds the /layout/adaptive answer.
 func (s *adaptiveScheduler) report() *AdaptiveReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rep := &AdaptiveReport{
-		Enabled:         s.enabled,
+		Enabled:         s.enabled.Load(),
 		IntervalNs:      s.interval.Nanoseconds(),
 		Alpha:           s.alpha,
 		Beta:            s.beta,
@@ -391,7 +320,7 @@ func (s *adaptiveScheduler) report() *AdaptiveReport {
 	return rep
 }
 
-// AdaptOnce runs one synchronous adaptation cycle on the daemon
+// AdaptOnce runs one synchronous adaptation cycle on the scheduler
 // goroutine — every table's history window rotates, the model re-solves
 // and guardrails gate the applies, exactly as a timer tick would, but
 // deterministically under test control. It works even while periodic
@@ -399,28 +328,20 @@ func (s *adaptiveScheduler) report() *AdaptiveReport {
 func (db *DB) AdaptOnce() error {
 	reply := make(chan error, 1)
 	select {
-	case <-db.adapt.stop:
+	case <-db.sched.stop:
 		return ErrClosed
-	case db.adapt.trigger <- reply:
+	case db.sched.adapts <- reply:
 		return <-reply
 	}
 }
 
 // SetAdaptive enables or disables the periodic adaptive placement
 // loop at runtime (also reachable over the wire protocol).
-func (db *DB) SetAdaptive(enabled bool) {
-	db.adapt.mu.Lock()
-	db.adapt.enabled = enabled
-	db.adapt.mu.Unlock()
-}
+func (db *DB) SetAdaptive(enabled bool) { db.sched.adapt.enabled.Store(enabled) }
 
 // AdaptiveEnabled reports whether the periodic loop is on.
-func (db *DB) AdaptiveEnabled() bool {
-	db.adapt.mu.Lock()
-	defer db.adapt.mu.Unlock()
-	return db.adapt.enabled
-}
+func (db *DB) AdaptiveEnabled() bool { return db.sched.adapt.enabled.Load() }
 
 // AdaptiveStatus reports the daemon's configuration, lifetime totals
 // and last per-table decisions.
-func (db *DB) AdaptiveStatus() *AdaptiveReport { return db.adapt.report() }
+func (db *DB) AdaptiveStatus() *AdaptiveReport { return db.sched.adapt.report() }

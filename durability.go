@@ -31,7 +31,7 @@ const (
 // openDurability recovers state from the WAL directory (checkpoint
 // snapshots, then log replay), repairs the log, opens a fresh segment
 // and threads the log into the commit path. Called by Open when
-// Config.WALDir is set, before the merge scheduler starts.
+// Config.WALDir is set, before the scheduler starts.
 func (db *DB) openDurability(cfg Config) error {
 	fs := cfg.walFS
 	if fs == nil {
@@ -203,7 +203,7 @@ func (db *DB) addTable(inner *table.Table) *Table {
 // segments. Restart cost afterwards is the snapshots' MRC decode plus
 // only the log written since. No-op error when the database has no WAL.
 //
-// The merge scheduler checkpoints automatically after a scheduled
+// The scheduler checkpoints automatically after a scheduled
 // merge; call this directly around bulk work or before shutdown.
 func (db *DB) Checkpoint() error {
 	if db.wal == nil {
@@ -220,13 +220,7 @@ func (db *DB) Checkpoint() error {
 	if err := db.wal.AppendCheckpointBegin(snapTs); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	tables := make([]*Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		tables = append(tables, t)
-	}
-	db.mu.Unlock()
-	for _, t := range tables {
+	for _, t := range db.tableList() {
 		inner := t.inner
 		err := db.wal.WriteSnapshot(inner.Name()+wal.SnapSuffix, func(w io.Writer) error {
 			return persist.SaveAt(w, inner, snapTs)

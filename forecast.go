@@ -3,7 +3,6 @@ package tierdb
 import (
 	"fmt"
 
-	"tierdb/internal/core"
 	"tierdb/internal/forecast"
 	"tierdb/internal/persist"
 	"tierdb/internal/table"
@@ -31,46 +30,31 @@ const (
 // — e.g. daily — so RecommendForecastLayout can extrapolate per-plan
 // frequency trends.
 func (t *Table) CloseWorkloadWindow() {
-	t.history.CloseWindow()
+	t.plans.Rotate()
 }
 
 // WorkloadWindows returns the number of closed workload windows.
-func (t *Table) WorkloadWindows() int { return t.history.Windows() }
+func (t *Table) WorkloadWindows() int { return t.plans.History().Windows() }
 
 // RecommendForecastLayout predicts the next window's query frequencies
 // from the table's workload history and optimizes the placement for the
 // anticipated workload. At least one window must be closed.
 func (t *Table) RecommendForecastLayout(opts PlacementOptions, fopts ForecastOptions) (Layout, error) {
-	series := t.history.Series()
-	if t.history.Windows() == 0 || len(series) == 0 {
+	series := t.plans.History().Series()
+	if len(series) == 0 {
 		return Layout{}, fmt.Errorf("tierdb: no closed workload windows to forecast from")
-	}
-	pinnedIdx, err := t.resolve(opts.Pinned)
-	if err != nil {
-		return Layout{}, err
 	}
 	// Template: one query per distinct plan; frequencies filled by the
 	// forecast.
-	template := &core.Workload{Queries: make([]core.Query, len(series))}
+	plans := make([]workload.Plan, len(series))
 	fseries := make([]forecast.Series, len(series))
 	for i, s := range series {
-		template.Queries[i] = core.Query{Columns: s.Columns, Frequency: 1}
+		plans[i] = workload.Plan{Columns: s.Columns, Count: 1}
 		fseries[i] = forecast.Series(s.Counts)
 	}
-	s := t.inner.Schema()
-	template.Columns = make([]core.Column, s.Len())
-	for i := 0; i < s.Len(); i++ {
-		template.Columns[i] = core.Column{
-			Name:        s.Field(i).Name,
-			Size:        t.inner.ColumnBytes(i),
-			Selectivity: t.inner.Selectivity(i),
-		}
-		if template.Columns[i].Size <= 0 {
-			template.Columns[i].Size = 1
-		}
-	}
-	for _, p := range pinnedIdx {
-		template.Columns[p].Pinned = true
+	template, err := t.model(plans, opts.Pinned)
+	if err != nil {
+		return Layout{}, err
 	}
 	predicted, err := forecast.PredictWorkload(template, fseries, fopts)
 	if err != nil {
@@ -152,10 +136,9 @@ func (t *Table) LookupComposite(columns []string, key []Value) ([]RowID, error) 
 // CreateTable and RestoreTable).
 func newTableHandle(db *DB, inner *table.Table) *Table {
 	return &Table{
-		db:      db,
-		inner:   inner,
-		plans:   workload.NewPlanCache(),
-		history: workload.NewHistory(64),
-		exec:    newExecutor(db, inner),
+		db:    db,
+		inner: inner,
+		plans: workload.NewPlanCache(),
+		exec:  newExecutor(db, inner),
 	}
 }

@@ -2,7 +2,6 @@ package tierdb
 
 import (
 	"fmt"
-	"sort"
 
 	"tierdb/internal/core"
 )
@@ -31,17 +30,7 @@ type GlobalLayout struct {
 // opts.Budget/RelativeBudget applies to the union of all tables;
 // opts.Pinned is not supported here (pin per table via the workload).
 func (db *DB) RecommendGlobalLayout(opts PlacementOptions) (GlobalLayout, error) {
-	db.mu.Lock()
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	tables := make([]*Table, len(names))
-	for i, name := range names {
-		tables[i] = db.tables[name]
-	}
-	db.mu.Unlock()
+	tables := db.tableList()
 	if len(tables) == 0 {
 		return GlobalLayout{}, fmt.Errorf("tierdb: no tables to optimize")
 	}
@@ -49,18 +38,21 @@ func (db *DB) RecommendGlobalLayout(opts PlacementOptions) (GlobalLayout, error)
 		return GlobalLayout{}, fmt.Errorf("tierdb: global optimization does not take name-based pins; pin via per-table workloads")
 	}
 
-	// Combine the per-table workloads, offsetting column indexes.
+	// Combine the per-table workloads, offsetting column indexes. Each
+	// table's model is built once and reused to report its slice of the
+	// solve, so the per-table figures add up to what the solver saw.
 	combined := &Workload{}
+	models := make([]*Workload, len(tables))
 	offsets := make([]int, len(tables))
 	for i, t := range tables {
 		w, err := t.ExtractWorkload(nil)
 		if err != nil {
 			return GlobalLayout{}, fmt.Errorf("tierdb: extract workload of %s: %w", t.Name(), err)
 		}
+		models[i] = w
 		offsets[i] = len(combined.Columns)
-		for ci, c := range w.Columns {
+		for _, c := range w.Columns {
 			c.Name = t.Name() + "." + c.Name
-			_ = ci
 			combined.Columns = append(combined.Columns, c)
 		}
 		for _, q := range w.Queries {
@@ -83,15 +75,10 @@ func (db *DB) RecommendGlobalLayout(opts PlacementOptions) (GlobalLayout, error)
 		costs = opts.Costs
 	}
 	for i, t := range tables {
-		n := t.Inner().Schema().Len()
-		in := make([]bool, n)
-		copy(in, solved.InDRAM[offsets[i]:offsets[i]+n])
+		w := models[i]
+		in := append([]bool(nil), solved.InDRAM[offsets[i]:offsets[i]+len(w.Columns)]...)
 		// Evaluate the per-table slice against its own workload for
 		// reporting.
-		w, err := t.ExtractWorkload(nil)
-		if err != nil {
-			return GlobalLayout{}, err
-		}
 		cost := core.ScanCost(w, costs, in)
 		mem := core.MemoryUsed(w, in)
 		layout := Layout{

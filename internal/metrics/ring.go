@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "tierdb/internal/ring"
 
 // TraceEntry is one captured query execution in a TraceRing: the trace
 // itself plus wall-clock context the executor measured around it.
@@ -28,69 +25,13 @@ type TraceEntry struct {
 	Trace *Trace `json:"trace"`
 }
 
-// TraceRing is a bounded lock-free ring of recently captured traces.
-// Writers claim a slot with one atomic add and publish the entry with
-// one atomic pointer store; the ring never holds more than its
-// configured capacity — older entries are overwritten. Readers get a
-// point-in-time copy via Snapshot. A nil *TraceRing is valid and
-// records nothing, so capture call sites need no branches.
-type TraceRing struct {
-	slots []atomic.Pointer[TraceEntry]
-	next  atomic.Uint64
-}
+// TraceRing is the bounded lock-free ring of recently captured traces
+// (see ring.Ring): Add stamps the entry's Seq, Snapshot returns the
+// entries newest first, and a nil *TraceRing records nothing.
+type TraceRing = ring.Ring[TraceEntry]
 
 // NewTraceRing builds a ring holding up to capacity entries
 // (minimum 1).
 func NewTraceRing(capacity int) *TraceRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceRing{slots: make([]atomic.Pointer[TraceEntry], capacity)}
-}
-
-// Add stores e (stamping e.Seq) into the next slot, overwriting the
-// oldest entry once the ring is full. No-op on a nil ring or entry.
-func (r *TraceRing) Add(e *TraceEntry) {
-	if r == nil || e == nil {
-		return
-	}
-	seq := r.next.Add(1) - 1
-	e.Seq = seq
-	r.slots[seq%uint64(len(r.slots))].Store(e)
-}
-
-// Cap returns the ring's capacity (0 on nil).
-func (r *TraceRing) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
-
-// Added returns the total number of entries ever added (0 on nil);
-// entries beyond Cap have been overwritten.
-func (r *TraceRing) Added() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.next.Load()
-}
-
-// Snapshot returns the ring's current entries, newest first, at most
-// Cap of them. Concurrent writers may overwrite slots while the
-// snapshot is taken; each returned entry is still internally consistent
-// (the pointer swap is atomic), but the set may mix generations.
-func (r *TraceRing) Snapshot() []*TraceEntry {
-	if r == nil {
-		return nil
-	}
-	out := make([]*TraceEntry, 0, len(r.slots))
-	for i := range r.slots {
-		if e := r.slots[i].Load(); e != nil {
-			out = append(out, e)
-		}
-	}
-	// Newest first; Seq is unique, so the order is total.
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq > out[b].Seq })
-	return out
+	return ring.New(capacity, func(e *TraceEntry) *uint64 { return &e.Seq })
 }

@@ -56,10 +56,7 @@ type Config struct {
 	// Tracer enables client-side tracing: sampled requests get a
 	// "client.send" span and carry their trace ID to the server in the
 	// wire header, so the server's spans join the same /trace/{id}
-	// tree. Nil disables tracing. Peers that predate the header are
-	// detected on first contact and the header is dropped for the rest
-	// of the client's life (see the OpTraced compat rules in
-	// internal/server/proto.go).
+	// tree. Nil disables tracing.
 	Tracer *trace.Tracer
 }
 
@@ -79,9 +76,6 @@ var ErrClosed = errors.New("client: closed")
 type Client struct {
 	cfg  Config
 	next atomic.Uint64
-	// legacy is set once a peer rejects the OpTraced envelope as an
-	// unknown opcode; from then on requests go out header-less.
-	legacy atomic.Bool
 
 	mu     sync.Mutex
 	conns  []*conn // fixed length PoolSize; nil slots dial on demand
@@ -173,19 +167,6 @@ func (c *Client) do(req server.Request) (server.Response, error) {
 		req.TraceID, req.SpanID = span.Trace, span.ID
 	}
 	resp, err := c.do1(req)
-	if req.TraceID != 0 && resp.Status == server.StatusBadRequest && errors.Is(err, server.ErrProtocol) {
-		// The peer may predate the trace header (OpTraced decodes as an
-		// unknown opcode there). StatusBadRequest guarantees the
-		// operation did not execute, so retrying header-less is safe —
-		// for any opcode. If the bare retry gets past decoding, the
-		// header was the problem: remember the peer is legacy and stop
-		// sending it.
-		req.TraceID, req.SpanID = 0, 0
-		resp, err = c.do1(req)
-		if resp.Status != server.StatusBadRequest {
-			c.legacy.Store(true)
-		}
-	}
 	c.finishSpan(span, resp, err)
 	return resp, err
 }
@@ -201,7 +182,7 @@ func (c *Client) do1(req server.Request) (server.Response, error) {
 
 // startSpan makes the client-side sampling decision for one request.
 func (c *Client) startSpan(req server.Request) *trace.Span {
-	if c.cfg.Tracer == nil || c.legacy.Load() {
+	if c.cfg.Tracer == nil {
 		return nil
 	}
 	span := c.cfg.Tracer.Start("client.send", trace.String("op", server.OpName(req.Op)))

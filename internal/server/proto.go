@@ -61,13 +61,9 @@ const (
 	//	[OpTraced][uvarint TraceID][uvarint parent SpanID][inner request payload]
 	//
 	// where the inner payload is any ordinary request (opcode first).
-	// Framing is untouched, so the header is backward-compatible by
-	// construction: an old server decodes OpTraced as an unknown opcode
-	// inside a CRC-valid frame — a payload-level error that answers
-	// StatusBadRequest and leaves the stream aligned — and the client
-	// falls back to header-less requests for that connection. Old
-	// clients simply never send the envelope. Both directions are
-	// proven by the compat roundtrip tests.
+	// Framing is untouched and the envelope is optional: a client
+	// without a tracer (or an unsampled request) sends the bare inner
+	// payload, byte-identical to an untraced request.
 	OpTraced = 15
 
 	// OpExplain asks for an EXPLAIN (analyze=0) or EXPLAIN ANALYZE

@@ -1,14 +1,11 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"log/slog"
-	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"tierdb/internal/server"
@@ -135,89 +132,6 @@ func TestServerLocalSampling(t *testing.T) {
 	}
 	if reqs[0].Parent != 0 {
 		t.Errorf("bare request's server span should be a root, has parent %s", reqs[0].Parent)
-	}
-}
-
-// legacyServer speaks the pre-tracing protocol: any frame opening with
-// the OpTraced envelope is an unknown opcode to it, answered with
-// StatusBadRequest exactly like the old decoder did. It counts how many
-// enveloped frames it saw.
-type legacyServer struct {
-	ln     net.Listener
-	traced atomic.Int64
-	wg     sync.WaitGroup
-}
-
-func startLegacyServer(t *testing.T) *legacyServer {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := &legacyServer{ln: ln}
-	ls.wg.Add(1)
-	go func() {
-		defer ls.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			ls.wg.Add(1)
-			go func() {
-				defer ls.wg.Done()
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				for {
-					payload, err := server.ReadFrame(br)
-					if err != nil {
-						return
-					}
-					if payload[0] == server.OpTraced {
-						ls.traced.Add(1)
-						server.WriteResponse(conn, 0, server.Response{
-							Status: server.StatusBadRequest,
-							Msg:    "server: unknown opcode 15",
-						})
-						continue
-					}
-					server.WriteResponse(conn, payload[0], server.Response{Status: server.StatusOK})
-				}
-			}()
-		}
-	}()
-	t.Cleanup(func() { ln.Close(); ls.wg.Wait() })
-	return ls
-}
-
-// TestLegacyPeerInterop proves the compat rules end to end: a tracing
-// client talking to a pre-tracing server gets its first enveloped
-// request rejected, retries header-less, succeeds, and never sends the
-// envelope again.
-func TestLegacyPeerInterop(t *testing.T) {
-	ls := startLegacyServer(t)
-	clientTracer := trace.New(trace.Options{SampleRate: 1})
-	c, err := client.Dial(client.Config{Addr: ls.ln.Addr().String(), PoolSize: 1, Tracer: clientTracer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.Ping(); err != nil {
-		t.Fatalf("first ping against legacy server: %v", err)
-	}
-	if got := ls.traced.Load(); got != 1 {
-		t.Fatalf("legacy server saw %d enveloped frames after first request, want 1", got)
-	}
-	// The client learned the peer is legacy: subsequent requests go out
-	// bare immediately, no doubled round trips.
-	for i := 0; i < 3; i++ {
-		if err := c.Ping(); err != nil {
-			t.Fatalf("ping %d: %v", i, err)
-		}
-	}
-	if got := ls.traced.Load(); got != 1 {
-		t.Errorf("legacy server saw %d enveloped frames total, want 1 (client should stop sending the header)", got)
 	}
 }
 

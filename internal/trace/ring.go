@@ -2,82 +2,45 @@ package trace
 
 import (
 	"sort"
-	"sync/atomic"
+
+	"tierdb/internal/ring"
 )
 
-// Ring is a bounded lock-free ring of completed spans, the span layer's
-// reuse of the metrics.TraceRing idiom: writers claim a slot with one
-// atomic add and publish with one atomic pointer store; older spans are
-// overwritten once the ring is full; readers get a point-in-time copy
-// via Snapshot. A nil *Ring is valid and records nothing.
-type Ring struct {
-	slots []atomic.Pointer[Span]
-	next  atomic.Uint64
-}
+// Ring is the bounded lock-free ring of completed spans: a ring.Ring
+// whose Add stamps Span.Seq, plus ByTrace. Spans are immutable after
+// publish. A nil *Ring is valid and records nothing.
+type Ring ring.Ring[Span]
 
 // NewRing builds a ring holding up to capacity spans (minimum 1).
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{slots: make([]atomic.Pointer[Span], capacity)}
+	return (*Ring)(ring.New(capacity, func(s *Span) *uint64 { return &s.Seq }))
 }
+
+func (r *Ring) spans() *ring.Ring[Span] { return (*ring.Ring[Span])(r) }
 
 // Add publishes s (stamping s.Seq), overwriting the oldest span once
 // the ring is full. No-op on a nil ring or span.
-func (r *Ring) Add(s *Span) {
-	if r == nil || s == nil {
-		return
-	}
-	seq := r.next.Add(1) - 1
-	s.Seq = seq
-	r.slots[seq%uint64(len(r.slots))].Store(s)
-}
+func (r *Ring) Add(s *Span) { r.spans().Add(s) }
 
 // Cap returns the ring's capacity (0 on nil).
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
+func (r *Ring) Cap() int { return r.spans().Cap() }
 
 // Added returns the total number of spans ever published (0 on nil).
-func (r *Ring) Added() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.next.Load()
-}
+func (r *Ring) Added() uint64 { return r.spans().Added() }
 
-// Snapshot returns the ring's current spans, newest first. Concurrent
-// writers may overwrite slots during the scan; each returned span is
-// still internally consistent (the pointer swap is atomic and spans are
-// immutable after publish), but the set may mix generations.
-func (r *Ring) Snapshot() []*Span {
-	if r == nil {
-		return nil
-	}
-	out := make([]*Span, 0, len(r.slots))
-	for i := range r.slots {
-		if s := r.slots[i].Load(); s != nil {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq > out[b].Seq })
-	return out
-}
+// Snapshot returns the ring's current spans, newest first.
+func (r *Ring) Snapshot() []*Span { return r.spans().Snapshot() }
 
 // ByTrace returns all spans of one trace still present in the ring,
 // ordered by start time (ties broken by publish sequence so the order
 // is total).
 func (r *Ring) ByTrace(id TraceID) []*Span {
-	if r == nil || id == 0 {
+	if id == 0 {
 		return nil
 	}
 	var out []*Span
-	for i := range r.slots {
-		if s := r.slots[i].Load(); s != nil && s.Trace == id {
+	for _, s := range r.Snapshot() {
+		if s.Trace == id {
 			out = append(out, s)
 		}
 	}

@@ -5,75 +5,40 @@ import (
 	"sync"
 )
 
-// History tracks plan executions over moving time windows (the paper's
+// History stores the closed moving windows of a plan cache (the paper's
 // Section VI: "varying time frames (moving windows) of historic
-// workload data can be used to feed the model"). The caller closes a
-// window whenever its time frame elapses (e.g. hourly or daily);
-// History keeps the most recent `capacity` windows and produces aligned
-// per-plan frequency series for the forecast package.
+// workload data can be used to feed the model"). PlanCache.Rotate
+// appends a window whenever the caller's time frame elapses (e.g.
+// hourly or daily); History keeps the most recent `capacity` windows
+// and produces aligned per-plan frequency series for the forecast
+// package.
 type History struct {
 	mu       sync.Mutex
 	capacity int
-	current  *PlanCache
 	windows  []map[string]Plan // oldest first
 }
 
-// NewHistory tracks up to capacity closed windows (minimum 1).
+// NewHistory keeps up to capacity closed windows (minimum 1).
 func NewHistory(capacity int) *History {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &History{capacity: capacity, current: NewPlanCache()}
+	return &History{capacity: capacity}
 }
 
-// Record notes one execution of a plan in the current window.
-func (h *History) Record(columns []int) {
-	h.mu.Lock()
-	cur := h.current
-	h.mu.Unlock()
-	cur.Record(columns)
-}
-
-// RecordN notes n executions.
-func (h *History) RecordN(columns []int, n float64) {
-	h.mu.Lock()
-	cur := h.current
-	h.mu.Unlock()
-	cur.RecordN(columns, n)
-}
-
-// CurrentPlans returns the distinct plans of the open (not yet closed)
-// window, ordered by descending count.
-func (h *History) CurrentPlans() []Plan {
-	h.mu.Lock()
-	cur := h.current
-	h.mu.Unlock()
-	return cur.Plans()
-}
-
-// CloseWindow freezes the current window into the history and starts a
-// new one. The oldest window is dropped beyond capacity.
-func (h *History) CloseWindow() { h.Rotate() }
-
-// Rotate closes the current window exactly like CloseWindow and returns
-// the frozen window's distinct plans (descending count). The adaptive
-// placement scheduler uses it to consume "the workload since the last
-// cycle" in one step instead of CurrentPlans+CloseWindow, which would
-// drop every Record landing between the two calls.
-func (h *History) Rotate() []Plan {
+// Append stores one closed window's distinct plans (columns sorted, as
+// Rotate returns them). The oldest window is dropped beyond capacity.
+func (h *History) Append(plans []Plan) {
+	window := make(map[string]Plan, len(plans))
+	for _, p := range plans {
+		window[planKey(p.Columns)] = p
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	plans := h.current.Plans()
-	snapshot := make(map[string]Plan, len(plans))
-	for _, p := range plans {
-		snapshot[planKey(p.Columns)] = p
-	}
-	h.windows = append(h.windows, snapshot)
+	h.windows = append(h.windows, window)
 	if len(h.windows) > h.capacity {
 		h.windows = h.windows[len(h.windows)-h.capacity:]
 	}
-	h.current = NewPlanCache()
-	return plans
 }
 
 // Windows returns the number of closed windows.

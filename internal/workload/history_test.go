@@ -5,13 +5,15 @@ import (
 	"testing"
 )
 
+// closed is one closed window holding n executions of a single plan.
+func closed(n float64, columns ...int) []Plan {
+	return []Plan{{Columns: columns, Count: n}}
+}
+
 func TestHistoryWindowLifecycle(t *testing.T) {
 	h := NewHistory(3)
-	h.RecordN([]int{0}, 10)
-	h.CloseWindow()
-	h.RecordN([]int{0}, 20)
-	h.RecordN([]int{1, 2}, 5)
-	h.CloseWindow()
+	h.Append(closed(10, 0))
+	h.Append(append(closed(20, 0), closed(5, 1, 2)...))
 	if h.Windows() != 2 {
 		t.Fatalf("Windows = %d", h.Windows())
 	}
@@ -35,8 +37,7 @@ func TestHistoryWindowLifecycle(t *testing.T) {
 func TestHistoryCapacityEviction(t *testing.T) {
 	h := NewHistory(2)
 	for i := 0; i < 5; i++ {
-		h.RecordN([]int{0}, float64(i+1))
-		h.CloseWindow()
+		h.Append(closed(float64(i+1), 0))
 	}
 	if h.Windows() != 2 {
 		t.Fatalf("Windows = %d, want 2", h.Windows())
@@ -49,10 +50,8 @@ func TestHistoryCapacityEviction(t *testing.T) {
 
 func TestHistoryMinimumCapacity(t *testing.T) {
 	h := NewHistory(0)
-	h.Record([]int{1})
-	h.CloseWindow()
-	h.Record([]int{1})
-	h.CloseWindow()
+	h.Append(closed(1, 1))
+	h.Append(closed(1, 1))
 	if h.Windows() != 1 {
 		t.Errorf("Windows = %d, want 1", h.Windows())
 	}
@@ -60,9 +59,8 @@ func TestHistoryMinimumCapacity(t *testing.T) {
 
 func TestHistoryEmptyWindowCounts(t *testing.T) {
 	h := NewHistory(3)
-	h.RecordN([]int{0}, 7)
-	h.CloseWindow()
-	h.CloseWindow() // empty window
+	h.Append(closed(7, 0))
+	h.Append(nil) // empty window
 	series := h.Series()
 	if len(series) != 1 || len(series[0].Counts) != 2 {
 		t.Fatalf("series = %+v", series)
@@ -73,26 +71,75 @@ func TestHistoryEmptyWindowCounts(t *testing.T) {
 }
 
 func TestHistoryConcurrent(t *testing.T) {
-	h := NewHistory(4)
+	pc := NewPlanCache()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				h.Record([]int{g})
+				pc.Record([]int{g})
 			}
 		}(g)
 	}
 	wg.Wait()
-	h.CloseWindow()
+	pc.Rotate()
 	total := 0.0
-	for _, s := range h.Series() {
+	for _, s := range pc.History().Series() {
 		for _, c := range s.Counts {
 			total += c
 		}
 	}
 	if total != 2000 {
 		t.Errorf("total recorded = %g, want 2000", total)
+	}
+}
+
+// TestRotateLosesNoRecord closes the window in a loop while four
+// goroutines record: every execution must land in exactly one rotated
+// window and in the lifetime counts.
+func TestRotateLosesNoRecord(t *testing.T) {
+	const writers, each = 4, 50_000
+	pc := NewPlanCache()
+	sum := func(plans []Plan) (n float64) {
+		for _, p := range plans {
+			n += p.Count
+		}
+		return n
+	}
+	stop := make(chan struct{})
+	rotated := make(chan float64)
+	go func() {
+		var n float64
+		for {
+			select {
+			case <-stop:
+				rotated <- n
+				return
+			default:
+				n += sum(pc.Rotate())
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				pc.Record([]int{g, i % 3})
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	if got := <-rotated + sum(pc.Rotate()); got != writers*each {
+		t.Errorf("rotated windows hold %g executions, want %d", got, writers*each)
+	}
+	if got := sum(pc.Plans()); got != writers*each {
+		t.Errorf("lifetime plans hold %g executions, want %d", got, writers*each)
+	}
+	if open := pc.CurrentPlans(); len(open) != 0 {
+		t.Errorf("open window not empty after the final Rotate: %v", open)
 	}
 }

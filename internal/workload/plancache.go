@@ -7,8 +7,9 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"tierdb/internal/core"
@@ -22,31 +23,43 @@ type Plan struct {
 	Count   float64
 }
 
-// PlanCache accumulates plan executions. Safe for concurrent use.
+// historyWindows is how many closed windows a plan cache keeps for
+// forecasting.
+const historyWindows = 64
+
+// A plan is counted twice over: executions since the cache was created
+// or Reset, and executions in the open window (the paper's Section VI
+// moving window).
+const (
+	lifetime = iota
+	window
+)
+
+// entry is one distinct plan; it lives while either count is positive.
+type entry struct {
+	key     string
+	columns []int
+	count   [2]float64
+}
+
+// PlanCache is the workload recorder: one Record counts an execution
+// into the lifetime plan counts and into the open window under one
+// lock, so closing the window (Rotate) can never lose or double-count
+// a concurrent record. Safe for concurrent use.
 type PlanCache struct {
 	mu      sync.Mutex
-	entries map[string]*Plan
+	entries map[string]*entry
+	history *History
 }
 
 // NewPlanCache returns an empty plan cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{entries: make(map[string]*Plan)}
+	return &PlanCache{entries: make(map[string]*entry), history: NewHistory(historyWindows)}
 }
 
 // Record notes one execution of a plan filtering the given columns.
 // Column order within a plan does not matter.
-func (pc *PlanCache) Record(columns []int) {
-	cols := append([]int(nil), columns...)
-	sort.Ints(cols)
-	key := planKey(cols)
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if e, ok := pc.entries[key]; ok {
-		e.Count++
-		return
-	}
-	pc.entries[key] = &Plan{Columns: cols, Count: 1}
-}
+func (pc *PlanCache) Record(columns []int) { pc.RecordN(columns, 1) }
 
 // RecordN notes n executions at once (bulk import of an external plan
 // cache).
@@ -54,72 +67,120 @@ func (pc *PlanCache) RecordN(columns []int, n float64) {
 	if n <= 0 {
 		return
 	}
-	cols := append([]int(nil), columns...)
-	sort.Ints(cols)
-	key := planKey(cols)
+	// The sorted copy and the key stay on the stack for plans of
+	// ordinary width, so counting a known plan allocates nothing.
+	var colBuf [8]int
+	cols := append(colBuf[:0], columns...)
+	slices.Sort(cols)
+	var keyBuf [64]byte
+	key := appendKey(keyBuf[:0], cols)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if e, ok := pc.entries[key]; ok {
-		e.Count += n
-		return
+	e, ok := pc.entries[string(key)]
+	if !ok {
+		e = &entry{key: string(key), columns: slices.Clone(cols)}
+		pc.entries[e.key] = e
 	}
-	pc.entries[key] = &Plan{Columns: cols, Count: n}
+	e.count[lifetime] += n
+	e.count[window] += n
 }
 
-// Plans returns all distinct plans, ordered by descending count (ties
-// by key) for stable output.
-func (pc *PlanCache) Plans() []Plan {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	out := make([]Plan, 0, len(pc.entries))
-	for _, e := range pc.entries {
-		out = append(out, Plan{Columns: append([]int(nil), e.Columns...), Count: e.Count})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Count != out[b].Count {
-			return out[a].Count > out[b].Count
+// planKey is the map key of a sorted column set.
+func planKey(sorted []int) string { return string(appendKey(nil, sorted)) }
+
+// appendKey appends planKey(sorted) to dst.
+func appendKey(dst []byte, sorted []int) []byte {
+	for i, c := range sorted {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		return planKey(out[a].Columns) < planKey(out[b].Columns)
+		dst = strconv.AppendInt(dst, int64(c), 10)
+	}
+	return dst
+}
+
+// collect returns the plans whose count of the given kind is positive,
+// ordered by descending count (ties by key) for stable output. Caller
+// holds pc.mu.
+func (pc *PlanCache) collect(kind int) []Plan {
+	picked := make([]*entry, 0, len(pc.entries))
+	for _, e := range pc.entries {
+		if e.count[kind] > 0 {
+			picked = append(picked, e)
+		}
+	}
+	sort.Slice(picked, func(a, b int) bool {
+		if ca, cb := picked[a].count[kind], picked[b].count[kind]; ca != cb {
+			return ca > cb
+		}
+		return picked[a].key < picked[b].key
 	})
+	out := make([]Plan, len(picked))
+	for i, e := range picked {
+		out[i] = Plan{Columns: slices.Clone(e.columns), Count: e.count[kind]}
+	}
 	return out
 }
 
-// Len returns the number of distinct plans.
-func (pc *PlanCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.entries)
+// zero clears every entry's count of the given kind and drops the
+// entries whose other count is zero too. Caller holds pc.mu.
+func (pc *PlanCache) zero(kind int) {
+	for k, e := range pc.entries {
+		e.count[kind] = 0
+		if e.count[1-kind] == 0 {
+			delete(pc.entries, k)
+		}
+	}
 }
 
-// Reset clears all recorded plans (e.g. when starting a new moving
-// window over the workload history).
+// Plans returns all distinct plans recorded since creation or the last
+// Reset.
+func (pc *PlanCache) Plans() []Plan {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.collect(lifetime)
+}
+
+// Len returns the number of distinct plans.
+func (pc *PlanCache) Len() int { return len(pc.Plans()) }
+
+// Reset clears the lifetime counts (e.g. when an application keeps its
+// own moving window over the plan cache). The open window and the
+// closed-window history are untouched.
 func (pc *PlanCache) Reset() {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.entries = make(map[string]*Plan)
+	pc.zero(lifetime)
 }
 
-func planKey(sorted []int) string {
-	var b strings.Builder
-	for i, c := range sorted {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", c)
-	}
-	return b.String()
+// CurrentPlans returns the distinct plans of the open (not yet closed)
+// window.
+func (pc *PlanCache) CurrentPlans() []Plan {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.collect(window)
 }
 
-// Extract builds the column selection input for a table from its
-// statistics (sizes, selectivities) and the recorded plans. Columns
-// listed in pinned are marked Pinned (e.g. primary keys under an SLA).
-func Extract(tbl *table.Table, pc *PlanCache, pinned []int) (*core.Workload, error) {
-	return ExtractPlans(tbl, pc.Plans(), pinned)
+// Rotate closes the open window: its plans are frozen into the history
+// and returned, and a new window opens. Every Record lands in exactly
+// one window — the adaptive placement scheduler consumes "the workload
+// since the last cycle" this way.
+func (pc *PlanCache) Rotate() []Plan {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	plans := pc.collect(window)
+	pc.zero(window)
+	pc.history.Append(plans)
+	return plans
 }
 
-// ExtractPlans is Extract over an explicit plan list instead of a live
-// cache — the shape a closed history window (History.Rotate) hands the
-// adaptive placement scheduler.
+// History returns the closed windows.
+func (pc *PlanCache) History() *History { return pc.history }
+
+// ExtractPlans builds the column selection input for a table from its
+// statistics (sizes, selectivities) and a plan list — the lifetime
+// plans, a closed window, or a forecast template. Columns listed in
+// pinned are marked Pinned (e.g. primary keys under an SLA).
 func ExtractPlans(tbl *table.Table, plans []Plan, pinned []int) (*core.Workload, error) {
 	s := tbl.Schema()
 	cols := make([]core.Column, s.Len())

@@ -116,7 +116,7 @@ func TestExtract(t *testing.T) {
 	pc := NewPlanCache()
 	pc.RecordN([]int{0, 1}, 100)
 	pc.RecordN([]int{2}, 5)
-	w, err := Extract(tbl, pc, []int{0})
+	w, err := ExtractPlans(tbl, pc.Plans(), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +147,19 @@ func TestExtractErrors(t *testing.T) {
 	tbl := loadedTable(t)
 	pc := NewPlanCache()
 	pc.Record([]int{0})
-	if _, err := Extract(tbl, pc, []int{99}); err == nil {
+	if _, err := ExtractPlans(tbl, pc.Plans(), []int{99}); err == nil {
 		t.Error("bad pinned column accepted")
 	}
 	pc2 := NewPlanCache()
 	pc2.Record([]int{7}) // out of table range
-	if _, err := Extract(tbl, pc2, nil); err == nil {
+	if _, err := ExtractPlans(tbl, pc2.Plans(), nil); err == nil {
 		t.Error("out-of-range plan column accepted")
 	}
 }
 
 func TestExtractEmptyPlanCache(t *testing.T) {
 	tbl := loadedTable(t)
-	w, err := Extract(tbl, NewPlanCache(), nil)
+	w, err := ExtractPlans(tbl, NewPlanCache().Plans(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,273 @@
+package tierdb
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// Tests of the workload-to-layout loop as one pipeline: a query is
+// recorded once (capture), every consumer prices placements from one
+// model builder (model), and one goroutine rebuilds main partitions
+// (act).
+
+// loopTable is a four-column table with a and b evicted, so the solver
+// has a move to recommend once they are filtered.
+func loopTable(t *testing.T, cfg Config) (*DB, *Table) {
+	t.Helper()
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	tbl, err := db.CreateTable("loop", []Field{
+		{Name: "id", Type: Int64Type},
+		{Name: "a", Type: Int64Type},
+		{Name: "b", Type: Int64Type},
+		{Name: "pay", Type: Int64Type},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]Value, 4000)
+	for i := range rows {
+		n := int64(i)
+		rows[i] = []Value{Int(n), Int(n % 50), Int(n % 40), Int(n % 1000)}
+	}
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.ApplyLayout(Layout{InDRAM: []bool{true, false, false, true}}); err != nil {
+		t.Fatal(err)
+	}
+	return db, tbl
+}
+
+func mustEq(t *testing.T, tbl *Table, column string, v int64) Predicate {
+	t.Helper()
+	p, err := tbl.Eq(column, Int(v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestSelectAllocations pins the per-query allocation count of the two
+// shapes the wall-clock benchmark leans on. Each ceiling is the count
+// measured when every query was still recorded twice (22 and 58) minus
+// the second record's 3 allocations; recording once, from stack
+// buffers, measures 15 and 51.
+func TestSelectAllocations(t *testing.T) {
+	_, tbl := loopTable(t, Config{Device: "3D XPoint", CacheFrames: 64})
+	if err := tbl.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	lookup := []Predicate{mustEq(t, tbl, "id", 1234)}
+	between, err := tbl.Between("pay", Int(200), Int(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	three := []Predicate{mustEq(t, tbl, "a", 34), mustEq(t, tbl, "b", 34), between}
+	for _, tc := range []struct {
+		name    string
+		preds   []Predicate
+		project []string
+		ceiling float64
+	}{
+		{"indexed lookup with projection", lookup, []string{"pay"}, 19},
+		{"three predicates", three, nil, 55},
+	} {
+		run := func() {
+			if _, err := tbl.Select(nil, tc.preds, tc.project...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // first execution creates the plan entry
+		if got := testing.AllocsPerRun(200, run); got > tc.ceiling {
+			t.Errorf("%s: %.0f allocs per Select, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
+	}
+}
+
+// schedulerLoops counts the goroutines running a database's background
+// loop, by function name in the stack dump, once the count holds still:
+// Close returns when the loop has signalled done, which is a moment
+// before its goroutine is gone from the dump.
+func schedulerLoops(t *testing.T) int {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	last := -1
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		loops := strings.Count(string(buf[:n]), "tierdb.(*scheduler).loop(")
+		if loops == last {
+			return loops
+		}
+		last = loops
+	}
+	t.Fatal("background goroutine count never settled")
+	return 0
+}
+
+// TestOneBackgroundGoroutine: Open starts exactly one maintenance
+// goroutine whatever is configured, Close stops it, and the background
+// entry points report ErrClosed afterwards.
+func TestOneBackgroundGoroutine(t *testing.T) {
+	before := schedulerLoops(t) // databases earlier tests left open
+	db, err := Open(Config{
+		Device:           "CSSD",
+		MergeDeltaRows:   100,
+		AdaptiveInterval: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("bg", testFields())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := schedulerLoops(t) - before; got != 1 {
+		t.Errorf("%d background goroutines after Open, want 1", got)
+	}
+	if err := tbl.MergeAsync(); err != nil {
+		t.Errorf("MergeAsync while open: %v", err)
+	}
+	if err := db.AdaptOnce(); err != nil {
+		t.Errorf("AdaptOnce while open: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := schedulerLoops(t) - before; got != 0 {
+		t.Errorf("%d background goroutines after Close, want 0", got)
+	}
+	if err := tbl.MergeAsync(); err != ErrClosed {
+		t.Errorf("MergeAsync after Close = %v, want ErrClosed", err)
+	}
+	if err := db.AdaptOnce(); err != ErrClosed {
+		t.Errorf("AdaptOnce after Close = %v, want ErrClosed", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestOneModelBehindEveryVerdict: for the same plan list, the adaptive
+// decision, the advisor and EXPLAIN's placement section price the live
+// and the recommended placement from one builder — same sizes, same
+// observed selectivities, same budget rule — so their costs are equal
+// bit for bit, not merely close.
+func TestOneModelBehindEveryVerdict(t *testing.T) {
+	db, tbl := loopTable(t, Config{Device: "CSSD", CacheFrames: 64}) // alpha = beta = budget = 0
+	const runs = 8                                                   // past DefaultAdvisorMinSamples: the overlay is active
+	preds := []Predicate{mustEq(t, tbl, "a", 7), mustEq(t, tbl, "b", 7)}
+	for i := 0; i < runs; i++ {
+		if _, err := tbl.Select(nil, preds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := tbl.Explain(preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, err := tbl.Advise(AdvisorQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adv.ObservedColumns != 2 || !adv.Changed {
+		t.Fatalf("advisor saw %d observed columns, changed=%v; want 2, true", adv.ObservedColumns, adv.Changed)
+	}
+	if err := db.AdaptOnce(); err != nil {
+		t.Fatal(err)
+	}
+	rep := db.AdaptiveStatus()
+	if len(rep.Tables) != 1 || rep.Tables[0].WindowQueries != runs {
+		t.Fatalf("adaptive report = %+v, want one decision over %d queries", rep.Tables, runs)
+	}
+	d := rep.Tables[0]
+	if d.CurrentCost != adv.Current.ModeledCost || d.RecommendedCost != adv.Recommended.ModeledCost {
+		t.Errorf("adaptive prices %g -> %g, advisor %g -> %g",
+			d.CurrentCost, d.RecommendedCost, adv.Current.ModeledCost, adv.Recommended.ModeledCost)
+	}
+	// EXPLAIN prices one execution; the plan ran `runs` times.
+	if runs*plan.Placement.CurrentCost != adv.Current.ModeledCost ||
+		runs*plan.Placement.RecommendedCost != adv.Recommended.ModeledCost {
+		t.Errorf("explain prices %d x (%g -> %g), advisor %g -> %g", runs,
+			plan.Placement.CurrentCost, plan.Placement.RecommendedCost,
+			adv.Current.ModeledCost, adv.Recommended.ModeledCost)
+	}
+	if d.RecommendedCost >= d.CurrentCost {
+		t.Errorf("nothing to recommend: %g -> %g", d.CurrentCost, d.RecommendedCost)
+	}
+}
+
+// TestGlobalLayoutOneExtraction: RecommendGlobalLayout reports each
+// table's slice of the combined solve against the very workload that
+// was solved. With room for everything, every column a table's workload
+// filters is DRAM-resident in its layout, so each table runs at relative
+// performance 1 — unless the report is priced against a second, later
+// extraction that already holds a query on a column the solve had to
+// treat as never filtered.
+func TestGlobalLayoutOneExtraction(t *testing.T) {
+	db, err := Open(Config{Device: "3D XPoint"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const columns = 192
+	fields := make([]Field, columns)
+	row := make([]Value, columns)
+	for c := range fields {
+		fields[c] = Field{Name: fmt.Sprintf("c%03d", c), Type: Int64Type}
+		row[c] = Int(int64(c))
+	}
+	tbl, err := db.CreateTable("wide", fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.BulkLoad([][]Value{row, row}); err != nil {
+		t.Fatal(err)
+	}
+	preds := make([]Predicate, columns)
+	for c := range preds {
+		preds[c] = mustEq(t, tbl, fields[c].Name, int64(c))
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		// Each Select filters a column no earlier query touched.
+		defer wg.Done()
+		for c := range preds {
+			if _, err := tbl.Select(nil, preds[c:c+1]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for done := false; !done; {
+		done = tbl.PlanCache().Len() == columns
+		g, err := db.RecommendGlobalLayout(PlacementOptions{RelativeBudget: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var memory int64
+		for name, l := range g.PerTable {
+			memory += l.Memory
+			if l.RelativePerformance != 1 {
+				t.Fatalf("%s: relative performance %g under a full budget: its cost %g was priced against a different workload than the one solved",
+					name, l.RelativePerformance, l.EstimatedCost)
+			}
+		}
+		if memory != g.Memory {
+			t.Fatalf("per-table memory sums to %d, global layout reports %d", memory, g.Memory)
+		}
+	}
+	wg.Wait()
+}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"tierdb/internal/core"
@@ -131,12 +132,7 @@ func (db *DB) ObsURL() string {
 
 // workloadReport captures every table's workload for /workload.
 func (db *DB) workloadReport() []obsrv.TableWorkload {
-	db.mu.Lock()
-	tables := make([]*Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		tables = append(tables, t)
-	}
-	db.mu.Unlock()
+	tables := db.tableList()
 	out := make([]obsrv.TableWorkload, 0, len(tables))
 	for _, t := range tables {
 		out = append(out, t.WorkloadReport())
@@ -155,11 +151,12 @@ func (t *Table) WorkloadReport() obsrv.TableWorkload {
 		Rows:           t.inner.VisibleCount(),
 		MemoryBytes:    t.inner.MemoryBytes(),
 		SecondaryBytes: t.inner.SecondaryBytes(),
-		ClosedWindows:  t.history.Windows(),
+		ClosedWindows:  t.WorkloadWindows(),
 	}
 	layout := t.inner.Layout()
+	plans := t.plans.Plans()
 	var access []float64
-	if w, err := workload.Extract(t.inner, t.plans, nil); err == nil {
+	if w, err := t.model(plans, nil); err == nil {
 		access = w.AccessCounts()
 	}
 	for i := 0; i < s.Len(); i++ {
@@ -179,8 +176,8 @@ func (t *Table) WorkloadReport() obsrv.TableWorkload {
 		rep.Columns = append(rep.Columns, col)
 	}
 	name := func(c int) string { return s.Field(c).Name }
-	rep.Plans = planInfos(t.plans.Plans(), name)
-	rep.CurrentWindow = planInfos(t.history.CurrentPlans(), name)
+	rep.Plans = planInfos(plans, name)
+	rep.CurrentWindow = planInfos(t.plans.CurrentPlans(), name)
 	return rep
 }
 
@@ -196,20 +193,10 @@ func planInfos(plans []workload.Plan, name func(int) string) []obsrv.PlanInfo {
 	return out
 }
 
-// Advise re-runs the explicit column selection model (Theorem 2) on
-// the table's captured workload and compares the result against the
-// current placement. Columns with at least MinSamples runtime
-// selectivity observations feed the model their EWMA instead of the
-// static estimate. A zero BudgetBytes advises within the current
-// modeled DRAM footprint — "could these bytes be spent better". A
-// nonzero Beta charges reallocation costs (formulation (6)-(7)): the
-// current layout becomes y and moving a byte between tiers costs Beta,
-// so marginal wins no longer justify churn. The recommendation applies
-// verbatim via ApplyLayout(Layout{InDRAM: rep.Recommended.InDRAM}).
 // adviseInputs is the advisor's solve, factored out so that both
 // Advise and EXPLAIN's placement-attribution section run exactly the
-// same path: same workload extraction, same observed-selectivity
-// overrides, same budget fallback, same explicit solve.
+// same path: the lifetime plans' model, the observed-selectivity
+// overlay, the budget rule, the explicit solve.
 type adviseInputs struct {
 	w          *core.Workload
 	sources    []string
@@ -223,67 +210,49 @@ type adviseInputs struct {
 }
 
 func (t *Table) adviseInputs(q AdvisorQuery) (*adviseInputs, error) {
-	w, err := workload.Extract(t.inner, t.plans, nil)
+	w, err := t.model(t.plans.Plans(), nil)
 	if err != nil {
 		return nil, err
 	}
-	minSamples := q.MinSamples
-	if minSamples <= 0 {
-		minSamples = DefaultAdvisorMinSamples
+	in := &adviseInputs{
+		w:          w,
+		minSamples: q.MinSamples,
+		costs:      core.DefaultCostParams(),
+		current:    t.inner.Layout(),
 	}
-	sources := make([]string, len(w.Columns))
-	samples := make([]int64, len(w.Columns))
-	observed := 0
-	for i := range w.Columns {
-		sources[i] = "estimated"
-		if sel, n := t.inner.ObservedSelectivity(i); n >= int64(minSamples) && sel > 0 {
-			w.Columns[i].Selectivity = sel
-			sources[i] = "observed"
-			samples[i] = n
-			observed++
-		}
+	if in.minSamples <= 0 {
+		in.minSamples = DefaultAdvisorMinSamples
 	}
-	costs := core.DefaultCostParams()
-	current := t.inner.Layout()
-	budget := q.BudgetBytes
-	if budget == 0 && q.RelativeBudget > 0 {
-		budget = int64(q.RelativeBudget * float64(w.TotalSize()))
-	}
-	if budget == 0 {
-		budget = core.MemoryUsed(w, current)
-	}
+	in.sources, in.samples, in.observed = t.observe(w, in.minSamples)
+	in.budget = resolveBudget(w, q.BudgetBytes, q.RelativeBudget, in.current)
 	var warm []bool
 	if q.Beta > 0 {
-		warm = current
+		warm = in.current
 	}
-	alloc, err := core.ExplicitForBudget(w, costs, budget, warm, q.Beta)
+	in.alloc, err = core.ExplicitForBudget(w, in.costs, in.budget, warm, q.Beta)
 	if err != nil {
 		return nil, err
 	}
-	return &adviseInputs{
-		w: w, sources: sources, samples: samples, observed: observed,
-		minSamples: minSamples, costs: costs, current: current,
-		budget: budget, alloc: alloc,
-	}, nil
+	return in, nil
 }
 
+// Advise re-runs the explicit column selection model (Theorem 2) on
+// the table's captured workload and compares the result against the
+// current placement. Columns with at least MinSamples runtime
+// selectivity observations feed the model their EWMA instead of the
+// static estimate. A zero BudgetBytes advises within the current
+// modeled DRAM footprint — "could these bytes be spent better". A
+// nonzero Beta charges reallocation costs (formulation (6)-(7)): the
+// current layout becomes y and moving a byte between tiers costs Beta,
+// so marginal wins no longer justify churn. The recommendation applies
+// verbatim via ApplyLayout(Layout{InDRAM: rep.Recommended.InDRAM}).
 func (t *Table) Advise(q AdvisorQuery) (*AdvisorReport, error) {
 	in, err := t.adviseInputs(q)
 	if err != nil {
 		return nil, err
 	}
-	w, sources, samples := in.w, in.sources, in.samples
-	observed, costs, current := in.observed, in.costs, in.current
-	budget, alloc := in.budget, in.alloc
-	minSamples := in.minSamples
+	w, costs, current, alloc := in.w, in.costs, in.current, in.alloc
 	curCost := core.ScanCost(w, costs, current)
-	changed := false
-	for i := range current {
-		if current[i] != alloc.InDRAM[i] {
-			changed = true
-			break
-		}
-	}
 	var queries float64
 	for _, qy := range w.Queries {
 		queries += qy.Frequency
@@ -291,11 +260,11 @@ func (t *Table) Advise(q AdvisorQuery) (*AdvisorReport, error) {
 	rep := &AdvisorReport{
 		Table:           t.inner.Name(),
 		Method:          MethodExplicit.String(),
-		BudgetBytes:     budget,
+		BudgetBytes:     in.budget,
 		RelativeBudget:  q.RelativeBudget,
 		Beta:            q.Beta,
-		MinSamples:      minSamples,
-		ObservedColumns: observed,
+		MinSamples:      in.minSamples,
+		ObservedColumns: in.observed,
 		Queries:         queries,
 		Current: obsrv.Placement{
 			InDRAM:      current,
@@ -308,7 +277,7 @@ func (t *Table) Advise(q AdvisorQuery) (*AdvisorReport, error) {
 			ModeledCost: alloc.Cost,
 		},
 		CostDelta: alloc.Cost - curCost,
-		Changed:   changed,
+		Changed:   !slices.Equal(current, alloc.InDRAM),
 	}
 	if curCost > 0 {
 		rep.Improvement = (curCost - alloc.Cost) / curCost
@@ -320,8 +289,8 @@ func (t *Table) Advise(q AdvisorQuery) (*AdvisorReport, error) {
 			Name:              c.Name,
 			SizeBytes:         c.Size,
 			Selectivity:       c.Selectivity,
-			SelectivitySource: sources[i],
-			ObservedSamples:   samples[i],
+			SelectivitySource: in.sources[i],
+			ObservedSamples:   in.samples[i],
 			AccessCount:       access[i],
 			InDRAMNow:         current[i],
 			InDRAMRecommended: alloc.InDRAM[i],

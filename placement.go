@@ -117,10 +117,7 @@ func Solve(w *Workload, opts PlacementOptions) (Layout, error) {
 	if costs.CMM == 0 && costs.CSS == 0 {
 		costs = core.DefaultCostParams()
 	}
-	budget := opts.Budget
-	if budget == 0 && opts.RelativeBudget > 0 {
-		budget = int64(opts.RelativeBudget * float64(w.TotalSize()))
-	}
+	budget := resolveBudget(w, opts.Budget, opts.RelativeBudget, nil)
 	if opts.Current != nil && len(opts.Current) != len(w.Columns) {
 		return Layout{}, fmt.Errorf("tierdb: current allocation has %d entries, want %d", len(opts.Current), len(w.Columns))
 	}
@@ -158,14 +155,55 @@ func Solve(w *Workload, opts PlacementOptions) (Layout, error) {
 	}, nil
 }
 
-// ExtractWorkload builds the column selection input from the table's
-// statistics and its recorded plan cache.
-func (t *Table) ExtractWorkload(pinned []string) (*Workload, error) {
+// resolveBudget is the one rule for the DRAM budget A of a solve: the
+// explicit byte count, else the relative budget w times the total
+// column bytes, else — when a current placement is given — that
+// placement's modeled footprint ("spend these same bytes better").
+func resolveBudget(w *Workload, bytes int64, relative float64, current []bool) int64 {
+	if bytes == 0 && relative > 0 {
+		bytes = int64(relative * float64(w.TotalSize()))
+	}
+	if bytes == 0 && current != nil {
+		bytes = core.MemoryUsed(w, current)
+	}
+	return bytes
+}
+
+// model builds the solver's input — the paper's (a_i, s_i, q_j, b_j) —
+// from the table's statistics and a plan list: the lifetime plan cache,
+// a closed workload window or a forecast template. It is the only place
+// the root package assembles a core.Workload for a table. Selectivities
+// are the static 1/distinct estimates; observe overlays runtime ones.
+func (t *Table) model(plans []workload.Plan, pinned []string) (*Workload, error) {
 	pinnedIdx, err := t.resolve(pinned)
 	if err != nil {
 		return nil, err
 	}
-	return workload.Extract(t.inner, t.plans, pinnedIdx)
+	return workload.ExtractPlans(t.inner, plans, pinnedIdx)
+}
+
+// observe replaces, in w, the static selectivity of every column that
+// has at least minSamples runtime observations with its observed EWMA,
+// and reports per column the selectivity's source ("estimated" or
+// "observed") and sample count, plus how many columns were replaced.
+func (t *Table) observe(w *Workload, minSamples int) (sources []string, samples []int64, observed int) {
+	sources = make([]string, len(w.Columns))
+	samples = make([]int64, len(w.Columns))
+	for i := range w.Columns {
+		sources[i] = "estimated"
+		if sel, n := t.inner.ObservedSelectivity(i); n >= int64(minSamples) && sel > 0 {
+			w.Columns[i].Selectivity = sel
+			sources[i], samples[i] = "observed", n
+			observed++
+		}
+	}
+	return sources, samples, observed
+}
+
+// ExtractWorkload builds the column selection input from the table's
+// statistics and its recorded plan cache.
+func (t *Table) ExtractWorkload(pinned []string) (*Workload, error) {
+	return t.model(t.plans.Plans(), pinned)
 }
 
 // RecommendLayout analyzes the table's plan cache and returns the

@@ -16,11 +16,10 @@ import (
 // Table is the public handle of a tiered table. Queries executed through
 // Select feed the table's plan cache, which RecommendLayout analyzes.
 type Table struct {
-	db      *DB
-	inner   *table.Table
-	plans   *workload.PlanCache
-	history *workload.History
-	exec    *exec.Executor
+	db    *DB
+	inner *table.Table
+	plans *workload.PlanCache
+	exec  *exec.Executor
 }
 
 // Predicate is a conjunctive filter; construct with Eq or Between.
@@ -58,7 +57,7 @@ func (t *Table) Rows() int { return t.inner.VisibleCount() }
 // the whole batch is one atomic, durable commit record. An error means
 // the batch did not take effect. A nil return means it is committed and
 // visible; it is also merged unless another merge of the table was in
-// flight, in which case the merge scheduler folds it afterwards.
+// flight, in which case the scheduler folds it afterwards.
 func (t *Table) BulkLoad(rows [][]Value) error {
 	return t.BulkLoadCtx(context.Background(), rows)
 }
@@ -186,19 +185,20 @@ func (t *Table) SelectCtx(ctx context.Context, tx *Tx, predicates []Predicate, p
 }
 
 // prepQuery resolves projection names, records the filtered column set
-// in the plan cache and workload history, and builds the exec query.
+// in the plan cache (lifetime counts and open workload window at once)
+// and builds the exec query.
 func (t *Table) prepQuery(predicates []Predicate, project []string) (exec.Query, error) {
 	q, err := t.resolveQuery(predicates, project)
 	if err != nil {
 		return exec.Query{}, err
 	}
-	cols := make([]int, 0, len(predicates))
-	for _, p := range predicates {
-		cols = append(cols, p.Column)
-	}
-	if len(cols) > 0 {
+	if len(predicates) > 0 {
+		var buf [8]int
+		cols := buf[:0]
+		for _, p := range predicates {
+			cols = append(cols, p.Column)
+		}
 		t.plans.Record(cols)
-		t.history.Record(cols)
 	}
 	return q, nil
 }

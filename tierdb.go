@@ -117,7 +117,7 @@ type Config struct {
 	// delta footprint reaches this many bytes; 0 disables the byte
 	// threshold.
 	MergeDeltaBytes int64
-	// MergeInterval is how often the merge scheduler checks the
+	// MergeInterval is how often the scheduler checks the
 	// thresholds; 0 selects DefaultMergeInterval. Irrelevant when both
 	// thresholds are 0.
 	MergeInterval time.Duration
@@ -252,8 +252,7 @@ type DB struct {
 	parallel int
 	registry *metrics.Registry
 	tables   map[string]*Table
-	sched    *mergeScheduler
-	adapt    *adaptiveScheduler
+	sched    *scheduler
 	wal      *wal.Log
 	ckptMu   sync.Mutex
 
@@ -354,8 +353,7 @@ func Open(cfg Config) (*DB, error) {
 			return nil, err
 		}
 	}
-	db.sched = startMergeScheduler(db, cfg)
-	db.adapt = startAdaptiveScheduler(db, cfg)
+	db.sched = startScheduler(db, cfg)
 	db.srv = server.New(dbEngine{db}, server.Config{
 		MaxSessions:  cfg.MaxSessions,
 		MaxInflight:  cfg.MaxInflight,
@@ -522,11 +520,11 @@ func (db *DB) Tables() []string {
 // Close shuts the instance down in dependency order: first the network
 // service layer drains (stop accepting, answer stragglers with
 // ErrDraining, wait for inflight requests to finish), then the
-// observability servers stop, the adaptive placement and merge
-// schedulers wind down (waiting for an in-flight cycle or merge), the
-// write-ahead log syncs and closes, and finally the underlying page
-// store is released. Draining before the schedulers and WAL is what
-// guarantees no network request is mid-commit when the log closes.
+// observability servers stop, the scheduler goroutine winds down
+// (waiting for an in-flight merge or adaptive cycle), the write-ahead
+// log syncs and closes, and finally the underlying page store is
+// released. Draining before the scheduler and WAL is what guarantees no
+// network request is mid-commit when the log closes.
 func (db *DB) Close() error {
 	db.ready.Store(false)
 	db.srv.Shutdown()
@@ -537,7 +535,6 @@ func (db *DB) Close() error {
 	for _, srv := range srvs {
 		srv.Close()
 	}
-	db.adapt.shutdown()
 	db.sched.shutdown()
 	if db.wal != nil {
 		if err := db.wal.Close(); err != nil {
