@@ -24,7 +24,9 @@ func buildCachedORDERLINE(cacheFraction float64) (*table.Table, *exec.Executor, 
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	pages := probe.Group().PageCount()
+	pv := probe.Pin()
+	pages := pv.Group().PageCount()
+	pv.Release()
 	frames := int(float64(pages) * cacheFraction)
 	if frames < 1 {
 		frames = 1

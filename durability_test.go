@@ -3,6 +3,7 @@ package tierdb
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -75,8 +76,10 @@ func visibleState(t *testing.T, db *DB) rowState {
 	got := rowState{exists: true, rows: map[string]int{}}
 	inner := tbl.Inner()
 	snap := inner.Manager().LastCommit()
+	v := inner.Pin()
+	defer v.Release()
 	for id := RowID(0); id < RowID(inner.MainRows()+inner.DeltaRows()); id++ {
-		if !inner.Visible(id, snap, 0) {
+		if !v.Visible(id, snap, 0) {
 			continue
 		}
 		tuple, err := inner.GetTuple(uint64(id))
@@ -94,8 +97,10 @@ func findRowID(t *testing.T, tbl *Table, id int64, tag string) RowID {
 	t.Helper()
 	inner := tbl.Inner()
 	snap := inner.Manager().LastCommit()
+	v := inner.Pin()
+	defer v.Release()
 	for r := RowID(0); r < RowID(inner.MainRows()+inner.DeltaRows()); r++ {
-		if !inner.Visible(r, snap, 0) {
+		if !v.Visible(r, snap, 0) {
 			continue
 		}
 		tuple, err := inner.GetTuple(uint64(r))
@@ -536,6 +541,101 @@ func TestScheduledMergeCheckpoints(t *testing.T) {
 			t.Fatal("scheduler never checkpointed after merging")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestDurableDeleteRacesMergeSwap deletes rows by id while merges keep
+// renumbering ids. Which row an id names is the caller's risk (ids are
+// stable between merges only); what the engine owes is that the redo
+// record describes the row that actually got the delete intent. It once
+// read the tuple and marked the row under two lock holds, and a swap
+// landing between them logged one row's content while deleting another,
+// so recovery deleted the wrong row or found none to delete. Every row
+// here is unique, so the recovered multiset must equal the pre-close one.
+func TestDurableDeleteRacesMergeSwap(t *testing.T) {
+	const (
+		initial = 400
+		rounds  = 6000
+	)
+	fs := wal.NewMemFS()
+	db, err := Open(walConfig(fs, SyncOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t", walFields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]Value, initial)
+	for i := range rows {
+		rows[i] = []Value{Int(int64(i)), String("seed")}
+	}
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	// An SSCG column makes reading the tuple a page access.
+	if err := tbl.ApplyLayout(Layout{InDRAM: []bool{true, false}}); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	merged := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				merged <- nil
+				return
+			default:
+			}
+			if err := tbl.Merge(); err != nil {
+				merged <- err
+				return
+			}
+		}
+	}()
+	rng := rand.New(rand.NewSource(1))
+	deleted := 0
+	for r := 0; r < rounds; r++ {
+		// Deleting an id shifts every later row at the next swap.
+		tx := db.Begin()
+		if err := tbl.Delete(tx, RowID(rng.Intn(initial))); err != nil {
+			// Already deleted and not merged away yet.
+			if aerr := db.Abort(tx); aerr != nil {
+				t.Fatal(aerr)
+			}
+			continue
+		}
+		if err := db.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		deleted++
+		// A fresh row per deleted one keeps the table at its size, so the
+		// merges stay short and frequent, and gives each a delta to fold.
+		if err := tbl.Insert([]Value{Int(int64(initial + r)), String("fresh")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-merged; err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	t.Logf("%d of %d deletes landed", deleted, rounds)
+	want := visibleState(t, db)
+	if tbl.Rows() != initial {
+		t.Fatalf("%d rows before close, want %d", tbl.Rows(), initial)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(walConfig(fs, SyncOff))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer db2.Close()
+	if got := visibleState(t, db2); !stateEqual(got, want) {
+		t.Fatalf("recovered state diverges after %d deletes by id under merges: %d rows, want %d", deleted, len(got.rows), len(want.rows))
 	}
 }
 

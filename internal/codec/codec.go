@@ -1,0 +1,181 @@
+// Package codec is the byte-level vocabulary the WAL record codec and
+// the wire protocol share: uvarint-prefixed strings, self-describing
+// values (type byte, then 8 fixed bytes for numerics or a string) and
+// rows of them, plus the cursor that decodes them. Both inputs can be
+// hostile or torn, so the Reader never trusts a length it cannot verify
+// against the remaining input: bad input yields the caller's sentinel
+// error — never a panic or an unbounded allocation.
+package codec
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"tierdb/internal/value"
+)
+
+// AppendString appends s with a uvarint length prefix.
+func AppendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+// AppendValue appends v in its self-describing encoding.
+func AppendValue(buf []byte, v value.Value) []byte {
+	buf = append(buf, byte(v.Type()))
+	switch v.Type() {
+	case value.Int64:
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Int()))
+	case value.Float64:
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float()))
+	default:
+		buf = AppendString(buf, v.Str())
+	}
+	return buf
+}
+
+// AppendRow appends a uvarint value count and the values.
+func AppendRow(buf []byte, row []value.Value) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(row)))
+	for _, v := range row {
+		buf = AppendValue(buf, v)
+	}
+	return buf
+}
+
+// Reader is a bounds-checked cursor over a decoded payload.
+type Reader struct {
+	buf []byte
+	pos int
+	bad error
+}
+
+// NewReader reads buf; every malformed-input error it returns is bad,
+// or wraps it.
+func NewReader(buf []byte, bad error) *Reader {
+	return &Reader{buf: buf, bad: bad}
+}
+
+// Remaining returns the number of unread bytes.
+func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
+
+// Byte reads one byte.
+func (r *Reader) Byte() (byte, error) {
+	if r.Remaining() < 1 {
+		return 0, r.bad
+	}
+	b := r.buf[r.pos]
+	r.pos++
+	return b, nil
+}
+
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() (uint64, error) {
+	x, n := binary.Uvarint(r.buf[r.pos:])
+	if n <= 0 {
+		return 0, r.bad
+	}
+	r.pos += n
+	return x, nil
+}
+
+// Count reads a uvarint element count and rejects it when even at min
+// bytes per element it cannot fit in the remaining payload — the bound
+// that keeps corrupt or hostile counts from driving huge allocations.
+func (r *Reader) Count(minBytesPerElem int) (int, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(r.Remaining()/minBytesPerElem) {
+		return 0, r.bad
+	}
+	return int(n), nil
+}
+
+// Bytes reads n bytes, aliasing the payload.
+func (r *Reader) Bytes(n int) ([]byte, error) {
+	if n < 0 || r.Remaining() < n {
+		return nil, r.bad
+	}
+	b := r.buf[r.pos : r.pos+n]
+	r.pos += n
+	return b, nil
+}
+
+// LenBytes reads a uvarint length and that many bytes, aliasing the
+// payload.
+func (r *Reader) LenBytes() ([]byte, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.Remaining()) {
+		return nil, r.bad
+	}
+	return r.Bytes(int(n))
+}
+
+// String reads a uvarint-prefixed string.
+func (r *Reader) String() (string, error) {
+	b, err := r.LenBytes()
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// Value reads one self-describing value.
+func (r *Reader) Value() (value.Value, error) {
+	t, err := r.Byte()
+	if err != nil {
+		return value.Value{}, err
+	}
+	switch value.Type(t) {
+	case value.Int64:
+		b, err := r.Bytes(8)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.NewInt(int64(binary.LittleEndian.Uint64(b))), nil
+	case value.Float64:
+		b, err := r.Bytes(8)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
+	case value.String:
+		s, err := r.String()
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.NewString(s), nil
+	}
+	return value.Value{}, r.bad
+}
+
+// Row reads a counted row of values.
+func (r *Reader) Row() ([]value.Value, error) {
+	n, err := r.Count(1)
+	if err != nil {
+		return nil, err
+	}
+	row := make([]value.Value, 0, n)
+	for i := 0; i < n; i++ {
+		v, err := r.Value()
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, v)
+	}
+	return row, nil
+}
+
+// Done reports trailing bytes as malformed input.
+func (r *Reader) Done() error {
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", r.bad, r.Remaining())
+	}
+	return nil
+}

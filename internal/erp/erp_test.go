@@ -161,7 +161,9 @@ func TestBuildBSEGTable(t *testing.T) {
 	if mrcs != BSEGHotAttributes {
 		t.Errorf("MRC count = %d, want %d", mrcs, BSEGHotAttributes)
 	}
-	if tbl.Group() == nil || len(tbl.Group().Fields()) != BSEGAttributes-BSEGHotAttributes {
+	v := tbl.Pin()
+	defer v.Release()
+	if v.Group() == nil || len(v.Group().Fields()) != BSEGAttributes-BSEGHotAttributes {
 		t.Error("SSCG shape wrong")
 	}
 	// Rows survive tiering.
@@ -174,7 +176,7 @@ func TestBuildBSEGTable(t *testing.T) {
 	}
 	// BSEG rows (345 attrs, ~2.8 KB + strings) may span pages; the
 	// group must still reconstruct with few accesses.
-	if ppr := tbl.Group().PagesPerReconstruction(); ppr > 2 {
+	if ppr := v.Group().PagesPerReconstruction(); ppr > 2 {
 		t.Errorf("pages per reconstruction = %d, want <= 2", ppr)
 	}
 }

@@ -55,9 +55,11 @@ func bruteForce(t *testing.T, tbl *table.Table, q Query) []table.RowID {
 	snapshot := tbl.Manager().LastCommit()
 	var out []table.RowID
 	total := tbl.MainRows() + tbl.DeltaRows()
+	view := tbl.Pin()
+	defer view.Release()
 	for r := 0; r < total; r++ {
 		id := table.RowID(r)
-		if !tbl.Visible(id, snapshot, 0) {
+		if !view.Visible(id, snapshot, 0) {
 			continue
 		}
 		ok := true

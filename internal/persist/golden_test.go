@@ -113,7 +113,9 @@ func TestSaveAtEmbedsSnapshotTimestamp(t *testing.T) {
 		t.Errorf("restored %d rows, want 10 (post-snapshot commit excluded)", restored.VisibleCount())
 	}
 	// Visibility point preserved: nothing visible just below snapTs.
-	if n := restored.Delta().Versions().LiveAt(snapTs - 1); n != 0 {
+	v := restored.Pin()
+	defer v.Release()
+	if n := v.Active().Versions().LiveAt(snapTs - 1); n != 0 {
 		t.Errorf("%d rows visible before the snapshot timestamp", n)
 	}
 }

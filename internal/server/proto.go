@@ -26,8 +26,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
+	"tierdb/internal/codec"
 	"tierdb/internal/explain"
 	"tierdb/internal/schema"
 	"tierdb/internal/trace"
@@ -168,35 +168,9 @@ type Response struct {
 
 // --- encoding -------------------------------------------------------
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 func appendBytes(buf, b []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b)))
 	return append(buf, b...)
-}
-
-func appendValue(buf []byte, v value.Value) []byte {
-	buf = append(buf, byte(v.Type()))
-	switch v.Type() {
-	case value.Int64:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Int()))
-	case value.Float64:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float()))
-	default:
-		buf = appendString(buf, v.Str())
-	}
-	return buf
-}
-
-func appendRow(buf []byte, row []value.Value) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(row)))
-	for _, v := range row {
-		buf = appendValue(buf, v)
-	}
-	return buf
 }
 
 // encodeRequest appends the request payload (opcode byte first). A
@@ -212,43 +186,43 @@ func encodeRequest(buf []byte, req Request) []byte {
 	case OpPing, OpCheckpoint, OpStats, OpTables:
 		// no body
 	case OpCreateTable:
-		buf = appendString(buf, req.Table)
+		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Fields)))
 		for _, f := range req.Fields {
-			buf = appendString(buf, f.Name)
+			buf = codec.AppendString(buf, f.Name)
 			buf = append(buf, byte(f.Type))
 			buf = binary.AppendUvarint(buf, uint64(f.Width))
 		}
 	case OpInsert:
-		buf = appendString(buf, req.Table)
-		buf = appendRow(buf, req.Row)
+		buf = codec.AppendString(buf, req.Table)
+		buf = codec.AppendRow(buf, req.Row)
 	case OpDelete:
-		buf = appendString(buf, req.Table)
+		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, req.RowID)
 	case OpUpdate:
-		buf = appendString(buf, req.Table)
+		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, req.RowID)
-		buf = appendRow(buf, req.Row)
+		buf = codec.AppendRow(buf, req.Row)
 	case OpBulkLoad:
-		buf = appendString(buf, req.Table)
+		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Rows)))
 		for _, row := range req.Rows {
-			buf = appendRow(buf, row)
+			buf = codec.AppendRow(buf, row)
 		}
 	case OpSelect:
-		buf = appendString(buf, req.Table)
+		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Predicates)))
 		for _, p := range req.Predicates {
-			buf = appendString(buf, p.Column)
+			buf = codec.AppendString(buf, p.Column)
 			buf = append(buf, p.Op)
-			buf = appendValue(buf, p.Value)
+			buf = codec.AppendValue(buf, p.Value)
 			if p.Op == PredBetween {
-				buf = appendValue(buf, p.Hi)
+				buf = codec.AppendValue(buf, p.Hi)
 			}
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(req.Project)))
 		for _, name := range req.Project {
-			buf = appendString(buf, name)
+			buf = codec.AppendString(buf, name)
 		}
 		t := byte(0)
 		if req.Traced {
@@ -256,12 +230,12 @@ func encodeRequest(buf []byte, req Request) []byte {
 		}
 		buf = append(buf, t)
 	case OpRows:
-		buf = appendString(buf, req.Table)
+		buf = codec.AppendString(buf, req.Table)
 	case OpAdvise:
-		buf = appendString(buf, req.Table)
+		buf = codec.AppendString(buf, req.Table)
 		buf = appendBytes(buf, req.Blob)
 	case OpApplyLayout:
-		buf = appendString(buf, req.Table)
+		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Layout)))
 		for _, inDRAM := range req.Layout {
 			b := byte(0)
@@ -273,21 +247,21 @@ func encodeRequest(buf []byte, req Request) []byte {
 	case OpAdaptive:
 		buf = append(buf, req.Sub)
 	case OpExplain:
-		buf = appendString(buf, req.Table)
+		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Specs)))
 		for _, sp := range req.Specs {
-			buf = appendString(buf, sp.Column)
+			buf = codec.AppendString(buf, sp.Column)
 			op := byte(PredEq)
 			if sp.Op == "between" {
 				op = PredBetween
 			}
 			buf = append(buf, op)
-			buf = appendString(buf, sp.Value)
-			buf = appendString(buf, sp.Hi)
+			buf = codec.AppendString(buf, sp.Value)
+			buf = codec.AppendString(buf, sp.Hi)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(req.Project)))
 		for _, name := range req.Project {
-			buf = appendString(buf, name)
+			buf = codec.AppendString(buf, name)
 		}
 		a := byte(0)
 		if req.Analyze {
@@ -303,7 +277,7 @@ func encodeRequest(buf []byte, req Request) []byte {
 func encodeResponse(buf []byte, op byte, resp Response) []byte {
 	buf = append(buf, resp.Status)
 	if resp.Status != StatusOK {
-		return appendString(buf, resp.Msg)
+		return codec.AppendString(buf, resp.Msg)
 	}
 	switch op {
 	case OpSelect:
@@ -313,9 +287,9 @@ func encodeResponse(buf []byte, op byte, resp Response) []byte {
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Rows)))
 		for _, row := range resp.Rows {
-			buf = appendRow(buf, row)
+			buf = codec.AppendRow(buf, row)
 		}
-		buf = appendString(buf, resp.Trace)
+		buf = codec.AppendString(buf, resp.Trace)
 	case OpStats, OpAdvise, OpAdaptive, OpExplain:
 		buf = appendBytes(buf, resp.Blob)
 	case OpRows:
@@ -323,7 +297,7 @@ func encodeResponse(buf []byte, op byte, resp Response) []byte {
 	case OpTables:
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Names)))
 		for _, n := range resp.Names {
-			buf = appendString(buf, n)
+			buf = codec.AppendString(buf, n)
 		}
 	}
 	return buf
@@ -400,147 +374,28 @@ func ReadFrame(br *bufio.Reader) ([]byte, error) {
 
 // --- decoding -------------------------------------------------------
 
-// reader is a bounds-checked cursor over a decoded payload.
-type reader struct {
-	buf []byte
-	pos int
-}
-
-func (r *reader) remaining() int { return len(r.buf) - r.pos }
-
-func (r *reader) byte() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, ErrProtocol
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	x, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, ErrProtocol
-	}
-	r.pos += n
-	return x, nil
-}
-
-// count reads a uvarint element count and rejects it when even at min
-// bytes per element it cannot fit in the remaining payload — the bound
-// that keeps hostile counts from driving huge allocations.
-func (r *reader) count(minBytesPerElem int) (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(r.remaining()/minBytesPerElem) {
-		return 0, ErrProtocol
-	}
-	return int(n), nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, ErrProtocol
-	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *reader) lenBytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.remaining()) {
-		return nil, ErrProtocol
-	}
-	return r.bytes(int(n))
-}
-
-func (r *reader) string() (string, error) {
-	b, err := r.lenBytes()
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func (r *reader) value() (value.Value, error) {
-	t, err := r.byte()
-	if err != nil {
-		return value.Value{}, err
-	}
-	switch value.Type(t) {
-	case value.Int64:
-		b, err := r.bytes(8)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewInt(int64(binary.LittleEndian.Uint64(b))), nil
-	case value.Float64:
-		b, err := r.bytes(8)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
-	case value.String:
-		s, err := r.string()
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewString(s), nil
-	}
-	return value.Value{}, ErrProtocol
-}
-
-func (r *reader) row() ([]value.Value, error) {
-	n, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	row := make([]value.Value, 0, n)
-	for i := 0; i < n; i++ {
-		v, err := r.value()
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	return row, nil
-}
-
-func (r *reader) done() error {
-	if r.remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, r.remaining())
-	}
-	return nil
-}
-
 // decodeRequest decodes one request payload (as framed: opcode first).
 func decodeRequest(payload []byte) (Request, error) {
-	r := &reader{buf: payload}
-	op, err := r.byte()
+	r := codec.NewReader(payload, ErrProtocol)
+	op, err := r.Byte()
 	if err != nil {
 		return Request{}, err
 	}
 	req := Request{Op: op}
 	if op == OpTraced {
-		id, err := r.uvarint()
+		id, err := r.Uvarint()
 		if err != nil {
 			return Request{}, err
 		}
 		if id == 0 {
 			return Request{}, fmt.Errorf("%w: zero trace id in header", ErrProtocol)
 		}
-		span, err := r.uvarint()
+		span, err := r.Uvarint()
 		if err != nil {
 			return Request{}, err
 		}
 		req.TraceID, req.SpanID = trace.TraceID(id), trace.SpanID(span)
-		if op, err = r.byte(); err != nil {
+		if op, err = r.Byte(); err != nil {
 			return Request{}, err
 		}
 		if op == OpTraced {
@@ -552,20 +407,20 @@ func decodeRequest(payload []byte) (Request, error) {
 	case OpPing, OpCheckpoint, OpStats, OpTables:
 		// no body
 	case OpCreateTable:
-		if req.Table, err = r.string(); err != nil {
+		if req.Table, err = r.String(); err != nil {
 			return Request{}, err
 		}
-		n, err := r.count(3) // empty name + type + width
+		n, err := r.Count(3) // empty name + type + width
 		if err != nil {
 			return Request{}, err
 		}
 		req.Fields = make([]schema.Field, 0, n)
 		for i := 0; i < n; i++ {
 			var f schema.Field
-			if f.Name, err = r.string(); err != nil {
+			if f.Name, err = r.String(); err != nil {
 				return Request{}, err
 			}
-			t, err := r.byte()
+			t, err := r.Byte()
 			if err != nil {
 				return Request{}, err
 			}
@@ -573,7 +428,7 @@ func decodeRequest(payload []byte) (Request, error) {
 				return Request{}, fmt.Errorf("%w: unknown value type %d", ErrProtocol, t)
 			}
 			f.Type = value.Type(t)
-			w, err := r.uvarint()
+			w, err := r.Uvarint()
 			if err != nil {
 				return Request{}, err
 			}
@@ -584,88 +439,88 @@ func decodeRequest(payload []byte) (Request, error) {
 			req.Fields = append(req.Fields, f)
 		}
 	case OpInsert:
-		if req.Table, err = r.string(); err != nil {
+		if req.Table, err = r.String(); err != nil {
 			return Request{}, err
 		}
-		if req.Row, err = r.row(); err != nil {
+		if req.Row, err = r.Row(); err != nil {
 			return Request{}, err
 		}
 	case OpDelete:
-		if req.Table, err = r.string(); err != nil {
+		if req.Table, err = r.String(); err != nil {
 			return Request{}, err
 		}
-		if req.RowID, err = r.uvarint(); err != nil {
+		if req.RowID, err = r.Uvarint(); err != nil {
 			return Request{}, err
 		}
 	case OpUpdate:
-		if req.Table, err = r.string(); err != nil {
+		if req.Table, err = r.String(); err != nil {
 			return Request{}, err
 		}
-		if req.RowID, err = r.uvarint(); err != nil {
+		if req.RowID, err = r.Uvarint(); err != nil {
 			return Request{}, err
 		}
-		if req.Row, err = r.row(); err != nil {
+		if req.Row, err = r.Row(); err != nil {
 			return Request{}, err
 		}
 	case OpBulkLoad:
-		if req.Table, err = r.string(); err != nil {
+		if req.Table, err = r.String(); err != nil {
 			return Request{}, err
 		}
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return Request{}, err
 		}
 		req.Rows = make([][]value.Value, 0, n)
 		for i := 0; i < n; i++ {
-			row, err := r.row()
+			row, err := r.Row()
 			if err != nil {
 				return Request{}, err
 			}
 			req.Rows = append(req.Rows, row)
 		}
 	case OpSelect:
-		if req.Table, err = r.string(); err != nil {
+		if req.Table, err = r.String(); err != nil {
 			return Request{}, err
 		}
-		nPred, err := r.count(3) // empty column + op + value type
+		nPred, err := r.Count(3) // empty column + op + value type
 		if err != nil {
 			return Request{}, err
 		}
 		req.Predicates = make([]Predicate, 0, nPred)
 		for i := 0; i < nPred; i++ {
 			var p Predicate
-			if p.Column, err = r.string(); err != nil {
+			if p.Column, err = r.String(); err != nil {
 				return Request{}, err
 			}
-			if p.Op, err = r.byte(); err != nil {
+			if p.Op, err = r.Byte(); err != nil {
 				return Request{}, err
 			}
 			if p.Op != PredEq && p.Op != PredBetween {
 				return Request{}, fmt.Errorf("%w: unknown predicate op %d", ErrProtocol, p.Op)
 			}
-			if p.Value, err = r.value(); err != nil {
+			if p.Value, err = r.Value(); err != nil {
 				return Request{}, err
 			}
 			if p.Op == PredBetween {
-				if p.Hi, err = r.value(); err != nil {
+				if p.Hi, err = r.Value(); err != nil {
 					return Request{}, err
 				}
 			}
 			req.Predicates = append(req.Predicates, p)
 		}
-		nProj, err := r.count(1)
+		nProj, err := r.Count(1)
 		if err != nil {
 			return Request{}, err
 		}
 		req.Project = make([]string, 0, nProj)
 		for i := 0; i < nProj; i++ {
-			name, err := r.string()
+			name, err := r.String()
 			if err != nil {
 				return Request{}, err
 			}
 			req.Project = append(req.Project, name)
 		}
-		t, err := r.byte()
+		t, err := r.Byte()
 		if err != nil {
 			return Request{}, err
 		}
@@ -674,27 +529,27 @@ func decodeRequest(payload []byte) (Request, error) {
 		}
 		req.Traced = t == 1
 	case OpRows:
-		if req.Table, err = r.string(); err != nil {
+		if req.Table, err = r.String(); err != nil {
 			return Request{}, err
 		}
 	case OpAdvise:
-		if req.Table, err = r.string(); err != nil {
+		if req.Table, err = r.String(); err != nil {
 			return Request{}, err
 		}
-		if req.Blob, err = r.lenBytes(); err != nil {
+		if req.Blob, err = r.LenBytes(); err != nil {
 			return Request{}, err
 		}
 	case OpApplyLayout:
-		if req.Table, err = r.string(); err != nil {
+		if req.Table, err = r.String(); err != nil {
 			return Request{}, err
 		}
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return Request{}, err
 		}
 		req.Layout = make([]bool, 0, n)
 		for i := 0; i < n; i++ {
-			b, err := r.byte()
+			b, err := r.Byte()
 			if err != nil {
 				return Request{}, err
 			}
@@ -704,27 +559,27 @@ func decodeRequest(payload []byte) (Request, error) {
 			req.Layout = append(req.Layout, b == 1)
 		}
 	case OpAdaptive:
-		if req.Sub, err = r.byte(); err != nil {
+		if req.Sub, err = r.Byte(); err != nil {
 			return Request{}, err
 		}
 		if req.Sub > AdaptiveDisable {
 			return Request{}, fmt.Errorf("%w: unknown adaptive subcommand %d", ErrProtocol, req.Sub)
 		}
 	case OpExplain:
-		if req.Table, err = r.string(); err != nil {
+		if req.Table, err = r.String(); err != nil {
 			return Request{}, err
 		}
-		nSpec, err := r.count(4) // empty column + op + two empty operands
+		nSpec, err := r.Count(4) // empty column + op + two empty operands
 		if err != nil {
 			return Request{}, err
 		}
 		req.Specs = make([]explain.PredicateSpec, 0, nSpec)
 		for i := 0; i < nSpec; i++ {
 			var sp explain.PredicateSpec
-			if sp.Column, err = r.string(); err != nil {
+			if sp.Column, err = r.String(); err != nil {
 				return Request{}, err
 			}
-			op, err := r.byte()
+			op, err := r.Byte()
 			if err != nil {
 				return Request{}, err
 			}
@@ -736,27 +591,27 @@ func decodeRequest(payload []byte) (Request, error) {
 			default:
 				return Request{}, fmt.Errorf("%w: unknown predicate op %d", ErrProtocol, op)
 			}
-			if sp.Value, err = r.string(); err != nil {
+			if sp.Value, err = r.String(); err != nil {
 				return Request{}, err
 			}
-			if sp.Hi, err = r.string(); err != nil {
+			if sp.Hi, err = r.String(); err != nil {
 				return Request{}, err
 			}
 			req.Specs = append(req.Specs, sp)
 		}
-		nProj, err := r.count(1)
+		nProj, err := r.Count(1)
 		if err != nil {
 			return Request{}, err
 		}
 		req.Project = make([]string, 0, nProj)
 		for i := 0; i < nProj; i++ {
-			name, err := r.string()
+			name, err := r.String()
 			if err != nil {
 				return Request{}, err
 			}
 			req.Project = append(req.Project, name)
 		}
-		a, err := r.byte()
+		a, err := r.Byte()
 		if err != nil {
 			return Request{}, err
 		}
@@ -767,7 +622,7 @@ func decodeRequest(payload []byte) (Request, error) {
 	default:
 		return Request{}, fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return Request{}, err
 	}
 	return req, nil
@@ -776,8 +631,8 @@ func decodeRequest(payload []byte) (Request, error) {
 // DecodeResponse decodes one response payload for the given request
 // opcode (as framed: status first).
 func DecodeResponse(op byte, payload []byte) (Response, error) {
-	r := &reader{buf: payload}
-	status, err := r.byte()
+	r := codec.NewReader(payload, ErrProtocol)
+	status, err := r.Byte()
 	if err != nil {
 		return Response{}, err
 	}
@@ -786,61 +641,61 @@ func DecodeResponse(op byte, payload []byte) (Response, error) {
 		if status > StatusDraining {
 			return Response{}, fmt.Errorf("%w: unknown status %d", ErrProtocol, status)
 		}
-		if resp.Msg, err = r.string(); err != nil {
+		if resp.Msg, err = r.String(); err != nil {
 			return Response{}, err
 		}
-		return resp, r.done()
+		return resp, r.Done()
 	}
 	switch op {
 	case OpSelect:
-		nIDs, err := r.count(1)
+		nIDs, err := r.Count(1)
 		if err != nil {
 			return Response{}, err
 		}
 		resp.IDs = make([]uint64, 0, nIDs)
 		for i := 0; i < nIDs; i++ {
-			id, err := r.uvarint()
+			id, err := r.Uvarint()
 			if err != nil {
 				return Response{}, err
 			}
 			resp.IDs = append(resp.IDs, id)
 		}
-		nRows, err := r.count(1)
+		nRows, err := r.Count(1)
 		if err != nil {
 			return Response{}, err
 		}
 		resp.Rows = make([][]value.Value, 0, nRows)
 		for i := 0; i < nRows; i++ {
-			row, err := r.row()
+			row, err := r.Row()
 			if err != nil {
 				return Response{}, err
 			}
 			resp.Rows = append(resp.Rows, row)
 		}
-		if resp.Trace, err = r.string(); err != nil {
+		if resp.Trace, err = r.String(); err != nil {
 			return Response{}, err
 		}
 	case OpStats, OpAdvise, OpAdaptive, OpExplain:
-		if resp.Blob, err = r.lenBytes(); err != nil {
+		if resp.Blob, err = r.LenBytes(); err != nil {
 			return Response{}, err
 		}
 	case OpRows:
-		if resp.Count, err = r.uvarint(); err != nil {
+		if resp.Count, err = r.Uvarint(); err != nil {
 			return Response{}, err
 		}
 	case OpTables:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return Response{}, err
 		}
 		resp.Names = make([]string, 0, n)
 		for i := 0; i < n; i++ {
-			name, err := r.string()
+			name, err := r.String()
 			if err != nil {
 				return Response{}, err
 			}
 			resp.Names = append(resp.Names, name)
 		}
 	}
-	return resp, r.done()
+	return resp, r.Done()
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"tierdb/internal/bptree"
 	"tierdb/internal/delta"
 	"tierdb/internal/keyenc"
 	"tierdb/internal/mvcc"
@@ -40,45 +39,7 @@ func (t *Table) CreateCompositeIndex(cols []int) error {
 		}
 		seen[c] = true
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.buildCompositeLocked(cols)
-}
-
-func (t *Table) buildCompositeLocked(cols []int) error {
-	tree := bptree.New(value.String)
-	key := make([]value.Value, len(cols))
-	for row := 0; row < t.mainRows; row++ {
-		for i, c := range cols {
-			v, err := t.mainValueLocked(row, c)
-			if err != nil {
-				return fmt.Errorf("table %s: build composite index: %w", t.name, err)
-			}
-			key[i] = v
-		}
-		enc, err := keyenc.EncodeString(key)
-		if err != nil {
-			return fmt.Errorf("table %s: encode composite key: %w", t.name, err)
-		}
-		tree.Insert(value.NewString(enc), uint32(row))
-	}
-	// Copy-on-write: pinned views may alias the current map.
-	composites := make(map[string]compositeIndex, len(t.composites)+1)
-	for k, v := range t.composites {
-		composites[k] = v
-	}
-	composites[compositeKeyName(cols)] = compositeIndex{
-		cols: append([]int(nil), cols...),
-		tree: tree,
-	}
-	t.composites = composites
-	return nil
-}
-
-// compositeIndex bundles the indexed columns with their tree.
-type compositeIndex struct {
-	cols []int
-	tree *bptree.Tree
+	return t.installIndex(cols)
 }
 
 // LookupComposite returns the rows whose column tuple equals key, using
@@ -97,11 +58,11 @@ func (t *Table) LookupComposite(cols []int, key []value.Value, snapshot uint64, 
 // remaining columns.
 func (v *View) LookupComposite(cols []int, key []value.Value, snapshot mvcc.Timestamp, self mvcc.TxID) ([]RowID, error) {
 	if len(key) != len(cols) {
-		return nil, fmt.Errorf("table %s: composite key has %d values for %d columns", v.name, len(key), len(cols))
+		return nil, fmt.Errorf("table %s: composite key has %d values for %d columns", v.main.name, len(key), len(cols))
 	}
-	idx, ok := v.composites[compositeKeyName(cols)]
+	idx, ok := v.main.composites[compositeKeyName(cols)]
 	if !ok {
-		return nil, fmt.Errorf("table %s: no composite index on columns %v", v.name, cols)
+		return nil, fmt.Errorf("table %s: no composite index on columns %v", v.main.name, cols)
 	}
 	enc, err := keyenc.EncodeString(key)
 	if err != nil {
@@ -109,7 +70,7 @@ func (v *View) LookupComposite(cols []int, key []value.Value, snapshot mvcc.Time
 	}
 	var out []RowID
 	for _, pos := range idx.tree.Lookup(value.NewString(enc)) {
-		if v.mainVersions.Visible(int(pos), snapshot, self) {
+		if v.main.versions.Visible(int(pos), snapshot, self) {
 			out = append(out, RowID(pos))
 		}
 	}
@@ -139,7 +100,7 @@ func (v *View) LookupComposite(cols []int, key []value.Value, snapshot mvcc.Time
 		}
 		return nil
 	}
-	base := uint64(v.mainRows)
+	base := uint64(v.main.rows)
 	if v.frozen != nil {
 		if err := probe(v.frozen, base, v.frozenRows); err != nil {
 			return nil, err
@@ -155,10 +116,9 @@ func (v *View) LookupComposite(cols []int, key []value.Value, snapshot mvcc.Time
 
 // CompositeIndexes lists the column sets with composite indexes.
 func (t *Table) CompositeIndexes() [][]int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([][]int, 0, len(t.composites))
-	for _, idx := range t.composites {
+	composites := t.peek().main.composites
+	out := make([][]int, 0, len(composites))
+	for _, idx := range composites {
 		out = append(out, append([]int(nil), idx.cols...))
 	}
 	sort.Slice(out, func(a, b int) bool {

@@ -10,10 +10,11 @@
 //     main plus the frozen delta as of the snapshot. Readers and
 //     writers proceed against old main + frozen delta + active delta.
 //  3. Swap — after the retiring partitions quiesce (no provisional
-//     inserts or delete intents), a short exclusive section installs
-//     the shadow main, replays deletes that committed during the
-//     rebuild, re-bases frozen rows the snapshot missed into the active
-//     delta, and retires the old SSCG pages via the epoch protocol.
+//     inserts or delete intents), a short exclusive section replays
+//     deletes that committed during the rebuild onto the shadow main,
+//     re-bases frozen rows the snapshot missed into the active delta,
+//     installs the shadow main by assigning Table.main, and retires
+//     the old SSCG pages via the epoch protocol.
 //
 // Row version history is preserved across the swap (mvcc.AppendAt), so
 // a transaction holding any open snapshot sees exactly the same rows
@@ -25,17 +26,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
-	"tierdb/internal/bptree"
-	"tierdb/internal/column"
 	"tierdb/internal/delta"
-	"tierdb/internal/histogram"
-	"tierdb/internal/keyenc"
 	"tierdb/internal/mvcc"
-	"tierdb/internal/schema"
-	"tierdb/internal/sscg"
 	"tierdb/internal/value"
 )
 
@@ -63,139 +57,28 @@ type carryRow struct {
 	begin, end mvcc.Timestamp
 }
 
-// mergeState is the frozen input of one merge: immutable references to
-// the structures the rebuild reads without holding the table lock.
+// mergeState is the frozen input of one merge: the structures the
+// rebuild reads without holding the table lock, all immutable.
 type mergeState struct {
-	layout        []bool
-	snapshot      mvcc.Timestamp
-	mainRows      int
-	mrcs          []*column.MRC
-	group         *sscg.Group
-	groupIdx      []int
-	mainVersions  *mvcc.Versions
-	frozen        *delta.Partition
-	frozenRows    int
-	indexCols     []int
-	compositeSets [][]int
+	layout     []bool
+	snapshot   mvcc.Timestamp
+	old        *main
+	frozen     *delta.Partition
+	frozenRows int
 }
 
-// mainTuple reconstructs one old-main row from the frozen structure
-// references (safe off-lock: MRCs and SSCGs are immutable).
-func (st *mergeState) mainTuple(pos int, nCols int) ([]value.Value, error) {
-	out := make([]value.Value, nCols)
-	if st.group != nil {
-		groupRow, err := st.group.ReadRow(pos)
-		if err != nil {
-			return nil, err
-		}
-		for col, gi := range st.groupIdx {
-			if gi >= 0 {
-				out[col] = groupRow[gi]
-			}
-		}
-	}
-	for col, mrc := range st.mrcs {
-		if mrc != nil {
-			v, err := mrc.Get(pos)
-			if err != nil {
-				return nil, err
-			}
-			out[col] = v
-		}
-	}
-	return out, nil
+// rebuilt is the shadow main partition the rebuild produces, with what
+// the swap needs to reconcile it against writes that raced the rebuild.
+type rebuilt struct {
+	next    *main
+	sources []rowSource
+	folded  []bool // frozen positions folded into the new main
+	carry   []carryRow
 }
 
-// mainParts is the layout-dependent half of a rebuilt main partition.
-type mainParts struct {
-	mrcs     []*column.MRC
-	group    *sscg.Group
-	groupIdx []int
-	distinct []int
-	hists    []*histogram.Histogram
-}
-
-// builtMain is the complete shadow main partition the rebuild produces.
-type builtMain struct {
-	parts      *mainParts
-	rows       int
-	versions   *mvcc.Versions
-	indexes    map[int]*bptree.Tree
-	composites map[string]compositeIndex
-	sources    []rowSource
-	folded     []bool // frozen positions folded into the new main
-	carry      []carryRow
-}
-
-// buildMainParts builds MRCs, the SSCG and column statistics for rows
-// under layout. Statistics come from a single row-major transposition:
-// the per-column value slices feed the equi-depth histograms — whose
-// sorted build pass yields the exact distinct count for free — and are
-// then reused as MRC build input, replacing the former O(columns x
-// rows) hash-set pass per column (see BenchmarkColumnStats).
-func (t *Table) buildMainParts(layout []bool, rows [][]value.Value) (*mainParts, error) {
-	nCols := t.schema.Len()
-	colVals := make([][]value.Value, nCols)
-	for c := range colVals {
-		colVals[c] = make([]value.Value, len(rows))
-	}
-	for r, row := range rows {
-		for c, v := range row {
-			colVals[c][r] = v
-		}
-	}
-
-	p := &mainParts{
-		distinct: make([]int, nCols),
-		hists:    make([]*histogram.Histogram, nCols),
-		mrcs:     make([]*column.MRC, nCols),
-		groupIdx: make([]int, nCols),
-	}
-	for col := 0; col < nCols; col++ {
-		p.groupIdx[col] = -1
-		if len(rows) == 0 {
-			continue
-		}
-		h, err := histogram.Build(t.schema.Field(col).Type, colVals[col], histogramBuckets)
-		if err != nil {
-			return nil, fmt.Errorf("table %s: build histogram for %q: %w", t.name, t.schema.Field(col).Name, err)
-		}
-		p.hists[col] = h
-		p.distinct[col] = h.DistinctCount()
-	}
-
-	var groupFields []schema.Field
-	var groupCols []int
-	for col := 0; col < nCols; col++ {
-		f := t.schema.Field(col)
-		if layout[col] {
-			mrc, err := column.Build(f.Name, f.Type, colVals[col])
-			if err != nil {
-				return nil, fmt.Errorf("table %s: merge build MRC %q: %w", t.name, f.Name, err)
-			}
-			p.mrcs[col] = mrc
-		} else {
-			p.groupIdx[col] = len(groupFields)
-			groupFields = append(groupFields, f)
-			groupCols = append(groupCols, col)
-		}
-	}
-	if len(groupFields) > 0 {
-		groupRows := make([][]value.Value, len(rows))
-		for r := range rows {
-			gr := make([]value.Value, len(groupCols))
-			for gi, col := range groupCols {
-				gr[gi] = rows[r][col]
-			}
-			groupRows[r] = gr
-		}
-		var err error
-		p.group, err = sscg.Build(groupFields, groupRows, t.store, t.cache)
-		if err != nil {
-			return nil, fmt.Errorf("table %s: merge build SSCG: %w", t.name, err)
-		}
-	}
-	return p, nil
+// bufferCells serves addIndex from the row buffer a main was built from.
+func bufferCells(rows [][]value.Value) func(row, col int) (value.Value, error) {
+	return func(row, col int) (value.Value, error) { return rows[row][col], nil }
 }
 
 // Merge folds the delta into the main partition under the current
@@ -215,7 +98,7 @@ func (t *Table) ApplyLayout(layout []bool) error {
 	if len(layout) != t.schema.Len() {
 		return fmt.Errorf("table %s: layout has %d entries, want %d", t.name, len(layout), t.schema.Len())
 	}
-	return t.mergeOnline(append([]bool(nil), layout...))
+	return t.mergeOnline(layout)
 }
 
 // mergeOnline runs the three-phase online merge. A nil layout keeps the
@@ -258,7 +141,7 @@ func (t *Table) freezeForMerge(layout []bool) (*mergeState, error) {
 		return nil, ErrMergeInProgress
 	}
 	if layout == nil {
-		layout = append([]bool(nil), t.layout...)
+		layout = t.main.layout
 	}
 	if t.frozen == nil {
 		t.frozen = t.delta
@@ -270,28 +153,13 @@ func (t *Table) freezeForMerge(layout []bool) (*mergeState, error) {
 	t.merging = true
 	t.gFrozenRows.Set(int64(t.frozenRows))
 	t.gActiveRows.Set(int64(t.delta.Rows()))
-	st := &mergeState{
-		layout:       layout,
-		snapshot:     t.mgr.LastCommit(),
-		mainRows:     t.mainRows,
-		mrcs:         t.mrcs,
-		group:        t.group,
-		groupIdx:     t.groupIdx,
-		mainVersions: t.mainVersions,
-		frozen:       t.frozen,
-		frozenRows:   t.frozenRows,
-	}
-	for col := range t.indexes {
-		st.indexCols = append(st.indexCols, col)
-	}
-	sort.Ints(st.indexCols)
-	for _, idx := range t.composites {
-		st.compositeSets = append(st.compositeSets, append([]int(nil), idx.cols...))
-	}
-	sort.Slice(st.compositeSets, func(a, b int) bool {
-		return compositeKeyName(st.compositeSets[a]) < compositeKeyName(st.compositeSets[b])
-	})
-	return st, nil
+	return &mergeState{
+		layout:     layout,
+		snapshot:   t.mgr.LastCommit(),
+		old:        t.main,
+		frozen:     t.frozen,
+		frozenRows: t.frozenRows,
+	}, nil
 }
 
 // rebuild is phase 2: construct the shadow main partition from the old
@@ -299,36 +167,29 @@ func (t *Table) freezeForMerge(layout []bool) (*mergeState, error) {
 // Visibility at a fixed snapshot is stable under concurrent commits
 // (late deletes stamp end > snapshot; late inserts stamp begin >
 // snapshot), so the fold set is deterministic.
-func (t *Table) rebuild(st *mergeState) (*builtMain, error) {
-	nCols := t.schema.Len()
+func (t *Table) rebuild(st *mergeState) (*rebuilt, error) {
+	b := &rebuilt{folded: make([]bool, st.frozenRows)}
 	var rows [][]value.Value
-	var sources []rowSource
 	var begins []mvcc.Timestamp
-	var carry []carryRow
-	for pos := 0; pos < st.mainRows; pos++ {
-		rs := st.mainVersions.State(pos)
+	for pos := 0; pos < st.old.rows; pos++ {
+		rs := st.old.versions.State(pos)
 		if rs.Begin == 0 || rs.Begin == mvcc.Infinity {
 			continue // never-committed row (not possible in main; defensive)
+		}
+		tuple, err := st.old.tuple(pos)
+		if err != nil {
+			return nil, fmt.Errorf("table %s: merge read main row %d: %w", t.name, pos, err)
 		}
 		if rs.Begin > st.snapshot || rs.End <= st.snapshot {
 			// Invisible at the snapshot but committed: carry the version
 			// interval so snapshots that still need it survive the swap.
-			tuple, err := st.mainTuple(pos, nCols)
-			if err != nil {
-				return nil, fmt.Errorf("table %s: merge read main row %d: %w", t.name, pos, err)
-			}
-			carry = append(carry, carryRow{tuple: tuple, begin: rs.Begin, end: rs.End})
+			b.carry = append(b.carry, carryRow{tuple: tuple, begin: rs.Begin, end: rs.End})
 			continue
 		}
-		tuple, err := st.mainTuple(pos, nCols)
-		if err != nil {
-			return nil, fmt.Errorf("table %s: merge read main row %d: %w", t.name, pos, err)
-		}
 		rows = append(rows, tuple)
-		sources = append(sources, rowSource{main: true, pos: pos})
+		b.sources = append(b.sources, rowSource{main: true, pos: pos})
 		begins = append(begins, rs.Begin)
 	}
-	folded := make([]bool, st.frozenRows)
 	fv := st.frozen.Versions()
 	for _, pos := range st.frozen.VisibleRows(st.snapshot, 0) {
 		if pos >= st.frozenRows {
@@ -338,80 +199,34 @@ func (t *Table) rebuild(st *mergeState) (*builtMain, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table %s: merge read delta row %d: %w", t.name, pos, err)
 		}
-		folded[pos] = true
+		b.folded[pos] = true
 		rows = append(rows, tuple)
-		sources = append(sources, rowSource{main: false, pos: pos})
+		b.sources = append(b.sources, rowSource{main: false, pos: pos})
 		begins = append(begins, fv.State(pos).Begin)
 	}
 
-	parts, err := t.buildMainParts(st.layout, rows)
-	if err != nil {
+	var err error
+	if b.next, err = t.buildMain(st.layout, rows); err != nil {
 		return nil, err
 	}
-
 	// Preserve each row's commit history so every open snapshot keeps
 	// its exact visibility across the swap; deletes that commit during
 	// the rebuild are replayed by the swap via sources.
-	versions := mvcc.NewVersions()
 	for _, begin := range begins {
-		versions.AppendAt(begin, mvcc.Infinity)
+		b.next.versions.AppendAt(begin, mvcc.Infinity)
 	}
-
-	b := &builtMain{
-		parts:      parts,
-		rows:       len(rows),
-		versions:   versions,
-		indexes:    make(map[int]*bptree.Tree, len(st.indexCols)),
-		composites: make(map[string]compositeIndex, len(st.compositeSets)),
-		sources:    sources,
-		folded:     folded,
-		carry:      carry,
-	}
-	if err := b.buildIndexes(t.schema, st, rows); err != nil {
-		if parts.group != nil {
-			_ = parts.group.Free() // abandon the shadow SSCG, keep serving old main
-		}
+	if err := b.next.addIndexesOf(st.old, bufferCells(rows)); err != nil {
+		b.next.epoch.release() // abandon the shadow SSCG, keep serving old main
 		return nil, err
 	}
 	return b, nil
 }
 
-// buildIndexes rebuilds the index set captured at freeze time against
-// the shadow main's rows.
-func (b *builtMain) buildIndexes(s *schema.Schema, st *mergeState, rows [][]value.Value) error {
-	for _, col := range st.indexCols {
-		tree := bptree.New(s.Field(col).Type)
-		for r := range rows {
-			tree.Insert(rows[r][col], uint32(r))
-		}
-		b.indexes[col] = tree
-	}
-	for _, cols := range st.compositeSets {
-		tree := bptree.New(value.String)
-		key := make([]value.Value, len(cols))
-		for r := range rows {
-			for i, c := range cols {
-				key[i] = rows[r][c]
-			}
-			enc, err := keyenc.EncodeString(key)
-			if err != nil {
-				return fmt.Errorf("encode composite key: %w", err)
-			}
-			tree.Insert(value.NewString(enc), uint32(r))
-		}
-		b.composites[compositeKeyName(cols)] = compositeIndex{
-			cols: append([]int(nil), cols...),
-			tree: tree,
-		}
-	}
-	return nil
-}
-
 // swapMain is phase 3: wait for the retiring partitions to quiesce,
 // then atomically install the shadow main under the write lock,
 // reconciling writes that landed during the rebuild.
-func (t *Table) swapMain(st *mergeState, b *builtMain) error {
-	fv := st.frozen.Versions()
+func (t *Table) swapMain(st *mergeState, b *rebuilt) error {
+	ov, fv := st.old.versions, st.frozen.Versions()
 	// Quiescence: no provisional insert or delete intent may remain on
 	// the retiring partitions, otherwise its commit callback could fire
 	// after the reconciliation below and be lost. Intents are only
@@ -421,10 +236,10 @@ func (t *Table) swapMain(st *mergeState, b *builtMain) error {
 	// lock while the last writers resolve (commits touch only version
 	// stores, never the table lock, so they proceed).
 	for attempt := 0; ; attempt++ {
-		if st.mainVersions.Unsettled() || fv.Unsettled() {
+		if ov.Unsettled() || fv.Unsettled() {
 			if attempt > quiesceSpins {
 				t.mu.Lock()
-				for st.mainVersions.Unsettled() || fv.Unsettled() {
+				for ov.Unsettled() || fv.Unsettled() {
 					time.Sleep(20 * time.Microsecond)
 				}
 				break
@@ -433,7 +248,7 @@ func (t *Table) swapMain(st *mergeState, b *builtMain) error {
 			continue
 		}
 		t.mu.Lock()
-		if !st.mainVersions.Unsettled() && !fv.Unsettled() {
+		if !ov.Unsettled() && !fv.Unsettled() {
 			break
 		}
 		t.mu.Unlock()
@@ -443,22 +258,36 @@ func (t *Table) swapMain(st *mergeState, b *builtMain) error {
 	// Replay deletes that committed against the old locations while the
 	// rebuild ran.
 	for i, src := range b.sources {
-		var rs mvcc.RowState
+		vers := fv
 		if src.main {
-			rs = st.mainVersions.State(src.pos)
-		} else {
-			rs = fv.State(src.pos)
+			vers = ov
 		}
-		if rs.End != mvcc.Infinity {
-			b.versions.SetEnd(i, rs.End)
+		if rs := vers.State(src.pos); rs.End != mvcc.Infinity {
+			b.next.versions.SetEnd(i, rs.End)
 		}
+	}
+
+	// A failed swap is a failed merge: the old main keeps serving and the
+	// frozen delta is retained for the retry.
+	fail := func(err error) error {
+		t.merging = false
+		b.next.epoch.release()
+		t.cMergeFails.Inc()
+		return fmt.Errorf("table %s: merge swap: %w", t.name, err)
+	}
+
+	// Indexes created after the freeze exist on the current main (a copy
+	// of st.old, see installIndex) but not in the rebuilt set.
+	if err := b.next.addIndexesOf(t.main, b.next.value); err != nil {
+		return fail(err)
 	}
 
 	// Re-base rows the shadow main missed into the active delta with
 	// their original timestamps: frozen rows committed after the
 	// snapshot (live or already deleted again) and carried old-main
 	// rows. Rows dead at the oldest active snapshot are invisible to
-	// every current and future reader and are purged instead.
+	// every current and future reader and are purged instead. An error
+	// here is unreachable with a matching schema.
 	watermark := t.mgr.OldestActiveSnapshot()
 	stragglers := 0
 	adopt := func(tuple []value.Value, begin, end mvcc.Timestamp) error {
@@ -471,8 +300,7 @@ func (t *Table) swapMain(st *mergeState, b *builtMain) error {
 		stragglers++
 		return nil
 	}
-	var adoptErr error
-	for pos := 0; pos < st.frozenRows && adoptErr == nil; pos++ {
+	for pos := 0; pos < st.frozenRows; pos++ {
 		if b.folded[pos] {
 			continue
 		}
@@ -480,81 +308,35 @@ func (t *Table) swapMain(st *mergeState, b *builtMain) error {
 		if rs.Begin == 0 || rs.Begin == mvcc.Infinity {
 			continue // aborted insert (quiescence rules out pending state)
 		}
-		var tuple []value.Value
-		if tuple, adoptErr = st.frozen.GetRow(pos); adoptErr == nil {
-			adoptErr = adopt(tuple, rs.Begin, rs.End)
+		tuple, err := st.frozen.GetRow(pos)
+		if err == nil {
+			err = adopt(tuple, rs.Begin, rs.End)
+		}
+		if err != nil {
+			return fail(err)
 		}
 	}
-	for i := 0; adoptErr == nil && i < len(b.carry); i++ {
-		adoptErr = adopt(b.carry[i].tuple, b.carry[i].begin, b.carry[i].end)
-	}
-	if adoptErr != nil {
-		// Unreachable with a matching schema; treated as a failed merge
-		// (old main keeps serving, frozen delta retained for retry).
-		t.merging = false
-		if b.parts.group != nil {
-			_ = b.parts.group.Free()
-		}
-		t.cMergeFails.Inc()
-		return fmt.Errorf("table %s: merge swap: %w", t.name, adoptErr)
-	}
-
-	// Indexes created after the freeze exist on the retiring main but
-	// not in the rebuilt set; note them for rebuilding below.
-	var lateIdx []int
-	for col := range t.indexes {
-		if _, ok := b.indexes[col]; !ok {
-			lateIdx = append(lateIdx, col)
-		}
-	}
-	sort.Ints(lateIdx)
-	var lateComp [][]int
-	for name, ci := range t.composites {
-		if _, ok := b.composites[name]; !ok {
-			lateComp = append(lateComp, ci.cols)
+	for _, c := range b.carry {
+		if err := adopt(c.tuple, c.begin, c.end); err != nil {
+			return fail(err)
 		}
 	}
 
-	// Install. Every container is replaced wholesale; pinned views keep
-	// aliasing the retired ones.
-	oldEpoch := t.epoch
-	t.mainRows = b.rows
-	t.layout = append([]bool(nil), st.layout...)
-	t.mrcs = b.parts.mrcs
-	t.group = b.parts.group
-	t.groupIdx = b.parts.groupIdx
-	t.mainVersions = b.versions
-	t.indexes = b.indexes
-	t.composites = b.composites
-	t.distinct = b.parts.distinct
-	t.hists = b.parts.hists
+	// Install: one pointer. Views pinned before this line keep the old
+	// main; dropping the table's reference on its epoch returns the old
+	// SSCG pages to the freelist now, or when the last such view drains.
+	t.main = b.next
 	t.frozen = nil
 	t.frozenRows = 0
 	t.merging = false
-	t.epoch = newEpoch(b.parts.group)
 	t.cMerges.Inc()
 	t.cSwaps.Inc()
-	t.cMergeRows.Add(int64(b.rows))
+	t.cMergeRows.Add(int64(b.next.rows))
 	t.cStragglers.Add(int64(stragglers))
 	t.gFrozenRows.Set(0)
 	t.gActiveRows.Set(int64(t.delta.Rows()))
-	// Drop the table's reference on the retired epoch: the old SSCG
-	// pages return to the freelist now, or when the last pinned view
-	// drains.
-	oldEpoch.release()
-
-	var idxErr error
-	for _, col := range lateIdx {
-		if err := t.buildIndexLocked(col); err != nil && idxErr == nil {
-			idxErr = err
-		}
-	}
-	for _, cols := range lateComp {
-		if err := t.buildCompositeLocked(cols); err != nil && idxErr == nil {
-			idxErr = err
-		}
-	}
-	return idxErr
+	st.old.epoch.release()
+	return nil
 }
 
 // MergeOffline is the blocking reference merge: it folds the delta
@@ -570,13 +352,14 @@ func (t *Table) MergeOffline() error {
 		return ErrMergeInProgress
 	}
 
+	old := t.main
 	snapshot := t.mgr.LastCommit()
 	var rows [][]value.Value
-	for row := 0; row < t.mainRows; row++ {
-		if !t.mainVersions.Visible(row, snapshot, 0) {
+	for row := 0; row < old.rows; row++ {
+		if !old.versions.Visible(row, snapshot, 0) {
 			continue
 		}
-		tuple, err := t.tupleLocked(uint64(row))
+		tuple, err := old.tuple(row)
 		if err != nil {
 			return fmt.Errorf("table %s: merge read main row %d: %w", t.name, row, err)
 		}
@@ -590,43 +373,25 @@ func (t *Table) MergeOffline() error {
 		rows = append(rows, tuple)
 	}
 
-	parts, err := t.buildMainParts(t.layout, rows)
+	next, err := t.buildMain(old.layout, rows)
 	if err != nil {
 		return err
 	}
-
 	// Fresh MVCC state: all merged rows are committed & live.
-	versions := mvcc.NewVersions()
 	for range rows {
-		versions.AppendCommitted(snapshot)
+		next.versions.AppendCommitted(snapshot)
+	}
+	if err := next.addIndexesOf(old, bufferCells(rows)); err != nil {
+		next.epoch.release()
+		return err
 	}
 
-	oldEpoch := t.epoch
-	t.mainRows = len(rows)
-	t.mrcs = parts.mrcs
-	t.group = parts.group
-	t.groupIdx = parts.groupIdx
-	t.mainVersions = versions
+	t.main = next
 	t.delta = delta.New(t.schema)
 	t.delta.Observe(t.registry) // fresh partition, fresh handles
-	t.distinct = parts.distinct
-	t.hists = parts.hists
-	t.epoch = newEpoch(parts.group)
 	t.cMerges.Inc()
 	t.gActiveRows.Set(0)
-	oldEpoch.release()
-
-	// Rebuild indexes over the new main partition.
-	for col := range t.indexes {
-		if err := t.buildIndexLocked(col); err != nil {
-			return err
-		}
-	}
-	for _, idx := range t.composites {
-		if err := t.buildCompositeLocked(idx.cols); err != nil {
-			return err
-		}
-	}
+	old.epoch.release()
 	return nil
 }
 

@@ -60,7 +60,7 @@ func oldDistinctPass(b *testing.B, s *schema.Schema, rows [][]value.Value) []int
 	return distinct
 }
 
-// newDistinctPass mirrors buildMainParts' statistics half: one
+// newDistinctPass mirrors buildMain's statistics half: one
 // transposition, then per-column histogram builds whose sorted pass
 // yields the distinct count as a side effect (plus the histogram the
 // executor wants anyway).
@@ -128,12 +128,12 @@ func BenchmarkMergeRebuild(b *testing.B) {
 	layout := []bool{true, false, false}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts, err := tbl.buildMainParts(layout, data)
+		m, err := tbl.buildMain(layout, data)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if parts.group != nil {
-			if err := parts.group.Free(); err != nil {
+		if m.group != nil {
+			if err := m.group.Free(); err != nil {
 				b.Fatal(err)
 			}
 		}

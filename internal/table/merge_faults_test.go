@@ -83,9 +83,11 @@ func TestOnlineMergeTransientWriteFaultMidRebuild(t *testing.T) {
 	if got := livePages(ms); got != before {
 		t.Errorf("live pages after failed rebuild = %d, want %d (shadow pages leaked)", got, before)
 	}
-	if tbl.Frozen() == nil {
-		t.Error("frozen delta not retained after failed merge")
-	}
+	withView(tbl, func(v *View) {
+		if v.Frozen() == nil {
+			t.Error("frozen delta not retained after failed merge")
+		}
+	})
 	if tbl.Merging() {
 		t.Error("still marked merging after failed merge")
 	}

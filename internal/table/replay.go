@@ -44,17 +44,17 @@ func (t *Table) ReplayInsert(row []value.Value, ts mvcc.Timestamp) error {
 func (t *Table) ReplayDelete(tuple []value.Value, ts mvcc.Timestamp) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for row := 0; row < t.mainRows; row++ {
-		st := t.mainVersions.State(row)
+	for row := 0; row < t.main.rows; row++ {
+		st := t.main.versions.State(row)
 		if !liveCommitted(st) {
 			continue
 		}
-		got, err := t.tupleLocked(RowID(row))
+		got, err := t.main.tuple(row)
 		if err != nil {
 			return fmt.Errorf("table %s: replay delete: %w", t.name, err)
 		}
 		if rowsEqual(got, tuple) {
-			t.mainVersions.SetEnd(row, ts)
+			t.main.versions.SetEnd(row, ts)
 			return nil
 		}
 	}

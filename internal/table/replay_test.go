@@ -31,7 +31,9 @@ func TestBulkAppendAtVisibility(t *testing.T) {
 	if err := tbl.BulkAppendAt([][]value.Value{replayRow(1, "a"), replayRow(2, "b")}, 5); err != nil {
 		t.Fatal(err)
 	}
-	vers := tbl.Delta().Versions()
+	v := tbl.Pin()
+	defer v.Release()
+	vers := v.Active().Versions()
 	if n := vers.LiveAt(4); n != 0 {
 		t.Fatalf("rows visible before their commit ts: %d", n)
 	}
@@ -74,8 +76,10 @@ func TestReplayInsertDeleteAcrossMerge(t *testing.T) {
 	}
 	// The survivor is row 2.
 	found := false
+	v := tbl.Pin()
+	defer v.Release()
 	for id := RowID(0); id < RowID(tbl.MainRows()+tbl.DeltaRows()); id++ {
-		if tbl.Visible(id, 6, 0) {
+		if v.Visible(id, 6, 0) {
 			tuple, err := tbl.GetTuple(id)
 			if err != nil {
 				t.Fatal(err)

@@ -10,17 +10,16 @@ package table
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"tierdb/internal/amm"
 	"tierdb/internal/bptree"
-	"tierdb/internal/column"
 	"tierdb/internal/delta"
 	"tierdb/internal/histogram"
 	"tierdb/internal/metrics"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
-	"tierdb/internal/sscg"
 	"tierdb/internal/storage"
 	"tierdb/internal/value"
 )
@@ -46,15 +45,35 @@ type Options struct {
 	Registry *metrics.Registry
 }
 
-// Table is a tiered HTAP table.
+// Table is a tiered HTAP table: a pointer to the current main partition
+// plus the delta partitions in front of it.
 //
-// Concurrency protocol: t.mu guards the structural pointers below.
-// Every container they reference (MRC slices, index maps, version
-// stores, delta partitions) is replaced wholesale on change, never
-// mutated in place, so a pinned View (see Pin) may keep reading retired
-// containers lock-free. Write intents and provisional inserts are only
-// created while holding the read lock, which is what lets the merge
-// swap treat "no provisional state" as stable under the write lock.
+// What is immutable: everything behind t.main (see main). A merge, a
+// layout change and CreateIndex each build the next main off to the side
+// and install it by assigning the pointer; nothing is edited in place.
+//
+// What t.mu guards: the pointers themselves — main, delta, frozen,
+// frozenRows, merging. Freeze, swap, MergeOffline and index creation
+// assign them under the write lock. Inserts and delete intents run
+// under the read lock, which is what lets the swap treat "no
+// provisional state on the retiring partitions" as stable once it holds
+// the write lock, and what lets Delete hand back exactly the row it
+// marked.
+//
+// How to read: an accessor that touches only DRAM state (row counts,
+// layout, statistics, index handles, footprints) peeks — it copies the
+// pointers under the read lock and reads them after dropping it, which
+// is safe because the structures are immutable and garbage-collected.
+// Anything that reads SSCG pages must Pin a View instead: the pages of
+// a retired main go back to the store's freelist once the last pinned
+// View drains, and only a pin holds them. Anything that combines the
+// partitions into one answer (a count, a scan, a lookup) goes through a
+// View as well, because only a View carries the pin-time bound on the
+// active delta.
+//
+// RowIDs are positional — main rows, then frozen, then active delta —
+// and every swap renumbers them: an id is meaningful against one View,
+// or between two calls only if no merge ran in between.
 type Table struct {
 	mu       sync.RWMutex
 	name     string
@@ -74,24 +93,12 @@ type Table struct {
 	gActiveRows *metrics.Gauge
 	gFrozenRows *metrics.Gauge
 
-	// Main partition (immutable between merges).
-	mainRows     int
-	layout       []bool // layout[i]: column i is an MRC
-	mrcs         []*column.MRC
-	group        *sscg.Group
-	groupIdx     []int // schema column -> field index within group, -1 if MRC
-	mainVersions *mvcc.Versions
-
-	delta      *delta.Partition          // active delta: all new writes land here
-	frozen     *delta.Partition          // merge input while a merge is in flight (nil otherwise)
-	frozenRows int                       // physical frozen rows, fixed at freeze
-	merging    bool                      // an online merge is between freeze and swap
-	epoch      *epoch                    // reclamation epoch owning the current SSCG's pages
-	indexes    map[int]*bptree.Tree      // main-partition indexes, always DRAM-resident
-	composites map[string]compositeIndex // multi-column indexes by canonical column list
-	distinct   []int                     // per-column distinct counts of the main partition
-	hists      []*histogram.Histogram    // per-column equi-depth histograms (may hold nils)
-	observed   []selEstimator            // per-column observed-selectivity EWMAs (lock-free)
+	main       *main            // current main partition
+	delta      *delta.Partition // active delta: all new writes land here
+	frozen     *delta.Partition // merge input while a merge is in flight (nil otherwise)
+	frozenRows int              // physical frozen rows, fixed at freeze
+	merging    bool             // an online merge is between freeze and swap
+	observed   []selEstimator   // per-column observed-selectivity EWMAs (lock-free)
 
 	// Test-only synchronization points of the online merge; set before
 	// any merge starts, never under load.
@@ -113,38 +120,32 @@ func New(name string, s *schema.Schema, opts Options) (*Table, error) {
 	if opts.Manager == nil {
 		opts.Manager = mvcc.NewManager()
 	}
+	t := &Table{
+		name:        name,
+		schema:      s,
+		mgr:         opts.Manager,
+		store:       opts.Store,
+		cache:       opts.Cache,
+		registry:    opts.Registry,
+		cMerges:     opts.Registry.Counter("table.merges"),
+		cSwaps:      opts.Registry.Counter("merge.swaps"),
+		cMergeRows:  opts.Registry.Counter("merge.rows"),
+		cMergeFails: opts.Registry.Counter("merge.failures"),
+		cStragglers: opts.Registry.Counter("merge.stragglers"),
+		hMergeNs:    opts.Registry.Histogram("merge.ns", metrics.IOLatencyBuckets()),
+		gActiveRows: opts.Registry.Gauge("delta.active_rows"),
+		gFrozenRows: opts.Registry.Gauge("delta.frozen_rows"),
+		delta:       delta.New(s),
+		observed:    make([]selEstimator, s.Len()),
+	}
+	t.delta.Observe(t.registry)
 	layout := make([]bool, s.Len())
 	for i := range layout {
 		layout[i] = true
 	}
-	t := &Table{
-		name:         name,
-		schema:       s,
-		mgr:          opts.Manager,
-		store:        opts.Store,
-		cache:        opts.Cache,
-		registry:     opts.Registry,
-		cMerges:      opts.Registry.Counter("table.merges"),
-		cSwaps:       opts.Registry.Counter("merge.swaps"),
-		cMergeRows:   opts.Registry.Counter("merge.rows"),
-		cMergeFails:  opts.Registry.Counter("merge.failures"),
-		cStragglers:  opts.Registry.Counter("merge.stragglers"),
-		hMergeNs:     opts.Registry.Histogram("merge.ns", metrics.IOLatencyBuckets()),
-		gActiveRows:  opts.Registry.Gauge("delta.active_rows"),
-		gFrozenRows:  opts.Registry.Gauge("delta.frozen_rows"),
-		layout:       layout,
-		mrcs:         make([]*column.MRC, s.Len()),
-		groupIdx:     make([]int, s.Len()),
-		mainVersions: mvcc.NewVersions(),
-		delta:        delta.New(s),
-		epoch:        newEpoch(nil),
-		indexes:      make(map[int]*bptree.Tree),
-		distinct:     make([]int, s.Len()),
-		observed:     make([]selEstimator, s.Len()),
-	}
-	t.delta.Observe(t.registry)
-	for i := range t.groupIdx {
-		t.groupIdx[i] = -1
+	var err error
+	if t.main, err = t.buildMain(layout, nil); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -163,102 +164,35 @@ func (t *Table) Manager() *mvcc.Manager { return t.mgr }
 // per-worker timed views for virtual-clock accounting.
 func (t *Table) Store() storage.Store { return t.store }
 
-// Delta exposes the active delta partition — the one receiving new
-// writes. While a merge is in flight the frozen delta (Frozen) holds
-// additional unmerged rows; consistent readers should Pin a View
-// instead of combining these accessors.
-func (t *Table) Delta() *delta.Partition {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.delta
-}
-
-// Frozen exposes the frozen delta of an in-flight merge, or nil.
-func (t *Table) Frozen() *delta.Partition {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.frozen
-}
-
 // Layout returns a copy of the current column layout (true = MRC).
 func (t *Table) Layout() []bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]bool, len(t.layout))
-	copy(out, t.layout)
-	return out
+	return append([]bool(nil), t.peek().main.layout...)
 }
 
 // MainRows returns the number of main-partition rows (including
 // deleted-but-not-merged ones).
-func (t *Table) MainRows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.mainRows
-}
+func (t *Table) MainRows() int { return t.peek().main.rows }
 
 // DeltaRows returns the number of physical unmerged rows: the active
 // delta plus, while a merge is in flight, the frozen one.
 func (t *Table) DeltaRows() int {
-	t.mu.RLock()
-	active, frozenRows := t.delta, t.frozenRows
-	t.mu.RUnlock()
-	return active.Rows() + frozenRows
+	v := t.peek()
+	return v.active.Rows() + v.frozenRows
 }
 
 // ActiveDeltaRows returns the physical row count of the active delta
 // only — the growth since the last freeze, which is what merge
 // scheduling thresholds watch.
-func (t *Table) ActiveDeltaRows() int {
-	return t.Delta().Rows()
-}
+func (t *Table) ActiveDeltaRows() int { return t.peek().active.Rows() }
 
 // DeltaBytes returns the DRAM footprint of the unmerged deltas.
 func (t *Table) DeltaBytes() int64 {
-	t.mu.RLock()
-	active, frozen := t.delta, t.frozen
-	t.mu.RUnlock()
-	b := active.Bytes()
-	if frozen != nil {
-		b += frozen.Bytes()
+	v := t.peek()
+	b := v.active.Bytes()
+	if v.frozen != nil {
+		b += v.frozen.Bytes()
 	}
 	return b
-}
-
-// MainVersions exposes MVCC state of the main partition.
-func (t *Table) MainVersions() *mvcc.Versions {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.mainVersions
-}
-
-// Group returns the SSCG of the main partition, or nil if every column
-// is an MRC.
-func (t *Table) Group() *sscg.Group {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.group
-}
-
-// MRC returns the memory-resident column for a schema column, or nil if
-// it is SSCG-placed.
-func (t *Table) MRC(col int) *column.MRC {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if col < 0 || col >= len(t.mrcs) {
-		return nil
-	}
-	return t.mrcs[col]
-}
-
-// GroupField returns the SSCG field index of a schema column, or -1.
-func (t *Table) GroupField(col int) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if col < 0 || col >= len(t.groupIdx) {
-		return -1
-	}
-	return t.groupIdx[col]
 }
 
 // Insert appends a row through tx (insert-only, into the active
@@ -275,43 +209,54 @@ func (t *Table) Insert(tx *mvcc.Tx, row []value.Value) error {
 // visible. Rows land in the delta; call Merge to move them into the
 // main partition under the current layout.
 func (t *Table) BulkAppend(rows [][]value.Value) error {
-	ts := t.mgr.LastCommit()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for i, row := range rows {
-		if _, err := t.delta.Append(row, ts); err != nil {
-			return fmt.Errorf("table %s: bulk append row %d: %w", t.name, i, err)
-		}
-	}
-	return nil
+	return t.BulkAppendAt(rows, t.mgr.LastCommit())
 }
 
 // Delete marks the row deleted through tx, routing the id across main,
-// frozen and active partitions. The commit callbacks capture the
-// version store resolved here, not the table: intents registered
-// against a retiring partition must resolve against that partition (the
-// merge swap waits for them before reconciling).
+// frozen and active partitions.
 func (t *Table) Delete(tx *mvcc.Tx, id RowID) error {
+	_, err := t.markDeleted(tx, id, false)
+	return err
+}
+
+// DeleteReturning is Delete that also returns the tuple it marked. The
+// tuple is read and the intent registered under one hold of the read
+// lock, so no merge swap can renumber id in between: the returned
+// content is the content of the row that carries the intent, which is
+// what a content-addressed redo record must name.
+func (t *Table) DeleteReturning(tx *mvcc.Tx, id RowID) ([]value.Value, error) {
+	return t.markDeleted(tx, id, true)
+}
+
+// markDeleted registers tx's delete intent on row id, reading the tuple
+// first when asked to. The read lock keeps the swap out, so the main's
+// SSCG pages cannot be retired under the read and no pin is needed. The
+// commit callbacks capture the version store resolved here, not the
+// table: intents registered against a retiring partition must resolve
+// against that partition (the merge swap waits for them before
+// reconciling).
+func (t *Table) markDeleted(tx *mvcc.Tx, id RowID, read bool) ([]value.Value, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if id < uint64(t.mainRows) {
-		vers := t.mainVersions
-		row := int(id)
-		if err := vers.MarkDelete(row, tx.ID()); err != nil {
-			return err
+	v := t.viewLocked()
+	var tuple []value.Value
+	if read {
+		var err error
+		if tuple, err = v.GetTuple(id); err != nil {
+			return nil, err
 		}
-		tx.OnCommit(func(ts mvcc.Timestamp) { vers.CommitDelete(row, ts) })
-		tx.OnAbort(func() { vers.AbortDelete(row, tx.ID()) })
-		return nil
 	}
-	pos := int(id - uint64(t.mainRows))
-	if t.frozen != nil {
-		if pos < t.frozenRows {
-			return t.frozen.Delete(tx, pos)
-		}
-		pos -= t.frozenRows
+	part, pos := v.locate(id)
+	if part != nil {
+		return tuple, part.Delete(tx, pos)
 	}
-	return t.delta.Delete(tx, pos)
+	vers := t.main.versions
+	if err := vers.MarkDelete(pos, tx.ID()); err != nil {
+		return nil, err
+	}
+	tx.OnCommit(func(ts mvcc.Timestamp) { vers.CommitDelete(pos, ts) })
+	tx.OnAbort(func() { vers.AbortDelete(pos, tx.ID()) })
+	return tuple, nil
 }
 
 // Update implements the insert-only update: delete the old version and
@@ -323,224 +268,99 @@ func (t *Table) Update(tx *mvcc.Tx, id RowID, row []value.Value) error {
 	return t.Insert(tx, row)
 }
 
-// Visible reports whether a row id is visible at (snapshot, self).
-func (t *Table) Visible(id RowID, snapshot mvcc.Timestamp, self mvcc.TxID) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if id < uint64(t.mainRows) {
-		return t.mainVersions.Visible(int(id), snapshot, self)
-	}
-	pos := int(id - uint64(t.mainRows))
-	if t.frozen != nil {
-		if pos < t.frozenRows {
-			return t.frozen.Versions().Visible(pos, snapshot, self)
-		}
-		pos -= t.frozenRows
-	}
-	return t.delta.Versions().Visible(pos, snapshot, self)
-}
-
-// GetValue materializes one cell of a visible row (no visibility check).
+// GetValue materializes one cell of a row (no visibility check).
 func (t *Table) GetValue(id RowID, col int) (value.Value, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.getValueLocked(id, col)
+	v := t.Pin()
+	defer v.Release()
+	return v.GetValue(id, col)
 }
 
-func (t *Table) getValueLocked(id RowID, col int) (value.Value, error) {
-	if col < 0 || col >= t.schema.Len() {
-		return value.Value{}, fmt.Errorf("table %s: column %d out of range", t.name, col)
-	}
-	if id < uint64(t.mainRows) {
-		if mrc := t.mrcs[col]; mrc != nil {
-			return mrc.Get(int(id))
-		}
-		return t.group.ReadField(int(id), t.groupIdx[col])
-	}
-	pos := int(id - uint64(t.mainRows))
-	if t.frozen != nil {
-		if pos < t.frozenRows {
-			return t.frozen.Get(pos, col)
-		}
-		pos -= t.frozenRows
-	}
-	return t.delta.Get(pos, col)
-}
-
-// GetTuple reconstructs a full row: MRC attributes decode from their
-// dictionaries (two dependent DRAM accesses each); SSCG attributes
-// arrive with a single page access for the whole group.
+// GetTuple reconstructs a full row (no visibility check).
 func (t *Table) GetTuple(id RowID) ([]value.Value, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if id >= uint64(t.mainRows) {
-		pos := int(id - uint64(t.mainRows))
-		if t.frozen != nil {
-			if pos < t.frozenRows {
-				return t.frozen.GetRow(pos)
-			}
-			pos -= t.frozenRows
-		}
-		return t.delta.GetRow(pos)
-	}
-	out := make([]value.Value, t.schema.Len())
-	if t.group != nil {
-		groupRow, err := t.group.ReadRow(int(id))
-		if err != nil {
-			return nil, err
-		}
-		for col, gi := range t.groupIdx {
-			if gi >= 0 {
-				out[col] = groupRow[gi]
-			}
-		}
-	}
-	for col, mrc := range t.mrcs {
-		if mrc != nil {
-			v, err := mrc.Get(int(id))
-			if err != nil {
-				return nil, err
-			}
-			out[col] = v
-		}
-	}
-	return out, nil
+	v := t.Pin()
+	defer v.Release()
+	return v.GetTuple(id)
 }
 
 // CreateIndex builds a DRAM-resident B+-tree index over the main
 // partition of the given column (indexes are never evicted, paper
 // Section IV). It is rebuilt by Merge.
 func (t *Table) CreateIndex(col int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.buildIndexLocked(col)
-}
-
-func (t *Table) buildIndexLocked(col int) error {
 	if col < 0 || col >= t.schema.Len() {
 		return fmt.Errorf("table %s: index column %d out of range", t.name, col)
 	}
-	tree := bptree.New(t.schema.Field(col).Type)
-	for row := 0; row < t.mainRows; row++ {
-		v, err := t.mainValueLocked(row, col)
-		if err != nil {
-			return fmt.Errorf("table %s: build index on %q: %w", t.name, t.schema.Field(col).Name, err)
-		}
-		tree.Insert(v, uint32(row))
+	return t.installIndex([]int{col})
+}
+
+// installIndex installs a copy of the current main that additionally
+// indexes cols. The copy shares every container but the two index maps
+// and shares the epoch, so views pinned on either side of the install
+// hold the same SSCG pages.
+func (t *Table) installIndex(cols []int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	next := *t.main
+	next.indexes = maps.Clone(t.main.indexes)
+	next.composites = maps.Clone(t.main.composites)
+	if err := next.addIndex(cols, t.main.value); err != nil {
+		return err
 	}
-	// Copy-on-write: pinned views may alias the current map.
-	indexes := make(map[int]*bptree.Tree, len(t.indexes)+1)
-	for k, v := range t.indexes {
-		indexes[k] = v
-	}
-	indexes[col] = tree
-	t.indexes = indexes
+	t.main = &next
 	return nil
 }
 
-// mainValueLocked reads one main-partition cell; caller holds t.mu.
-func (t *Table) mainValueLocked(row, col int) (value.Value, error) {
-	if mrc := t.mrcs[col]; mrc != nil {
-		return mrc.Get(row)
-	}
-	return t.group.ReadField(row, t.groupIdx[col])
-}
-
 // Index returns the main-partition index for col, or nil.
-func (t *Table) Index(col int) *bptree.Tree {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.indexes[col]
-}
-
-// tupleLocked reconstructs a main-partition tuple; caller holds t.mu.
-func (t *Table) tupleLocked(id RowID) ([]value.Value, error) {
-	out := make([]value.Value, t.schema.Len())
-	if t.group != nil {
-		groupRow, err := t.group.ReadRow(int(id))
-		if err != nil {
-			return nil, err
-		}
-		for col, gi := range t.groupIdx {
-			if gi >= 0 {
-				out[col] = groupRow[gi]
-			}
-		}
-	}
-	for col, mrc := range t.mrcs {
-		if mrc != nil {
-			v, err := mrc.Get(int(id))
-			if err != nil {
-				return nil, err
-			}
-			out[col] = v
-		}
-	}
-	return out, nil
-}
+func (t *Table) Index(col int) *bptree.Tree { return t.peek().main.indexes[col] }
 
 // VisibleCount returns the number of rows visible at the latest
-// snapshot.
+// snapshot. The snapshot is read under the same lock hold as the
+// structure, so it is never older than a swap the structure reflects.
 func (t *Table) VisibleCount() int {
-	snapshot := t.mgr.LastCommit()
 	t.mu.RLock()
-	mainRows, vers, frozen, active := t.mainRows, t.mainVersions, t.frozen, t.delta
+	snapshot, v := t.mgr.LastCommit(), t.viewLocked()
 	t.mu.RUnlock()
-	n := 0
-	for row := 0; row < mainRows; row++ {
-		if vers.Visible(row, snapshot, 0) {
-			n++
-		}
-	}
-	if frozen != nil {
-		n += len(frozen.VisibleRows(snapshot, 0))
-	}
-	return n + len(active.VisibleRows(snapshot, 0))
+	return v.VisibleCount(snapshot)
 }
 
 // MemoryBytes returns the table's DRAM footprint: MRCs, deltas, MVCC
 // vectors (indexes excluded for parity with the paper's budget metric,
 // which covers attribute data).
 func (t *Table) MemoryBytes() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var b int64
-	for _, mrc := range t.mrcs {
+	v := t.peek()
+	b := v.active.Bytes() + v.main.versions.Bytes()
+	if v.frozen != nil {
+		b += v.frozen.Bytes()
+	}
+	for _, mrc := range v.main.mrcs {
 		if mrc != nil {
 			b += mrc.Bytes()
 		}
 	}
-	if t.frozen != nil {
-		b += t.frozen.Bytes()
-	}
-	return b + t.delta.Bytes() + t.mainVersions.Bytes()
+	return b
 }
 
 // SecondaryBytes returns the SSCG footprint on secondary storage.
 func (t *Table) SecondaryBytes() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.group == nil {
-		return 0
+	if g := t.peek().main.group; g != nil {
+		return g.Bytes()
 	}
-	return t.group.Bytes()
+	return 0
 }
 
 // DistinctCount estimates the number of distinct values in a column of
 // the main partition (dictionary size for MRCs, exact count for SSCG
 // columns via the delta's statistics when available).
 func (t *Table) DistinctCount(col int) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if col < 0 || col >= t.schema.Len() {
 		return 0
 	}
-	n := t.distinct[col]
-	if d := t.delta.DistinctCount(col); d > n {
+	v := t.peek()
+	n := v.main.distinct[col]
+	if d := v.active.DistinctCount(col); d > n {
 		n = d
 	}
-	if t.frozen != nil {
-		if d := t.frozen.DistinctCount(col); d > n {
+	if v.frozen != nil {
+		if d := v.frozen.DistinctCount(col); d > n {
 			n = d
 		}
 	}
@@ -556,18 +376,13 @@ func (t *Table) Selectivity(col int) float64 {
 	return 1 / float64(t.DistinctCount(col))
 }
 
-// histogramBuckets is the equi-depth histogram resolution.
-const histogramBuckets = 64
-
 // Histogram returns the column's equi-depth histogram, or nil if the
 // main partition is empty.
 func (t *Table) Histogram(col int) *histogram.Histogram {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if col < 0 || col >= len(t.hists) {
+	if col < 0 || col >= t.schema.Len() {
 		return nil
 	}
-	return t.hists[col]
+	return t.peek().main.hists[col]
 }
 
 // RangeSelectivity estimates the fraction of rows with lo <= col <= hi
@@ -585,13 +400,12 @@ func (t *Table) RangeSelectivity(col int, lo, hi value.Value) float64 {
 // width for SSCG-placed ones. This is the size a_i the column selection
 // model budgets with.
 func (t *Table) ColumnBytes(col int) int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if col < 0 || col >= t.schema.Len() {
 		return 0
 	}
-	if mrc := t.mrcs[col]; mrc != nil {
+	m := t.peek().main
+	if mrc := m.mrcs[col]; mrc != nil {
 		return mrc.Bytes()
 	}
-	return int64(t.mainRows) * int64(t.schema.Field(col).SlotWidth())
+	return int64(m.rows) * int64(t.schema.Field(col).SlotWidth())
 }

@@ -41,6 +41,13 @@ func loadedTable(t *testing.T, n int) *Table {
 	return tbl
 }
 
+// withView runs fn against a pinned View of tbl's current structure.
+func withView(tbl *Table, fn func(v *View)) {
+	v := tbl.Pin()
+	defer v.Release()
+	fn(v)
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New("", testSchema(), Options{}); err == nil {
 		t.Error("empty name accepted")
@@ -62,9 +69,11 @@ func TestBulkLoadAndMerge(t *testing.T) {
 		t.Errorf("VisibleCount = %d", tbl.VisibleCount())
 	}
 	// Default layout: everything MRC, no SSCG.
-	if tbl.Group() != nil {
-		t.Error("unexpected SSCG under full-DRAM layout")
-	}
+	withView(tbl, func(v *View) {
+		if v.Group() != nil {
+			t.Error("unexpected SSCG under full-DRAM layout")
+		}
+	})
 	got, err := tbl.GetTuple(42)
 	if err != nil {
 		t.Fatal(err)
@@ -79,15 +88,17 @@ func TestApplyLayoutMovesColumnsToSSCG(t *testing.T) {
 	if err := tbl.ApplyLayout([]bool{true, false, false}); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Group() == nil {
-		t.Fatal("no SSCG after eviction")
-	}
-	if tbl.MRC(0) == nil || tbl.MRC(1) != nil || tbl.MRC(2) != nil {
-		t.Error("MRC placement wrong")
-	}
-	if tbl.GroupField(0) != -1 || tbl.GroupField(1) != 0 || tbl.GroupField(2) != 1 {
-		t.Errorf("group fields = %d %d %d", tbl.GroupField(0), tbl.GroupField(1), tbl.GroupField(2))
-	}
+	withView(tbl, func(v *View) {
+		if v.Group() == nil {
+			t.Fatal("no SSCG after eviction")
+		}
+		if v.MRC(0) == nil || v.MRC(1) != nil || v.MRC(2) != nil {
+			t.Error("MRC placement wrong")
+		}
+		if v.GroupField(0) != -1 || v.GroupField(1) != 0 || v.GroupField(2) != 1 {
+			t.Errorf("group fields = %d %d %d", v.GroupField(0), v.GroupField(1), v.GroupField(2))
+		}
+	})
 	// Data survives the re-tiering.
 	got, err := tbl.GetTuple(42)
 	if err != nil {
@@ -108,9 +119,11 @@ func TestApplyLayoutMovesColumnsToSSCG(t *testing.T) {
 	if err := tbl.ApplyLayout([]bool{true, true, true}); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Group() != nil {
-		t.Error("SSCG left over after re-loading")
-	}
+	withView(tbl, func(v *View) {
+		if v.Group() != nil {
+			t.Error("SSCG left over after re-loading")
+		}
+	})
 	if tbl.ApplyLayout([]bool{true}) == nil {
 		t.Error("short layout accepted")
 	}
@@ -144,9 +157,11 @@ func TestInsertDeleteUpdateThroughTransactions(t *testing.T) {
 		t.Errorf("VisibleCount = %d after delete", tbl.VisibleCount())
 	}
 	late := mgr.Begin()
-	if tbl.Visible(3, late.Snapshot(), late.ID()) {
-		t.Error("deleted row visible")
-	}
+	withView(tbl, func(v *View) {
+		if v.Visible(3, late.Snapshot(), late.ID()) {
+			t.Error("deleted row visible")
+		}
+	})
 	// Close the reader: an open snapshot would (correctly) hold dead
 	// versions in the delta across the merge below.
 	if err := mgr.Abort(late); err != nil {

@@ -1,13 +1,13 @@
 package table
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"tierdb/internal/bptree"
 	"tierdb/internal/column"
 	"tierdb/internal/delta"
 	"tierdb/internal/mvcc"
-	"tierdb/internal/schema"
 	"tierdb/internal/sscg"
 	"tierdb/internal/value"
 )
@@ -40,34 +40,46 @@ func (e *epoch) release() {
 	}
 }
 
-// View is a pinned, immutable snapshot of the table's structure: the
-// main partition (MRCs, SSCG, indexes, version store), the frozen delta
-// of an in-flight merge (nil otherwise) and the active delta. A query
-// pins one View and runs entirely against it, so an online merge
+// View is one consistent reading of the table's structure: the main
+// partition, the frozen delta of an in-flight merge (nil otherwise) and
+// the active delta, captured together under the table's read lock. A
+// query pins one View and runs entirely against it, so an online merge
 // swapping the main partition mid-query can never tear the query's
-// reads. All referenced containers are replaced wholesale by writers,
-// never mutated in place, which is what makes the aliasing safe.
+// reads. The main and the frozen delta are immutable, which is what
+// makes holding them safe.
 //
 // The active delta is the one container shared with writers: it grows
-// while the View is pinned. activeRows bounds the View to the rows that
-// physically existed at pin time — later appends include merge-swap
+// while the View is held. activeRows bounds the View to the rows that
+// physically existed at capture time — later appends include merge-swap
 // re-basing of frozen rows, which a View that still sees the frozen
 // delta must not count twice.
+//
+// A View obtained from Pin also holds a reference on the main's epoch,
+// which keeps its SSCG pages allocated until Release. The table's own
+// accessors use unpinned Views (peek) for DRAM-only reads.
 type View struct {
-	name         string
-	schema       *schema.Schema
-	mainRows     int
-	mrcs         []*column.MRC
-	group        *sscg.Group
-	groupIdx     []int
-	indexes      map[int]*bptree.Tree
-	composites   map[string]compositeIndex
-	mainVersions *mvcc.Versions
-	frozen       *delta.Partition // nil when no merge is in flight
-	frozenRows   int
-	active       *delta.Partition
-	activeRows   int
-	ep           *epoch
+	main       *main
+	frozen     *delta.Partition // nil when no merge is in flight
+	frozenRows int
+	active     *delta.Partition
+	activeRows int
+}
+
+// viewLocked captures the current structure; caller holds t.mu.
+func (t *Table) viewLocked() View {
+	return View{main: t.main, frozen: t.frozen, frozenRows: t.frozenRows, active: t.delta, activeRows: t.delta.Rows()}
+}
+
+// peek captures the current structure without pinning it. The result
+// may be read after the lock is dropped, but only its DRAM state: its
+// SSCG pages can be freed at any time. It carries no activeRows bound,
+// so it must not be used to combine partitions into an answer; leaving
+// the bound out also keeps the statistics accessors the executor calls
+// per query off the active delta's lock, which inserts contend for.
+func (t *Table) peek() View {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return View{main: t.main, frozen: t.frozen, frozenRows: t.frozenRows, active: t.delta}
 }
 
 // Pin captures the table's current structure into a View and takes a
@@ -76,61 +88,47 @@ type View struct {
 func (t *Table) Pin() *View {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.epoch.refs.Add(1)
-	return &View{
-		name:         t.name,
-		schema:       t.schema,
-		mainRows:     t.mainRows,
-		mrcs:         t.mrcs,
-		group:        t.group,
-		groupIdx:     t.groupIdx,
-		indexes:      t.indexes,
-		composites:   t.composites,
-		mainVersions: t.mainVersions,
-		frozen:       t.frozen,
-		frozenRows:   t.frozenRows,
-		active:       t.delta,
-		activeRows:   t.delta.Rows(),
-		ep:           t.epoch,
-	}
+	v := t.viewLocked()
+	v.main.epoch.refs.Add(1)
+	return &v
 }
 
 // Release drops the View's epoch reference; the View must not be used
 // afterwards. The last release of a retired epoch frees its SSCG pages.
 func (v *View) Release() {
-	if v.ep != nil {
-		v.ep.release()
-		v.ep = nil
+	if v.main != nil {
+		v.main.epoch.release()
+		v.main = nil
 	}
 }
 
 // MainRows returns the number of main-partition rows in the snapshot.
-func (v *View) MainRows() int { return v.mainRows }
+func (v *View) MainRows() int { return v.main.rows }
 
 // MRC returns the snapshot's memory-resident column, or nil.
 func (v *View) MRC(col int) *column.MRC {
-	if col < 0 || col >= len(v.mrcs) {
+	if col < 0 || col >= len(v.main.mrcs) {
 		return nil
 	}
-	return v.mrcs[col]
+	return v.main.mrcs[col]
 }
 
 // Group returns the snapshot's SSCG, or nil if every column is an MRC.
-func (v *View) Group() *sscg.Group { return v.group }
+func (v *View) Group() *sscg.Group { return v.main.group }
 
 // GroupField returns the SSCG field index of a schema column, or -1.
 func (v *View) GroupField(col int) int {
-	if col < 0 || col >= len(v.groupIdx) {
+	if col < 0 || col >= len(v.main.groupIdx) {
 		return -1
 	}
-	return v.groupIdx[col]
+	return v.main.groupIdx[col]
 }
 
 // Index returns the snapshot's main-partition index for col, or nil.
-func (v *View) Index(col int) *bptree.Tree { return v.indexes[col] }
+func (v *View) Index(col int) *bptree.Tree { return v.main.indexes[col] }
 
 // MainVersions returns the snapshot's main-partition version store.
-func (v *View) MainVersions() *mvcc.Versions { return v.mainVersions }
+func (v *View) MainVersions() *mvcc.Versions { return v.main.versions }
 
 // Frozen returns the frozen delta of an in-flight merge, or nil.
 func (v *View) Frozen() *delta.Partition { return v.frozen }
@@ -149,75 +147,74 @@ func (v *View) Active() *delta.Partition { return v.active }
 // Frozen.
 func (v *View) ActiveRows() int { return v.activeRows }
 
-// Visible reports whether row id is visible at (snapshot, self) in this
-// View.
-func (v *View) Visible(id RowID, snapshot mvcc.Timestamp, self mvcc.TxID) bool {
-	if id < uint64(v.mainRows) {
-		return v.mainVersions.Visible(int(id), snapshot, self)
+// locate routes a RowID — main rows first, then the frozen delta, then
+// the active one — to the delta partition holding it and the position
+// within. A nil partition means main row pos.
+func (v *View) locate(id RowID) (*delta.Partition, int) {
+	if id < uint64(v.main.rows) {
+		return nil, int(id)
 	}
-	pos := int(id - uint64(v.mainRows))
+	pos := int(id - uint64(v.main.rows))
 	if v.frozen != nil {
 		if pos < v.frozenRows {
-			return v.frozen.Versions().Visible(pos, snapshot, self)
+			return v.frozen, pos
 		}
 		pos -= v.frozenRows
 	}
-	if pos >= v.activeRows {
+	return v.active, pos
+}
+
+// Visible reports whether row id is visible at (snapshot, self) in this
+// View.
+func (v *View) Visible(id RowID, snapshot mvcc.Timestamp, self mvcc.TxID) bool {
+	part, pos := v.locate(id)
+	switch {
+	case part == nil:
+		return v.main.versions.Visible(pos, snapshot, self)
+	case part == v.active && pos >= v.activeRows:
 		return false
 	}
-	return v.active.Versions().Visible(pos, snapshot, self)
+	return part.Versions().Visible(pos, snapshot, self)
+}
+
+// VisibleCount returns the number of rows of the View visible at
+// snapshot. A View taken before a merge swap and one taken after it
+// agree: the first counts a straggler in the frozen delta and stops at
+// activeRows, the second finds it re-based into the active delta.
+func (v *View) VisibleCount(snapshot mvcc.Timestamp) int {
+	n := 0
+	for row := 0; row < v.main.rows; row++ {
+		if v.main.versions.Visible(row, snapshot, 0) {
+			n++
+		}
+	}
+	if v.frozen != nil {
+		n += len(v.frozen.VisibleRows(snapshot, 0))
+	}
+	for _, pos := range v.active.VisibleRows(snapshot, 0) {
+		if pos >= v.activeRows {
+			break
+		}
+		n++
+	}
+	return n
 }
 
 // GetValue materializes one cell of the View (no visibility check).
 func (v *View) GetValue(id RowID, col int) (value.Value, error) {
-	if id < uint64(v.mainRows) {
-		if mrc := v.MRC(col); mrc != nil {
-			return mrc.Get(int(id))
-		}
-		return v.group.ReadField(int(id), v.groupIdx[col])
+	if col < 0 || col >= len(v.main.mrcs) {
+		return value.Value{}, fmt.Errorf("table %s: column %d out of range", v.main.name, col)
 	}
-	pos := int(id - uint64(v.mainRows))
-	if v.frozen != nil {
-		if pos < v.frozenRows {
-			return v.frozen.Get(pos, col)
-		}
-		pos -= v.frozenRows
+	if part, pos := v.locate(id); part != nil {
+		return part.Get(pos, col)
 	}
-	return v.active.Get(pos, col)
+	return v.main.value(int(id), col)
 }
 
 // GetTuple reconstructs a full row of the View.
 func (v *View) GetTuple(id RowID) ([]value.Value, error) {
-	if id >= uint64(v.mainRows) {
-		pos := int(id - uint64(v.mainRows))
-		if v.frozen != nil {
-			if pos < v.frozenRows {
-				return v.frozen.GetRow(pos)
-			}
-			pos -= v.frozenRows
-		}
-		return v.active.GetRow(pos)
+	if part, pos := v.locate(id); part != nil {
+		return part.GetRow(pos)
 	}
-	out := make([]value.Value, v.schema.Len())
-	if v.group != nil {
-		groupRow, err := v.group.ReadRow(int(id))
-		if err != nil {
-			return nil, err
-		}
-		for col, gi := range v.groupIdx {
-			if gi >= 0 {
-				out[col] = groupRow[gi]
-			}
-		}
-	}
-	for col, mrc := range v.mrcs {
-		if mrc != nil {
-			val, err := mrc.Get(int(id))
-			if err != nil {
-				return nil, err
-			}
-			out[col] = val
-		}
-	}
-	return out, nil
+	return v.main.tuple(int(id))
 }

@@ -15,8 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
+	"tierdb/internal/codec"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
 	"tierdb/internal/value"
@@ -60,24 +60,6 @@ func appendUvarint(buf []byte, x uint64) []byte {
 	return binary.AppendUvarint(buf, x)
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = appendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendValue(buf []byte, v value.Value) []byte {
-	buf = append(buf, byte(v.Type()))
-	switch v.Type() {
-	case value.Int64:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Int()))
-	case value.Float64:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float()))
-	default:
-		buf = appendString(buf, v.Str())
-	}
-	return buf
-}
-
 // encodePayload appends the record's payload (kind byte included).
 func encodePayload(buf []byte, rec Record) []byte {
 	buf = append(buf, rec.Kind)
@@ -91,22 +73,19 @@ func encodePayload(buf []byte, rec Record) []byte {
 				kind = 1
 			}
 			buf = append(buf, kind)
-			buf = appendString(buf, op.Table)
-			buf = appendUvarint(buf, uint64(len(op.Row)))
-			for _, v := range op.Row {
-				buf = appendValue(buf, v)
-			}
+			buf = codec.AppendString(buf, op.Table)
+			buf = codec.AppendRow(buf, op.Row)
 		}
 	case kindCreateTable:
-		buf = appendString(buf, rec.Table)
+		buf = codec.AppendString(buf, rec.Table)
 		buf = appendUvarint(buf, uint64(len(rec.Fields)))
 		for _, f := range rec.Fields {
-			buf = appendString(buf, f.Name)
+			buf = codec.AppendString(buf, f.Name)
 			buf = append(buf, byte(f.Type))
 			buf = appendUvarint(buf, uint64(f.Width))
 		}
 	case kindLayout:
-		buf = appendString(buf, rec.Table)
+		buf = codec.AppendString(buf, rec.Table)
 		buf = appendUvarint(buf, uint64(len(rec.Layout)))
 		for _, inDRAM := range rec.Layout {
 			b := byte(0)
@@ -116,7 +95,7 @@ func encodePayload(buf []byte, rec Record) []byte {
 			buf = append(buf, b)
 		}
 	case kindIndex:
-		buf = appendString(buf, rec.Table)
+		buf = codec.AppendString(buf, rec.Table)
 		buf = appendUvarint(buf, uint64(len(rec.Cols)))
 		for _, c := range rec.Cols {
 			buf = appendUvarint(buf, uint64(c))
@@ -134,119 +113,27 @@ func appendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// reader is a bounds-checked cursor over a decoded payload.
-type reader struct {
-	buf []byte
-	pos int
-}
-
-func (r *reader) remaining() int { return len(r.buf) - r.pos }
-
-func (r *reader) byte() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, ErrBadRecord
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	x, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, ErrBadRecord
-	}
-	r.pos += n
-	return x, nil
-}
-
-// count reads a uvarint element count and rejects it when even at
-// min bytes per element it cannot fit in the remaining payload — the
-// bound that keeps corrupt counts from driving huge allocations.
-func (r *reader) count(minBytesPerElem int) (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(r.remaining()/minBytesPerElem) {
-		return 0, ErrBadRecord
-	}
-	return int(n), nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, ErrBadRecord
-	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *reader) string() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.remaining()) {
-		return "", ErrBadRecord
-	}
-	b, err := r.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func (r *reader) value() (value.Value, error) {
-	t, err := r.byte()
-	if err != nil {
-		return value.Value{}, err
-	}
-	switch value.Type(t) {
-	case value.Int64:
-		b, err := r.bytes(8)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewInt(int64(binary.LittleEndian.Uint64(b))), nil
-	case value.Float64:
-		b, err := r.bytes(8)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
-	case value.String:
-		s, err := r.string()
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewString(s), nil
-	}
-	return value.Value{}, ErrBadRecord
-}
-
 // decodePayload decodes one record payload (as framed: kind byte first).
 func decodePayload(payload []byte) (Record, error) {
-	r := &reader{buf: payload}
-	kind, err := r.byte()
+	r := codec.NewReader(payload, ErrBadRecord)
+	kind, err := r.Byte()
 	if err != nil {
 		return Record{}, err
 	}
 	rec := Record{Kind: kind}
 	switch kind {
 	case kindCommit:
-		if rec.Ts, err = r.uvarint(); err != nil {
+		if rec.Ts, err = r.Uvarint(); err != nil {
 			return Record{}, err
 		}
-		nOps, err := r.count(3) // op kind + empty name + empty row
+		nOps, err := r.Count(3) // op kind + empty name + empty row
 		if err != nil {
 			return Record{}, err
 		}
 		rec.Ops = make([]mvcc.RedoOp, 0, nOps)
 		for i := 0; i < nOps; i++ {
 			var op mvcc.RedoOp
-			k, err := r.byte()
+			k, err := r.Byte()
 			if err != nil {
 				return Record{}, err
 			}
@@ -254,38 +141,29 @@ func decodePayload(payload []byte) (Record, error) {
 				return Record{}, ErrBadRecord
 			}
 			op.Delete = k == 1
-			if op.Table, err = r.string(); err != nil {
+			if op.Table, err = r.String(); err != nil {
 				return Record{}, err
 			}
-			nVals, err := r.count(1)
-			if err != nil {
+			if op.Row, err = r.Row(); err != nil {
 				return Record{}, err
-			}
-			op.Row = make([]value.Value, 0, nVals)
-			for j := 0; j < nVals; j++ {
-				v, err := r.value()
-				if err != nil {
-					return Record{}, err
-				}
-				op.Row = append(op.Row, v)
 			}
 			rec.Ops = append(rec.Ops, op)
 		}
 	case kindCreateTable:
-		if rec.Table, err = r.string(); err != nil {
+		if rec.Table, err = r.String(); err != nil {
 			return Record{}, err
 		}
-		nFields, err := r.count(3) // empty name + type + width
+		nFields, err := r.Count(3) // empty name + type + width
 		if err != nil {
 			return Record{}, err
 		}
 		rec.Fields = make([]schema.Field, 0, nFields)
 		for i := 0; i < nFields; i++ {
 			var f schema.Field
-			if f.Name, err = r.string(); err != nil {
+			if f.Name, err = r.String(); err != nil {
 				return Record{}, err
 			}
-			t, err := r.byte()
+			t, err := r.Byte()
 			if err != nil {
 				return Record{}, err
 			}
@@ -293,7 +171,7 @@ func decodePayload(payload []byte) (Record, error) {
 				return Record{}, ErrBadRecord
 			}
 			f.Type = value.Type(t)
-			w, err := r.uvarint()
+			w, err := r.Uvarint()
 			if err != nil {
 				return Record{}, err
 			}
@@ -304,16 +182,16 @@ func decodePayload(payload []byte) (Record, error) {
 			rec.Fields = append(rec.Fields, f)
 		}
 	case kindLayout:
-		if rec.Table, err = r.string(); err != nil {
+		if rec.Table, err = r.String(); err != nil {
 			return Record{}, err
 		}
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return Record{}, err
 		}
 		rec.Layout = make([]bool, 0, n)
 		for i := 0; i < n; i++ {
-			b, err := r.byte()
+			b, err := r.Byte()
 			if err != nil {
 				return Record{}, err
 			}
@@ -323,16 +201,16 @@ func decodePayload(payload []byte) (Record, error) {
 			rec.Layout = append(rec.Layout, b == 1)
 		}
 	case kindIndex:
-		if rec.Table, err = r.string(); err != nil {
+		if rec.Table, err = r.String(); err != nil {
 			return Record{}, err
 		}
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return Record{}, err
 		}
 		rec.Cols = make([]int, 0, n)
 		for i := 0; i < n; i++ {
-			c, err := r.uvarint()
+			c, err := r.Uvarint()
 			if err != nil {
 				return Record{}, err
 			}
@@ -342,14 +220,14 @@ func decodePayload(payload []byte) (Record, error) {
 			rec.Cols = append(rec.Cols, int(c))
 		}
 	case kindCheckpointEnd, kindCheckpointBegin:
-		if rec.Ts, err = r.uvarint(); err != nil {
+		if rec.Ts, err = r.Uvarint(); err != nil {
 			return Record{}, err
 		}
 	default:
 		return Record{}, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, kind)
 	}
-	if r.remaining() != 0 {
-		return Record{}, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, r.remaining())
+	if err := r.Done(); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
 }

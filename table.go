@@ -139,12 +139,11 @@ func (t *Table) Delete(tx *Tx, id RowID) error {
 		return t.inner.Delete(tx, id)
 	}
 	// Redo records are content-addressed (row ids do not survive a
-	// merge), so capture the tuple before delete hides it from tx.
-	tuple, err := t.inner.GetTuple(id)
+	// merge), so the record must carry the tuple of the very row that got
+	// the delete intent: one call reads and marks it, with no merge swap
+	// in between to renumber id.
+	tuple, err := t.inner.DeleteReturning(tx, id)
 	if err != nil {
-		return err
-	}
-	if err := t.inner.Delete(tx, id); err != nil {
 		return err
 	}
 	tx.LogRedo(mvcc.RedoOp{Table: t.Name(), Delete: true, Row: tuple})
