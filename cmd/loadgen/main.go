@@ -64,7 +64,7 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 4, "concurrent closed-loop workers")
 	flag.DurationVar(&o.duration, "duration", 10*time.Second, "how long to run the workload")
 	flag.Float64Var(&o.readFrac, "read-frac", 0.5, "fraction of operations that are reads")
-	flag.IntVar(&o.pool, "pool", 4, "client connection pool size")
+	flag.IntVar(&o.pool, "pool", 0, "client connections; 0 is one per worker, fewer makes workers wait for one and books the wait as latency")
 	flag.IntVar(&o.preload, "preload", 10_000, "rows bulk-loaded before the timed run")
 	flag.BoolVar(&o.checkpoints, "checkpoints", false, "issue periodic checkpoints (needs a WAL-backed server)")
 	flag.IntVar(&o.mergeRows, "merge-rows", 20_000, "selftest: delta rows that trigger background merges")
@@ -80,6 +80,9 @@ func main() {
 func run(o opts) error {
 	if o.selftest == (o.addr != "") {
 		return errors.New("need exactly one of -addr or -selftest")
+	}
+	if o.pool <= 0 {
+		o.pool = o.workers
 	}
 
 	var walDir string

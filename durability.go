@@ -73,12 +73,7 @@ func (db *DB) recover(fs wal.FS, dir string) error {
 		if err != nil {
 			return fmt.Errorf("tierdb: open snapshot %s: %w", name, err)
 		}
-		inner, snapTs, err := persist.LoadAt(rc, table.Options{
-			Store:    db.store,
-			Cache:    db.cache,
-			Manager:  db.mgr,
-			Registry: db.registry,
-		})
+		inner, snapTs, err := persist.LoadAt(rc, db.tableOptions())
 		rc.Close()
 		if err != nil {
 			return fmt.Errorf("tierdb: snapshot %s: %w", name, err)
@@ -130,12 +125,7 @@ func (h *replayHandler) CreateTable(name string, fields []schema.Field) error {
 	if err != nil {
 		return fmt.Errorf("tierdb: replay create table %q: %w", name, err)
 	}
-	inner, err := table.New(name, s, table.Options{
-		Store:    h.db.store,
-		Cache:    h.db.cache,
-		Manager:  h.db.mgr,
-		Registry: h.db.registry,
-	})
+	inner, err := table.New(name, s, h.db.tableOptions())
 	if err != nil {
 		return err
 	}

@@ -78,11 +78,7 @@ func (t *Table) Snapshot(path string) error {
 // With a WAL configured the restored table is made durable by an
 // immediate checkpoint (its rows are not in the log).
 func (db *DB) RestoreTable(path string) (*Table, error) {
-	inner, err := persist.LoadFile(path, table.Options{
-		Store:   db.store,
-		Cache:   db.cache,
-		Manager: db.mgr,
-	})
+	inner, err := persist.LoadFile(path, db.tableOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -147,6 +147,41 @@ func TestSnapshotRestoreThroughFacade(t *testing.T) {
 	_ = db
 }
 
+// TestRestoreTableIsMetered: a restored table reports to the database's
+// registry like a created one, so its inserts and merges are counted.
+func TestRestoreTableIsMetered(t *testing.T) {
+	_, tbl := openLoaded(t, 50)
+	path := filepath.Join(t.TempDir(), "orders.snap")
+	if err := tbl.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	restored, err := db.RestoreTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.Registry().Snapshot().Counters // loading counts too
+	for i := 0; i < 5; i++ {
+		if err := restored.Insert([]Value{Int(int64(100 + i)), Int(1), Float(1), String("n")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := restored.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Registry().Snapshot().Counters
+	if got := after["delta.inserts"] - before["delta.inserts"]; got != 5 {
+		t.Errorf("delta.inserts grew by %d over 5 inserts into a restored table", got)
+	}
+	if got := after["table.merges"] - before["table.merges"]; got != 1 {
+		t.Errorf("table.merges grew by %d over one merge of a restored table", got)
+	}
+}
+
 func TestCompositeIndexThroughFacade(t *testing.T) {
 	_, tbl := openLoaded(t, 100)
 	if err := tbl.CreateCompositeIndex("region", "note"); err != nil {

@@ -1,14 +1,20 @@
 // Package client is the Go client of the tierdbd network service: a
-// connection-pooled, pipelining speaker of the CRC-framed binary
-// protocol in internal/server.
+// connection pool speaking the CRC-framed binary protocol in
+// internal/server, one request per connection at a time.
 //
-// Every pooled connection supports pipelining natively: requests from
-// any number of goroutines are written back-to-back (serialized by a
-// write mutex) and a single reader goroutine matches response frames to
-// callers in FIFO order — the server guarantees responses in request
-// order per connection. Calls are therefore safe for arbitrary
-// concurrent use; concurrency beyond one connection's sequential
-// service rate spreads round-robin across the pool.
+// A request checks a connection out of the pool, writes its frame,
+// reads its reply on the calling goroutine and puts the connection
+// back. Nothing else is in flight on that connection meanwhile, so the
+// reply needs no id, one caller's scan never delays another caller's
+// insert beyond the wait for a free connection, and the client runs no
+// goroutine of its own. Calls are safe for arbitrary concurrent use;
+// callers beyond PoolSize wait for a connection, bounded by
+// RequestTimeout.
+//
+// A connection whose exchange failed — I/O error, timeout, undecodable
+// reply — is closed and its slot redials on next use: a late reply can
+// never be taken for the next request's. The failed request is not
+// retried, because the server may have applied it.
 //
 // Admission-control rejections surface as errors matching
 // server.ErrOverloaded (and server.ErrDraining during shutdown), so a
@@ -40,19 +46,16 @@ import (
 type Config struct {
 	// Addr is the tierdbd address (host:port).
 	Addr string
-	// PoolSize is the number of pooled connections; 0 selects
-	// DefaultPoolSize.
+	// PoolSize is the most connections the client holds, and so the
+	// most requests it has in flight; 0 selects DefaultPoolSize.
 	PoolSize int
 	// DialTimeout bounds connection establishment; 0 selects
 	// DefaultDialTimeout.
 	DialTimeout time.Duration
-	// RequestTimeout bounds one request round-trip including its queue
-	// time in the pipeline; 0 selects DefaultRequestTimeout.
+	// RequestTimeout bounds one request: its wait for a free
+	// connection, then the write and the reply under one deadline. 0
+	// selects DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// MaxPipeline caps requests in flight on one connection; further
-	// senders block (bounded, client-side). 0 selects
-	// DefaultMaxPipeline.
-	MaxPipeline int
 	// Tracer enables client-side tracing: sampled requests get a
 	// "client.send" span and carry their trace ID to the server in the
 	// wire header, so the server's spans join the same /trace/{id}
@@ -65,26 +68,44 @@ const (
 	DefaultPoolSize       = 4
 	DefaultDialTimeout    = 5 * time.Second
 	DefaultRequestTimeout = 30 * time.Second
-	DefaultMaxPipeline    = 64
 )
+
+// maxIdle is how long a connection may sit in the pool and still be
+// used; one that has sat longer is replaced at checkout. The server
+// closes a session idle for server.DefaultReadTimeout, and maxIdle is
+// well under that, so an idle client's next request does not run into
+// the server's close.
+const maxIdle = server.DefaultReadTimeout / 5
 
 // ErrClosed is returned by requests after Close.
 var ErrClosed = errors.New("client: closed")
 
-// Client is a pooled connection to one tierdbd instance. Safe for
+// Client is a pool of connections to one tierdbd instance. Safe for
 // concurrent use.
 type Client struct {
-	cfg  Config
-	next atomic.Uint64
+	cfg Config
+	// free holds the PoolSize connection slots no request is using; a
+	// request owns the slot it receives until it sends it back.
+	free   chan *conn
+	closed atomic.Bool
 
-	mu     sync.Mutex
-	conns  []*conn // fixed length PoolSize; nil slots dial on demand
-	closed bool
+	mu    sync.Mutex // orders Close with every write of a slot's nc
+	slots []*conn
 }
 
-// Dial connects to a tierdbd instance, establishing (and verifying)
-// one pooled connection eagerly so a bad address fails here rather
-// than on the first request.
+// conn is one pool slot. Only the request holding the slot reads or
+// writes it, except that Close closes nc under Client.mu.
+type conn struct {
+	nc       net.Conn // nil: dial on next use
+	br       *bufio.Reader
+	bw       *bufio.Writer
+	admitted bool      // nc has carried a reply only an admitted session gets
+	idle     time.Time // when the slot was last put back
+}
+
+// Dial connects to a tierdbd instance, establishing one pooled
+// connection eagerly so a bad address fails here rather than on the
+// first request.
 func Dial(cfg Config) (*Client, error) {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = DefaultPoolSize
@@ -95,68 +116,87 @@ func Dial(cfg Config) (*Client, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}
-	if cfg.MaxPipeline <= 0 {
-		cfg.MaxPipeline = DefaultMaxPipeline
+	c := &Client{cfg: cfg, free: make(chan *conn, cfg.PoolSize)}
+	for i := 0; i < cfg.PoolSize; i++ {
+		cn := &conn{}
+		c.slots = append(c.slots, cn)
+		c.free <- cn
 	}
-	c := &Client{cfg: cfg, conns: make([]*conn, cfg.PoolSize)}
-	cn, err := c.dial()
-	if err != nil {
+	cn := <-c.free
+	defer c.checkin(cn)
+	if err := c.connect(cn); err != nil {
 		return nil, err
 	}
-	c.conns[0] = cn
 	return c, nil
 }
 
-// Close tears down every pooled connection. In-flight requests fail.
+// Close closes every connection, including those with a request in
+// flight, which fails with ErrClosed.
 func (c *Client) Close() error {
+	c.closed.Store(true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.closed = true
-	for i, cn := range c.conns {
-		if cn != nil {
-			cn.close(ErrClosed)
-			c.conns[i] = nil
+	for _, cn := range c.slots {
+		if cn.nc != nil {
+			cn.nc.Close()
 		}
 	}
 	return nil
 }
 
-func (c *Client) dial() (*conn, error) {
+// connect gives the slot a fresh connection.
+func (c *Client) connect(cn *conn) error {
 	nc, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cn := &conn{
-		nc:      nc,
-		br:      bufio.NewReader(nc),
-		bw:      bufio.NewWriter(nc),
-		pending: make(chan chan result, c.cfg.MaxPipeline),
-	}
-	go cn.readLoop()
-	return cn, nil
-}
-
-// pick returns a live connection round-robin, replacing dead slots.
-func (c *Client) pick() (*conn, error) {
-	slot := int(c.next.Add(1) % uint64(c.cfg.PoolSize))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
+	if c.closed.Load() {
+		nc.Close()
+		return ErrClosed
 	}
-	cn := c.conns[slot]
-	if cn != nil && cn.alive() {
+	cn.nc, cn.br, cn.bw, cn.admitted = nc, bufio.NewReader(nc), bufio.NewWriter(nc), false
+	return nil
+}
+
+// drop closes the slot's connection, so the slot redials on next use,
+// and names the client's Close as the cause when that is what broke
+// the exchange.
+func (c *Client) drop(cn *conn, cause error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cn.nc != nil {
+		cn.nc.Close()
+		cn.nc = nil
+	}
+	if c.closed.Load() {
+		return ErrClosed
+	}
+	return cause
+}
+
+// checkout takes a free slot, waiting until deadline for one.
+func (c *Client) checkout(deadline time.Time) (*conn, error) {
+	select {
+	case cn := <-c.free:
 		return cn, nil
+	default:
 	}
-	fresh, err := c.dial()
-	if err != nil {
-		return nil, err
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case cn := <-c.free:
+		return cn, nil
+	case <-timer.C:
+		return nil, fmt.Errorf("client: no free connection among %d for %s", c.cfg.PoolSize, c.cfg.RequestTimeout)
 	}
-	if cn != nil {
-		cn.close(errors.New("client: connection replaced"))
-	}
-	c.conns[slot] = fresh
-	return fresh, nil
+}
+
+// checkin puts a slot back, stamped for the idle check.
+func (c *Client) checkin(cn *conn) {
+	cn.idle = time.Now()
+	c.free <- cn
 }
 
 // do runs one request round-trip on a pooled connection, tracing it
@@ -171,13 +211,70 @@ func (c *Client) do(req server.Request) (server.Response, error) {
 	return resp, err
 }
 
-// do1 runs one request round-trip on a pooled connection.
+// do1 runs one request round-trip on a connection it alone holds for
+// the duration.
 func (c *Client) do1(req server.Request) (server.Response, error) {
-	cn, err := c.pick()
+	if c.closed.Load() {
+		return server.Response{}, ErrClosed
+	}
+	start := time.Now()
+	deadline := start.Add(c.cfg.RequestTimeout)
+	cn, err := c.checkout(deadline)
 	if err != nil {
 		return server.Response{}, err
 	}
-	return cn.do(req, c.cfg.RequestTimeout)
+	defer c.checkin(cn)
+	if cn.nc != nil && start.Sub(cn.idle) > maxIdle {
+		c.drop(cn, nil)
+	}
+	if cn.nc == nil {
+		if err := c.connect(cn); err != nil {
+			return server.Response{}, err
+		}
+	}
+	resp, err := cn.exchange(req, deadline)
+	if err != nil {
+		return server.Response{}, c.drop(cn, err)
+	}
+	switch {
+	case resp.Status == server.StatusOK:
+		cn.admitted = true
+		return resp, nil
+	case resp.Status == server.StatusDraining, resp.Status == server.StatusOverloaded && !cn.admitted:
+		// The server closes a session after telling it it is draining,
+		// and sheds a connection over its session cap with one
+		// overloaded frame, which is then the first reply read here.
+		c.drop(cn, nil)
+	}
+	return resp, statusError(resp)
+}
+
+// exchange writes one request and reads its reply. Any error leaves
+// the stream in an unknown state: the caller must drop the connection.
+func (cn *conn) exchange(req server.Request, deadline time.Time) (server.Response, error) {
+	cn.nc.SetDeadline(deadline)
+	err := server.WriteRequest(cn.bw, req)
+	if err == nil {
+		err = cn.bw.Flush()
+	}
+	payload, rerr := server.ReadFrame(cn.br)
+	if err != nil {
+		// A server that shed this connection said why before closing
+		// it; that frame, if it is there, explains the refused write.
+		if rerr == nil {
+			if resp, derr := server.DecodeResponse(req.Op, payload); derr == nil && resp.Status != server.StatusOK {
+				return resp, nil
+			}
+		}
+		return server.Response{}, fmt.Errorf("client: write: %w", err)
+	}
+	if rerr == io.EOF {
+		rerr = io.ErrUnexpectedEOF
+	}
+	if rerr != nil {
+		return server.Response{}, fmt.Errorf("client: read: %w", rerr)
+	}
+	return server.DecodeResponse(req.Op, payload)
 }
 
 // startSpan makes the client-side sampling decision for one request.
@@ -203,178 +300,6 @@ func (c *Client) finishSpan(span *trace.Span, resp server.Response, err error) {
 		span.SetAttr(trace.Int("rows", int64(len(resp.IDs))))
 	}
 	span.End()
-}
-
-// result is what the read loop delivers to a waiting caller.
-type result struct {
-	payload []byte
-	err     error
-}
-
-// conn is one pipelined connection: writers serialize on wmu and
-// enqueue a response slot; readLoop matches response frames to slots in
-// FIFO order.
-type conn struct {
-	nc      net.Conn
-	br      *bufio.Reader
-	wmu     sync.Mutex
-	bw      *bufio.Writer
-	pending chan chan result
-
-	emu       sync.Mutex
-	err       error
-	closeOnce sync.Once
-}
-
-func (cn *conn) alive() bool {
-	cn.emu.Lock()
-	defer cn.emu.Unlock()
-	return cn.err == nil
-}
-
-// close marks the connection dead with cause, fails every pending
-// caller, and closes the socket.
-func (cn *conn) close(cause error) {
-	cn.emu.Lock()
-	if cn.err == nil {
-		cn.err = cause
-	}
-	cn.emu.Unlock()
-	cn.closeOnce.Do(func() {
-		cn.nc.Close()
-		// readLoop's final sweep fails the pending queue. A sender
-		// racing with the close may still enqueue after the sweep; its
-		// subsequent write fails and do() returns the close cause
-		// directly, so no caller is left waiting on an orphaned slot.
-	})
-}
-
-// readLoop owns the read half: one response frame per pending slot, in
-// order. On any read error it poisons the connection and fails all
-// pending and late-arriving slots.
-func (cn *conn) readLoop() {
-	var cause error
-	for {
-		payload, err := readFrameClient(cn.br)
-		if err != nil {
-			if err == io.EOF {
-				cause = io.ErrUnexpectedEOF
-			} else {
-				cause = err
-			}
-			break
-		}
-		select {
-		case slot := <-cn.pending:
-			slot <- result{payload: payload}
-		default:
-			// A frame nobody asked for: a session-admission reject
-			// (the server sheds over-capacity connects with one typed
-			// error frame) or a protocol bug. Either way the
-			// connection is done; surface the typed error.
-			if resp, err := decodeUnsolicited(payload); err == nil {
-				cause = resp
-			} else {
-				cause = fmt.Errorf("%w: unsolicited frame", server.ErrProtocol)
-			}
-			goto out
-		}
-	}
-out:
-	cn.close(cause)
-	// Drain slots that were enqueued before (or racing with) the
-	// close; their frames will never arrive.
-	for {
-		select {
-		case slot := <-cn.pending:
-			slot <- result{err: cause}
-		default:
-			return
-		}
-	}
-}
-
-// readFrameClient mirrors the server-side frame reader.
-func readFrameClient(br *bufio.Reader) ([]byte, error) {
-	return server.ReadFrame(br)
-}
-
-// decodeUnsolicited interprets a frame received with no pending request
-// as a connection-level error status.
-func decodeUnsolicited(payload []byte) (error, error) {
-	resp, err := server.DecodeBareResponse(payload)
-	if err != nil {
-		return nil, err
-	}
-	return statusError(resp), nil
-}
-
-// do writes one request and waits for its response slot; timeout bounds
-// the whole exchange. The one timer is stopped on return: left to
-// expire, each would stay reachable for the full timeout — tens of
-// megabytes behind a connection answering 20 000 requests a second.
-func (cn *conn) do(req server.Request, timeout time.Duration) (server.Response, error) {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	slot := make(chan result, 1)
-	cn.wmu.Lock()
-	if !cn.alive() {
-		cn.emu.Lock()
-		err := cn.err
-		cn.emu.Unlock()
-		cn.wmu.Unlock()
-		return server.Response{}, err
-	}
-	// Enqueue while still holding wmu so pending-queue order is always
-	// identical to wire order — readLoop matches response frames to
-	// slots strictly FIFO, and an enqueue outside the write lock would
-	// let another caller's request reach the wire first. When the
-	// pipeline is full this blocks other writers on this connection:
-	// bounded backpressure, since slots drain at the connection's
-	// service rate (and close's sweep empties the queue on failure).
-	select {
-	case cn.pending <- slot:
-	case <-timer.C:
-		cn.wmu.Unlock()
-		return server.Response{}, fmt.Errorf("client: pipeline full for %s", timeout)
-	}
-	cn.nc.SetWriteDeadline(time.Now().Add(timeout))
-	err := server.WriteRequest(cn.bw, req)
-	if err == nil {
-		err = cn.bw.Flush()
-	}
-	cn.wmu.Unlock()
-	if err != nil {
-		cn.close(fmt.Errorf("client: write: %w", err))
-		// Fail fast with the close cause rather than waiting on the
-		// slot: if the connection died concurrently, readLoop's final
-		// sweep may have finished before our slot was enqueued, and
-		// then nothing would ever deliver into it.
-		cn.emu.Lock()
-		cause := cn.err
-		cn.emu.Unlock()
-		return server.Response{}, cause
-	}
-	select {
-	case res := <-slot:
-		if res.err != nil {
-			return server.Response{}, res.err
-		}
-		resp, err := server.DecodeResponse(req.Op, res.payload)
-		if err != nil {
-			cn.close(err)
-			return server.Response{}, err
-		}
-		if resp.Status != server.StatusOK {
-			return resp, statusError(resp)
-		}
-		return resp, nil
-	case <-timer.C:
-		// Leave the slot in the pipeline; the read loop delivers the
-		// late response into the buffered channel, keeping FIFO
-		// alignment for everyone else.
-		return server.Response{}, fmt.Errorf("client: request timed out after %s", timeout)
-	}
 }
 
 // statusError maps a non-OK response to a typed error.

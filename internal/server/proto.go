@@ -329,20 +329,6 @@ func WriteResponse(w io.Writer, op byte, resp Response) error {
 	return writeFrame(w, encodeResponse(make([]byte, 0, 64), op, resp))
 }
 
-// DecodeBareResponse decodes a response payload received outside any
-// request/response pairing — only error statuses are legal there (the
-// one-frame reject a shed connection receives).
-func DecodeBareResponse(payload []byte) (Response, error) {
-	resp, err := DecodeResponse(0, payload)
-	if err != nil {
-		return Response{}, err
-	}
-	if resp.Status == StatusOK {
-		return Response{}, fmt.Errorf("%w: unsolicited OK response", ErrProtocol)
-	}
-	return resp, nil
-}
-
 // ReadFrame reads one frame and returns its CRC-verified payload. A
 // clean EOF at a frame boundary returns io.EOF; anything torn,
 // oversized or corrupt returns ErrProtocol. The stream must be

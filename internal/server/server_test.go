@@ -346,12 +346,13 @@ func TestSessionShedding(t *testing.T) {
 	}
 }
 
-// TestPipelining issues many concurrent requests over a single pooled
-// connection and checks every response matches its request.
+// TestPipelining issues many concurrent requests through a client with
+// a single connection, which they take in turn, and checks every one is
+// applied.
 func TestPipelining(t *testing.T) {
 	e := newFakeEngine()
 	_, addr := boot(t, e, server.Config{})
-	c, err := client.Dial(client.Config{Addr: addr, PoolSize: 1, MaxPipeline: 32})
+	c, err := client.Dial(client.Config{Addr: addr, PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,18 +376,16 @@ func TestPipelining(t *testing.T) {
 	}
 }
 
-// TestPipelineSaturationFIFO hammers a single connection whose pipeline
-// is tiny, so nearly every request takes the pipeline-full path, and
-// checks each caller receives its own response. The fake engine's
-// Advise echoes the request's table name, so a response delivered to
-// the wrong caller is detected even though all frames are same-shaped.
-// Regression test: enqueuing into the pending queue without holding the
-// write lock let queue order diverge from wire order, crossing
-// responses between callers under saturation.
+// TestPipelineSaturationFIFO hammers a single connection with far more
+// callers than it can serve at once, so nearly every request waits for
+// it, and checks each caller receives its own response. The fake
+// engine's Advise echoes the request's table name, so a response
+// delivered to the wrong caller is detected even though all frames are
+// same-shaped.
 func TestPipelineSaturationFIFO(t *testing.T) {
 	e := newFakeEngine()
 	_, addr := boot(t, e, server.Config{})
-	c, err := client.Dial(client.Config{Addr: addr, PoolSize: 1, MaxPipeline: 2})
+	c, err := client.Dial(client.Config{Addr: addr, PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

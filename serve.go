@@ -68,14 +68,7 @@ func (e dbEngine) Delete(ctx context.Context, table string, id uint64) error {
 	if err != nil {
 		return err
 	}
-	tx := e.db.Begin()
-	if err := t.Delete(tx, id); err != nil {
-		if aerr := e.db.Abort(tx); aerr != nil {
-			return fmt.Errorf("%w (abort failed: %v)", err, aerr)
-		}
-		return err
-	}
-	return e.db.CommitCtx(ctx, tx)
+	return e.db.autocommit(ctx, func(tx *Tx) error { return t.Delete(tx, id) })
 }
 
 func (e dbEngine) Update(ctx context.Context, table string, id uint64, row []value.Value) error {
@@ -83,14 +76,7 @@ func (e dbEngine) Update(ctx context.Context, table string, id uint64, row []val
 	if err != nil {
 		return err
 	}
-	tx := e.db.Begin()
-	if err := t.Update(tx, id, row); err != nil {
-		if aerr := e.db.Abort(tx); aerr != nil {
-			return fmt.Errorf("%w (abort failed: %v)", err, aerr)
-		}
-		return err
-	}
-	return e.db.CommitCtx(ctx, tx)
+	return e.db.autocommit(ctx, func(tx *Tx) error { return t.Update(tx, id, row) })
 }
 
 func (e dbEngine) BulkLoad(ctx context.Context, table string, rows [][]value.Value) error {

@@ -112,14 +112,7 @@ func (t *Table) Insert(row []Value) error {
 // InsertCtx is Insert with a context; a request trace span carried by
 // ctx receives the WAL commit children.
 func (t *Table) InsertCtx(ctx context.Context, row []Value) error {
-	tx := t.db.Begin()
-	if err := t.InsertTx(tx, row); err != nil {
-		if aerr := t.db.Abort(tx); aerr != nil {
-			return fmt.Errorf("%w (abort failed: %v)", err, aerr)
-		}
-		return err
-	}
-	return t.db.CommitCtx(ctx, tx)
+	return t.db.autocommit(ctx, func(tx *Tx) error { return t.InsertTx(tx, row) })
 }
 
 // InsertTx appends one row within an existing transaction.

@@ -447,6 +447,30 @@ func (db *DB) CommitCtx(ctx context.Context, tx *Tx) error {
 // Abort rolls a transaction back.
 func (db *DB) Abort(tx *Tx) error { return db.mgr.Abort(tx) }
 
+// autocommit runs op in a transaction of its own: committed if op
+// succeeds, aborted if not.
+func (db *DB) autocommit(ctx context.Context, op func(*Tx) error) error {
+	tx := db.Begin()
+	if err := op(tx); err != nil {
+		if aerr := db.Abort(tx); aerr != nil {
+			return fmt.Errorf("%w (abort failed: %v)", err, aerr)
+		}
+		return err
+	}
+	return db.CommitCtx(ctx, tx)
+}
+
+// tableOptions is what every table of this database is built with,
+// however it arrives: created, restored, replayed or recovered.
+func (db *DB) tableOptions() table.Options {
+	return table.Options{
+		Store:    db.store,
+		Cache:    db.cache,
+		Manager:  db.mgr,
+		Registry: db.registry,
+	}
+}
+
 // CreateTable creates an empty table; all columns start DRAM-resident.
 func (db *DB) CreateTable(name string, fields []Field) (*Table, error) {
 	s, err := schema.New(fields)
@@ -458,12 +482,7 @@ func (db *DB) CreateTable(name string, fields []Field) (*Table, error) {
 	if _, exists := db.tables[name]; exists {
 		return nil, fmt.Errorf("tierdb: table %q already exists", name)
 	}
-	inner, err := table.New(name, s, table.Options{
-		Store:    db.store,
-		Cache:    db.cache,
-		Manager:  db.mgr,
-		Registry: db.registry,
-	})
+	inner, err := table.New(name, s, db.tableOptions())
 	if err != nil {
 		return nil, err
 	}
