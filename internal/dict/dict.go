@@ -10,6 +10,7 @@ package dict
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"tierdb/internal/value"
@@ -40,7 +41,9 @@ func Build(typ value.Type, vals []value.Value) (*Dictionary, []uint32, error) {
 			out = append(out, v)
 		}
 	}
-	d := &Dictionary{typ: typ, values: out}
+	// A right-sized copy: out shares the rows-long sort buffer, which the
+	// dictionary would otherwise keep alive for the column's lifetime.
+	d := &Dictionary{typ: typ, values: slices.Clone(out)}
 	codes := make([]uint32, len(vals))
 	for i, v := range vals {
 		c, ok := d.Encode(v)

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"time"
 
+	"tierdb/internal/bptree"
 	"tierdb/internal/column"
 	"tierdb/internal/delta"
 	"tierdb/internal/device"
@@ -75,12 +76,6 @@ type Options struct {
 	// executor probes instead of scanning tiered columns (paper:
 	// 0.01 % = 0.0001). Zero selects the default.
 	ProbeThreshold float64
-	// Threads is the concurrency level assumed for DRAM bandwidth
-	// modeling; defaults to 1.
-	Threads int
-	// DRAMTouch is the modeled cost of one dependent random DRAM
-	// access (cache miss); zero selects the default of 60 ns.
-	DRAMTouch time.Duration
 	// Parallelism is the number of workers the main-partition scans,
 	// probes and materialization are spread over; values <= 1 mean one
 	// worker, which runs its morsels inline on the calling goroutine
@@ -116,7 +111,8 @@ type Options struct {
 // DefaultProbeThreshold is the paper's scan-to-probe switch point.
 const DefaultProbeThreshold = 0.0001
 
-// DefaultDRAMTouch approximates one random DRAM cache miss.
+// DefaultDRAMTouch is the modeled cost of one dependent random DRAM
+// access (a cache miss).
 const DefaultDRAMTouch = 60 * time.Nanosecond
 
 // Executor runs queries against one table.
@@ -124,8 +120,6 @@ type Executor struct {
 	tbl         *table.Table
 	clock       *storage.Clock
 	threshold   float64
-	threads     int
-	dramTouch   time.Duration
 	parallelism int
 	morselRows  int
 	recent      *metrics.TraceRing
@@ -192,12 +186,6 @@ func New(tbl *table.Table, opts Options) *Executor {
 	if opts.ProbeThreshold == 0 {
 		opts.ProbeThreshold = DefaultProbeThreshold
 	}
-	if opts.Threads < 1 {
-		opts.Threads = 1
-	}
-	if opts.DRAMTouch == 0 {
-		opts.DRAMTouch = DefaultDRAMTouch
-	}
 	if opts.Parallelism < 1 {
 		opts.Parallelism = 1
 	}
@@ -208,8 +196,6 @@ func New(tbl *table.Table, opts Options) *Executor {
 		tbl:         tbl,
 		clock:       opts.Clock,
 		threshold:   opts.ProbeThreshold,
-		threads:     opts.Threads,
-		dramTouch:   opts.DRAMTouch,
 		parallelism: opts.Parallelism,
 		morselRows:  opts.MorselRows,
 		recent:      opts.TraceRing,
@@ -239,7 +225,7 @@ func (e *Executor) charge(tr *metrics.Trace, d time.Duration) {
 // chargeTouches charges n dependent DRAM accesses.
 func (e *Executor) chargeTouches(tr *metrics.Trace, n int) {
 	if n > 0 {
-		e.charge(tr, time.Duration(n)*e.dramTouch)
+		e.charge(tr, time.Duration(n)*DefaultDRAMTouch)
 	}
 }
 
@@ -324,19 +310,37 @@ func emitSpans(span *trace.Span, tr *metrics.Trace, err error) {
 	span.End()
 }
 
-// Explain prepares q exactly as Run would — same predicate ordering,
-// access-path choices and selectivity estimates — without executing
-// anything. The returned trace carries the chosen filter order in
-// Predicates; Operators stay empty. Plan-only introspection must not
-// disturb the engine, so nothing is charged, captured or recorded.
+// Explain plans q exactly as Run would — the same validation, binding,
+// selectivity estimates and filter order — without executing anything.
+// The returned trace carries that order in Predicates and the operators
+// the plan predicts in Operators: the run's own decision (operatorFor)
+// fed the running product of the estimates where the run feeds the
+// candidate fraction it observed, so they carry no intervals, row counts
+// or page reads. Plan-only introspection must not disturb the engine, so
+// nothing is charged, captured or recorded.
 func (e *Executor) Explain(q Query) (*metrics.Trace, error) {
-	if err := e.checkQuery(q); err != nil {
+	v := e.tbl.Pin()
+	defer v.Release()
+	steps, err := e.plan(v, q, nil)
+	if err != nil {
 		return nil, err
 	}
 	tr := e.newTrace()
-	v := e.tbl.Pin()
-	defer v.Release()
-	e.tracePredicates(tr, v, e.orderPredicates(v, q.Predicates))
+	fraction := 1.0
+	for i := range steps {
+		s := &steps[i]
+		tr.Predicate(s.trace())
+		_, op := s.operatorFor(i == 0, fraction, e.threshold)
+		if !op.SwitchedToProbe {
+			// An estimate that did not change the path is not reported.
+			op.CandidateFraction = 0
+		}
+		tr.Operators = append(tr.Operators, op)
+		fraction *= s.sel
+	}
+	if len(q.Project) > 0 {
+		tr.Operators = append(tr.Operators, metrics.OperatorTrace{Name: "materialize", Partition: "main", Column: -1})
+	}
 	return tr, nil
 }
 
@@ -353,22 +357,6 @@ func (e *Executor) newTrace() *metrics.Trace {
 	return tr
 }
 
-// tracePredicates records the chosen filter order (no-op on a nil
-// trace).
-func (e *Executor) tracePredicates(tr *metrics.Trace, v *table.View, ordered []Predicate) {
-	if tr == nil {
-		return
-	}
-	for _, p := range ordered {
-		tr.Predicate(metrics.PredicateTrace{
-			Column:               p.Column,
-			Op:                   opName(p.Op),
-			Path:                 e.pathOf(v, p),
-			EstimatedSelectivity: e.estimateSelectivity(p),
-		})
-	}
-}
-
 // deviceClock returns the clock the table's timed store charges, nil
 // for an untimed store.
 func (e *Executor) deviceClock() *storage.Clock {
@@ -376,16 +364,6 @@ func (e *Executor) deviceClock() *storage.Clock {
 		return timed.Clock()
 	}
 	return nil
-}
-
-// stampPageReads attributes a step's device page reads to the single
-// operator the step appended (no-op when the step recorded none, or
-// more than one — attribution must never double-count).
-func stampPageReads(tr *metrics.Trace, mark int, reads int64) {
-	if tr == nil || reads <= 0 || len(tr.Operators) != mark+1 {
-		return
-	}
-	tr.Operators[mark].PageReads = reads
 }
 
 // capture publishes a finished query's trace into the recent ring and,
@@ -418,11 +396,11 @@ func (e *Executor) capture(tr *metrics.Trace, start time.Time, wall time.Duratio
 
 // observeSelectivity folds the measured qualifying fraction of one
 // main-partition predicate application (rows out of rows in) into the
-// column's EWMA on the table, and scores the optimizer's estimate in
-// the selectivity.misestimate histogram (milli-nats of |ln(obs/est)|).
+// column's EWMA on the table, and scores the plan's estimate in the
+// selectivity.misestimate histogram (milli-nats of |ln(obs/est)|).
 // A zero-match application is clamped to half a row so the log ratio
 // and the EWMA stay finite and model-valid.
-func (e *Executor) observeSelectivity(p Predicate, in, out int) {
+func (e *Executor) observeSelectivity(s *step, in, out int) {
 	if !e.selCapture || in <= 0 {
 		return
 	}
@@ -430,10 +408,10 @@ func (e *Executor) observeSelectivity(p Predicate, in, out int) {
 	if out == 0 {
 		f = 1 / float64(2*in)
 	}
-	e.tbl.RecordObservedSelectivity(p.Column, f)
+	e.tbl.RecordObservedSelectivity(s.pred.Column, f)
 	e.m.selSamples.Inc()
-	if est := e.estimateSelectivity(p); est > 0 {
-		e.m.misestimate.Observe(int64(math.Abs(math.Log(f/est)) * 1000))
+	if s.sel > 0 {
+		e.m.misestimate.Observe(int64(math.Abs(math.Log(f/s.sel)) * 1000))
 	}
 }
 
@@ -446,17 +424,21 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 	} else {
 		snapshot = e.tbl.Manager().LastCommit()
 	}
-	if err := e.checkQuery(q); err != nil {
-		return nil, err
-	}
-	e.m.queries.Inc()
 
 	// Pin the table's structure for the whole query: an online merge
 	// swapping the main partition mid-query cannot tear the reads, and
 	// the epoch reference keeps the pinned SSCG's pages allocated until
-	// Release.
+	// Release. The plan binds to the same pinned structure; a query it
+	// rejects has had no effect. Plans of up to len(buf) predicates live
+	// on this frame.
 	v := e.tbl.Pin()
 	defer v.Release()
+	var buf [4]step
+	steps, err := e.plan(v, q, buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	e.m.queries.Inc()
 
 	// Snapshot the device clock so the trace can attribute modeled
 	// cost and page reads to this query.
@@ -467,15 +449,15 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 		if devClock = e.deviceClock(); devClock != nil {
 			reads0, elapsed0 = devClock.Reads(), devClock.Elapsed()
 		}
+		for i := range steps {
+			tr.Predicate(steps[i].trace())
+		}
 	}
-
-	ordered := e.orderPredicates(v, q.Predicates)
-	e.tracePredicates(tr, v, ordered)
 
 	// One worker set serves the filters and the materialization; its
 	// modeled cost reaches the clocks once, before the trace reads them.
 	ws := e.newWorkers(v)
-	res, err := e.runPinned(v, ws, ordered, q.Project, snapshot, self, tr)
+	res, err := e.runPinned(v, ws, steps, q.Project, snapshot, self, tr)
 	e.settle(ws, tr)
 	if err != nil {
 		return nil, err
@@ -501,12 +483,12 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 // runPinned filters both partitions of the pinned view, assembles the
 // RowIDs (main first, then delta offset by the main row count) and
 // materializes the projection.
-func (e *Executor) runPinned(v *table.View, ws []worker, preds []Predicate, project []int, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) (*Result, error) {
-	mainIDs, err := e.runMain(v, ws, preds, snapshot, self, tr)
+func (e *Executor) runPinned(v *table.View, ws []worker, steps []step, project []int, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) (*Result, error) {
+	mainIDs, err := e.runMain(v, ws, steps, snapshot, self, tr)
 	if err != nil {
 		return nil, err
 	}
-	deltaIDs, err := e.runDelta(v, preds, snapshot, self, tr)
+	deltaIDs, err := e.runDelta(v, steps, snapshot, self, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -534,83 +516,173 @@ func opName(op Op) string {
 	return "eq"
 }
 
-// pathOf returns the access-path rank label of p's column in the pinned
-// view, mirroring orderPredicates' ranking.
-func (e *Executor) pathOf(v *table.View, p Predicate) string {
-	if v.Index(p.Column) != nil {
-		return "index"
-	}
-	if v.MRC(p.Column) != nil {
-		return "mrc"
-	}
-	return "sscg"
+// accessPath ranks where a predicate's column can be filtered, in the
+// order the paper runs filters: through an index, on a DRAM-resident
+// column, on a tiered one.
+type accessPath int
+
+const (
+	pathIndex accessPath = iota
+	pathMRC
+	pathSSCG
+)
+
+func (p accessPath) String() string {
+	return [...]string{"index", "mrc", "sscg"}[p]
 }
 
-// checkQuery validates predicate and projection column indexes.
-func (e *Executor) checkQuery(q Query) error {
-	n := e.tbl.Schema().Len()
-	for _, p := range q.Predicates {
-		if p.Column < 0 || p.Column >= n {
-			return fmt.Errorf("exec: predicate column %d out of range (%d)", p.Column, n)
-		}
-		if p.Op != Eq && p.Op != Between {
-			return fmt.Errorf("exec: unknown operator %d", p.Op)
-		}
+// step is one predicate of a validated query bound to the pinned view:
+// everything the run, the trace and EXPLAIN need to know about it is
+// decided here, once.
+type step struct {
+	pred Predicate
+	// path is the rank the filter order used.
+	path accessPath
+	// index is the column's B+-tree (nil without one); mrc its
+	// DRAM-resident column, or nil when the column is tiered and field
+	// is its position within the SSCG.
+	index *bptree.Tree
+	mrc   *column.MRC
+	field int
+	// sel is the estimated qualifying fraction, read from the pinned
+	// view's statistics.
+	sel float64
+}
+
+// trace renders the step's place in the filter order.
+func (s *step) trace() metrics.PredicateTrace {
+	return metrics.PredicateTrace{
+		Column:               s.pred.Column,
+		Op:                   opName(s.pred.Op),
+		Path:                 s.path.String(),
+		EstimatedSelectivity: s.sel,
 	}
+}
+
+// plan validates q and turns its predicates into the steps the query
+// runs, appended to buf: every column index in range, every operator
+// known and every operand of its column's type — whatever path the
+// predicate ends up on, so no kernel, index or delta lookup ever
+// compares across types; each predicate bound to the pinned view's
+// index, MRC or SSCG field; its selectivity estimated from the view's
+// statistics (1/distinct for equality, the equi-depth histogram for
+// ranges — Section III-A: "distinct counts and histograms"); and the
+// steps ordered as the paper prescribes: indexed first, then
+// DRAM-resident by ascending selectivity, then tiered by ascending
+// selectivity. The caller's slice is never reordered.
+func (e *Executor) plan(v *table.View, q Query, buf []step) ([]step, error) {
+	sch := e.tbl.Schema()
 	for _, c := range q.Project {
-		if c < 0 || c >= n {
-			return fmt.Errorf("exec: projected column %d out of range (%d)", c, n)
+		if c < 0 || c >= sch.Len() {
+			return nil, fmt.Errorf("exec: projected column %d out of range (%d)", c, sch.Len())
 		}
 	}
+	steps := buf
+	for _, p := range q.Predicates {
+		if p.Column < 0 || p.Column >= sch.Len() {
+			return nil, fmt.Errorf("exec: predicate column %d out of range (%d)", p.Column, sch.Len())
+		}
+		typ := sch.Field(p.Column).Type
+		if p.Value.Type() != typ {
+			return nil, fmt.Errorf("exec: predicate on column %d has type %s, want %s", p.Column, p.Value.Type(), typ)
+		}
+		s := step{pred: p, path: pathSSCG, index: v.Index(p.Column), mrc: v.MRC(p.Column), field: v.GroupField(p.Column)}
+		switch {
+		case s.index != nil:
+			s.path = pathIndex
+		case s.mrc != nil:
+			s.path = pathMRC
+		}
+		if s.mrc == nil && (v.Group() == nil || s.field < 0) {
+			return nil, fmt.Errorf("exec: column %d has no storage (internal layout error)", p.Column)
+		}
+		switch p.Op {
+		case Eq:
+			s.sel = v.Selectivity(p.Column)
+		case Between:
+			if p.Hi.Type() != typ {
+				return nil, fmt.Errorf("exec: range bound on column %d has type %s, want %s", p.Column, p.Hi.Type(), typ)
+			}
+			s.sel = v.RangeSelectivity(p.Column, p.Value, p.Hi)
+		default:
+			return nil, fmt.Errorf("exec: unknown operator %d", p.Op)
+		}
+		steps = append(steps, s)
+	}
+	slices.SortStableFunc(steps, func(a, b step) int {
+		return cmp.Or(cmp.Compare(a.path, b.path), cmp.Compare(a.sel, b.sel))
+	})
+	return steps, nil
+}
+
+// kernel names the five main-partition kernels a step can run.
+type kernel int
+
+const (
+	kernelIndex kernel = iota
+	kernelScanMRC
+	kernelProbeMRC
+	kernelScanSSCG
+	kernelProbeSSCG
+)
+
+// operatorFor is the executor's one access decision (Section III-A):
+// the first step goes through its index when it has one and scans its
+// column otherwise; a later step probes the candidate list — always, on
+// a DRAM column, where a dependent access per candidate beats
+// re-scanning; on a tiered column only once the candidate fraction has
+// fallen to the probe threshold, the paper's scan-to-probe switchover,
+// and by another scan of the group until then. The run passes the
+// fraction it observed, Explain the product of the estimates so far;
+// the returned record is the operator's description in either trace.
+func (s *step) operatorFor(first bool, fraction, threshold float64) (kernel, metrics.OperatorTrace) {
+	op := metrics.OperatorTrace{Name: "scan", Partition: "main", Path: "sscg", Column: s.pred.Column}
+	if s.mrc == nil && !first {
+		op.CandidateFraction = fraction
+	}
+	switch {
+	case first && s.index != nil:
+		op.Name, op.Path = "index", "index"
+		return kernelIndex, op
+	case first && s.mrc != nil:
+		op.Path = "mrc"
+		return kernelScanMRC, op
+	case s.mrc != nil:
+		op.Name, op.Path = "probe", "mrc"
+		return kernelProbeMRC, op
+	case first || fraction > threshold:
+		return kernelScanSSCG, op
+	default:
+		op.Name, op.SwitchedToProbe = "probe", true
+		return kernelProbeSSCG, op
+	}
+}
+
+// operate runs one main-partition operator and records it. What every
+// operator reports the same way is measured here and nowhere else: the
+// morsels it fanned out, the device page reads it caused (attributed
+// only under a trace) and, through tr.Op, its wall-clock interval.
+// kernel returns the operator's output cardinality.
+func operate(ws []worker, tr *metrics.Trace, op metrics.OperatorTrace, kernel func() (int, error)) error {
+	morsels, reads := morselsOf(ws), int64(0)
+	if tr != nil {
+		reads = readsOf(ws)
+	}
+	out, err := kernel()
+	if err != nil {
+		return err
+	}
+	op.RowsOut, op.Morsels = out, int(morselsOf(ws)-morsels)
+	if tr != nil {
+		op.PageReads = max(readsOf(ws)-reads, 0)
+	}
+	tr.Op(op)
 	return nil
 }
 
-// orderPredicates sorts predicates as the paper prescribes: indexed
-// first, then DRAM-resident by ascending selectivity, then tiered by
-// ascending selectivity. Equality predicates use the 1/distinct
-// estimate; range predicates use the column's equi-depth histogram
-// when available (Section III-A: "distinct counts and histograms").
-// The caller's slice is never reordered.
-func (e *Executor) orderPredicates(v *table.View, preds []Predicate) []Predicate {
-	if len(preds) < 2 {
-		return preds
-	}
-	out := slices.Clone(preds)
-	rank := func(p Predicate) (int, float64) {
-		sel := e.estimateSelectivity(p)
-		if v.Index(p.Column) != nil {
-			return 0, sel
-		}
-		if v.MRC(p.Column) != nil {
-			return 1, sel
-		}
-		return 2, sel
-	}
-	slices.SortStableFunc(out, func(a, b Predicate) int {
-		ra, sa := rank(a)
-		rb, sb := rank(b)
-		return cmp.Or(cmp.Compare(ra, rb), cmp.Compare(sa, sb))
-	})
-	return out
-}
-
-// estimateSelectivity returns the expected qualifying fraction of one
-// predicate.
-func (e *Executor) estimateSelectivity(p Predicate) float64 {
-	switch p.Op {
-	case Between:
-		if p.Value.Type() == p.Hi.Type() {
-			return e.tbl.RangeSelectivity(p.Column, p.Value, p.Hi)
-		}
-		return e.tbl.Selectivity(p.Column)
-	default:
-		return e.tbl.Selectivity(p.Column)
-	}
-}
-
-// runMain evaluates the ordered predicates over the main partition and
+// runMain evaluates the plan's steps over the main partition and
 // returns qualifying main-row positions in ascending order.
-func (e *Executor) runMain(v *table.View, ws []worker, preds []Predicate, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
+func (e *Executor) runMain(v *table.View, ws []worker, steps []step, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
 	mainRows := v.MainRows()
 	if mainRows == 0 {
 		return nil, nil
@@ -618,142 +690,89 @@ func (e *Executor) runMain(v *table.View, ws []worker, preds []Predicate, snapsh
 	skip := func(row int) bool {
 		return !v.MainVersions().Visible(row, snapshot, self)
 	}
-	if len(preds) == 0 {
-		// No predicates: all visible rows qualify.
-		before := morselsOf(ws)
-		out, err := collect(ws, morselCount(mainRows, e.morselRows), nil, func(_ *worker, m int) ([]uint32, error) {
-			var out []uint32
-			for row, hi := m*e.morselRows, min((m+1)*e.morselRows, mainRows); row < hi; row++ {
-				if !skip(row) {
-					out = append(out, uint32(row))
-				}
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		e.m.rowsScanned.Add(int64(mainRows))
-		tr.Op(metrics.OperatorTrace{
-			Name: "visible", Partition: "main", Column: -1,
-			RowsIn: mainRows, RowsOut: len(out), Morsels: int(morselsOf(ws) - before),
-		})
-		return out, nil
-	}
 	var cand []uint32
-	for i, p := range preds {
-		mark, reads0 := 0, int64(0)
-		if tr != nil {
-			mark, reads0 = len(tr.Operators), readsOf(ws)
-		}
+	if len(steps) == 0 {
+		// No predicates: all visible rows qualify.
+		op := metrics.OperatorTrace{Name: "visible", Partition: "main", Column: -1, RowsIn: mainRows}
+		err := operate(ws, tr, op, func() (n int, err error) {
+			cand, err = collect(ws, morselCount(mainRows, e.morselRows), nil, func(_ *worker, m int) ([]uint32, error) {
+				var out []uint32
+				for row, hi := m*e.morselRows, min((m+1)*e.morselRows, mainRows); row < hi; row++ {
+					if !skip(row) {
+						out = append(out, uint32(row))
+					}
+				}
+				return out, nil
+			})
+			e.m.rowsScanned.Add(int64(mainRows))
+			return len(cand), err
+		})
+		return cand, err
+	}
+	for i := range steps {
 		var err error
-		cand, err = e.applyMain(v, ws, p, cand, i == 0, skip, tr)
-		if err != nil {
+		if cand, err = e.apply(v, ws, &steps[i], cand, i == 0, skip, tr); err != nil || len(cand) == 0 {
 			return nil, err
-		}
-		if tr != nil {
-			stampPageReads(tr, mark, readsOf(ws)-reads0)
-		}
-		if len(cand) == 0 {
-			return nil, nil
 		}
 	}
 	return cand, nil
 }
 
-// applyMain evaluates one predicate over the main partition, narrowing
-// the candidate list (nil on the first predicate). It picks the access
-// path — index, MRC scan or probe, SSCG scan or probe — and hands the
-// work to that path's kernel.
-func (e *Executor) applyMain(v *table.View, ws []worker, p Predicate, cand []uint32, first bool, skip func(int) bool, tr *metrics.Trace) ([]uint32, error) {
+// apply evaluates one step over the main partition, narrowing the
+// candidate list (nil on the first step): it asks operatorFor which
+// kernel runs, given the candidate fraction observed so far, and hands
+// the work to it.
+func (e *Executor) apply(v *table.View, ws []worker, s *step, cand []uint32, first bool, skip func(int) bool, tr *metrics.Trace) (out []uint32, err error) {
 	mainRows := v.MainRows()
-	before := morselsOf(ws)
-	op := metrics.OperatorTrace{Name: "scan", Partition: "main", Column: p.Column, RowsIn: mainRows}
-	var out []uint32
-	var err error
-	mrc := v.MRC(p.Column)
-	switch {
-	case first && v.Index(p.Column) != nil:
-		// Index access path (always DRAM-resident).
-		op.Name, op.Path = "index", "index"
-		e.m.indexLookups.Inc()
-		out = e.indexLookup(v, p, skip, tr)
-	case first && mrc != nil:
-		// Full scan on the compressed DRAM column.
-		op.Path = "mrc"
-		e.m.mrcScans.Inc()
-		e.m.rowsScanned.Add(int64(mainRows))
-		e.m.dramScanBytes.Add(mrc.Bytes())
-		out, err = e.scanMRC(ws, mrc, p, mainRows, skip)
-	case mrc != nil:
-		// Subsequent predicate: probe the candidate list (always
-		// cheaper than re-scanning DRAM).
-		op.Name, op.Path, op.RowsIn = "probe", "mrc", len(cand)
-		e.m.mrcProbes.Inc()
-		e.m.rowsScanned.Add(int64(len(cand)))
-		out, err = probeMRC(ws, mrc, p, cand)
-	default:
-		return e.applyTiered(v, ws, p, cand, first, skip, tr)
+	k, op := s.operatorFor(first, float64(len(cand))/float64(mainRows), e.threshold)
+	op.RowsIn = len(cand)
+	if first {
+		op.RowsIn = mainRows
 	}
-	if err != nil {
-		return nil, err
-	}
-	e.observeSelectivity(p, op.RowsIn, len(out))
-	op.RowsOut, op.Morsels = len(out), int(morselsOf(ws)-before)
-	tr.Op(op)
-	return out, nil
-}
-
-// applyTiered evaluates one predicate on an SSCG-placed column: a scan
-// of the whole group while the candidate fraction is above the probe
-// threshold, one page access per candidate below it.
-func (e *Executor) applyTiered(v *table.View, ws []worker, p Predicate, cand []uint32, first bool, skip func(int) bool, tr *metrics.Trace) ([]uint32, error) {
-	mainRows := v.MainRows()
-	gf := v.GroupField(p.Column)
-	if v.Group() == nil || gf < 0 {
-		return nil, fmt.Errorf("exec: column %d has no storage (internal layout error)", p.Column)
-	}
-	pred, err := e.compile(p)
-	if err != nil {
-		return nil, err
-	}
-	before := morselsOf(ws)
-	op := metrics.OperatorTrace{Name: "scan", Partition: "main", Path: "sscg", Column: p.Column, RowsIn: mainRows}
-	var out []uint32
-	if !first {
-		op.RowsIn, op.CandidateFraction = len(cand), float64(len(cand))/float64(mainRows)
-	}
-	if first || op.CandidateFraction > e.threshold {
-		// Scan the whole group (reads every page), then intersect.
-		e.m.sscgScans.Inc()
-		e.m.rowsScanned.Add(int64(mainRows))
-		out, err = e.scanGroup(ws, v.Group().RowsPerPage(), gf, pred, mainRows, skip)
-		if err != nil {
-			return nil, err
+	err = operate(ws, tr, op, func() (int, error) {
+		// in is what the kernel looked at: the predicate's observed
+		// selectivity is its matches out of that.
+		in := op.RowsIn
+		switch k {
+		case kernelIndex:
+			// Always DRAM-resident.
+			e.m.indexLookups.Inc()
+			out = e.indexLookup(s.index, s.pred, skip, tr)
+		case kernelScanMRC:
+			// Full scan on the compressed DRAM column.
+			e.m.mrcScans.Inc()
+			e.m.rowsScanned.Add(int64(mainRows))
+			e.m.dramScanBytes.Add(s.mrc.Bytes())
+			out, err = e.scanMRC(ws, s.mrc, s.pred, mainRows, skip)
+		case kernelProbeMRC:
+			e.m.mrcProbes.Inc()
+			e.m.rowsScanned.Add(int64(len(cand)))
+			out, err = probeMRC(ws, s.mrc, s.pred, cand)
+		case kernelScanSSCG:
+			// Scan the whole group (reads every page); the candidates are
+			// intersected below, after the full-partition match count —
+			// the predicate's own marginal fraction — has been observed.
+			in = mainRows
+			e.m.sscgScans.Inc()
+			e.m.rowsScanned.Add(int64(mainRows))
+			out, err = e.scanGroup(ws, v.Group().RowsPerPage(), s.field, matcher(s.pred), mainRows, skip)
+		case kernelProbeSSCG:
+			// Per-candidate page accesses beat a full scan.
+			e.m.sscgProbes.Inc()
+			e.m.switchovers.Inc()
+			e.m.rowsScanned.Add(int64(len(cand)))
+			out, err = probeGroup(ws, s.field, matcher(s.pred), cand)
 		}
-		// The full-partition match count is the predicate's own marginal
-		// fraction — measured before intersecting with the candidates.
-		e.observeSelectivity(p, mainRows, len(out))
-		if !first {
+		if err != nil {
+			return 0, err
+		}
+		e.observeSelectivity(s, in, len(out))
+		if k == kernelScanSSCG && !first {
 			out = intersect(cand, out)
 		}
-	} else {
-		// The paper's scan-to-probe switchover: the candidate fraction
-		// fell below the threshold, so per-candidate page accesses beat a
-		// full scan.
-		op.Name, op.SwitchedToProbe = "probe", true
-		e.m.sscgProbes.Inc()
-		e.m.switchovers.Inc()
-		e.m.rowsScanned.Add(int64(len(cand)))
-		out, err = probeGroup(ws, gf, pred, cand)
-		if err != nil {
-			return nil, err
-		}
-		e.observeSelectivity(p, len(cand), len(out))
-	}
-	op.RowsOut, op.Morsels = len(out), int(morselsOf(ws)-before)
-	tr.Op(op)
-	return out, nil
+		return len(out), nil
+	})
+	return out, err
 }
 
 // scanMRC is the MRC scan kernel: the first (DRAM-resident) predicate
@@ -771,11 +790,10 @@ func (e *Executor) scanMRC(ws []worker, mrc *column.MRC, p Predicate, mainRows i
 	// Each worker streamed its share of the column's bytes with the
 	// others running concurrently: one latency charge per stream, and
 	// the whole column on one stream when there is one worker.
-	streams := max(e.threads, len(ws))
 	for i := range ws {
 		if w := &ws[i]; w.scanned > 0 {
 			share := float64(w.scanned) / float64(mainRows)
-			w.dram += device.DRAM.SequentialReadTime(int64(share*float64(mrc.Bytes())), streams)
+			w.dram += device.DRAM.SequentialReadTime(int64(share*float64(mrc.Bytes())), len(ws))
 			w.scanned = 0
 		}
 	}
@@ -823,8 +841,7 @@ func probeGroup(ws []worker, gf int, pred func(value.Value) bool, cand []uint32)
 // returning visible matching positions in ascending row order. The
 // tree descent is DRAM-cheap and stays on the calling goroutine at any
 // worker count.
-func (e *Executor) indexLookup(v *table.View, p Predicate, skip func(int) bool, tr *metrics.Trace) []uint32 {
-	idx := v.Index(p.Column)
+func (e *Executor) indexLookup(idx *bptree.Tree, p Predicate, skip func(int) bool, tr *metrics.Trace) []uint32 {
 	var positions []uint32
 	collect := func(_ value.Value, rows []uint32) bool {
 		positions = append(positions, rows...)
@@ -847,53 +864,43 @@ func (e *Executor) indexLookup(v *table.View, p Predicate, skip func(int) bool, 
 	return out
 }
 
-// compile turns a predicate into a value filter for SSCG evaluation.
-func (e *Executor) compile(p Predicate) (func(value.Value) bool, error) {
-	typ := e.tbl.Schema().Field(p.Column).Type
-	if p.Value.Type() != typ {
-		return nil, fmt.Errorf("exec: predicate on column %d has type %s, want %s", p.Column, p.Value.Type(), typ)
+// matcher turns a validated predicate into a value filter for SSCG
+// and delta evaluation.
+func matcher(p Predicate) func(value.Value) bool {
+	lo, hi := p.Value, p.Hi
+	if p.Op == Eq {
+		return func(x value.Value) bool { return x.Equal(lo) }
 	}
-	switch p.Op {
-	case Eq:
-		v := p.Value
-		return func(x value.Value) bool { return x.Equal(v) }, nil
-	case Between:
-		if p.Hi.Type() != typ {
-			return nil, fmt.Errorf("exec: range bound on column %d has type %s, want %s", p.Column, p.Hi.Type(), typ)
-		}
-		lo, hi := p.Value, p.Hi
-		return func(x value.Value) bool { return x.Compare(lo) >= 0 && x.Compare(hi) <= 0 }, nil
-	}
-	return nil, fmt.Errorf("exec: unknown operator %d", p.Op)
+	return func(x value.Value) bool { return x.Compare(lo) >= 0 && x.Compare(hi) <= 0 }
 }
 
-// runDelta evaluates predicates over the delta side of the view. During
+// runDelta evaluates the plan's steps over the delta side of the view. During
 // an online merge the delta is split: the frozen partition (being folded
 // into the new main) comes first in RowID order, then the active
 // partition offset by the frozen row count — matching View.Visible's
 // routing, so RowIDs assembled by run() resolve consistently.
-func (e *Executor) runDelta(v *table.View, preds []Predicate, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
+func (e *Executor) runDelta(v *table.View, steps []step, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
 	var out []uint32
 	if fz := v.Frozen(); fz != nil {
-		ids, err := e.runDeltaPart(fz, v.FrozenRows(), 0, "delta.frozen", preds, snapshot, self, tr)
+		ids, err := e.runDeltaPart(fz, v.FrozenRows(), 0, "delta.frozen", steps, snapshot, self, tr)
 		if err != nil {
 			return nil, err
 		}
 		out = ids
 	}
-	ids, err := e.runDeltaPart(v.Active(), v.ActiveRows(), uint32(v.FrozenRows()), "delta", preds, snapshot, self, tr)
+	ids, err := e.runDeltaPart(v.Active(), v.ActiveRows(), uint32(v.FrozenRows()), "delta", steps, snapshot, self, tr)
 	if err != nil {
 		return nil, err
 	}
 	return append(out, ids...), nil
 }
 
-// runDeltaPart evaluates predicates over one delta partition. bound
+// runDeltaPart evaluates the steps over one delta partition. bound
 // caps the physical positions considered (the view's pin-time row count
 // for the active delta, which keeps growing underneath us); offset
 // shifts the returned positions into the view's combined delta RowID
 // space.
-func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, part string, preds []Predicate, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
+func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, part string, steps []step, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
 	if bound == 0 {
 		return nil, nil
 	}
@@ -914,7 +921,7 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 		}
 		return positions
 	}
-	if len(preds) == 0 {
+	if len(steps) == 0 {
 		rows := d.VisibleRows(snapshot, self)
 		out := make([]uint32, 0, len(rows))
 		for _, r := range rows {
@@ -929,7 +936,8 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 		return shift(out), nil
 	}
 	var cand []uint32
-	for i, p := range preds {
+	for i := range steps {
+		p := steps[i].pred
 		if i == 0 {
 			var err error
 			switch p.Op {
@@ -948,11 +956,7 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 				RowsIn: bound, RowsOut: len(cand),
 			})
 		} else {
-			in := len(cand)
-			pred, err := e.compile(p)
-			if err != nil {
-				return nil, err
-			}
+			in, pred := len(cand), matcher(p)
 			out := cand[:0]
 			for _, pos := range cand {
 				val, err := d.Get(int(pos), p.Column)
@@ -984,11 +988,6 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 // SSCG-placed projections, one group page access delivers all grouped
 // attributes of a row.
 func (e *Executor) materialize(v *table.View, ws []worker, res *Result, project []int, tr *metrics.Trace) error {
-	before := morselsOf(ws)
-	var reads0 int64
-	if tr != nil {
-		reads0 = readsOf(ws)
-	}
 	mainRows := uint64(v.MainRows())
 	needGroup := false
 	for _, c := range project {
@@ -998,50 +997,44 @@ func (e *Executor) materialize(v *table.View, ws []worker, res *Result, project 
 	}
 	res.Rows = make([][]value.Value, len(res.IDs))
 	n := chunkCount(len(res.IDs), len(ws))
-	err := runMorsels(ws, n, func(w *worker, m int) error {
-		lo, hi := chunkBounds(len(res.IDs), n, m)
-		for i := lo; i < hi; i++ {
-			id := res.IDs[i]
-			row := make([]value.Value, len(project))
-			var groupRow []value.Value
-			if id < mainRows && needGroup && w.group != nil {
-				var err error
-				groupRow, err = w.group.ReadRow(int(id))
-				if err != nil {
-					return err
-				}
-			}
-			for j, c := range project {
-				if id < mainRows {
-					if gf := v.GroupField(c); gf >= 0 && groupRow != nil {
-						row[j] = groupRow[gf]
-						continue
+	op := metrics.OperatorTrace{Name: "materialize", Partition: "main", Column: -1, RowsIn: len(res.IDs)}
+	return operate(ws, tr, op, func() (int, error) {
+		err := runMorsels(ws, n, func(w *worker, m int) error {
+			lo, hi := chunkBounds(len(res.IDs), n, m)
+			for i := lo; i < hi; i++ {
+				id := res.IDs[i]
+				row := make([]value.Value, len(project))
+				var groupRow []value.Value
+				if id < mainRows && needGroup && w.group != nil {
+					var err error
+					groupRow, err = w.group.ReadRow(int(id))
+					if err != nil {
+						return err
 					}
-					w.touches += 2 // value vector + dictionary
 				}
-				val, err := v.GetValue(id, c)
-				if err != nil {
-					return err
+				for j, c := range project {
+					if id < mainRows {
+						if gf := v.GroupField(c); gf >= 0 && groupRow != nil {
+							row[j] = groupRow[gf]
+							continue
+						}
+						w.touches += 2 // value vector + dictionary
+					}
+					val, err := v.GetValue(id, c)
+					if err != nil {
+						return err
+					}
+					row[j] = val
 				}
-				row[j] = val
+				res.Rows[i] = row
 			}
-			res.Rows[i] = row
+			return nil
+		})
+		if err == nil {
+			e.m.rowsMaterialized.Add(int64(len(res.IDs)))
 		}
-		return nil
+		return len(res.IDs), err
 	})
-	if err != nil {
-		return err
-	}
-	e.m.rowsMaterialized.Add(int64(len(res.IDs)))
-	op := metrics.OperatorTrace{
-		Name: "materialize", Partition: "main", Column: -1,
-		RowsIn: len(res.IDs), RowsOut: len(res.IDs), Morsels: int(morselsOf(ws) - before),
-	}
-	if tr != nil {
-		op.PageReads = max(readsOf(ws)-reads0, 0)
-	}
-	tr.Op(op)
-	return nil
 }
 
 // intersect returns the sorted intersection of two ascending position

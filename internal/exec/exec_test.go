@@ -240,6 +240,16 @@ func TestUncommittedInvisibleToOthers(t *testing.T) {
 	}
 }
 
+// mustPlan plans a query over preds against the pinned view.
+func mustPlan(t *testing.T, e *Executor, v *table.View, preds []Predicate) []step {
+	t.Helper()
+	steps, err := e.plan(v, Query{Predicates: preds}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return steps
+}
+
 func TestIndexPathUsedFirst(t *testing.T) {
 	tbl, _ := newTable(t, 1000, []bool{true, true, true, false})
 	if err := tbl.CreateIndex(0); err != nil {
@@ -260,9 +270,9 @@ func TestIndexPathUsedFirst(t *testing.T) {
 	// Ordering: the indexed predicate must come first.
 	v := tbl.Pin()
 	defer v.Release()
-	ordered := e.orderPredicates(v, q.Predicates)
-	if ordered[0].Column != 0 {
-		t.Errorf("indexed predicate not first: %v", ordered[0])
+	ordered := mustPlan(t, e, v, q.Predicates)
+	if ordered[0].pred.Column != 0 {
+		t.Errorf("indexed predicate not first: %v", ordered[0].pred)
 	}
 }
 
@@ -278,9 +288,9 @@ func TestPredicateOrderingLocationBeforeSelectivity(t *testing.T) {
 	}
 	v := tbl.Pin()
 	defer v.Release()
-	ordered := e.orderPredicates(v, preds)
-	if ordered[0].Column != 1 {
-		t.Errorf("DRAM-resident predicate not first: column %d", ordered[0].Column)
+	ordered := mustPlan(t, e, v, preds)
+	if ordered[0].pred.Column != 1 {
+		t.Errorf("DRAM-resident predicate not first: column %d", ordered[0].pred.Column)
 	}
 	// Within one location, ascending selectivity: id (sel 1/1000)
 	// before a (sel 1/10).
@@ -288,9 +298,9 @@ func TestPredicateOrderingLocationBeforeSelectivity(t *testing.T) {
 		{Column: 1, Op: Eq, Value: value.NewInt(1)},
 		{Column: 0, Op: Eq, Value: value.NewInt(1)},
 	}
-	ordered = e.orderPredicates(v, preds)
-	if ordered[0].Column != 0 {
-		t.Errorf("most selective DRAM predicate not first: column %d", ordered[0].Column)
+	ordered = mustPlan(t, e, v, preds)
+	if ordered[0].pred.Column != 0 {
+		t.Errorf("most selective DRAM predicate not first: column %d", ordered[0].pred.Column)
 	}
 }
 
@@ -469,12 +479,11 @@ func TestHistogramDrivenRangeOrdering(t *testing.T) {
 	wideOnC := Predicate{Column: 3, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(900)}
 	v := tbl.Pin()
 	defer v.Release()
-	ordered := e.orderPredicates(v, []Predicate{wideOnC, narrowOnB})
-	if ordered[0].Column != 2 {
-		t.Errorf("narrow range not ordered first: got column %d", ordered[0].Column)
+	ordered := mustPlan(t, e, v, []Predicate{wideOnC, narrowOnB})
+	if ordered[0].pred.Column != 2 {
+		t.Errorf("narrow range not ordered first: got column %d", ordered[0].pred.Column)
 	}
-	selNarrow := e.estimateSelectivity(narrowOnB)
-	selWide := e.estimateSelectivity(wideOnC)
+	selNarrow, selWide := ordered[0].sel, ordered[1].sel
 	if selNarrow >= selWide {
 		t.Errorf("selectivity estimates inverted: narrow %g vs wide %g", selNarrow, selWide)
 	}

@@ -84,7 +84,7 @@ func (e *Executor) settle(ws []worker, tr *metrics.Trace) {
 	shared := e.deviceClock()
 	for i := range ws {
 		w := &ws[i]
-		sum += w.dram + time.Duration(w.touches)*e.dramTouch
+		sum += w.dram + time.Duration(w.touches)*DefaultDRAMTouch
 		morsels += w.morsels
 		if w.clock != nil && w.clock != shared {
 			forks = append(forks, w.clock)

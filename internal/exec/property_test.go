@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"tierdb/internal/metrics"
 	"tierdb/internal/schema"
 	"tierdb/internal/table"
 	"tierdb/internal/value"
@@ -102,7 +103,69 @@ func TestRandomQueriesMatchBruteForce(t *testing.T) {
 				t.Fatalf("trial %d query %d (layout %v, preds %+v): got %d rows, want %d",
 					trial, q, layout, preds, len(res.IDs), len(want))
 			}
+			explainMatchesRun(t, e, Query{Predicates: preds}, fmt.Sprintf("trial %d query %d (layout %v)", trial, q, layout))
 		}
+	}
+}
+
+// explainMatchesRun checks that EXPLAIN is the plan the run executes:
+// Explain's predicted operators equal the traced run's main-partition
+// predicate operators in column and storage path always, and in
+// operator name and switchover whenever the estimated candidate
+// fraction Explain decided on and the observed one the run decided on
+// fall on the same side of the probe threshold. The run stops at the
+// first empty candidate list, so it may execute a prefix of the plan.
+func explainMatchesRun(t *testing.T, e *Executor, q Query, where string) {
+	t.Helper()
+	plan, err := e.Explain(q)
+	if err != nil {
+		t.Fatalf("%s: Explain: %v", where, err)
+	}
+	_, tr, err := e.RunTraced(q, nil)
+	if err != nil {
+		t.Fatalf("%s: RunTraced: %v", where, err)
+	}
+	if len(plan.Predicates) != len(tr.Predicates) {
+		t.Fatalf("%s: Explain orders %d predicates, the run %d", where, len(plan.Predicates), len(tr.Predicates))
+	}
+	for i := range plan.Predicates {
+		if plan.Predicates[i] != tr.Predicates[i] {
+			t.Errorf("%s: filter order differs at %d: Explain %+v, run %+v", where, i, plan.Predicates[i], tr.Predicates[i])
+		}
+	}
+	var ran []metrics.OperatorTrace
+	for _, op := range tr.Operators {
+		if op.Partition == "main" && op.Column >= 0 {
+			ran = append(ran, op)
+		}
+	}
+	mainRows := e.tbl.MainRows()
+	switch {
+	case len(ran) > len(plan.Operators):
+		t.Fatalf("%s: the run executed %d predicate operators, Explain predicted %d", where, len(ran), len(plan.Operators))
+	case len(ran) < len(plan.Operators) && mainRows > 0 && ran[len(ran)-1].RowsOut != 0:
+		t.Errorf("%s: the run stopped after %d of %d operators with %d candidates left", where, len(ran), len(plan.Operators), ran[len(ran)-1].RowsOut)
+	}
+	estimated := 1.0
+	for i, got := range ran {
+		want := plan.Operators[i]
+		if got.Column != want.Column || got.Path != want.Path {
+			t.Errorf("%s: operator %d: ran on column %d path %s, Explain predicted column %d path %s",
+				where, i, got.Column, got.Path, want.Column, want.Path)
+		}
+		sameSide := true
+		if i > 0 {
+			observed := float64(ran[i-1].RowsOut) / float64(mainRows)
+			sameSide = (estimated <= e.threshold) == (observed <= e.threshold)
+		}
+		if sameSide && (got.Name != want.Name || got.SwitchedToProbe != want.SwitchedToProbe) {
+			t.Errorf("%s: operator %d: ran %s (switched %v), Explain predicted %s (switched %v)",
+				where, i, got.Name, got.SwitchedToProbe, want.Name, want.SwitchedToProbe)
+		}
+		if want.RowsIn != 0 || want.RowsOut != 0 || want.StartNs != 0 || want.EndNs != 0 || want.PageReads != 0 {
+			t.Errorf("%s: predicted operator %d carries observed fields: %+v", where, i, want)
+		}
+		estimated *= plan.Predicates[i].EstimatedSelectivity
 	}
 }
 

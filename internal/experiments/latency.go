@@ -8,14 +8,15 @@ import (
 
 	"tierdb/internal/amm"
 	"tierdb/internal/device"
+	"tierdb/internal/exec"
 	"tierdb/internal/storage"
 )
 
-// dramTouch is the modeled cost of one dependent random DRAM access
-// (cache miss); a full-width MRC attribute materialization costs two
-// (value vector + dictionary), matching the paper's "two L3 cache
+// dramTouch is the executor's modeled cost of one dependent random DRAM
+// access (cache miss); a full-width MRC attribute materialization costs
+// two (value vector + dictionary), matching the paper's "two L3 cache
 // misses" per attribute.
-const dramTouch = 60 * time.Nanosecond
+const dramTouch = exec.DefaultDRAMTouch
 
 // pageParse is the DRAM-side cost of locating and decoding a tuple
 // inside a fetched 4 KB page.

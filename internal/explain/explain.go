@@ -26,7 +26,7 @@ type Mode string
 
 const (
 	// ModeExplain plans the query without executing it: nodes are the
-	// predicted operators, observed fields stay zero.
+	// operators the executor's plan predicts, observed fields stay zero.
 	ModeExplain Mode = "explain"
 	// ModeAnalyze executes the query and annotates each node with
 	// observed wall time, rows, page reads and selectivity.
@@ -124,8 +124,10 @@ type Input struct {
 	ProjectColumns []int
 	// Predicates render the resolved predicate per column.
 	Predicates []PredicateDisplay
-	// Trace is the executor's record: Predicates always; Operators only
-	// in ANALYZE mode.
+	// Trace is the executor's record: the filter order in Predicates and
+	// one entry per node in Operators — the executed operators under
+	// ANALYZE, the plan's predicted ones (Executor.Explain) under
+	// EXPLAIN.
 	Trace *metrics.Trace
 	// WallNs is the query's total wall time (ANALYZE only).
 	WallNs int64
@@ -137,10 +139,10 @@ type Input struct {
 // Node is one operator of the plan. Modeled fields come from the cost
 // model; Observed* fields are filled only in ANALYZE mode.
 type Node struct {
-	// Operator is "scan", "probe", "index", "visible", "delta-scan",
-	// "delta-probe" or "materialize".
+	// Operator is the executor's operator name (metrics.OperatorTrace):
+	// index, scan, probe, visible or materialize.
 	Operator string `json:"operator"`
-	// Partition is "main" or "delta".
+	// Partition is "main", "delta" or, during a merge, "delta.frozen".
 	Partition string `json:"partition,omitempty"`
 	// Path is the access path: "mrc", "sscg", "index" or "".
 	Path string `json:"path,omitempty"`
@@ -333,10 +335,6 @@ func Build(in Input) (*Plan, error) {
 	for _, d := range in.Predicates {
 		predText[d.Column] = d.Text
 	}
-	estSel := map[int]float64{}
-	for _, pt := range in.Trace.Predicates {
-		estSel[pt.Column] = pt.EstimatedSelectivity
-	}
 	name := func(col int) string {
 		if col >= 0 && col < nCols {
 			return in.Columns[col].Name
@@ -352,90 +350,56 @@ func Build(in Input) (*Plan, error) {
 		chargeable[c] = true
 	}
 
-	if len(in.Trace.Operators) > 0 {
-		// ANALYZE: nodes mirror the executed operators one-to-one.
-		for _, op := range in.Trace.Operators {
-			n := Node{
-				Operator:          op.Name,
-				Partition:         op.Partition,
-				Path:              op.Path,
-				Column:            op.Column,
-				ColumnName:        name(op.Column),
-				Predicate:         predText[op.Column],
-				RowsIn:            op.RowsIn,
-				RowsOut:           op.RowsOut,
-				ObservedNs:        op.EndNs - op.StartNs,
-				StartNs:           op.StartNs,
-				EndNs:             op.EndNs,
-				PageReads:         op.PageReads,
-				Morsels:           op.Morsels,
-				SwitchedToProbe:   op.SwitchedToProbe,
-				CandidateFraction: op.CandidateFraction,
-			}
-			if op.Column >= 0 {
-				n.Tier = operatorTier(op.Path, current, op.Column)
-				n.EstimatedSelectivity = estSel[op.Column]
-				if op.RowsIn > 0 {
-					n.ObservedSelectivity = float64(op.RowsOut) / float64(op.RowsIn)
-					if n.EstimatedSelectivity > 0 {
-						n.MisestimateRatio = n.ObservedSelectivity / n.EstimatedSelectivity
-					}
-				}
-				if op.Partition == "main" && chargeable[op.Column] {
-					chargeable[op.Column] = false
-					n.ModeledCost = curShare[op.Column].Cost
-					n.ModeledFraction = curShare[op.Column].Fraction
-				}
-			}
-			p.Nodes = append(p.Nodes, n)
+	// Nodes mirror the trace's operators one-to-one in both modes: the
+	// executed ones under ANALYZE, the ones the executor's plan predicts
+	// under EXPLAIN — those carry no rows, reads or intervals, so every
+	// observed field below stays zero. Each partition applies the
+	// predicates in the filter order, so a partition's k-th predicate
+	// operator ran the k-th entry of Trace.Predicates; applied counts them.
+	applied := map[string]int{}
+	for _, op := range in.Trace.Operators {
+		n := Node{
+			Operator:          op.Name,
+			Partition:         op.Partition,
+			Path:              op.Path,
+			Column:            op.Column,
+			ColumnName:        name(op.Column),
+			Predicate:         predText[op.Column],
+			RowsIn:            op.RowsIn,
+			RowsOut:           op.RowsOut,
+			ObservedNs:        op.EndNs - op.StartNs,
+			StartNs:           op.StartNs,
+			EndNs:             op.EndNs,
+			PageReads:         op.PageReads,
+			Morsels:           op.Morsels,
+			SwitchedToProbe:   op.SwitchedToProbe,
+			CandidateFraction: op.CandidateFraction,
 		}
-		p.WallNs = in.WallNs
-		p.RowsQualified = in.Trace.RowsQualified
-		p.PageReads = in.Trace.PageReads
-		p.DRAMNs = in.Trace.DRAMNs
-		p.DeviceNs = in.Trace.DeviceNs
-	} else {
-		// EXPLAIN: predict the operators from the chosen filter order.
-		frac := 1.0
-		for i, pt := range in.Trace.Predicates {
-			n := Node{
-				Partition:            "main",
-				Path:                 pt.Path,
-				Column:               pt.Column,
-				ColumnName:           name(pt.Column),
-				Predicate:            predText[pt.Column],
-				EstimatedSelectivity: pt.EstimatedSelectivity,
+		if op.Column >= 0 {
+			n.Tier = operatorTier(op.Path, current, op.Column)
+			if k := applied[op.Partition]; k < len(in.Trace.Predicates) {
+				n.EstimatedSelectivity = in.Trace.Predicates[k].EstimatedSelectivity
 			}
-			switch {
-			case i == 0 && pt.Path == "index":
-				n.Operator = "index"
-			case i == 0:
-				n.Operator = "scan"
-			case pt.Path == "mrc" || pt.Path == "index":
-				n.Operator = "probe"
-			case frac <= in.ProbeThreshold:
-				// The executor's switchover would take the probe path.
-				n.Operator = "probe"
-				n.SwitchedToProbe = true
-				n.CandidateFraction = frac
-			default:
-				n.Operator = "scan"
-			}
-			if pt.Column >= 0 {
-				n.Tier = operatorTier(pt.Path, current, pt.Column)
-				if chargeable[pt.Column] {
-					chargeable[pt.Column] = false
-					n.ModeledCost = curShare[pt.Column].Cost
-					n.ModeledFraction = curShare[pt.Column].Fraction
+			applied[op.Partition]++
+			if op.RowsIn > 0 {
+				n.ObservedSelectivity = float64(op.RowsOut) / float64(op.RowsIn)
+				if n.EstimatedSelectivity > 0 {
+					n.MisestimateRatio = n.ObservedSelectivity / n.EstimatedSelectivity
 				}
 			}
-			p.Nodes = append(p.Nodes, n)
-			frac *= pt.EstimatedSelectivity
+			if op.Partition == "main" && chargeable[op.Column] {
+				chargeable[op.Column] = false
+				n.ModeledCost = curShare[op.Column].Cost
+				n.ModeledFraction = curShare[op.Column].Fraction
+			}
 		}
-		if len(in.ProjectColumns) > 0 {
-			p.Nodes = append(p.Nodes, Node{Operator: "materialize", Partition: "main", Column: -1})
-		}
+		p.Nodes = append(p.Nodes, n)
 	}
+	p.WallNs = in.WallNs
+	p.RowsQualified = in.Trace.RowsQualified
+	p.PageReads = in.Trace.PageReads
+	p.DRAMNs = in.Trace.DRAMNs
+	p.DeviceNs = in.Trace.DeviceNs
 	return p, nil
 }
 

@@ -136,13 +136,25 @@ func TestBuildAnalyzeNodes(t *testing.T) {
 	}
 }
 
-// Plan-only mode predicts operators from the filter order without
-// executing anything.
-func TestBuildExplainPredictsOperators(t *testing.T) {
+// planOnlyInput is testInput as Executor.Explain would have filled it:
+// the plan's predicted operators, nothing observed.
+func planOnlyInput() Input {
 	in := testInput()
 	in.Mode = ModeExplain
-	in.Trace.Operators = nil
 	in.WallNs = 0
+	in.Trace.RowsQualified, in.Trace.DRAMNs, in.Trace.DeviceNs, in.Trace.PageReads = 0, 0, 0, 0
+	in.Trace.Operators = []metrics.OperatorTrace{
+		{Name: "scan", Partition: "main", Path: "sscg", Column: 1},
+		{Name: "probe", Partition: "main", Path: "mrc", Column: 2},
+		{Name: "materialize", Partition: "main", Column: -1},
+	}
+	return in
+}
+
+// Plan-only mode mirrors the operators the executor's plan predicts
+// (Build itself predicts nothing) without any observed field.
+func TestBuildExplainPredictsOperators(t *testing.T) {
+	in := planOnlyInput()
 	p, err := Build(in)
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +174,9 @@ func TestBuildExplainPredictsOperators(t *testing.T) {
 	}
 	if p.Nodes[0].RowsIn != 0 || p.Nodes[0].ObservedNs != 0 {
 		t.Errorf("plan-only node carries observed fields: %+v", p.Nodes[0])
+	}
+	if p.Nodes[0].Tier != "secondary" || p.Nodes[0].EstimatedSelectivity != 0.04 || p.Nodes[0].ModeledCost == 0 {
+		t.Errorf("plan-only node lacks tier, estimate or modeled term: %+v", p.Nodes[0])
 	}
 	// The modeled placement section is identical to ANALYZE mode.
 	if p.Placement.CurrentCost == 0 || len(p.Placement.Columns) != 2 {
@@ -228,10 +243,7 @@ func TestRenderText(t *testing.T) {
 		}
 	}
 	// Plan-only rendering omits the observed summary line.
-	in := testInput()
-	in.Mode = ModeExplain
-	in.Trace.Operators = nil
-	po, err := Build(in)
+	po, err := Build(planOnlyInput())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,10 +70,12 @@ type PredicateTrace struct {
 
 // OperatorTrace records one executed operator.
 type OperatorTrace struct {
-	// Name is the operator kind: "index", "scan", "probe", "visible",
-	// "delta-scan", "delta-probe" or "materialize".
+	// Name is the operator kind: "index", "scan", "probe", "visible" or
+	// "materialize". The delta side uses the same names under its own
+	// partition.
 	Name string `json:"name"`
-	// Partition is "main" or "delta".
+	// Partition is "main", "delta" or, for the partition an in-flight
+	// merge is folding, "delta.frozen".
 	Partition string `json:"partition"`
 	// Path is the storage the operator touched: "mrc", "sscg",
 	// "index" or "" when not applicable.

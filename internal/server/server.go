@@ -253,8 +253,9 @@ func (s *Server) admitSession(conn net.Conn) bool {
 }
 
 // session runs one connection: read a frame, handle it, write the
-// response, repeat. Responses go out in request order, which is what
-// lets clients pipeline.
+// response, repeat. Responses go out in request order; the client
+// (internal/server/client) has one request per connection in flight and
+// reads its own reply.
 func (s *Server) session(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -276,8 +277,8 @@ func (s *Server) session(conn net.Conn) {
 	}
 	for {
 		if s.draining.Load() {
-			// Draining: answer whatever the client already pipelined
-			// with StatusDraining, then close. An expired deadline only
+			// Draining: answer whatever the peer has already sent with
+			// StatusDraining, then close. An expired deadline only
 			// interrupts reads that would touch the socket, so frames
 			// already sitting in the buffer still decode.
 			conn.SetReadDeadline(time.Now())

@@ -159,7 +159,8 @@ func TestTimedStoreWriteCharges(t *testing.T) {
 
 func TestTimedStoreThreads(t *testing.T) {
 	var clock Clock
-	ts := NewTimedStore(NewMemStore(), device.HDD, &clock, 1)
+	mem := NewMemStore()
+	ts := NewTimedStore(mem, device.HDD, &clock, 1)
 	id, _ := ts.Allocate()
 	buf := make([]byte, PageSize)
 	if err := ts.ReadPage(id, buf); err != nil {
@@ -167,7 +168,7 @@ func TestTimedStoreThreads(t *testing.T) {
 	}
 	qd1 := clock.Elapsed()
 	clock.Reset()
-	ts.SetThreads(8)
+	ts = NewTimedStore(mem, device.HDD, &clock, 8)
 	if err := ts.ReadPage(id, buf); err != nil {
 		t.Fatal(err)
 	}

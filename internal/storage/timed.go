@@ -154,15 +154,6 @@ func (s *TimedStore) Fork(clock *Clock, threads int) *TimedStore {
 	return &TimedStore{inner: s.inner, profile: s.profile, clock: clock, threads: threads, m: s.m}
 }
 
-// SetThreads adjusts the assumed concurrency level for subsequent
-// accesses.
-func (s *TimedStore) SetThreads(threads int) {
-	if threads < 1 {
-		threads = 1
-	}
-	s.threads = threads
-}
-
 // ReadPage implements Store, charging one random-read latency.
 func (s *TimedStore) ReadPage(id PageID, buf []byte) error {
 	d := s.profile.RandomReadTime(1, s.threads)

@@ -347,33 +347,18 @@ func (t *Table) SecondaryBytes() int64 {
 	return 0
 }
 
-// DistinctCount estimates the number of distinct values in a column of
-// the main partition (dictionary size for MRCs, exact count for SSCG
-// columns via the delta's statistics when available).
+// DistinctCount estimates the number of distinct values in a column
+// of the current structure; see View.DistinctCount.
 func (t *Table) DistinctCount(col int) int {
-	if col < 0 || col >= t.schema.Len() {
-		return 0
-	}
 	v := t.peek()
-	n := v.main.distinct[col]
-	if d := v.active.DistinctCount(col); d > n {
-		n = d
-	}
-	if v.frozen != nil {
-		if d := v.frozen.DistinctCount(col); d > n {
-			n = d
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return v.DistinctCount(col)
 }
 
 // Selectivity returns the paper's selectivity estimate 1/n for the
 // column (Section II-B).
 func (t *Table) Selectivity(col int) float64 {
-	return 1 / float64(t.DistinctCount(col))
+	v := t.peek()
+	return v.Selectivity(col)
 }
 
 // Histogram returns the column's equi-depth histogram, or nil if the
@@ -385,14 +370,11 @@ func (t *Table) Histogram(col int) *histogram.Histogram {
 	return t.peek().main.hists[col]
 }
 
-// RangeSelectivity estimates the fraction of rows with lo <= col <= hi
-// using the column's histogram, falling back to the equi-predicate
-// estimate when no histogram exists.
+// RangeSelectivity estimates the fraction of rows with lo <= col <= hi;
+// see View.RangeSelectivity.
 func (t *Table) RangeSelectivity(col int, lo, hi value.Value) float64 {
-	if h := t.Histogram(col); h != nil {
-		return h.RangeSelectivity(lo, hi)
-	}
-	return t.Selectivity(col)
+	v := t.peek()
+	return v.RangeSelectivity(col, lo, hi)
 }
 
 // ColumnBytes estimates the DRAM footprint column col would occupy as

@@ -147,6 +147,38 @@ func (v *View) Active() *delta.Partition { return v.active }
 // Frozen.
 func (v *View) ActiveRows() int { return v.activeRows }
 
+// DistinctCount estimates the number of distinct values in a column:
+// the main partition's exact count (from its histogram build) or a
+// delta's running count, whichever is largest; at least 1, and 0 for a
+// column outside the schema.
+func (v *View) DistinctCount(col int) int {
+	if col < 0 || col >= len(v.main.distinct) {
+		return 0
+	}
+	n := max(v.main.distinct[col], v.active.DistinctCount(col), 1)
+	if v.frozen != nil {
+		n = max(n, v.frozen.DistinctCount(col))
+	}
+	return n
+}
+
+// Selectivity returns the paper's selectivity estimate 1/n for the
+// column (Section II-B).
+func (v *View) Selectivity(col int) float64 {
+	return 1 / float64(v.DistinctCount(col))
+}
+
+// RangeSelectivity estimates the fraction of rows with lo <= col <= hi
+// from the main partition's equi-depth histogram, falling back to the
+// equi-predicate estimate when the main partition is empty. The bounds
+// must have the column's type.
+func (v *View) RangeSelectivity(col int, lo, hi value.Value) float64 {
+	if col >= 0 && col < len(v.main.hists) && v.main.hists[col] != nil {
+		return v.main.hists[col].RangeSelectivity(lo, hi)
+	}
+	return v.Selectivity(col)
+}
+
 // locate routes a RowID — main rows first, then the frozen delta, then
 // the active one — to the delta partition holding it and the position
 // within. A nil partition means main row pos.

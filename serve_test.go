@@ -230,6 +230,51 @@ func TestServeTypedErrors(t *testing.T) {
 	}
 }
 
+// TestServeWrongTypedOperand is the wire twin of
+// TestWrongTypedOperandIsAnError: one well-formed OpSelect frame whose
+// operand does not match the column's type is answered with
+// StatusEngineErr (an untyped error carrying the engine's message) and
+// counted in server.errors, and the session — and the server process,
+// which recovers from nothing — lives on to answer the next request.
+func TestServeWrongTypedOperand(t *testing.T) {
+	db, err := Open(Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c, err := client.Dial(client.Config{Addr: db.ServerAddr(), PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateTable("t", []Field{{Name: "a", Type: Int64Type}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("t", []Value{Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats().Counters["server.errors"]
+	res, err := c.Select("t", []server.Predicate{client.Eq("a", String("x"))})
+	if err == nil {
+		t.Fatalf("Select with a String operand on an Int64 column = %+v, want an error", res)
+	}
+	if errors.Is(err, ErrOverloaded) || errors.Is(err, server.ErrDraining) || errors.Is(err, server.ErrProtocol) {
+		t.Errorf("error %v is typed as a server condition, want the engine's own (StatusEngineErr)", err)
+	}
+	if !strings.Contains(err.Error(), "has type string, want int64") {
+		t.Errorf("error %q does not carry the engine's message", err)
+	}
+	if got := db.Stats().Counters["server.errors"] - before; got != 1 {
+		t.Errorf("server.errors grew by %d, want 1", got)
+	}
+	if err := c.Ping(); err != nil {
+		t.Errorf("Ping on the same connection after the rejected Select: %v", err)
+	}
+	if res, err := c.Select("t", []server.Predicate{client.Eq("a", Int(1))}); err != nil || len(res.IDs) != 1 {
+		t.Errorf("well-typed Select afterwards = %+v, %v; want one row", res, err)
+	}
+}
+
 // TestServeCallerListener covers DB.Serve with a caller-owned listener.
 func TestServeCallerListener(t *testing.T) {
 	db, err := Open(Config{})

@@ -94,9 +94,6 @@ type Config struct {
 	// CacheFrames sizes the AMM page cache in 4 KB frames; 0 disables
 	// caching.
 	CacheFrames int
-	// Threads is the concurrency level assumed by the device timing
-	// model; defaults to 1.
-	Threads int
 	// Parallelism is the number of workers main-partition scans, probes
 	// and materialization are spread over; values <= 1 mean one worker,
 	// which runs inline on the querying goroutine. Every level runs the
@@ -226,9 +223,6 @@ type Config struct {
 	// wire trace header are always recorded — the sampling decision was
 	// made by the client. Unsampled requests cost nothing.
 	TraceSampleRate float64
-	// TraceSpanRingSize bounds the in-memory span ring; 0 selects
-	// trace.DefaultRingSize (4096 spans).
-	TraceSpanRingSize int
 
 	// walFS overrides the log's filesystem; tests inject the
 	// crash-injection FS here. Nil selects the real OS filesystem.
@@ -248,7 +242,6 @@ type DB struct {
 	store    storage.Store
 	cache    *amm.Cache
 	profile  device.Profile
-	threads  int
 	parallel int
 	registry *metrics.Registry
 	tables   map[string]*Table
@@ -284,9 +277,6 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
 	var base storage.Store
 	if cfg.PageFile != "" {
 		fs, err := storage.NewFileStore(cfg.PageFile)
@@ -298,7 +288,7 @@ func Open(cfg Config) (*DB, error) {
 		base = storage.NewMemStore()
 	}
 	clock := &storage.Clock{}
-	timed := storage.NewTimedStore(base, profile, clock, cfg.Threads)
+	timed := storage.NewTimedStore(base, profile, clock, 1)
 	var registry *metrics.Registry
 	if !cfg.DisableMetrics {
 		registry = metrics.NewRegistry()
@@ -320,7 +310,6 @@ func Open(cfg Config) (*DB, error) {
 		store:    timed,
 		cache:    cache,
 		profile:  profile,
-		threads:  cfg.Threads,
 		parallel: cfg.Parallelism,
 		registry: registry,
 		tables:   make(map[string]*Table),
@@ -335,7 +324,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db.tracer = trace.New(trace.Options{
 		SampleRate: cfg.TraceSampleRate,
-		RingSize:   cfg.TraceSpanRingSize,
 	})
 	if !cfg.DisableCapture {
 		size := cfg.TraceRingSize
@@ -505,7 +493,6 @@ func (db *DB) CreateTable(name string, fields []Field) (*Table, error) {
 func newExecutor(db *DB, inner *table.Table) *exec.Executor {
 	return exec.New(inner, exec.Options{
 		Clock:              db.clock,
-		Threads:            db.threads,
 		Parallelism:        db.parallel,
 		Registry:           db.registry,
 		TraceRing:          db.recent,
