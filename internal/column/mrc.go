@@ -7,6 +7,7 @@ package column
 
 import (
 	"fmt"
+	"slices"
 
 	"tierdb/internal/dict"
 	"tierdb/internal/value"
@@ -70,9 +71,8 @@ func (c *MRC) Get(i int) (value.Value, error) {
 // materialization).
 func (c *MRC) Code(i int) uint32 { return c.codes.Get(i) }
 
-// ScanEqual appends to out the positions equal to v, skipping rows for
-// which skip returns true (MVCC-invisible rows); skip may be nil.
-// Predicate evaluation happens on compressed codes.
+// ScanEqual appends to out the positions equal to v. Predicate
+// evaluation happens on compressed codes.
 func (c *MRC) ScanEqual(v value.Value, out []uint32, skip func(int) bool) ([]uint32, error) {
 	return c.ScanEqualIn(v, 0, c.codes.Len(), out, skip)
 }
@@ -87,7 +87,7 @@ func (c *MRC) ScanEqualIn(v value.Value, rowLo, rowHi int, out []uint32, skip fu
 	if !ok {
 		return out, nil // value absent: empty result
 	}
-	return c.codes.ScanEqualIn(code, rowLo, rowHi, out, skip), nil
+	return unmasked(c.codes.ScanEqualIn(code, rowLo, rowHi, out), len(out), skip), nil
 }
 
 // ScanRange appends positions with lo <= value <= hi to out.
@@ -100,12 +100,19 @@ func (c *MRC) ScanRangeIn(lo, hi value.Value, rowLo, rowHi int, out []uint32, sk
 	if lo.Type() != c.typ || hi.Type() != c.typ {
 		return nil, fmt.Errorf("column %q: range predicate types %s/%s, want %s", c.name, lo.Type(), hi.Type(), c.typ)
 	}
-	loCode := c.dict.LowerBound(lo)
-	hiCode := c.dict.UpperBound(hi)
-	if loCode >= hiCode {
-		return out, nil
+	loCode, hiCode := c.dict.LowerBound(lo), c.dict.UpperBound(hi)
+	return unmasked(c.codes.ScanRangeIn(loCode, hiCode, rowLo, rowHi, out), len(out), skip), nil
+}
+
+// unmasked drops from out[from:], the matches one scan appended, the
+// rows skip masks. The executor passes nil and filters the matches of a
+// morsel by MVCC visibility itself, under one lock hold; a non-nil skip
+// is applied here, after the kernel, so there is one kernel.
+func unmasked(out []uint32, from int, skip func(int) bool) []uint32 {
+	if skip == nil {
+		return out
 	}
-	return c.codes.ScanRangeIn(loCode, hiCode, rowLo, rowHi, out, skip), nil
+	return out[:from+len(slices.DeleteFunc(out[from:], func(pos uint32) bool { return skip(int(pos)) }))]
 }
 
 // ProbeEqual reports for each position in candidates whether the value

@@ -232,21 +232,17 @@ func (p *Partition) GetRow(pos int) ([]value.Value, error) {
 
 // ScanEqual appends positions (local to the delta) whose column equals v
 // and which are visible at (snapshot, self). It uses the B+-tree index,
-// the delta's fast value-retrieval path.
+// the delta's fast value-retrieval path, and checks the hits' visibility
+// under one hold of the version store's lock.
 func (p *Partition) ScanEqual(col int, v value.Value, snapshot mvcc.Timestamp, self mvcc.TxID, out []uint32) ([]uint32, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if col < 0 || col >= len(p.cols) {
 		return nil, fmt.Errorf("delta: column %d out of range (%d)", col, len(p.cols))
 	}
-	hits := p.cols[col].tree.Lookup(v)
-	p.cVisChecks.Add(int64(len(hits)))
-	for _, pos := range hits {
-		if p.versions.Visible(int(pos), snapshot, self) {
-			out = append(out, pos)
-		}
-	}
-	return out, nil
+	from := len(out)
+	out = append(out, p.cols[col].tree.Lookup(v)...)
+	return p.visible(out, from, snapshot, self), nil
 }
 
 // ScanRange appends visible positions with lo <= value <= hi.
@@ -256,37 +252,27 @@ func (p *Partition) ScanRange(col int, lo, hi value.Value, snapshot mvcc.Timesta
 	if col < 0 || col >= len(p.cols) {
 		return nil, fmt.Errorf("delta: column %d out of range (%d)", col, len(p.cols))
 	}
-	var checked int64
+	from := len(out)
 	p.cols[col].tree.Range(lo, hi, func(_ value.Value, positions []uint32) bool {
-		checked += int64(len(positions))
-		for _, pos := range positions {
-			if p.versions.Visible(int(pos), snapshot, self) {
-				out = append(out, pos)
-			}
-		}
+		out = append(out, positions...)
 		return true
 	})
-	p.cVisChecks.Add(checked)
-	return out, nil
+	return p.visible(out, from, snapshot, self), nil
+}
+
+// visible counts the index hits out[from:] as visibility checks and
+// drops the invisible ones in place.
+func (p *Partition) visible(out []uint32, from int, snapshot mvcc.Timestamp, self mvcc.TxID) []uint32 {
+	p.cVisChecks.Add(int64(len(out) - from))
+	return out[:from+len(p.versions.FilterVisible(out[from:], snapshot, self))]
 }
 
 // VisibleRows returns the positions of all rows visible at (snapshot,
 // self), in insertion order. Used by the merge process and full scans.
-func (p *Partition) VisibleRows(snapshot mvcc.Timestamp, self mvcc.TxID) []int {
-	p.mu.RLock()
-	n := 0
-	if len(p.cols) > 0 {
-		n = len(p.cols[0].codes)
-	}
-	p.mu.RUnlock()
+func (p *Partition) VisibleRows(snapshot mvcc.Timestamp, self mvcc.TxID) []uint32 {
+	n := p.Rows()
 	p.cVisChecks.Add(int64(n))
-	out := make([]int, 0, n)
-	for pos := 0; pos < n; pos++ {
-		if p.versions.Visible(pos, snapshot, self) {
-			out = append(out, pos)
-		}
-	}
-	return out
+	return p.versions.VisibleIn(0, n, snapshot, self, make([]uint32, 0, n))
 }
 
 // Bytes estimates the DRAM footprint of the delta (dictionaries, code

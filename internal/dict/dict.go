@@ -156,49 +156,60 @@ func (v *BitPacked) Bits() uint { return v.bitsPer }
 // Bytes returns the packed payload size in bytes.
 func (v *BitPacked) Bytes() int64 { return int64(len(v.words) * 8) }
 
-// ScanEqual appends to out the positions with code c, skipping positions
-// where skip reports true (used for MVCC-invisible rows); skip may be
-// nil. It returns out.
-func (v *BitPacked) ScanEqual(c uint32, out []uint32, skip func(int) bool) []uint32 {
-	return v.ScanEqualIn(c, 0, v.n, out, skip)
-}
-
-// ScanEqualIn appends positions in [rowLo, rowHi) with code c to out;
-// morsel-driven parallel scans call it with disjoint row ranges.
-func (v *BitPacked) ScanEqualIn(c uint32, rowLo, rowHi int, out []uint32, skip func(int) bool) []uint32 {
-	rowLo, rowHi = clampRange(rowLo, rowHi, v.n)
-	for i := rowLo; i < rowHi; i++ {
-		if v.Get(i) == c && (skip == nil || !skip(i)) {
-			out = append(out, uint32(i))
-		}
-	}
-	return out
-}
-
-// ScanRange appends positions with code in [lo, hi) to out.
-func (v *BitPacked) ScanRange(lo, hi uint32, out []uint32, skip func(int) bool) []uint32 {
-	return v.ScanRangeIn(lo, hi, 0, v.n, out, skip)
+// ScanEqualIn appends positions in [rowLo, rowHi) with code c to out.
+func (v *BitPacked) ScanEqualIn(c uint32, rowLo, rowHi int, out []uint32) []uint32 {
+	return v.scan(c, 1, rowLo, rowHi, out)
 }
 
 // ScanRangeIn appends positions in [rowLo, rowHi) with code in [lo, hi)
-// to out.
-func (v *BitPacked) ScanRangeIn(lo, hi uint32, rowLo, rowHi int, out []uint32, skip func(int) bool) []uint32 {
-	rowLo, rowHi = clampRange(rowLo, rowHi, v.n)
-	for i := rowLo; i < rowHi; i++ {
-		if c := v.Get(i); c >= lo && c < hi && (skip == nil || !skip(i)) {
-			out = append(out, uint32(i))
-		}
+// to out, in ascending order; morsel-driven parallel scans call it with
+// disjoint row ranges.
+func (v *BitPacked) ScanRangeIn(lo, hi uint32, rowLo, rowHi int, out []uint32) []uint32 {
+	if lo >= hi {
+		return out
 	}
-	return out
+	return v.scan(lo, hi-lo, rowLo, rowHi, out)
 }
 
-// clampRange bounds a half-open row range to [0, n).
-func clampRange(lo, hi, n int) (int, int) {
-	if lo < 0 {
-		lo = 0
+// scan is the one scan kernel: it appends the positions in [rowLo, rowHi)
+// whose code lies in [lo, lo+width). It walks the packed words carrying
+// (word, bit offset) forward by the code width instead of locating every
+// row from scratch, tests membership as one unsigned compare
+// (code-lo < width) and writes every position to out's tail, keeping it
+// only when it matched — no branch depends on the data, so a row costs
+// the same at any selectivity. out is grown by rowHi-rowLo up front; a
+// caller that reuses its buffer pays for that once.
+func (v *BitPacked) scan(lo, width uint32, rowLo, rowHi int, out []uint32) []uint32 {
+	rowLo, rowHi = max(rowLo, 0), min(rowHi, v.n)
+	if rowLo >= rowHi {
+		return out
 	}
-	if hi > n {
-		hi = n
+	n := len(out)
+	out = slices.Grow(out, rowHi-rowLo)[:n+rowHi-rowLo]
+	words, bits, mask := v.words, v.bitsPer, uint32(1)<<v.bitsPer-1
+	pos, endBit := uint(rowLo)*bits, uint(rowHi)*bits
+	w, off, row := pos/64, pos%64, uint32(rowLo)
+	for ; w*64 < endBit; w++ {
+		x := words[w]
+		// The codes that lie wholly in this word; in the last word of the
+		// range they stop where the range does.
+		end := min(64, endBit-w*64)
+		for ; off+bits <= end; off += bits {
+			out[n] = row
+			if uint32(x>>(off&63))&mask-lo < width { // off < 64: the mask spares the shift its overflow guard
+				n++
+			}
+			row++
+		}
+		if off < end { // one code straddles into the next word
+			out[n] = row
+			if uint32(x>>(off&63)|words[w+1]<<((64-off)&63))&mask-lo < width {
+				n++
+			}
+			row++
+			off += bits
+		}
+		off -= 64
 	}
-	return lo, hi
+	return out[:n]
 }

@@ -2,6 +2,7 @@ package dict
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -161,7 +162,7 @@ func TestBitPackedCrossesWordBoundaries(t *testing.T) {
 func TestScanEqualAndRange(t *testing.T) {
 	codes := []uint32{5, 1, 5, 3, 5, 2}
 	v := Pack(codes, 5)
-	got := v.ScanEqual(5, nil, nil)
+	got := v.ScanEqualIn(5, 0, v.Len(), nil)
 	want := []uint32{0, 2, 4}
 	if len(got) != len(want) {
 		t.Fatalf("ScanEqual = %v, want %v", got, want)
@@ -171,15 +172,10 @@ func TestScanEqualAndRange(t *testing.T) {
 			t.Fatalf("ScanEqual = %v, want %v", got, want)
 		}
 	}
-	got = v.ScanRange(2, 4, nil, nil)
+	got = v.ScanRangeIn(2, 4, 0, v.Len(), nil)
 	want = []uint32{3, 5}
 	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
 		t.Fatalf("ScanRange = %v, want %v", got, want)
-	}
-	// Skip function filters positions.
-	got = v.ScanEqual(5, nil, func(i int) bool { return i == 2 })
-	if len(got) != 2 || got[0] != 0 || got[1] != 4 {
-		t.Fatalf("ScanEqual with skip = %v", got)
 	}
 }
 
@@ -190,7 +186,7 @@ func TestDictionaryCodeRangePredicate(t *testing.T) {
 	packed := Pack(codes, uint32(d.Size()-1))
 	lo := d.LowerBound(value.NewInt(10))
 	hi := d.UpperBound(value.NewInt(25))
-	positions := packed.ScanRange(lo, hi, nil, nil)
+	positions := packed.ScanRangeIn(lo, hi, 0, packed.Len(), nil)
 	// Values in [10,25]: 15 (pos 0), 23 (pos 3), 16 (pos 6).
 	want := map[uint32]bool{0: true, 3: true, 6: true}
 	if len(positions) != len(want) {
@@ -201,4 +197,88 @@ func TestDictionaryCodeRangePredicate(t *testing.T) {
 			t.Fatalf("unexpected position %d", p)
 		}
 	}
+}
+
+// scanReference is the kernel's specification: a Get per row.
+func scanReference(v *BitPacked, lo, hi uint64, rowLo, rowHi int, out []uint32) []uint32 {
+	for i := max(rowLo, 0); i < min(rowHi, v.Len()); i++ {
+		if c := uint64(v.Get(i)); c >= lo && c < hi {
+			out = append(out, uint32(i))
+		}
+	}
+	return out
+}
+
+// checkScan compares ScanRangeIn and ScanEqualIn over [rowLo, rowHi)
+// with the reference, appending to a pre-filled out that must survive.
+func checkScan(t *testing.T, v *BitPacked, lo, hi uint32, rowLo, rowHi int) {
+	t.Helper()
+	prefix := []uint32{7, 7, 7}
+	want := scanReference(v, uint64(lo), uint64(hi), rowLo, rowHi, slices.Clone(prefix))
+	if got := v.ScanRangeIn(lo, hi, rowLo, rowHi, slices.Clone(prefix)); !slices.Equal(got, want) {
+		t.Fatalf("bits %d n %d: ScanRangeIn(%d, %d, %d, %d) = %v, want %v", v.Bits(), v.Len(), lo, hi, rowLo, rowHi, got, want)
+	}
+	want = scanReference(v, uint64(lo), uint64(lo)+1, rowLo, rowHi, slices.Clone(prefix))
+	if got := v.ScanEqualIn(lo, rowLo, rowHi, slices.Clone(prefix)); !slices.Equal(got, want) {
+		t.Fatalf("bits %d n %d: ScanEqualIn(%d, %d, %d) = %v, want %v", v.Bits(), v.Len(), lo, rowLo, rowHi, got, want)
+	}
+}
+
+// randomPacked packs n random codes of the given width.
+func randomPacked(rng *rand.Rand, width uint, n int) *BitPacked {
+	maxCode := uint32(1)<<width - 1
+	codes := make([]uint32, n)
+	for i := range codes {
+		codes[i] = rng.Uint32() & maxCode
+	}
+	return Pack(codes, maxCode)
+}
+
+// TestScanKernelMatchesGet holds the word-stepping kernel to the Get
+// loop for every code width, over row ranges that start and end
+// mid-word, end on the last partial word (rowHi == n), are empty or lie
+// outside the vector, and over code ranges that are empty (lo == hi),
+// reach the top of the code space and cover one code (Eq).
+func TestScanKernelMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for width := uint(1); width <= 32; width++ {
+		maxCode := uint32(1)<<width - 1
+		for _, n := range []int{0, 1, 63, 64, 65, 130, 1000} {
+			v := randomPacked(rng, width, n)
+			checkScan(t, v, 0, maxCode, 0, n) // hi == 1<<bits - 1; the full code space is below
+			checkScan(t, v, maxCode, maxCode, 0, n)
+			checkScan(t, v, 0, 0, -5, n+5)
+			for k := 0; k < 40; k++ {
+				rowLo := rng.Intn(n + 1)
+				rowHi := rowLo + rng.Intn(n+1-rowLo)
+				if k%4 == 0 {
+					rowHi = n
+				}
+				lo := rng.Uint32() & maxCode
+				hi := lo + uint32(rng.Int63n(int64(maxCode-lo)+1))
+				checkScan(t, v, lo, hi, rowLo, rowHi)
+			}
+			if width < 32 { // hi == 1<<bits: every code qualifies
+				checkScan(t, v, 0, maxCode+1, 3, n)
+			}
+		}
+	}
+}
+
+// FuzzBitPackedScan drives the kernel against the Get loop over
+// arbitrary widths, lengths, row ranges and code ranges.
+func FuzzBitPackedScan(f *testing.F) {
+	f.Add(uint8(1), uint16(0), uint16(0), uint16(0), uint32(0), uint32(1), int64(1))
+	f.Add(uint8(11), uint16(300), uint16(5), uint16(300), uint32(100), uint32(300), int64(2)) // ends on the last partial word
+	f.Add(uint8(17), uint16(130), uint16(63), uint16(65), uint32(9), uint32(9), int64(3))     // lo == hi, mid-word
+	f.Add(uint8(32), uint16(70), uint16(1), uint16(69), uint32(0), uint32(1<<32-1), int64(4))
+	f.Add(uint8(4), uint16(64), uint16(0), uint16(64), uint32(0), uint32(16), int64(5)) // hi == 1<<bits
+	f.Fuzz(func(t *testing.T, width uint8, n, rowLo, rowHi uint16, lo, hi uint32, seed int64) {
+		bits := uint(width%32) + 1
+		v := randomPacked(rand.New(rand.NewSource(seed)), bits, int(n%2048))
+		if bits < 32 {
+			lo, hi = lo%(1<<bits), hi%(1<<bits+1)
+		}
+		checkScan(t, v, lo, hi, int(rowLo), int(rowHi))
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"tierdb/internal/bptree"
@@ -82,9 +83,9 @@ type Options struct {
 	// (no goroutine is started). Every level runs the same pipeline and
 	// returns byte-identical results.
 	Parallelism int
-	// MorselRows is the number of main-partition rows per scan morsel;
-	// zero selects DefaultMorselRows. SSCG scan morsels are additionally
-	// aligned to page boundaries.
+	// MorselRows is the number of main-partition rows per scan morsel,
+	// rounded up to a multiple of 64; zero selects DefaultMorselRows.
+	// SSCG scan morsels are additionally aligned to page boundaries.
 	MorselRows int
 	// Registry receives executor metrics (access-path counts, scan-to-
 	// probe switchovers, morsels, rows, modeled DRAM time). Nil runs
@@ -127,6 +128,8 @@ type Executor struct {
 	slowThresh  time.Duration
 	selCapture  bool
 	m           execInstruments
+	// pool holds the scratch of finished queries for the next ones.
+	pool sync.Pool
 }
 
 // execInstruments holds the executor's registry handles, resolved once
@@ -197,12 +200,13 @@ func New(tbl *table.Table, opts Options) *Executor {
 		clock:       opts.Clock,
 		threshold:   opts.ProbeThreshold,
 		parallelism: opts.Parallelism,
-		morselRows:  opts.MorselRows,
+		morselRows:  (opts.MorselRows + 63) &^ 63,
 		recent:      opts.TraceRing,
 		slow:        opts.SlowRing,
 		slowThresh:  opts.SlowQueryThreshold,
 		selCapture:  !opts.DisableSelCapture,
 		m:           newExecInstruments(opts.Registry),
+		pool:        sync.Pool{New: func() any { return &scratch{ws: make([]worker, opts.Parallelism)} }},
 	}
 }
 
@@ -456,9 +460,10 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 
 	// One worker set serves the filters and the materialization; its
 	// modeled cost reaches the clocks once, before the trace reads them.
-	ws := e.newWorkers(v)
-	res, err := e.runPinned(v, ws, steps, q.Project, snapshot, self, tr)
-	e.settle(ws, tr)
+	sc := e.scratchFor(v)
+	res, err := e.runPinned(v, sc, steps, q.Project, reader{v.MainVersions(), snapshot, self}, tr)
+	e.settle(sc.ws, tr)
+	e.pool.Put(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -480,15 +485,25 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 	return res, nil
 }
 
+// reader is who a query reads as: the main partition's version store
+// and the (snapshot, transaction) every row is judged by. The zero
+// reader sees everything (collect filters nothing for it).
+type reader struct {
+	versions *mvcc.Versions
+	snapshot mvcc.Timestamp
+	self     mvcc.TxID
+}
+
 // runPinned filters both partitions of the pinned view, assembles the
 // RowIDs (main first, then delta offset by the main row count) and
-// materializes the projection.
-func (e *Executor) runPinned(v *table.View, ws []worker, steps []step, project []int, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) (*Result, error) {
-	mainIDs, err := e.runMain(v, ws, steps, snapshot, self, tr)
+// materializes the projection. The main positions live in sc and are
+// copied into the Result here, before sc goes back to the pool.
+func (e *Executor) runPinned(v *table.View, sc *scratch, steps []step, project []int, vis reader, tr *metrics.Trace) (*Result, error) {
+	mainIDs, err := e.runMain(v, sc, steps, vis, tr)
 	if err != nil {
 		return nil, err
 	}
-	deltaIDs, err := e.runDelta(v, steps, snapshot, self, tr)
+	deltaIDs, err := e.runDelta(v, steps, vis.snapshot, vis.self, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -501,7 +516,7 @@ func (e *Executor) runPinned(v *table.View, ws []worker, steps []step, project [
 		res.IDs = append(res.IDs, mainRows+uint64(p))
 	}
 	if len(project) > 0 {
-		if err := e.materialize(v, ws, res, project, tr); err != nil {
+		if err := e.materialize(v, sc, res, project, tr); err != nil {
 			return nil, err
 		}
 	}
@@ -681,55 +696,45 @@ func operate(ws []worker, tr *metrics.Trace, op metrics.OperatorTrace, kernel fu
 }
 
 // runMain evaluates the plan's steps over the main partition and
-// returns qualifying main-row positions in ascending order.
-func (e *Executor) runMain(v *table.View, ws []worker, steps []step, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
+// returns qualifying main-row positions in ascending order, in sc.cand.
+func (e *Executor) runMain(v *table.View, sc *scratch, steps []step, vis reader, tr *metrics.Trace) ([]uint32, error) {
 	mainRows := v.MainRows()
 	if mainRows == 0 {
 		return nil, nil
 	}
-	skip := func(row int) bool {
-		return !v.MainVersions().Visible(row, snapshot, self)
-	}
-	var cand []uint32
 	if len(steps) == 0 {
 		// No predicates: all visible rows qualify.
 		op := metrics.OperatorTrace{Name: "visible", Partition: "main", Column: -1, RowsIn: mainRows}
-		err := operate(ws, tr, op, func() (n int, err error) {
-			cand, err = collect(ws, morselCount(mainRows, e.morselRows), nil, func(_ *worker, m int) ([]uint32, error) {
-				var out []uint32
-				for row, hi := m*e.morselRows, min((m+1)*e.morselRows, mainRows); row < hi; row++ {
-					if !skip(row) {
-						out = append(out, uint32(row))
-					}
-				}
-				return out, nil
+		err := operate(sc.ws, tr, op, func() (n int, err error) {
+			sc.cand, err = collect(sc, morselCount(mainRows, e.morselRows), sc.cand, reader{}, func(_ *worker, m int, out []uint32) ([]uint32, error) {
+				return vis.versions.VisibleIn(m*e.morselRows, min((m+1)*e.morselRows, mainRows), vis.snapshot, vis.self, out), nil
 			})
 			e.m.rowsScanned.Add(int64(mainRows))
-			return len(cand), err
+			return len(sc.cand), err
 		})
-		return cand, err
+		return sc.cand, err
 	}
 	for i := range steps {
 		var err error
-		if cand, err = e.apply(v, ws, &steps[i], cand, i == 0, skip, tr); err != nil || len(cand) == 0 {
+		if sc.cand, err = e.apply(v, sc, &steps[i], sc.cand, i == 0, vis, tr); err != nil || len(sc.cand) == 0 {
 			return nil, err
 		}
 	}
-	return cand, nil
+	return sc.cand, nil
 }
 
 // apply evaluates one step over the main partition, narrowing the
-// candidate list (nil on the first step): it asks operatorFor which
-// kernel runs, given the candidate fraction observed so far, and hands
-// the work to it.
-func (e *Executor) apply(v *table.View, ws []worker, s *step, cand []uint32, first bool, skip func(int) bool, tr *metrics.Trace) (out []uint32, err error) {
+// candidate list (empty on the first step) in its own buffer: it asks
+// operatorFor which kernel runs, given the candidate fraction observed
+// so far, and hands the work to it.
+func (e *Executor) apply(v *table.View, sc *scratch, s *step, cand []uint32, first bool, vis reader, tr *metrics.Trace) (out []uint32, err error) {
 	mainRows := v.MainRows()
 	k, op := s.operatorFor(first, float64(len(cand))/float64(mainRows), e.threshold)
 	op.RowsIn = len(cand)
 	if first {
 		op.RowsIn = mainRows
 	}
-	err = operate(ws, tr, op, func() (int, error) {
+	err = operate(sc.ws, tr, op, func() (int, error) {
 		// in is what the kernel looked at: the predicate's observed
 		// selectivity is its matches out of that.
 		in := op.RowsIn
@@ -737,17 +742,17 @@ func (e *Executor) apply(v *table.View, ws []worker, s *step, cand []uint32, fir
 		case kernelIndex:
 			// Always DRAM-resident.
 			e.m.indexLookups.Inc()
-			out = e.indexLookup(s.index, s.pred, skip, tr)
+			out = e.indexLookup(s.index, s.pred, cand, vis, tr)
 		case kernelScanMRC:
 			// Full scan on the compressed DRAM column.
 			e.m.mrcScans.Inc()
 			e.m.rowsScanned.Add(int64(mainRows))
 			e.m.dramScanBytes.Add(s.mrc.Bytes())
-			out, err = e.scanMRC(ws, s.mrc, s.pred, mainRows, skip)
+			out, err = e.scanMRC(sc, s.mrc, s.pred, mainRows, cand, vis)
 		case kernelProbeMRC:
 			e.m.mrcProbes.Inc()
 			e.m.rowsScanned.Add(int64(len(cand)))
-			out, err = probeMRC(ws, s.mrc, s.pred, cand)
+			out, err = probeMRC(sc, s.mrc, s.pred, cand)
 		case kernelScanSSCG:
 			// Scan the whole group (reads every page); the candidates are
 			// intersected below, after the full-partition match count —
@@ -755,13 +760,15 @@ func (e *Executor) apply(v *table.View, ws []worker, s *step, cand []uint32, fir
 			in = mainRows
 			e.m.sscgScans.Inc()
 			e.m.rowsScanned.Add(int64(mainRows))
-			out, err = e.scanGroup(ws, v.Group().RowsPerPage(), s.field, matcher(s.pred), mainRows, skip)
+			// The matches go to the buffer's spare tail, past the candidates
+			// (none on the first step) they are intersected with.
+			out, err = e.scanGroup(sc, v.Group().RowsPerPage(), s.field, matcher(s.pred), mainRows, cand[len(cand):], vis)
 		case kernelProbeSSCG:
 			// Per-candidate page accesses beat a full scan.
 			e.m.sscgProbes.Inc()
 			e.m.switchovers.Inc()
 			e.m.rowsScanned.Add(int64(len(cand)))
-			out, err = probeGroup(ws, s.field, matcher(s.pred), cand)
+			out, err = probeGroup(sc, s.field, matcher(s.pred), cand)
 		}
 		if err != nil {
 			return 0, err
@@ -776,24 +783,25 @@ func (e *Executor) apply(v *table.View, ws []worker, s *step, cand []uint32, fir
 }
 
 // scanMRC is the MRC scan kernel: the first (DRAM-resident) predicate
-// evaluated morsel-wise on the compressed column.
-func (e *Executor) scanMRC(ws []worker, mrc *column.MRC, p Predicate, mainRows int, skip func(int) bool) ([]uint32, error) {
-	out, err := collect(ws, morselCount(mainRows, e.morselRows), nil, func(w *worker, m int) ([]uint32, error) {
+// evaluated morsel-wise on the compressed column; collect then drops a
+// morsel's matches vis cannot see.
+func (e *Executor) scanMRC(sc *scratch, mrc *column.MRC, p Predicate, mainRows int, dst []uint32, vis reader) ([]uint32, error) {
+	out, err := collect(sc, morselCount(mainRows, e.morselRows), dst, vis, func(w *worker, m int, out []uint32) ([]uint32, error) {
 		lo := m * e.morselRows
 		hi := min(lo+e.morselRows, mainRows)
 		w.scanned += hi - lo
 		if p.Op == Eq {
-			return mrc.ScanEqualIn(p.Value, lo, hi, nil, skip)
+			return mrc.ScanEqualIn(p.Value, lo, hi, out, nil)
 		}
-		return mrc.ScanRangeIn(p.Value, p.Hi, lo, hi, nil, skip)
+		return mrc.ScanRangeIn(p.Value, p.Hi, lo, hi, out, nil)
 	})
 	// Each worker streamed its share of the column's bytes with the
 	// others running concurrently: one latency charge per stream, and
 	// the whole column on one stream when there is one worker.
-	for i := range ws {
-		if w := &ws[i]; w.scanned > 0 {
+	for i := range sc.ws {
+		if w := &sc.ws[i]; w.scanned > 0 {
 			share := float64(w.scanned) / float64(mainRows)
-			w.dram += device.DRAM.SequentialReadTime(int64(share*float64(mrc.Bytes())), len(ws))
+			w.dram += device.DRAM.SequentialReadTime(int64(share*float64(mrc.Bytes())), len(sc.ws))
 			w.scanned = 0
 		}
 	}
@@ -802,64 +810,58 @@ func (e *Executor) scanMRC(ws []worker, mrc *column.MRC, p Predicate, mainRows i
 
 // probeMRC is the MRC probe kernel: it refines the candidate list
 // against a DRAM column, chunk-wise, one dependent access per candidate.
-// Like probeGroup it filters cand in place: a chunk's survivors are
-// written over the chunk's own head, never past a position already read.
-func probeMRC(ws []worker, mrc *column.MRC, p Predicate, cand []uint32) ([]uint32, error) {
-	n := chunkCount(len(cand), len(ws))
-	return collect(ws, n, cand[:0], func(w *worker, m int) ([]uint32, error) {
+// Like probeGroup it narrows cand in its own array: collect writes the
+// survivors over it once every chunk has been read.
+func probeMRC(sc *scratch, mrc *column.MRC, p Predicate, cand []uint32) ([]uint32, error) {
+	n := chunkCount(len(cand), len(sc.ws))
+	return collect(sc, n, cand, reader{}, func(w *worker, m int, out []uint32) ([]uint32, error) {
 		lo, hi := chunkBounds(len(cand), n, m)
 		w.touches += int64(hi - lo)
 		if p.Op == Eq {
-			return mrc.ProbeEqual(p.Value, cand[lo:hi], cand[lo:lo])
+			return mrc.ProbeEqual(p.Value, cand[lo:hi], out)
 		}
-		return mrc.ProbeRange(p.Value, p.Hi, cand[lo:hi], cand[lo:lo])
+		return mrc.ProbeRange(p.Value, p.Hi, cand[lo:hi], out)
 	})
 }
 
 // scanGroup is the SSCG scan kernel. Morsel boundaries align to page
 // boundaries so no page is read twice; device time flows through each
 // worker's view of the group onto that worker's clock.
-func (e *Executor) scanGroup(ws []worker, rowsPerPage, gf int, pred func(value.Value) bool, mainRows int, skip func(int) bool) ([]uint32, error) {
+func (e *Executor) scanGroup(sc *scratch, rowsPerPage, gf int, pred func(value.Value) bool, mainRows int, dst []uint32, vis reader) ([]uint32, error) {
 	align := max(rowsPerPage, 1) // page-spanning rows: every row owns its pages
 	morsel := (e.morselRows + align - 1) / align * align
-	return collect(ws, morselCount(mainRows, morsel), nil, func(w *worker, m int) ([]uint32, error) {
-		return w.group.ScanRows(gf, pred, m*morsel, min((m+1)*morsel, mainRows), nil, skip)
+	return collect(sc, morselCount(mainRows, morsel), dst, vis, func(w *worker, m int, out []uint32) ([]uint32, error) {
+		return w.group.ScanRows(gf, pred, m*morsel, min((m+1)*morsel, mainRows), out, nil)
 	})
 }
 
 // probeGroup is the SSCG probe kernel: one page access per candidate,
 // chunk-wise.
-func probeGroup(ws []worker, gf int, pred func(value.Value) bool, cand []uint32) ([]uint32, error) {
-	n := chunkCount(len(cand), len(ws))
-	return collect(ws, n, cand[:0], func(w *worker, m int) ([]uint32, error) {
+func probeGroup(sc *scratch, gf int, pred func(value.Value) bool, cand []uint32) ([]uint32, error) {
+	n := chunkCount(len(cand), len(sc.ws))
+	return collect(sc, n, cand, reader{}, func(w *worker, m int, out []uint32) ([]uint32, error) {
 		lo, hi := chunkBounds(len(cand), n, m)
-		return w.group.Probe(gf, pred, cand[lo:hi], cand[lo:lo])
+		return w.group.Probe(gf, pred, cand[lo:hi], out)
 	})
 }
 
 // indexLookup resolves a predicate through the column's B+-tree index,
-// returning visible matching positions in ascending row order. The
-// tree descent is DRAM-cheap and stays on the calling goroutine at any
-// worker count.
-func (e *Executor) indexLookup(idx *bptree.Tree, p Predicate, skip func(int) bool, tr *metrics.Trace) []uint32 {
-	var positions []uint32
-	collect := func(_ value.Value, rows []uint32) bool {
-		positions = append(positions, rows...)
-		return true
-	}
+// returning in dst[:0] the matching positions vis can see, in ascending
+// row order. The tree descent is DRAM-cheap and stays on the calling
+// goroutine at any worker count.
+func (e *Executor) indexLookup(idx *bptree.Tree, p Predicate, dst []uint32, vis reader, tr *metrics.Trace) []uint32 {
+	positions := dst[:0]
 	switch p.Op {
 	case Eq:
 		positions = append(positions, idx.Lookup(p.Value)...)
 	case Between:
-		idx.Range(p.Value, p.Hi, collect)
+		idx.Range(p.Value, p.Hi, func(_ value.Value, rows []uint32) bool {
+			positions = append(positions, rows...)
+			return true
+		})
 	}
 	e.chargeTouches(tr, 20+len(positions)) // tree descent + leaf reads
-	out := positions[:0]
-	for _, pos := range positions {
-		if !skip(int(pos)) {
-			out = append(out, pos)
-		}
-	}
+	out := vis.versions.FilterVisible(positions, vis.snapshot, vis.self)
 	slices.Sort(out)
 	return out
 }
@@ -922,13 +924,7 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 		return positions
 	}
 	if len(steps) == 0 {
-		rows := d.VisibleRows(snapshot, self)
-		out := make([]uint32, 0, len(rows))
-		for _, r := range rows {
-			if r < bound {
-				out = append(out, uint32(r))
-			}
-		}
+		out := inBound(d.VisibleRows(snapshot, self))
 		tr.Op(metrics.OperatorTrace{
 			Name: "visible", Partition: part, Column: -1,
 			RowsIn: bound, RowsOut: len(out),
@@ -987,7 +983,7 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 // chunk, so no merge is needed. For main-partition rows with
 // SSCG-placed projections, one group page access delivers all grouped
 // attributes of a row.
-func (e *Executor) materialize(v *table.View, ws []worker, res *Result, project []int, tr *metrics.Trace) error {
+func (e *Executor) materialize(v *table.View, sc *scratch, res *Result, project []int, tr *metrics.Trace) error {
 	mainRows := uint64(v.MainRows())
 	needGroup := false
 	for _, c := range project {
@@ -996,10 +992,10 @@ func (e *Executor) materialize(v *table.View, ws []worker, res *Result, project 
 		}
 	}
 	res.Rows = make([][]value.Value, len(res.IDs))
-	n := chunkCount(len(res.IDs), len(ws))
+	n := chunkCount(len(res.IDs), len(sc.ws))
 	op := metrics.OperatorTrace{Name: "materialize", Partition: "main", Column: -1, RowsIn: len(res.IDs)}
-	return operate(ws, tr, op, func() (int, error) {
-		err := runMorsels(ws, n, func(w *worker, m int) error {
+	return operate(sc.ws, tr, op, func() (int, error) {
+		err := runMorsels(sc, n, func(w *worker, m int) error {
 			lo, hi := chunkBounds(len(res.IDs), n, m)
 			for i := lo; i < hi; i++ {
 				id := res.IDs[i]
@@ -1038,9 +1034,9 @@ func (e *Executor) materialize(v *table.View, ws []worker, res *Result, project 
 }
 
 // intersect returns the sorted intersection of two ascending position
-// lists.
+// lists, written over the head of a.
 func intersect(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, min(len(a), len(b)))
+	out := a[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

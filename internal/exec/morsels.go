@@ -5,7 +5,7 @@
 // unit order. Every unit covers a disjoint ascending range, so the
 // merged output does not depend on the worker count. One worker runs
 // its units inline on the calling goroutine; that is the serial
-// executor.
+// executor. Of several workers the calling goroutine is the first.
 //
 // Cost accounting follows the same shape: every worker accumulates its
 // own modeled DRAM time and device reads, and settle charges the shared
@@ -16,6 +16,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +29,10 @@ import (
 
 // DefaultMorselRows is the number of main-partition rows per morsel.
 // Large enough to amortize dispatch, small enough that a query over a
-// million rows yields dozens of units for load balancing.
+// million rows yields dozens of units for load balancing. A morsel is a
+// multiple of 64 rows (New rounds Options.MorselRows up), so at any code
+// width it starts on a word boundary of the packed vector and no word is
+// read by two workers.
 const DefaultMorselRows = 16384
 
 // worker carries one worker's execution state for one query.
@@ -44,30 +48,54 @@ type worker struct {
 	dram    time.Duration // modeled DRAM streaming time
 	scanned int           // scratch: MRC rows scanned by the current operator
 	morsels int64         // units this worker pulled from the shared counter
+	// buf collects the positions this worker's units produced, unit after
+	// unit and operator after operator; it is emptied once per query.
+	buf []uint32
 }
 
-// newWorkers builds the worker set of one query. Workers view the
-// pinned snapshot's SSCG, not the table's live one, so a mid-query
-// merge swap is invisible. A single worker reads through the table's
-// own timed store; several workers each read through a fork charging a
-// private clock at the query's stream count, so the device model sees
-// the true concurrency and no clock is shared on the scan path.
-func (e *Executor) newWorkers(v *table.View) []worker {
-	ws := make([]worker, e.parallelism)
+// scratch is the memory one query's main-partition pipeline works in:
+// the workers with their position buffers, where each unit of the
+// current operator left its positions, and the candidate list one
+// operator hands the next. It is allocated while serving, lives in the
+// executor's pool between queries and is taken by one query at a time;
+// a Result never points into it (runPinned copies the ids out).
+type scratch struct {
+	ws    []worker
+	sched sched
+	units []span
+	cand  []uint32
+}
+
+// span is one unit's stretch w.buf[lo:hi] of its worker's positions.
+type span struct {
+	w      *worker
+	lo, hi int
+}
+
+// scratchFor takes a scratch from the pool and readies its workers for
+// one query. Workers view the pinned snapshot's SSCG, not the table's
+// live one, so a mid-query merge swap is invisible. A single worker
+// reads through the table's own timed store; several workers each read
+// through a fork charging a private clock at the query's stream count,
+// so the device model sees the true concurrency and no clock is shared
+// on the scan path. The caller returns the scratch with e.pool.Put.
+func (e *Executor) scratchFor(v *table.View) *scratch {
+	sc := e.pool.Get().(*scratch)
+	sc.cand = sc.cand[:0]
 	timed, _ := e.tbl.Store().(*storage.TimedStore)
-	for i := range ws {
-		w := &ws[i]
-		w.group = v.Group()
+	for i := range sc.ws {
+		w := &sc.ws[i]
+		*w = worker{group: v.Group(), buf: w.buf[:0]}
 		if timed == nil || w.group == nil {
 			continue
 		}
 		w.clock = timed.Clock()
-		if len(ws) > 1 {
+		if len(sc.ws) > 1 {
 			w.clock = &storage.Clock{}
-			w.group = w.group.WithBacking(timed.Fork(w.clock, len(ws)))
+			w.group = w.group.WithBacking(timed.Fork(w.clock, len(sc.ws)))
 		}
 	}
-	return ws
+	return sc
 }
 
 // settle charges the query's main-partition work to the shared clocks:
@@ -134,74 +162,91 @@ func readsOf(ws []worker) int64 {
 
 // runMorsels runs fn on units 0..n-1. One worker runs them in order on
 // the calling goroutine. Several workers each pull the next unit index
-// from a shared counter; the first error wins: it cancels the remaining
-// units, every worker drains promptly, and the error is returned only
-// after all workers have exited — no goroutine outlives the call.
-func runMorsels(ws []worker, n int, fn func(w *worker, m int) error) error {
-	if len(ws) == 1 {
+// from a shared counter — the calling goroutine as the first of them, so
+// an operator starts one goroutine fewer than it has workers; the first
+// error wins: it cancels the remaining units, every worker drains
+// promptly, and the error is returned only after all workers have
+// exited — no goroutine outlives the call.
+func runMorsels(sc *scratch, n int, fn func(w *worker, m int) error) error {
+	if len(sc.ws) == 1 {
 		for m := 0; m < n; m++ {
-			if err := fn(&ws[0], m); err != nil {
+			if err := fn(&sc.ws[0], m); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		once     sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for i := range ws {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			for !failed.Load() {
-				m := int(next.Add(1)) - 1
-				if m >= n {
-					return
-				}
-				w.morsels++
-				if err := fn(w, m); err != nil {
-					once.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}(&ws[i])
+	s := &sc.sched
+	s.n, s.fn, s.err, s.once = n, fn, nil, sync.Once{}
+	s.next.Store(0)
+	s.wg.Add(len(sc.ws))
+	for i := 1; i < len(sc.ws); i++ {
+		go s.pull(&sc.ws[i])
 	}
-	wg.Wait()
-	return firstErr
+	s.pull(&sc.ws[0])
+	s.wg.Wait()
+	s.fn = nil // the pooled scratch must not keep a query's closures, and what they hold, alive
+	return s.err
 }
 
-// collect runs kernel on units 0..n-1 and merges the position lists in
-// unit order, appending to dst (nil allocates). Every unit covers a
-// disjoint ascending range, so the concatenation is globally sorted —
-// the ordered-merge guarantee of the pipeline. The lists may be
-// sub-slices of dst's own array lying at or beyond the point they are
-// copied to, which is what filtering a candidate list in place yields.
-func collect(ws []worker, n int, dst []uint32, kernel func(w *worker, m int) ([]uint32, error)) ([]uint32, error) {
-	parts := make([][]uint32, n)
-	err := runMorsels(ws, n, func(w *worker, m int) (err error) {
-		parts[m], err = kernel(w, m)
-		return err
+// sched is what the workers of one runMorsels call share. It lives in
+// the scratch, so handing out an operator's units allocates nothing but
+// the goroutines.
+type sched struct {
+	n    int
+	fn   func(w *worker, m int) error
+	next atomic.Int64
+	once sync.Once
+	err  error
+	wg   sync.WaitGroup
+}
+
+// pull runs units on w until none is left or one has failed.
+func (s *sched) pull(w *worker) {
+	defer s.wg.Done()
+	for {
+		m := int(s.next.Add(1)) - 1
+		if m >= s.n {
+			return
+		}
+		w.morsels++
+		if err := s.fn(w, m); err != nil {
+			s.once.Do(func() { s.err = err })
+			s.next.Store(int64(s.n)) // hands out no further unit
+			return
+		}
+	}
+}
+
+// collect runs kernel on units 0..n-1 and returns their position lists
+// concatenated in unit order in dst[:0] (nil allocates). Every unit
+// covers a disjoint ascending range, so the concatenation is globally
+// sorted — the ordered-merge guarantee of the pipeline. kernel appends
+// unit m's positions to out, the tail of its worker's own buffer; with a
+// reader, the rows it cannot see are then dropped from that tail — one
+// lock hold per unit, one check per match. The buffers are stitched into
+// dst only after every unit has run, so dst may be the candidate list
+// the kernels are reading.
+func collect(sc *scratch, n int, dst []uint32, vis reader, kernel func(w *worker, m int, out []uint32) ([]uint32, error)) ([]uint32, error) {
+	sc.units = slices.Grow(sc.units[:0], n)[:n]
+	err := runMorsels(sc, n, func(w *worker, m int) error {
+		lo := len(w.buf)
+		out, err := kernel(w, m, w.buf)
+		if err != nil {
+			return err
+		}
+		if vis.versions != nil {
+			out = out[:lo+len(vis.versions.FilterVisible(out[lo:], vis.snapshot, vis.self))]
+		}
+		w.buf, sc.units[m] = out, span{w, lo, len(out)}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if n == 1 {
-		return parts[0], nil
-	}
-	if dst == nil {
-		total := 0
-		for _, p := range parts {
-			total += len(p)
-		}
-		dst = make([]uint32, 0, total)
-	}
-	for _, p := range parts {
-		dst = append(dst, p...)
+	dst = dst[:0]
+	for _, u := range sc.units {
+		dst = append(dst, u.w.buf[u.lo:u.hi]...)
 	}
 	return dst, nil
 }

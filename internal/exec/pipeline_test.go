@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -13,12 +15,15 @@ import (
 )
 
 // Allocation ceilings of the two Parallelism-1 shapes the wall-clock
-// benchmark leans on, measured on the last commit that still had a
-// separate serial executor. The single pipeline must run one inline
-// worker without paying for it in heap allocations.
+// benchmark leans on. With position lists in the executor's pooled
+// buffers the queries measure 6 and 7 (9 and 20 on the last commit that
+// had a separate serial executor): the Result and its ids, the rows, and
+// a closure or two per operator. The ceilings leave room for the race
+// detector, under which sync.Pool drops one Put in four and the scan
+// reads 8-9.
 const (
-	lookupAllocsCeiling  = 9  // indexed point lookup, 2 projected columns
-	mrcScanAllocsCeiling = 20 // MRC scan + MRC probe over 10 000 rows, ids only
+	lookupAllocsCeiling  = 7  // indexed point lookup, 2 projected columns
+	mrcScanAllocsCeiling = 10 // MRC scan + MRC probe over 10 000 rows, ids only
 )
 
 func TestInlineWorkerAllocs(t *testing.T) {
@@ -154,5 +159,57 @@ func TestMaterializeRecordSameAtAnyParallelism(t *testing.T) {
 	}
 	if one, four := record(1), record(4); one != four {
 		t.Errorf("materialize record differs:\n P1 %+v\n P4 %+v", one, four)
+	}
+}
+
+// TestPooledBuffersNeverAliasAResult checks that a Result owns its
+// memory: the position buffers a query worked in go back to the
+// executor's pool, later queries with many more matches, on every path
+// that fills those buffers, overwrite them, and the first query's ids
+// and rows must not change.
+func TestPooledBuffersNeverAliasAResult(t *testing.T) {
+	tbl, _ := newTable(t, 20000, []bool{true, true, true, false})
+	if err := tbl.CreateIndex(0); err != nil {
+		t.Fatal(err)
+	}
+	small := []Query{
+		{Predicates: []Predicate{{Column: 2, Op: Eq, Value: value.NewInt(42)}}, Project: []int{0, 2}},                           // MRC scan
+		{Predicates: []Predicate{{Column: 0, Op: Between, Value: value.NewInt(100), Hi: value.NewInt(120)}}, Project: []int{0}}, // index
+		{Predicates: []Predicate{{Column: 3, Op: Eq, Value: value.NewInt(7)}}},                                                  // SSCG scan
+		{Predicates: []Predicate{{Column: 1, Op: Eq, Value: value.NewInt(3)}, {Column: 3, Op: Eq, Value: value.NewInt(13)}}},    // MRC scan, SSCG scan + intersect
+		{Predicates: []Predicate{{Column: 2, Op: Eq, Value: value.NewInt(9)}, {Column: 1, Op: Eq, Value: value.NewInt(9)}}},     // MRC scan + probe
+		{Predicates: nil, Project: []int{1}}, // visible
+	}
+	big := []Query{
+		{Predicates: []Predicate{{Column: 1, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(8)}}},
+		{Predicates: []Predicate{{Column: 0, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(15000)}}},
+		{Predicates: []Predicate{{Column: 3, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(900)}}},
+		{Predicates: []Predicate{{Column: 1, Op: Between, Value: value.NewInt(1), Hi: value.NewInt(9)}, {Column: 3, Op: Between, Value: value.NewInt(5), Hi: value.NewInt(999)}}},
+		{},
+	}
+	for _, par := range []int{1, 2} {
+		e := New(tbl, Options{Parallelism: par, MorselRows: 1024})
+		for i, qa := range small {
+			a, err := e.Run(qa, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a.IDs) == 0 {
+				t.Fatalf("Parallelism %d: small query %d matched nothing", par, i)
+			}
+			ids, rows := slices.Clone(a.IDs), fmt.Sprint(a.Rows)
+			for _, qb := range big {
+				b, err := e.Run(qb, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(b.IDs) < 10000 {
+					t.Fatalf("Parallelism %d: an overwriting query matched only %d rows", par, len(b.IDs))
+				}
+			}
+			if !slices.Equal(a.IDs, ids) || fmt.Sprint(a.Rows) != rows {
+				t.Errorf("Parallelism %d: small query %d's result changed after later queries ran", par, i)
+			}
+		}
 	}
 }

@@ -535,21 +535,29 @@ func (v *Versions) Unsettled() bool {
 
 // Visible reports whether row is visible to a reader with the given
 // snapshot and transaction id (a transaction sees its own provisional
-// writes; self may be 0 for non-transactional readers).
+// writes; self may be 0 for non-transactional readers). It takes the
+// lock for one row: anything that asks about many rows uses
+// FilterVisible or VisibleIn.
 func (v *Versions) Visible(row int, snapshot Timestamp, self TxID) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
+	return v.visibleLocked(row, snapshot, self)
+}
+
+// visibleLocked is the one visibility rule; the caller holds v.mu.
+func (v *Versions) visibleLocked(row int, snapshot Timestamp, self TxID) bool {
 	if row < 0 || row >= len(v.begin) {
 		return false
 	}
-	begin, end := v.begin[row], v.end[row]
-	owner, intent := v.owner[row], v.intent[row]
-	// A pending delete intent by self hides the row from self.
-	if self != 0 && intent == self {
+	// A pending delete intent by self hides the row from self. A reader
+	// outside a transaction never looks at intent or owner: a scan then
+	// walks two of the four vectors.
+	if self != 0 && v.intent[row] == self {
 		return false
 	}
+	begin := v.begin[row]
 	if begin == 0 { // provisional insert
-		return self != 0 && owner == self
+		return self != 0 && v.owner[row] == self
 	}
 	if begin == Infinity { // aborted insert
 		return false
@@ -557,7 +565,36 @@ func (v *Versions) Visible(row int, snapshot Timestamp, self TxID) bool {
 	if begin > snapshot {
 		return false
 	}
-	return end > snapshot
+	return v.end[row] > snapshot
+}
+
+// FilterVisible keeps, in place and in order, the positions of pos that
+// are visible at (snapshot, self), under one lock hold. Scans call it
+// once per morsel on the rows that matched, so visibility costs a lock
+// per morsel and a check per match, not either per row.
+func (v *Versions) FilterVisible(pos []uint32, snapshot Timestamp, self TxID) []uint32 {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	out := pos[:0]
+	for _, p := range pos {
+		if v.visibleLocked(int(p), snapshot, self) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// VisibleIn appends to out the rows of [lo, hi) visible at (snapshot,
+// self), ascending, under one lock hold.
+func (v *Versions) VisibleIn(lo, hi int, snapshot Timestamp, self TxID, out []uint32) []uint32 {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	for row := max(lo, 0); row < min(hi, len(v.begin)); row++ {
+		if v.visibleLocked(row, snapshot, self) {
+			out = append(out, uint32(row))
+		}
+	}
+	return out
 }
 
 // LiveAt returns how many rows are visible at the given snapshot for a
@@ -567,7 +604,7 @@ func (v *Versions) LiveAt(snapshot Timestamp) int {
 	defer v.mu.RUnlock()
 	n := 0
 	for i := range v.begin {
-		if v.begin[i] != 0 && v.begin[i] <= snapshot && v.end[i] > snapshot {
+		if v.visibleLocked(i, snapshot, 0) {
 			n++
 		}
 	}

@@ -2,6 +2,8 @@ package mvcc
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -229,5 +231,106 @@ func TestConcurrentTransactions(t *testing.T) {
 	final := m.Begin()
 	if got := v.LiveAt(final.Snapshot()); got != writers*rowsPer {
 		t.Errorf("LiveAt = %d, want %d", got, writers*rowsPer)
+	}
+}
+
+// TestBatchedVisibilityMatchesVisible holds FilterVisible and VisibleIn
+// to the per-row rule over random version vectors covering every state
+// a row can be in, for a transactional and a non-transactional reader,
+// with out-of-range positions in the list.
+func TestBatchedVisibilityMatchesVisible(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const self, other, snapshot = TxID(7), TxID(8), Timestamp(50)
+	for round := 0; round < 50; round++ {
+		v := NewVersions()
+		n := rng.Intn(300)
+		for i := 0; i < n; i++ {
+			owner := []TxID{self, other}[rng.Intn(2)]
+			switch rng.Intn(7) {
+			case 0: // pending insert, by self or another
+				v.AppendPending(owner)
+			case 1: // aborted insert
+				v.AbortInsert(v.AppendPending(owner))
+			case 2: // committed before or after the snapshot
+				v.AppendCommitted(Timestamp(1 + rng.Intn(100)))
+			case 3: // deleted before or after the snapshot
+				v.AppendAt(Timestamp(1+rng.Intn(40)), Timestamp(41+rng.Intn(20)))
+			case 4: // delete intent, by self or another
+				if err := v.MarkDelete(v.AppendCommitted(10), owner); err != nil {
+					t.Fatal(err)
+				}
+			case 5: // self deleting its own pending insert
+				if err := v.MarkDelete(v.AppendPending(self), self); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				v.AppendCommitted(1)
+			}
+		}
+		for _, reader := range []TxID{0, self} {
+			var want, pos []uint32
+			for i := 0; i < n+10; i++ { // the last ten are out of range
+				if rng.Intn(3) > 0 {
+					continue
+				}
+				pos = append(pos, uint32(i))
+				if v.Visible(i, snapshot, reader) {
+					want = append(want, uint32(i))
+				}
+			}
+			if got := v.FilterVisible(pos, snapshot, reader); !slices.Equal(got, want) {
+				t.Fatalf("round %d reader %d: FilterVisible = %v, want %v", round, reader, got, want)
+			}
+			lo, hi := rng.Intn(n+1)-3, rng.Intn(n+1)+3
+			want = []uint32{99}
+			for i := max(lo, 0); i < hi; i++ {
+				if v.Visible(i, snapshot, reader) {
+					want = append(want, uint32(i))
+				}
+			}
+			if got := v.VisibleIn(lo, hi, snapshot, reader, []uint32{99}); !slices.Equal(got, want) {
+				t.Fatalf("round %d reader %d: VisibleIn(%d, %d) = %v, want %v", round, reader, lo, hi, got, want)
+			}
+		}
+	}
+}
+
+// TestFilterVisibleRacesWriters filters while another goroutine appends,
+// marks and commits deletes (run under -race). Rows committed before the
+// reader's snapshot and never deleted at or below it must all survive
+// every pass, whatever the writer is doing.
+func TestFilterVisibleRacesWriters(t *testing.T) {
+	v := NewVersions()
+	const rows = 2000
+	pos := make([]uint32, rows)
+	for i := range pos {
+		pos[i] = uint32(v.AppendCommitted(1))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rows; i++ {
+			if err := v.MarkDelete(i, 9); err != nil {
+				t.Error(err)
+				return
+			}
+			v.CommitDelete(i, Timestamp(10+i)) // after the reader's snapshot
+			v.AppendPending(9)
+		}
+	}()
+	buf := make([]uint32, rows)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		copy(buf, pos)
+		if got := v.FilterVisible(buf, 5, 0); len(got) != rows {
+			t.Fatalf("FilterVisible kept %d of %d rows live at the snapshot", len(got), rows)
+		}
+		if got := v.VisibleIn(0, v.Len(), 5, 0, buf[:0]); len(got) != rows {
+			t.Fatalf("VisibleIn found %d rows, want %d", len(got), rows)
+		}
 	}
 }

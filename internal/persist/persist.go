@@ -134,10 +134,7 @@ func SaveAt(w io.Writer, tbl *table.Table, snapshot mvcc.Timestamp) error {
 	v := tbl.Pin()
 	defer v.Release()
 	var rows [][]value.Value
-	for r := 0; r < v.MainRows(); r++ {
-		if !v.MainVersions().Visible(r, snapshot, 0) {
-			continue
-		}
+	for _, r := range v.MainVersions().VisibleIn(0, v.MainRows(), snapshot, 0, nil) {
 		tuple, err := v.GetTuple(uint64(r))
 		if err != nil {
 			return fmt.Errorf("persist: read main row %d: %w", r, err)
@@ -146,10 +143,10 @@ func SaveAt(w io.Writer, tbl *table.Table, snapshot mvcc.Timestamp) error {
 	}
 	collect := func(d *delta.Partition, bound int) error {
 		for _, pos := range d.VisibleRows(snapshot, 0) {
-			if pos >= bound {
+			if int(pos) >= bound {
 				continue
 			}
-			tuple, err := d.GetRow(pos)
+			tuple, err := d.GetRow(int(pos))
 			if err != nil {
 				return fmt.Errorf("persist: read delta row %d: %w", pos, err)
 			}

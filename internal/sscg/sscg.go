@@ -11,6 +11,7 @@ package sscg
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"tierdb/internal/amm"
@@ -344,8 +345,8 @@ func (g *Group) ReadField(row, field int) (value.Value, error) {
 }
 
 // Scan evaluates pred against every row's field, appending matching
-// positions to out; skip (may be nil) masks rows. It reads every page of
-// the group once — the expensive path the placement model avoids.
+// positions to out. It reads every page of the group once — the
+// expensive path the placement model avoids.
 func (g *Group) Scan(field int, pred func(value.Value) bool, out []uint32, skip func(int) bool) ([]uint32, error) {
 	return g.ScanRows(field, pred, 0, g.rows, out, skip)
 }
@@ -353,20 +354,19 @@ func (g *Group) Scan(field int, pred func(value.Value) bool, out []uint32, skip 
 // ScanRows evaluates pred against rows in [rowLo, rowHi), appending
 // matching positions to out in ascending row order. Morsel-driven
 // parallel scans call it with disjoint row ranges; ranges aligned to
-// RowsPerPage boundaries read every covered page exactly once.
+// RowsPerPage boundaries read every covered page exactly once. The
+// executor passes a nil skip and filters a morsel's matches by MVCC
+// visibility itself, under one lock hold; a non-nil skip masks rows out
+// of the matches after the scan, so there is one scan loop.
 func (g *Group) ScanRows(field int, pred func(value.Value) bool, rowLo, rowHi int, out []uint32, skip func(int) bool) ([]uint32, error) {
 	if err := g.checkField(field); err != nil {
 		return nil, err
 	}
-	if rowLo < 0 {
-		rowLo = 0
-	}
-	if rowHi > g.rows {
-		rowHi = g.rows
-	}
+	rowLo, rowHi = max(rowLo, 0), min(rowHi, g.rows)
 	if rowLo >= rowHi {
 		return out, nil
 	}
+	from := len(out)
 	fd := g.fields[field]
 	if g.pagesPerRow == 1 {
 		for pageIdx := rowLo / g.rowsPerPage; pageIdx <= (rowHi-1)/g.rowsPerPage; pageIdx++ {
@@ -375,9 +375,6 @@ func (g *Group) ScanRows(field int, pred func(value.Value) bool, rowLo, rowHi in
 			hi := min(first+g.rowsPerPage, rowHi)
 			err := g.readPage(g.pages[pageIdx], func(data []byte) error {
 				for row := lo; row < hi; row++ {
-					if skip != nil && skip(row) {
-						continue
-					}
 					off := (row-first)*g.rowWidth + g.offsets[field]
 					v, err := value.DecodeFixed(fd.Type, data[off:off+fd.SlotWidth()])
 					if err != nil {
@@ -393,21 +390,21 @@ func (g *Group) ScanRows(field int, pred func(value.Value) bool, rowLo, rowHi in
 				return nil, err
 			}
 		}
+	} else {
+		for row := rowLo; row < rowHi; row++ {
+			v, err := g.ReadField(row, field)
+			if err != nil {
+				return nil, err
+			}
+			if pred(v) {
+				out = append(out, uint32(row))
+			}
+		}
+	}
+	if skip == nil {
 		return out, nil
 	}
-	for row := rowLo; row < rowHi; row++ {
-		if skip != nil && skip(row) {
-			continue
-		}
-		v, err := g.ReadField(row, field)
-		if err != nil {
-			return nil, err
-		}
-		if pred(v) {
-			out = append(out, uint32(row))
-		}
-	}
-	return out, nil
+	return out[:from+len(slices.DeleteFunc(out[from:], func(pos uint32) bool { return skip(int(pos)) }))], nil
 }
 
 // Probe evaluates pred at the given candidate positions only, appending

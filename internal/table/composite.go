@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -69,10 +70,9 @@ func (v *View) LookupComposite(cols []int, key []value.Value, snapshot mvcc.Time
 		return nil, err
 	}
 	var out []RowID
-	for _, pos := range idx.tree.Lookup(value.NewString(enc)) {
-		if v.main.versions.Visible(int(pos), snapshot, self) {
-			out = append(out, RowID(pos))
-		}
+	// Lookup's slice is the tree's own: filter a copy.
+	for _, pos := range v.main.versions.FilterVisible(slices.Clone(idx.tree.Lookup(value.NewString(enc))), snapshot, self) {
+		out = append(out, RowID(pos))
 	}
 	probe := func(d *delta.Partition, base uint64, bound int) error {
 		cand, err := d.ScanEqual(cols[0], key[0], snapshot, self, nil)

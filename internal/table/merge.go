@@ -191,7 +191,8 @@ func (t *Table) rebuild(st *mergeState) (*rebuilt, error) {
 		begins = append(begins, rs.Begin)
 	}
 	fv := st.frozen.Versions()
-	for _, pos := range st.frozen.VisibleRows(st.snapshot, 0) {
+	for _, p := range st.frozen.VisibleRows(st.snapshot, 0) {
+		pos := int(p)
 		if pos >= st.frozenRows {
 			break // physical rows are fixed at freeze; defensive
 		}
@@ -355,18 +356,15 @@ func (t *Table) MergeOffline() error {
 	old := t.main
 	snapshot := t.mgr.LastCommit()
 	var rows [][]value.Value
-	for row := 0; row < old.rows; row++ {
-		if !old.versions.Visible(row, snapshot, 0) {
-			continue
-		}
-		tuple, err := old.tuple(row)
+	for _, row := range old.versions.VisibleIn(0, old.rows, snapshot, 0, nil) {
+		tuple, err := old.tuple(int(row))
 		if err != nil {
 			return fmt.Errorf("table %s: merge read main row %d: %w", t.name, row, err)
 		}
 		rows = append(rows, tuple)
 	}
 	for _, pos := range t.delta.VisibleRows(snapshot, 0) {
-		tuple, err := t.delta.GetRow(pos)
+		tuple, err := t.delta.GetRow(int(pos))
 		if err != nil {
 			return fmt.Errorf("table %s: merge read delta row %d: %w", t.name, pos, err)
 		}

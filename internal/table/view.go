@@ -214,17 +214,12 @@ func (v *View) Visible(id RowID, snapshot mvcc.Timestamp, self mvcc.TxID) bool {
 // agree: the first counts a straggler in the frozen delta and stops at
 // activeRows, the second finds it re-based into the active delta.
 func (v *View) VisibleCount(snapshot mvcc.Timestamp) int {
-	n := 0
-	for row := 0; row < v.main.rows; row++ {
-		if v.main.versions.Visible(row, snapshot, 0) {
-			n++
-		}
-	}
+	n := v.main.versions.LiveAt(snapshot)
 	if v.frozen != nil {
 		n += len(v.frozen.VisibleRows(snapshot, 0))
 	}
 	for _, pos := range v.active.VisibleRows(snapshot, 0) {
-		if pos >= v.activeRows {
+		if int(pos) >= v.activeRows {
 			break
 		}
 		n++

@@ -72,6 +72,8 @@ func (pc *PlanCache) RecordN(columns []int, n float64) {
 	var colBuf [8]int
 	cols := append(colBuf[:0], columns...)
 	slices.Sort(cols)
+	// A plan is a column set: two predicates on one column name it once.
+	cols = slices.Compact(cols)
 	var keyBuf [64]byte
 	key := appendKey(keyBuf[:0], cols)
 	pc.mu.Lock()

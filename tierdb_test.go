@@ -114,6 +114,30 @@ func TestSelectFeedsPlanCache(t *testing.T) {
 	}
 }
 
+// TestTwoPredicatesOnOneColumn pins that a plan is a column set: a
+// query filtering one column twice records that column once, so the
+// advisor and EXPLAIN ANALYZE, which build the solver's input from the
+// plan cache, keep working on the table afterwards.
+func TestTwoPredicatesOnOneColumn(t *testing.T) {
+	_, tbl := openLoaded(t, 50)
+	p1, _ := tbl.Between("id", Int(0), Int(30))
+	p2, _ := tbl.Eq("id", Int(7))
+	res, err := tbl.Select(nil, []Predicate{p1, p2})
+	if err != nil || len(res.IDs) != 1 {
+		t.Fatalf("Select = %+v, %v; want one row", res, err)
+	}
+	plans := tbl.PlanCache().Plans()
+	if len(plans) != 1 || len(plans[0].Columns) != 1 {
+		t.Fatalf("plans = %+v, want one plan over one column", plans)
+	}
+	if _, err := tbl.Advise(AdvisorQuery{}); err != nil {
+		t.Errorf("Advise after the query: %v", err)
+	}
+	if _, _, err := tbl.SelectExplained(nil, []Predicate{p1, p2}); err != nil {
+		t.Errorf("EXPLAIN ANALYZE of the query: %v", err)
+	}
+}
+
 func TestRecommendAndApplyLayout(t *testing.T) {
 	_, tbl := openLoaded(t, 2000)
 	p1, _ := tbl.Eq("region", Int(1))
