@@ -16,7 +16,7 @@ import (
 // executor, the clock, and a hit-rate probe.
 func buildCachedORDERLINE(cacheFraction float64) (*table.Table, *exec.Executor, *storage.Clock, func() float64, error) {
 	clock := &storage.Clock{}
-	timed := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock, 1)
+	timed := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock)
 	// Size the cache against the expected SSCG page count; build the
 	// table first without a cache to learn it, then rebuild with one.
 	probe, err := tpcc.BuildOrderLine(tpcc.Config{Warehouses: 4, OrdersPerDistrict: 40},

@@ -121,7 +121,7 @@ func benchTable(b *testing.B, rows int, layout []bool) (*table.Table, *exec.Exec
 		{Name: "payload", Type: value.String, Width: 32},
 	})
 	clock := &storage.Clock{}
-	store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock, 1)
+	store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock)
 	tbl, err := table.New("bench", s, table.Options{Store: store})
 	if err != nil {
 		b.Fatal(err)
@@ -391,7 +391,7 @@ func BenchmarkAblationProbeThreshold(b *testing.B) {
 	for _, threshold := range []float64{1.0, 0.01, exec.DefaultProbeThreshold} {
 		b.Run(fmt.Sprintf("threshold=%g", threshold), func(b *testing.B) {
 			clock := &storage.Clock{}
-			store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock, 1)
+			store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock)
 			tbl, err := tpcc.BuildOrderLine(tpcc.Config{Warehouses: 4, OrdersPerDistrict: 40},
 				table.Options{Store: store}, tpcc.LayoutForBudget(0.2))
 			if err != nil {
@@ -507,13 +507,13 @@ func BenchmarkAblationSSCGVsDSM(b *testing.B) {
 
 	rowClock := &storage.Clock{}
 	rowGroup, err := sscg.Build(fields, rows,
-		storage.NewTimedStore(storage.NewMemStore(), device.XPoint, rowClock, 1), nil)
+		storage.NewTimedStore(storage.NewMemStore(), device.XPoint, rowClock), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	dsmClock := &storage.Clock{}
 	dsmGroup, err := dsm.Build(fields, rows,
-		storage.NewTimedStore(storage.NewMemStore(), device.XPoint, dsmClock, 1), nil)
+		storage.NewTimedStore(storage.NewMemStore(), device.XPoint, dsmClock), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -141,9 +141,9 @@ func (c *Cache) Get(id storage.PageID) ([]byte, bool, error) {
 }
 
 // GetVia is Get with the fault IO routed through the given store
-// (nil selects the cache's backing store). Parallel scan workers pass
-// per-worker timed views of the same device so that fault latencies are
-// charged to per-worker clocks; the cached frames stay shared.
+// (nil selects the cache's backing store). The executor's workers pass
+// stores that count the faults they cause, so each query is charged for
+// its own misses; the cached frames stay shared.
 func (c *Cache) GetVia(id storage.PageID, backing storage.Store) ([]byte, bool, error) {
 	if backing == nil {
 		backing = c.backing

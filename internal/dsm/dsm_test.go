@@ -62,7 +62,7 @@ func TestBuildAndReadRoundTrip(t *testing.T) {
 func TestScanTouchesOnlyFieldRun(t *testing.T) {
 	fields, rows := makeRows(10000, 10)
 	clock := &storage.Clock{}
-	store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock, 1)
+	store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock)
 	g, err := Build(fields, rows, store, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -94,14 +94,14 @@ func TestDSMVsSSCGTradeoff(t *testing.T) {
 	fields, rows := makeRows(5000, width)
 
 	dsmClock := &storage.Clock{}
-	dsmStore := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, dsmClock, 1)
+	dsmStore := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, dsmClock)
 	dsmGroup, err := Build(fields, rows, dsmStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rowClock := &storage.Clock{}
-	rowStore := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, rowClock, 1)
+	rowStore := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, rowClock)
 	rowGroup, err := sscg.Build(fields, rows, rowStore, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -213,9 +213,9 @@ func New(tbl *table.Table, opts Options) *Executor {
 // Parallelism returns the configured worker count (1 = inline).
 func (e *Executor) Parallelism() int { return e.parallelism }
 
-// charge adds modeled DRAM time to the clock, the exec.dram_ns counter
-// and the active trace (tr may be nil).
-func (e *Executor) charge(tr *metrics.Trace, d time.Duration) {
+// charge adds modeled DRAM time to the clock and the exec.dram_ns
+// counter.
+func (e *Executor) charge(d time.Duration) {
 	if d <= 0 {
 		return
 	}
@@ -223,13 +223,12 @@ func (e *Executor) charge(tr *metrics.Trace, d time.Duration) {
 		e.clock.Advance(d)
 	}
 	e.m.dramNs.Add(int64(d))
-	tr.AddDRAM(int64(d))
 }
 
 // chargeTouches charges n dependent DRAM accesses.
-func (e *Executor) chargeTouches(tr *metrics.Trace, n int) {
+func (e *Executor) chargeTouches(n int) {
 	if n > 0 {
-		e.charge(tr, time.Duration(n)*DefaultDRAMTouch)
+		e.charge(time.Duration(n) * DefaultDRAMTouch)
 	}
 }
 
@@ -256,9 +255,8 @@ func (e *Executor) RunCtx(ctx context.Context, q Query, tx *mvcc.Tx) (*Result, e
 // RunTraced is Run with per-query tracing: the returned Trace records
 // the filter ordering chosen, per-operator access paths (including
 // scan-to-probe switchovers), morsels per worker, rows qualified and
-// the modeled cost split per device. The trace's device attribution
-// assumes no concurrent query shares the executor's clock; the trace
-// is partially filled when an error is returned. When trace rings are
+// the modeled cost split per device, all of it this query's own; the
+// trace is partially filled when an error is returned. When trace rings are
 // configured, the trace also enters the recent ring (and the slow ring
 // if the wall-clock duration reaches the slow-query threshold).
 func (e *Executor) RunTraced(q Query, tx *mvcc.Tx) (*Result, *metrics.Trace, error) {
@@ -361,15 +359,6 @@ func (e *Executor) newTrace() *metrics.Trace {
 	return tr
 }
 
-// deviceClock returns the clock the table's timed store charges, nil
-// for an untimed store.
-func (e *Executor) deviceClock() *storage.Clock {
-	if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
-		return timed.Clock()
-	}
-	return nil
-}
-
 // capture publishes a finished query's trace into the recent ring and,
 // past the slow-query threshold, the slow ring. No-op without rings.
 func (e *Executor) capture(tr *metrics.Trace, start time.Time, wall time.Duration, err error, span *trace.Span) {
@@ -443,26 +432,15 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 		return nil, err
 	}
 	e.m.queries.Inc()
-
-	// Snapshot the device clock so the trace can attribute modeled
-	// cost and page reads to this query.
-	var devClock *storage.Clock
-	var reads0 int64
-	var elapsed0 time.Duration
-	if tr != nil {
-		if devClock = e.deviceClock(); devClock != nil {
-			reads0, elapsed0 = devClock.Reads(), devClock.Elapsed()
-		}
-		for i := range steps {
-			tr.Predicate(steps[i].trace())
-		}
+	for i := range steps {
+		tr.Predicate(steps[i].trace())
 	}
 
-	// One worker set serves the filters and the materialization; its
-	// modeled cost reaches the clocks once, before the trace reads them.
+	// One worker set serves the filters and the materialization; the
+	// query's modeled cost reaches the clocks and the trace in settle.
 	sc := e.scratchFor(v)
 	res, err := e.runPinned(v, sc, steps, q.Project, reader{v.MainVersions(), snapshot, self}, tr)
-	e.settle(sc.ws, tr)
+	e.settle(sc, tr)
 	e.pool.Put(sc)
 	if err != nil {
 		return nil, err
@@ -470,17 +448,6 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 	e.m.rowsQualified.Add(int64(len(res.IDs)))
 	if tr != nil {
 		tr.RowsQualified = len(res.IDs)
-		if devClock != nil {
-			tr.PageReads = devClock.Reads() - reads0
-			total := int64(devClock.Elapsed() - elapsed0)
-			if devClock == e.clock {
-				// Shared clock (the tierdb default): the delta includes
-				// the DRAM charges this query made; split them out.
-				tr.DeviceNs = max(total-tr.DRAMNs, 0)
-			} else {
-				tr.DeviceNs = total
-			}
-		}
 	}
 	return res, nil
 }
@@ -503,7 +470,7 @@ func (e *Executor) runPinned(v *table.View, sc *scratch, steps []step, project [
 	if err != nil {
 		return nil, err
 	}
-	deltaIDs, err := e.runDelta(v, steps, vis.snapshot, vis.self, tr)
+	deltaIDs, err := runDelta(v, sc, steps, vis.snapshot, vis.self, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -675,22 +642,17 @@ func (s *step) operatorFor(first bool, fraction, threshold float64) (kernel, met
 
 // operate runs one main-partition operator and records it. What every
 // operator reports the same way is measured here and nowhere else: the
-// morsels it fanned out, the device page reads it caused (attributed
-// only under a trace) and, through tr.Op, its wall-clock interval.
-// kernel returns the operator's output cardinality.
+// morsels it fanned out, the device page reads its workers made and,
+// through tr.Op, its wall-clock interval. kernel returns the operator's
+// output cardinality.
 func operate(ws []worker, tr *metrics.Trace, op metrics.OperatorTrace, kernel func() (int, error)) error {
-	morsels, reads := morselsOf(ws), int64(0)
-	if tr != nil {
-		reads = readsOf(ws)
-	}
+	morsels0, reads0 := tally(ws)
 	out, err := kernel()
 	if err != nil {
 		return err
 	}
-	op.RowsOut, op.Morsels = out, int(morselsOf(ws)-morsels)
-	if tr != nil {
-		op.PageReads = max(readsOf(ws)-reads, 0)
-	}
+	morsels, reads := tally(ws)
+	op.RowsOut, op.Morsels, op.PageReads = out, int(morsels-morsels0), reads-reads0
 	tr.Op(op)
 	return nil
 }
@@ -742,7 +704,7 @@ func (e *Executor) apply(v *table.View, sc *scratch, s *step, cand []uint32, fir
 		case kernelIndex:
 			// Always DRAM-resident.
 			e.m.indexLookups.Inc()
-			out = e.indexLookup(s.index, s.pred, cand, vis, tr)
+			out = indexLookup(sc, s.index, s.pred, cand, vis)
 		case kernelScanMRC:
 			// Full scan on the compressed DRAM column.
 			e.m.mrcScans.Inc()
@@ -825,8 +787,8 @@ func probeMRC(sc *scratch, mrc *column.MRC, p Predicate, cand []uint32) ([]uint3
 }
 
 // scanGroup is the SSCG scan kernel. Morsel boundaries align to page
-// boundaries so no page is read twice; device time flows through each
-// worker's view of the group onto that worker's clock.
+// boundaries so no page is read twice; each worker reads through its
+// own view of the group, which counts the pages it reads.
 func (e *Executor) scanGroup(sc *scratch, rowsPerPage, gf int, pred func(value.Value) bool, mainRows int, dst []uint32, vis reader) ([]uint32, error) {
 	align := max(rowsPerPage, 1) // page-spanning rows: every row owns its pages
 	morsel := (e.morselRows + align - 1) / align * align
@@ -849,7 +811,7 @@ func probeGroup(sc *scratch, gf int, pred func(value.Value) bool, cand []uint32)
 // returning in dst[:0] the matching positions vis can see, in ascending
 // row order. The tree descent is DRAM-cheap and stays on the calling
 // goroutine at any worker count.
-func (e *Executor) indexLookup(idx *bptree.Tree, p Predicate, dst []uint32, vis reader, tr *metrics.Trace) []uint32 {
+func indexLookup(sc *scratch, idx *bptree.Tree, p Predicate, dst []uint32, vis reader) []uint32 {
 	positions := dst[:0]
 	switch p.Op {
 	case Eq:
@@ -860,7 +822,7 @@ func (e *Executor) indexLookup(idx *bptree.Tree, p Predicate, dst []uint32, vis 
 			return true
 		})
 	}
-	e.chargeTouches(tr, 20+len(positions)) // tree descent + leaf reads
+	sc.serial += int64(20 + len(positions)) // tree descent + leaf reads
 	out := vis.versions.FilterVisible(positions, vis.snapshot, vis.self)
 	slices.Sort(out)
 	return out
@@ -880,17 +842,18 @@ func matcher(p Predicate) func(value.Value) bool {
 // an online merge the delta is split: the frozen partition (being folded
 // into the new main) comes first in RowID order, then the active
 // partition offset by the frozen row count — matching View.Visible's
-// routing, so RowIDs assembled by run() resolve consistently.
-func (e *Executor) runDelta(v *table.View, steps []step, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
+// routing, so RowIDs assembled by run() resolve consistently. Its DRAM
+// touches are made on the calling goroutine alone and go to sc.serial.
+func runDelta(v *table.View, sc *scratch, steps []step, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
 	var out []uint32
 	if fz := v.Frozen(); fz != nil {
-		ids, err := e.runDeltaPart(fz, v.FrozenRows(), 0, "delta.frozen", steps, snapshot, self, tr)
+		ids, err := runDeltaPart(sc, fz, v.FrozenRows(), 0, "delta.frozen", steps, snapshot, self, tr)
 		if err != nil {
 			return nil, err
 		}
 		out = ids
 	}
-	ids, err := e.runDeltaPart(v.Active(), v.ActiveRows(), uint32(v.FrozenRows()), "delta", steps, snapshot, self, tr)
+	ids, err := runDeltaPart(sc, v.Active(), v.ActiveRows(), uint32(v.FrozenRows()), "delta", steps, snapshot, self, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -902,7 +865,7 @@ func (e *Executor) runDelta(v *table.View, steps []step, snapshot mvcc.Timestamp
 // for the active delta, which keeps growing underneath us); offset
 // shifts the returned positions into the view's combined delta RowID
 // space.
-func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, part string, steps []step, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
+func runDeltaPart(sc *scratch, d *delta.Partition, bound int, offset uint32, part string, steps []step, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
 	if bound == 0 {
 		return nil, nil
 	}
@@ -946,7 +909,7 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 				return nil, err
 			}
 			cand = inBound(cand)
-			e.chargeTouches(tr, 20+len(cand))
+			sc.serial += int64(20 + len(cand))
 			tr.Op(metrics.OperatorTrace{
 				Name: "scan", Partition: part, Path: "index", Column: p.Column,
 				RowsIn: bound, RowsOut: len(cand),
@@ -964,7 +927,7 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 				}
 			}
 			cand = out
-			e.chargeTouches(tr, len(cand))
+			sc.serial += int64(len(cand))
 			tr.Op(metrics.OperatorTrace{
 				Name: "probe", Partition: part, Column: p.Column,
 				RowsIn: in, RowsOut: len(cand),

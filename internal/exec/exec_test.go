@@ -23,7 +23,7 @@ func newTable(t *testing.T, n int, layout []bool) (*table.Table, *storage.Clock)
 		{Name: "c", Type: value.Int64},
 	})
 	clock := &storage.Clock{}
-	store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock, 1)
+	store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock)
 	tbl, err := table.New("t", s, table.Options{Store: store})
 	if err != nil {
 		t.Fatal(err)

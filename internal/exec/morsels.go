@@ -7,12 +7,13 @@
 // its units inline on the calling goroutine; that is the serial
 // executor. Of several workers the calling goroutine is the first.
 //
-// Cost accounting follows the same shape: every worker accumulates its
-// own modeled DRAM time and device reads, and settle charges the shared
-// clocks once per query with the query's modeled wall-clock — the
-// slowest worker, which under morsel-balanced scheduling is the
-// per-worker mean — while page-read counts sum. See Clock.Absorb for
-// why the mean stands in for the maximum.
+// Cost accounting follows the same shape at every worker count: each
+// worker counts its own DRAM work and the device pages it reads through
+// its own view of the pinned SSCG, and settle charges the query once —
+// DRAM time and device time at the modeled wall-clock (the per-worker
+// share; see TimedStore.ChargeReads for why the mean stands in for the
+// slowest worker), page reads in full. Nothing is charged while the
+// query runs, so a query's trace holds its own reads and no one else's.
 package exec
 
 import (
@@ -37,33 +38,53 @@ const DefaultMorselRows = 16384
 
 // worker carries one worker's execution state for one query.
 type worker struct {
-	// clock is the device clock this worker's page reads land on: the
-	// table's own when the worker has the device to itself, a private
-	// fork (merged by settle) when workers share it, nil when no read
-	// can be timed.
-	clock *storage.Clock
-	// group is the pinned snapshot's SSCG as this worker reads it.
-	group   *sscg.Group
-	touches int64         // dependent DRAM accesses performed
-	dram    time.Duration // modeled DRAM streaming time
-	scanned int           // scratch: MRC rows scanned by the current operator
-	morsels int64         // units this worker pulled from the shared counter
+	// group is the pinned snapshot's SSCG as this worker reads it: its
+	// view on a timed table, the group itself otherwise.
+	group *sscg.Group
+	// view is viewOf read through store, which reads the device's untimed
+	// side and counts into reads. It is kept across queries and rebuilt
+	// only when the table's group changes, so between queries a pooled
+	// worker still holds the last group it read — after a merge swap, a
+	// retired group's layout and page ids, not its pages.
+	view, viewOf *sscg.Group
+	store        countingStore
+	reads        int64         // device pages read by this query
+	touches      int64         // dependent DRAM accesses performed
+	dram         time.Duration // modeled DRAM streaming time
+	scanned      int           // scratch: MRC rows scanned by the current operator
+	morsels      int64         // units this worker pulled from the shared counter
 	// buf collects the positions this worker's units produced, unit after
 	// unit and operator after operator; it is emptied once per query.
 	buf []uint32
 }
 
+// countingStore is the backing store of a worker's view: it counts the
+// pages the worker reads and reads them from the untimed store.
+type countingStore struct {
+	storage.Store
+	reads *int64
+}
+
+// ReadPage counts one read and forwards it.
+func (s *countingStore) ReadPage(id storage.PageID, buf []byte) error {
+	*s.reads++
+	return s.Store.ReadPage(id, buf)
+}
+
 // scratch is the memory one query's main-partition pipeline works in:
 // the workers with their position buffers, where each unit of the
-// current operator left its positions, and the candidate list one
-// operator hands the next. It is allocated while serving, lives in the
-// executor's pool between queries and is taken by one query at a time;
-// a Result never points into it (runPinned copies the ids out).
+// current operator left its positions, the candidate list one operator
+// hands the next, and the DRAM touches made on the calling goroutine
+// alone (index descents, the delta), which no worker shares. It is
+// allocated while serving, lives in the executor's pool between queries
+// and is taken by one query at a time; a Result never points into it
+// (runPinned copies the ids out).
 type scratch struct {
-	ws    []worker
-	sched sched
-	units []span
-	cand  []uint32
+	ws     []worker
+	sched  sched
+	units  []span
+	cand   []uint32
+	serial int64
 }
 
 // span is one unit's stretch w.buf[lo:hi] of its worker's positions.
@@ -73,54 +94,53 @@ type span struct {
 }
 
 // scratchFor takes a scratch from the pool and readies its workers for
-// one query. Workers view the pinned snapshot's SSCG, not the table's
-// live one, so a mid-query merge swap is invisible. A single worker
-// reads through the table's own timed store; several workers each read
-// through a fork charging a private clock at the query's stream count,
-// so the device model sees the true concurrency and no clock is shared
-// on the scan path. The caller returns the scratch with e.pool.Put.
+// one query. Workers read the pinned snapshot's SSCG, not the table's
+// live one, so a mid-query merge swap is invisible; on a timed table,
+// through their own counting views. The caller returns the scratch with
+// e.pool.Put.
 func (e *Executor) scratchFor(v *table.View) *scratch {
 	sc := e.pool.Get().(*scratch)
-	sc.cand = sc.cand[:0]
+	sc.cand, sc.serial = sc.cand[:0], 0
 	timed, _ := e.tbl.Store().(*storage.TimedStore)
 	for i := range sc.ws {
 		w := &sc.ws[i]
-		*w = worker{group: v.Group(), buf: w.buf[:0]}
+		*w = worker{group: v.Group(), view: w.view, viewOf: w.viewOf, store: w.store, buf: w.buf[:0]}
 		if timed == nil || w.group == nil {
 			continue
 		}
-		w.clock = timed.Clock()
-		if len(sc.ws) > 1 {
-			w.clock = &storage.Clock{}
-			w.group = w.group.WithBacking(timed.Fork(w.clock, len(sc.ws)))
+		if w.viewOf != w.group {
+			w.store = countingStore{timed.Untimed(), &w.reads}
+			w.view, w.viewOf = w.group.WithBacking(&w.store), w.group
 		}
+		w.group = w.view
 	}
 	return sc
 }
 
-// settle charges the query's main-partition work to the shared clocks:
-// DRAM and forked device time advance by the modeled wall-clock (the
-// per-worker share of the total), page-read counts by the total. It is
-// also the one place that decides what counts as a parallel query:
-// exec.queries.parallel needs more than one worker, and morsels are
-// reported only when units were handed out through the shared counter.
-func (e *Executor) settle(ws []worker, tr *metrics.Trace) {
+// settle is the one place a query's modeled cost is charged. DRAM time
+// advances by the calling goroutine's serial touches plus the per-worker
+// share of the workers' total; the device is charged for every page the
+// workers read at a queue depth of one stream per worker; the trace gets
+// both, and the page count. It is also the one place that decides what
+// counts as a parallel query: exec.queries.parallel needs more than one
+// worker, and morsels are reported only when units were handed out
+// through the shared counter.
+func (e *Executor) settle(sc *scratch, tr *metrics.Trace) {
+	ws := sc.ws
 	p := time.Duration(len(ws))
 	var sum time.Duration
-	var morsels int64
-	var forks []*storage.Clock
-	shared := e.deviceClock()
 	for i := range ws {
-		w := &ws[i]
-		sum += w.dram + time.Duration(w.touches)*DefaultDRAMTouch
-		morsels += w.morsels
-		if w.clock != nil && w.clock != shared {
-			forks = append(forks, w.clock)
-		}
+		sum += ws[i].dram + time.Duration(ws[i].touches)*DefaultDRAMTouch
 	}
-	e.charge(tr, (sum+p-1)/p)
-	if forks != nil {
-		shared.Absorb(len(ws), forks...)
+	dram := time.Duration(sc.serial)*DefaultDRAMTouch + (sum+p-1)/p
+	e.charge(dram)
+	morsels, reads := tally(ws)
+	var device time.Duration
+	if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
+		device = timed.ChargeReads(reads, len(ws))
+	}
+	if tr != nil {
+		tr.DRAMNs, tr.DeviceNs, tr.PageReads = int64(dram), int64(device), reads
 	}
 	if len(ws) > 1 {
 		e.m.parallelQueries.Inc()
@@ -135,29 +155,14 @@ func (e *Executor) settle(ws []worker, tr *metrics.Trace) {
 	}
 }
 
-// morselsOf sums the workers' unit counters; the delta around an
-// operator yields that operator's morsel count for traces.
-func morselsOf(ws []worker) int64 {
-	var n int64
+// tally sums the workers' unit and page-read counters; the deltas
+// around an operator are that operator's morsels and page reads.
+func tally(ws []worker) (morsels, reads int64) {
 	for i := range ws {
-		n += ws[i].morsels
+		morsels += ws[i].morsels
+		reads += ws[i].reads
 	}
-	return n
-}
-
-// readsOf sums the page reads on the workers' device clocks; the delta
-// around an operator is that operator's page reads. Called only between
-// operators (after runMorsels returns), so the loads race with nothing
-// of this query's; like the trace's query-level attribution it assumes
-// no concurrent query shares the table's clock.
-func readsOf(ws []worker) int64 {
-	var n int64
-	for i := range ws {
-		if c := ws[i].clock; c != nil {
-			n += c.Reads()
-		}
-	}
-	return n
+	return morsels, reads
 }
 
 // runMorsels runs fn on units 0..n-1. One worker runs them in order on

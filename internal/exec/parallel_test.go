@@ -49,7 +49,7 @@ func randomTable(t *testing.T, rng *rand.Rand) (*table.Table, *storage.Clock, []
 		card[c] = 1 + rng.Intn(50)
 	}
 	clock := &storage.Clock{}
-	store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock, 1)
+	store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock)
 	opts := table.Options{Store: store}
 	if rng.Intn(2) == 0 {
 		cache, err := amm.New(16+rng.Intn(64), store)

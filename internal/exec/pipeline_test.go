@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tierdb/internal/amm"
+	"tierdb/internal/device"
 	"tierdb/internal/metrics"
 	"tierdb/internal/schema"
 	"tierdb/internal/storage"
@@ -62,6 +64,66 @@ func TestInlineWorkerAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocs/query", tc.name, got)
 		if got > tc.ceiling {
 			t.Errorf("%s: %.0f allocs/query, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
+	}
+}
+
+// Allocation ceilings of a projected point lookup on a tiered table with
+// a page cache, the shape of the tiered_probe benchmark: every worker
+// reads the SSCG through its own counting view, which is kept with the
+// pooled worker rather than built per query. The query measures 8 at
+// Parallelism 1 and 10 at Parallelism 2; when Parallelism 2 forked a
+// timed store, a clock and a view per worker per query it measured 18,
+// and the ceilings hold it to that. Parallelism 1 keeps one allocation
+// for the race detector (see TestInlineWorkerAllocs).
+var tieredLookupAllocsCeiling = map[int]float64{1: 8 + 1, 2: 18}
+
+func TestTieredLookupAllocs(t *testing.T) {
+	clock := &storage.Clock{}
+	store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock)
+	cache, err := amm.New(64, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := schema.MustNew([]schema.Field{
+		{Name: "id", Type: value.Int64},
+		{Name: "a", Type: value.Int64},
+		{Name: "b", Type: value.Int64},
+	})
+	tbl, err := table.New("t", s, table.Options{Store: store, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]value.Value, 10000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewInt(int64(i % 10)), value.NewInt(int64(i % 100))}
+	}
+	if err := tbl.BulkAppend(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.ApplyLayout([]bool{true, false, false}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex(0); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{
+		Predicates: []Predicate{{Column: 0, Op: Eq, Value: value.NewInt(4242)}},
+		Project:    []int{1, 2},
+	}
+	for _, par := range []int{1, 2} {
+		e := New(tbl, Options{Parallelism: par, Clock: clock})
+		if res, err := e.Run(q, nil); err != nil || len(res.IDs) != 1 {
+			t.Fatalf("Parallelism %d: %v, %v", par, res, err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := e.Run(q, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Parallelism %d: %.0f allocs/query", par, got)
+		if got > tieredLookupAllocsCeiling[par] {
+			t.Errorf("Parallelism %d: %.0f allocs/query, ceiling %.0f", par, got, tieredLookupAllocsCeiling[par])
 		}
 	}
 }

@@ -27,7 +27,7 @@ func (e *Executor) Reconstruct(id table.RowID) ([]value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.chargeTouches(nil, len(row))
+		e.chargeTouches(len(row))
 		return row, nil
 	}
 	n := e.tbl.Schema().Len()
@@ -40,7 +40,7 @@ func (e *Executor) Reconstruct(id table.RowID) ([]value.Value, error) {
 			groupAttrs++
 		}
 	}
-	e.chargeTouches(nil, 2*mrcAttrs+groupAttrs)
+	e.chargeTouches(2*mrcAttrs + groupAttrs)
 	return v.GetTuple(id)
 }
 
@@ -57,7 +57,7 @@ func (e *Executor) Sum(col int, ids []table.RowID) (float64, error) {
 	var total float64
 	for _, id := range ids {
 		if v.MRC(col) != nil || id >= uint64(v.MainRows()) {
-			e.chargeTouches(nil, 2)
+			e.chargeTouches(2)
 		}
 		val, err := v.GetValue(id, col)
 		if err != nil {
@@ -81,7 +81,7 @@ func (e *Executor) JoinProbe(col int, ids []table.RowID, build map[value.Value][
 	defer v.Release()
 	var out [][2]table.RowID
 	for _, id := range ids {
-		e.chargeTouches(nil, 3) // key fetch + hash probe
+		e.chargeTouches(3) // key fetch + hash probe
 		val, err := v.GetValue(id, col)
 		if err != nil {
 			return nil, err
@@ -99,7 +99,7 @@ func (e *Executor) BuildJoinMap(col int, ids []table.RowID) (map[value.Value][]t
 	defer v.Release()
 	m := make(map[value.Value][]table.RowID, len(ids))
 	for _, id := range ids {
-		e.chargeTouches(nil, 3)
+		e.chargeTouches(3)
 		val, err := v.GetValue(id, col)
 		if err != nil {
 			return nil, err
@@ -122,7 +122,7 @@ func (e *Executor) GroupBySum(groupCol, aggCol int, ids []table.RowID) (map[valu
 	defer v.Release()
 	out := make(map[value.Value]float64)
 	for _, id := range ids {
-		e.chargeTouches(nil, 4) // group key + aggregate fetches
+		e.chargeTouches(4) // group key + aggregate fetches
 		g, err := v.GetValue(id, groupCol)
 		if err != nil {
 			return nil, err

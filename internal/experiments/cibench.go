@@ -50,7 +50,7 @@ func CIBench(seed int64) (BenchStats, *Report, error) {
 	})
 	registry := metrics.NewRegistry()
 	clock := &storage.Clock{}
-	timed := storage.NewTimedStore(storage.NewMemStore(), device.CSSD, clock, 1)
+	timed := storage.NewTimedStore(storage.NewMemStore(), device.CSSD, clock)
 	timed.Observe(registry)
 	// Cache smaller than the SSCG working set, so the gate also covers
 	// eviction behavior and a non-trivial hit rate.

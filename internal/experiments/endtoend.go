@@ -22,7 +22,7 @@ type table3Env struct {
 
 func newTable3Env(cfg tpcc.Config, layout []bool, cacheFrames int) (*table3Env, error) {
 	clock := &storage.Clock{}
-	timed := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock, 1)
+	timed := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock)
 	var cache *amm.Cache
 	if cacheFrames > 0 {
 		var err error

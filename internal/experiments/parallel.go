@@ -34,7 +34,7 @@ func PScan(seed int64) (*Report, error) {
 			{Name: "b", Type: value.Int64},
 		})
 		clock := &storage.Clock{}
-		store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock, 1)
+		store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock)
 		tbl, err := table.New("pscan", s, table.Options{Store: store})
 		if err != nil {
 			return nil, nil, err

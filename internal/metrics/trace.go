@@ -143,13 +143,6 @@ func (t *Trace) Predicate(p PredicateTrace) {
 	}
 }
 
-// AddDRAM charges modeled DRAM nanoseconds to the trace (no-op on nil).
-func (t *Trace) AddDRAM(ns int64) {
-	if t != nil {
-		t.DRAMNs += ns
-	}
-}
-
 // AddWorkerMorsels merges per-worker morsel counts element-wise (no-op
 // on nil). The executor calls it once per query that fanned out.
 func (t *Trace) AddWorkerMorsels(counts []int64) {

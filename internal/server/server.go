@@ -39,7 +39,6 @@ import (
 	"tierdb/internal/explain"
 	"tierdb/internal/metrics"
 	"tierdb/internal/schema"
-	"tierdb/internal/telemetry"
 	"tierdb/internal/trace"
 	"tierdb/internal/value"
 )
@@ -168,7 +167,7 @@ func New(engine Engine, cfg Config) *Server {
 	r := cfg.Registry
 	log := cfg.Logger
 	if log == nil {
-		log = telemetry.Nop()
+		log = slog.New(nopHandler{})
 	}
 	return &Server{
 		engine:    engine,
@@ -186,6 +185,16 @@ func New(engine Engine, cfg Config) *Server {
 		conns:     make(map[net.Conn]struct{}),
 	}
 }
+
+// nopHandler is the handler of a server configured without a logger. Its
+// Enabled is false, so slog builds no record and a request's wide event
+// is never formatted. (slog.DiscardHandler needs Go 1.24.)
+type nopHandler struct{}
+
+func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
+func (nopHandler) WithAttrs([]slog.Attr) slog.Handler        { return nopHandler{} }
+func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler{} }
 
 // Serve accepts connections on l until the listener fails or the server
 // shuts down. It blocks; run it in a goroutine. Multiple listeners may

@@ -182,9 +182,9 @@ func (g *Group) RowsPerPage() int { return g.rowsPerPage }
 // WithBacking returns a read-only view of the group whose page reads go
 // through store instead of the group's own. The layout, page ids and
 // cache stay shared; the page buffer pool is private to the view, so
-// parallel workers holding one view each never contend on buffers.
-// Parallel scan workers pass per-worker timed forks of the same device
-// so device time lands on per-worker clocks.
+// workers holding one view each never contend on buffers. Each executor
+// worker reads through a view whose store counts the worker's page
+// reads, which the executor charges to the device once per query.
 func (g *Group) WithBacking(store storage.Store) *Group {
 	ng := &Group{
 		fields:      g.fields,

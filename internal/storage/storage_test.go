@@ -118,7 +118,7 @@ func TestMemStoreConcurrent(t *testing.T) {
 
 func TestTimedStoreChargesClock(t *testing.T) {
 	var clock Clock
-	ts := NewTimedStore(NewMemStore(), device.XPoint, &clock, 1)
+	ts := NewTimedStore(NewMemStore(), device.XPoint, &clock)
 	id, err := ts.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestTimedStoreChargesClock(t *testing.T) {
 
 func TestTimedStoreWriteCharges(t *testing.T) {
 	var clock Clock
-	ts := NewTimedStore(NewMemStore(), device.CSSD, &clock, 1)
+	ts := NewTimedStore(NewMemStore(), device.CSSD, &clock)
 	id, _ := ts.Allocate()
 	buf := make([]byte, PageSize)
 	if err := ts.WritePage(id, buf); err != nil {
@@ -160,7 +160,7 @@ func TestTimedStoreWriteCharges(t *testing.T) {
 func TestTimedStoreThreads(t *testing.T) {
 	var clock Clock
 	mem := NewMemStore()
-	ts := NewTimedStore(mem, device.HDD, &clock, 1)
+	ts := NewTimedStore(mem, device.HDD, &clock)
 	id, _ := ts.Allocate()
 	buf := make([]byte, PageSize)
 	if err := ts.ReadPage(id, buf); err != nil {
@@ -168,12 +168,16 @@ func TestTimedStoreThreads(t *testing.T) {
 	}
 	qd1 := clock.Elapsed()
 	clock.Reset()
-	ts = NewTimedStore(mem, device.HDD, &clock, 8)
-	if err := ts.ReadPage(id, buf); err != nil {
-		t.Fatal(err)
+	// Eight streams reading one page each: the clock advances by one
+	// read at queue depth 8.
+	if d := ts.ChargeReads(8, 8); d != device.HDD.RandomReadTime(1, 8) || clock.Elapsed() != d {
+		t.Errorf("ChargeReads(8, 8) = %v (clock %v), want %v", d, clock.Elapsed(), device.HDD.RandomReadTime(1, 8))
 	}
 	if clock.Elapsed() <= qd1 {
 		t.Error("HDD concurrent read should be slower than QD1")
+	}
+	if clock.Reads() != 8 {
+		t.Errorf("Reads = %d, want 8", clock.Reads())
 	}
 	if ts.Profile().Name != "HDD" {
 		t.Errorf("Profile = %q", ts.Profile().Name)

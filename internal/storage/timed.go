@@ -13,8 +13,9 @@ import (
 // reproduction uses instead of the paper's physical testbed: every page
 // access charges the modeled latency of the configured device, and
 // experiment harnesses report Clock totals as "measured" runtimes.
-// All methods are safe for concurrent use; concurrent workers each keep
-// a share of the modeled time, mirroring per-thread wall-clock.
+// All methods are safe for concurrent use. A query's scan workers do
+// not touch it while they run: the executor counts their page reads and
+// charges them once, through TimedStore.ChargeReads.
 type Clock struct {
 	nanos atomic.Int64
 	reads atomic.Int64
@@ -39,50 +40,18 @@ func (c *Clock) Reset() {
 	c.reads.Store(0)
 }
 
-// Absorb merges per-worker clocks into c after a parallel phase of
-// `workers` concurrent streams: the read count advances by the sum
-// (every page access really happened), the elapsed time by the phase's
-// modeled wall-clock — the slowest worker's share. Morsel-driven
-// scheduling keeps workers balanced, so the slowest worker's time is
-// the per-worker mean, charged here as sum/workers; using the mean
-// rather than the literal maximum keeps the model deterministic even
-// when the Go scheduler hands most morsels to one goroutine (few
-// cores, GOMAXPROCS=1). Workers charging private clocks and one Absorb
-// at the barrier replace a shared hot clock on the scan path.
-func (c *Clock) Absorb(workers int, clocks ...*Clock) {
-	if workers < 1 {
-		workers = 1
-	}
-	var nanos, reads int64
-	for _, w := range clocks {
-		if w == nil {
-			continue
-		}
-		nanos += w.nanos.Load()
-		reads += w.reads.Load()
-	}
-	if nanos > 0 {
-		c.nanos.Add((nanos + int64(workers) - 1) / int64(workers))
-	}
-	if reads > 0 {
-		c.reads.Add(reads)
-	}
-}
-
 // TimedStore wraps a Store and charges modeled device latencies for
-// every page access to a Clock. Threads is the concurrency level the
-// timing model assumes (queue-depth effects).
+// page accesses to a Clock: ReadPage and WritePage one access at a time
+// (a single access stream), ChargeReads for reads made through Untimed.
 type TimedStore struct {
 	inner   Store
 	profile device.Profile
 	clock   *Clock
-	threads int
 	m       storeInstruments
 }
 
-// storeInstruments holds the per-device metric handles. It is embedded
-// by value, so Fork copies the handles and worker views feed the same
-// instruments; all handles are nil (no-op) on unobserved stores.
+// storeInstruments holds the per-device metric handles; all handles are
+// nil (no-op) on unobserved stores.
 type storeInstruments struct {
 	pageReads      *metrics.Counter
 	pageWrites     *metrics.Counter
@@ -128,12 +97,9 @@ func metricName(name string) string {
 }
 
 // NewTimedStore wraps inner with the timing model of profile, charging
-// time to clock assuming `threads` concurrent access streams.
-func NewTimedStore(inner Store, profile device.Profile, clock *Clock, threads int) *TimedStore {
-	if threads < 1 {
-		threads = 1
-	}
-	return &TimedStore{inner: inner, profile: profile, clock: clock, threads: threads}
+// time to clock.
+func NewTimedStore(inner Store, profile device.Profile, clock *Clock) *TimedStore {
+	return &TimedStore{inner: inner, profile: profile, clock: clock}
 }
 
 // Profile returns the device profile used for timing.
@@ -142,26 +108,38 @@ func (s *TimedStore) Profile() device.Profile { return s.profile }
 // Clock returns the virtual clock time is charged to.
 func (s *TimedStore) Clock() *Clock { return s.clock }
 
-// Fork returns a view of the store that charges the given clock and
-// assumes `threads` concurrent access streams; the underlying device
-// and page data are shared. Parallel scan workers each fork a private
-// clock so device time accumulates without a shared hot counter, and
-// the executor merges the forks back with Clock.Absorb.
-func (s *TimedStore) Fork(clock *Clock, threads int) *TimedStore {
-	if threads < 1 {
-		threads = 1
+// Untimed returns the wrapped store. Reads through it charge nothing
+// until they are passed to ChargeReads.
+func (s *TimedStore) Untimed() Store { return s.inner }
+
+// ChargeReads charges n page reads that `streams` concurrent access
+// streams made through Untimed, and returns the device time charged.
+// Each read costs the device's latency at queue depth `streams`; the
+// streams overlap, so the clock advances by the per-stream share of the
+// total, rounded up — the modeled wall-clock of a phase whose streams
+// are kept balanced (the executor's morsel scheduling does that; the
+// mean rather than the literal slowest stream keeps the model
+// deterministic however the Go scheduler hands out the work). The read
+// count and the device.* counters advance by the full n reads and their
+// full modeled latency.
+func (s *TimedStore) ChargeReads(n int64, streams int) time.Duration {
+	if n <= 0 {
+		return 0
 	}
-	return &TimedStore{inner: s.inner, profile: s.profile, clock: clock, threads: threads, m: s.m}
+	streams = max(streams, 1)
+	total := time.Duration(n) * s.profile.RandomReadTime(1, streams)
+	d := (total + time.Duration(streams) - 1) / time.Duration(streams)
+	s.clock.Advance(d)
+	s.clock.reads.Add(n)
+	s.m.pageReads.Add(n)
+	s.m.readBytes.Add(n * PageSize)
+	s.m.modeledReadNs.Add(int64(total))
+	return d
 }
 
 // ReadPage implements Store, charging one random-read latency.
 func (s *TimedStore) ReadPage(id PageID, buf []byte) error {
-	d := s.profile.RandomReadTime(1, s.threads)
-	s.clock.Advance(d)
-	s.clock.reads.Add(1)
-	s.m.pageReads.Inc()
-	s.m.readBytes.Add(PageSize)
-	s.m.modeledReadNs.Add(int64(d))
+	s.ChargeReads(1, 1)
 	return s.inner.ReadPage(id, buf)
 }
 

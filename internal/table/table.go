@@ -160,8 +160,8 @@ func (t *Table) Schema() *schema.Schema { return t.schema }
 func (t *Table) Manager() *mvcc.Manager { return t.mgr }
 
 // Store returns the secondary storage device backing the table's SSCGs
-// (immutable after New). The parallel executor inspects it to fork
-// per-worker timed views for virtual-clock accounting.
+// (immutable after New). The executor's workers read a timed store's
+// untimed side and charge their page reads to it once per query.
 func (t *Table) Store() storage.Store { return t.store }
 
 // Layout returns a copy of the current column layout (true = MRC).

@@ -27,9 +27,12 @@ package tierdb
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +46,6 @@ import (
 	"tierdb/internal/server"
 	"tierdb/internal/storage"
 	"tierdb/internal/table"
-	"tierdb/internal/telemetry"
 	"tierdb/internal/trace"
 	"tierdb/internal/value"
 	"tierdb/internal/wal"
@@ -288,7 +290,7 @@ func Open(cfg Config) (*DB, error) {
 		base = storage.NewMemStore()
 	}
 	clock := &storage.Clock{}
-	timed := storage.NewTimedStore(base, profile, clock, 1)
+	timed := storage.NewTimedStore(base, profile, clock)
 	var registry *metrics.Registry
 	if !cfg.DisableMetrics {
 		registry = metrics.NewRegistry()
@@ -317,10 +319,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db.log = cfg.Logger
 	if db.log == nil {
-		db.log = telemetry.New(telemetry.Options{
-			Level:  cfg.LogLevel,
-			Format: cfg.LogFormat,
-		})
+		db.log = newLogger(cfg.LogLevel, cfg.LogFormat, os.Stderr)
 	}
 	db.tracer = trace.New(trace.Options{
 		SampleRate: cfg.TraceSampleRate,
@@ -397,6 +396,34 @@ func (db *DB) Tracer() *trace.Tracer { return db.tracer }
 
 // Logger returns the instance's structured logger.
 func (db *DB) Logger() *slog.Logger { return db.log }
+
+// newLogger builds the default logger: slog text, or JSON when format
+// is "json" (any case), at the level parseLevel reads from level,
+// writing to sink. Unknown level or format strings fall back to the
+// defaults rather than failing: a daemon with a mistyped log flag
+// should come up loud, not crash or come up silent.
+func newLogger(level, format string, sink io.Writer) *slog.Logger {
+	opts := &slog.HandlerOptions{Level: parseLevel(level)}
+	if strings.EqualFold(format, "json") {
+		return slog.New(slog.NewJSONHandler(sink, opts))
+	}
+	return slog.New(slog.NewTextHandler(sink, opts))
+}
+
+// parseLevel maps a level name to its slog.Level, case-insensitively;
+// unknown names (including "") map to Info.
+func parseLevel(s string) slog.Level {
+	switch strings.ToLower(s) {
+	case "debug":
+		return slog.LevelDebug
+	case "warn", "warning":
+		return slog.LevelWarn
+	case "error":
+		return slog.LevelError
+	default:
+		return slog.LevelInfo
+	}
+}
 
 // Registry exposes the engine's metrics registry (nil when metrics are
 // disabled); advanced callers register their own instruments on it.
