@@ -46,6 +46,71 @@ func New(typ value.Type) *Tree {
 	return &Tree{typ: typ, root: &leafNode{}}
 }
 
+// FromCodes bulk-loads the tree of a dictionary-encoded column: keys
+// are its distinct values, ascending, and codes[row] is the index in keys
+// of row's value; every key must occur at least once. A counting sort
+// groups the rows by code, so each key's positions come out ascending —
+// as Insert would leave them — and the tree is built bottom-up with full
+// leaves. Leaves alias keys, which must not be modified; each position
+// list is a capped slice of one shared array, so a later Insert that
+// appends to one can never overwrite its neighbour's.
+func FromCodes(typ value.Type, keys []value.Value, codes []uint32) *Tree {
+	// ends[k] is first the count of key k's rows, then where its
+	// positions start, and after the scatter where they end.
+	ends := make([]int, len(keys))
+	for _, c := range codes {
+		ends[c]++
+	}
+	at := 0
+	for k, n := range ends {
+		ends[k] = at
+		at += n
+	}
+	positions := make([]uint32, len(codes))
+	for row, c := range codes {
+		positions[ends[c]] = uint32(row)
+		ends[c]++
+	}
+	lists, start := make([][]uint32, len(keys)), 0
+	for k, end := range ends {
+		lists[k], start = positions[start:end:end], end
+	}
+	return bulk(typ, keys, lists)
+}
+
+// bulk builds a tree bottom-up from ascending distinct keys and their
+// position lists: full leaves, all in one allocation, then levels of
+// inner nodes of up to fanout children each.
+func bulk(typ value.Type, keys []value.Value, lists [][]uint32) *Tree {
+	t := &Tree{typ: typ, root: &leafNode{}, size: len(keys)}
+	leaves := make([]leafNode, (len(keys)+fanout-1)/fanout)
+	var level []node
+	var first []value.Value // the smallest key under each node of level
+	for i := range leaves {
+		lo, hi := i*fanout, min((i+1)*fanout, len(keys))
+		leaves[i] = leafNode{keys: keys[lo:hi:hi], vals: lists[lo:hi:hi]}
+		if i > 0 {
+			leaves[i-1].next = &leaves[i]
+		}
+		level, first = append(level, &leaves[i]), append(first, keys[lo])
+	}
+	for len(level) > 1 {
+		var up []node
+		var upFirst []value.Value
+		for lo := 0; lo < len(level); lo += fanout {
+			hi := min(lo+fanout, len(level))
+			// A separator is the smallest key of the child to its right.
+			up = append(up, &innerNode{keys: first[lo+1 : hi : hi], children: level[lo:hi:hi]})
+			upFirst = append(upFirst, first[lo])
+		}
+		level, first = up, upFirst
+	}
+	if len(level) == 1 {
+		t.root = level[0]
+	}
+	return t
+}
+
 // Type returns the key type.
 func (t *Tree) Type() value.Type { return t.typ }
 

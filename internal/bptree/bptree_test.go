@@ -2,6 +2,8 @@ package bptree
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -176,5 +178,58 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if tr.Len() != 0 {
 		t.Error("empty tree Len != 0")
+	}
+}
+
+// TestFromCodesMatchesInsert bulk-loads trees from random columns — their
+// sorted distinct keys and each row's code — and requires the same
+// contents as inserting every row: Len, every Lookup, and one Range over
+// all keys. Appending to a bulk-loaded key's positions must leave its
+// neighbour's alone, since both share one array.
+func TestFromCodesMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		rows := rng.Intn(5000)
+		spread := 1 + rng.Intn(1+rows)
+		keys := make([]value.Value, rows)
+		ins := New(value.Int64)
+		for r := range keys {
+			keys[r] = value.NewInt(int64(rng.Intn(spread)))
+			ins.Insert(keys[r], uint32(r))
+		}
+		distinct := slices.Clone(keys)
+		slices.SortFunc(distinct, value.Value.Compare)
+		distinct = slices.CompactFunc(distinct, value.Value.Equal)
+		codes := make([]uint32, rows)
+		for r, k := range keys {
+			c, _ := slices.BinarySearchFunc(distinct, k, value.Value.Compare)
+			codes[r] = uint32(c)
+		}
+		bulk := FromCodes(value.Int64, distinct, codes)
+		if bulk.Len() != ins.Len() {
+			t.Fatalf("trial %d: Len %d, want %d", trial, bulk.Len(), ins.Len())
+		}
+		all := func(tr *Tree) (out [][]uint32) {
+			tr.Range(value.NewInt(-1), value.NewInt(int64(spread)), func(_ value.Value, pos []uint32) bool {
+				out = append(out, pos)
+				return true
+			})
+			return out
+		}
+		if got, want := all(bulk), all(ins); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Range differs", trial)
+		}
+		for _, k := range distinct {
+			if got, want := bulk.Lookup(k), ins.Lookup(k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: Lookup(%v) = %v, want %v", trial, k, got, want)
+			}
+		}
+		if len(distinct) > 1 {
+			next := slices.Clone(bulk.Lookup(distinct[1]))
+			bulk.Insert(distinct[0], uint32(rows))
+			if !slices.Equal(bulk.Lookup(distinct[1]), next) {
+				t.Fatalf("trial %d: an append to one key's positions overwrote the next key's", trial)
+			}
+		}
 	}
 }

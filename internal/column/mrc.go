@@ -27,11 +27,14 @@ func Build(name string, typ value.Type, values []value.Value) (*MRC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("column %q: %w", name, err)
 	}
-	maxCode := uint32(0)
-	if d.Size() > 0 {
-		maxCode = uint32(d.Size() - 1)
-	}
-	return &MRC{name: name, typ: typ, dict: d, codes: dict.Pack(codes, maxCode)}, nil
+	return New(name, d, codes), nil
+}
+
+// New assembles an MRC from its dictionary and the code of each row,
+// packed with the fewest bits the dictionary needs — how a merge builds
+// the column it has already encoded (dict.Merge).
+func New(name string, d *dict.Dictionary, codes []uint32) *MRC {
+	return &MRC{name: name, typ: d.Type(), dict: d, codes: dict.Pack(codes, uint32(max(d.Size()-1, 0)))}
 }
 
 // Name returns the column name.

@@ -275,6 +275,18 @@ func (p *Partition) VisibleRows(snapshot mvcc.Timestamp, self mvcc.TxID) []uint3
 	return p.versions.VisibleIn(0, n, snapshot, self, make([]uint32, 0, n))
 }
 
+// Column returns column col's dictionary — its distinct values in
+// insertion order — and the code of each physical row. The slices are
+// the partition's own and must not be modified; the merge reads them
+// without copying, which is safe only once the partition is frozen and
+// its rows are fixed.
+func (p *Partition) Column(col int) (values []value.Value, codes []uint32) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	c := &p.cols[col]
+	return c.values[:len(c.values):len(c.values)], c.codes[:len(c.codes):len(c.codes)]
+}
+
 // Bytes estimates the DRAM footprint of the delta (dictionaries, code
 // vectors, trees are ignored, MVCC vectors included).
 func (p *Partition) Bytes() int64 {

@@ -8,10 +8,12 @@
 package dict
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 
 	"tierdb/internal/value"
 )
@@ -24,36 +26,134 @@ type Dictionary struct {
 }
 
 // Build constructs a dictionary over vals and returns it together with
-// the code of each input value. All values must share one type.
+// the code of each input value. All values must share one type. It is
+// Merge with no old dictionary and vals as a delta every row of which
+// joins, so the values are sorted once, by their typed payload; the
+// dictionary's strings share one allocation that aliases none of vals.
 func Build(typ value.Type, vals []value.Value) (*Dictionary, []uint32, error) {
+	rows := make([]uint32, len(vals))
 	for i, v := range vals {
 		if v.Type() != typ {
 			return nil, nil, fmt.Errorf("dict: value %d has type %s, want %s", i, v.Type(), typ)
 		}
+		rows[i] = uint32(i)
 	}
-	distinct := make([]value.Value, len(vals))
-	copy(distinct, vals)
-	sort.Slice(distinct, func(a, b int) bool { return distinct[a].Compare(distinct[b]) < 0 })
-	// Deduplicate in place.
-	out := distinct[:0]
-	for i, v := range distinct {
-		if i == 0 || !v.Equal(out[len(out)-1]) {
-			out = append(out, v)
-		}
-	}
-	// A right-sized copy: out shares the rows-long sort buffer, which the
-	// dictionary would otherwise keep alive for the column's lifetime.
-	d := &Dictionary{typ: typ, values: slices.Clone(out)}
-	codes := make([]uint32, len(vals))
-	for i, v := range vals {
-		c, ok := d.Encode(v)
-		if !ok {
-			return nil, nil, fmt.Errorf("dict: value %s missing after build", v)
-		}
-		codes[i] = c
+	d, codes := Merge(typ, nil, nil, vals, rows)
+	if typ == value.String {
+		packStrings(d.values)
 	}
 	return d, codes, nil
 }
+
+// Merge builds the dictionary of a merged column (the column-wise merge
+// of Krüger et al., PVLDB 2011) from the old dictionary with the codes
+// of the old rows that survive, and a delta dictionary — values in any
+// order — with the codes of the delta rows that join them; old may be
+// nil, and every value must have type typ. Entries no row references
+// are dropped, only the referenced delta values are sorted, and the
+// result is one linear merge of the two sorted runs. It returns the
+// dictionary and every row's code in it, the old rows' first, translated
+// through one old→new and one delta→new table. The dictionary is
+// right-sized and aliases none of the inputs' slices.
+func Merge(typ value.Type, old *Dictionary, oldCodes []uint32, delta []value.Value, deltaCodes []uint32) (*Dictionary, []uint32) {
+	var oldValues []value.Value
+	if old != nil {
+		oldValues = old.values
+	}
+	oldMap, deltaMap := referenced(oldCodes, len(oldValues)), referenced(deltaCodes, len(delta))
+	var refs []uint32 // the referenced delta entries, then in value order
+	for c, m := range deltaMap {
+		if m != unused {
+			refs = append(refs, uint32(c))
+		}
+	}
+	slices.SortFunc(refs, byValue(typ, delta))
+	values := make([]value.Value, 0, len(oldValues)+len(refs))
+	for i, j := 0, 0; ; {
+		for i < len(oldValues) && oldMap[i] == unused {
+			i++
+		}
+		if i == len(oldValues) && j == len(refs) {
+			break
+		}
+		c := 1 // where the next value comes from: <0 old, >0 delta, 0 both
+		if i < len(oldValues) {
+			c = -1
+			if j < len(refs) {
+				c = oldValues[i].Compare(delta[refs[j]])
+			}
+		}
+		code := uint32(len(values))
+		if c <= 0 {
+			values = append(values, oldValues[i])
+			oldMap[i] = code
+			i++
+		} else if n := len(values); n > 0 && values[n-1].Compare(delta[refs[j]]) == 0 {
+			code-- // a delta value repeated
+		} else {
+			values = append(values, delta[refs[j]])
+		}
+		if c >= 0 {
+			deltaMap[refs[j]] = code
+			j++
+		}
+	}
+	codes := make([]uint32, len(oldCodes)+len(deltaCodes))
+	for r, c := range oldCodes {
+		codes[r] = oldMap[c]
+	}
+	for r, c := range deltaCodes {
+		codes[len(oldCodes)+r] = deltaMap[c]
+	}
+	return &Dictionary{typ: typ, values: append(make([]value.Value, 0, len(values)), values...)}, codes
+}
+
+// unused marks a dictionary entry no row references.
+const unused = ^uint32(0)
+
+// referenced returns a translation table for a dictionary of size
+// entries: 0 for every entry some code references, unused otherwise.
+func referenced(codes []uint32, size int) []uint32 {
+	m := make([]uint32, size)
+	for i := range m {
+		m[i] = unused
+	}
+	for _, c := range codes {
+		m[c] = 0
+	}
+	return m
+}
+
+// byValue orders positions of vals by value. It compares the typed
+// payloads — one type switch per sort, not one per comparison.
+func byValue(typ value.Type, vals []value.Value) func(a, b uint32) int {
+	switch typ {
+	case value.Int64:
+		return func(a, b uint32) int { return cmp.Compare(vals[a].Int(), vals[b].Int()) }
+	case value.Float64:
+		return func(a, b uint32) int { return cmp.Compare(vals[a].Float(), vals[b].Float()) }
+	}
+	return func(a, b uint32) int { return strings.Compare(vals[a].Str(), vals[b].Str()) }
+}
+
+// packStrings moves the strings of vals into one allocation, so the
+// dictionary keeps alive exactly its distinct values and not whatever
+// larger buffers the inputs were cut from.
+func packStrings(vals []value.Value) {
+	var b strings.Builder
+	for _, v := range vals {
+		b.WriteString(v.Str())
+	}
+	all := b.String()
+	for i, v := range vals {
+		n := len(v.Str())
+		vals[i], all = value.NewString(all[:n]), all[n:]
+	}
+}
+
+// Values returns the sorted distinct values. The slice is the
+// dictionary's own and must not be modified.
+func (d *Dictionary) Values() []value.Value { return d.values }
 
 // Type returns the column type of the dictionary.
 func (d *Dictionary) Type() value.Type { return d.typ }

@@ -3,6 +3,7 @@ package dict
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -280,5 +281,88 @@ func FuzzBitPackedScan(f *testing.F) {
 			lo, hi = lo%(1<<bits), hi%(1<<bits+1)
 		}
 		checkScan(t, v, lo, hi, int(rowLo), int(rowHi))
+	})
+}
+
+// naiveDictionary is the dictionary as it was first built: sort every
+// value, deduplicate, binary-search each value back to its code.
+func naiveDictionary(vals []value.Value) ([]value.Value, []uint32) {
+	sorted := slices.Clone(vals)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Compare(sorted[b]) < 0 })
+	sorted = slices.CompactFunc(sorted, value.Value.Equal)
+	codes := make([]uint32, len(vals))
+	for i, v := range vals {
+		c, _ := slices.BinarySearchFunc(sorted, v, value.Value.Compare)
+		codes[i] = uint32(c)
+	}
+	return sorted, codes
+}
+
+// FuzzDictionaryMerge checks that merging an old dictionary, read through
+// the codes of the rows that survive, with a delta dictionary, read
+// through the codes of the rows that join, gives the dictionary and
+// codes that building over all those rows' values gives — dict.Build and
+// the sort-everything construction alike.
+func FuzzDictionaryMerge(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(20), uint8(10), uint8(30))
+	f.Add(int64(2), uint8(1), uint8(50), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(2), uint8(0), uint8(7), uint8(40))
+	f.Add(int64(4), uint8(2), uint8(90), uint8(90), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, kind, oldRows, deltaSize, deltaRows uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		typ := value.Type(kind % 3)
+		draw := func() value.Value {
+			switch typ {
+			case value.Int64:
+				return value.NewInt(int64(rng.Intn(40)))
+			case value.Float64:
+				return value.NewFloat(float64(rng.Intn(40)) / 4)
+			}
+			return value.NewString(string("abc"[rng.Intn(3)]) + string("xyz"[rng.Intn(3)]))
+		}
+		oldVals := make([]value.Value, oldRows)
+		for i := range oldVals {
+			oldVals[i] = draw()
+		}
+		old, allOld, err := Build(typ, oldVals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keep []uint32 // a subset of the old rows survives
+		var rows []value.Value
+		for i, c := range allOld {
+			if rng.Intn(3) > 0 {
+				keep = append(keep, c)
+				rows = append(rows, oldVals[i])
+			}
+		}
+		var delta []value.Value // distinct, in insertion order
+		for i := 0; i < int(deltaSize); i++ {
+			if v := draw(); !slices.ContainsFunc(delta, v.Equal) {
+				delta = append(delta, v)
+			}
+		}
+		var deltaCodes []uint32
+		for i := 0; len(delta) > 0 && i < int(deltaRows); i++ {
+			c := uint32(rng.Intn(len(delta)))
+			deltaCodes = append(deltaCodes, c)
+			rows = append(rows, delta[c])
+		}
+
+		got, codes := Merge(typ, old, keep, delta, deltaCodes)
+		want, wantCodes, err := Build(typ, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got.values, want.values, value.Value.Equal) || !slices.Equal(codes, wantCodes) {
+			t.Fatalf("Merge = %v %v, Build = %v %v", got.values, codes, want.values, wantCodes)
+		}
+		naive, naiveCodes := naiveDictionary(rows)
+		if !slices.EqualFunc(got.values, naive, value.Value.Equal) || !slices.Equal(codes, naiveCodes) {
+			t.Fatalf("Merge = %v %v, sorted = %v %v", got.values, codes, naive, naiveCodes)
+		}
+		if len(got.values) > 0 && cap(got.values) != len(got.values) {
+			t.Fatalf("dictionary holds %d slots for %d values", cap(got.values), len(got.values))
+		}
 	})
 }

@@ -9,8 +9,11 @@
 package histogram
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"tierdb/internal/value"
 )
@@ -30,46 +33,91 @@ type Histogram struct {
 }
 
 // Build constructs an equi-depth histogram with up to `buckets` buckets
-// over vals. All values must share one orderable type.
+// over vals. All values must share one orderable type. It sorts the
+// values' typed payloads — an []int64, []float64 or []string, not
+// value.Value — counts the runs of equal values and hands them to
+// FromCounts.
 func Build(typ value.Type, vals []value.Value, buckets int) (*Histogram, error) {
-	if buckets < 1 {
-		return nil, fmt.Errorf("histogram: bucket count %d must be positive", buckets)
-	}
 	if len(vals) == 0 {
 		return nil, fmt.Errorf("histogram: no values")
 	}
-	sorted := make([]value.Value, len(vals))
-	copy(sorted, vals)
-	for i, v := range sorted {
+	for i, v := range vals {
 		if v.Type() != typ {
 			return nil, fmt.Errorf("histogram: value %d has type %s, want %s", i, v.Type(), typ)
 		}
 	}
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Compare(sorted[b]) < 0 })
-
-	distinct := 1
-	for i := 1; i < len(sorted); i++ {
-		if !sorted[i].Equal(sorted[i-1]) {
-			distinct++
-		}
+	switch typ {
+	case value.Int64:
+		return build(typ, vals, value.Value.Int, value.NewInt, buckets)
+	case value.Float64:
+		return build(typ, vals, value.Value.Float, value.NewFloat, buckets)
+	default:
+		return build(typ, vals, value.Value.Str, value.NewString, buckets)
 	}
+}
 
-	h := &Histogram{typ: typ, min: sorted[0], total: len(sorted), distinct: distinct}
-	per := (len(sorted) + buckets - 1) / buckets
-	start := 0
-	for start < len(sorted) {
-		end := start + per
-		if end > len(sorted) {
-			end = len(sorted)
+func build[T cmp.Ordered](typ value.Type, vals []value.Value, key func(value.Value) T, mk func(T) value.Value, buckets int) (*Histogram, error) {
+	keys := make([]T, len(vals))
+	for i, v := range vals {
+		keys[i] = key(v)
+	}
+	slices.Sort(keys)
+	var counts []int
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			keys[len(counts)] = k // the distinct keys, compacted in place
+			counts = append(counts, 0)
 		}
-		// Extend the bucket so equal values never straddle a boundary
-		// (keeps equi-predicate math consistent).
-		for end < len(sorted) && sorted[end].Equal(sorted[end-1]) {
-			end++
+		counts[len(counts)-1]++
+	}
+	return fromCounts(typ, func(i int) value.Value { return mk(keys[i]) }, counts, buckets)
+}
+
+// FromCounts builds the histogram Build builds over a column whose
+// distinct values, ascending, are sortedDistinct, value i occurring
+// counts[i] > 0 times — the form a dictionary-encoded column has its
+// statistics in once its codes are counted. Buckets hold about
+// total/buckets rows each and end on a run boundary, so equal values
+// never straddle one (keeps equi-predicate math consistent). String
+// bounds are copied: the histogram keeps alive none of sortedDistinct.
+func FromCounts(typ value.Type, sortedDistinct []value.Value, counts []int, buckets int) (*Histogram, error) {
+	return fromCounts(typ, func(i int) value.Value { return sortedDistinct[i] }, counts, buckets)
+}
+
+// fromCounts is FromCounts reading the i-th distinct value through
+// distinct, which it calls only for the bounds.
+func fromCounts(typ value.Type, distinct func(i int) value.Value, counts []int, buckets int) (*Histogram, error) {
+	if buckets < 1 {
+		return nil, fmt.Errorf("histogram: bucket count %d must be positive", buckets)
+	}
+	if len(counts) == 0 {
+		return nil, fmt.Errorf("histogram: no values")
+	}
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	own := func(i int) value.Value {
+		v := distinct(i)
+		if typ == value.String {
+			v = value.NewString(strings.Clone(v.Str()))
 		}
-		h.bounds = append(h.bounds, sorted[end-1])
-		h.counts = append(h.counts, end-start)
-		start = end
+		return v
+	}
+	n := min(buckets, len(counts))
+	h := &Histogram{typ: typ, min: own(0), total: total, distinct: len(counts),
+		bounds: make([]value.Value, 0, n), counts: make([]int, 0, n)}
+	per := (total + buckets - 1) / buckets
+	start, end := 0, 0
+	for i, c := range counts {
+		end += c
+		// The bucket opened at row start closes with the run holding its
+		// per-th row (or the last row).
+		if end >= min(start+per, total) {
+			h.bounds = append(h.bounds, own(i))
+			h.counts = append(h.counts, end-start)
+			start = end
+		}
 	}
 	return h, nil
 }

@@ -1,8 +1,11 @@
 package histogram
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"tierdb/internal/value"
@@ -202,4 +205,75 @@ func TestRangeSelectivityMonotoneProperty(t *testing.T) {
 				lo, lo+width1, s1, lo, lo+width2, s2)
 		}
 	}
+}
+
+// TestFromCountsMatchesBuild gives FromCounts the distinct values and
+// run lengths of random columns, counted here by a map, and requires
+// exactly the histogram Build makes of the columns themselves.
+func TestFromCountsMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		typ := value.Type(trial % 3)
+		vals := make([]value.Value, 1+rng.Intn(2000))
+		spread := 1 + rng.Intn(len(vals))
+		for i := range vals {
+			k := rng.Intn(spread)
+			switch typ {
+			case value.Int64:
+				vals[i] = value.NewInt(int64(k))
+			case value.Float64:
+				vals[i] = value.NewFloat(float64(k) / 3)
+			default:
+				vals[i] = value.NewString(fmt.Sprintf("s%05d", k))
+			}
+		}
+		counts := map[value.Value]int{}
+		for _, v := range vals {
+			counts[v]++
+		}
+		distinct := make([]value.Value, 0, len(counts))
+		for v := range counts {
+			distinct = append(distinct, v)
+		}
+		slices.SortFunc(distinct, value.Value.Compare)
+		runs := make([]int, len(distinct))
+		for i, v := range distinct {
+			runs[i] = counts[v]
+		}
+		buckets := 1 + rng.Intn(80)
+		want, err := Build(typ, vals, buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FromCounts(typ, distinct, runs, buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: FromCounts %+v, Build %+v", trial, got, want)
+		}
+		if naive := naiveHistogram(typ, vals, buckets); !reflect.DeepEqual(want, naive) {
+			t.Fatalf("trial %d: Build %+v, bucketing the sorted values %+v", trial, want, naive)
+		}
+	}
+}
+
+// naiveHistogram is the histogram as it was first built: walk the sorted
+// values, closing a bucket every ceil(n/buckets) rows, extended so equal
+// values never straddle a boundary.
+func naiveHistogram(typ value.Type, vals []value.Value, buckets int) *Histogram {
+	sorted := slices.Clone(vals)
+	slices.SortFunc(sorted, value.Value.Compare)
+	h := &Histogram{typ: typ, min: sorted[0], total: len(sorted), distinct: len(slices.CompactFunc(slices.Clone(sorted), value.Value.Equal))}
+	per := (len(sorted) + buckets - 1) / buckets
+	for start := 0; start < len(sorted); {
+		end := min(start+per, len(sorted))
+		for end < len(sorted) && sorted[end].Equal(sorted[end-1]) {
+			end++
+		}
+		h.bounds = append(h.bounds, sorted[end-1])
+		h.counts = append(h.counts, end-start)
+		start = end
+	}
+	return h
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"tierdb/internal/metrics"
@@ -376,6 +377,18 @@ type Versions struct {
 // NewVersions returns an empty version store.
 func NewVersions() *Versions { return &Versions{} }
 
+// NewVersionsAt returns the version store of committed live rows, row i
+// inserted at begins[i], which it takes over: a merge's next main, whose
+// rows keep their commit history, built in one step rather than one
+// AppendAt per row.
+func NewVersionsAt(begins []Timestamp) *Versions {
+	v := &Versions{begin: begins, end: make([]Timestamp, len(begins)), owner: make([]TxID, len(begins)), intent: make([]TxID, len(begins))}
+	for i := range v.end {
+		v.end[i] = Infinity
+	}
+	return v
+}
+
 // Len returns the number of rows tracked.
 func (v *Versions) Len() int {
 	v.mu.RLock()
@@ -507,14 +520,25 @@ func (v *Versions) State(row int) RowState {
 	}
 }
 
-// SetEnd stamps row's delete timestamp directly (no intent protocol).
-// The merge swap uses it to replay deletes that committed against the
-// old partition while the new one was being built.
-func (v *Versions) SetEnd(row int, ts Timestamp) {
+// Stamps copies the begin and end vectors under one lock hold: the
+// merge classifies a whole partition's rows from one reading, and the
+// swap finds the deletes that committed during the rebuild the same way,
+// instead of one State call (and lock round trip) per row.
+func (v *Versions) Stamps() (begin, end []Timestamp) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return slices.Clone(v.begin), slices.Clone(v.end)
+}
+
+// SetEnds stamps end[rows[i]] = ends[i] for every i under one lock hold
+// (no intent protocol): the swap replays onto the next main the deletes
+// that committed against the old partitions while it was being built,
+// and recovery replays a logged delete.
+func (v *Versions) SetEnds(rows []int, ends []Timestamp) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if row >= 0 && row < len(v.begin) {
-		v.end[row] = ts
+	for i, row := range rows {
+		v.end[row] = ends[i]
 	}
 }
 

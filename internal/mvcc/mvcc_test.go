@@ -334,3 +334,32 @@ func TestFilterVisibleRacesWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestStampsAndSetEnds covers the whole-store operations of a merge: a
+// store built from begins holds committed live rows; Stamps copies both
+// vectors in one reading, unaffected by later writes; SetEnds stamps only
+// the rows it names.
+func TestStampsAndSetEnds(t *testing.T) {
+	v := NewVersionsAt([]Timestamp{3, 5, 7, 9})
+	if v.Len() != 4 || v.LiveAt(6) != 2 || v.LiveAt(9) != 4 || v.Unsettled() {
+		t.Fatalf("Len %d, live at 6: %d, at 9: %d", v.Len(), v.LiveAt(6), v.LiveAt(9))
+	}
+	if err := v.MarkDelete(1, 42); err != nil {
+		t.Fatal(err)
+	}
+	v.CommitDelete(1, 11)
+	begin, end := v.Stamps()
+	if !slices.Equal(begin, []Timestamp{3, 5, 7, 9}) || !slices.Equal(end, []Timestamp{Infinity, 11, Infinity, Infinity}) {
+		t.Fatalf("Stamps = %v %v", begin, end)
+	}
+	v.SetEnds([]int{0, 3}, []Timestamp{12, 13})
+	if !slices.Equal(end, []Timestamp{Infinity, 11, Infinity, Infinity}) {
+		t.Fatalf("Stamps' copy changed to %v", end)
+	}
+	if _, end = v.Stamps(); !slices.Equal(end, []Timestamp{12, 11, Infinity, 13}) {
+		t.Fatalf("ends after SetEnds = %v", end)
+	}
+	if v.Visible(0, 12, 0) || !v.Visible(0, 11, 0) || !v.Visible(2, 100, 0) {
+		t.Fatal("visibility does not follow the stamped ends")
+	}
+}

@@ -38,6 +38,29 @@ type Group struct {
 // Build encodes rows (each a slice of values matching fields) into
 // pages of store. If cache is non-nil, reads go through it.
 func Build(fields []schema.Field, rows [][]value.Value, store storage.Store, cache *amm.Cache) (*Group, error) {
+	return BuildFunc(fields, len(rows), func(r int, slots [][]byte) error {
+		row := rows[r]
+		if len(row) != len(fields) {
+			return fmt.Errorf("sscg: row %d has %d values, want %d", r, len(row), len(fields))
+		}
+		for f, v := range row {
+			if v.Type() != fields[f].Type {
+				return fmt.Errorf("sscg: row %d field %q: type %s, want %s", r, fields[f].Name, v.Type(), fields[f].Type)
+			}
+			if err := value.EncodeFixed(v, slots[f]); err != nil {
+				return fmt.Errorf("sscg: row %d field %q: %w", r, fields[f].Name, err)
+			}
+		}
+		return nil
+	}, store, cache)
+}
+
+// BuildFunc writes a group of n rows to pages of store, taking each
+// row's bytes from fill: it is called for rows 0..n-1 in order with one
+// zeroed slot per field (SlotWidth bytes each), which it fills by
+// encoding a value or by copying the slot of another group. If cache is
+// non-nil, reads go through it.
+func BuildFunc(fields []schema.Field, n int, fill func(row int, slots [][]byte) error, store storage.Store, cache *amm.Cache) (*Group, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("sscg: no fields")
 	}
@@ -45,7 +68,7 @@ func Build(fields []schema.Field, rows [][]value.Value, store storage.Store, cac
 		fields: append([]schema.Field(nil), fields...),
 		store:  store,
 		cache:  cache,
-		rows:   len(rows),
+		rows:   n,
 	}
 	g.offsets = make([]int, len(fields))
 	for i, f := range fields {
@@ -56,15 +79,10 @@ func Build(fields []schema.Field, rows [][]value.Value, store storage.Store, cac
 		g.rowsPerPage = storage.PageSize / g.rowWidth
 		g.pagesPerRow = 1
 	} else {
-		g.rowsPerPage = 0
 		g.pagesPerRow = (g.rowWidth + storage.PageSize - 1) / storage.PageSize
 	}
-	g.bufs.New = func() any {
-		b := make([]byte, storage.PageSize)
-		return &b
-	}
-
-	if err := g.writeRows(rows); err != nil {
+	g.bufs.New = newPageBuf
+	if err := g.writeRows(fill); err != nil {
 		// Return already-written pages to the freelist so an aborted
 		// build (e.g. a storage fault mid-merge) leaks nothing; the
 		// fault-injection tests assert the page count returns to its
@@ -77,9 +95,10 @@ func Build(fields []schema.Field, rows [][]value.Value, store storage.Store, cac
 	return g, nil
 }
 
-// writeRows encodes and persists all rows.
-func (g *Group) writeRows(rows [][]value.Value) error {
+// writeRows fills and persists all rows.
+func (g *Group) writeRows(fill func(row int, slots [][]byte) error) error {
 	rowBuf := make([]byte, g.rowWidth)
+	slots := g.slots(rowBuf, nil)
 	page := make([]byte, storage.PageSize)
 	inPage := 0
 	flush := func() error {
@@ -93,24 +112,14 @@ func (g *Group) writeRows(rows [][]value.Value) error {
 		if err := g.store.WritePage(id, page); err != nil {
 			return fmt.Errorf("sscg: write page: %w", err)
 		}
-		for i := range page {
-			page[i] = 0
-		}
+		clear(page)
 		inPage = 0
 		return nil
 	}
-	for r, row := range rows {
-		if len(row) != len(g.fields) {
-			return fmt.Errorf("sscg: row %d has %d values, want %d", r, len(row), len(g.fields))
-		}
-		for f, v := range row {
-			if v.Type() != g.fields[f].Type {
-				return fmt.Errorf("sscg: row %d field %q: type %s, want %s", r, g.fields[f].Name, v.Type(), g.fields[f].Type)
-			}
-			slot := rowBuf[g.offsets[f] : g.offsets[f]+g.fields[f].SlotWidth()]
-			if err := value.EncodeFixed(v, slot); err != nil {
-				return fmt.Errorf("sscg: row %d field %q: %w", r, g.fields[f].Name, err)
-			}
+	for r := 0; r < g.rows; r++ {
+		clear(rowBuf)
+		if err := fill(r, slots); err != nil {
+			return err
 		}
 		if g.pagesPerRow == 1 {
 			copy(page[inPage*g.rowWidth:], rowBuf)
@@ -124,9 +133,7 @@ func (g *Group) writeRows(rows [][]value.Value) error {
 			// Spanning rows occupy pagesPerRow consecutive pages each.
 			for off := 0; off < g.rowWidth; off += storage.PageSize {
 				n := copy(page, rowBuf[off:])
-				for i := n; i < len(page); i++ {
-					page[i] = 0
-				}
+				clear(page[n:])
 				if err := flush(); err != nil {
 					return err
 				}
@@ -135,6 +142,55 @@ func (g *Group) writeRows(rows [][]value.Value) error {
 	}
 	if g.pagesPerRow == 1 && inPage > 0 {
 		if err := flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// slots cuts one row's bytes into its per-field slots, reusing out.
+func (g *Group) slots(row []byte, out [][]byte) [][]byte {
+	out = out[:0]
+	for f, fd := range g.fields {
+		out = append(out, row[g.offsets[f]:g.offsets[f]+fd.SlotWidth()])
+	}
+	return out
+}
+
+// ReadRows calls fn for every row in [lo, hi), ascending, with the row's
+// slots, one per field; they are valid only during the call. It walks
+// the range page by page through the cache (when configured), so each
+// page is read once and in order — how a merge copies the rows it keeps.
+func (g *Group) ReadRows(lo, hi int, fn func(row int, slots [][]byte) error) error {
+	lo, hi = max(lo, 0), min(hi, g.rows)
+	if lo >= hi {
+		return nil
+	}
+	slots := make([][]byte, 0, len(g.fields))
+	if g.pagesPerRow == 1 {
+		for pageIdx := lo / g.rowsPerPage; pageIdx <= (hi-1)/g.rowsPerPage; pageIdx++ {
+			first := pageIdx * g.rowsPerPage
+			err := g.readPage(g.pages[pageIdx], func(data []byte) error {
+				for row := max(first, lo); row < min(first+g.rowsPerPage, hi); row++ {
+					off := (row - first) * g.rowWidth
+					if err := fn(row, g.slots(data[off:off+g.rowWidth], slots)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	rowBytes := make([]byte, g.rowWidth)
+	for row := lo; row < hi; row++ {
+		if err := g.readRow(row, rowBytes); err != nil {
+			return err
+		}
+		if err := fn(row, g.slots(rowBytes, slots)); err != nil {
 			return err
 		}
 	}
@@ -197,11 +253,13 @@ func (g *Group) WithBacking(store storage.Store) *Group {
 		store:       store,
 		cache:       g.cache,
 	}
-	ng.bufs.New = func() any {
-		b := make([]byte, storage.PageSize)
-		return &b
-	}
+	ng.bufs.New = newPageBuf
 	return ng
+}
+
+func newPageBuf() any {
+	b := make([]byte, storage.PageSize)
+	return &b
 }
 
 // Free invalidates the group's pages in the cache and returns them to
@@ -264,30 +322,33 @@ func (g *Group) ReadRow(row int) ([]value.Value, error) {
 		return nil, err
 	}
 	rowBytes := make([]byte, g.rowWidth)
+	if err := g.readRow(row, rowBytes); err != nil {
+		return nil, err
+	}
+	return g.decodeRow(rowBytes)
+}
+
+// readRow copies row's bytes into buf: one page access for packed
+// layouts, pagesPerRow consecutive ones for spanning layouts.
+func (g *Group) readRow(row int, buf []byte) error {
 	if g.pagesPerRow == 1 {
-		pageIdx := row / g.rowsPerPage
 		off := (row % g.rowsPerPage) * g.rowWidth
-		err := g.readPage(g.pages[pageIdx], func(data []byte) error {
-			copy(rowBytes, data[off:off+g.rowWidth])
+		return g.readPage(g.pages[row/g.rowsPerPage], func(data []byte) error {
+			copy(buf, data[off:off+g.rowWidth])
+			return nil
+		})
+	}
+	for p := 0; p < g.pagesPerRow; p++ {
+		off := p * storage.PageSize
+		err := g.readPage(g.pages[row*g.pagesPerRow+p], func(data []byte) error {
+			copy(buf[off:], data)
 			return nil
 		})
 		if err != nil {
-			return nil, err
-		}
-	} else {
-		base := row * g.pagesPerRow
-		for p := 0; p < g.pagesPerRow; p++ {
-			off := p * storage.PageSize
-			err := g.readPage(g.pages[base+p], func(data []byte) error {
-				copy(rowBytes[off:], data)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
+			return err
 		}
 	}
-	return g.decodeRow(rowBytes)
+	return nil
 }
 
 // decodeRow parses a row buffer into values.

@@ -2,9 +2,12 @@ package table
 
 import (
 	"fmt"
+	"strings"
 
 	"tierdb/internal/bptree"
 	"tierdb/internal/column"
+	"tierdb/internal/delta"
+	"tierdb/internal/dict"
 	"tierdb/internal/histogram"
 	"tierdb/internal/keyenc"
 	"tierdb/internal/mvcc"
@@ -142,62 +145,101 @@ func (m *main) addIndexesOf(from *main, cell func(row, col int) (value.Value, er
 // histogramBuckets is the equi-depth histogram resolution.
 const histogramBuckets = 64
 
-// buildMain builds the main partition holding rows under layout: MRCs,
-// the SSCG, column statistics, an empty version store for the caller to
-// fill and no indexes yet. Statistics come from a single row-major
-// transposition: the per-column value slices feed the equi-depth
-// histograms — whose sorted build pass yields the exact distinct count
-// for free — and are then reused as MRC build input (see
-// BenchmarkColumnStats). A main that ends up not installed is abandoned
-// with epoch.release, which frees the SSCG pages written here.
-func (t *Table) buildMain(layout []bool, rows [][]value.Value) (*main, error) {
-	nCols := t.schema.Len()
-	colVals := make([][]value.Value, nCols)
-	for c := range colVals {
-		colVals[c] = make([]value.Value, len(rows))
-	}
-	for r, row := range rows {
-		for c, v := range row {
-			colVals[c][r] = v
-		}
-	}
+// source is what the next main is built from: the rows of old that
+// survive, then the rows of a frozen delta that are folded in, each list
+// ascending, with the commit timestamp of every resulting row.
+type source struct {
+	old    *main            // nil for a new table's empty main
+	keep   []uint32         // positions in old
+	frozen *delta.Partition // nil when nothing is folded
+	fold   []uint32         // positions in frozen
+	begins []mvcc.Timestamp // per row of the next main
+}
 
+// encoded is one column of the next main: each row's value (an old SSCG
+// column's), or a dictionary of the distinct values and each row's code
+// in it, or both.
+type encoded struct {
+	vals  []value.Value
+	dict  *dict.Dictionary
+	codes []uint32
+}
+
+func (e encoded) value(row int) value.Value {
+	if e.vals != nil {
+		return e.vals[row]
+	}
+	return e.dict.Values()[e.codes[row]]
+}
+
+// histogram summarises the column: from its code counts when it has a
+// dictionary, else by sorting its values.
+func (e encoded) histogram(typ value.Type) (*histogram.Histogram, error) {
+	if e.dict == nil {
+		return histogram.Build(typ, e.vals, histogramBuckets)
+	}
+	counts := make([]int, e.dict.Size())
+	for _, c := range e.codes {
+		counts[c]++
+	}
+	return histogram.FromCounts(typ, e.dict.Values(), counts, histogramBuckets)
+}
+
+// buildMain builds the main partition holding src's rows under layout,
+// column by column from what the old main and the frozen delta already
+// hold (Krüger et al., "Fast Updates on Read-Optimized Databases Using
+// Multi-Core CPUs", PVLDB 2011). A column that was an MRC merges its old
+// dictionary with the delta's (dict.Merge), and its codes, counted, give
+// the histogram and the distinct count. A column that was in the SSCG
+// sorts its values once — by dict.Build when it becomes an MRC or is
+// indexed, else by histogram.Build. MRCs pack the codes and
+// single-column indexes are bulk-loaded from them. The next SSCG is
+// written in one pass: old slots are copied byte for byte from one
+// ordered walk of the old pages, and only delta rows and columns
+// arriving from an MRC are encoded. The values each column carries are
+// the ones a row-at-a-time rebuild would see — old SSCG strings as read
+// back from their slots, delta strings as inserted — which
+// TestColumnarMainMatchesRowPath pins. The result has its version store
+// and every index of src.old; a main that ends up not installed is
+// abandoned with epoch.release, which frees the SSCG pages written here.
+func (t *Table) buildMain(layout []bool, src source) (*main, error) {
+	nCols := t.schema.Len()
+	nKeep := len(src.keep)
 	m := &main{
 		name:       t.name,
 		schema:     t.schema,
-		rows:       len(rows),
+		rows:       nKeep + len(src.fold),
 		layout:     append([]bool(nil), layout...),
 		mrcs:       make([]*column.MRC, nCols),
 		groupIdx:   make([]int, nCols),
-		versions:   mvcc.NewVersions(),
+		versions:   mvcc.NewVersionsAt(src.begins),
 		indexes:    make(map[int]*bptree.Tree),
 		composites: make(map[string]compositeIndex),
 		distinct:   make([]int, nCols),
 		hists:      make([]*histogram.Histogram, nCols),
 	}
-	for col := 0; col < nCols; col++ {
-		m.groupIdx[col] = -1
-		if len(rows) == 0 {
-			continue
-		}
-		h, err := histogram.Build(t.schema.Field(col).Type, colVals[col], histogramBuckets)
-		if err != nil {
-			return nil, fmt.Errorf("table %s: build histogram for %q: %w", t.name, t.schema.Field(col).Name, err)
-		}
-		m.hists[col] = h
-		m.distinct[col] = h.DistinctCount()
+	oldSlots, err := src.oldSlots(nCols)
+	if err != nil {
+		return nil, fmt.Errorf("table %s: merge read main rows: %w", t.name, err)
 	}
-
+	cols := make([]encoded, nCols)
 	var groupFields []schema.Field
 	var groupCols []int
-	for col := 0; col < nCols; col++ {
+	for col := range cols {
 		f := t.schema.Field(col)
-		if layout[col] {
-			mrc, err := column.Build(f.Name, f.Type, colVals[col])
-			if err != nil {
-				return nil, fmt.Errorf("table %s: merge build MRC %q: %w", t.name, f.Name, err)
+		needCodes := layout[col] || src.old != nil && src.old.indexes[col] != nil
+		if cols[col], err = src.encode(col, f.Type, oldSlots[col], needCodes); err != nil {
+			return nil, fmt.Errorf("table %s: merge column %q: %w", t.name, f.Name, err)
+		}
+		if m.rows > 0 {
+			if m.hists[col], err = cols[col].histogram(f.Type); err != nil {
+				return nil, fmt.Errorf("table %s: build histogram for %q: %w", t.name, f.Name, err)
 			}
-			m.mrcs[col] = mrc
+			m.distinct[col] = m.hists[col].DistinctCount()
+		}
+		m.groupIdx[col] = -1
+		if layout[col] {
+			m.mrcs[col] = column.New(f.Name, cols[col].dict, cols[col].codes)
 		} else {
 			m.groupIdx[col] = len(groupFields)
 			groupFields = append(groupFields, f)
@@ -205,20 +247,124 @@ func (t *Table) buildMain(layout []bool, rows [][]value.Value) (*main, error) {
 		}
 	}
 	if len(groupFields) > 0 {
-		groupRows := make([][]value.Value, len(rows))
-		for r := range rows {
-			gr := make([]value.Value, len(groupCols))
+		m.group, err = sscg.BuildFunc(groupFields, m.rows, func(row int, slots [][]byte) error {
 			for gi, col := range groupCols {
-				gr[gi] = rows[r][col]
+				if old := oldSlots[col]; row < nKeep && old != nil {
+					w := len(slots[gi])
+					copy(slots[gi], old[row*w:(row+1)*w])
+				} else if err := value.EncodeFixed(cols[col].value(row), slots[gi]); err != nil {
+					return err
+				}
 			}
-			groupRows[r] = gr
-		}
-		var err error
-		m.group, err = sscg.Build(groupFields, groupRows, t.store, t.cache)
+			return nil
+		}, t.store, t.cache)
 		if err != nil {
 			return nil, fmt.Errorf("table %s: merge build SSCG: %w", t.name, err)
 		}
 	}
 	m.epoch = newEpoch(m.group)
+	if src.old == nil {
+		return m, nil
+	}
+	for col := range src.old.indexes {
+		m.indexes[col] = bptree.FromCodes(t.schema.Field(col).Type, cols[col].dict.Values(), cols[col].codes)
+	}
+	for _, ci := range src.old.composites {
+		if err := m.addIndex(ci.cols, func(row, col int) (value.Value, error) { return cols[col].value(row), nil }); err != nil {
+			m.epoch.release()
+			return nil, err
+		}
+	}
 	return m, nil
+}
+
+// oldSlots copies, for every column in the old main's SSCG, the slot of
+// each surviving row — row i's at i × the slot width — from one ordered
+// walk of the old pages. Other columns get nil.
+func (src source) oldSlots(nCols int) ([][]byte, error) {
+	raw := make([][]byte, nCols)
+	old := src.old
+	if old == nil || old.group == nil || len(src.keep) == 0 {
+		return raw, nil
+	}
+	for col, gi := range old.groupIdx {
+		if gi >= 0 {
+			raw[col] = make([]byte, len(src.keep)*old.schema.Field(col).SlotWidth())
+		}
+	}
+	i := 0
+	err := old.group.ReadRows(int(src.keep[0]), int(src.keep[len(src.keep)-1])+1, func(row int, slots [][]byte) error {
+		if uint32(row) != src.keep[i] {
+			return nil // not surviving
+		}
+		for col, gi := range old.groupIdx {
+			if gi >= 0 {
+				w := len(slots[gi])
+				copy(raw[col][i*w:], slots[gi])
+			}
+		}
+		i++
+		return nil
+	})
+	return raw, err
+}
+
+// encode returns column col of the next main. A column that was an MRC
+// (every column of a new table's empty main is) merges the old
+// dictionary, read through the surviving rows' codes, with the frozen
+// delta's. One that was in the SSCG decodes its copied slots, appends
+// the folded delta values and, if needCodes, encodes them all.
+func (src source) encode(col int, typ value.Type, oldSlots []byte, needCodes bool) (encoded, error) {
+	var deltaValues []value.Value
+	var deltaCodes []uint32
+	if src.frozen != nil {
+		deltaValues, deltaCodes = src.frozen.Column(col)
+	}
+	nKeep := len(src.keep)
+	if src.old == nil || src.old.mrcs[col] != nil {
+		var old *dict.Dictionary
+		keepCodes := make([]uint32, nKeep)
+		if src.old != nil {
+			mrc := src.old.mrcs[col]
+			old = mrc.Dictionary()
+			for i, pos := range src.keep {
+				keepCodes[i] = mrc.Code(int(pos))
+			}
+		}
+		foldCodes := make([]uint32, len(src.fold))
+		for i, pos := range src.fold {
+			foldCodes[i] = deltaCodes[pos]
+		}
+		d, codes := dict.Merge(typ, old, keepCodes, deltaValues, foldCodes)
+		return encoded{dict: d, codes: codes}, nil
+	}
+	vals := make([]value.Value, nKeep+len(src.fold))
+	decodeSlots(typ, oldSlots, vals[:nKeep])
+	for i, pos := range src.fold {
+		vals[nKeep+i] = deltaValues[deltaCodes[pos]]
+	}
+	if !needCodes {
+		return encoded{vals: vals}, nil
+	}
+	d, codes, err := dict.Build(typ, vals)
+	return encoded{vals, d, codes}, err
+}
+
+// decodeSlots decodes len(out) equal fixed-width slots laid end to end in
+// raw, the way an SSCG row read decodes them. The strings share one copy
+// of raw rather than costing an allocation each; a number's slot is
+// always 8 bytes, so decoding one cannot fail.
+func decodeSlots(typ value.Type, raw []byte, out []value.Value) {
+	all := ""
+	if typ == value.String {
+		all = string(raw)
+	}
+	for i := range out {
+		w := len(raw) / len(out)
+		if typ == value.String {
+			out[i] = value.NewString(strings.TrimRight(all[i*w:(i+1)*w], "\x00"))
+		} else {
+			out[i], _ = value.DecodeFixed(typ, raw[i*w:(i+1)*w])
+		}
+	}
 }

@@ -6,9 +6,11 @@
 //     the frozen merge input and a fresh active delta opens for writers.
 //     The rebuild snapshot is the latest commit timestamp.
 //  2. Rebuild — with NO table lock held, a shadow main partition (MRCs,
-//     SSCG, version store, statistics, indexes) is built from the old
-//     main plus the frozen delta as of the snapshot. Readers and
-//     writers proceed against old main + frozen delta + active delta.
+//     SSCG, version store, statistics, indexes) is built column by
+//     column from the old main's dictionaries, codes and SSCG pages plus
+//     the frozen delta's dictionaries, as of the snapshot (buildMain).
+//     Readers and writers proceed against old main + frozen delta +
+//     active delta.
 //  3. Swap — after the retiring partitions quiesce (no provisional
 //     inserts or delete intents), a short exclusive section replays
 //     deletes that committed during the rebuild onto the shadow main,
@@ -16,7 +18,8 @@
 //     installs the shadow main by assigning Table.main, and retires
 //     the old SSCG pages via the epoch protocol.
 //
-// Row version history is preserved across the swap (mvcc.AppendAt), so
+// Row version history is preserved across the swap (every row keeps its
+// begin; carried rows keep their interval), so
 // a transaction holding any open snapshot sees exactly the same rows
 // before and after. RowIDs, as documented on the type, are stable
 // between merges only.
@@ -42,14 +45,6 @@ var ErrMergeInProgress = errors.New("table: merge already in progress")
 // provisional writes resolve.
 const quiesceSpins = 4096
 
-// rowSource records where a rebuilt main row was copied from, so the
-// swap can replay deletes that committed against the old location while
-// the rebuild ran.
-type rowSource struct {
-	main bool // true: old main partition; false: frozen delta
-	pos  int
-}
-
 // carryRow is a committed row not folded into the new main whose
 // version interval may still matter to an open snapshot.
 type carryRow struct {
@@ -68,17 +63,14 @@ type mergeState struct {
 }
 
 // rebuilt is the shadow main partition the rebuild produces, with what
-// the swap needs to reconcile it against writes that raced the rebuild.
+// the swap needs to reconcile it against writes that raced the rebuild:
+// row i of next was old-main row keep[i], or, past len(keep), frozen row
+// fold[i-len(keep)].
 type rebuilt struct {
-	next    *main
-	sources []rowSource
-	folded  []bool // frozen positions folded into the new main
-	carry   []carryRow
-}
-
-// bufferCells serves addIndex from the row buffer a main was built from.
-func bufferCells(rows [][]value.Value) func(row, col int) (value.Value, error) {
-	return func(row, col int) (value.Value, error) { return rows[row][col], nil }
+	next  *main
+	keep  []uint32
+	fold  []uint32
+	carry []carryRow
 }
 
 // Merge folds the delta into the main partition under the current
@@ -127,6 +119,10 @@ func (t *Table) mergeOnline(layout []bool) error {
 	if err := t.swapMain(st, b); err != nil {
 		return err
 	}
+	// The table's reference on the old main's epoch drops after the
+	// swap's lock: its SSCG pages return to the freelist now, or when the
+	// last View pinned before the swap drains.
+	st.old.epoch.release()
 	t.hMergeNs.Observe(time.Since(start).Nanoseconds())
 	return nil
 }
@@ -166,66 +162,49 @@ func (t *Table) freezeForMerge(layout []bool) (*mergeState, error) {
 // main and the frozen delta as of the snapshot, holding no table lock.
 // Visibility at a fixed snapshot is stable under concurrent commits
 // (late deletes stamp end > snapshot; late inserts stamp begin >
-// snapshot), so the fold set is deterministic.
+// snapshot), so the fold set is deterministic. One reading of each
+// version store sorts the rows into kept, folded and carried; only a
+// carried row is read as a tuple.
 func (t *Table) rebuild(st *mergeState) (*rebuilt, error) {
-	b := &rebuilt{folded: make([]bool, st.frozenRows)}
-	var rows [][]value.Value
-	var begins []mvcc.Timestamp
-	for pos := 0; pos < st.old.rows; pos++ {
-		rs := st.old.versions.State(pos)
-		if rs.Begin == 0 || rs.Begin == mvcc.Infinity {
+	b := &rebuilt{}
+	begin, end := st.old.versions.Stamps()
+	frozenBegin, _ := st.frozen.Versions().Stamps()
+	b.fold = st.frozen.VisibleRows(st.snapshot, 0)
+	b.keep = make([]uint32, 0, st.old.rows)
+	begins := make([]mvcc.Timestamp, 0, st.old.rows+len(b.fold))
+	for pos := range begin {
+		if begin[pos] == 0 || begin[pos] == mvcc.Infinity {
 			continue // never-committed row (not possible in main; defensive)
 		}
-		tuple, err := st.old.tuple(pos)
-		if err != nil {
-			return nil, fmt.Errorf("table %s: merge read main row %d: %w", t.name, pos, err)
-		}
-		if rs.Begin > st.snapshot || rs.End <= st.snapshot {
+		if begin[pos] > st.snapshot || end[pos] <= st.snapshot {
 			// Invisible at the snapshot but committed: carry the version
 			// interval so snapshots that still need it survive the swap.
-			b.carry = append(b.carry, carryRow{tuple: tuple, begin: rs.Begin, end: rs.End})
+			tuple, err := st.old.tuple(pos)
+			if err != nil {
+				return nil, fmt.Errorf("table %s: merge read main row %d: %w", t.name, pos, err)
+			}
+			b.carry = append(b.carry, carryRow{tuple: tuple, begin: begin[pos], end: end[pos]})
 			continue
 		}
-		rows = append(rows, tuple)
-		b.sources = append(b.sources, rowSource{main: true, pos: pos})
-		begins = append(begins, rs.Begin)
+		b.keep = append(b.keep, uint32(pos))
+		begins = append(begins, begin[pos])
 	}
-	fv := st.frozen.Versions()
-	for _, p := range st.frozen.VisibleRows(st.snapshot, 0) {
-		pos := int(p)
-		if pos >= st.frozenRows {
-			break // physical rows are fixed at freeze; defensive
-		}
-		tuple, err := st.frozen.GetRow(pos)
-		if err != nil {
-			return nil, fmt.Errorf("table %s: merge read delta row %d: %w", t.name, pos, err)
-		}
-		b.folded[pos] = true
-		rows = append(rows, tuple)
-		b.sources = append(b.sources, rowSource{main: false, pos: pos})
-		begins = append(begins, fv.State(pos).Begin)
+	// Each row keeps its commit history, so every open snapshot keeps its
+	// exact visibility across the swap; deletes that commit during the
+	// rebuild are replayed by the swap.
+	for _, pos := range b.fold {
+		begins = append(begins, frozenBegin[pos])
 	}
-
 	var err error
-	if b.next, err = t.buildMain(st.layout, rows); err != nil {
-		return nil, err
-	}
-	// Preserve each row's commit history so every open snapshot keeps
-	// its exact visibility across the swap; deletes that commit during
-	// the rebuild are replayed by the swap via sources.
-	for _, begin := range begins {
-		b.next.versions.AppendAt(begin, mvcc.Infinity)
-	}
-	if err := b.next.addIndexesOf(st.old, bufferCells(rows)); err != nil {
-		b.next.epoch.release() // abandon the shadow SSCG, keep serving old main
-		return nil, err
-	}
-	return b, nil
+	b.next, err = t.buildMain(st.layout, source{old: st.old, keep: b.keep, frozen: st.frozen, fold: b.fold, begins: begins})
+	return b, err
 }
 
 // swapMain is phase 3: wait for the retiring partitions to quiesce,
 // then atomically install the shadow main under the write lock,
-// reconciling writes that landed during the rebuild.
+// reconciling writes that landed during the rebuild. The lock is held
+// for one reading of each retiring version store plus work in the
+// deletes and stragglers that raced the rebuild, never a step per row.
 func (t *Table) swapMain(st *mergeState, b *rebuilt) error {
 	ov, fv := st.old.versions, st.frozen.Versions()
 	// Quiescence: no provisional insert or delete intent may remain on
@@ -257,16 +236,22 @@ func (t *Table) swapMain(st *mergeState, b *rebuilt) error {
 	defer t.mu.Unlock()
 
 	// Replay deletes that committed against the old locations while the
-	// rebuild ran.
-	for i, src := range b.sources {
-		vers := fv
-		if src.main {
-			vers = ov
-		}
-		if rs := vers.State(src.pos); rs.End != mvcc.Infinity {
-			b.next.versions.SetEnd(i, rs.End)
+	// rebuild ran: the rows whose end moved, stamped under one lock hold.
+	_, oldEnd := ov.Stamps()
+	frozenBegin, frozenEnd := fv.Stamps()
+	var moved []int
+	var ends []mvcc.Timestamp
+	for i, pos := range b.keep {
+		if e := oldEnd[pos]; e != mvcc.Infinity {
+			moved, ends = append(moved, i), append(ends, e)
 		}
 	}
+	for i, pos := range b.fold {
+		if e := frozenEnd[pos]; e != mvcc.Infinity {
+			moved, ends = append(moved, len(b.keep)+i), append(ends, e)
+		}
+	}
+	b.next.versions.SetEnds(moved, ends)
 
 	// A failed swap is a failed merge: the old main keeps serving and the
 	// frozen delta is retained for the retry.
@@ -301,17 +286,19 @@ func (t *Table) swapMain(st *mergeState, b *rebuilt) error {
 		stragglers++
 		return nil
 	}
+	folded := b.fold
 	for pos := 0; pos < st.frozenRows; pos++ {
-		if b.folded[pos] {
+		if len(folded) > 0 && int(folded[0]) == pos {
+			folded = folded[1:]
 			continue
 		}
-		rs := fv.State(pos)
-		if rs.Begin == 0 || rs.Begin == mvcc.Infinity {
+		begin := frozenBegin[pos]
+		if begin == 0 || begin == mvcc.Infinity {
 			continue // aborted insert (quiescence rules out pending state)
 		}
 		tuple, err := st.frozen.GetRow(pos)
 		if err == nil {
-			err = adopt(tuple, rs.Begin, rs.End)
+			err = adopt(tuple, begin, frozenEnd[pos])
 		}
 		if err != nil {
 			return fail(err)
@@ -324,8 +311,7 @@ func (t *Table) swapMain(st *mergeState, b *rebuilt) error {
 	}
 
 	// Install: one pointer. Views pinned before this line keep the old
-	// main; dropping the table's reference on its epoch returns the old
-	// SSCG pages to the freelist now, or when the last such view drains.
+	// main.
 	t.main = b.next
 	t.frozen = nil
 	t.frozenRows = 0
@@ -336,60 +322,6 @@ func (t *Table) swapMain(st *mergeState, b *rebuilt) error {
 	t.cStragglers.Add(int64(stragglers))
 	t.gFrozenRows.Set(0)
 	t.gActiveRows.Set(int64(t.delta.Rows()))
-	st.old.epoch.release()
-	return nil
-}
-
-// MergeOffline is the blocking reference merge: it folds the delta
-// under an exclusive lock held for the entire rebuild, exactly as the
-// engine merged before the online path existed. The equivalence
-// property tests replay committed histories through it and compare
-// against online-merged tables. It refuses to run while an online merge
-// is in flight.
-func (t *Table) MergeOffline() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.merging || t.frozen != nil {
-		return ErrMergeInProgress
-	}
-
-	old := t.main
-	snapshot := t.mgr.LastCommit()
-	var rows [][]value.Value
-	for _, row := range old.versions.VisibleIn(0, old.rows, snapshot, 0, nil) {
-		tuple, err := old.tuple(int(row))
-		if err != nil {
-			return fmt.Errorf("table %s: merge read main row %d: %w", t.name, row, err)
-		}
-		rows = append(rows, tuple)
-	}
-	for _, pos := range t.delta.VisibleRows(snapshot, 0) {
-		tuple, err := t.delta.GetRow(int(pos))
-		if err != nil {
-			return fmt.Errorf("table %s: merge read delta row %d: %w", t.name, pos, err)
-		}
-		rows = append(rows, tuple)
-	}
-
-	next, err := t.buildMain(old.layout, rows)
-	if err != nil {
-		return err
-	}
-	// Fresh MVCC state: all merged rows are committed & live.
-	for range rows {
-		next.versions.AppendCommitted(snapshot)
-	}
-	if err := next.addIndexesOf(old, bufferCells(rows)); err != nil {
-		next.epoch.release()
-		return err
-	}
-
-	t.main = next
-	t.delta = delta.New(t.schema)
-	t.delta.Observe(t.registry) // fresh partition, fresh handles
-	t.cMerges.Inc()
-	t.gActiveRows.Set(0)
-	old.epoch.release()
 	return nil
 }
 

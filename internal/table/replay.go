@@ -54,7 +54,7 @@ func (t *Table) ReplayDelete(tuple []value.Value, ts mvcc.Timestamp) error {
 			return fmt.Errorf("table %s: replay delete: %w", t.name, err)
 		}
 		if rowsEqual(got, tuple) {
-			t.main.versions.SetEnd(row, ts)
+			t.main.versions.SetEnds([]int{row}, []mvcc.Timestamp{ts})
 			return nil
 		}
 	}
@@ -73,7 +73,7 @@ func (t *Table) ReplayDelete(tuple []value.Value, ts mvcc.Timestamp) error {
 				return fmt.Errorf("table %s: replay delete: %w", t.name, err)
 			}
 			if rowsEqual(got, tuple) {
-				vers.SetEnd(pos, ts)
+				vers.SetEnds([]int{pos}, []mvcc.Timestamp{ts})
 				return nil
 			}
 		}

@@ -53,12 +53,11 @@ type Options struct {
 // and install it by assigning the pointer; nothing is edited in place.
 //
 // What t.mu guards: the pointers themselves — main, delta, frozen,
-// frozenRows, merging. Freeze, swap, MergeOffline and index creation
-// assign them under the write lock. Inserts and delete intents run
-// under the read lock, which is what lets the swap treat "no
-// provisional state on the retiring partitions" as stable once it holds
-// the write lock, and what lets Delete hand back exactly the row it
-// marked.
+// frozenRows, merging. Freeze, swap and index creation assign them
+// under the write lock. Inserts and delete intents run under the read
+// lock, which is what lets the swap treat "no provisional state on the
+// retiring partitions" as stable once it holds the write lock, and what
+// lets Delete hand back exactly the row it marked.
 //
 // How to read: an accessor that touches only DRAM state (row counts,
 // layout, statistics, index handles, footprints) peeks — it copies the
@@ -144,7 +143,7 @@ func New(name string, s *schema.Schema, opts Options) (*Table, error) {
 		layout[i] = true
 	}
 	var err error
-	if t.main, err = t.buildMain(layout, nil); err != nil {
+	if t.main, err = t.buildMain(layout, source{}); err != nil {
 		return nil, err
 	}
 	return t, nil
