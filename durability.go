@@ -206,7 +206,11 @@ func (db *DB) Checkpoint() error {
 	if err := db.wal.BeginCheckpoint(); err != nil {
 		return err
 	}
-	snapTs := db.mgr.QuiescedLastCommit()
+	// snapTs stays registered while the tables are written: a merge that
+	// swaps meanwhile (BulkLoad and Table.Merge run outside the
+	// scheduler) must not purge a row deleted after it.
+	snapTs, release := db.mgr.QuiescedLastCommit()
+	defer release()
 	if err := db.wal.AppendCheckpointBegin(snapTs); err != nil {
 		return err
 	}

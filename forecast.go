@@ -124,8 +124,9 @@ func (t *Table) LookupComposite(columns []string, key []Value) ([]RowID, error) 
 	if err != nil {
 		return nil, err
 	}
-	snapshot := t.db.mgr.LastCommit()
-	return t.inner.LookupComposite(cols, key, snapshot, 0)
+	v, snapshot := t.inner.PinLatest()
+	defer v.Release()
+	return v.LookupComposite(cols, key, snapshot, 0)
 }
 
 // newTableHandle wraps an engine table in the public handle (shared by

@@ -410,21 +410,21 @@ func (e *Executor) observeSelectivity(s *step, in, out int) {
 
 // run executes q, filling tr in when non-nil.
 func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error) {
-	var snapshot mvcc.Timestamp
-	var self mvcc.TxID
-	if tx != nil {
-		snapshot, self = tx.Snapshot(), tx.ID()
-	} else {
-		snapshot = e.tbl.Manager().LastCommit()
-	}
-
 	// Pin the table's structure for the whole query: an online merge
 	// swapping the main partition mid-query cannot tear the reads, and
 	// the epoch reference keeps the pinned SSCG's pages allocated until
-	// Release. The plan binds to the same pinned structure; a query it
-	// rejects has had no effect. Plans of up to len(buf) predicates live
-	// on this frame.
-	v := e.tbl.Pin()
+	// Release. Outside a transaction the snapshot is read with the pin
+	// (see table.Table.PinLatest). The plan binds to the same pinned
+	// structure; a query it rejects has had no effect. Plans of up to
+	// len(buf) predicates live on this frame.
+	var v *table.View
+	var snapshot mvcc.Timestamp
+	var self mvcc.TxID
+	if tx != nil {
+		v, snapshot, self = e.tbl.Pin(), tx.Snapshot(), tx.ID()
+	} else {
+		v, snapshot = e.tbl.PinLatest()
+	}
 	defer v.Release()
 	var buf [4]step
 	steps, err := e.plan(v, q, buf[:0])

@@ -72,10 +72,15 @@ func (env *table3Env) runQ19(cfg tpcc.Config) (time.Duration, error) {
 }
 
 // evictedShare returns the fraction of the table's attribute bytes that
-// live on secondary storage.
+// live on secondary storage: the SSCG's bytes against those plus the
+// MRCs'. Deltas and MVCC state are not attribute data.
 func evictedShare(tbl *table.Table) float64 {
-	sec := float64(tbl.SecondaryBytes())
-	mem := float64(tbl.MemoryBytes())
+	sec, mem := float64(tbl.SecondaryBytes()), 0.0
+	for col, inDRAM := range tbl.Layout() {
+		if inDRAM {
+			mem += float64(tbl.ColumnBytes(col))
+		}
+	}
 	if sec+mem == 0 {
 		return 0
 	}

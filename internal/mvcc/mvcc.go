@@ -100,7 +100,7 @@ type Manager struct {
 	unpublished map[Timestamp]struct{}
 	published   *sync.Cond // on mu: lastCommit advanced
 	nextTx      TxID
-	active      map[TxID]Timestamp // snapshot of every unfinished transaction
+	active      map[TxID]Timestamp // snapshot of every unfinished transaction or registered reader
 
 	// gate is the commit gate: every commit holds it shared from
 	// timestamp allocation through write publication, and a checkpoint
@@ -153,11 +153,14 @@ func (m *Manager) Begin() *Tx {
 }
 
 // OldestActiveSnapshot returns the smallest snapshot any unfinished
-// transaction reads at, or the latest commit timestamp when none is
-// active. The merge swap uses it as a purge watermark: rows deleted at
-// or before this timestamp are invisible to every current and future
-// reader and can be dropped; younger dead rows are re-based so open
-// snapshots keep their exact visibility across the swap.
+// transaction or registered reader (QuiescedLastCommit) reads at, or the
+// latest commit timestamp when there is none. The merge swap uses it as
+// a purge watermark: rows deleted at or before this timestamp are
+// invisible to every current and future reader and can be dropped;
+// younger dead rows are re-based so open snapshots keep their exact
+// visibility across the swap. A reader outside both sets must read its
+// snapshot under the same lock hold as the structure it reads (see
+// table.Table.PinLatest), or a swap in between may purge rows it sees.
 func (m *Manager) OldestActiveSnapshot() Timestamp {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -195,11 +198,23 @@ func (m *Manager) AdvanceTo(ts Timestamp) {
 // guarantee that every commit at or below it is fully published (rows
 // stamped, visible to snapshot scans). It acquires the commit gate
 // exclusively, so it waits out in-flight commits; checkpoints use the
-// result as their snapshot timestamp.
-func (m *Manager) QuiescedLastCommit() Timestamp {
+// result as their snapshot timestamp. The timestamp stays registered as
+// an active snapshot until release is called (once): a checkpoint reads
+// its tables after this returns, and a merge swap in between must not
+// purge a row deleted after the timestamp.
+func (m *Manager) QuiescedLastCommit() (ts Timestamp, release func()) {
 	m.gate.Lock()
 	defer m.gate.Unlock()
-	return m.LastCommit()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	id := m.nextTx // registered as a reader that never writes
+	m.nextTx++
+	m.active[id] = m.lastCommit
+	return m.lastCommit, func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		delete(m.active, id)
+	}
 }
 
 // allocLocked assigns the next commit timestamp and retires t from the
@@ -363,26 +378,57 @@ func (m *Manager) Abort(t *Tx) error {
 	return nil
 }
 
-// Versions stores the begin/end timestamp vectors of one partition's
-// rows plus provisional write ownership. All methods are safe for
-// concurrent use.
+// Versions stores the begin/end timestamps of one partition's rows plus
+// provisional write ownership, in two parts. The shared rows [0, shared)
+// are a main partition's rows as a merge built them: all inserted at
+// base, none a provisional insert, so only an end or a delete intent can
+// set one apart, and those few are held sparsely (exc). The rows from
+// shared on keep dense vectors, row shared+i at index i: 32 bytes a row.
+// A delta partition is all dense (shared is 0); a freshly merged main is
+// all shared and holds a few words. Every answer is the one the dense
+// vectors would give. All methods are safe for concurrent use.
 type Versions struct {
 	mu     sync.RWMutex
-	begin  []Timestamp // 0 while the inserting tx is uncommitted
-	end    []Timestamp // Infinity while live
-	owner  []TxID      // inserting tx while the insert is provisional
-	intent []TxID      // tx holding a provisional delete intent
+	shared int                  // rows [0, shared) were inserted at base
+	base   Timestamp            // a commit timestamp when shared > 0
+	exc    map[uint32]exception // the shared rows with an end or an intent
+	begin  []Timestamp          // 0 while the inserting tx is uncommitted
+	end    []Timestamp          // Infinity while live
+	owner  []TxID               // inserting tx while the insert is provisional
+	intent []TxID               // tx holding a provisional delete intent
 }
+
+// exception is what sets a shared row apart: its delete timestamp
+// (Infinity while live) and the transaction holding its delete intent.
+type exception struct {
+	end    Timestamp
+	intent TxID
+}
+
+// exceptionBytes is what Bytes counts for one exception: its row, end
+// and intent.
+const exceptionBytes = 4 + 8 + 8
 
 // NewVersions returns an empty version store.
 func NewVersions() *Versions { return &Versions{} }
 
-// NewVersionsAt returns the version store of committed live rows, row i
-// inserted at begins[i], which it takes over: a merge's next main, whose
-// rows keep their commit history, built in one step rather than one
-// AppendAt per row.
-func NewVersionsAt(begins []Timestamp) *Versions {
-	v := &Versions{begin: begins, end: make([]Timestamp, len(begins)), owner: make([]TxID, len(begins)), intent: make([]TxID, len(begins))}
+// NewVersionsAt returns the version store of committed live rows: shared
+// rows inserted at base, then one row per entry of tail, inserted at that
+// entry — a merge's next main, whose rows keep their commit history,
+// built in one step rather than one AppendAt per row. The entries that
+// lead tail and equal base (when shared is 0: equal tail[0]) join the
+// shared rows; the rest is copied, so the store never holds on to the
+// caller's array.
+func NewVersionsAt(shared int, base Timestamp, tail []Timestamp) *Versions {
+	if shared == 0 && len(tail) > 0 {
+		base = tail[0]
+	}
+	for len(tail) > 0 && tail[0] == base {
+		shared, tail = shared+1, tail[1:]
+	}
+	v := &Versions{shared: shared, base: base, exc: map[uint32]exception{}}
+	v.begin, v.end = append([]Timestamp(nil), tail...), make([]Timestamp, len(tail))
+	v.owner, v.intent = make([]TxID, len(tail)), make([]TxID, len(tail))
 	for i := range v.end {
 		v.end[i] = Infinity
 	}
@@ -393,7 +439,49 @@ func NewVersionsAt(begins []Timestamp) *Versions {
 func (v *Versions) Len() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.begin)
+	return v.lenLocked()
+}
+
+// Shared returns how many leading rows share one begin, and that begin.
+func (v *Versions) Shared() (rows int, begin Timestamp) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return v.shared, v.base
+}
+
+func (v *Versions) lenLocked() int { return v.shared + len(v.begin) }
+
+// at reads row's entry from either part; the caller holds v.mu and row
+// is in range.
+func (v *Versions) at(row int) (begin, end Timestamp, owner, intent TxID) {
+	if i := row - v.shared; i >= 0 {
+		return v.begin[i], v.end[i], v.owner[i], v.intent[i]
+	}
+	e, ok := v.exc[uint32(row)]
+	if !ok {
+		e.end = Infinity
+	}
+	return v.base, e.end, 0, e.intent
+}
+
+// setEnd stores row's end and delete intent; the caller holds v.mu for
+// writing. A shared row that is live and unclaimed again stops being an
+// exception.
+func (v *Versions) setEnd(row int, end Timestamp, intent TxID) {
+	switch {
+	case row >= v.shared:
+		v.end[row-v.shared], v.intent[row-v.shared] = end, intent
+	case end == Infinity && intent == 0:
+		delete(v.exc, uint32(row))
+	default:
+		v.exc[uint32(row)] = exception{end: end, intent: intent}
+	}
+}
+
+// sharedSeen reports whether the shared rows' begin admits a reader at
+// snapshot; each shared row is then visible unless an exception hides it.
+func (v *Versions) sharedSeen(snapshot Timestamp) bool {
+	return v.base <= snapshot && snapshot != Infinity
 }
 
 // AppendAt adds a committed row with explicit begin and end timestamps.
@@ -404,11 +492,7 @@ func (v *Versions) Len() int {
 func (v *Versions) AppendAt(begin, end Timestamp) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.begin = append(v.begin, begin)
-	v.end = append(v.end, end)
-	v.owner = append(v.owner, 0)
-	v.intent = append(v.intent, 0)
-	return len(v.begin) - 1
+	return v.appendLocked(begin, end, 0)
 }
 
 // AppendCommitted adds a row that is immediately visible from ts on
@@ -416,11 +500,7 @@ func (v *Versions) AppendAt(begin, end Timestamp) int {
 func (v *Versions) AppendCommitted(ts Timestamp) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.begin = append(v.begin, ts)
-	v.end = append(v.end, Infinity)
-	v.owner = append(v.owner, 0)
-	v.intent = append(v.intent, 0)
-	return len(v.begin) - 1
+	return v.appendLocked(ts, Infinity, 0)
 }
 
 // AppendPending adds a provisional row owned by tx; it becomes visible
@@ -428,19 +508,24 @@ func (v *Versions) AppendCommitted(ts Timestamp) int {
 func (v *Versions) AppendPending(tx TxID) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.begin = append(v.begin, 0)
-	v.end = append(v.end, Infinity)
-	v.owner = append(v.owner, tx)
+	return v.appendLocked(0, Infinity, tx)
+}
+
+// appendLocked adds a dense row and returns its position.
+func (v *Versions) appendLocked(begin, end Timestamp, owner TxID) int {
+	v.begin = append(v.begin, begin)
+	v.end = append(v.end, end)
+	v.owner = append(v.owner, owner)
 	v.intent = append(v.intent, 0)
-	return len(v.begin) - 1
+	return v.lenLocked() - 1
 }
 
 // CommitInsert publishes a pending row at commit timestamp ts.
 func (v *Versions) CommitInsert(row int, ts Timestamp) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.begin[row] = ts
-	v.owner[row] = 0
+	v.begin[row-v.shared] = ts
+	v.owner[row-v.shared] = 0
 }
 
 // AbortInsert invalidates a pending row (it stays allocated but is
@@ -448,9 +533,9 @@ func (v *Versions) CommitInsert(row int, ts Timestamp) {
 func (v *Versions) AbortInsert(row int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.begin[row] = Infinity
-	v.end[row] = 0
-	v.owner[row] = 0
+	v.begin[row-v.shared] = Infinity
+	v.end[row-v.shared] = 0
+	v.owner[row-v.shared] = 0
 }
 
 // MarkDelete acquires the row's write intent for tx. It fails with
@@ -459,20 +544,21 @@ func (v *Versions) AbortInsert(row int) {
 func (v *Versions) MarkDelete(row int, tx TxID) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if row < 0 || row >= len(v.begin) {
-		return fmt.Errorf("mvcc: row %d out of range (%d rows)", row, len(v.begin))
+	if row < 0 || row >= v.lenLocked() {
+		return fmt.Errorf("mvcc: row %d out of range (%d rows)", row, v.lenLocked())
 	}
-	if v.intent[row] != 0 && v.intent[row] != tx {
+	_, end, owner, intent := v.at(row)
+	if intent != 0 && intent != tx {
 		return ErrWriteConflict
 	}
-	if v.owner[row] != 0 && v.owner[row] != tx {
+	if owner != 0 && owner != tx {
 		// Another transaction's provisional insert cannot be deleted.
 		return ErrWriteConflict
 	}
-	if v.end[row] != Infinity {
+	if end != Infinity {
 		return ErrWriteConflict
 	}
-	v.intent[row] = tx
+	v.setEnd(row, Infinity, tx)
 	return nil
 }
 
@@ -480,16 +566,15 @@ func (v *Versions) MarkDelete(row int, tx TxID) error {
 func (v *Versions) CommitDelete(row int, ts Timestamp) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.end[row] = ts
-	v.intent[row] = 0
+	v.setEnd(row, ts, 0)
 }
 
 // AbortDelete releases a delete intent.
 func (v *Versions) AbortDelete(row int, tx TxID) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.intent[row] == tx {
-		v.intent[row] = 0
+	if _, end, _, intent := v.at(row); intent == tx {
+		v.setEnd(row, end, 0)
 	}
 }
 
@@ -505,29 +590,62 @@ type RowState struct {
 	Pending bool
 }
 
-// State returns a copy of row's version entry. The merge swap uses it to
-// reconcile deletes that committed while the rebuild ran off-lock.
+// State returns a copy of row's version entry. The merge reads a
+// carried row's interval with it.
 func (v *Versions) State(row int) RowState {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	if row < 0 || row >= len(v.begin) {
+	if row < 0 || row >= v.lenLocked() {
 		return RowState{Begin: Infinity, End: 0}
 	}
-	return RowState{
-		Begin:   v.begin[row],
-		End:     v.end[row],
-		Pending: (v.begin[row] == 0 && v.owner[row] != 0) || v.intent[row] != 0,
-	}
+	begin, end, owner, intent := v.at(row)
+	return RowState{Begin: begin, End: end, Pending: (begin == 0 && owner != 0) || intent != 0}
 }
 
-// Stamps copies the begin and end vectors under one lock hold: the
-// merge classifies a whole partition's rows from one reading, and the
-// swap finds the deletes that committed during the rebuild the same way,
-// instead of one State call (and lock round trip) per row.
+// Stamps copies the begin and end of every row under one lock hold: the
+// merge swap reads a frozen delta's rows this way, instead of one State
+// call (and lock round trip) per row. A main's rows are read through
+// Shared, Begins and DeletedAfter, which never touch a shared row.
 func (v *Versions) Stamps() (begin, end []Timestamp) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return slices.Clone(v.begin), slices.Clone(v.end)
+	begin, end = make([]Timestamp, v.lenLocked()), make([]Timestamp, v.lenLocked())
+	for row := range begin {
+		begin[row], end[row], _, _ = v.at(row)
+	}
+	return begin, end
+}
+
+// Begins appends to out the begin of each of rows (all in range) under
+// one lock hold.
+func (v *Versions) Begins(rows []uint32, out []Timestamp) []Timestamp {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	for _, row := range rows {
+		begin, _, _, _ := v.at(int(row))
+		out = append(out, begin)
+	}
+	return out
+}
+
+// DeletedAfter returns, ascending, the rows whose delete committed after
+// ts and those deletes' timestamps, under one lock hold: the merge swap
+// finds the deletes that committed during the rebuild from the
+// exceptions and the dense rows, never reading a shared row.
+func (v *Versions) DeletedAfter(ts Timestamp) (rows []int, ends []Timestamp) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	rows = v.excRows(func(_ int, e exception) bool { return e.end > ts && e.end != Infinity })
+	for i, end := range v.end {
+		if end > ts && end != Infinity {
+			rows = append(rows, v.shared+i)
+		}
+	}
+	ends = make([]Timestamp, len(rows))
+	for i, row := range rows {
+		_, ends[i], _, _ = v.at(row)
+	}
+	return rows, ends
 }
 
 // SetEnds stamps end[rows[i]] = ends[i] for every i under one lock hold
@@ -538,7 +656,8 @@ func (v *Versions) SetEnds(rows []int, ends []Timestamp) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for i, row := range rows {
-		v.end[row] = ends[i]
+		_, _, _, intent := v.at(row)
+		v.setEnd(row, ends[i], intent)
 	}
 }
 
@@ -549,6 +668,9 @@ func (v *Versions) SetEnds(rows []int, ends []Timestamp) {
 func (v *Versions) Unsettled() bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
+	if len(v.excRows(func(_ int, e exception) bool { return e.intent != 0 })) > 0 {
+		return true
+	}
 	for i := range v.begin {
 		if (v.begin[i] == 0 && v.owner[i] != 0) || v.intent[i] != 0 {
 			return true
@@ -568,39 +690,42 @@ func (v *Versions) Visible(row int, snapshot Timestamp, self TxID) bool {
 	return v.visibleLocked(row, snapshot, self)
 }
 
-// visibleLocked is the one visibility rule; the caller holds v.mu.
+// visibleLocked is the one visibility rule; the caller holds v.mu. The
+// batched readers below skip it only for shared rows, where it reduces
+// to sharedSeen and the row's exception.
 func (v *Versions) visibleLocked(row int, snapshot Timestamp, self TxID) bool {
-	if row < 0 || row >= len(v.begin) {
+	if row < 0 || row >= v.lenLocked() {
 		return false
 	}
-	// A pending delete intent by self hides the row from self. A reader
-	// outside a transaction never looks at intent or owner: a scan then
-	// walks two of the four vectors.
-	if self != 0 && v.intent[row] == self {
+	begin, end, owner, intent := v.at(row)
+	switch {
+	case self != 0 && intent == self: // self's pending delete hides the row from self
+		return false
+	case begin == 0: // provisional insert
+		return self != 0 && owner == self
+	case begin == Infinity, begin > snapshot: // aborted insert, or a later one
 		return false
 	}
-	begin := v.begin[row]
-	if begin == 0 { // provisional insert
-		return self != 0 && v.owner[row] == self
-	}
-	if begin == Infinity { // aborted insert
-		return false
-	}
-	if begin > snapshot {
-		return false
-	}
-	return v.end[row] > snapshot
+	return end > snapshot
 }
 
 // FilterVisible keeps, in place and in order, the positions of pos that
 // are visible at (snapshot, self), under one lock hold. Scans call it
 // once per morsel on the rows that matched, so visibility costs a lock
-// per morsel and a check per match, not either per row.
+// per morsel and a check per match, not either per row. Leading
+// positions that are shared rows with no exception in the store need no
+// check: on a main without deletes pos comes back untouched.
 func (v *Versions) FilterVisible(pos []uint32, snapshot Timestamp, self TxID) []uint32 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	out := pos[:0]
-	for _, p := range pos {
+	i := 0
+	if len(v.exc) == 0 && v.sharedSeen(snapshot) {
+		for i < len(pos) && int(pos[i]) < v.shared {
+			i++
+		}
+	}
+	out := pos[:i]
+	for _, p := range pos[i:] {
 		if v.visibleLocked(int(p), snapshot, self) {
 			out = append(out, p)
 		}
@@ -609,16 +734,44 @@ func (v *Versions) FilterVisible(pos []uint32, snapshot Timestamp, self TxID) []
 }
 
 // VisibleIn appends to out the rows of [lo, hi) visible at (snapshot,
-// self), ascending, under one lock hold.
+// self), ascending, under one lock hold. Shared rows are decided by
+// their begin and the exceptions, never one by one.
 func (v *Versions) VisibleIn(lo, hi int, snapshot Timestamp, self TxID, out []uint32) []uint32 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	for row := max(lo, 0); row < min(hi, len(v.begin)); row++ {
+	lo, hi = max(lo, 0), min(hi, v.lenLocked())
+	if top := min(hi, v.shared); lo < top && v.sharedSeen(snapshot) {
+		// The exceptions that hide a row its begin admits: deleted at or
+		// before the snapshot, or under self's intent.
+		hidden := v.excRows(func(row int, e exception) bool {
+			return row >= lo && row < top && (e.end <= snapshot || self != 0 && e.intent == self)
+		})
+		for row := lo; row < top; row++ {
+			if len(hidden) > 0 && hidden[0] == row {
+				hidden = hidden[1:]
+				continue
+			}
+			out = append(out, uint32(row))
+		}
+	}
+	for row := max(lo, v.shared); row < hi; row++ {
 		if v.visibleLocked(row, snapshot, self) {
 			out = append(out, uint32(row))
 		}
 	}
 	return out
+}
+
+// excRows lists, ascending, the shared rows whose exception hit accepts.
+func (v *Versions) excRows(hit func(row int, e exception) bool) []int {
+	var rows []int
+	for row, e := range v.exc {
+		if hit(int(row), e) {
+			rows = append(rows, int(row))
+		}
+	}
+	slices.Sort(rows)
+	return rows
 }
 
 // LiveAt returns how many rows are visible at the given snapshot for a
@@ -627,18 +780,22 @@ func (v *Versions) LiveAt(snapshot Timestamp) int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	n := 0
-	for i := range v.begin {
-		if v.visibleLocked(i, snapshot, 0) {
+	if v.sharedSeen(snapshot) {
+		n = v.shared - len(v.excRows(func(_ int, e exception) bool { return e.end <= snapshot }))
+	}
+	for row := v.shared; row < v.lenLocked(); row++ {
+		if v.visibleLocked(row, snapshot, 0) {
 			n++
 		}
 	}
 	return n
 }
 
-// Bytes returns the DRAM footprint of the version vectors (always
-// DRAM-resident, per the paper's transaction-handling design).
+// Bytes returns the DRAM footprint of the version state (always
+// DRAM-resident, per the paper's transaction-handling design): 32 bytes
+// a dense row, exceptionBytes an exception, nothing a shared row.
 func (v *Versions) Bytes() int64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return int64(len(v.begin)) * (8 + 8 + 8 + 8)
+	return int64(len(v.begin))*(8+8+8+8) + int64(len(v.exc))*exceptionBytes
 }

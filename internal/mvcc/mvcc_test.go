@@ -237,12 +237,29 @@ func TestConcurrentTransactions(t *testing.T) {
 // TestBatchedVisibilityMatchesVisible holds FilterVisible and VisibleIn
 // to the per-row rule over random version vectors covering every state
 // a row can be in, for a transactional and a non-transactional reader,
-// with out-of-range positions in the list.
+// with out-of-range positions in the list. The last 50 rounds are
+// main-shaped: shared rows at one begin before or after the snapshot,
+// some deleted or under an intent, then the same dense rows.
 func TestBatchedVisibilityMatchesVisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const self, other, snapshot = TxID(7), TxID(8), Timestamp(50)
-	for round := 0; round < 50; round++ {
+	for round := 0; round < 100; round++ {
 		v := NewVersions()
+		if round >= 50 {
+			v = NewVersionsAt(1+rng.Intn(200), Timestamp(1+rng.Intn(60)), nil)
+			for row := 0; row < v.Len(); row++ {
+				owner := []TxID{self, other}[rng.Intn(2)]
+				switch rng.Intn(6) {
+				case 0: // delete intent, by self or another
+					if err := v.MarkDelete(row, owner); err != nil {
+						t.Fatal(err)
+					}
+				case 1: // deleted before or after the snapshot
+					v.SetEnds([]int{row}, []Timestamp{Timestamp(41 + rng.Intn(20))})
+				}
+			}
+		}
+		shared := v.Len()
 		n := rng.Intn(300)
 		for i := 0; i < n; i++ {
 			owner := []TxID{self, other}[rng.Intn(2)]
@@ -267,6 +284,7 @@ func TestBatchedVisibilityMatchesVisible(t *testing.T) {
 				v.AppendCommitted(1)
 			}
 		}
+		n += shared
 		for _, reader := range []TxID{0, self} {
 			var want, pos []uint32
 			for i := 0; i < n+10; i++ { // the last ten are out of range
@@ -336,11 +354,11 @@ func TestFilterVisibleRacesWriters(t *testing.T) {
 }
 
 // TestStampsAndSetEnds covers the whole-store operations of a merge: a
-// store built from begins holds committed live rows; Stamps copies both
-// vectors in one reading, unaffected by later writes; SetEnds stamps only
-// the rows it names.
+// store built from begins holds committed live rows (the first shared,
+// the rest dense); Stamps copies both vectors in one reading, unaffected
+// by later writes; SetEnds stamps only the rows it names.
 func TestStampsAndSetEnds(t *testing.T) {
-	v := NewVersionsAt([]Timestamp{3, 5, 7, 9})
+	v := NewVersionsAt(0, 0, []Timestamp{3, 5, 7, 9})
 	if v.Len() != 4 || v.LiveAt(6) != 2 || v.LiveAt(9) != 4 || v.Unsettled() {
 		t.Fatalf("Len %d, live at 6: %d, at 9: %d", v.Len(), v.LiveAt(6), v.LiveAt(9))
 	}

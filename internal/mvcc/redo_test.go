@@ -135,8 +135,21 @@ func TestQuiescedLastCommitAndAdvanceTo(t *testing.T) {
 	if _, err := m.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	if q := m.QuiescedLastCommit(); q != m.LastCommit() {
+	q, release := m.QuiescedLastCommit()
+	if q != m.LastCommit() {
 		t.Fatalf("quiesced %d != last commit %d", q, m.LastCommit())
+	}
+	// The quiesced timestamp holds the purge watermark down until it is
+	// released, however far commits move on.
+	if _, err := m.Commit(m.Begin()); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.OldestActiveSnapshot(); got != q {
+		t.Fatalf("watermark %d while the quiesced snapshot %d is held", got, q)
+	}
+	release()
+	if got := m.OldestActiveSnapshot(); got != m.LastCommit() {
+		t.Fatalf("watermark %d after release, want last commit %d", got, m.LastCommit())
 	}
 	m.AdvanceTo(100)
 	if m.LastCommit() != 100 {

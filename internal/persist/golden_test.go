@@ -80,7 +80,8 @@ func TestGoldenTIERDB01(t *testing.T) {
 func TestSaveAtEmbedsSnapshotTimestamp(t *testing.T) {
 	tbl := buildTable(t, 10)
 	mgr := tbl.Manager()
-	snapTs := mgr.QuiescedLastCommit()
+	snapTs, release := mgr.QuiescedLastCommit()
+	defer release()
 	// A commit after the snapshot timestamp must be excluded even
 	// though it exists when SaveAt runs.
 	tx := mgr.Begin()
@@ -117,6 +118,47 @@ func TestSaveAtEmbedsSnapshotTimestamp(t *testing.T) {
 	defer v.Release()
 	if n := v.Active().Versions().LiveAt(snapTs - 1); n != 0 {
 		t.Errorf("%d rows visible before the snapshot timestamp", n)
+	}
+}
+
+// TestCheckpointSnapshotSurvivesMergePurge runs a checkpoint's steps with
+// a merge completing between the quiesced snapshot and the save: a row
+// deleted after the snapshot is carried by the merge, and only the
+// snapshot's registration keeps the swap from purging it. The saved
+// table holds the row, and replaying its logged delete finds it.
+func TestCheckpointSnapshotSurvivesMergePurge(t *testing.T) {
+	tbl := buildTable(t, 10)
+	mgr := tbl.Manager()
+	snapTs, release := mgr.QuiescedLastCommit()
+	victim, err := tbl.GetTuple(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mgr.Begin()
+	if err := tbl.Delete(tx, 3); err != nil {
+		t.Fatal(err)
+	}
+	deleted, err := mgr.Commit(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveAt(&buf, tbl, snapTs); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	restored, _, err := LoadAt(bytes.NewReader(buf.Bytes()), table.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := restored.VisibleCount(); n != 10 {
+		t.Fatalf("checkpoint at %d holds %d rows, want 10 (row 3 deleted at %d, after it)", snapTs, n, deleted)
+	}
+	if err := restored.ReplayDelete(victim, deleted); err != nil {
+		t.Fatalf("replaying the logged delete: %v", err)
 	}
 }
 

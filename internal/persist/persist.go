@@ -50,16 +50,26 @@ func bad(err error) error {
 }
 
 // Save writes a TIERDB02 snapshot of the table's rows visible at the
-// latest commit.
+// latest commit, read with the pin (see table.Table.PinLatest).
 func Save(w io.Writer, tbl *table.Table) error {
-	return SaveAt(w, tbl, tbl.Manager().LastCommit())
+	v, snapshot := tbl.PinLatest()
+	defer v.Release()
+	return save(w, tbl, v, snapshot)
 }
 
 // SaveAt writes a TIERDB02 snapshot of the rows visible at the given
 // commit timestamp. Checkpoints pass a quiesced timestamp (see
-// mvcc.Manager.QuiescedLastCommit) so the snapshot is exact: every
-// commit at or below it is included, none above it.
+// mvcc.Manager.QuiescedLastCommit), registered until SaveAt returns, so
+// the snapshot is exact: every commit at or below it is included, none
+// above it.
 func SaveAt(w io.Writer, tbl *table.Table, snapshot mvcc.Timestamp) error {
+	v := tbl.Pin()
+	defer v.Release()
+	return save(w, tbl, v, snapshot)
+}
+
+// save writes the snapshot of the rows of v visible at snapshot.
+func save(w io.Writer, tbl *table.Table, v *table.View, snapshot mvcc.Timestamp) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(magicV2); err != nil {
 		return err
@@ -131,8 +141,6 @@ func SaveAt(w io.Writer, tbl *table.Table, snapshot mvcc.Timestamp) error {
 	// frozen partition of an in-flight merge first, matching RowID
 	// order). Every row visible at the snapshot physically exists within
 	// the view's bounds.
-	v := tbl.Pin()
-	defer v.Release()
 	var rows [][]value.Value
 	for _, r := range v.MainVersions().VisibleIn(0, v.MainRows(), snapshot, 0, nil) {
 		tuple, err := v.GetTuple(uint64(r))

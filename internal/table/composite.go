@@ -43,17 +43,8 @@ func (t *Table) CreateCompositeIndex(cols []int) error {
 	return t.installIndex(cols)
 }
 
-// LookupComposite returns the rows whose column tuple equals key, using
-// the composite index over cols (which must have been created). It runs
-// against a pinned View, so a concurrent merge swap cannot tear the
-// lookup.
-func (t *Table) LookupComposite(cols []int, key []value.Value, snapshot uint64, self uint64) ([]RowID, error) {
-	v := t.Pin()
-	defer v.Release()
-	return v.LookupComposite(cols, key, snapshot, self)
-}
-
-// LookupComposite resolves a composite-key lookup in the View: the main
+// LookupComposite resolves a composite-key lookup in the View, using the
+// composite index over cols (which must have been created): the main
 // partition via the composite B+-tree, then the frozen (if any) and
 // active deltas by probing their first-column trees and verifying the
 // remaining columns.

@@ -3,6 +3,7 @@ package table
 import (
 	"testing"
 
+	"tierdb/internal/mvcc"
 	"tierdb/internal/value"
 )
 
@@ -14,7 +15,7 @@ func TestCompositeIndexLookup(t *testing.T) {
 	snap := tbl.Manager().LastCommit()
 	// qty=7, note="note1": rows with id%10==7 and id%3==1 -> id in
 	// {7, 37, 67, 97}.
-	got, err := tbl.LookupComposite([]int{1, 2},
+	got, err := lookupComposite(tbl, []int{1, 2},
 		[]value.Value{value.NewInt(7), value.NewString("note1")}, snap, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func TestCompositeIndexCoversDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := mgr.LastCommit()
-	got, err := tbl.LookupComposite([]int{1, 2},
+	got, err := lookupComposite(tbl, []int{1, 2},
 		[]value.Value{value.NewInt(7), value.NewString("note1")}, snap, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestCompositeIndexRebuiltOnMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := mgr.LastCommit()
-	got, err := tbl.LookupComposite([]int{0, 1},
+	got, err := lookupComposite(tbl, []int{0, 1},
 		[]value.Value{value.NewInt(999), value.NewInt(3)}, snap, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestCompositeIndexSurvivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := tbl.Manager().LastCommit()
-	got, err := tbl.LookupComposite([]int{1, 2},
+	got, err := lookupComposite(tbl, []int{1, 2},
 		[]value.Value{value.NewInt(4), value.NewString("note1")}, snap, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -123,13 +124,13 @@ func TestCompositeIndexValidation(t *testing.T) {
 	if err := tbl.CreateCompositeIndex([]int{1, 1}); err == nil {
 		t.Error("repeated column accepted")
 	}
-	if _, err := tbl.LookupComposite([]int{0, 1}, []value.Value{value.NewInt(1), value.NewInt(1)}, 1, 0); err == nil {
+	if _, err := lookupComposite(tbl, []int{0, 1}, []value.Value{value.NewInt(1), value.NewInt(1)}, 1, 0); err == nil {
 		t.Error("lookup on missing index accepted")
 	}
 	if err := tbl.CreateCompositeIndex([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.LookupComposite([]int{0, 1}, []value.Value{value.NewInt(1)}, 1, 0); err == nil {
+	if _, err := lookupComposite(tbl, []int{0, 1}, []value.Value{value.NewInt(1)}, 1, 0); err == nil {
 		t.Error("short key accepted")
 	}
 }
@@ -148,7 +149,7 @@ func TestCompositeIndexVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := mgr.LastCommit()
-	got, err := tbl.LookupComposite([]int{0, 1},
+	got, err := lookupComposite(tbl, []int{0, 1},
 		[]value.Value{value.NewInt(3), value.NewInt(3)}, snap, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -156,4 +157,11 @@ func TestCompositeIndexVisibility(t *testing.T) {
 	if len(got) != 0 {
 		t.Errorf("deleted row visible through composite index: %v", got)
 	}
+}
+
+// lookupComposite runs View.LookupComposite against a fresh pin.
+func lookupComposite(tbl *Table, cols []int, key []value.Value, snapshot mvcc.Timestamp, self mvcc.TxID) ([]RowID, error) {
+	v := tbl.Pin()
+	defer v.Release()
+	return v.LookupComposite(cols, key, snapshot, self)
 }

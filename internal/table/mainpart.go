@@ -147,13 +147,13 @@ const histogramBuckets = 64
 
 // source is what the next main is built from: the rows of old that
 // survive, then the rows of a frozen delta that are folded in, each list
-// ascending, with the commit timestamp of every resulting row.
+// ascending, with the version store of the resulting rows.
 type source struct {
-	old    *main            // nil for a new table's empty main
-	keep   []uint32         // positions in old
-	frozen *delta.Partition // nil when nothing is folded
-	fold   []uint32         // positions in frozen
-	begins []mvcc.Timestamp // per row of the next main
+	old      *main            // nil for a new table's empty main
+	keep     []uint32         // positions in old
+	frozen   *delta.Partition // nil when nothing is folded
+	fold     []uint32         // positions in frozen
+	versions *mvcc.Versions   // the next main's rows, committed and live
 }
 
 // encoded is one column of the next main: each row's value (an old SSCG
@@ -212,7 +212,7 @@ func (t *Table) buildMain(layout []bool, src source) (*main, error) {
 		layout:     append([]bool(nil), layout...),
 		mrcs:       make([]*column.MRC, nCols),
 		groupIdx:   make([]int, nCols),
-		versions:   mvcc.NewVersionsAt(src.begins),
+		versions:   src.versions,
 		indexes:    make(map[int]*bptree.Tree),
 		composites: make(map[string]compositeIndex),
 		distinct:   make([]int, nCols),

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"tierdb/internal/delta"
@@ -162,49 +163,54 @@ func (t *Table) freezeForMerge(layout []bool) (*mergeState, error) {
 // main and the frozen delta as of the snapshot, holding no table lock.
 // Visibility at a fixed snapshot is stable under concurrent commits
 // (late deletes stamp end > snapshot; late inserts stamp begin >
-// snapshot), so the fold set is deterministic. One reading of each
-// version store sorts the rows into kept, folded and carried; only a
-// carried row is read as a tuple.
+// snapshot), so the fold set is deterministic. The old main's kept rows
+// are its rows visible at the snapshot, which its version store answers
+// from the shared begin and the exceptions; only a gap in them — a
+// carried row — is read on its own, and as a tuple.
 func (t *Table) rebuild(st *mergeState) (*rebuilt, error) {
-	b := &rebuilt{}
-	begin, end := st.old.versions.Stamps()
-	frozenBegin, _ := st.frozen.Versions().Stamps()
-	b.fold = st.frozen.VisibleRows(st.snapshot, 0)
-	b.keep = make([]uint32, 0, st.old.rows)
-	begins := make([]mvcc.Timestamp, 0, st.old.rows+len(b.fold))
-	for pos := range begin {
-		if begin[pos] == 0 || begin[pos] == mvcc.Infinity {
-			continue // never-committed row (not possible in main; defensive)
-		}
-		if begin[pos] > st.snapshot || end[pos] <= st.snapshot {
-			// Invisible at the snapshot but committed: carry the version
-			// interval so snapshots that still need it survive the swap.
-			tuple, err := st.old.tuple(pos)
-			if err != nil {
-				return nil, fmt.Errorf("table %s: merge read main row %d: %w", t.name, pos, err)
-			}
-			b.carry = append(b.carry, carryRow{tuple: tuple, begin: begin[pos], end: end[pos]})
+	ov := st.old.versions
+	b := &rebuilt{
+		keep: ov.VisibleIn(0, st.old.rows, st.snapshot, 0, make([]uint32, 0, st.old.rows)),
+		fold: st.frozen.VisibleRows(st.snapshot, 0),
+	}
+	kept := b.keep
+	for pos := 0; pos < st.old.rows; pos++ {
+		if len(kept) > 0 && int(kept[0]) == pos {
+			kept = kept[1:]
 			continue
 		}
-		b.keep = append(b.keep, uint32(pos))
-		begins = append(begins, begin[pos])
+		rs := ov.State(pos)
+		if rs.Begin == 0 || rs.Begin == mvcc.Infinity {
+			continue // never-committed row (not possible in main; defensive)
+		}
+		// Invisible at the snapshot but committed: carry the version
+		// interval so snapshots that still need it survive the swap.
+		tuple, err := st.old.tuple(pos)
+		if err != nil {
+			return nil, fmt.Errorf("table %s: merge read main row %d: %w", t.name, pos, err)
+		}
+		b.carry = append(b.carry, carryRow{tuple: tuple, begin: rs.Begin, end: rs.End})
 	}
 	// Each row keeps its commit history, so every open snapshot keeps its
 	// exact visibility across the swap; deletes that commit during the
-	// rebuild are replayed by the swap.
-	for _, pos := range b.fold {
-		begins = append(begins, frozenBegin[pos])
-	}
+	// rebuild are replayed by the swap. The kept shared rows stay shared;
+	// only the begins of the other kept rows and the folded ones are
+	// listed.
+	shared, base := ov.Shared()
+	k, _ := slices.BinarySearch(b.keep, uint32(shared))
+	tail := ov.Begins(b.keep[k:], make([]mvcc.Timestamp, 0, len(b.keep)-k+len(b.fold)))
+	tail = st.frozen.Versions().Begins(b.fold, tail)
 	var err error
-	b.next, err = t.buildMain(st.layout, source{old: st.old, keep: b.keep, frozen: st.frozen, fold: b.fold, begins: begins})
+	b.next, err = t.buildMain(st.layout, source{old: st.old, keep: b.keep, frozen: st.frozen, fold: b.fold,
+		versions: mvcc.NewVersionsAt(k, base, tail)})
 	return b, err
 }
 
 // swapMain is phase 3: wait for the retiring partitions to quiesce,
 // then atomically install the shadow main under the write lock,
 // reconciling writes that landed during the rebuild. The lock is held
-// for one reading of each retiring version store plus work in the
-// deletes and stragglers that raced the rebuild, never a step per row.
+// for work in the old main's deletes that raced the rebuild and in the
+// frozen delta's rows, never a step per main row.
 func (t *Table) swapMain(st *mergeState, b *rebuilt) error {
 	ov, fv := st.old.versions, st.frozen.Versions()
 	// Quiescence: no provisional insert or delete intent may remain on
@@ -237,13 +243,16 @@ func (t *Table) swapMain(st *mergeState, b *rebuilt) error {
 
 	// Replay deletes that committed against the old locations while the
 	// rebuild ran: the rows whose end moved, stamped under one lock hold.
-	_, oldEnd := ov.Stamps()
+	// A kept row was live at the snapshot, so its end moved if it now
+	// has one past the snapshot; the old main finds those rows from its
+	// exceptions and dense rows.
+	deleted, deletedAt := ov.DeletedAfter(st.snapshot)
 	frozenBegin, frozenEnd := fv.Stamps()
 	var moved []int
 	var ends []mvcc.Timestamp
-	for i, pos := range b.keep {
-		if e := oldEnd[pos]; e != mvcc.Infinity {
-			moved, ends = append(moved, i), append(ends, e)
+	for i, pos := range deleted {
+		if next, ok := slices.BinarySearch(b.keep, uint32(pos)); ok {
+			moved, ends = append(moved, next), append(ends, deletedAt[i])
 		}
 	}
 	for i, pos := range b.fold {

@@ -143,7 +143,7 @@ func New(name string, s *schema.Schema, opts Options) (*Table, error) {
 		layout[i] = true
 	}
 	var err error
-	if t.main, err = t.buildMain(layout, source{}); err != nil {
+	if t.main, err = t.buildMain(layout, source{versions: mvcc.NewVersions()}); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -312,12 +312,10 @@ func (t *Table) installIndex(cols []int) error {
 func (t *Table) Index(col int) *bptree.Tree { return t.peek().main.indexes[col] }
 
 // VisibleCount returns the number of rows visible at the latest
-// snapshot. The snapshot is read under the same lock hold as the
-// structure, so it is never older than a swap the structure reflects.
+// snapshot, read with the pin (see PinLatest).
 func (t *Table) VisibleCount() int {
-	t.mu.RLock()
-	snapshot, v := t.mgr.LastCommit(), t.viewLocked()
-	t.mu.RUnlock()
+	v, snapshot := t.PinLatest()
+	defer v.Release()
 	return v.VisibleCount(snapshot)
 }
 

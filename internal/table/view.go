@@ -88,6 +88,25 @@ func (t *Table) peek() View {
 func (t *Table) Pin() *View {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.pinLocked()
+}
+
+// PinLatest is Pin for a reader outside a transaction: it also returns
+// the latest commit timestamp, read under the same lock hold, for the
+// reader's snapshot. A merge swap purges the rows dead at the oldest
+// registered snapshot, and such a reader registers none: a snapshot read
+// before the pin could predate a swap the pinned structure reflects, and
+// miss the rows it purged. One read under the pin's lock is never older
+// than a swap the View shows.
+func (t *Table) PinLatest() (*View, mvcc.Timestamp) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.pinLocked(), t.mgr.LastCommit()
+}
+
+// pinLocked captures the current structure and takes a reference on its
+// epoch; the caller holds t.mu.
+func (t *Table) pinLocked() *View {
 	v := t.viewLocked()
 	v.main.epoch.refs.Add(1)
 	return &v
