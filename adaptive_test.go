@@ -462,43 +462,30 @@ func TestAdaptivePeriodicDaemon(t *testing.T) {
 }
 
 // TestAdaptiveOpcode drives the adaptive subcommands over the real
-// wire protocol: status, enable, disable.
+// wire protocol: enable, then disable, each reaching the daemon.
 func TestAdaptiveOpcode(t *testing.T) {
 	cfg := driftConfig()
 	cfg.ListenAddr = "127.0.0.1:0"
-	db, tbl := newDriftDB(t, cfg)
+	db, _ := newDriftDB(t, cfg)
 	c, err := client.Dial(client.Config{Addr: db.ServerAddr()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rep, err := c.AdaptiveStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Enabled {
+	if db.AdaptiveEnabled() {
 		t.Fatal("daemon enabled without AdaptiveInterval")
 	}
-	if rep, err = c.SetAdaptive(true); err != nil || !rep.Enabled {
-		t.Fatalf("enable over the wire: rep=%+v err=%v", rep, err)
+	if err := c.SetAdaptive(true); err != nil {
+		t.Fatalf("enable over the wire: %v", err)
 	}
 	if !db.AdaptiveEnabled() {
 		t.Fatal("wire enable did not reach the daemon")
 	}
-	if rep, err = c.SetAdaptive(false); err != nil || rep.Enabled {
-		t.Fatalf("disable over the wire: rep=%+v err=%v", rep, err)
+	if err := c.SetAdaptive(false); err != nil {
+		t.Fatalf("disable over the wire: %v", err)
 	}
-	// A drift applied by AdaptOnce is visible in the wire report.
-	issueDriftBatch(t, tbl, driftPhases[0], 1)
-	if err := db.AdaptOnce(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = c.AdaptiveStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Applies != 1 || len(rep.Tables) != 1 || rep.Tables[0].Action != "applied" {
-		t.Fatalf("wire report after apply: %+v", rep)
+	if db.AdaptiveEnabled() {
+		t.Fatal("wire disable did not reach the daemon")
 	}
 }
 

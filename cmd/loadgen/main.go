@@ -217,10 +217,10 @@ func workload(o opts) (int64, error) {
 				isRead := rng.Float64() < o.readFrac
 				switch {
 				case isRead && i%64 == 63:
-					_, _, err = c.SelectTraced(tableName,
+					_, err = c.Select(tableName,
 						[]server.Predicate{client.Eq("id", tierdb.Int(1+rng.Int63n(max64(1, nextID.Load()))))}, "id")
 				case isRead && i%64 == 31:
-					_, err = c.Stats()
+					_, err = c.Rows(tableName)
 				case isRead:
 					lo := 1 + rng.Int63n(max64(1, nextID.Load()))
 					_, err = c.Select(tableName,

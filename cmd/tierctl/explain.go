@@ -1,21 +1,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
+	"net/url"
 	"os"
-	"strings"
-
-	"tierdb/internal/explain"
-	"tierdb/internal/server/client"
 )
 
 // runExplain implements `tierctl explain`: EXPLAIN/ANALYZE one query
-// against a running tierdbd and render the plan as a text tree or JSON.
+// through a running instance's /explain endpoint and print the plan as
+// the text tree or as JSON.
 func runExplain(args []string) {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	addr := fs.String("addr", "", "tierdbd wire-protocol address (host:port)")
+	addr := fs.String("addr", "", "observability address of a running instance (host:port or http://...)")
 	table := fs.String("table", "", "table to explain against")
 	query := fs.String("q", "", "predicates as col=val,col=lo..hi (comma separated)")
 	project := fs.String("project", "", "comma-separated projection columns (optional)")
@@ -27,30 +23,22 @@ func runExplain(args []string) {
 	if *addr == "" || *table == "" {
 		fail("explain needs -addr ADDR and -table NAME (see tierctl explain -h)")
 	}
-	specs, err := explain.ParseQuerySpec(*query)
+	body, err := obsGet(*addr, explainPath(*table, *query, *project, *analyze, *asJSON))
 	if err != nil {
 		fail("%v", err)
 	}
-	var proj []string
-	if *project != "" {
-		proj = strings.Split(*project, ",")
+	os.Stdout.Write(body)
+}
+
+// explainPath builds the /explain request: the server parses the query
+// and renders the plan, as JSON or, with format=text, as the text tree.
+func explainPath(table, query, project string, analyze, asJSON bool) string {
+	v := url.Values{"table": {table}, "q": {query}, "project": {project}}
+	if analyze {
+		v.Set("analyze", "1")
 	}
-	c, err := client.Dial(client.Config{Addr: *addr})
-	if err != nil {
-		fail("%v", err)
+	if !asJSON {
+		v.Set("format", "text")
 	}
-	defer c.Close()
-	plan, err := c.Explain(*table, specs, proj, *analyze)
-	if err != nil {
-		fail("%v", err)
-	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(plan); err != nil {
-			fail("%v", err)
-		}
-		return
-	}
-	fmt.Print(explain.RenderText(plan))
+	return "/explain?" + v.Encode()
 }

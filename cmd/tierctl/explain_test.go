@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"tierdb"
 	"tierdb/internal/explain"
 )
 
@@ -92,6 +95,65 @@ func TestExplainGolden(t *testing.T) {
 	}
 	if out != string(want) {
 		t.Errorf("explain rendering drifted from golden file (re-run with -update if intentional)\n--- got ---\n%s\n--- want ---\n%s", out, want)
+	}
+}
+
+// TestFetchExplain runs the request behind `tierctl explain` against a
+// live instance's /explain: the text body is the renderer's output for
+// the plan the library builds, and -json yields that plan.
+func TestFetchExplain(t *testing.T) {
+	db, err := tierdb.Open(tierdb.Config{ObsAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("t", []tierdb.Field{
+		{Name: "id", Type: tierdb.Int64Type},
+		{Name: "v", Type: tierdb.Int64Type},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]tierdb.Value, 500)
+	for i := range rows {
+		rows[i] = []tierdb.Value{tierdb.Int(int64(i)), tierdb.Int(int64(i % 5))}
+	}
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	v, err := tbl.Eq("v", tierdb.Int(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	span, err := tbl.Between("id", tierdb.Int(10), tierdb.Int(90))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := tbl.Explain([]tierdb.Predicate{v, span}, "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := strings.TrimPrefix(db.ObsURL(), "http://")
+	text, err := obsGet(addr, explainPath("t", "v=2,id=10..90", "id", false, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tierdb.RenderExplain(plan); string(text) != want {
+		t.Errorf("explain text over HTTP:\n%s\nwant:\n%s", text, want)
+	}
+	body, err := obsGet(addr, explainPath("t", "v=2", "", true, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var analyzed tierdb.ExplainPlan
+	if err := json.Unmarshal(body, &analyzed); err != nil {
+		t.Fatal(err)
+	}
+	if analyzed.Mode != explain.ModeAnalyze || analyzed.RowsQualified != 100 {
+		t.Errorf("explain -analyze -json: mode %s, %d rows; want analyze, 100", analyzed.Mode, analyzed.RowsQualified)
+	}
+	if _, err := obsGet(addr, explainPath("nope", "", "", false, false)); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("explain of a missing table: err = %v, want the server's message", err)
 	}
 }
 

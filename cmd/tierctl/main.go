@@ -21,10 +21,13 @@
 //	tierctl -workload w.json -frontier               # Pareto sweep
 //	tierctl -example 50,500 -w 0.3                   # built-in Example 1
 //	tierctl stats -snapshot BENCH_ci.json            # render saved engine metrics
-//	tierctl stats -demo                              # live demo workload + trace
+//	tierctl stats -demo                              # live demo workload + plan
 //	tierctl stats -addr localhost:7070 -watch 2s     # live stats from a running instance
 //	tierctl explain -addr localhost:7070 -table orders -q region=7,amount=100..200
 //	tierctl explain -addr localhost:7070 -table orders -q region=7 -analyze -json
+//
+// stats -addr and explain -addr name a running instance's observability
+// address (tierdb.Config.ObsAddr, tierdbd -obs).
 package main
 
 import (

@@ -29,7 +29,7 @@ import (
 func runStats(args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	snapshotPath := fs.String("snapshot", "", "render a saved metrics snapshot or BENCH_*.json artifact")
-	demo := fs.Bool("demo", false, "run a built-in demo workload and print its stats and a query trace")
+	demo := fs.Bool("demo", false, "run a built-in demo workload and print its stats and a query plan")
 	addr := fs.String("addr", "", "fetch live stats from a running instance's observability address (host:port or http://...)")
 	watch := fs.Duration("watch", 0, "with -addr: clear the screen and refresh every interval (e.g. 2s)")
 	if err := fs.Parse(args); err != nil {
@@ -55,23 +55,39 @@ func runStats(args []string) {
 	}
 }
 
+// obsGet fetches path (with its query string) from a live observability
+// server at addr, a bare host:port or a full http:// URL. A non-200
+// answer is an error carrying the server's message.
+func obsGet(addr, path string) ([]byte, error) {
+	url := strings.TrimSuffix(addr, "/")
+	if !strings.Contains(url, "://") {
+		url = "http://" + url
+	}
+	url += path
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", url, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
+	}
+	return body, nil
+}
+
 // fetchStats pulls /stats.json from a live observability server.
 func fetchStats(addr string) (metrics.Snapshot, error) {
 	var snap metrics.Snapshot
-	base := strings.TrimSuffix(addr, "/")
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	resp, err := http.Get(base + "/stats.json")
+	body, err := obsGet(addr, "/stats.json")
 	if err != nil {
 		return snap, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("%s/stats.json: %s", base, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return snap, fmt.Errorf("parse %s/stats.json: %w", base, err)
+	if err := json.Unmarshal(body, &snap); err != nil {
+		return snap, fmt.Errorf("parse /stats.json from %s: %w", addr, err)
 	}
 	return snap, nil
 }
@@ -200,7 +216,7 @@ func statsReport(snap metrics.Snapshot) string {
 }
 
 // statsDemo opens an in-memory engine, runs a small tiered workload and
-// prints the per-query trace plus the engine-wide report.
+// prints one query's EXPLAIN ANALYZE plan plus the engine-wide report.
 func statsDemo() error {
 	db, err := tierdb.Open(tierdb.Config{Device: "CSSD", CacheFrames: 128})
 	if err != nil {
@@ -235,12 +251,12 @@ func statsDemo() error {
 	if err != nil {
 		return err
 	}
-	_, trace, err := tbl.SelectTraced(nil, []tierdb.Predicate{region, amount}, "id")
+	_, plan, err := tbl.SelectExplained(nil, []tierdb.Predicate{region, amount}, "id")
 	if err != nil {
 		return err
 	}
-	fmt.Println("demo query trace:")
-	fmt.Println(trace)
+	fmt.Println("demo query plan:")
+	fmt.Println(tierdb.RenderExplain(plan))
 	fmt.Println(statsReport(db.Stats()))
 	return nil
 }

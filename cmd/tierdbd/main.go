@@ -1,10 +1,10 @@
 // Command tierdbd runs a tierdb instance as a network daemon: the wire
-// protocol (inserts, bulk loads, selects, checkpoints, stats, layout
-// advice) on -listen and, optionally, the observability HTTP endpoints
-// on -obs. SIGINT/SIGTERM trigger a graceful drain: the server stops
-// accepting, inflight requests finish and answer, and only then do the
-// WAL and merge scheduler wind down — so every acknowledged write is
-// on disk when the process exits.
+// protocol (inserts, bulk loads, selects, checkpoints, layout changes)
+// on -listen and, optionally, the observability HTTP endpoints (stats,
+// layout advice, EXPLAIN) on -obs. SIGINT/SIGTERM trigger a graceful
+// drain: the server stops accepting, inflight requests finish and
+// answer, and only then do the WAL and merge scheduler wind down — so
+// every acknowledged write is on disk when the process exits.
 //
 //	tierdbd -listen :7070 -obs :7071 -waldir /var/lib/tierdb/wal
 package main

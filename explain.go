@@ -19,9 +19,9 @@ import (
 // (the regret of the current placement). See internal/explain.
 type ExplainPlan = explain.Plan
 
-// ExplainSpec is the stringly-typed predicate form EXPLAIN accepts
-// over the wire, via /explain and from tierctl; the table resolves
-// values against its schema.
+// ExplainSpec is the stringly-typed predicate form EXPLAIN accepts via
+// /explain and DB.Explain; the table resolves values against its
+// schema.
 type ExplainSpec = explain.PredicateSpec
 
 // RenderExplain renders a plan as the human-readable tree tierctl
@@ -41,7 +41,7 @@ func (t *Table) Explain(predicates []Predicate, project ...string) (*ExplainPlan
 	if err != nil {
 		return nil, err
 	}
-	return t.buildExplain(explain.ModeExplain, q, predicates, tr, 0, "")
+	return t.buildExplain(explain.ModeExplain, q, tr, 0, "")
 }
 
 // SelectExplained is Select plus an ANALYZE plan: the query executes
@@ -71,7 +71,7 @@ func (t *Table) SelectExplainedCtx(ctx context.Context, tx *Tx, predicates []Pre
 	if span := trace.FromContext(ctx); span != nil {
 		traceID = span.Trace.String()
 	}
-	plan, err := t.buildExplain(explain.ModeAnalyze, q, predicates, tr, wall, traceID)
+	plan, err := t.buildExplain(explain.ModeAnalyze, q, tr, wall, traceID)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -81,8 +81,8 @@ func (t *Table) SelectExplainedCtx(ctx context.Context, tx *Tx, predicates []Pre
 // Explain runs EXPLAIN (analyze=false) or EXPLAIN ANALYZE
 // (analyze=true) for a query given in wire form: predicate values as
 // strings, resolved against the named table's schema. This is the
-// entry point the network server, the observability endpoint and
-// tierctl share.
+// entry point the observability server's /explain endpoint (and so
+// tierctl explain) calls.
 func (db *DB) Explain(ctx context.Context, table string, specs []ExplainSpec, project []string, analyze bool) (*ExplainPlan, error) {
 	t, err := db.Table(table)
 	if err != nil {
@@ -165,7 +165,7 @@ func (t *Table) renderPredicate(p Predicate) string {
 // sizes, live placement and recommended placement, so the placement
 // section prices exactly what /layout/advisor would recommend right
 // now; the executor's trace supplies the operators.
-func (t *Table) buildExplain(mode explain.Mode, q exec.Query, preds []Predicate, tr *metrics.Trace, wallNs int64, traceID string) (*ExplainPlan, error) {
+func (t *Table) buildExplain(mode explain.Mode, q exec.Query, tr *metrics.Trace, wallNs int64, traceID string) (*ExplainPlan, error) {
 	t.db.registry.Counter("explain.plans").Inc()
 	if mode == explain.ModeAnalyze {
 		t.db.registry.Counter("explain.analyze").Inc()
@@ -190,15 +190,13 @@ func (t *Table) buildExplain(mode explain.Mode, q exec.Query, preds []Predicate,
 	// prices each column once however many predicates touch it.
 	seen := make(map[int]bool, len(q.Predicates))
 	qcols := make([]int, 0, len(q.Predicates))
-	displays := make([]explain.PredicateDisplay, 0, len(preds))
+	texts := make([]string, 0, len(q.Predicates))
 	for _, p := range q.Predicates {
 		if !seen[p.Column] {
 			seen[p.Column] = true
 			qcols = append(qcols, p.Column)
 		}
-	}
-	for _, p := range preds {
-		displays = append(displays, explain.PredicateDisplay{Column: p.Column, Text: t.renderPredicate(p)})
+		texts = append(texts, t.renderPredicate(p))
 	}
 	return explain.Build(explain.Input{
 		Table:          t.inner.Name(),
@@ -210,7 +208,7 @@ func (t *Table) buildExplain(mode explain.Mode, q exec.Query, preds []Predicate,
 		Columns:        cols,
 		QueryColumns:   qcols,
 		ProjectColumns: q.Project,
-		Predicates:     displays,
+		Predicates:     texts,
 		Trace:          tr,
 		WallNs:         wallNs,
 		TraceID:        traceID,

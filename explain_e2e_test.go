@@ -1,7 +1,9 @@
 package tierdb
 
 import (
+	"encoding/json"
 	"math"
+	"net/http"
 	"testing"
 
 	"tierdb/internal/core"
@@ -31,14 +33,15 @@ func explainTestRows(n int) [][]Value {
 }
 
 // TestExplainEndToEnd is the acceptance test for EXPLAIN/ANALYZE: an
-// ANALYZE request over loopback TCP yields a plan whose modeled scan
-// cost reproduces the solver's cost for the live placement within 1e-9,
-// whose per-operator observed times are exactly the trace tree's
+// ANALYZE request to the /explain endpoint yields a plan whose modeled
+// scan cost reproduces the solver's cost for the live placement within
+// 1e-9, whose per-operator observed times are exactly the trace tree's
 // exec.* span intervals, and whose placement regret drops to exactly
 // zero once the advisor's recommendation is applied.
 func TestExplainEndToEnd(t *testing.T) {
 	db, err := Open(Config{
 		ListenAddr:      "127.0.0.1:0",
+		ObsAddr:         "127.0.0.1:0",
 		TraceSampleRate: 1,
 	})
 	if err != nil {
@@ -58,14 +61,20 @@ func TestExplainEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	specs := []ExplainSpec{
-		{Column: "region", Op: "eq", Value: "3"},
-		{Column: "amount", Op: "between", Value: "10", Hi: "40"},
+	const query = "/explain?table=orders&q=region=3,amount=10..40"
+	explainHTTP := func(params string) *ExplainPlan {
+		t.Helper()
+		code, body := obsGet(t, db.ObsURL()+query+params)
+		if code != http.StatusOK {
+			t.Fatalf("%s%s: status %d: %s", query, params, code, body)
+		}
+		var plan ExplainPlan
+		if err := json.Unmarshal(body, &plan); err != nil {
+			t.Fatal(err)
+		}
+		return &plan
 	}
-	plan, err := c.Explain("orders", specs, []string{"amount"}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := explainHTTP("&project=amount&analyze=1")
 	if plan.Mode != "analyze" || plan.Table != "orders" {
 		t.Fatalf("plan header = %s %s", plan.Mode, plan.Table)
 	}
@@ -154,11 +163,7 @@ func TestExplainEndToEnd(t *testing.T) {
 		if err := tbl.ApplyLayout(Layout{InDRAM: rep.Recommended.InDRAM}); err != nil {
 			t.Fatal(err)
 		}
-		plan, err := c.Explain("orders", specs, nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		regret = plan.Placement.Regret
+		regret = explainHTTP("").Placement.Regret
 	}
 	if regret != 0 {
 		t.Errorf("regret = %g after applying the advisor's recommendation, want exactly 0", regret)

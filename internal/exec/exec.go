@@ -518,6 +518,8 @@ func (p accessPath) String() string {
 // decided here, once.
 type step struct {
 	pred Predicate
+	// query is the predicate's position in the caller's query.
+	query int
 	// path is the rank the filter order used.
 	path accessPath
 	// index is the column's B+-tree (nil without one); mrc its
@@ -534,6 +536,7 @@ type step struct {
 // trace renders the step's place in the filter order.
 func (s *step) trace() metrics.PredicateTrace {
 	return metrics.PredicateTrace{
+		Query:                s.query,
 		Column:               s.pred.Column,
 		Op:                   opName(s.pred.Op),
 		Path:                 s.path.String(),
@@ -560,7 +563,7 @@ func (e *Executor) plan(v *table.View, q Query, buf []step) ([]step, error) {
 		}
 	}
 	steps := buf
-	for _, p := range q.Predicates {
+	for i, p := range q.Predicates {
 		if p.Column < 0 || p.Column >= sch.Len() {
 			return nil, fmt.Errorf("exec: predicate column %d out of range (%d)", p.Column, sch.Len())
 		}
@@ -568,7 +571,7 @@ func (e *Executor) plan(v *table.View, q Query, buf []step) ([]step, error) {
 		if p.Value.Type() != typ {
 			return nil, fmt.Errorf("exec: predicate on column %d has type %s, want %s", p.Column, p.Value.Type(), typ)
 		}
-		s := step{pred: p, path: pathSSCG, index: v.Index(p.Column), mrc: v.MRC(p.Column), field: v.GroupField(p.Column)}
+		s := step{pred: p, query: i, path: pathSSCG, index: v.Index(p.Column), mrc: v.MRC(p.Column), field: v.GroupField(p.Column)}
 		switch {
 		case s.index != nil:
 			s.path = pathIndex

@@ -10,7 +10,7 @@
 //
 // The package is a leaf: it depends only on the cost model (core) and
 // the trace schema (metrics), so every layer of the stack — exec, root
-// API, wire protocol, tierctl, obsrv — can share its types.
+// API, tierctl, obsrv — can share its types.
 package explain
 
 import (
@@ -36,8 +36,8 @@ const (
 // PredicateSpec is the wire/HTTP form of one predicate: column by name,
 // operator "eq" or "between", and untyped value strings the owning
 // table resolves against its schema. It is deliberately stringly typed
-// so the same struct serves tierctl flags, /explain query parameters
-// and the OpExplain opcode.
+// so the same struct serves /explain query parameters and the library
+// entry point DB.Explain.
 type PredicateSpec struct {
 	// Column is the column name.
 	Column string `json:"column"`
@@ -96,14 +96,6 @@ type ColumnInput struct {
 	Recommended bool
 }
 
-// PredicateDisplay carries a human-readable rendering of one resolved
-// predicate ("region = 7", "amount between 100 and 200"), keyed by
-// schema column index.
-type PredicateDisplay struct {
-	Column int
-	Text   string
-}
-
 // Input is everything Build needs to assemble a Plan. The caller (the
 // root package) gathers it from the table, the executor's trace and
 // the advisor's solve so that modeled numbers come from exactly the
@@ -122,8 +114,10 @@ type Input struct {
 	QueryColumns []int
 	// ProjectColumns are the schema indices materialized for output.
 	ProjectColumns []int
-	// Predicates render the resolved predicate per column.
-	Predicates []PredicateDisplay
+	// Predicates render the resolved predicates ("region = 7", "amount
+	// between 100 and 200") in the caller's order, the order
+	// metrics.PredicateTrace.Query indexes.
+	Predicates []string
 	// Trace is the executor's record: the filter order in Predicates and
 	// one entry per node in Operators — the executed operators under
 	// ANALYZE, the plan's predicted ones (Executor.Explain) under
@@ -331,10 +325,6 @@ func Build(in Input) (*Plan, error) {
 		})
 	}
 
-	predText := map[int]string{}
-	for _, d := range in.Predicates {
-		predText[d.Column] = d.Text
-	}
 	name := func(col int) string {
 		if col >= 0 && col < nCols {
 			return in.Columns[col].Name
@@ -355,7 +345,10 @@ func Build(in Input) (*Plan, error) {
 	// under EXPLAIN — those carry no rows, reads or intervals, so every
 	// observed field below stays zero. Each partition applies the
 	// predicates in the filter order, so a partition's k-th predicate
-	// operator ran the k-th entry of Trace.Predicates; applied counts them.
+	// operator ran the k-th entry of Trace.Predicates — its estimate and,
+	// through the entry's position in the caller's query, its text, which
+	// the column alone cannot tell when two predicates share one.
+	// applied counts them.
 	applied := map[string]int{}
 	for _, op := range in.Trace.Operators {
 		n := Node{
@@ -364,7 +357,6 @@ func Build(in Input) (*Plan, error) {
 			Path:              op.Path,
 			Column:            op.Column,
 			ColumnName:        name(op.Column),
-			Predicate:         predText[op.Column],
 			RowsIn:            op.RowsIn,
 			RowsOut:           op.RowsOut,
 			ObservedNs:        op.EndNs - op.StartNs,
@@ -378,7 +370,11 @@ func Build(in Input) (*Plan, error) {
 		if op.Column >= 0 {
 			n.Tier = operatorTier(op.Path, current, op.Column)
 			if k := applied[op.Partition]; k < len(in.Trace.Predicates) {
-				n.EstimatedSelectivity = in.Trace.Predicates[k].EstimatedSelectivity
+				pt := in.Trace.Predicates[k]
+				n.EstimatedSelectivity = pt.EstimatedSelectivity
+				if pt.Query < len(in.Predicates) {
+					n.Predicate = in.Predicates[pt.Query]
+				}
 			}
 			applied[op.Partition]++
 			if op.RowsIn > 0 {

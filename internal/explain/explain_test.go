@@ -25,17 +25,14 @@ func testInput() Input {
 		},
 		QueryColumns:   []int{1, 2},
 		ProjectColumns: []int{0},
-		Predicates: []PredicateDisplay{
-			{Column: 1, Text: "region = 7"},
-			{Column: 2, Text: "amount between 100 and 200"},
-		},
+		Predicates:     []string{"amount between 100 and 200", "region = 7"},
 		Trace: &metrics.Trace{
 			Table:          "orders",
 			Parallelism:    1,
 			ProbeThreshold: 1e-4,
 			Predicates: []metrics.PredicateTrace{
-				{Column: 1, Op: "eq", Path: "sscg", EstimatedSelectivity: 0.04},
-				{Column: 2, Op: "between", Path: "mrc", EstimatedSelectivity: 0.5},
+				{Query: 1, Column: 1, Op: "eq", Path: "sscg", EstimatedSelectivity: 0.04},
+				{Query: 0, Column: 2, Op: "between", Path: "mrc", EstimatedSelectivity: 0.5},
 			},
 			Operators: []metrics.OperatorTrace{
 				{Name: "scan", Partition: "main", Path: "sscg", Column: 1, RowsIn: 1000, RowsOut: 40, StartNs: 100, EndNs: 300, PageReads: 4},
@@ -127,6 +124,9 @@ func TestBuildAnalyzeNodes(t *testing.T) {
 	probe := p.Nodes[1]
 	if probe.Operator != "probe" || probe.Tier != "dram" || probe.ObservedSelectivity != 0.5 {
 		t.Errorf("probe node = %+v", probe)
+	}
+	if probe.Predicate != "amount between 100 and 200" {
+		t.Errorf("probe predicate = %q", probe.Predicate)
 	}
 	if p.Nodes[2].Tier != "" || p.Nodes[2].ModeledCost != 0 {
 		t.Errorf("visible node should carry no tier or model term: %+v", p.Nodes[2])

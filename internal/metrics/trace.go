@@ -11,7 +11,8 @@ import (
 // (including the scan-to-probe switchover against the 0.01 % paper
 // threshold), morsels executed per worker, rows qualified, and the
 // modeled cost split per device. The executor fills a Trace in when
-// asked (Executor.RunTraced / Table.SelectTraced); a nil *Trace is
+// asked (Executor.RunTraced, which Table.SelectExplained and EXPLAIN
+// build their plans from); a nil *Trace is
 // valid everywhere and records nothing.
 //
 // A Trace is written by the goroutine driving the query (workers
@@ -56,6 +57,10 @@ type Trace struct {
 // PredicateTrace records one predicate's position in the chosen filter
 // ordering.
 type PredicateTrace struct {
+	// Query is the predicate's position in the query as the caller
+	// wrote it, which EXPLAIN labels the predicate's operators by. It is
+	// not serialized: /traces keeps its shape.
+	Query int `json:"-"`
 	// Column is the schema column index.
 	Column int `json:"column"`
 	// Op is the comparison ("eq" or "between").

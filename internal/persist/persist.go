@@ -6,16 +6,17 @@
 // only the MRC share of a snapshot must be decoded back into DRAM
 // structures, while SSCG pages rebuild on cheap secondary storage.
 //
-// Format versions: TIERDB01 snapshots are standalone (rows restore as
-// a fresh bulk load). TIERDB02 adds the snapshot timestamp right after
-// the magic, which makes snapshots self-describing for write-ahead-log
-// recovery: restored rows keep their visibility point and replay can
-// skip any logged operation the snapshot already covers. Load reads
-// both; Save writes TIERDB02.
+// Format: TIERDB02 — the magic, then the snapshot timestamp, which
+// makes snapshots self-describing for write-ahead-log recovery:
+// restored rows keep their visibility point and replay can skip any
+// logged operation the snapshot already covers. Every build has written
+// this format; any other magic, the never-written TIERDB01 included, is
+// ErrBadSnapshot.
 package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,11 +32,8 @@ import (
 	"tierdb/internal/value"
 )
 
-// Snapshot magics; the trailing digits version the format.
-var (
-	magicV1 = []byte("TIERDB01")
-	magicV2 = []byte("TIERDB02")
-)
+// magicV2 opens every snapshot; the trailing digits version the format.
+var magicV2 = []byte("TIERDB02")
 
 // ErrBadSnapshot is returned for corrupt, truncated or foreign files.
 var ErrBadSnapshot = errors.New("persist: not a tierdb snapshot")
@@ -190,33 +188,27 @@ func Load(r io.Reader, opts table.Options) (*table.Table, error) {
 	return tbl, err
 }
 
-// LoadAt is Load returning the snapshot timestamp as well: 0 for a
-// TIERDB01 snapshot (standalone bulk load), the embedded quiesced
-// timestamp for TIERDB02. For a v2 snapshot the restored rows are
-// visible from exactly that timestamp and the table's transaction
-// manager is advanced to it, so log replay can skip every operation
-// with a timestamp at or below it.
+// LoadAt is Load returning the snapshot's embedded quiesced timestamp
+// as well. A nonzero timestamp makes the restored rows visible from
+// exactly that timestamp and advances the table's transaction manager
+// to it, so log replay can skip every operation with a timestamp at or
+// below it; at 0 (a table that never committed) the rows restore as a
+// fresh bulk load.
 func LoadAt(r io.Reader, opts table.Options) (*table.Table, mvcc.Timestamp, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magicV2))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, 0, bad(err)
 	}
-	var snapshot mvcc.Timestamp
-	switch string(head) {
-	case string(magicV1):
-		// Standalone snapshot: rows restore as a fresh bulk load.
-	case string(magicV2):
-		ts, err := readUvarint(br)
-		if err != nil {
-			return nil, 0, bad(err)
-		}
-		if ts == math.MaxUint64 {
-			return nil, 0, fmt.Errorf("%w: snapshot timestamp %d", ErrBadSnapshot, ts)
-		}
-		snapshot = ts
-	default:
+	if !bytes.Equal(head, magicV2) {
 		return nil, 0, ErrBadSnapshot
+	}
+	snapshot, err := readUvarint(br)
+	if err != nil {
+		return nil, 0, bad(err)
+	}
+	if snapshot == math.MaxUint64 {
+		return nil, 0, fmt.Errorf("%w: snapshot timestamp %d", ErrBadSnapshot, snapshot)
 	}
 	name, err := readString(br)
 	if err != nil {

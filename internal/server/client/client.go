@@ -23,7 +23,6 @@ package client
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -32,9 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tierdb/internal/explain"
-	"tierdb/internal/metrics"
-	"tierdb/internal/obsrv"
 	"tierdb/internal/schema"
 	"tierdb/internal/server"
 	"tierdb/internal/trace"
@@ -374,32 +370,10 @@ func (c *Client) Select(table string, preds []server.Predicate, project ...strin
 	return &server.Result{IDs: resp.IDs, Rows: resp.Rows}, nil
 }
 
-// SelectTraced is Select returning the rendered query trace as well.
-func (c *Client) SelectTraced(table string, preds []server.Predicate, project ...string) (*server.Result, string, error) {
-	resp, err := c.do(server.Request{Op: server.OpSelect, Table: table, Predicates: preds, Project: project, Traced: true})
-	if err != nil {
-		return nil, "", err
-	}
-	return &server.Result{IDs: resp.IDs, Rows: resp.Rows}, resp.Trace, nil
-}
-
 // Checkpoint forces a durable checkpoint (an error without a WAL).
 func (c *Client) Checkpoint() error {
 	_, err := c.do(server.Request{Op: server.OpCheckpoint})
 	return err
-}
-
-// Stats fetches the engine's metrics snapshot.
-func (c *Client) Stats() (metrics.Snapshot, error) {
-	resp, err := c.do(server.Request{Op: server.OpStats})
-	if err != nil {
-		return metrics.Snapshot{}, err
-	}
-	var snap metrics.Snapshot
-	if err := json.Unmarshal(resp.Blob, &snap); err != nil {
-		return metrics.Snapshot{}, fmt.Errorf("client: parse stats: %w", err)
-	}
-	return snap, nil
 }
 
 // Rows returns the table's visible row count.
@@ -420,70 +394,20 @@ func (c *Client) Tables() ([]string, error) {
 	return resp.Names, nil
 }
 
-// Advise runs the layout advisor on the table's captured workload.
-func (c *Client) Advise(table string, q obsrv.AdvisorQuery) (*obsrv.AdvisorReport, error) {
-	blob, err := json.Marshal(q)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(server.Request{Op: server.OpAdvise, Table: table, Blob: blob})
-	if err != nil {
-		return nil, err
-	}
-	var rep obsrv.AdvisorReport
-	if err := json.Unmarshal(resp.Blob, &rep); err != nil {
-		return nil, fmt.Errorf("client: parse advisor report: %w", err)
-	}
-	return &rep, nil
-}
-
-// Explain asks the server for an EXPLAIN (analyze=false) or EXPLAIN
-// ANALYZE (analyze=true) plan of the given query.
-func (c *Client) Explain(table string, specs []explain.PredicateSpec, project []string, analyze bool) (*explain.Plan, error) {
-	resp, err := c.do(server.Request{
-		Op: server.OpExplain, Table: table,
-		Specs: specs, Project: project, Analyze: analyze,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var plan explain.Plan
-	if err := json.Unmarshal(resp.Blob, &plan); err != nil {
-		return nil, fmt.Errorf("client: parse explain plan: %w", err)
-	}
-	return &plan, nil
-}
-
 // ApplyLayout applies a per-column DRAM residency layout.
 func (c *Client) ApplyLayout(table string, inDRAM []bool) error {
 	_, err := c.do(server.Request{Op: server.OpApplyLayout, Table: table, Layout: inDRAM})
 	return err
 }
 
-// AdaptiveStatus reports the adaptive placement scheduler's state and
-// last per-table decisions.
-func (c *Client) AdaptiveStatus() (*obsrv.AdaptiveReport, error) {
-	return c.adaptive(server.AdaptiveStatus)
-}
-
-// SetAdaptive turns the periodic adaptive placement loop on or off and
-// returns the resulting state.
-func (c *Client) SetAdaptive(enabled bool) (*obsrv.AdaptiveReport, error) {
+// SetAdaptive turns the periodic adaptive placement loop on or off. The
+// scheduler's report is served by the observability server's
+// /layout/adaptive endpoint.
+func (c *Client) SetAdaptive(enabled bool) error {
 	sub := byte(server.AdaptiveDisable)
 	if enabled {
 		sub = server.AdaptiveEnable
 	}
-	return c.adaptive(sub)
-}
-
-func (c *Client) adaptive(sub byte) (*obsrv.AdaptiveReport, error) {
-	resp, err := c.do(server.Request{Op: server.OpAdaptive, Sub: sub})
-	if err != nil {
-		return nil, err
-	}
-	var rep obsrv.AdaptiveReport
-	if err := json.Unmarshal(resp.Blob, &rep); err != nil {
-		return nil, fmt.Errorf("client: parse adaptive report: %w", err)
-	}
-	return &rep, nil
+	_, err := c.do(server.Request{Op: server.OpAdaptive, Sub: sub})
+	return err
 }

@@ -15,15 +15,14 @@ import (
 	"time"
 
 	"tierdb/internal/metrics"
-	"tierdb/internal/obsrv"
 	"tierdb/internal/server"
 	"tierdb/internal/value"
 )
 
-// echoEngine answers Advise with the table name it was asked about, so
-// a reply handed to the wrong caller is detected, and counts Inserts,
-// each of which first waits for gate to close when there is one. The
-// embedded nil Engine panics on any other call; no test makes one.
+// echoEngine answers Rows for table "t<n>" with n, so a reply handed to
+// the wrong caller is detected, and counts Inserts, each of which first
+// waits for gate to close when there is one. The embedded nil Engine
+// panics on any other call; no test makes one.
 type echoEngine struct {
 	server.Engine
 	gate    chan struct{}
@@ -31,8 +30,12 @@ type echoEngine struct {
 	inserts atomic.Int64
 }
 
-func (e *echoEngine) Advise(table string, _ []byte) ([]byte, error) {
-	return []byte(`{"table":"` + table + `"}`), nil
+func (e *echoEngine) Rows(table string) (int, error) {
+	var n int
+	if _, err := fmt.Sscanf(table, "t%d", &n); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 func (e *echoEngine) Insert(context.Context, string, []value.Value) error {
@@ -74,11 +77,12 @@ func dial(t *testing.T, cfg Config) *Client {
 	return c
 }
 
-// echo sends one Advise and checks the reply is the one for this call.
-func echo(c *Client, table string) error {
-	rep, err := c.Advise(table, obsrv.AdvisorQuery{})
-	if err == nil && rep.Table != table {
-		err = fmt.Errorf("asked about %s, got the reply for %s", table, rep.Table)
+// echo asks for the row count of table "t<n>" and checks the reply is
+// the one for this call.
+func echo(c *Client, n int) error {
+	got, err := c.Rows(fmt.Sprintf("t%d", n))
+	if err == nil && got != n {
+		err = fmt.Errorf("asked about t%d, got the reply for t%d", n, got)
 	}
 	return err
 }
@@ -111,7 +115,7 @@ func TestClientCheckoutPool(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if err := echo(c, fmt.Sprintf("t%d_%d", g, i)); err != nil {
+				if err := echo(c, g*20+i); err != nil {
 					t.Error(err)
 					return
 				}
@@ -139,7 +143,7 @@ func TestClientTimeoutDropsConnection(t *testing.T) {
 	}
 	close(e.gate)
 	waitFor(t, "the late insert", func() bool { return e.inserts.Load() == 1 })
-	if err := echo(c, "next"); err != nil {
+	if err := echo(c, 1); err != nil {
 		t.Fatalf("request after a timeout: %v", err)
 	}
 	if c.slots[0].nc == timedOut {

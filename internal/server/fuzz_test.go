@@ -16,10 +16,18 @@ import (
 // without error, so the fuzzer also exercises the response path on
 // whatever requests it manages to construct.
 func FuzzServerFrame(f *testing.F) {
-	// Seed with every opcode's canonical encoding plus classic hostile
-	// shapes: truncations, a huge length prefix, a corrupt CRC.
+	// Seed with every opcode's canonical encoding and every retired
+	// request shape, plus classic hostile shapes: truncations, a huge
+	// length prefix, a corrupt CRC.
+	var payloads [][]byte
 	for _, req := range sampleRequests() {
-		frame := appendFrame(nil, encodeRequest(nil, req))
+		payloads = append(payloads, encodeRequest(nil, req))
+	}
+	for _, r := range retiredPayloads() {
+		payloads = append(payloads, r.payload)
+	}
+	for _, p := range payloads {
+		frame := appendFrame(nil, p)
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2])
 		flipped := append([]byte(nil), frame...)

@@ -17,6 +17,13 @@
 // torn frame) poisons the stream and the session must close; a
 // payload-level decode error inside a CRC-valid frame leaves the stream
 // aligned, so the session can answer StatusBadRequest and continue.
+//
+// The wire carries operations that change state or return rows, counts
+// and names. Reports — metrics, advice, EXPLAIN plans, the adaptive
+// scheduler's status — are JSON and travel over the observability
+// server's HTTP endpoints only. Opcodes 9, 12 and 16 are retired: they
+// decode as unknown, and are not to be reused, so a peer still sending
+// them gets StatusBadRequest rather than another operation.
 package server
 
 import (
@@ -28,7 +35,6 @@ import (
 	"io"
 
 	"tierdb/internal/codec"
-	"tierdb/internal/explain"
 	"tierdb/internal/schema"
 	"tierdb/internal/trace"
 	"tierdb/internal/value"
@@ -46,14 +52,12 @@ const (
 	OpDelete      = 4  // table, rowID -> empty
 	OpUpdate      = 5  // table, rowID, row -> empty
 	OpBulkLoad    = 6  // table, rows[][] -> empty
-	OpSelect      = 7  // table, predicates[], projection[], traced -> ids, rows, trace
+	OpSelect      = 7  // table, predicates[], projection[] -> ids, rows
 	OpCheckpoint  = 8  // -> empty
-	OpStats       = 9  // -> JSON metrics.Snapshot
 	OpRows        = 10 // table -> count
 	OpTables      = 11 // -> names[]
-	OpAdvise      = 12 // table, JSON AdvisorQuery -> JSON AdvisorReport
 	OpApplyLayout = 13 // table, inDRAM[] -> empty
-	OpAdaptive    = 14 // subcommand -> JSON AdaptiveReport
+	OpAdaptive    = 14 // AdaptiveEnable or AdaptiveDisable -> empty
 
 	// OpTraced is not an operation: it is the optional trace-header
 	// envelope. Its payload is
@@ -65,18 +69,12 @@ const (
 	// without a tracer (or an unsampled request) sends the bare inner
 	// payload, byte-identical to an untraced request.
 	OpTraced = 15
-
-	// OpExplain asks for an EXPLAIN (analyze=0) or EXPLAIN ANALYZE
-	// (analyze=1) plan: table, specs[], projection[], analyze ->
-	// JSON explain.Plan.
-	OpExplain = 16
 )
 
 // OpAdaptive subcommands.
 const (
-	AdaptiveStatus  = 0 // report only
-	AdaptiveEnable  = 1 // turn the periodic loop on, then report
-	AdaptiveDisable = 2 // turn the periodic loop off, then report
+	AdaptiveEnable  = 1 // turn the periodic loop on
+	AdaptiveDisable = 2 // turn the periodic loop off
 )
 
 // Response status codes. Everything except StatusOK carries a message
@@ -132,18 +130,14 @@ type Result struct {
 type Request struct {
 	Op         byte
 	Table      string
-	Fields     []schema.Field          // OpCreateTable
-	Row        []value.Value           // OpInsert, OpUpdate
-	Rows       [][]value.Value         // OpBulkLoad
-	RowID      uint64                  // OpDelete, OpUpdate
-	Predicates []Predicate             // OpSelect
-	Project    []string                // OpSelect
-	Traced     bool                    // OpSelect
-	Blob       []byte                  // OpAdvise (JSON query)
-	Layout     []bool                  // OpApplyLayout
-	Sub        byte                    // OpAdaptive subcommand
-	Specs      []explain.PredicateSpec // OpExplain
-	Analyze    bool                    // OpExplain
+	Fields     []schema.Field  // OpCreateTable
+	Row        []value.Value   // OpInsert, OpUpdate
+	Rows       [][]value.Value // OpBulkLoad
+	RowID      uint64          // OpDelete, OpUpdate
+	Predicates []Predicate     // OpSelect
+	Project    []string        // OpSelect
+	Layout     []bool          // OpApplyLayout
+	Sub        byte            // OpAdaptive subcommand
 
 	// TraceID and SpanID are the optional trace header (the OpTraced
 	// envelope): the originating trace and the sender's span, which
@@ -160,18 +154,11 @@ type Response struct {
 	Msg    string // non-OK statuses
 	IDs    []uint64
 	Rows   [][]value.Value
-	Trace  string
-	Blob   []byte
 	Names  []string
 	Count  uint64
 }
 
 // --- encoding -------------------------------------------------------
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
 
 // encodeRequest appends the request payload (opcode byte first). A
 // nonzero TraceID prefixes the payload with the OpTraced envelope.
@@ -183,7 +170,7 @@ func encodeRequest(buf []byte, req Request) []byte {
 	}
 	buf = append(buf, req.Op)
 	switch req.Op {
-	case OpPing, OpCheckpoint, OpStats, OpTables:
+	case OpPing, OpCheckpoint, OpTables:
 		// no body
 	case OpCreateTable:
 		buf = codec.AppendString(buf, req.Table)
@@ -224,16 +211,8 @@ func encodeRequest(buf []byte, req Request) []byte {
 		for _, name := range req.Project {
 			buf = codec.AppendString(buf, name)
 		}
-		t := byte(0)
-		if req.Traced {
-			t = 1
-		}
-		buf = append(buf, t)
 	case OpRows:
 		buf = codec.AppendString(buf, req.Table)
-	case OpAdvise:
-		buf = codec.AppendString(buf, req.Table)
-		buf = appendBytes(buf, req.Blob)
 	case OpApplyLayout:
 		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Layout)))
@@ -246,28 +225,6 @@ func encodeRequest(buf []byte, req Request) []byte {
 		}
 	case OpAdaptive:
 		buf = append(buf, req.Sub)
-	case OpExplain:
-		buf = codec.AppendString(buf, req.Table)
-		buf = binary.AppendUvarint(buf, uint64(len(req.Specs)))
-		for _, sp := range req.Specs {
-			buf = codec.AppendString(buf, sp.Column)
-			op := byte(PredEq)
-			if sp.Op == "between" {
-				op = PredBetween
-			}
-			buf = append(buf, op)
-			buf = codec.AppendString(buf, sp.Value)
-			buf = codec.AppendString(buf, sp.Hi)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(req.Project)))
-		for _, name := range req.Project {
-			buf = codec.AppendString(buf, name)
-		}
-		a := byte(0)
-		if req.Analyze {
-			a = 1
-		}
-		buf = append(buf, a)
 	}
 	return buf
 }
@@ -289,9 +246,6 @@ func encodeResponse(buf []byte, op byte, resp Response) []byte {
 		for _, row := range resp.Rows {
 			buf = codec.AppendRow(buf, row)
 		}
-		buf = codec.AppendString(buf, resp.Trace)
-	case OpStats, OpAdvise, OpAdaptive, OpExplain:
-		buf = appendBytes(buf, resp.Blob)
 	case OpRows:
 		buf = binary.AppendUvarint(buf, resp.Count)
 	case OpTables:
@@ -390,7 +344,7 @@ func decodeRequest(payload []byte) (Request, error) {
 		req.Op = op
 	}
 	switch op {
-	case OpPing, OpCheckpoint, OpStats, OpTables:
+	case OpPing, OpCheckpoint, OpTables:
 		// no body
 	case OpCreateTable:
 		if req.Table, err = r.String(); err != nil {
@@ -506,23 +460,8 @@ func decodeRequest(payload []byte) (Request, error) {
 			}
 			req.Project = append(req.Project, name)
 		}
-		t, err := r.Byte()
-		if err != nil {
-			return Request{}, err
-		}
-		if t > 1 {
-			return Request{}, fmt.Errorf("%w: bad traced flag %d", ErrProtocol, t)
-		}
-		req.Traced = t == 1
 	case OpRows:
 		if req.Table, err = r.String(); err != nil {
-			return Request{}, err
-		}
-	case OpAdvise:
-		if req.Table, err = r.String(); err != nil {
-			return Request{}, err
-		}
-		if req.Blob, err = r.LenBytes(); err != nil {
 			return Request{}, err
 		}
 	case OpApplyLayout:
@@ -548,63 +487,9 @@ func decodeRequest(payload []byte) (Request, error) {
 		if req.Sub, err = r.Byte(); err != nil {
 			return Request{}, err
 		}
-		if req.Sub > AdaptiveDisable {
+		if req.Sub != AdaptiveEnable && req.Sub != AdaptiveDisable {
 			return Request{}, fmt.Errorf("%w: unknown adaptive subcommand %d", ErrProtocol, req.Sub)
 		}
-	case OpExplain:
-		if req.Table, err = r.String(); err != nil {
-			return Request{}, err
-		}
-		nSpec, err := r.Count(4) // empty column + op + two empty operands
-		if err != nil {
-			return Request{}, err
-		}
-		req.Specs = make([]explain.PredicateSpec, 0, nSpec)
-		for i := 0; i < nSpec; i++ {
-			var sp explain.PredicateSpec
-			if sp.Column, err = r.String(); err != nil {
-				return Request{}, err
-			}
-			op, err := r.Byte()
-			if err != nil {
-				return Request{}, err
-			}
-			switch op {
-			case PredEq:
-				sp.Op = "eq"
-			case PredBetween:
-				sp.Op = "between"
-			default:
-				return Request{}, fmt.Errorf("%w: unknown predicate op %d", ErrProtocol, op)
-			}
-			if sp.Value, err = r.String(); err != nil {
-				return Request{}, err
-			}
-			if sp.Hi, err = r.String(); err != nil {
-				return Request{}, err
-			}
-			req.Specs = append(req.Specs, sp)
-		}
-		nProj, err := r.Count(1)
-		if err != nil {
-			return Request{}, err
-		}
-		req.Project = make([]string, 0, nProj)
-		for i := 0; i < nProj; i++ {
-			name, err := r.String()
-			if err != nil {
-				return Request{}, err
-			}
-			req.Project = append(req.Project, name)
-		}
-		a, err := r.Byte()
-		if err != nil {
-			return Request{}, err
-		}
-		if a > 1 {
-			return Request{}, fmt.Errorf("%w: bad analyze flag %d", ErrProtocol, a)
-		}
-		req.Analyze = a == 1
 	default:
 		return Request{}, fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
 	}
@@ -657,13 +542,6 @@ func DecodeResponse(op byte, payload []byte) (Response, error) {
 				return Response{}, err
 			}
 			resp.Rows = append(resp.Rows, row)
-		}
-		if resp.Trace, err = r.String(); err != nil {
-			return Response{}, err
-		}
-	case OpStats, OpAdvise, OpAdaptive, OpExplain:
-		if resp.Blob, err = r.LenBytes(); err != nil {
-			return Response{}, err
 		}
 	case OpRows:
 		if resp.Count, err = r.Uvarint(); err != nil {

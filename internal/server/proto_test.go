@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"reflect"
 	"testing"
+	"time"
 
-	"tierdb/internal/explain"
+	"tierdb/internal/codec"
 	"tierdb/internal/schema"
 	"tierdb/internal/value"
 )
@@ -18,7 +20,6 @@ func sampleRequests() []Request {
 	return []Request{
 		{Op: OpPing},
 		{Op: OpCheckpoint},
-		{Op: OpStats},
 		{Op: OpTables},
 		{Op: OpCreateTable, Table: "orders", Fields: []schema.Field{
 			{Name: "id", Type: value.Int64},
@@ -40,20 +41,34 @@ func sampleRequests() []Request {
 				{Column: "id", Op: PredEq, Value: value.NewInt(7)},
 				{Column: "amount", Op: PredBetween, Value: value.NewFloat(0), Hi: value.NewFloat(10)},
 			},
-			Project: []string{"id", "note"}, Traced: true},
+			Project: []string{"id", "note"}},
+		{Op: OpSelect, Table: "orders"},
 		{Op: OpRows, Table: "orders"},
-		{Op: OpAdvise, Table: "orders", Blob: []byte(`{"budget_bytes":1024}`)},
 		{Op: OpApplyLayout, Table: "orders", Layout: []bool{true, false, true}},
-		{Op: OpAdaptive, Sub: AdaptiveStatus},
 		{Op: OpAdaptive, Sub: AdaptiveEnable},
 		{Op: OpAdaptive, Sub: AdaptiveDisable},
-		{Op: OpExplain, Table: "orders",
-			Specs: []explain.PredicateSpec{
-				{Column: "region", Op: "eq", Value: "7"},
-				{Column: "amount", Op: "between", Value: "100", Hi: "200"},
-			},
-			Project: []string{"amount"}, Analyze: true},
-		{Op: OpExplain, Table: "orders"},
+	}
+}
+
+// retiredPayloads are CRC-valid request payloads the wire no longer
+// accepts, each of which a session must answer with StatusBadRequest and
+// survive: the report opcodes 9 (stats), 12 (advise) and 16 (explain),
+// which moved to HTTP, the adaptive status subcommand, and a Select
+// carrying the traced byte it used to end with.
+func retiredPayloads() []struct {
+	name    string
+	payload []byte
+} {
+	sel := encodeRequest(nil, Request{Op: OpSelect, Table: "t", Project: []string{"id"}})
+	return []struct {
+		name    string
+		payload []byte
+	}{
+		{"stats", []byte{9}},
+		{"advise", codec.AppendString(codec.AppendString([]byte{12}, "t"), "{}")},
+		{"explain", append(codec.AppendString([]byte{16}, "t"), 0, 0, 1)},
+		{"adaptive status", []byte{OpAdaptive, 0}},
+		{"traced select", append(sel, 1)},
 	}
 }
 
@@ -101,40 +116,37 @@ func normalizeReq(r Request) Request {
 	if len(r.Project) == 0 {
 		r.Project = nil
 	}
-	if len(r.Blob) == 0 {
-		r.Blob = nil
-	}
 	if len(r.Layout) == 0 {
 		r.Layout = nil
-	}
-	if len(r.Specs) == 0 {
-		r.Specs = nil
 	}
 	return r
 }
 
 // TestResponseRoundtrip encodes representative responses for every
-// answer shape.
+// answer shape of every opcode.
 func TestResponseRoundtrip(t *testing.T) {
 	cases := []struct {
 		op   byte
 		resp Response
 	}{
 		{OpPing, Response{}},
+		{OpCreateTable, Response{}},
+		{OpInsert, Response{}},
 		{OpInsert, Response{Status: StatusEngineErr, Msg: "no such table"}},
+		{OpDelete, Response{}},
+		{OpUpdate, Response{}},
+		{OpBulkLoad, Response{Status: StatusDraining, Msg: "draining"}},
 		{OpSelect, Response{Status: StatusOverloaded, Msg: "overloaded"}},
 		{OpSelect, Response{
-			IDs:   []uint64{1, 5, 1 << 40},
-			Rows:  [][]value.Value{{value.NewInt(3), value.NewString("x")}},
-			Trace: "trace text",
+			IDs:  []uint64{1, 5, 1 << 40},
+			Rows: [][]value.Value{{value.NewInt(3), value.NewString("x")}},
 		}},
-		{OpStats, Response{Blob: []byte(`{"counters":{}}`)}},
-		{OpAdvise, Response{Blob: []byte(`{"table":"t"}`)}},
-		{OpAdaptive, Response{Blob: []byte(`{"enabled":true}`)}},
-		{OpExplain, Response{Blob: []byte(`{"table":"t","mode":"analyze"}`)}},
-		{OpExplain, Response{Status: StatusEngineErr, Msg: "no such table"}},
+		{OpSelect, Response{IDs: []uint64{2}}},
+		{OpCheckpoint, Response{}},
 		{OpRows, Response{Count: 123456}},
 		{OpTables, Response{Names: []string{"a", "b"}}},
+		{OpApplyLayout, Response{Status: StatusBadRequest, Msg: "bad layout"}},
+		{OpAdaptive, Response{}},
 	}
 	for i, tc := range cases {
 		payload := encodeResponse(nil, tc.op, tc.resp)
@@ -146,6 +158,11 @@ func TestResponseRoundtrip(t *testing.T) {
 			t.Errorf("case %d roundtrip mismatch:\n sent %+v\n got  %+v", i, tc.resp, got)
 		}
 	}
+	// An OK reply to OpAdaptive is the status byte alone: the
+	// scheduler's report is HTTP's.
+	if p := encodeResponse(nil, OpAdaptive, Response{}); !bytes.Equal(p, []byte{StatusOK}) {
+		t.Errorf("adaptive reply = %x, want the status byte alone", p)
+	}
 }
 
 func normalizeResp(r Response) Response {
@@ -154,9 +171,6 @@ func normalizeResp(r Response) Response {
 	}
 	if len(r.Rows) == 0 {
 		r.Rows = nil
-	}
-	if len(r.Blob) == 0 {
-		r.Blob = nil
 	}
 	if len(r.Names) == 0 {
 		r.Names = nil
@@ -238,17 +252,59 @@ func TestHostilePayloads(t *testing.T) {
 	if _, err := decodeRequest([]byte{250}); !errors.Is(err, ErrProtocol) {
 		t.Fatal("unknown opcode accepted")
 	}
-	// Explain-specific field validation: an unknown predicate-op byte
-	// and a non-boolean analyze flag are payload errors, not panics.
-	badOp := []byte{OpExplain, 1, 't', 1, 1, 'c', 9, 1, 'v', 0, 0, 0}
+	// An unknown predicate-op byte is a payload error, not a panic.
+	badOp := []byte{OpSelect, 1, 't', 1, 1, 'c', 9, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 	if _, err := decodeRequest(badOp); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("explain bad predicate op: err = %v, want ErrProtocol", err)
+		t.Fatalf("select bad predicate op: err = %v, want ErrProtocol", err)
 	}
-	good := encodeRequest(nil, Request{Op: OpExplain, Table: "t",
-		Specs: []explain.PredicateSpec{{Column: "c", Op: "eq", Value: "1"}}})
-	badAnalyze := append(append([]byte(nil), good[:len(good)-1]...), 2)
-	if _, err := decodeRequest(badAnalyze); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("explain bad analyze flag: err = %v, want ErrProtocol", err)
+	for _, r := range retiredPayloads() {
+		if _, err := decodeRequest(r.payload); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: err = %v, want ErrProtocol", r.name, err)
+		}
+	}
+}
+
+// TestRetiredRequestsKeepSession sends every retired request shape down
+// one live session: each is answered with StatusBadRequest, like any
+// other CRC-valid payload that does not decode, and the session goes on
+// serving the next request.
+func TestRetiredRequestsKeepSession(t *testing.T) {
+	srv := New(struct{ Engine }{}, Config{}) // Ping never reaches the engine
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Shutdown()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(nc)
+	exchange := func(op byte, payload []byte) Response {
+		t.Helper()
+		if _, err := nc.Write(appendFrame(nil, payload)); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := DecodeResponse(op, reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, r := range retiredPayloads() {
+		if resp := exchange(r.payload[0], r.payload); resp.Status != StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want StatusBadRequest", r.name, resp.Status, resp.Msg)
+		}
+		if resp := exchange(OpPing, []byte{OpPing}); resp.Status != StatusOK {
+			t.Fatalf("ping after %s: status %d (%s)", r.name, resp.Status, resp.Msg)
+		}
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tierdb/internal/explain"
 	"tierdb/internal/metrics"
 	"tierdb/internal/schema"
 	"tierdb/internal/trace"
@@ -56,26 +55,15 @@ type Engine interface {
 	Delete(ctx context.Context, table string, id uint64) error
 	Update(ctx context.Context, table string, id uint64, row []value.Value) error
 	BulkLoad(ctx context.Context, table string, rows [][]value.Value) error
-	// Select runs a conjunctive query; trace is non-empty when traced
-	// execution was requested.
-	Select(ctx context.Context, table string, preds []Predicate, project []string, traced bool) (*Result, string, error)
+	// Select runs a conjunctive query.
+	Select(ctx context.Context, table string, preds []Predicate, project []string) (*Result, error)
 	Checkpoint(ctx context.Context) error
-	// StatsJSON returns the engine metrics snapshot as JSON.
-	StatsJSON() ([]byte, error)
 	Rows(table string) (int, error)
 	Tables() []string
-	// Advise runs the layout advisor; query and report are JSON
-	// (obsrv.AdvisorQuery / obsrv.AdvisorReport).
-	Advise(table string, query []byte) ([]byte, error)
 	ApplyLayout(table string, inDRAM []bool) error
-	// Adaptive inspects or toggles the adaptive placement scheduler
-	// (AdaptiveStatus/Enable/Disable); the report is JSON
-	// (obsrv.AdaptiveReport).
-	Adaptive(sub byte) ([]byte, error)
-	// Explain runs EXPLAIN (analyze=false) or EXPLAIN ANALYZE
-	// (analyze=true) for the query given in wire form; the report is
-	// JSON (explain.Plan).
-	Explain(ctx context.Context, table string, specs []explain.PredicateSpec, project []string, analyze bool) ([]byte, error)
+	// Adaptive turns the adaptive placement scheduler's periodic loop
+	// on or off.
+	Adaptive(enable bool) error
 }
 
 // Config tunes the service layer. The zero value selects the defaults.
@@ -435,20 +423,14 @@ func OpName(op byte) string {
 		return "select"
 	case OpCheckpoint:
 		return "checkpoint"
-	case OpStats:
-		return "stats"
 	case OpRows:
 		return "rows"
 	case OpTables:
 		return "tables"
-	case OpAdvise:
-		return "advise"
 	case OpApplyLayout:
 		return "apply_layout"
 	case OpAdaptive:
 		return "adaptive"
-	case OpExplain:
-		return "explain"
 	default:
 		return fmt.Sprintf("op_%d", op)
 	}
@@ -502,21 +484,15 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 			return fail(err)
 		}
 	case OpSelect:
-		res, trace, err := s.engine.Select(ctx, req.Table, req.Predicates, req.Project, req.Traced)
+		res, err := s.engine.Select(ctx, req.Table, req.Predicates, req.Project)
 		if err != nil {
 			return fail(err)
 		}
-		return Response{IDs: res.IDs, Rows: res.Rows, Trace: trace}
+		return Response{IDs: res.IDs, Rows: res.Rows}
 	case OpCheckpoint:
 		if err := s.engine.Checkpoint(ctx); err != nil {
 			return fail(err)
 		}
-	case OpStats:
-		blob, err := s.engine.StatsJSON()
-		if err != nil {
-			return fail(err)
-		}
-		return Response{Blob: blob}
 	case OpRows:
 		n, err := s.engine.Rows(req.Table)
 		if err != nil {
@@ -525,28 +501,14 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 		return Response{Count: uint64(n)}
 	case OpTables:
 		return Response{Names: s.engine.Tables()}
-	case OpAdvise:
-		blob, err := s.engine.Advise(req.Table, req.Blob)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{Blob: blob}
 	case OpApplyLayout:
 		if err := s.engine.ApplyLayout(req.Table, req.Layout); err != nil {
 			return fail(err)
 		}
 	case OpAdaptive:
-		blob, err := s.engine.Adaptive(req.Sub)
-		if err != nil {
+		if err := s.engine.Adaptive(req.Sub == AdaptiveEnable); err != nil {
 			return fail(err)
 		}
-		return Response{Blob: blob}
-	case OpExplain:
-		blob, err := s.engine.Explain(ctx, req.Table, req.Specs, req.Project, req.Analyze)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{Blob: blob}
 	default:
 		return Response{Status: StatusBadRequest, Msg: fmt.Sprintf("unknown opcode %d", req.Op)}
 	}

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -13,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"tierdb/internal/explain"
 	"tierdb/internal/metrics"
-	"tierdb/internal/obsrv"
 	"tierdb/internal/schema"
 	"tierdb/internal/server"
 	"tierdb/internal/server/client"
@@ -26,10 +23,11 @@ import (
 // name to rows. A non-nil gate makes every mutating op block until the
 // gate closes, which is how the tests pin requests inflight.
 type fakeEngine struct {
-	mu     sync.Mutex
-	tables map[string][][]value.Value
-	gate   chan struct{}
-	fail   atomic.Bool
+	mu       sync.Mutex
+	tables   map[string][][]value.Value
+	gate     chan struct{}
+	fail     atomic.Bool
+	adaptive atomic.Bool
 }
 
 func newFakeEngine() *fakeEngine {
@@ -99,13 +97,13 @@ func (e *fakeEngine) BulkLoad(_ context.Context, table string, rows [][]value.Va
 	return nil
 }
 
-func (e *fakeEngine) Select(_ context.Context, table string, preds []server.Predicate, project []string, traced bool) (*server.Result, string, error) {
+func (e *fakeEngine) Select(_ context.Context, table string, preds []server.Predicate, project []string) (*server.Result, error) {
 	e.wait()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	rows, ok := e.tables[table]
 	if !ok {
-		return nil, "", fmt.Errorf("no table %q", table)
+		return nil, fmt.Errorf("no table %q", table)
 	}
 	res := &server.Result{}
 	for i, row := range rows {
@@ -114,15 +112,10 @@ func (e *fakeEngine) Select(_ context.Context, table string, preds []server.Pred
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	trace := ""
-	if traced {
-		trace = "fake trace"
-	}
-	return res, trace, nil
+	return res, nil
 }
 
 func (e *fakeEngine) Checkpoint(context.Context) error { return nil }
-func (e *fakeEngine) StatsJSON() ([]byte, error)       { return []byte(`{"counters":{"x":1}}`), nil }
 
 func (e *fakeEngine) Rows(table string) (int, error) {
 	e.mu.Lock()
@@ -136,22 +129,24 @@ func (e *fakeEngine) Rows(table string) (int, error) {
 
 func (e *fakeEngine) Tables() []string { return []string{"t"} }
 
-func (e *fakeEngine) Advise(table string, query []byte) ([]byte, error) {
-	return []byte(`{"table":"` + table + `"}`), nil
-}
-
 func (e *fakeEngine) ApplyLayout(table string, inDRAM []bool) error { return nil }
 
-func (e *fakeEngine) Adaptive(sub byte) ([]byte, error) {
-	return []byte(fmt.Sprintf(`{"enabled":%v}`, sub == server.AdaptiveEnable)), nil
+func (e *fakeEngine) Adaptive(enable bool) error {
+	e.adaptive.Store(enable)
+	return nil
 }
 
-func (e *fakeEngine) Explain(_ context.Context, table string, specs []explain.PredicateSpec, project []string, analyze bool) ([]byte, error) {
-	return json.Marshal(explain.Plan{
-		Table: table,
-		Mode:  map[bool]explain.Mode{false: explain.ModeExplain, true: explain.ModeAnalyze}[analyze],
-		Nodes: make([]explain.Node, len(specs)),
-	})
+// countEngine answers Rows for table "t<n>" with n, so a reply handed
+// to the wrong caller is detected even though every frame has the same
+// shape.
+type countEngine struct{ fakeEngine }
+
+func (e *countEngine) Rows(table string) (int, error) {
+	var n int
+	if _, err := fmt.Sscanf(table, "t%d", &n); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // boot starts a server over the fake engine on a random loopback port.
@@ -207,26 +202,23 @@ func TestClientRoundtrips(t *testing.T) {
 	if err != nil || len(res.IDs) != 2 || len(res.Rows) != 2 {
 		t.Fatalf("Select = %+v, %v", res, err)
 	}
-	_, trace, err := c.SelectTraced("t", nil)
-	if err != nil || trace != "fake trace" {
-		t.Fatalf("SelectTraced trace = %q, %v", trace, err)
+	if res, err := c.Select("t", nil); err != nil || len(res.IDs) != 2 || len(res.Rows) != 0 {
+		t.Fatalf("Select without projection = %+v, %v", res, err)
 	}
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
-	}
-	snap, err := c.Stats()
-	if err != nil || snap.Counters["x"] != 1 {
-		t.Fatalf("Stats = %+v, %v", snap, err)
 	}
 	names, err := c.Tables()
 	if err != nil || len(names) != 1 {
 		t.Fatalf("Tables = %v, %v", names, err)
 	}
-	if _, err := c.Advise("t", obsrv.AdvisorQuery{}); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.ApplyLayout("t", []bool{true}); err != nil {
 		t.Fatal(err)
+	}
+	for _, on := range []bool{true, false} {
+		if err := c.SetAdaptive(on); err != nil || e.adaptive.Load() != on {
+			t.Fatalf("SetAdaptive(%v) = %v, engine has %v", on, err, e.adaptive.Load())
+		}
 	}
 	// Engine errors surface with their message and do not kill the
 	// session.
@@ -378,13 +370,11 @@ func TestPipelining(t *testing.T) {
 
 // TestPipelineSaturationFIFO hammers a single connection with far more
 // callers than it can serve at once, so nearly every request waits for
-// it, and checks each caller receives its own response. The fake
-// engine's Advise echoes the request's table name, so a response
-// delivered to the wrong caller is detected even though all frames are
-// same-shaped.
+// it, and checks each caller receives its own response. The count
+// engine answers Rows("t<n>") with n, so a response delivered to the
+// wrong caller is detected even though all frames are same-shaped.
 func TestPipelineSaturationFIFO(t *testing.T) {
-	e := newFakeEngine()
-	_, addr := boot(t, e, server.Config{})
+	_, addr := boot(t, &countEngine{}, server.Config{})
 	c, err := client.Dial(client.Config{Addr: addr, PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -398,13 +388,13 @@ func TestPipelineSaturationFIFO(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			table := fmt.Sprintf("t%d", i)
-			rep, err := c.Advise(table, obsrv.AdvisorQuery{})
+			got, err := c.Rows(table)
 			if err != nil {
-				t.Errorf("advise %s: %v", table, err)
+				t.Errorf("rows %s: %v", table, err)
 				return
 			}
-			if rep.Table != table {
-				t.Errorf("advise %s: got response for %s", table, rep.Table)
+			if got != i {
+				t.Errorf("rows %s: got the response for t%d", table, got)
 			}
 		}(i)
 	}

@@ -1,10 +1,12 @@
 package tierdb
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,10 +30,12 @@ func obsGet(t *testing.T, url string) (int, []byte) {
 // TestObservabilityEndToEnd boots a DB with the observability server on
 // a random port, drives a skewed workload, and checks every endpoint
 // against the acceptance criteria: /metrics parses as Prometheus text
-// exposition, /workload reports the captured model inputs, /traces is
-// bounded, and /layout/advisor returns a recommendation that differs
+// exposition and carries the build-info and uptime series, /healthz and
+// /readyz answer, /workload reports the captured model inputs, /traces
+// is bounded, /layout/advisor returns a recommendation that differs
 // from the current layout, whose modeled costs match the core model,
-// and which ApplyLayout applies verbatim.
+// and which ApplyLayout applies verbatim (with and without a
+// reallocation cost), and /explain answers an ANALYZE plan.
 func TestObservabilityEndToEnd(t *testing.T) {
 	db, err := Open(Config{
 		Device:             "3D XPoint",
@@ -79,6 +83,16 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if err := obsrv.ValidateExposition(body); err != nil {
 		t.Fatalf("/metrics invalid: %v", err)
+	}
+	for _, series := range []string{"tierdb_build_info{", "tierdb_uptime_seconds "} {
+		if !bytes.Contains(body, []byte(series)) {
+			t.Errorf("/metrics misses the %s series", series)
+		}
+	}
+	for path, want := range map[string]string{"/healthz": "ok", "/readyz": "ready"} {
+		if code, body := obsGet(t, base+path); code != http.StatusOK || strings.TrimSpace(string(body)) != want {
+			t.Errorf("%s: status %d, body %q; want %q", path, code, body, want)
+		}
 	}
 
 	// /stats.json round-trips the snapshot.
@@ -222,6 +236,35 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if again.Changed {
 		t.Errorf("advisor wants further changes right after applying its advice: %+v", again.Recommended)
+	}
+
+	// Reallocation-aware advice: a nonzero beta charges moves against
+	// the incumbent placement. The answer echoes beta and applies.
+	code, body = obsGet(t, base+"/layout/advisor?table=orders&beta=1e-10")
+	if code != http.StatusOK {
+		t.Fatalf("/layout/advisor?beta: status %d: %s", code, body)
+	}
+	if err := json.Unmarshal(body, &adv); err != nil {
+		t.Fatal(err)
+	}
+	if len(adv.Reports) != 1 || adv.Reports[0].Beta != 1e-10 {
+		t.Fatalf("/layout/advisor?beta did not echo beta: %s", body)
+	}
+	if err := tbl.ApplyLayout(Layout{InDRAM: adv.Reports[0].Recommended.InDRAM}); err != nil {
+		t.Fatalf("ApplyLayout(beta recommendation): %v", err)
+	}
+
+	// EXPLAIN ANALYZE over HTTP: operator nodes and a modeled cost.
+	code, body = obsGet(t, base+"/explain?table=orders&q=region=3&project=amount&analyze=1")
+	if code != http.StatusOK {
+		t.Fatalf("/explain: status %d: %s", code, body)
+	}
+	var plan ExplainPlan
+	if err := json.Unmarshal(body, &plan); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Mode != "analyze" || len(plan.Nodes) == 0 || plan.Placement.CurrentCost <= 0 {
+		t.Errorf("/explain: mode %s, %d nodes, current_modeled_cost %g", plan.Mode, len(plan.Nodes), plan.Placement.CurrentCost)
 	}
 
 	// pprof and the index answer.

@@ -2,6 +2,7 @@ package tierdb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -74,7 +75,11 @@ func TestWrongTypedOperandIsAnError(t *testing.T) {
 						for _, preds := range [][]Predicate{{wrong}, {right, wrong}, {wrong, right}} {
 							db.Clock().Reset()
 							before := db.Stats().Counters
-							res, tr, err := tbl.SelectTraced(nil, preds, "b")
+							q, err := tbl.prepQuery(preds, []string{"b"})
+							if err != nil {
+								t.Fatal(err)
+							}
+							res, tr, err := tbl.Executor().RunTraced(q, nil)
 							if err == nil {
 								t.Fatalf("Select(%+v) = %+v, want an error", preds, res)
 							}
@@ -158,5 +163,53 @@ func TestExplainShowsTheRunsOperators(t *testing.T) {
 	}
 	if b := plan.Nodes[1]; b.ColumnName != "b" || b.Operator != "probe" || b.Path != "sscg" || b.Tier != "secondary" {
 		t.Errorf("EXPLAIN node for b = %s[%s] on %s (%s), want probe[sscg] on secondary", b.Operator, b.Path, b.Tier, b.ColumnName)
+	}
+}
+
+// TestExplainLabelsSharedColumnPredicates: with two predicates on one
+// column, each operator node names the predicate it ran, not the last
+// one written on that column. The equality is the more selective, so
+// it runs first — the scan — and the range probes its candidates.
+func TestExplainLabelsSharedColumnPredicates(t *testing.T) {
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("t", []Field{{Name: "id", Type: Int64Type}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]Value, 2000)
+	for i := range rows {
+		rows[i] = []Value{Int(int64(i))}
+	}
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	span, err := tbl.Between("id", Int(0), Int(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := []Predicate{span, mustEq(t, tbl, "id", 7)}
+	plan, err := tbl.Explain(preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, analyzed, err := tbl.SelectExplained(nil, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ op, pred string }{{"scan", "id = 7"}, {"probe", "id between 0 and 500"}}
+	for _, p := range []*ExplainPlan{plan, analyzed} {
+		var got []struct{ op, pred string }
+		for _, n := range p.Nodes {
+			if n.Partition == "main" && n.Column >= 0 {
+				got = append(got, struct{ op, pred string }{n.Operator, n.Predicate})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s main predicate nodes = %v, want %v", p.Mode, got, want)
+		}
 	}
 }

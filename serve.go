@@ -2,11 +2,8 @@ package tierdb
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net"
 
-	"tierdb/internal/obsrv"
 	"tierdb/internal/server"
 	"tierdb/internal/value"
 )
@@ -87,10 +84,10 @@ func (e dbEngine) BulkLoad(ctx context.Context, table string, rows [][]value.Val
 	return t.BulkLoadCtx(ctx, rows)
 }
 
-func (e dbEngine) Select(ctx context.Context, table string, preds []server.Predicate, project []string, traced bool) (*server.Result, string, error) {
+func (e dbEngine) Select(ctx context.Context, table string, preds []server.Predicate, project []string) (*server.Result, error) {
 	t, err := e.db.Table(table)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	ps := make([]Predicate, 0, len(preds))
 	for _, p := range preds {
@@ -102,40 +99,18 @@ func (e dbEngine) Select(ctx context.Context, table string, preds []server.Predi
 			pred, err = t.Eq(p.Column, p.Value)
 		}
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		ps = append(ps, pred)
 	}
-	var res *SelectResult
-	rendered := ""
-	if traced {
-		var tr *QueryTrace
-		res, tr, err = t.SelectTracedCtx(ctx, nil, ps, project...)
-		if err == nil {
-			rendered = tr.String()
-		}
-	} else {
-		res, err = t.SelectCtx(ctx, nil, ps, project...)
-	}
-	if err != nil {
-		return nil, "", err
-	}
-	return &server.Result{IDs: res.IDs, Rows: res.Rows}, rendered, nil
-}
-
-func (e dbEngine) Explain(ctx context.Context, table string, specs []ExplainSpec, project []string, analyze bool) ([]byte, error) {
-	plan, err := e.db.Explain(ctx, table, specs, project, analyze)
+	res, err := t.SelectCtx(ctx, nil, ps, project...)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(plan)
+	return &server.Result{IDs: res.IDs, Rows: res.Rows}, nil
 }
 
 func (e dbEngine) Checkpoint(ctx context.Context) error { return e.db.Checkpoint() }
-
-func (e dbEngine) StatsJSON() ([]byte, error) {
-	return json.Marshal(e.db.Stats())
-}
 
 func (e dbEngine) Rows(table string) (int, error) {
 	t, err := e.db.Table(table)
@@ -147,24 +122,6 @@ func (e dbEngine) Rows(table string) (int, error) {
 
 func (e dbEngine) Tables() []string { return e.db.Tables() }
 
-func (e dbEngine) Advise(table string, query []byte) ([]byte, error) {
-	t, err := e.db.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	var q obsrv.AdvisorQuery
-	if len(query) > 0 {
-		if err := json.Unmarshal(query, &q); err != nil {
-			return nil, fmt.Errorf("tierdb: bad advisor query: %w", err)
-		}
-	}
-	rep, err := t.Advise(q)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(rep)
-}
-
 func (e dbEngine) ApplyLayout(table string, inDRAM []bool) error {
 	t, err := e.db.Table(table)
 	if err != nil {
@@ -173,15 +130,7 @@ func (e dbEngine) ApplyLayout(table string, inDRAM []bool) error {
 	return t.ApplyLayout(Layout{InDRAM: inDRAM})
 }
 
-func (e dbEngine) Adaptive(sub byte) ([]byte, error) {
-	switch sub {
-	case server.AdaptiveEnable:
-		e.db.SetAdaptive(true)
-	case server.AdaptiveDisable:
-		e.db.SetAdaptive(false)
-	case server.AdaptiveStatus:
-	default:
-		return nil, fmt.Errorf("tierdb: unknown adaptive subcommand %d", sub)
-	}
-	return json.Marshal(e.db.AdaptiveStatus())
+func (e dbEngine) Adaptive(enable bool) error {
+	e.db.SetAdaptive(enable)
+	return nil
 }

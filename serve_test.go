@@ -3,11 +3,11 @@ package tierdb
 import (
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"tierdb/internal/obsrv"
 	"tierdb/internal/server"
 	"tierdb/internal/server/client"
 )
@@ -68,12 +68,12 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 
-	_, trace, err := c.SelectTraced("orders", []server.Predicate{client.Eq("id", Int(42))}, "id")
+	point, err := c.Select("orders", []server.Predicate{client.Eq("id", Int(42))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(trace, "orders") {
-		t.Fatalf("trace %q does not mention the table", trace)
+	if len(point.IDs) != 1 || len(point.Rows) != 0 {
+		t.Fatalf("point Select without projection = %d ids, %d rows; want 1, 0", len(point.IDs), len(point.Rows))
 	}
 
 	// Mutations through the service layer commit real transactions.
@@ -90,26 +90,23 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal("double delete succeeded")
 	}
 
-	// Advisor and layout control over the wire.
-	rep, err := c.Advise("orders", obsrv.AdvisorQuery{})
+	// Layout control over the wire.
+	if err := c.ApplyLayout("orders", []bool{true, false, true}); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Table("orders")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Table != "orders" || len(rep.Columns) != len(fields) {
-		t.Fatalf("advisor report %+v", rep)
-	}
-	if err := c.ApplyLayout("orders", []bool{true, false, true}); err != nil {
-		t.Fatal(err)
+	if got := tbl.Layout(); !slices.Equal(got, []bool{true, false, true}) {
+		t.Fatalf("layout after ApplyLayout = %v", got)
 	}
 	if err := c.ApplyLayout("orders", []bool{true}); err == nil {
 		t.Fatal("short layout vector accepted")
 	}
 
-	// Stats flow through, including the server's own instruments.
-	snap, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The engine's stats include the server's own instruments.
+	snap := db.Stats()
 	if snap.Counters["server.requests_total"] == 0 {
 		t.Error("server.requests_total missing from engine stats")
 	}

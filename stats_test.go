@@ -51,32 +51,33 @@ func TestDBStats(t *testing.T) {
 	}
 }
 
-// TestSelectTraced checks the public traced-query path end to end.
-func TestSelectTraced(t *testing.T) {
-	db, tbl := openLoaded(t, 2000)
+// TestSelectExplainedSummary checks the public ANALYZE path end to end:
+// the plan summarizes the executed query the way its trace recorded it.
+func TestSelectExplainedSummary(t *testing.T) {
+	_, tbl := openLoaded(t, 2000)
 	region, err := tbl.Eq("region", Int(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, tr, err := tbl.SelectTraced(nil, []Predicate{region}, "id", "amount")
+	res, plan, err := tbl.SelectExplained(nil, []Predicate{region}, "id", "amount")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr == nil || tr.Table != "orders" || tr.Device != "3D XPoint" {
-		t.Fatalf("trace = %+v", tr)
+	if plan == nil || plan.Table != "orders" || plan.Device != "3D XPoint" {
+		t.Fatalf("plan = %+v", plan)
 	}
-	if tr.RowsQualified != len(res.IDs) || len(res.IDs) != 250 {
-		t.Errorf("rows = %d (trace %d), want 250", len(res.IDs), tr.RowsQualified)
+	if plan.RowsQualified != len(res.IDs) || len(res.IDs) != 250 {
+		t.Errorf("rows = %d (plan %d), want 250", len(res.IDs), plan.RowsQualified)
 	}
-	if len(tr.Predicates) != 1 || len(tr.Operators) == 0 {
-		t.Errorf("trace content: predicates=%d operators=%d", len(tr.Predicates), len(tr.Operators))
+	if len(plan.Nodes) == 0 || plan.Nodes[0].Predicate != "region = 5" {
+		t.Errorf("plan nodes = %+v, want the region predicate first", plan.Nodes)
 	}
-	if tr.DRAMNs <= 0 {
-		t.Error("trace has no modeled DRAM cost")
+	if plan.DRAMNs <= 0 {
+		t.Error("plan has no modeled DRAM cost")
 	}
-	// Traced queries feed the plan cache like Select.
-	if db == nil || tbl.PlanCache().Len() == 0 {
-		t.Error("traced query not recorded in plan cache")
+	// Explained queries feed the plan cache like Select.
+	if tbl.PlanCache().Len() == 0 {
+		t.Error("explained query not recorded in plan cache")
 	}
 }
 

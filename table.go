@@ -210,24 +210,6 @@ func (t *Table) resolveQuery(predicates []Predicate, project []string) (exec.Que
 	return exec.Query{Predicates: predicates, Project: proj}, nil
 }
 
-// SelectTraced is Select with per-query tracing: the returned trace
-// records the filter ordering chosen, per-operator access paths
-// (including scan-to-probe switchovers), morsels per worker, rows
-// qualified and the modeled cost split per device. Traced queries feed
-// the plan cache exactly like Select.
-func (t *Table) SelectTraced(tx *Tx, predicates []Predicate, project ...string) (*SelectResult, *QueryTrace, error) {
-	return t.SelectTracedCtx(context.Background(), tx, predicates, project...)
-}
-
-// SelectTracedCtx is SelectTraced with a context; see SelectCtx.
-func (t *Table) SelectTracedCtx(ctx context.Context, tx *Tx, predicates []Predicate, project ...string) (*SelectResult, *QueryTrace, error) {
-	q, err := t.prepQuery(predicates, project)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t.exec.RunTracedCtx(ctx, q, tx)
-}
-
 // Get reconstructs a full tuple by row id.
 func (t *Table) Get(id RowID) ([]Value, error) {
 	return t.exec.Reconstruct(id)

@@ -66,9 +66,6 @@ type (
 	// StatsSnapshot is a point-in-time copy of every engine metric; see
 	// DB.Stats.
 	StatsSnapshot = metrics.Snapshot
-	// QueryTrace records what one traced query execution did; see
-	// Table.SelectTraced.
-	QueryTrace = metrics.Trace
 )
 
 // Value constructors.
