@@ -67,7 +67,6 @@ type adaptiveScheduler struct {
 	interval time.Duration
 	alpha    float64 // >0 selects the penalty form F(x)+alpha*M(x)
 	beta     float64 // reallocation cost per moved byte
-	budget   int64   // hard budget; 0 = current modeled footprint
 	minGain  float64
 	maxMove  float64
 	cooldown int
@@ -99,7 +98,6 @@ func newAdaptiveScheduler(db *DB, cfg Config) *adaptiveScheduler {
 		interval: cfg.AdaptiveInterval,
 		alpha:    cfg.AdaptiveAlpha,
 		beta:     cfg.AdaptiveBeta,
-		budget:   cfg.AdaptiveBudget,
 		minGain:  cfg.AdaptiveMinGain,
 		maxMove:  cfg.AdaptiveMaxMove,
 		cooldown: cfg.AdaptiveCooldown,
@@ -191,7 +189,7 @@ func (s *adaptiveScheduler) adaptTable(t *Table, cycle uint64) AdaptiveDecision 
 	costs := core.DefaultCostParams()
 	current := t.inner.Layout()
 	start := time.Now()
-	alloc, err := s.solve(w, costs, current)
+	alloc, err := s.solve(t, w, costs, current)
 	d.SolveNs = time.Since(start).Nanoseconds()
 	s.hSolve.Observe(d.SolveNs)
 	if err != nil {
@@ -268,17 +266,18 @@ func (s *adaptiveScheduler) adaptTable(t *Table, cycle uint64) AdaptiveDecision 
 	return d
 }
 
-// solve is the daemon's re-solve: the explicit Theorem-2 path with
-// reallocation costs. AdaptiveAlpha > 0 selects the penalty form
+// solve is the daemon's re-solve with reallocation costs, the live
+// layout the incumbent y. AdaptiveAlpha > 0 selects the penalty form
 // (every column whose S_i + alpha + beta*(1-2y_i) is negative stays in
-// DRAM); otherwise the budget form keeps the table within
-// AdaptiveBudget bytes (its zero value: the current modeled footprint,
-// "spend these same bytes better").
-func (s *adaptiveScheduler) solve(w *core.Workload, costs core.CostParams, current []bool) (core.Allocation, error) {
+// DRAM); otherwise the table's placement defaults apply: the explicit
+// solution within the current modeled footprint, "spend these same
+// bytes better".
+func (s *adaptiveScheduler) solve(t *Table, w *core.Workload, costs core.CostParams, current []bool) (core.Allocation, error) {
 	if s.alpha > 0 {
 		return core.ContinuousPenaltyRealloc(w, costs, s.alpha, current, s.beta)
 	}
-	return core.ExplicitForBudget(w, costs, resolveBudget(w, s.budget, 0, current), current, s.beta)
+	opts := t.defaults(w, PlacementOptions{Beta: s.beta, Current: current})
+	return core.Solve(w, costs, opts.Budget, opts.Method, opts.Current, opts.Beta)
 }
 
 func (s *adaptiveScheduler) tableState(name string) *adaptiveState {
@@ -303,7 +302,6 @@ func (s *adaptiveScheduler) report() *AdaptiveReport {
 		IntervalNs:      s.interval.Nanoseconds(),
 		Alpha:           s.alpha,
 		Beta:            s.beta,
-		BudgetBytes:     s.budget,
 		MinGain:         s.minGain,
 		MaxMoveFraction: s.maxMove,
 		CooldownCycles:  s.cooldown,

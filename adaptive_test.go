@@ -379,8 +379,9 @@ func TestAdaptiveBudgetFormDefault(t *testing.T) {
 
 // TestAdaptiveWarmColdBetaZeroEquivalence pins the daemon's
 // reallocation-aware solve against the cold offline solver: with
-// beta=0 the warm path (current layout as y) and a from-scratch Solve
-// must agree on modeled cost to within 1e-9 for arbitrary workloads.
+// beta=0 the warm path (current layout as y, as the daemon passes it)
+// and a from-scratch solve must agree on modeled cost to within 1e-9
+// for arbitrary workloads.
 func TestAdaptiveWarmColdBetaZeroEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	costs := core.DefaultCostParams()
@@ -391,18 +392,17 @@ func TestAdaptiveWarmColdBetaZeroEquivalence(t *testing.T) {
 		for i := range current {
 			current[i] = rng.Intn(2) == 0
 		}
-		daemon := &adaptiveScheduler{budget: budget} // alpha=0, beta=0: budget form
-		warm, err := daemon.solve(w, costs, current)
+		warm, err := core.Solve(w, costs, budget, core.MethodExplicit, current, 0)
 		if err != nil {
 			t.Fatalf("iter %d: warm solve: %v", iter, err)
 		}
-		cold, err := Solve(w, PlacementOptions{Budget: budget, Method: MethodExplicit})
+		cold, err := core.Solve(w, costs, budget, core.MethodExplicit, nil, 0)
 		if err != nil {
 			t.Fatalf("iter %d: cold solve: %v", iter, err)
 		}
-		if diff := math.Abs(warm.Cost - cold.EstimatedCost); diff > 1e-9 {
+		if diff := math.Abs(warm.Cost - cold.Cost); diff > 1e-9 {
 			t.Fatalf("iter %d: warm cost %.12g vs cold %.12g (diff %g, budget %d)\n warm %v\n cold %v",
-				iter, warm.Cost, cold.EstimatedCost, diff, budget, warm.InDRAM, cold.InDRAM)
+				iter, warm.Cost, cold.Cost, diff, budget, warm.InDRAM, cold.InDRAM)
 		}
 	}
 }

@@ -370,7 +370,7 @@ func BenchmarkAblationSelectionInteraction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		h1, err := core.SolveHeuristic(w, p, budget, core.HeuristicFrequency)
+		h1, err := core.SolveHeuristic(w, p, budget, core.MethodFrequency)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -104,6 +104,17 @@ func loadWorkload(path string) (*core.Workload, error) {
 	return w, nil
 }
 
+// methods maps -method names to the model's solution methods.
+var methods = map[string]core.Method{
+	"ilp":      core.MethodILP,
+	"explicit": core.MethodExplicit,
+	"filling":  core.MethodFilling,
+	"greedy":   core.MethodGreedyRatio,
+	"h1":       core.MethodFrequency,
+	"h2":       core.MethodSelectivity,
+	"h3":       core.MethodSelectivityFrequency,
+}
+
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "tierctl: "+format+"\n", args...)
 	os.Exit(1)
@@ -172,7 +183,7 @@ func main() {
 		for f := 0.05; f <= 1.0001; f += 0.05 {
 			budgets = append(budgets, f)
 		}
-		points, err := core.Frontier(w, params, budgets, core.FrontierILP)
+		points, err := core.Frontier(w, params, budgets, core.MethodILP)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -203,25 +214,11 @@ func main() {
 		}
 	}
 
-	var alloc core.Allocation
-	switch *method {
-	case "ilp":
-		alloc, err = core.OptimalILPRealloc(w, params, b, current, *beta)
-	case "explicit":
-		alloc, err = core.ExplicitForBudget(w, params, b, current, *beta)
-	case "filling":
-		alloc, err = core.FillingForBudget(w, params, b, current, *beta)
-	case "greedy":
-		alloc, err = core.GreedyRatio(w, params, b)
-	case "h1":
-		alloc, err = core.SolveHeuristic(w, params, b, core.HeuristicFrequency)
-	case "h2":
-		alloc, err = core.SolveHeuristic(w, params, b, core.HeuristicSelectivity)
-	case "h3":
-		alloc, err = core.SolveHeuristic(w, params, b, core.HeuristicSelectivityFrequency)
-	default:
+	m, ok := methods[*method]
+	if !ok {
 		fail("unknown method %q", *method)
 	}
+	alloc, err := core.Solve(w, params, b, m, current, *beta)
 	if err != nil {
 		fail("%v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"tierdb/internal/core"
 	"tierdb/internal/exec"
 	"tierdb/internal/explain"
 	"tierdb/internal/metrics"
@@ -160,30 +161,30 @@ func (t *Table) renderPredicate(p Predicate) string {
 	return fmt.Sprintf("%s = %s", name, p.Value)
 }
 
-// buildExplain assembles the plan: the advisor's solve (adviseInputs,
-// with its zero-value defaults) supplies the model selectivities,
-// sizes, live placement and recommended placement, so the placement
-// section prices exactly what /layout/advisor would recommend right
-// now; the executor's trace supplies the operators.
+// buildExplain assembles the plan: the advisor's report with its
+// zero-value defaults supplies the model selectivities, sizes, live
+// placement and recommended placement, so the placement section prices
+// exactly what /layout/advisor would recommend right now; the
+// executor's trace supplies the operators.
 func (t *Table) buildExplain(mode explain.Mode, q exec.Query, tr *metrics.Trace, wallNs int64, traceID string) (*ExplainPlan, error) {
 	t.db.registry.Counter("explain.plans").Inc()
 	if mode == explain.ModeAnalyze {
 		t.db.registry.Counter("explain.analyze").Inc()
 	}
-	in, err := t.adviseInputs(AdvisorQuery{})
+	adv, err := t.Advise(AdvisorQuery{})
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]explain.ColumnInput, len(in.w.Columns))
-	for i, c := range in.w.Columns {
+	cols := make([]explain.ColumnInput, len(adv.Columns))
+	for i, c := range adv.Columns {
 		cols[i] = explain.ColumnInput{
 			Name:              c.Name,
-			SizeBytes:         c.Size,
+			SizeBytes:         c.SizeBytes,
 			Selectivity:       c.Selectivity,
-			SelectivitySource: in.sources[i],
-			ObservedSamples:   in.samples[i],
-			InDRAM:            in.current[i],
-			Recommended:       in.alloc.InDRAM[i],
+			SelectivitySource: c.SelectivitySource,
+			ObservedSamples:   c.ObservedSamples,
+			InDRAM:            c.InDRAMNow,
+			Recommended:       c.InDRAMRecommended,
 		}
 	}
 	// Distinct predicate columns, first-occurrence order: the model
@@ -204,7 +205,7 @@ func (t *Table) buildExplain(mode explain.Mode, q exec.Query, tr *metrics.Trace,
 		Device:         tr.Device,
 		Parallelism:    tr.Parallelism,
 		ProbeThreshold: tr.ProbeThreshold,
-		Costs:          in.costs,
+		Costs:          core.DefaultCostParams(),
 		Columns:        cols,
 		QueryColumns:   qcols,
 		ProjectColumns: q.Project,

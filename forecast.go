@@ -60,11 +60,7 @@ func (t *Table) RecommendForecastLayout(opts PlacementOptions, fopts ForecastOpt
 	if err != nil {
 		return Layout{}, err
 	}
-	if opts.Beta > 0 && opts.Current == nil {
-		opts.Current = t.inner.Layout()
-	}
-	opts.Pinned = nil
-	return Solve(predicted, opts)
+	return Solve(predicted, t.defaults(predicted, opts))
 }
 
 // Snapshot persists the table (schema, layout, index definitions, all

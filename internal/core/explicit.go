@@ -79,16 +79,9 @@ func explicitAllocate(w *Workload, p CostParams, budget int64, current []bool, b
 	if err != nil {
 		return Allocation{}, err
 	}
-	x := make([]bool, len(w.Columns))
-	var used int64
-	for i, c := range w.Columns {
-		if c.Pinned {
-			x[i] = true
-			used += c.Size
-		}
-	}
-	if used > budget {
-		return Allocation{}, fmt.Errorf("core: pinned columns need %d bytes, budget is %d", used, budget)
+	x, used, err := placePinned(w, budget)
+	if err != nil {
+		return Allocation{}, err
 	}
 	for _, i := range order {
 		if used+w.Columns[i].Size > budget {
@@ -115,16 +108,9 @@ func GreedyRatio(w *Workload, p CostParams, budget int64) (Allocation, error) {
 	if err := w.Validate(); err != nil {
 		return Allocation{}, err
 	}
-	x := make([]bool, len(w.Columns))
-	var used int64
-	for i, c := range w.Columns {
-		if c.Pinned {
-			x[i] = true
-			used += c.Size
-		}
-	}
-	if used > budget {
-		return Allocation{}, fmt.Errorf("core: pinned columns need %d bytes, budget is %d", used, budget)
+	x, used, err := placePinned(w, budget)
+	if err != nil {
+		return Allocation{}, err
 	}
 	cost := ScanCost(w, p, x)
 	for {

@@ -5,47 +5,17 @@ import (
 	"sort"
 )
 
-// Heuristic identifies one of the paper's benchmark eviction heuristics
-// (Example 1, H1-H3). They represent the status quo of vertical
-// partitioning advisors: LRU-like orderings over per-column metrics that
-// ignore selection interaction.
-type Heuristic int
-
-const (
-	// HeuristicFrequency is H1: keep the most frequently filtered
-	// columns (largest g_i first), cf. AutoAdmin-style co-occurrence
-	// counting.
-	HeuristicFrequency Heuristic = iota
-	// HeuristicSelectivity is H2: keep the most restrictive columns
-	// (smallest s_i first).
-	HeuristicSelectivity
-	// HeuristicSelectivityFrequency is H3: keep columns with the
-	// smallest ratio s_i/g_i first (cf. reactive unload).
-	HeuristicSelectivityFrequency
-)
-
-// String returns the paper's name for the heuristic.
-func (h Heuristic) String() string {
-	switch h {
-	case HeuristicFrequency:
-		return "H1 (frequency)"
-	case HeuristicSelectivity:
-		return "H2 (selectivity)"
-	case HeuristicSelectivityFrequency:
-		return "H3 (selectivity/frequency)"
-	default:
-		return fmt.Sprintf("Heuristic(%d)", int(h))
-	}
-}
-
-// SolveHeuristic allocates columns to DRAM following the given benchmark
-// heuristic: columns are ranked by the heuristic's metric and placed in
-// rank order; a column that no longer fits is skipped and later (smaller)
+// SolveHeuristic allocates columns to DRAM following benchmark heuristic
+// h — MethodFrequency, MethodSelectivity or MethodSelectivityFrequency
+// (Example 1, H1-H3), the status quo of vertical partitioning advisors:
+// orderings over per-column metrics that ignore selection interaction.
+// Columns are ranked by the heuristic's metric and placed in rank
+// order; a column that no longer fits is skipped and later (smaller)
 // columns may still be placed ("If a column does not fit into the DRAM
 // budget anymore, it is checked if columns of higher order do so").
 // Columns that are never filtered (g_i = 0) are not considered. Pinned
 // columns are always placed.
-func SolveHeuristic(w *Workload, p CostParams, budget int64, h Heuristic) (Allocation, error) {
+func SolveHeuristic(w *Workload, p CostParams, budget int64, h Method) (Allocation, error) {
 	if err := w.Validate(); err != nil {
 		return Allocation{}, err
 	}
@@ -61,14 +31,14 @@ func SolveHeuristic(w *Workload, p CostParams, budget int64, h Heuristic) (Alloc
 		}
 		var key float64
 		switch h {
-		case HeuristicFrequency:
+		case MethodFrequency:
 			key = -g[i] // descending occurrences
-		case HeuristicSelectivity:
+		case MethodSelectivity:
 			key = c.Selectivity // ascending selectivity
-		case HeuristicSelectivityFrequency:
+		case MethodSelectivityFrequency:
 			key = c.Selectivity / g[i] // ascending ratio
 		default:
-			return Allocation{}, fmt.Errorf("core: unknown heuristic %d", int(h))
+			return Allocation{}, fmt.Errorf("core: %s is not a benchmark heuristic", h)
 		}
 		entries = append(entries, entry{idx: i, key: key})
 	}
@@ -79,16 +49,9 @@ func SolveHeuristic(w *Workload, p CostParams, budget int64, h Heuristic) (Alloc
 		return entries[a].idx < entries[b].idx
 	})
 
-	x := make([]bool, len(w.Columns))
-	var used int64
-	for i, c := range w.Columns {
-		if c.Pinned {
-			x[i] = true
-			used += c.Size
-		}
-	}
-	if used > budget {
-		return Allocation{}, fmt.Errorf("core: pinned columns need %d bytes, budget is %d", used, budget)
+	x, used, err := placePinned(w, budget)
+	if err != nil {
+		return Allocation{}, err
 	}
 	for _, e := range entries {
 		if used+w.Columns[e.idx].Size > budget {

@@ -104,16 +104,9 @@ func ContinuousForBudget(w *Workload, p CostParams, budget int64) (Allocation, e
 	if err != nil {
 		return Allocation{}, err
 	}
-	x := make([]bool, len(w.Columns))
-	var used int64
-	for i, c := range w.Columns {
-		if c.Pinned {
-			x[i] = true
-			used += c.Size
-		}
-	}
-	if used > budget {
-		return Allocation{}, fmt.Errorf("core: pinned columns need %d bytes, budget is %d", used, budget)
+	x, used, err := placePinned(w, budget)
+	if err != nil {
+		return Allocation{}, err
 	}
 	for _, i := range order {
 		if x[i] {

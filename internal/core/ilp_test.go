@@ -71,9 +71,9 @@ func TestOptimalILPBeatsOrMatchesEverything(t *testing.T) {
 			func() (Allocation, error) { return ExplicitForBudget(w, p, budget, nil, 0) },
 			func() (Allocation, error) { return FillingForBudget(w, p, budget, nil, 0) },
 			func() (Allocation, error) { return GreedyRatio(w, p, budget) },
-			func() (Allocation, error) { return SolveHeuristic(w, p, budget, HeuristicFrequency) },
-			func() (Allocation, error) { return SolveHeuristic(w, p, budget, HeuristicSelectivity) },
-			func() (Allocation, error) { return SolveHeuristic(w, p, budget, HeuristicSelectivityFrequency) },
+			func() (Allocation, error) { return SolveHeuristic(w, p, budget, MethodFrequency) },
+			func() (Allocation, error) { return SolveHeuristic(w, p, budget, MethodSelectivity) },
+			func() (Allocation, error) { return SolveHeuristic(w, p, budget, MethodSelectivityFrequency) },
 		}
 		for i, f := range others {
 			alloc, err := f()
@@ -126,7 +126,7 @@ func TestPinnedColumnsAlwaysResident(t *testing.T) {
 		func() (Allocation, error) { return ExplicitForBudget(w, p, budget, nil, 0) },
 		func() (Allocation, error) { return FillingForBudget(w, p, budget, nil, 0) },
 		func() (Allocation, error) { return GreedyRatio(w, p, budget) },
-		func() (Allocation, error) { return SolveHeuristic(w, p, budget, HeuristicFrequency) },
+		func() (Allocation, error) { return SolveHeuristic(w, p, budget, MethodFrequency) },
 	} {
 		alloc, err := solve()
 		if err != nil {

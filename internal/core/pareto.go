@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // ParetoPoint is one point of the efficient frontier: an allocation
 // together with the relative budget it was computed for.
 type ParetoPoint struct {
@@ -13,25 +15,15 @@ type ParetoPoint struct {
 	RelativePerformance float64
 }
 
-// FrontierMethod selects how frontier points are computed.
-type FrontierMethod int
-
-const (
-	// FrontierILP computes each point with the exact integer program;
-	// the resulting points are the true efficient frontier (Figure 3).
-	FrontierILP FrontierMethod = iota
-	// FrontierContinuous computes each point with the explicit
-	// continuous/penalty solution; points are Pareto-efficient but only
-	// the largest prefix allocation fitting each budget (Theorem 1).
-	FrontierContinuous
-	// FrontierFilling computes each point with the explicit solution
-	// plus the filling heuristic of Remark 2.
-	FrontierFilling
-)
-
 // Frontier computes allocations for a sweep of relative budgets
-// w in [0,1]. It returns one ParetoPoint per requested budget.
-func Frontier(w *Workload, p CostParams, relativeBudgets []float64, method FrontierMethod) ([]ParetoPoint, error) {
+// w in [0,1]. It returns one ParetoPoint per requested budget. Method
+// must be MethodILP (the true efficient frontier, Figure 3),
+// MethodExplicit (Pareto-efficient points, each the largest prefix
+// allocation fitting its budget, Theorem 1) or MethodFilling.
+func Frontier(w *Workload, p CostParams, relativeBudgets []float64, m Method) ([]ParetoPoint, error) {
+	if m != MethodILP && m != MethodExplicit && m != MethodFilling {
+		return nil, fmt.Errorf("core: frontier supports ILP, explicit and filling; got %s", m)
+	}
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -39,18 +31,7 @@ func Frontier(w *Workload, p CostParams, relativeBudgets []float64, method Front
 	points := make([]ParetoPoint, 0, len(relativeBudgets))
 	for _, rb := range relativeBudgets {
 		budget := int64(rb * float64(total))
-		var (
-			alloc Allocation
-			err   error
-		)
-		switch method {
-		case FrontierILP:
-			alloc, err = OptimalILP(w, p, budget)
-		case FrontierContinuous:
-			alloc, err = ExplicitForBudget(w, p, budget, nil, 0)
-		case FrontierFilling:
-			alloc, err = FillingForBudget(w, p, budget, nil, 0)
-		}
+		alloc, err := Solve(w, p, budget, m, nil, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -62,17 +43,4 @@ func Frontier(w *Workload, p CostParams, relativeBudgets []float64, method Front
 		})
 	}
 	return points, nil
-}
-
-// IsParetoEfficient reports whether candidate is not dominated by any
-// point in points: no point has both strictly lower cost and no more
-// memory, or strictly less memory and no higher cost.
-func IsParetoEfficient(candidate Allocation, points []Allocation) bool {
-	for _, p := range points {
-		if (p.Cost < candidate.Cost && p.Memory <= candidate.Memory) ||
-			(p.Memory < candidate.Memory && p.Cost <= candidate.Cost) {
-			return false
-		}
-	}
-	return true
 }

@@ -63,7 +63,7 @@ func TestRandomInstancesCrossMethodInvariants(t *testing.T) {
 				trial, explicit.Cost, onFrontier.Cost, explicit.Memory)
 		}
 		// Heuristics never beat the optimum.
-		for _, h := range []Heuristic{HeuristicFrequency, HeuristicSelectivity, HeuristicSelectivityFrequency} {
+		for _, h := range []Method{MethodFrequency, MethodSelectivity, MethodSelectivityFrequency} {
 			alloc, err := SolveHeuristic(w, p, budget, h)
 			if err != nil {
 				t.Fatal(err)

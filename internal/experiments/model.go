@@ -63,11 +63,11 @@ func Fig3(seed int64) (*Report, error) {
 		Header: []string{"w (DRAM budget)", "relPerf ILP", "relPerf continuous", "cols in DRAM (ILP)"},
 	}
 	budgets := fig3Budgets()
-	ilp, err := core.Frontier(w, p, budgets, core.FrontierILP)
+	ilp, err := core.Frontier(w, p, budgets, core.MethodILP)
 	if err != nil {
 		return nil, err
 	}
-	cont, err := core.Frontier(w, p, budgets, core.FrontierContinuous)
+	cont, err := core.Frontier(w, p, budgets, core.MethodExplicit)
 	if err != nil {
 		return nil, err
 	}
@@ -96,24 +96,14 @@ func Fig3(seed int64) (*Report, error) {
 
 // comparisonMethods are the strategies Figures 4 and 5 compare.
 var comparisonMethods = []struct {
-	name  string
-	solve func(w *core.Workload, p core.CostParams, budget int64) (core.Allocation, error)
+	name   string
+	method core.Method
 }{
-	{"ILP", func(w *core.Workload, p core.CostParams, b int64) (core.Allocation, error) {
-		return core.OptimalILP(w, p, b)
-	}},
-	{"continuous", func(w *core.Workload, p core.CostParams, b int64) (core.Allocation, error) {
-		return core.ExplicitForBudget(w, p, b, nil, 0)
-	}},
-	{"H1", func(w *core.Workload, p core.CostParams, b int64) (core.Allocation, error) {
-		return core.SolveHeuristic(w, p, b, core.HeuristicFrequency)
-	}},
-	{"H2", func(w *core.Workload, p core.CostParams, b int64) (core.Allocation, error) {
-		return core.SolveHeuristic(w, p, b, core.HeuristicSelectivity)
-	}},
-	{"H3", func(w *core.Workload, p core.CostParams, b int64) (core.Allocation, error) {
-		return core.SolveHeuristic(w, p, b, core.HeuristicSelectivityFrequency)
-	}},
+	{"ILP", core.MethodILP},
+	{"continuous", core.MethodExplicit},
+	{"H1", core.MethodFrequency},
+	{"H2", core.MethodSelectivity},
+	{"H3", core.MethodSelectivityFrequency},
 }
 
 // heuristicComparison runs the Figure 4/5 comparison on a workload:
@@ -132,7 +122,7 @@ func heuristicComparison(id, title string, w *core.Workload) (*Report, error) {
 		var opt float64
 		var worstHeuristic float64
 		for i, m := range comparisonMethods {
-			alloc, err := m.solve(w, p, b)
+			alloc, err := core.Solve(w, p, b, m.method, nil, 0)
 			if err != nil {
 				return nil, fmt.Errorf("%s at w=%.2f: %w", m.name, budget, err)
 			}

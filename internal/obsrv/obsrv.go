@@ -103,7 +103,6 @@ type AdaptiveReport struct {
 	IntervalNs      int64   `json:"interval_ns"`
 	Alpha           float64 `json:"alpha,omitempty"`
 	Beta            float64 `json:"beta,omitempty"`
-	BudgetBytes     int64   `json:"budget_bytes,omitempty"`
 	MinGain         float64 `json:"min_gain"`
 	MaxMoveFraction float64 `json:"max_move_fraction"`
 	CooldownCycles  int     `json:"cooldown_cycles"`

@@ -2,7 +2,9 @@ package tierdb
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -207,6 +209,44 @@ func TestOneModelBehindEveryVerdict(t *testing.T) {
 	}
 	if d.RecommendedCost >= d.CurrentCost {
 		t.Errorf("nothing to recommend: %g -> %g", d.CurrentCost, d.RecommendedCost)
+	}
+}
+
+// TestRecommendersShareOneDecision: on a table queried too rarely for
+// the observed-selectivity overlay to apply, RecommendLayout and Advise
+// price the same model, so for the same request — budget unset (the
+// live footprint) or relative, with or without a reallocation cost —
+// they must recommend the same placement at the same modeled cost.
+func TestRecommendersShareOneDecision(t *testing.T) {
+	_, tbl := loopTable(t, Config{Device: "CSSD", CacheFrames: 64})
+	for _, preds := range [][]Predicate{
+		{mustEq(t, tbl, "a", 7), mustEq(t, tbl, "b", 7)},
+		{mustEq(t, tbl, "b", 3)},
+		{mustEq(t, tbl, "id", 9), mustEq(t, tbl, "a", 1)},
+	} {
+		if _, err := tbl.Select(nil, preds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rel := range []float64{0, 0.3} {
+		for _, beta := range []float64{0, 1e-9} {
+			rec, err := tbl.RecommendLayout(PlacementOptions{RelativeBudget: rel, Beta: beta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			adv, err := tbl.Advise(AdvisorQuery{RelativeBudget: rel, Beta: beta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if adv.ObservedColumns != 0 {
+				t.Fatalf("advisor overlaid %d observed columns; the check needs static estimates", adv.ObservedColumns)
+			}
+			if !slices.Equal(rec.InDRAM, adv.Recommended.InDRAM) ||
+				math.Abs(rec.EstimatedCost-adv.Recommended.ModeledCost) > 1e-9 {
+				t.Errorf("w=%g beta=%g: RecommendLayout %v (cost %g), Advise %v (cost %g)", rel, beta,
+					rec.InDRAM, rec.EstimatedCost, adv.Recommended.InDRAM, adv.Recommended.ModeledCost)
+			}
+		}
 	}
 }
 

@@ -193,49 +193,6 @@ func planInfos(plans []workload.Plan, name func(int) string) []obsrv.PlanInfo {
 	return out
 }
 
-// adviseInputs is the advisor's solve, factored out so that both
-// Advise and EXPLAIN's placement-attribution section run exactly the
-// same path: the lifetime plans' model, the observed-selectivity
-// overlay, the budget rule, the explicit solve.
-type adviseInputs struct {
-	w          *core.Workload
-	sources    []string
-	samples    []int64
-	observed   int
-	minSamples int
-	costs      core.CostParams
-	current    []bool
-	budget     int64
-	alloc      core.Allocation
-}
-
-func (t *Table) adviseInputs(q AdvisorQuery) (*adviseInputs, error) {
-	w, err := t.model(t.plans.Plans(), nil)
-	if err != nil {
-		return nil, err
-	}
-	in := &adviseInputs{
-		w:          w,
-		minSamples: q.MinSamples,
-		costs:      core.DefaultCostParams(),
-		current:    t.inner.Layout(),
-	}
-	if in.minSamples <= 0 {
-		in.minSamples = DefaultAdvisorMinSamples
-	}
-	in.sources, in.samples, in.observed = t.observe(w, in.minSamples)
-	in.budget = resolveBudget(w, q.BudgetBytes, q.RelativeBudget, in.current)
-	var warm []bool
-	if q.Beta > 0 {
-		warm = in.current
-	}
-	in.alloc, err = core.ExplicitForBudget(w, in.costs, in.budget, warm, q.Beta)
-	if err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
 // Advise re-runs the explicit column selection model (Theorem 2) on
 // the table's captured workload and compares the result against the
 // current placement. Columns with at least MinSamples runtime
@@ -247,11 +204,24 @@ func (t *Table) adviseInputs(q AdvisorQuery) (*adviseInputs, error) {
 // so marginal wins no longer justify churn. The recommendation applies
 // verbatim via ApplyLayout(Layout{InDRAM: rep.Recommended.InDRAM}).
 func (t *Table) Advise(q AdvisorQuery) (*AdvisorReport, error) {
-	in, err := t.adviseInputs(q)
+	w, err := t.model(t.plans.Plans(), nil)
 	if err != nil {
 		return nil, err
 	}
-	w, costs, current, alloc := in.w, in.costs, in.current, in.alloc
+	minSamples := q.MinSamples
+	if minSamples <= 0 {
+		minSamples = DefaultAdvisorMinSamples
+	}
+	sources, samples, observed := t.observe(w, minSamples)
+	current := t.inner.Layout()
+	opts := t.defaults(w, PlacementOptions{
+		Budget: q.BudgetBytes, RelativeBudget: q.RelativeBudget, Beta: q.Beta, Current: current,
+	})
+	rec, err := Solve(w, opts)
+	if err != nil {
+		return nil, err
+	}
+	costs := core.DefaultCostParams()
 	curCost := core.ScanCost(w, costs, current)
 	var queries float64
 	for _, qy := range w.Queries {
@@ -259,12 +229,12 @@ func (t *Table) Advise(q AdvisorQuery) (*AdvisorReport, error) {
 	}
 	rep := &AdvisorReport{
 		Table:           t.inner.Name(),
-		Method:          MethodExplicit.String(),
-		BudgetBytes:     in.budget,
+		Method:          opts.Method.String(),
+		BudgetBytes:     opts.Budget,
 		RelativeBudget:  q.RelativeBudget,
 		Beta:            q.Beta,
-		MinSamples:      in.minSamples,
-		ObservedColumns: in.observed,
+		MinSamples:      minSamples,
+		ObservedColumns: observed,
 		Queries:         queries,
 		Current: obsrv.Placement{
 			InDRAM:      current,
@@ -272,15 +242,15 @@ func (t *Table) Advise(q AdvisorQuery) (*AdvisorReport, error) {
 			ModeledCost: curCost,
 		},
 		Recommended: obsrv.Placement{
-			InDRAM:      alloc.InDRAM,
-			MemoryBytes: alloc.Memory,
-			ModeledCost: alloc.Cost,
+			InDRAM:      rec.InDRAM,
+			MemoryBytes: rec.Memory,
+			ModeledCost: rec.EstimatedCost,
 		},
-		CostDelta: alloc.Cost - curCost,
-		Changed:   !slices.Equal(current, alloc.InDRAM),
+		CostDelta: rec.EstimatedCost - curCost,
+		Changed:   !slices.Equal(current, rec.InDRAM),
 	}
 	if curCost > 0 {
-		rep.Improvement = (curCost - alloc.Cost) / curCost
+		rep.Improvement = (curCost - rec.EstimatedCost) / curCost
 	}
 	access := w.AccessCounts()
 	for i, c := range w.Columns {
@@ -289,11 +259,11 @@ func (t *Table) Advise(q AdvisorQuery) (*AdvisorReport, error) {
 			Name:              c.Name,
 			SizeBytes:         c.Size,
 			Selectivity:       c.Selectivity,
-			SelectivitySource: in.sources[i],
-			ObservedSamples:   in.samples[i],
+			SelectivitySource: sources[i],
+			ObservedSamples:   samples[i],
 			AccessCount:       access[i],
 			InDRAMNow:         current[i],
-			InDRAMRecommended: alloc.InDRAM[i],
+			InDRAMRecommended: rec.InDRAM[i],
 		})
 	}
 	return rep, nil

@@ -25,60 +25,27 @@ type (
 	ParetoPoint = core.ParetoPoint
 )
 
-// Method selects the placement algorithm.
-type Method int
+// Method selects the placement algorithm; the zero value is
+// MethodExplicit.
+type Method = core.Method
 
+// The placement algorithms (see internal/core for each one's paper
+// reference).
 const (
-	// MethodILP solves the integer program (2)-(3) exactly — the
-	// efficient frontier.
-	MethodILP Method = iota
-	// MethodExplicit computes the Pareto-optimal explicit solution of
-	// Theorem 2 (no solver, milliseconds even for tens of thousands of
-	// columns).
-	MethodExplicit
-	// MethodFilling is the explicit solution plus the filling
-	// heuristic of Remark 2.
-	MethodFilling
-	// MethodGreedyRatio is the general marginal-gain principle of
-	// Remark 3 (re-evaluates the cost model each step).
-	MethodGreedyRatio
-	// MethodFrequency is benchmark heuristic H1 (most-used columns
-	// first).
-	MethodFrequency
-	// MethodSelectivity is benchmark heuristic H2 (most restrictive
-	// columns first).
-	MethodSelectivity
-	// MethodSelectivityFrequency is benchmark heuristic H3
-	// (selectivity/frequency ratio).
-	MethodSelectivityFrequency
+	MethodExplicit             = core.MethodExplicit
+	MethodILP                  = core.MethodILP
+	MethodFilling              = core.MethodFilling
+	MethodGreedyRatio          = core.MethodGreedyRatio
+	MethodFrequency            = core.MethodFrequency
+	MethodSelectivity          = core.MethodSelectivity
+	MethodSelectivityFrequency = core.MethodSelectivityFrequency
 )
-
-// String names the method.
-func (m Method) String() string {
-	switch m {
-	case MethodILP:
-		return "ILP (optimal)"
-	case MethodExplicit:
-		return "explicit (Theorem 2)"
-	case MethodFilling:
-		return "explicit + filling"
-	case MethodGreedyRatio:
-		return "greedy ratio (Remark 3)"
-	case MethodFrequency:
-		return "H1 (frequency)"
-	case MethodSelectivity:
-		return "H2 (selectivity)"
-	case MethodSelectivityFrequency:
-		return "H3 (selectivity/frequency)"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
 
 // PlacementOptions parameterizes RecommendLayout and Solve.
 type PlacementOptions struct {
 	// Budget is the DRAM budget in bytes; alternatively set
-	// RelativeBudget.
+	// RelativeBudget. With neither, a table's recommenders keep the
+	// live layout's modeled footprint and Solve places only pins.
 	Budget int64
 	// RelativeBudget is the budget as a fraction of the total column
 	// bytes (w in the paper); used when Budget is zero.
@@ -89,8 +56,8 @@ type PlacementOptions struct {
 	// ignores the current placement.
 	Beta float64
 	// Current is the current allocation y for reallocation-aware
-	// optimization; nil derives it from the table layout (in
-	// RecommendLayout) or treats everything as evicted (in Solve).
+	// optimization; nil derives it from the table layout (in the
+	// table's recommenders) or treats everything as evicted (in Solve).
 	Current []bool
 	// Pinned lists column names forced to stay DRAM-resident.
 	Pinned []string
@@ -122,28 +89,7 @@ func Solve(w *Workload, opts PlacementOptions) (Layout, error) {
 		return Layout{}, fmt.Errorf("tierdb: current allocation has %d entries, want %d", len(opts.Current), len(w.Columns))
 	}
 
-	var (
-		alloc core.Allocation
-		err   error
-	)
-	switch opts.Method {
-	case MethodILP:
-		alloc, err = core.OptimalILPRealloc(w, costs, budget, opts.Current, opts.Beta)
-	case MethodExplicit:
-		alloc, err = core.ExplicitForBudget(w, costs, budget, opts.Current, opts.Beta)
-	case MethodFilling:
-		alloc, err = core.FillingForBudget(w, costs, budget, opts.Current, opts.Beta)
-	case MethodGreedyRatio:
-		alloc, err = core.GreedyRatio(w, costs, budget)
-	case MethodFrequency:
-		alloc, err = core.SolveHeuristic(w, costs, budget, core.HeuristicFrequency)
-	case MethodSelectivity:
-		alloc, err = core.SolveHeuristic(w, costs, budget, core.HeuristicSelectivity)
-	case MethodSelectivityFrequency:
-		alloc, err = core.SolveHeuristic(w, costs, budget, core.HeuristicSelectivityFrequency)
-	default:
-		return Layout{}, fmt.Errorf("tierdb: unknown method %d", int(opts.Method))
-	}
+	alloc, err := core.Solve(w, costs, budget, opts.Method, opts.Current, opts.Beta)
 	if err != nil {
 		return Layout{}, err
 	}
@@ -155,7 +101,7 @@ func Solve(w *Workload, opts PlacementOptions) (Layout, error) {
 	}, nil
 }
 
-// resolveBudget is the one rule for the DRAM budget A of a solve: the
+// resolveBudget is the rule for the DRAM budget A of a solve: the
 // explicit byte count, else the relative budget w times the total
 // column bytes, else — when a current placement is given — that
 // placement's modeled footprint ("spend these same bytes better").
@@ -167,6 +113,25 @@ func resolveBudget(w *Workload, bytes int64, relative float64, current []bool) i
 		bytes = core.MemoryUsed(w, current)
 	}
 	return bytes
+}
+
+// defaults fills in what a placement request on this table leaves
+// open — the one rule RecommendLayout, RecommendForecastLayout, Advise,
+// EXPLAIN and the adaptive daemon share. The incumbent is Current, or
+// the live layout when Current is nil; the budget is Budget, else
+// RelativeBudget times the total column bytes, else the incumbent's
+// modeled footprint; with Beta > 0 the incumbent is the reallocation
+// baseline y.
+func (t *Table) defaults(w *Workload, opts PlacementOptions) PlacementOptions {
+	live := opts.Current
+	if live == nil {
+		live = t.inner.Layout()
+	}
+	opts.Budget = resolveBudget(w, opts.Budget, opts.RelativeBudget, live)
+	if opts.Beta > 0 {
+		opts.Current = live
+	}
+	return opts
 }
 
 // model builds the solver's input — the paper's (a_i, s_i, q_j, b_j) —
@@ -207,20 +172,17 @@ func (t *Table) ExtractWorkload(pinned []string) (*Workload, error) {
 }
 
 // RecommendLayout analyzes the table's plan cache and returns the
-// placement for the requested budget. Columns never filtered are
-// evicted first (they have zero benefit); the remaining placement
-// follows the selected method. When Beta > 0 and Current is nil, the
-// table's present layout serves as the reallocation baseline.
+// placement for the requested budget (unset: the live layout's modeled
+// footprint). Columns never filtered are evicted first (they have zero
+// benefit); the remaining placement follows the selected method. When
+// Beta > 0 and Current is nil, the table's present layout serves as the
+// reallocation baseline.
 func (t *Table) RecommendLayout(opts PlacementOptions) (Layout, error) {
 	w, err := t.ExtractWorkload(opts.Pinned)
 	if err != nil {
 		return Layout{}, err
 	}
-	if opts.Beta > 0 && opts.Current == nil {
-		opts.Current = t.inner.Layout()
-	}
-	opts.Pinned = nil // already encoded in the workload
-	return Solve(w, opts)
+	return Solve(w, t.defaults(w, opts))
 }
 
 // ApplyLayout re-tiers the table's main partition to the recommendation
@@ -248,18 +210,7 @@ func (t *Table) Frontier(relativeBudgets []float64, m Method) ([]ParetoPoint, er
 
 // FrontierOf computes frontier points on a standalone workload.
 func FrontierOf(w *Workload, relativeBudgets []float64, m Method) ([]ParetoPoint, error) {
-	var fm core.FrontierMethod
-	switch m {
-	case MethodILP:
-		fm = core.FrontierILP
-	case MethodExplicit:
-		fm = core.FrontierContinuous
-	case MethodFilling:
-		fm = core.FrontierFilling
-	default:
-		return nil, fmt.Errorf("tierdb: frontier supports ILP, explicit and filling; got %s", m)
-	}
-	return core.Frontier(w, core.DefaultCostParams(), relativeBudgets, fm)
+	return core.Frontier(w, core.DefaultCostParams(), relativeBudgets, m)
 }
 
 // resolve maps column names to schema positions.

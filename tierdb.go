@@ -181,16 +181,13 @@ type Config struct {
 	AdaptiveInterval time.Duration
 	// AdaptiveAlpha, when > 0, makes the daemon solve the penalty form
 	// F(x) + alpha*M(x) (alpha = DRAM price per byte-second) instead of
-	// the hard-budget form — the placement breathes with the workload.
+	// re-solving within each table's current modeled footprint — the
+	// placement breathes with the workload.
 	AdaptiveAlpha float64
 	// AdaptiveBeta is the reallocation cost per moved byte (paper
 	// formulation (6)-(7)); higher values make placements stickier. 0
 	// re-solves from scratch each cycle.
 	AdaptiveBeta float64
-	// AdaptiveBudget caps each table's DRAM bytes in the hard-budget
-	// form; 0 re-solves within the table's current modeled footprint.
-	// Ignored when AdaptiveAlpha > 0.
-	AdaptiveBudget int64
 	// AdaptiveMinGain is the minimum relative modeled-cost improvement
 	// a re-solve must promise before its layout is applied; 0 selects
 	// DefaultAdaptiveMinGain.

@@ -2,7 +2,10 @@ package tierdb
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"tierdb/internal/core"
 )
 
 func testFields() []Field {
@@ -317,6 +320,36 @@ func TestFrontierThroughFacade(t *testing.T) {
 	}
 	if _, err := tbl.Frontier([]float64{0.5}, MethodFrequency); err == nil {
 		t.Error("heuristic frontier accepted")
+	}
+}
+
+// TestSolveZeroMethodIsExplicit: a request that names no method gets
+// the explicit solution of Theorem 2, as PlacementOptions documents —
+// checked on a seeded Example 1 budget where the ILP answers otherwise.
+func TestSolveZeroMethodIsExplicit(t *testing.T) {
+	w, err := core.Example1(core.Example1Config{Columns: 50, Queries: 500, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := int64(0.2 * float64(w.TotalSize()))
+	ilp, err := Solve(w, PlacementOptions{Budget: b, Method: MethodILP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := Solve(w, PlacementOptions{Budget: b, Method: MethodExplicit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(ilp.InDRAM, explicit.InDRAM) {
+		t.Fatal("ILP and explicit agree at this budget; the check needs one where they differ")
+	}
+	zero, err := Solve(w, PlacementOptions{Budget: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(zero.InDRAM, explicit.InDRAM) || zero.EstimatedCost != explicit.EstimatedCost {
+		t.Errorf("zero Method placed %v (cost %g), explicit %v (cost %g)",
+			zero.InDRAM, zero.EstimatedCost, explicit.InDRAM, explicit.EstimatedCost)
 	}
 }
 
