@@ -11,9 +11,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"tierdb/internal/value"
 )
+
+// MaxKeptBuffer is the largest encode buffer a long-lived writer — the
+// WAL, a server session — keeps for its next record once one is written;
+// a larger one, a bulk load's, is let go.
+const MaxKeptBuffer = 1 << 20
 
 // AppendString appends s with a uvarint length prefix.
 func AppendString(buf []byte, s string) []byte {
@@ -156,20 +162,48 @@ func (r *Reader) Value() (value.Value, error) {
 }
 
 // Row reads a counted row of values.
-func (r *Reader) Row() ([]value.Value, error) {
+func (r *Reader) Row() ([]value.Value, error) { return r.appendRow(nil) }
+
+// Rows reads n counted rows into one backing array, row i a capped view
+// of it, so appending to one row cannot overwrite the next. The array is
+// sized from the first row's width, which the rows of a reply share.
+func (r *Reader) Rows(n int) ([][]value.Value, error) {
+	rows := make([][]value.Value, n)
+	var vals []value.Value
+	for i := range rows {
+		start := len(vals)
+		var err error
+		if vals, err = r.appendRow(vals); err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			vals = slices.Grow(vals, min(len(vals)*(n-1), r.Remaining()))
+		}
+		rows[i] = vals[start:] // for its length; cut from the final array below
+	}
+	start := 0
+	for i, row := range rows {
+		end := start + len(row)
+		rows[i], start = vals[start:end:end], end
+	}
+	return rows, nil
+}
+
+// appendRow reads a counted row of values onto dst.
+func (r *Reader) appendRow(dst []value.Value) ([]value.Value, error) {
 	n, err := r.Count(1)
 	if err != nil {
 		return nil, err
 	}
-	row := make([]value.Value, 0, n)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		v, err := r.Value()
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, v)
+		dst = append(dst, v)
 	}
-	return row, nil
+	return dst, nil
 }
 
 // Done reports trailing bytes as malformed input.

@@ -19,10 +19,17 @@ import (
 )
 
 // Dictionary is an immutable, order-preserving mapping between values of
-// one column and dense integer codes.
+// one column and dense integer codes. The sorted distinct values live in
+// one slice of their payload type — 8 bytes an entry for numbers, a
+// string header for strings — not as value.Value; floats are in
+// cmp.Compare's order (value.Compare's).
 type Dictionary struct {
 	typ    value.Type
-	values []value.Value // sorted ascending, distinct
+	ints   []int64
+	floats []float64
+	strs   []string
+	size   int
+	bytes  int64 // the payload footprint, summed once
 }
 
 // Build constructs a dictionary over vals and returns it together with
@@ -39,9 +46,7 @@ func Build(typ value.Type, vals []value.Value) (*Dictionary, []uint32, error) {
 		rows[i] = uint32(i)
 	}
 	d, codes := Merge(typ, nil, nil, vals, rows)
-	if typ == value.String {
-		packStrings(d.values)
-	}
+	packStrings(d.strs)
 	return d, codes, nil
 }
 
@@ -54,48 +59,26 @@ func Build(typ value.Type, vals []value.Value) (*Dictionary, []uint32, error) {
 // result is one linear merge of the two sorted runs. It returns the
 // dictionary and every row's code in it, the old rows' first, translated
 // through one old→new and one delta→new table. The dictionary is
-// right-sized and aliases none of the inputs' slices.
+// right-sized and aliases none of the inputs' slices; its strings are
+// the inputs' own.
 func Merge(typ value.Type, old *Dictionary, oldCodes []uint32, delta []value.Value, deltaCodes []uint32) (*Dictionary, []uint32) {
-	var oldValues []value.Value
-	if old != nil {
-		oldValues = old.values
+	if old == nil {
+		old = &Dictionary{}
 	}
-	oldMap, deltaMap := referenced(oldCodes, len(oldValues)), referenced(deltaCodes, len(delta))
-	var refs []uint32 // the referenced delta entries, then in value order
-	for c, m := range deltaMap {
-		if m != unused {
-			refs = append(refs, uint32(c))
-		}
-	}
-	slices.SortFunc(refs, byValue(typ, delta))
-	values := make([]value.Value, 0, len(oldValues)+len(refs))
-	for i, j := 0, 0; ; {
-		for i < len(oldValues) && oldMap[i] == unused {
-			i++
-		}
-		if i == len(oldValues) && j == len(refs) {
-			break
-		}
-		c := 1 // where the next value comes from: <0 old, >0 delta, 0 both
-		if i < len(oldValues) {
-			c = -1
-			if j < len(refs) {
-				c = oldValues[i].Compare(delta[refs[j]])
-			}
-		}
-		code := uint32(len(values))
-		if c <= 0 {
-			values = append(values, oldValues[i])
-			oldMap[i] = code
-			i++
-		} else if n := len(values); n > 0 && values[n-1].Compare(delta[refs[j]]) == 0 {
-			code-- // a delta value repeated
-		} else {
-			values = append(values, delta[refs[j]])
-		}
-		if c >= 0 {
-			deltaMap[refs[j]] = code
-			j++
+	d := &Dictionary{typ: typ}
+	var oldMap, deltaMap []uint32
+	switch typ {
+	case value.Int64:
+		d.ints, oldMap, deltaMap = merge(old.ints, oldCodes, delta, deltaCodes, value.Value.Int)
+		d.size, d.bytes = len(d.ints), 8*int64(len(d.ints))
+	case value.Float64:
+		d.floats, oldMap, deltaMap = merge(old.floats, oldCodes, delta, deltaCodes, value.Value.Float)
+		d.size, d.bytes = len(d.floats), 8*int64(len(d.floats))
+	default:
+		d.strs, oldMap, deltaMap = merge(old.strs, oldCodes, delta, deltaCodes, value.Value.Str)
+		d.size = len(d.strs)
+		for _, s := range d.strs {
+			d.bytes += int64(len(s)) + 16 // string header
 		}
 	}
 	codes := make([]uint32, len(oldCodes)+len(deltaCodes))
@@ -105,7 +88,55 @@ func Merge(typ value.Type, old *Dictionary, oldCodes []uint32, delta []value.Val
 	for r, c := range deltaCodes {
 		codes[len(oldCodes)+r] = deltaMap[c]
 	}
-	return &Dictionary{typ: typ, values: append(make([]value.Value, 0, len(values)), values...)}, codes
+	return d, codes
+}
+
+// merge is Merge over one payload type: it returns the merged sorted run
+// and the old→new and delta→new code tables.
+func merge[T cmp.Ordered](old []T, oldCodes []uint32, delta []value.Value, deltaCodes []uint32, payload func(value.Value) T) ([]T, []uint32, []uint32) {
+	oldMap, deltaMap := referenced(oldCodes, len(old)), referenced(deltaCodes, len(delta))
+	type ref struct {
+		v T
+		c uint32 // the entry's delta code
+	}
+	var refs []ref // the referenced delta entries, then in value order
+	for c, m := range deltaMap {
+		if m != unused {
+			refs = append(refs, ref{payload(delta[c]), uint32(c)})
+		}
+	}
+	slices.SortFunc(refs, func(a, b ref) int { return cmp.Compare(a.v, b.v) })
+	values := make([]T, 0, len(old)+len(refs))
+	for i, j := 0, 0; ; {
+		for i < len(old) && oldMap[i] == unused {
+			i++
+		}
+		if i == len(old) && j == len(refs) {
+			break
+		}
+		c := 1 // where the next value comes from: <0 old, >0 delta, 0 both
+		if i < len(old) {
+			c = -1
+			if j < len(refs) {
+				c = cmp.Compare(old[i], refs[j].v)
+			}
+		}
+		code := uint32(len(values))
+		if c <= 0 {
+			values = append(values, old[i])
+			oldMap[i] = code
+			i++
+		} else if n := len(values); n > 0 && cmp.Compare(values[n-1], refs[j].v) == 0 {
+			code-- // a delta value repeated
+		} else {
+			values = append(values, refs[j].v)
+		}
+		if c >= 0 {
+			deltaMap[refs[j].c] = code
+			j++
+		}
+	}
+	return append(make([]T, 0, len(values)), values...), oldMap, deltaMap
 }
 
 // unused marks a dictionary entry no row references.
@@ -124,85 +155,82 @@ func referenced(codes []uint32, size int) []uint32 {
 	return m
 }
 
-// byValue orders positions of vals by value. It compares the typed
-// payloads — one type switch per sort, not one per comparison.
-func byValue(typ value.Type, vals []value.Value) func(a, b uint32) int {
-	switch typ {
-	case value.Int64:
-		return func(a, b uint32) int { return cmp.Compare(vals[a].Int(), vals[b].Int()) }
-	case value.Float64:
-		return func(a, b uint32) int { return cmp.Compare(vals[a].Float(), vals[b].Float()) }
-	}
-	return func(a, b uint32) int { return strings.Compare(vals[a].Str(), vals[b].Str()) }
-}
-
-// packStrings moves the strings of vals into one allocation, so the
-// dictionary keeps alive exactly its distinct values and not whatever
-// larger buffers the inputs were cut from.
-func packStrings(vals []value.Value) {
+// packStrings moves strs into one allocation, so the dictionary keeps
+// alive exactly its distinct values and not whatever larger buffers the
+// inputs were cut from.
+func packStrings(strs []string) {
 	var b strings.Builder
-	for _, v := range vals {
-		b.WriteString(v.Str())
+	for _, s := range strs {
+		b.WriteString(s)
 	}
 	all := b.String()
-	for i, v := range vals {
-		n := len(v.Str())
-		vals[i], all = value.NewString(all[:n]), all[n:]
+	for i, s := range strs {
+		strs[i], all = all[:len(s)], all[len(s):]
 	}
 }
-
-// Values returns the sorted distinct values. The slice is the
-// dictionary's own and must not be modified.
-func (d *Dictionary) Values() []value.Value { return d.values }
 
 // Type returns the column type of the dictionary.
 func (d *Dictionary) Type() value.Type { return d.typ }
 
 // Size returns the number of distinct values.
-func (d *Dictionary) Size() int { return len(d.values) }
+func (d *Dictionary) Size() int { return d.size }
 
-// Bytes estimates the DRAM footprint of the dictionary payload.
-func (d *Dictionary) Bytes() int64 {
-	var b int64
-	for _, v := range d.values {
-		switch d.typ {
-		case value.String:
-			b += int64(len(v.Str())) + 16 // string header
-		default:
-			b += 8
-		}
-	}
-	return b
-}
+// Bytes estimates the DRAM footprint of the dictionary payload: 8 bytes
+// a number, a string's bytes plus its 16-byte header.
+func (d *Dictionary) Bytes() int64 { return d.bytes }
 
-// Encode returns the code of v, or false if v is not in the dictionary.
-func (d *Dictionary) Encode(v value.Value) (uint32, bool) {
-	i := sort.Search(len(d.values), func(i int) bool { return d.values[i].Compare(v) >= 0 })
-	if i < len(d.values) && d.values[i].Equal(v) {
-		return uint32(i), true
+// At returns the value of code i, which must be below Size.
+func (d *Dictionary) At(i int) value.Value {
+	switch d.typ {
+	case value.Int64:
+		return value.NewInt(d.ints[i])
+	case value.Float64:
+		return value.NewFloat(d.floats[i])
 	}
-	return 0, false
+	return value.NewString(d.strs[i])
 }
 
 // Decode returns the value of code c.
 func (d *Dictionary) Decode(c uint32) (value.Value, error) {
-	if int(c) >= len(d.values) {
-		return value.Value{}, fmt.Errorf("dict: code %d out of range (%d values)", c, len(d.values))
+	if int(c) >= d.size {
+		return value.Value{}, fmt.Errorf("dict: code %d out of range (%d values)", c, d.size)
 	}
-	return d.values[c], nil
+	return d.At(int(c)), nil
+}
+
+// Encode returns the code of v, or false if v is not in the dictionary.
+func (d *Dictionary) Encode(v value.Value) (uint32, bool) {
+	i := d.LowerBound(v)
+	if int(i) < d.size && v.Type() == d.typ && d.At(int(i)).Equal(v) {
+		return i, true
+	}
+	return 0, false
 }
 
 // LowerBound returns the smallest code whose value is >= v; it equals
 // Size() if every value is smaller. Because the dictionary is
 // order-preserving, [LowerBound(lo), UpperBound(hi)) is the code range
 // of the value range [lo, hi].
-func (d *Dictionary) LowerBound(v value.Value) uint32 {
-	return uint32(sort.Search(len(d.values), func(i int) bool { return d.values[i].Compare(v) >= 0 }))
-}
+func (d *Dictionary) LowerBound(v value.Value) uint32 { return d.search(v, 0) }
 
 // UpperBound returns the smallest code whose value is > v.
-func (d *Dictionary) UpperBound(v value.Value) uint32 {
-	return uint32(sort.Search(len(d.values), func(i int) bool { return d.values[i].Compare(v) > 0 }))
+func (d *Dictionary) UpperBound(v value.Value) uint32 { return d.search(v, 1) }
+
+// search returns the smallest code whose value compares to v at least
+// above: 0 for LowerBound, 1 for UpperBound.
+func (d *Dictionary) search(v value.Value, above int) uint32 {
+	switch d.typ {
+	case value.Int64:
+		return bound(d.ints, v.Int(), above)
+	case value.Float64:
+		return bound(d.floats, v.Float(), above)
+	}
+	return bound(d.strs, v.Str(), above)
+}
+
+// bound returns the smallest i with cmp.Compare(s[i], x) >= above.
+func bound[T cmp.Ordered](s []T, x T, above int) uint32 {
+	return uint32(sort.Search(len(s), func(i int) bool { return cmp.Compare(s[i], x) >= above }))
 }
 
 // BitPacked is an immutable vector of codes stored with the minimal

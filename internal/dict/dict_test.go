@@ -1,6 +1,7 @@
 package dict
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -298,6 +299,50 @@ func naiveDictionary(vals []value.Value) ([]value.Value, []uint32) {
 	return sorted, codes
 }
 
+// specialFloats are the floats an ordering of float64 has to place: NaN
+// (equal only to itself), both zeros (equal to each other) and the
+// infinities.
+var specialFloats = []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+
+// entries decodes every entry of d, in code order.
+func entries(d *Dictionary) []value.Value {
+	out := make([]value.Value, d.Size())
+	for i := range out {
+		out[i] = d.At(i)
+	}
+	return out
+}
+
+// TestBuildMatchesSortEverything builds one column of each type, with
+// repeats and, for floats, every special value twice, and requires the
+// dictionary and codes the sort-everything construction gives.
+func TestBuildMatchesSortEverything(t *testing.T) {
+	floats := append(append([]float64{2.5, -1}, specialFloats...), append(specialFloats, 2.5, 7)...)
+	columns := [][]value.Value{intValues(3, -9, 3, 0, 1<<40, -9)}
+	columns = append(columns, nil, nil)
+	for _, f := range floats {
+		columns[1] = append(columns[1], value.NewFloat(f))
+	}
+	for _, s := range []string{"b", "", "ab", "b", "a", ""} {
+		columns[2] = append(columns[2], value.NewString(s))
+	}
+	for typ, vals := range columns {
+		d, codes, err := Build(value.Type(typ), vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, naiveCodes := naiveDictionary(vals)
+		if !slices.EqualFunc(entries(d), naive, value.Value.Equal) || !slices.Equal(codes, naiveCodes) {
+			t.Fatalf("%s: Build = %v %v, sorted = %v %v", value.Type(typ), entries(d), codes, naive, naiveCodes)
+		}
+		for i, v := range vals {
+			if c, ok := d.Encode(v); !ok || c != codes[i] {
+				t.Fatalf("%s: Encode(%v) = %d %v, want %d", value.Type(typ), v, c, ok, codes[i])
+			}
+		}
+	}
+}
+
 // FuzzDictionaryMerge checks that merging an old dictionary, read through
 // the codes of the rows that survive, with a delta dictionary, read
 // through the codes of the rows that join, gives the dictionary and
@@ -316,6 +361,9 @@ func FuzzDictionaryMerge(f *testing.F) {
 			case value.Int64:
 				return value.NewInt(int64(rng.Intn(40)))
 			case value.Float64:
+				if rng.Intn(8) == 0 {
+					return value.NewFloat(specialFloats[rng.Intn(len(specialFloats))])
+				}
 				return value.NewFloat(float64(rng.Intn(40)) / 4)
 			}
 			return value.NewString(string("abc"[rng.Intn(3)]) + string("xyz"[rng.Intn(3)]))
@@ -354,15 +402,15 @@ func FuzzDictionaryMerge(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.EqualFunc(got.values, want.values, value.Value.Equal) || !slices.Equal(codes, wantCodes) {
-			t.Fatalf("Merge = %v %v, Build = %v %v", got.values, codes, want.values, wantCodes)
+		if !slices.EqualFunc(entries(got), entries(want), value.Value.Equal) || !slices.Equal(codes, wantCodes) {
+			t.Fatalf("Merge = %v %v, Build = %v %v", entries(got), codes, entries(want), wantCodes)
 		}
 		naive, naiveCodes := naiveDictionary(rows)
-		if !slices.EqualFunc(got.values, naive, value.Value.Equal) || !slices.Equal(codes, naiveCodes) {
-			t.Fatalf("Merge = %v %v, sorted = %v %v", got.values, codes, naive, naiveCodes)
+		if !slices.EqualFunc(entries(got), naive, value.Value.Equal) || !slices.Equal(codes, naiveCodes) {
+			t.Fatalf("Merge = %v %v, sorted = %v %v", entries(got), codes, naive, naiveCodes)
 		}
-		if len(got.values) > 0 && cap(got.values) != len(got.values) {
-			t.Fatalf("dictionary holds %d slots for %d values", cap(got.values), len(got.values))
+		if slots := cap(got.ints) + cap(got.floats) + cap(got.strs); slots != got.Size() {
+			t.Fatalf("dictionary holds %d slots for %d values", slots, got.Size())
 		}
 	})
 }

@@ -945,10 +945,13 @@ func runDeltaPart(sc *scratch, d *delta.Partition, bound int, offset uint32, par
 }
 
 // materialize fills res.Rows with the projected columns of each
-// qualifying row, chunk-wise. Each output slot is owned by exactly one
-// chunk, so no merge is needed. For main-partition rows with
-// SSCG-placed projections, one group page access delivers all grouped
-// attributes of a row.
+// qualifying row. The values live in one arena and row i is a capped view
+// of it, so appending to one row cannot overwrite the next. Each chunk
+// of rows is filled by one worker, column by column over its main rows
+// — an SSCG-placed projection reads a row's bytes once into the
+// worker's buffer (one page access delivers all grouped attributes of a
+// row) and decodes the projected fields from them — and cell by cell
+// over its delta rows.
 func (e *Executor) materialize(v *table.View, sc *scratch, res *Result, project []int, tr *metrics.Trace) error {
 	mainRows := uint64(v.MainRows())
 	needGroup := false
@@ -957,38 +960,55 @@ func (e *Executor) materialize(v *table.View, sc *scratch, res *Result, project 
 			needGroup = true
 		}
 	}
+	k := len(project)
+	arena := make([]value.Value, len(res.IDs)*k)
 	res.Rows = make([][]value.Value, len(res.IDs))
+	for i := range res.Rows {
+		res.Rows[i] = arena[i*k : (i+1)*k : (i+1)*k]
+	}
 	n := chunkCount(len(res.IDs), len(sc.ws))
 	op := metrics.OperatorTrace{Name: "materialize", Partition: "main", Column: -1, RowsIn: len(res.IDs)}
 	return operate(sc.ws, tr, op, func() (int, error) {
 		err := runMorsels(sc, n, func(w *worker, m int) error {
 			lo, hi := chunkBounds(len(res.IDs), n, m)
-			for i := lo; i < hi; i++ {
-				id := res.IDs[i]
-				row := make([]value.Value, len(project))
-				var groupRow []value.Value
-				if id < mainRows && needGroup && w.group != nil {
-					var err error
-					groupRow, err = w.group.ReadRow(int(id))
-					if err != nil {
+			mid := lo // the chunk's main rows are [lo, mid): IDs ascend, main first
+			for mid < hi && res.IDs[mid] < mainRows {
+				mid++
+			}
+			var err error
+			if g := w.group; needGroup && mid > lo {
+				w.row = slices.Grow(w.row[:0], g.RowWidth())[:g.RowWidth()]
+				for i := lo; i < mid; i++ {
+					if err = g.ReadRowBytes(int(res.IDs[i]), w.row); err != nil {
 						return err
 					}
-				}
-				for j, c := range project {
-					if id < mainRows {
-						if gf := v.GroupField(c); gf >= 0 && groupRow != nil {
-							row[j] = groupRow[gf]
-							continue
+					for j, c := range project {
+						if gf := v.GroupField(c); gf >= 0 {
+							if res.Rows[i][j], err = g.Field(w.row, gf); err != nil {
+								return err
+							}
 						}
-						w.touches += 2 // value vector + dictionary
 					}
-					val, err := v.GetValue(id, c)
-					if err != nil {
+				}
+			}
+			for j, c := range project {
+				mrc := v.MRC(c)
+				if mrc == nil {
+					continue
+				}
+				w.touches += 2 * int64(mid-lo) // value vector + dictionary
+				for i := lo; i < mid; i++ {
+					if res.Rows[i][j], err = mrc.Get(int(res.IDs[i])); err != nil {
 						return err
 					}
-					row[j] = val
 				}
-				res.Rows[i] = row
+			}
+			for i := mid; i < hi; i++ {
+				for j, c := range project {
+					if res.Rows[i][j], err = v.GetValue(res.IDs[i], c); err != nil {
+						return err
+					}
+				}
 			}
 			return nil
 		})

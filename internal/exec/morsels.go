@@ -56,6 +56,8 @@ type worker struct {
 	// buf collects the positions this worker's units produced, unit after
 	// unit and operator after operator; it is emptied once per query.
 	buf []uint32
+	// row holds the bytes of the SSCG row being materialized.
+	row []byte
 }
 
 // countingStore is the backing store of a worker's view: it counts the
@@ -104,7 +106,7 @@ func (e *Executor) scratchFor(v *table.View) *scratch {
 	timed, _ := e.tbl.Store().(*storage.TimedStore)
 	for i := range sc.ws {
 		w := &sc.ws[i]
-		*w = worker{group: v.Group(), view: w.view, viewOf: w.viewOf, store: w.store, buf: w.buf[:0]}
+		*w = worker{group: v.Group(), view: w.view, viewOf: w.viewOf, store: w.store, buf: w.buf[:0], row: w.row}
 		if timed == nil || w.group == nil {
 			continue
 		}

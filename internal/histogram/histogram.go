@@ -64,13 +64,13 @@ func build[T cmp.Ordered](typ value.Type, vals []value.Value, key func(value.Val
 	slices.Sort(keys)
 	var counts []int
 	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
+		if i == 0 || cmp.Compare(k, keys[i-1]) != 0 { // NaN is one run, as in a dictionary
 			keys[len(counts)] = k // the distinct keys, compacted in place
 			counts = append(counts, 0)
 		}
 		counts[len(counts)-1]++
 	}
-	return fromCounts(typ, func(i int) value.Value { return mk(keys[i]) }, counts, buckets)
+	return FromSorted(typ, func(i int) value.Value { return mk(keys[i]) }, counts, buckets)
 }
 
 // FromCounts builds the histogram Build builds over a column whose
@@ -81,12 +81,12 @@ func build[T cmp.Ordered](typ value.Type, vals []value.Value, key func(value.Val
 // never straddle one (keeps equi-predicate math consistent). String
 // bounds are copied: the histogram keeps alive none of sortedDistinct.
 func FromCounts(typ value.Type, sortedDistinct []value.Value, counts []int, buckets int) (*Histogram, error) {
-	return fromCounts(typ, func(i int) value.Value { return sortedDistinct[i] }, counts, buckets)
+	return FromSorted(typ, func(i int) value.Value { return sortedDistinct[i] }, counts, buckets)
 }
 
-// fromCounts is FromCounts reading the i-th distinct value through
-// distinct, which it calls only for the bounds.
-func fromCounts(typ value.Type, distinct func(i int) value.Value, counts []int, buckets int) (*Histogram, error) {
+// FromSorted is FromCounts reading the i-th distinct value through
+// distinct — a dictionary's At — which it calls only for the bounds.
+func FromSorted(typ value.Type, distinct func(i int) value.Value, counts []int, buckets int) (*Histogram, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("histogram: bucket count %d must be positive", buckets)
 	}
@@ -224,12 +224,12 @@ func overlapFraction(t value.Type, bLo, bHi, qLo, qHi value.Value) float64 {
 		return cover / span
 	case value.Float64:
 		span := bHi.Float() - bLo.Float()
-		if span <= 0 {
+		if !(span > 0) { // also a NaN span: a bucket opening at NaN or ±Inf
 			return 1
 		}
 		cover := hi.Float() - lo.Float()
 		f := cover / span
-		if f <= 0 {
+		if !(f > 0) {
 			// Point overlap in a continuous domain still matches the
 			// boundary value; approximate with a thin slice.
 			return 0.5 / span

@@ -535,13 +535,8 @@ func DecodeResponse(op byte, payload []byte) (Response, error) {
 		if err != nil {
 			return Response{}, err
 		}
-		resp.Rows = make([][]value.Value, 0, nRows)
-		for i := 0; i < nRows; i++ {
-			row, err := r.Row()
-			if err != nil {
-				return Response{}, err
-			}
-			resp.Rows = append(resp.Rows, row)
+		if resp.Rows, err = r.Rows(nRows); err != nil {
+			return Response{}, err
 		}
 	case OpRows:
 		if resp.Count, err = r.Uvarint(); err != nil {

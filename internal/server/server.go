@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tierdb/internal/codec"
 	"tierdb/internal/metrics"
 	"tierdb/internal/schema"
 	"tierdb/internal/trace"
@@ -265,12 +266,15 @@ func (s *Server) session(conn net.Conn) {
 	}()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
+	var out []byte // the last response's payload buffer, kept unless a large one
 	respond := func(op byte, resp Response) bool {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := writeFrame(bw, encodeResponse(nil, op, resp)); err != nil {
-			return false
+		out = encodeResponse(out[:0], op, resp)
+		err := writeFrame(bw, out)
+		if cap(out) > codec.MaxKeptBuffer {
+			out = nil
 		}
-		return bw.Flush() == nil
+		return err == nil && bw.Flush() == nil
 	}
 	for {
 		if s.draining.Load() {

@@ -318,14 +318,28 @@ func (g *Group) checkField(field int) error {
 // ReadRow reconstructs the full row: a single page access for packed
 // layouts, pagesPerRow consecutive accesses for spanning layouts.
 func (g *Group) ReadRow(row int) ([]value.Value, error) {
-	if err := g.checkRow(row); err != nil {
-		return nil, err
-	}
 	rowBytes := make([]byte, g.rowWidth)
-	if err := g.readRow(row, rowBytes); err != nil {
+	if err := g.ReadRowBytes(row, rowBytes); err != nil {
 		return nil, err
 	}
-	return g.decodeRow(rowBytes)
+	out := make([]value.Value, len(g.fields))
+	for f := range out {
+		var err error
+		if out[f], err = g.Field(rowBytes, f); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// ReadRowBytes copies row's bytes into buf, which must hold RowWidth
+// bytes: ReadRow's page accesses without its allocations. Field decodes
+// the fields out of buf.
+func (g *Group) ReadRowBytes(row int, buf []byte) error {
+	if err := g.checkRow(row); err != nil {
+		return err
+	}
+	return g.readRow(row, buf[:g.rowWidth])
 }
 
 // readRow copies row's bytes into buf: one page access for packed
@@ -351,17 +365,14 @@ func (g *Group) readRow(row int, buf []byte) error {
 	return nil
 }
 
-// decodeRow parses a row buffer into values.
-func (g *Group) decodeRow(rowBytes []byte) ([]value.Value, error) {
-	out := make([]value.Value, len(g.fields))
-	for f, fd := range g.fields {
-		v, err := value.DecodeFixed(fd.Type, rowBytes[g.offsets[f]:g.offsets[f]+fd.SlotWidth()])
-		if err != nil {
-			return nil, fmt.Errorf("sscg: decode field %q: %w", fd.Name, err)
-		}
-		out[f] = v
+// Field decodes field f of a row's bytes as ReadRowBytes left them.
+func (g *Group) Field(rowBytes []byte, f int) (value.Value, error) {
+	fd := g.fields[f]
+	v, err := value.DecodeFixed(fd.Type, rowBytes[g.offsets[f]:g.offsets[f]+fd.SlotWidth()])
+	if err != nil {
+		return value.Value{}, fmt.Errorf("sscg: decode field %q: %w", fd.Name, err)
 	}
-	return out, nil
+	return v, nil
 }
 
 // ReadField reads a single field of a row, touching only the page(s)

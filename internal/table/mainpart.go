@@ -169,7 +169,7 @@ func (e encoded) value(row int) value.Value {
 	if e.vals != nil {
 		return e.vals[row]
 	}
-	return e.dict.Values()[e.codes[row]]
+	return e.dict.At(int(e.codes[row]))
 }
 
 // histogram summarises the column: from its code counts when it has a
@@ -182,7 +182,7 @@ func (e encoded) histogram(typ value.Type) (*histogram.Histogram, error) {
 	for _, c := range e.codes {
 		counts[c]++
 	}
-	return histogram.FromCounts(typ, e.dict.Values(), counts, histogramBuckets)
+	return histogram.FromSorted(typ, e.dict.At, counts, histogramBuckets)
 }
 
 // buildMain builds the main partition holding src's rows under layout,
@@ -267,7 +267,12 @@ func (t *Table) buildMain(layout []bool, src source) (*main, error) {
 		return m, nil
 	}
 	for col := range src.old.indexes {
-		m.indexes[col] = bptree.FromCodes(t.schema.Field(col).Type, cols[col].dict.Values(), cols[col].codes)
+		d := cols[col].dict
+		keys := make([]value.Value, d.Size())
+		for i := range keys {
+			keys[i] = d.At(i)
+		}
+		m.indexes[col] = bptree.FromCodes(t.schema.Field(col).Type, keys, cols[col].codes)
 	}
 	for _, ci := range src.old.composites {
 		if err := m.addIndex(ci.cols, func(row, col int) (value.Value, error) { return cols[col].value(row), nil }); err != nil {

@@ -7,6 +7,7 @@
 package value
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -83,30 +84,20 @@ func (v Value) String() string {
 	}
 }
 
-// Compare orders v relative to o: -1, 0 or +1. Comparing values of
-// different types panics; the engine's schema layer guarantees
-// homogeneous comparisons.
+// Compare orders v relative to o: -1, 0 or +1. Floats order as
+// cmp.Compare orders them — NaN first and equal only to NaN, -0 equal
+// to +0 — the one total order dictionaries, indexes and predicates
+// share. Comparing values of different types panics; the engine's
+// schema layer guarantees homogeneous comparisons.
 func (v Value) Compare(o Value) int {
 	if v.typ != o.typ {
 		panic(fmt.Sprintf("value: comparing %s with %s", v.typ, o.typ))
 	}
 	switch v.typ {
 	case Int64:
-		switch {
-		case v.i < o.i:
-			return -1
-		case v.i > o.i:
-			return 1
-		}
-		return 0
+		return cmp.Compare(v.i, o.i)
 	case Float64:
-		switch {
-		case v.f < o.f:
-			return -1
-		case v.f > o.f:
-			return 1
-		}
-		return 0
+		return cmp.Compare(v.f, o.f)
 	default:
 		return strings.Compare(v.s, o.s)
 	}

@@ -106,11 +106,14 @@ func encodePayload(buf []byte, rec Record) []byte {
 	return buf
 }
 
-// appendFrame frames payload into buf: length, CRC, payload.
-func appendFrame(buf, payload []byte) []byte {
+// frameHeaderMax is the longest frame header: a 10-byte uvarint length
+// and the CRC.
+const frameHeaderMax = binary.MaxVarintLen64 + 4
+
+// appendHeader appends payload's frame header to buf: length, CRC.
+func appendHeader(buf, payload []byte) []byte {
 	buf = appendUvarint(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
 }
 
 // decodePayload decodes one record payload (as framed: kind byte first).

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"tierdb/internal/codec"
 	"tierdb/internal/metrics"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
@@ -101,7 +102,7 @@ type Log struct {
 	f         File
 	seg       int
 	appendSeq uint64 // records appended, monotonically
-	scratch   []byte
+	scratch   []byte // the last frame's buffer, kept unless over codec.MaxKeptBuffer
 	closed    bool
 
 	syncMu    sync.Mutex // fsync critical section; never taken under mu
@@ -189,8 +190,17 @@ func (l *Log) appendLocked(rec Record) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: log closed")
 	}
-	l.scratch = encodePayload(l.scratch[:0], rec)
-	frame := appendFrame(nil, l.scratch)
+	// The payload is encoded after room for the longest header, and the
+	// header is written in place just before it.
+	var hdr [frameHeaderMax]byte
+	buf := encodePayload(append(l.scratch[:0], hdr[:]...), rec)
+	h := appendHeader(hdr[:0], buf[frameHeaderMax:])
+	frame := buf[frameHeaderMax-len(h):]
+	copy(frame, h)
+	l.scratch = buf
+	if cap(buf) > codec.MaxKeptBuffer {
+		l.scratch = nil // a bulk load's record is not kept for the next commit
+	}
 	if _, err := l.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tierdb/internal/server"
+	"tierdb/internal/server/client"
 )
 
 // Tests of the workload-to-layout loop as one pipeline: a query is
@@ -93,6 +96,49 @@ func TestSelectAllocations(t *testing.T) {
 		if got > tc.ceiling {
 			t.Errorf("%s: %.0f allocs per Select, ceiling %.0f", tc.name, got, tc.ceiling)
 		}
+	}
+}
+
+// TestSelectAllocsFlatInRows: a projected Select's allocations do not
+// grow with the rows it returns — the executor decodes into one arena per
+// result and the client reads a reply's rows into one array — through
+// the root API and through the wire client alike. The projection reads
+// an MRC and an SSCG column.
+func TestSelectAllocsFlatInRows(t *testing.T) {
+	db, tbl := loopTable(t, Config{Device: "3D XPoint", CacheFrames: 64, ListenAddr: "127.0.0.1:0"})
+	c, err := client.Dial(client.Config{Addr: db.ServerAddr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	allocs := func(hi int64) (root, wire float64) {
+		p, err := tbl.Between("id", Int(0), Int(hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rootRun := func() {
+			if res, err := tbl.Select(nil, []Predicate{p}, "pay", "a"); err != nil || len(res.Rows) != int(hi+1) {
+				t.Fatalf("Select: %d rows, %v; want %d", len(res.Rows), err, hi+1)
+			}
+		}
+		wp := []server.Predicate{client.Between("id", Int(0), Int(hi))}
+		wireRun := func() {
+			if res, err := c.Select("loop", wp, "pay", "a"); err != nil || len(res.Rows) != int(hi+1) {
+				t.Fatalf("wire Select: %d rows, %v; want %d", len(res.Rows), err, hi+1)
+			}
+		}
+		rootRun()
+		wireRun()
+		return testing.AllocsPerRun(100, rootRun), testing.AllocsPerRun(100, wireRun)
+	}
+	root1, wire1 := allocs(0)
+	root1000, wire1000 := allocs(999)
+	t.Logf("root API: %.1f allocs for 1 row, %.1f for 1000; wire: %.1f, %.1f", root1, root1000, wire1, wire1000)
+	if root1000-root1 > 4 {
+		t.Errorf("root API: 1000 rows cost %.1f allocs more than 1 row, want <= 4", root1000-root1)
+	}
+	if wire1000-wire1 > 4 {
+		t.Errorf("wire client: 1000 rows cost %.1f allocs more than 1 row, want <= 4", wire1000-wire1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tierdb
 
 import (
+	"math"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -465,4 +466,67 @@ func TestVirtualClockAccumulates(t *testing.T) {
 	if db.Clock().Elapsed() == 0 {
 		t.Error("clock did not advance on tiered reconstruction")
 	}
+}
+
+// TestNaNSurvivesMerge holds a float column with a NaN to one order in
+// the delta, in a merged MRC and in the SSCG: every value reads back as
+// written, a range predicate skips the NaN and an equality predicate on
+// NaN finds exactly its row.
+func TestNaNSurvivesMerge(t *testing.T) {
+	db, err := Open(Config{Device: "3D XPoint", CacheFrames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("nan", []Field{{Name: "id", Type: Int64Type}, {Name: "f", Type: Float64Type}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floats := []float64{1.5, math.NaN(), 2.5}
+	for i, f := range floats {
+		if err := tbl.Insert([]Value{Int(int64(i)), Float(f)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	between, err := tbl.Between("f", Float(1), Float(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eqNaN, err := tbl.Eq("f", Float(math.NaN()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(where string) {
+		t.Helper()
+		for i, want := range floats {
+			v, err := tbl.GetValue(RowID(i), "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := v.Float(); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("%s: row %d reads %v, want %v", where, i, got, want)
+			}
+		}
+		for _, tc := range []struct {
+			pred Predicate
+			want []RowID
+		}{{between, []RowID{0, 2}}, {eqNaN, []RowID{1}}} {
+			res, err := tbl.Select(nil, []Predicate{tc.pred}, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.IDs, tc.want) {
+				t.Errorf("%s: %v selects %v, want %v", where, tc.pred, res.IDs, tc.want)
+			}
+		}
+	}
+	check("delta")
+	if err := tbl.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	check("MRC")
+	if err := tbl.ApplyLayout(Layout{InDRAM: []bool{true, false}}); err != nil {
+		t.Fatal(err)
+	}
+	check("SSCG")
 }
