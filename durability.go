@@ -3,6 +3,7 @@ package tierdb
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"tierdb/internal/device"
@@ -152,21 +153,20 @@ func (h *replayHandler) CreateIndex(name string, cols []int) error {
 	return t.inner.CreateCompositeIndex(cols)
 }
 
+// Commit re-applies one logged commit table by table, each table's
+// inserts as one batch.
 func (h *replayHandler) Commit(ts mvcc.Timestamp, ops []mvcc.RedoOp) error {
+	var done []string
 	for _, op := range ops {
-		if ts <= h.snapTs[op.Table] {
-			continue // covered by the table's checkpoint snapshot
+		if slices.Contains(done, op.Table) || ts <= h.snapTs[op.Table] {
+			continue // replayed already, or covered by the table's checkpoint snapshot
 		}
+		done = append(done, op.Table)
 		t, err := h.table(op.Table)
 		if err != nil {
 			return err
 		}
-		if op.Delete {
-			err = t.inner.ReplayDelete(op.Row, ts)
-		} else {
-			err = t.inner.ReplayInsert(op.Row, ts)
-		}
-		if err != nil {
+		if err := t.inner.ReplayCommit(ts, ops); err != nil {
 			return err
 		}
 	}

@@ -75,13 +75,15 @@ func FromCodes(typ value.Type, keys []value.Value, codes []uint32) *Tree {
 	for k, end := range ends {
 		lists[k], start = positions[start:end:end], end
 	}
-	return bulk(typ, keys, lists)
+	return FromRuns(typ, keys, lists)
 }
 
-// bulk builds a tree bottom-up from ascending distinct keys and their
+// FromRuns builds a tree bottom-up from ascending distinct keys and their
 // position lists: full leaves, all in one allocation, then levels of
-// inner nodes of up to fanout children each.
-func bulk(typ value.Type, keys []value.Value, lists [][]uint32) *Tree {
+// inner nodes of up to fanout children each. The tree aliases keys and
+// lists, which must not be modified; a list must be capped, so that a
+// later insert that appends to it reallocates it.
+func FromRuns(typ value.Type, keys []value.Value, lists [][]uint32) *Tree {
 	t := &Tree{typ: typ, root: &leafNode{}, size: len(keys)}
 	leaves := make([]leafNode, (len(keys)+fanout-1)/fanout)
 	var level []node
@@ -118,8 +120,13 @@ func (t *Tree) Type() value.Type { return t.typ }
 func (t *Tree) Len() int { return t.size }
 
 // Insert adds position pos under key k.
-func (t *Tree) Insert(k value.Value, pos uint32) {
-	newChild, sep := t.insert(t.root, k, pos)
+func (t *Tree) Insert(k value.Value, pos uint32) { t.InsertRun(k, []uint32{pos}) }
+
+// InsertRun adds positions under key k, after the ones already there, in
+// one descent: a batch of rows that share a key costs what one row does.
+// The tree keeps a copy of run, not run.
+func (t *Tree) InsertRun(k value.Value, run []uint32) {
+	newChild, sep := t.insert(t.root, k, run)
 	if newChild != nil {
 		t.root = &innerNode{
 			keys:     []value.Value{sep},
@@ -130,11 +137,11 @@ func (t *Tree) Insert(k value.Value, pos uint32) {
 
 // insert descends into n; on split it returns the new right sibling and
 // its separator key.
-func (t *Tree) insert(n node, k value.Value, pos uint32) (node, value.Value) {
+func (t *Tree) insert(n node, k value.Value, run []uint32) (node, value.Value) {
 	if leaf, ok := n.(*leafNode); ok {
 		i := lowerBound(leaf.keys, k)
 		if i < len(leaf.keys) && leaf.keys[i].Equal(k) {
-			leaf.vals[i] = append(leaf.vals[i], pos)
+			leaf.vals[i] = append(leaf.vals[i], run...)
 			return nil, value.Value{}
 		}
 		leaf.keys = append(leaf.keys, value.Value{})
@@ -142,7 +149,7 @@ func (t *Tree) insert(n node, k value.Value, pos uint32) (node, value.Value) {
 		copy(leaf.keys[i+1:], leaf.keys[i:])
 		copy(leaf.vals[i+1:], leaf.vals[i:])
 		leaf.keys[i] = k
-		leaf.vals[i] = []uint32{pos}
+		leaf.vals[i] = append(make([]uint32, 0, len(run)), run...)
 		t.size++
 		if len(leaf.keys) <= fanout {
 			return nil, value.Value{}
@@ -162,7 +169,7 @@ func (t *Tree) insert(n node, k value.Value, pos uint32) (node, value.Value) {
 
 	in := n.(*innerNode)
 	ci := upperBound(in.keys, k)
-	newChild, sep := t.insert(in.children[ci], k, pos)
+	newChild, sep := t.insert(in.children[ci], k, run)
 	if newChild == nil {
 		return nil, value.Value{}
 	}

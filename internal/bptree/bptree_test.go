@@ -233,3 +233,58 @@ func TestFromCodesMatchesInsert(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertRunMatchesInsert files random columns' positions two ways —
+// one Insert per position, and one InsertRun per key of each batch, the
+// run its ascending positions in the batch — into trees that start empty
+// or bulk-loaded, and requires the same Len, Lookups and Range. The tree
+// must keep a copy of each run: the caller reuses its buffer.
+func TestInsertRunMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 200; trial++ {
+		spread := 1 + rng.Intn(300)
+		ins, runs, pos := New(value.Int64), New(value.Int64), uint32(0)
+		if trial%2 == 1 {
+			ins.Insert(value.NewInt(0), 0)
+			runs, pos = FromCodes(value.Int64, []value.Value{value.NewInt(0)}, []uint32{0}), 1
+		}
+		var buf []uint32
+		for batch := 0; batch < 1+rng.Intn(4); batch++ {
+			n := rng.Intn(2000)
+			byKey := map[int64][]uint32{}
+			var order []int64
+			for range n {
+				k := int64(rng.Intn(spread))
+				ins.Insert(value.NewInt(k), pos)
+				if byKey[k] == nil {
+					order = append(order, k)
+				}
+				byKey[k] = append(byKey[k], pos)
+				pos++
+			}
+			for _, k := range order {
+				buf = append(buf[:0], byKey[k]...)
+				runs.InsertRun(value.NewInt(k), buf)
+				clear(buf)
+			}
+		}
+		if runs.Len() != ins.Len() {
+			t.Fatalf("trial %d: Len %d, want %d", trial, runs.Len(), ins.Len())
+		}
+		all := func(tr *Tree) (out [][]uint32) {
+			tr.Range(value.NewInt(-1), value.NewInt(int64(spread)), func(_ value.Value, pos []uint32) bool {
+				out = append(out, pos)
+				return true
+			})
+			return out
+		}
+		if got, want := all(runs), all(ins); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Range differs", trial)
+		}
+		for k := int64(0); k < int64(spread); k++ {
+			if got, want := runs.Lookup(value.NewInt(k)), ins.Lookup(value.NewInt(k)); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: Lookup(%d) = %v, want %v", trial, k, got, want)
+			}
+		}
+	}
+}

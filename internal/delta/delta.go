@@ -8,11 +8,14 @@
 package delta
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tierdb/internal/bptree"
+	"tierdb/internal/dict"
 	"tierdb/internal/metrics"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
@@ -25,12 +28,16 @@ import (
 // opened in the same critical section.
 var ErrFrozen = errors.New("delta: partition is frozen")
 
-// deltaColumn is one attribute of the delta: an unsorted dictionary
-// (insertion order) plus the per-row code vector and a B+-tree value
-// index.
+// deltaColumn is one attribute of the delta: an unsorted dictionary —
+// the distinct values in insertion order, in one slice of their payload
+// type, and a map from each value to its code — plus the per-row code
+// vector and a B+-tree value index. Of the three maps only the one of
+// vals.Type is used, made by the column's first row.
 type deltaColumn struct {
-	codeOf map[value.Value]uint32
-	values []value.Value
+	vals   dict.Values
+	ints   map[int64]uint32
+	floats map[float64]uint32
+	strs   map[string]uint32
 	codes  []uint32
 	tree   *bptree.Tree
 }
@@ -43,6 +50,12 @@ type Partition struct {
 	cols     []deltaColumn
 	versions *mvcc.Versions
 	frozen   bool
+	bytes    int64 // code vectors and dictionary payloads, summed as rows arrive
+
+	// Scratch of index's counting sort, reused by every batch: a count
+	// per code (all zero between batches), the batch's keys and its
+	// positions grouped by key.
+	count, keys, runs []uint32
 
 	// Observability handles (nil → no-op). Visibility checks are counted
 	// batched per scan call, never per row, to keep the hot path cheap.
@@ -58,8 +71,8 @@ func New(s *schema.Schema) *Partition {
 		versions: mvcc.NewVersions(),
 	}
 	for i := range p.cols {
-		p.cols[i].codeOf = make(map[value.Value]uint32)
-		p.cols[i].tree = bptree.New(s.Field(i).Type)
+		typ := s.Field(i).Type
+		p.cols[i].vals, p.cols[i].tree = dict.Values{Type: typ}, bptree.New(typ)
 	}
 	return p
 }
@@ -79,12 +92,12 @@ func (p *Partition) Observe(r *metrics.Registry) {
 // Versions exposes the MVCC version store for the delta's rows.
 func (p *Partition) Versions() *mvcc.Versions { return p.versions }
 
-// Freeze marks the partition immutable for inserts: Insert, Append and
-// AdoptRow fail with ErrFrozen from now on. Deletes (pure version-store
-// updates) and in-flight commit callbacks still resolve, so readers and
-// writers that raced the freeze finish normally; the physical row set is
-// fixed, which is what lets the merge rebuild off the partition without
-// holding any table lock.
+// Freeze marks the partition immutable for inserts: Insert, Append,
+// AppendRows and AdoptRow fail with ErrFrozen from now on. Deletes (pure
+// version-store updates) and in-flight commit callbacks still resolve,
+// so readers and writers that raced the freeze finish normally; the
+// physical row set is fixed, which is what lets the merge rebuild off
+// the partition without holding any table lock.
 func (p *Partition) Freeze() {
 	p.mu.Lock()
 	p.frozen = true
@@ -104,19 +117,7 @@ func (p *Partition) Frozen() bool {
 // into the new active delta, preserving their commit history so every
 // open snapshot keeps its exact visibility.
 func (p *Partition) AdoptRow(row []value.Value, begin, end mvcc.Timestamp) (int, error) {
-	if err := p.schema.CheckRow(row); err != nil {
-		return 0, fmt.Errorf("delta: %w", err)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.frozen {
-		return 0, ErrFrozen
-	}
-	pos := p.appendRow(row)
-	if local := p.versions.AppendAt(begin, end); local != pos {
-		return 0, fmt.Errorf("delta: version store out of sync: row %d vs %d", local, pos)
-	}
-	return pos, nil
+	return p.appendRows([][]value.Value{row}, func() int { return p.versions.AppendAt(begin, end) })
 }
 
 // Rows returns the number of physically stored rows (including
@@ -124,69 +125,177 @@ func (p *Partition) AdoptRow(row []value.Value, begin, end mvcc.Timestamp) (int,
 func (p *Partition) Rows() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if len(p.cols) == 0 {
-		return 0
-	}
 	return len(p.cols[0].codes)
 }
 
-// appendRow stores the row values and returns the new local position.
-// Caller holds p.mu.
-func (p *Partition) appendRow(row []value.Value) int {
-	pos := len(p.cols[0].codes)
-	for i, v := range row {
-		c := &p.cols[i]
-		code, ok := c.codeOf[v]
-		if !ok {
-			code = uint32(len(c.values))
-			c.codeOf[v] = code
-			c.values = append(c.values, v)
-		}
-		c.codes = append(c.codes, code)
-		c.tree.Insert(v, uint32(pos))
+// appendRows is the one path by which rows enter the partition, one row
+// or a batch alike: under one hold of the lock it stores rows, column by
+// column, and their versions with version, which returns the first
+// one's position. It checks every row against the schema before it
+// stores any, so an error leaves the partition as it was.
+func (p *Partition) appendRows(rows [][]value.Value, version func() int) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.frozen {
+		return 0, ErrFrozen
 	}
-	return pos
+	for i, row := range rows {
+		if err := p.schema.CheckRow(row); err != nil {
+			return 0, fmt.Errorf("delta: row %d: %w", i, err)
+		}
+	}
+	from := len(p.cols[0].codes)
+	for col := range p.cols {
+		c := &p.cols[col]
+		distinct := c.vals.Len()
+		c.codes = slices.Grow(c.codes, len(rows))
+		switch c.vals.Type {
+		case value.Int64:
+			c.codes = probe(&c.ints, &c.vals.Ints, rows, col, value.Value.Int, c.codes)
+		case value.Float64:
+			c.codes = probe(&c.floats, &c.vals.Floats, rows, col, value.Value.Float, c.codes)
+		default:
+			c.codes = probe(&c.strs, &c.vals.Strs, rows, col, value.Value.Str, c.codes)
+		}
+		p.bytes += 4*int64(len(rows)) + c.vals.Bytes(distinct)
+		p.index(c, from)
+	}
+	if local := version(); local != from {
+		return 0, fmt.Errorf("delta: version store out of sync: row %d vs %d", local, from)
+	}
+	return from, nil
+}
+
+// probe appends to codes the code of each row's value in column col,
+// giving a value codeOf lacks the next code and appending it to vals.
+// Keys are equal as Go's == says, as they were when the map was keyed by
+// value.Value: -0 and +0 share a code, and every NaN gets its own.
+func probe[T comparable](codeOf *map[T]uint32, vals *[]T, rows [][]value.Value, col int, payload func(value.Value) T, codes []uint32) []uint32 {
+	if *codeOf == nil {
+		*codeOf = map[T]uint32{}
+	}
+	for _, row := range rows {
+		v := payload(row[col])
+		code, ok := (*codeOf)[v]
+		if !ok {
+			code = uint32(len(*vals))
+			(*codeOf)[v] = code
+			*vals = append(*vals, v)
+		}
+		codes = append(codes, code)
+	}
+	return codes
+}
+
+// index files the positions of rows [from, len(c.codes)) in the column's
+// tree. A counting sort groups them by key, so each key's positions come
+// out ascending: a key is a code, except that every NaN is filed under
+// the batch's first NaN code, since value.Compare calls NaNs equal (-0
+// and +0 share a code already). An empty tree is built bottom-up from
+// the keys, sorted once; a non-empty one takes one descent per key, so
+// one row costs one Insert.
+func (p *Partition) index(c *deltaColumn, from int) {
+	codes := c.codes[from:]
+	for len(p.count) < c.vals.Len() {
+		p.count = append(p.count, 0)
+	}
+	floats, nan := c.vals.Floats, ^uint32(0)
+	key := func(code uint32) uint32 {
+		if floats != nil && floats[code] != floats[code] {
+			nan = min(nan, code)
+			return nan
+		}
+		return code
+	}
+	count, keys := p.count, p.keys[:0]
+	for _, code := range codes {
+		k := key(code)
+		if count[k] == 0 {
+			keys = append(keys, k)
+		}
+		count[k]++
+	}
+	fresh := c.tree.Len() == 0
+	var runs []uint32
+	var vals []value.Value
+	var lists [][]uint32
+	if fresh {
+		switch c.vals.Type {
+		case value.Int64:
+			sortByValue(keys, c.vals.Ints)
+		case value.Float64:
+			sortByValue(keys, c.vals.Floats)
+		default:
+			sortByValue(keys, c.vals.Strs)
+		}
+		runs = make([]uint32, len(codes)) // the tree keeps it
+		vals, lists = make([]value.Value, 0, len(keys)), make([][]uint32, 0, len(keys))
+	} else {
+		runs = slices.Grow(p.runs[:0], len(codes))[:len(codes)]
+		p.runs = runs
+	}
+	p.keys = keys
+	// count[k] becomes where key k's run starts, then, as the positions
+	// are scattered, where it ends.
+	start := uint32(0)
+	for _, k := range keys {
+		start, count[k] = start+count[k], start
+	}
+	for i, code := range codes {
+		k := key(code)
+		runs[count[k]] = uint32(from + i)
+		count[k]++
+	}
+	start = 0
+	for _, k := range keys {
+		run := runs[start:count[k]:count[k]]
+		start, count[k] = count[k], 0
+		if fresh {
+			vals, lists = append(vals, c.vals.At(int(k))), append(lists, run)
+		} else {
+			c.tree.InsertRun(c.vals.At(int(k)), run)
+		}
+	}
+	if fresh {
+		c.tree = bptree.FromRuns(c.vals.Type, vals, lists)
+	}
+}
+
+// sortByValue sorts distinct codes by their values in vals.
+func sortByValue[T cmp.Ordered](codes []uint32, vals []T) {
+	slices.SortFunc(codes, func(a, b uint32) int { return cmp.Compare(vals[a], vals[b]) })
 }
 
 // Insert appends a provisional row owned by tx; the row becomes visible
 // to other transactions when tx commits. The returned position is local
 // to the delta.
 func (p *Partition) Insert(tx *mvcc.Tx, row []value.Value) (int, error) {
-	if err := p.schema.CheckRow(row); err != nil {
-		return 0, fmt.Errorf("delta: %w", err)
-	}
-	p.mu.Lock()
-	if p.frozen {
-		p.mu.Unlock()
-		return 0, ErrFrozen
+	pos, err := p.appendRows([][]value.Value{row}, func() int { return p.versions.AppendPending(tx.ID()) })
+	if err != nil {
+		return 0, err
 	}
 	p.cInserts.Inc()
-	pos := p.appendRow(row)
-	local := p.versions.AppendPending(tx.ID())
-	if local != pos {
-		p.mu.Unlock()
-		return 0, fmt.Errorf("delta: version store out of sync: row %d vs %d", local, pos)
-	}
-	p.mu.Unlock()
 	tx.OnCommit(func(ts mvcc.Timestamp) { p.versions.CommitInsert(pos, ts) })
 	tx.OnAbort(func() { p.versions.AbortInsert(pos) })
 	return pos, nil
 }
 
-// Append adds a row that is immediately visible from ts on (bulk load
-// path, no transaction).
+// Append adds a row that is immediately visible from ts on (no
+// transaction); it is AppendRows of one row.
 func (p *Partition) Append(row []value.Value, ts mvcc.Timestamp) (int, error) {
-	if err := p.schema.CheckRow(row); err != nil {
-		return 0, fmt.Errorf("delta: %w", err)
+	return p.AppendRows([][]value.Value{row}, ts)
+}
+
+// AppendRows adds a batch of rows that are immediately visible from ts
+// on — a bulk load, or the inserts of one replayed commit — and returns
+// the first one's position. A row that does not fit the schema fails the
+// whole batch, which then leaves no trace.
+func (p *Partition) AppendRows(rows [][]value.Value, ts mvcc.Timestamp) (int, error) {
+	pos, err := p.appendRows(rows, func() int { return p.versions.AppendCommittedN(len(rows), ts) })
+	if err != nil {
+		return 0, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.frozen {
-		return 0, ErrFrozen
-	}
-	p.cInserts.Inc()
-	pos := p.appendRow(row)
-	p.versions.AppendCommitted(ts)
+	p.cInserts.Add(int64(len(rows)))
 	return pos, nil
 }
 
@@ -212,7 +321,7 @@ func (p *Partition) Get(pos, col int) (value.Value, error) {
 	if pos < 0 || pos >= len(c.codes) {
 		return value.Value{}, fmt.Errorf("delta: row %d out of range (%d)", pos, len(c.codes))
 	}
-	return c.values[c.codes[pos]], nil
+	return c.vals.At(int(c.codes[pos])), nil
 }
 
 // GetRow materializes a full delta row.
@@ -225,7 +334,7 @@ func (p *Partition) GetRow(pos int) ([]value.Value, error) {
 	out := make([]value.Value, len(p.cols))
 	for i := range p.cols {
 		c := &p.cols[i]
-		out[i] = c.values[c.codes[pos]]
+		out[i] = c.vals.At(int(c.codes[pos]))
 	}
 	return out, nil
 }
@@ -280,31 +389,20 @@ func (p *Partition) VisibleRows(snapshot mvcc.Timestamp, self mvcc.TxID) []uint3
 // the partition's own and must not be modified; the merge reads them
 // without copying, which is safe only once the partition is frozen and
 // its rows are fixed.
-func (p *Partition) Column(col int) (values []value.Value, codes []uint32) {
+func (p *Partition) Column(col int) (dict.Values, []uint32) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	c := &p.cols[col]
-	return c.values[:len(c.values):len(c.values)], c.codes[:len(c.codes):len(c.codes)]
+	return c.vals, c.codes[:len(c.codes):len(c.codes)]
 }
 
-// Bytes estimates the DRAM footprint of the delta (dictionaries, code
-// vectors, trees are ignored, MVCC vectors included).
+// Bytes estimates the DRAM footprint of the delta: code vectors, 8 bytes
+// a distinct number and a distinct string's bytes plus a 16-byte header,
+// and the MVCC vectors; maps and trees are ignored.
 func (p *Partition) Bytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	var b int64
-	for i := range p.cols {
-		c := &p.cols[i]
-		b += int64(len(c.codes)) * 4
-		for _, v := range c.values {
-			if v.Type() == value.String {
-				b += int64(len(v.Str())) + 16
-			} else {
-				b += 8
-			}
-		}
-	}
-	return b + p.versions.Bytes()
+	return p.bytes + p.versions.Bytes()
 }
 
 // DistinctCount returns the number of distinct values inserted into the
@@ -315,5 +413,5 @@ func (p *Partition) DistinctCount(col int) int {
 	if col < 0 || col >= len(p.cols) {
 		return 0
 	}
-	return len(p.cols[col].values)
+	return p.cols[col].vals.Len()
 }

@@ -20,16 +20,13 @@ import (
 
 // Dictionary is an immutable, order-preserving mapping between values of
 // one column and dense integer codes. The sorted distinct values live in
-// one slice of their payload type — 8 bytes an entry for numbers, a
-// string header for strings — not as value.Value; floats are in
-// cmp.Compare's order (value.Compare's).
+// one slice of their payload type (Values) — 8 bytes an entry for
+// numbers, a string header for strings — not as value.Value; floats are
+// in cmp.Compare's order (value.Compare's).
 type Dictionary struct {
-	typ    value.Type
-	ints   []int64
-	floats []float64
-	strs   []string
-	size   int
-	bytes  int64 // the payload footprint, summed once
+	vals  Values
+	size  int
+	bytes int64 // the payload footprint, summed once
 }
 
 // Build constructs a dictionary over vals and returns it together with
@@ -39,48 +36,94 @@ type Dictionary struct {
 // dictionary's strings share one allocation that aliases none of vals.
 func Build(typ value.Type, vals []value.Value) (*Dictionary, []uint32, error) {
 	rows := make([]uint32, len(vals))
+	delta := Values{Type: typ}
 	for i, v := range vals {
 		if v.Type() != typ {
 			return nil, nil, fmt.Errorf("dict: value %d has type %s, want %s", i, v.Type(), typ)
 		}
 		rows[i] = uint32(i)
+		delta.Append(v)
 	}
-	d, codes := Merge(typ, nil, nil, vals, rows)
-	packStrings(d.strs)
+	d, codes := Merge(typ, nil, nil, delta, rows)
+	packStrings(d.vals.Strs)
 	return d, codes, nil
+}
+
+// Values is a column's values in one slice of their payload type: Ints,
+// Floats or Strs, whichever Type names. A delta partition keeps its
+// unsorted dictionary this way, and Merge reads it in place.
+type Values struct {
+	Type   value.Type
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+}
+
+// Len returns the number of values.
+func (vs *Values) Len() int { return len(vs.Ints) + len(vs.Floats) + len(vs.Strs) }
+
+// At returns value i, which must be below Len.
+func (vs *Values) At(i int) value.Value {
+	switch vs.Type {
+	case value.Int64:
+		return value.NewInt(vs.Ints[i])
+	case value.Float64:
+		return value.NewFloat(vs.Floats[i])
+	}
+	return value.NewString(vs.Strs[i])
+}
+
+// Append appends v, which must have type vs.Type.
+func (vs *Values) Append(v value.Value) {
+	switch vs.Type {
+	case value.Int64:
+		vs.Ints = append(vs.Ints, v.Int())
+	case value.Float64:
+		vs.Floats = append(vs.Floats, v.Float())
+	default:
+		vs.Strs = append(vs.Strs, v.Str())
+	}
+}
+
+// Bytes is the payload footprint of the values from index from on: 8
+// bytes a number, a string's bytes plus its 16-byte header.
+func (vs *Values) Bytes(from int) int64 {
+	if vs.Type != value.String {
+		return 8 * int64(vs.Len()-from)
+	}
+	var b int64
+	for _, s := range vs.Strs[from:] {
+		b += int64(len(s)) + 16
+	}
+	return b
 }
 
 // Merge builds the dictionary of a merged column (the column-wise merge
 // of Krüger et al., PVLDB 2011) from the old dictionary with the codes
 // of the old rows that survive, and a delta dictionary — values in any
 // order — with the codes of the delta rows that join them; old may be
-// nil, and every value must have type typ. Entries no row references
+// nil, and old and delta must have type typ. Entries no row references
 // are dropped, only the referenced delta values are sorted, and the
 // result is one linear merge of the two sorted runs. It returns the
 // dictionary and every row's code in it, the old rows' first, translated
 // through one old→new and one delta→new table. The dictionary is
 // right-sized and aliases none of the inputs' slices; its strings are
 // the inputs' own.
-func Merge(typ value.Type, old *Dictionary, oldCodes []uint32, delta []value.Value, deltaCodes []uint32) (*Dictionary, []uint32) {
+func Merge(typ value.Type, old *Dictionary, oldCodes []uint32, delta Values, deltaCodes []uint32) (*Dictionary, []uint32) {
 	if old == nil {
 		old = &Dictionary{}
 	}
-	d := &Dictionary{typ: typ}
+	d := &Dictionary{vals: Values{Type: typ}}
 	var oldMap, deltaMap []uint32
 	switch typ {
 	case value.Int64:
-		d.ints, oldMap, deltaMap = merge(old.ints, oldCodes, delta, deltaCodes, value.Value.Int)
-		d.size, d.bytes = len(d.ints), 8*int64(len(d.ints))
+		d.vals.Ints, oldMap, deltaMap = merge(old.vals.Ints, oldCodes, delta.Ints, deltaCodes)
 	case value.Float64:
-		d.floats, oldMap, deltaMap = merge(old.floats, oldCodes, delta, deltaCodes, value.Value.Float)
-		d.size, d.bytes = len(d.floats), 8*int64(len(d.floats))
+		d.vals.Floats, oldMap, deltaMap = merge(old.vals.Floats, oldCodes, delta.Floats, deltaCodes)
 	default:
-		d.strs, oldMap, deltaMap = merge(old.strs, oldCodes, delta, deltaCodes, value.Value.Str)
-		d.size = len(d.strs)
-		for _, s := range d.strs {
-			d.bytes += int64(len(s)) + 16 // string header
-		}
+		d.vals.Strs, oldMap, deltaMap = merge(old.vals.Strs, oldCodes, delta.Strs, deltaCodes)
 	}
+	d.size, d.bytes = d.vals.Len(), d.vals.Bytes(0)
 	codes := make([]uint32, len(oldCodes)+len(deltaCodes))
 	for r, c := range oldCodes {
 		codes[r] = oldMap[c]
@@ -93,7 +136,7 @@ func Merge(typ value.Type, old *Dictionary, oldCodes []uint32, delta []value.Val
 
 // merge is Merge over one payload type: it returns the merged sorted run
 // and the old→new and delta→new code tables.
-func merge[T cmp.Ordered](old []T, oldCodes []uint32, delta []value.Value, deltaCodes []uint32, payload func(value.Value) T) ([]T, []uint32, []uint32) {
+func merge[T cmp.Ordered](old []T, oldCodes []uint32, delta []T, deltaCodes []uint32) ([]T, []uint32, []uint32) {
 	oldMap, deltaMap := referenced(oldCodes, len(old)), referenced(deltaCodes, len(delta))
 	type ref struct {
 		v T
@@ -102,7 +145,7 @@ func merge[T cmp.Ordered](old []T, oldCodes []uint32, delta []value.Value, delta
 	var refs []ref // the referenced delta entries, then in value order
 	for c, m := range deltaMap {
 		if m != unused {
-			refs = append(refs, ref{payload(delta[c]), uint32(c)})
+			refs = append(refs, ref{delta[c], uint32(c)})
 		}
 	}
 	slices.SortFunc(refs, func(a, b ref) int { return cmp.Compare(a.v, b.v) })
@@ -170,7 +213,7 @@ func packStrings(strs []string) {
 }
 
 // Type returns the column type of the dictionary.
-func (d *Dictionary) Type() value.Type { return d.typ }
+func (d *Dictionary) Type() value.Type { return d.vals.Type }
 
 // Size returns the number of distinct values.
 func (d *Dictionary) Size() int { return d.size }
@@ -180,15 +223,7 @@ func (d *Dictionary) Size() int { return d.size }
 func (d *Dictionary) Bytes() int64 { return d.bytes }
 
 // At returns the value of code i, which must be below Size.
-func (d *Dictionary) At(i int) value.Value {
-	switch d.typ {
-	case value.Int64:
-		return value.NewInt(d.ints[i])
-	case value.Float64:
-		return value.NewFloat(d.floats[i])
-	}
-	return value.NewString(d.strs[i])
-}
+func (d *Dictionary) At(i int) value.Value { return d.vals.At(i) }
 
 // Decode returns the value of code c.
 func (d *Dictionary) Decode(c uint32) (value.Value, error) {
@@ -201,7 +236,7 @@ func (d *Dictionary) Decode(c uint32) (value.Value, error) {
 // Encode returns the code of v, or false if v is not in the dictionary.
 func (d *Dictionary) Encode(v value.Value) (uint32, bool) {
 	i := d.LowerBound(v)
-	if int(i) < d.size && v.Type() == d.typ && d.At(int(i)).Equal(v) {
+	if int(i) < d.size && v.Type() == d.vals.Type && d.At(int(i)).Equal(v) {
 		return i, true
 	}
 	return 0, false
@@ -219,13 +254,13 @@ func (d *Dictionary) UpperBound(v value.Value) uint32 { return d.search(v, 1) }
 // search returns the smallest code whose value compares to v at least
 // above: 0 for LowerBound, 1 for UpperBound.
 func (d *Dictionary) search(v value.Value, above int) uint32 {
-	switch d.typ {
+	switch d.vals.Type {
 	case value.Int64:
-		return bound(d.ints, v.Int(), above)
+		return bound(d.vals.Ints, v.Int(), above)
 	case value.Float64:
-		return bound(d.floats, v.Float(), above)
+		return bound(d.vals.Floats, v.Float(), above)
 	}
-	return bound(d.strs, v.Str(), above)
+	return bound(d.vals.Strs, v.Str(), above)
 }
 
 // bound returns the smallest i with cmp.Compare(s[i], x) >= above.

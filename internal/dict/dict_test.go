@@ -397,7 +397,11 @@ func FuzzDictionaryMerge(f *testing.F) {
 			rows = append(rows, delta[c])
 		}
 
-		got, codes := Merge(typ, old, keep, delta, deltaCodes)
+		typed := Values{Type: typ}
+		for _, v := range delta {
+			typed.Append(v)
+		}
+		got, codes := Merge(typ, old, keep, typed, deltaCodes)
 		want, wantCodes, err := Build(typ, rows)
 		if err != nil {
 			t.Fatal(err)
@@ -409,7 +413,7 @@ func FuzzDictionaryMerge(f *testing.F) {
 		if !slices.EqualFunc(entries(got), naive, value.Value.Equal) || !slices.Equal(codes, naiveCodes) {
 			t.Fatalf("Merge = %v %v, sorted = %v %v", entries(got), codes, naive, naiveCodes)
 		}
-		if slots := cap(got.ints) + cap(got.floats) + cap(got.strs); slots != got.Size() {
+		if slots := cap(got.vals.Ints) + cap(got.vals.Floats) + cap(got.vals.Strs); slots != got.Size() {
 			t.Fatalf("dictionary holds %d slots for %d values", slots, got.Size())
 		}
 	})

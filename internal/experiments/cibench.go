@@ -308,18 +308,12 @@ func (h *ciReplayHandler) CreateIndex(name string, cols []int) error {
 func (h *ciReplayHandler) Commit(ts mvcc.Timestamp, ops []mvcc.RedoOp) error {
 	for _, op := range ops {
 		if op.Delete {
-			if err := h.tbl.ReplayDelete(op.Row, ts); err != nil {
-				return err
-			}
 			h.rows--
-			continue
+		} else {
+			h.rows++
 		}
-		if err := h.tbl.ReplayInsert(op.Row, ts); err != nil {
-			return err
-		}
-		h.rows++
 	}
-	return nil
+	return h.tbl.ReplayCommit(ts, ops)
 }
 
 func (h *ciReplayHandler) Checkpoint(mvcc.Timestamp) {}

@@ -492,15 +492,20 @@ func (v *Versions) sharedSeen(snapshot Timestamp) bool {
 func (v *Versions) AppendAt(begin, end Timestamp) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.appendLocked(begin, end, 0)
+	return v.appendLocked(1, begin, end, 0)
 }
 
 // AppendCommitted adds a row that is immediately visible from ts on
 // (bulk loads, merge output).
-func (v *Versions) AppendCommitted(ts Timestamp) int {
+func (v *Versions) AppendCommitted(ts Timestamp) int { return v.AppendCommittedN(1, ts) }
+
+// AppendCommittedN adds n rows that are immediately visible from ts on,
+// under one hold of the lock — a batch appended to a delta partition —
+// and returns the first one's position.
+func (v *Versions) AppendCommittedN(n int, ts Timestamp) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.appendLocked(ts, Infinity, 0)
+	return v.appendLocked(n, ts, Infinity, 0)
 }
 
 // AppendPending adds a provisional row owned by tx; it becomes visible
@@ -508,16 +513,20 @@ func (v *Versions) AppendCommitted(ts Timestamp) int {
 func (v *Versions) AppendPending(tx TxID) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.appendLocked(0, Infinity, tx)
+	return v.appendLocked(1, 0, Infinity, tx)
 }
 
-// appendLocked adds a dense row and returns its position.
-func (v *Versions) appendLocked(begin, end Timestamp, owner TxID) int {
-	v.begin = append(v.begin, begin)
-	v.end = append(v.end, end)
-	v.owner = append(v.owner, owner)
-	v.intent = append(v.intent, 0)
-	return v.lenLocked() - 1
+// appendLocked adds n dense rows alike and returns the first one's
+// position.
+func (v *Versions) appendLocked(n int, begin, end Timestamp, owner TxID) int {
+	first := v.lenLocked()
+	for range n {
+		v.begin = append(v.begin, begin)
+		v.end = append(v.end, end)
+		v.owner = append(v.owner, owner)
+		v.intent = append(v.intent, 0)
+	}
+	return first
 }
 
 // CommitInsert publishes a pending row at commit timestamp ts.

@@ -320,7 +320,7 @@ func (src source) oldSlots(nCols int) ([][]byte, error) {
 // delta's. One that was in the SSCG decodes its copied slots, appends
 // the folded delta values and, if needCodes, encodes them all.
 func (src source) encode(col int, typ value.Type, oldSlots []byte, needCodes bool) (encoded, error) {
-	var deltaValues []value.Value
+	var deltaValues dict.Values
 	var deltaCodes []uint32
 	if src.frozen != nil {
 		deltaValues, deltaCodes = src.frozen.Column(col)
@@ -346,7 +346,7 @@ func (src source) encode(col int, typ value.Type, oldSlots []byte, needCodes boo
 	vals := make([]value.Value, nKeep+len(src.fold))
 	decodeSlots(typ, oldSlots, vals[:nKeep])
 	for i, pos := range src.fold {
-		vals[nKeep+i] = deltaValues[deltaCodes[pos]]
+		vals[nKeep+i] = deltaValues.At(int(deltaCodes[pos]))
 	}
 	if !needCodes {
 		return encoded{vals: vals}, nil

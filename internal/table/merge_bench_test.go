@@ -38,3 +38,25 @@ func BenchmarkMergeRebuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }
+
+// BenchmarkBulkLoad times a BulkLoad of the rows the benchmark workloads
+// load — 300 k ORDERLINE rows appended to a fresh table as one batch and
+// merged into its all-MRC main. ns/row divides by the rows loaded.
+func BenchmarkBulkLoad(b *testing.B) {
+	rows := tpcc.GenerateOrderLines(tpcc.Config{Warehouses: 10, OrdersPerDistrict: 300, Items: 10000, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl, err := table.New("ORDERLINE", tpcc.OrderLineSchema(), table.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tbl.BulkAppend(rows); err != nil {
+			b.Fatal(err)
+		}
+		if err := tbl.Merge(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+}

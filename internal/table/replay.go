@@ -9,28 +9,42 @@ import (
 )
 
 // BulkAppendAt loads rows outside any transaction, visible from the
-// explicit commit timestamp ts on. The durable bulk-load path allocates
-// ts via mvcc.Manager.BulkCommit (which logs the rows first); recovery
-// uses it to restore checkpoint snapshots at their snapshot timestamp.
+// explicit commit timestamp ts on, as one batch: a row that does not fit
+// the schema fails it whole, and nothing is appended. The durable
+// bulk-load path allocates ts via mvcc.Manager.BulkCommit (which logs
+// the rows first); recovery uses it to restore checkpoint snapshots at
+// their snapshot timestamp and to replay each logged commit's inserts.
 func (t *Table) BulkAppendAt(rows [][]value.Value, ts mvcc.Timestamp) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for i, row := range rows {
-		if _, err := t.delta.Append(row, ts); err != nil {
-			return fmt.Errorf("table %s: bulk append row %d: %w", t.name, i, err)
-		}
+	if _, err := t.delta.AppendRows(rows, ts); err != nil {
+		return fmt.Errorf("table %s: bulk append: %w", t.name, err)
 	}
 	return nil
 }
 
-// ReplayInsert re-applies a logged insert during recovery: the row
-// lands in the active delta, visible from its original commit
-// timestamp.
-func (t *Table) ReplayInsert(row []value.Value, ts mvcc.Timestamp) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if _, err := t.delta.Append(row, ts); err != nil {
-		return fmt.Errorf("table %s: replay insert: %w", t.name, err)
+// ReplayCommit re-applies, during recovery, the ops of one logged commit
+// that name this table, at the commit's timestamp: its inserts as one
+// batch into the active delta, then its deletes in log order. A delete
+// stamps the first live row of its content (ReplayDelete), and the
+// commit's inserts land after every older row, so applying them first
+// leaves each delete the row it stamped when the commit was made.
+func (t *Table) ReplayCommit(ts mvcc.Timestamp, ops []mvcc.RedoOp) error {
+	var rows [][]value.Value
+	for _, op := range ops {
+		if op.Table == t.name && !op.Delete {
+			rows = append(rows, op.Row)
+		}
+	}
+	if err := t.BulkAppendAt(rows, ts); err != nil {
+		return err
+	}
+	for _, op := range ops {
+		if op.Table == t.name && op.Delete {
+			if err := t.ReplayDelete(op.Row, ts); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

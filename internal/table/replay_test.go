@@ -48,10 +48,10 @@ func TestBulkAppendAtVisibility(t *testing.T) {
 
 func TestReplayInsertDeleteAcrossMerge(t *testing.T) {
 	tbl, mgr := replayTestTable(t)
-	if err := tbl.ReplayInsert(replayRow(1, "a"), 2); err != nil {
+	if err := tbl.ReplayCommit(2, []mvcc.RedoOp{{Table: "t", Row: replayRow(1, "a")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.ReplayInsert(replayRow(2, "b"), 3); err != nil {
+	if err := tbl.ReplayCommit(3, []mvcc.RedoOp{{Table: "t", Row: replayRow(2, "b")}}); err != nil {
 		t.Fatal(err)
 	}
 	mgr.AdvanceTo(3)
@@ -60,7 +60,7 @@ func TestReplayInsertDeleteAcrossMerge(t *testing.T) {
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.ReplayInsert(replayRow(3, "c"), 4); err != nil {
+	if err := tbl.ReplayCommit(4, []mvcc.RedoOp{{Table: "t", Row: replayRow(3, "c")}}); err != nil {
 		t.Fatal(err)
 	}
 	mgr.AdvanceTo(4)

@@ -55,7 +55,8 @@ func (t *Table) Rows() int { return t.inner.VisibleCount() }
 // BulkLoad appends rows outside any transaction and merges them into
 // the main partition under the current layout. With a WAL configured
 // the whole batch is one atomic, durable commit record. An error means
-// the batch did not take effect. A nil return means it is committed and
+// the batch did not take effect: a row that does not fit the schema
+// fails the whole batch before any row is logged or appended. A nil return means it is committed and
 // visible; it is also merged unless another merge of the table was in
 // flight, in which case the scheduler folds it afterwards.
 func (t *Table) BulkLoad(rows [][]Value) error {
@@ -74,6 +75,11 @@ func (t *Table) BulkLoadCtx(ctx context.Context, rows [][]Value) error {
 	}
 	ops := make([]mvcc.RedoOp, len(rows))
 	for i, r := range rows {
+		// A row the delta would refuse fails the load before anything is
+		// logged: a logged batch is replayed by every later Open.
+		if err := t.inner.Schema().CheckRow(r); err != nil {
+			return fmt.Errorf("tierdb: bulk load row %d: %w", i, err)
+		}
 		ops[i] = mvcc.RedoOp{Table: t.Name(), Row: r}
 	}
 	_, err := t.db.mgr.BulkCommitCtx(ctx, ops, func(ts mvcc.Timestamp) error {
