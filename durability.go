@@ -58,9 +58,12 @@ func (db *DB) openDurability(cfg Config) error {
 
 // recover rebuilds committed state: every checkpoint snapshot is loaded
 // at its embedded snapshot timestamp, then the log replays on top,
-// skipping per table whatever its snapshot already covers. Recovery
-// time is dominated by decoding the MRC share back into DRAM — the
-// paper's reduced-recovery-time motivation — and is reported via the
+// skipping per table whatever its snapshot already covers. A TIERDB03
+// snapshot restores its main partition as stored: the MRCs' dictionaries
+// and packed codes are read back into DRAM, the SSCG's pages are written
+// back to the device undecoded, and only the indexes are built again —
+// so a snapshot's restart cost follows its MRC share, the paper's
+// reduced-recovery-time motivation. Log replay is reported via the
 // wal.recovery_ns metric as modeled DRAM sequential-read time over the
 // replayed bytes, which keeps the number machine-independent.
 func (db *DB) recover(fs wal.FS, dir string) error {
@@ -190,8 +193,11 @@ func (db *DB) addTable(inner *table.Table) *Table {
 // segment, quiesces the commit pipeline for an exact snapshot
 // timestamp, writes each table's snapshot (temp file, fsync, rename,
 // directory fsync), durably logs checkpoint-end and deletes the sealed
-// segments. Restart cost afterwards is the snapshots' MRC decode plus
-// only the log written since. No-op error when the database has no WAL.
+// segments. A snapshot writes each main partition's arrays as they are
+// (dictionaries, packed codes, SSCG pages), so its cost is a copy, not a
+// decode of every row. Restart cost afterwards is reading the MRCs back
+// into DRAM and the SSCG pages back to the device, plus replaying only
+// the log written since. No-op error when the database has no WAL.
 //
 // The scheduler checkpoints automatically after a scheduled
 // merge; call this directly around bulk work or before shutdown.

@@ -27,14 +27,14 @@ func Build(name string, typ value.Type, values []value.Value) (*MRC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("column %q: %w", name, err)
 	}
-	return New(name, d, codes), nil
+	return New(name, d, d.Pack(codes)), nil
 }
 
-// New assembles an MRC from its dictionary and the code of each row,
-// packed with the fewest bits the dictionary needs — how a merge builds
-// the column it has already encoded (dict.Merge).
-func New(name string, d *dict.Dictionary, codes []uint32) *MRC {
-	return &MRC{name: name, typ: d.Type(), dict: d, codes: dict.Pack(codes, uint32(max(d.Size()-1, 0)))}
+// New assembles an MRC from its dictionary and its packed codes — how a
+// merge builds the column it has already encoded (dict.Merge), and how
+// recovery adopts the column a checkpoint stored.
+func New(name string, d *dict.Dictionary, codes *dict.BitPacked) *MRC {
+	return &MRC{name: name, typ: d.Type(), dict: d, codes: codes}
 }
 
 // Name returns the column name.
@@ -154,3 +154,6 @@ func (c *MRC) ProbeRange(lo, hi value.Value, candidates []uint32, out []uint32) 
 
 // Dictionary exposes the underlying dictionary (read-only use).
 func (c *MRC) Dictionary() *dict.Dictionary { return c.dict }
+
+// Codes exposes the packed codes (read-only use).
+func (c *MRC) Codes() *dict.BitPacked { return c.codes }

@@ -212,6 +212,28 @@ func packStrings(strs []string) {
 	}
 }
 
+// FromSorted returns the dictionary of the values vs, which must be
+// strictly ascending in cmp.Compare's order — how a checkpoint stores a
+// dictionary (Values) and recovery adopts it. It keeps vs's slices.
+func FromSorted(vs Values) (*Dictionary, error) {
+	for i := 1; i < vs.Len(); i++ {
+		if vs.At(i-1).Compare(vs.At(i)) >= 0 {
+			return nil, fmt.Errorf("dict: value %d (%v) not above value %d (%v)", i, vs.At(i), i-1, vs.At(i-1))
+		}
+	}
+	return &Dictionary{vals: vs, size: vs.Len(), bytes: vs.Bytes(0)}, nil
+}
+
+// Values returns the sorted distinct values; the slices are the
+// dictionary's own and must not be modified.
+func (d *Dictionary) Values() Values { return d.vals }
+
+// Pack packs the codes of rows of the dictionary's column with the
+// fewest bits its size needs.
+func (d *Dictionary) Pack(codes []uint32) *BitPacked {
+	return Pack(codes, uint32(max(d.size-1, 0)))
+}
+
 // Type returns the column type of the dictionary.
 func (d *Dictionary) Type() value.Type { return d.vals.Type }
 
@@ -290,6 +312,26 @@ func Pack(codes []uint32, maxCode uint32) *BitPacked {
 	return v
 }
 
+// Unpack returns the vector of n codes packed width bits each into
+// words, as Words returns them — how a checkpoint stores an MRC's codes.
+// It fails unless width is 1 to 32, words holds exactly n codes and
+// every code is below limit, the size of the codes' dictionary.
+func Unpack(width uint, n int, words []uint64, limit uint32) (*BitPacked, error) {
+	if width < 1 || width > 32 {
+		return nil, fmt.Errorf("dict: code width %d", width)
+	}
+	if uint64(len(words)) != (uint64(n)*uint64(width)+63)/64 {
+		return nil, fmt.Errorf("dict: %d words for %d %d-bit codes", len(words), n, width)
+	}
+	v := &BitPacked{bitsPer: width, n: n, words: words}
+	for i := range n {
+		if c := v.Get(i); c >= limit {
+			return nil, fmt.Errorf("dict: code %d at row %d, dictionary holds %d", c, i, limit)
+		}
+	}
+	return v, nil
+}
+
 func (v *BitPacked) set(i int, c uint32) {
 	bitPos := uint(i) * v.bitsPer
 	word, off := bitPos/64, bitPos%64
@@ -315,6 +357,10 @@ func (v *BitPacked) Len() int { return v.n }
 
 // Bits returns the per-code bit width.
 func (v *BitPacked) Bits() uint { return v.bitsPer }
+
+// Words returns the packed payload; the slice is the vector's own and
+// must not be modified.
+func (v *BitPacked) Words() []uint64 { return v.words }
 
 // Bytes returns the packed payload size in bytes.
 func (v *BitPacked) Bytes() int64 { return int64(len(v.words) * 8) }

@@ -122,6 +122,32 @@ func FromSorted(typ value.Type, distinct func(i int) value.Value, counts []int, 
 	return h, nil
 }
 
+// Parts returns what the histogram is made of: the column's minimum,
+// each bucket's inclusive upper bound and row count, and the distinct
+// count — what a checkpoint stores. The slices are the histogram's own
+// and must not be modified.
+func (h *Histogram) Parts() (min value.Value, bounds []value.Value, counts []int, distinct int) {
+	return h.min, h.bounds, h.counts, h.distinct
+}
+
+// FromParts rebuilds the histogram Parts described — how recovery adopts
+// the one a checkpoint stored. It keeps the slices. There must be a
+// bound per count and at least one, every value of type typ, every
+// count positive and the distinct count at least the bucket count.
+func FromParts(typ value.Type, min value.Value, bounds []value.Value, counts []int, distinct int) (*Histogram, error) {
+	if len(counts) == 0 || len(bounds) != len(counts) || distinct < len(counts) || min.Type() != typ {
+		return nil, fmt.Errorf("histogram: %d bounds, %d counts, %d distinct values", len(bounds), len(counts), distinct)
+	}
+	h := &Histogram{typ: typ, min: min, bounds: bounds, counts: counts, distinct: distinct}
+	for i, c := range counts {
+		if c <= 0 || bounds[i].Type() != typ {
+			return nil, fmt.Errorf("histogram: bucket %d holds %d %s values", i, c, bounds[i].Type())
+		}
+		h.total += c
+	}
+	return h, nil
+}
+
 // Type returns the column type.
 func (h *Histogram) Type() value.Type { return h.typ }
 

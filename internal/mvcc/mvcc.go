@@ -771,6 +771,30 @@ func (v *Versions) VisibleIn(lo, hi int, snapshot Timestamp, self TxID, out []ui
 	return out
 }
 
+// HiddenAt returns, ascending, the rows not visible at snapshot to a
+// non-transactional reader: a checkpoint stores them with the main so
+// the main's arrays can be stored whole. Shared rows are decided by their
+// begin and the exceptions, never one by one, so on a main without
+// deletes this reads only the dense rows.
+func (v *Versions) HiddenAt(snapshot Timestamp) []int {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	var rows []int
+	if v.sharedSeen(snapshot) {
+		rows = v.excRows(func(_ int, e exception) bool { return e.end <= snapshot })
+	} else {
+		for row := range v.shared {
+			rows = append(rows, row)
+		}
+	}
+	for row := v.shared; row < v.lenLocked(); row++ {
+		if !v.visibleLocked(row, snapshot, 0) {
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
 // excRows lists, ascending, the shared rows whose exception hit accepts.
 func (v *Versions) excRows(hit func(row int, e exception) bool) []int {
 	var rows []int

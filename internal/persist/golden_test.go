@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
+	"os"
+	"slices"
 	"testing"
 
+	"tierdb/internal/exec"
 	"tierdb/internal/table"
 	"tierdb/internal/value"
 )
@@ -58,8 +62,8 @@ func TestSaveAtEmbedsSnapshotTimestamp(t *testing.T) {
 	if err := SaveAt(&buf, tbl, snapTs); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(buf.Bytes(), magicV2) {
-		t.Fatalf("SaveAt magic = %q, want TIERDB02", buf.Bytes()[:8])
+	if !bytes.HasPrefix(buf.Bytes(), magicV3) {
+		t.Fatalf("SaveAt magic = %q, want TIERDB03", buf.Bytes()[:8])
 	}
 	restored, gotTs, err := LoadAt(bytes.NewReader(buf.Bytes()), table.Options{})
 	if err != nil {
@@ -133,6 +137,18 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(v1Snapshot(f))
 	f.Add([]byte("TIERDB02"))
 	f.Add(append([]byte("TIERDB02"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+	// Small TIERDB03 images of the round-trip property's shapes — all-MRC,
+	// all-SSCG and mixed layouts, hidden rows, a frozen delta, composite
+	// indexes, empty mains — the crafted image and the TIERDB02 fixture.
+	for _, seed := range []int64{0, 3, 4, 12, 21, 25, 27, 37, 60, 62} {
+		c := buildRoundTripCase(f, seed)
+		c.saved.Release()
+		f.Add(c.image)
+	}
+	f.Add(validCraft().image())
+	if img, err := os.ReadFile("testdata/tierdb02.snap"); err == nil {
+		f.Add(img)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Load must never panic and never allocate past the input's own
 		// size class; corrupt input must classify as ErrBadSnapshot.
@@ -152,4 +168,96 @@ func FuzzSnapshotLoad(f *testing.F) {
 			t.Fatalf("re-load of re-saved snapshot failed: %v", err)
 		}
 	})
+}
+
+// goldenV2Rows are the rows of testdata/tierdb02.snap, in RowID order:
+// a TIERDB02 snapshot taken at timestamp 3 of a table of twelve
+// bulk-loaded rows under the layout [MRC, SSCG, SSCG], indexed on id and
+// on (id, tag), after one commit deleted row 3, (3, +Inf, "gamma"), and
+// inserted (100, 7, "delta") and a second inserted (2, -1, "beta").
+func goldenV2Rows() [][]value.Value {
+	row := func(id int64, price float64, tag string) []value.Value {
+		return []value.Value{value.NewInt(id), value.NewFloat(price), value.NewString(tag)}
+	}
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	return [][]value.Value{
+		row(0, 1.5, ""), row(1, nan, "alpha"), row(2, negZero, "beta"), row(4, -2.25, ""),
+		row(5, 1e300, "alpha"), row(6, 1.5, "beta"), row(7, nan, "gamma"), row(8, negZero, ""),
+		row(0, math.Inf(1), "alpha"), row(1, -2.25, "beta"), row(2, 1e300, "gamma"),
+		row(100, 7, "delta"), row(2, -1, "beta"),
+	}
+}
+
+// TestGoldenTIERDB02 loads a snapshot the previous format's writer
+// wrote and pins what it restores — rows, layout, indexes and query
+// answers — then carries it through a TIERDB03 save and load: a write
+// acknowledged in an old checkpoint survives the upgrade.
+func TestGoldenTIERDB02(t *testing.T) {
+	img, err := os.ReadFile("testdata/tierdb02.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(img, magicV2) {
+		t.Fatalf("fixture magic %q, want TIERDB02", img[:8])
+	}
+	v2, ts, err := LoadAt(bytes.NewReader(img), table.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts != 3 {
+		t.Fatalf("snapshot timestamp %d, want 3", ts)
+	}
+	var v3Image bytes.Buffer
+	if err := Save(&v3Image, v2); err != nil {
+		t.Fatal(err)
+	}
+	v3, _, err := LoadAt(bytes.NewReader(v3Image.Bytes()), table.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenV2Rows()
+	for name, tbl := range map[string]*table.Table{"TIERDB02": v2, "TIERDB03 of it": v3} {
+		if got := tbl.Layout(); !slices.Equal(got, []bool{true, false, false}) {
+			t.Errorf("%s: layout %v", name, got)
+		}
+		if tbl.Index(0) == nil || !slices.EqualFunc(tbl.CompositeIndexes(), [][]int{{0, 2}}, slices.Equal) {
+			t.Errorf("%s: indexes on id %v, composites %v", name, tbl.Index(0) != nil, tbl.CompositeIndexes())
+		}
+		if n := tbl.VisibleCount(); n != len(want) {
+			t.Fatalf("%s: %d rows visible, want %d", name, n, len(want))
+		}
+		for id, w := range want {
+			got, err := tbl.GetTuple(uint64(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameValues(got, w) || math.Signbit(got[1].Float()) != math.Signbit(w[1].Float()) {
+				t.Errorf("%s: row %d = %v, want %v", name, id, got, w)
+			}
+		}
+		ex := exec.New(tbl, exec.Options{})
+		res, err := ex.Run(exec.Query{Predicates: []exec.Predicate{{Column: 0, Op: exec.Eq, Value: value.NewInt(2)}}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.IDs, []table.RowID{2, 10, 12}) {
+			t.Errorf("%s: id = 2 gives rows %v, want [2 10 12]", name, res.IDs)
+		}
+		res, err = ex.Run(exec.Query{Predicates: []exec.Predicate{{Column: 1, Op: exec.Between, Value: value.NewFloat(-3), Hi: value.NewFloat(0)}}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.IDs, []table.RowID{2, 3, 7, 9, 12}) {
+			t.Errorf("%s: price in [-3, 0] gives rows %v, want [2 3 7 9 12]", name, res.IDs)
+		}
+		v := tbl.Pin()
+		ids, err := v.LookupComposite([]int{0, 2}, []value.Value{value.NewInt(2), value.NewString("beta")}, tbl.Manager().LastCommit(), 0)
+		v.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ids, []table.RowID{2, 12}) {
+			t.Errorf("%s: (id, tag) = (2, beta) gives rows %v, want [2 12]", name, ids)
+		}
+	}
 }

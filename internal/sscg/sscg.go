@@ -61,6 +61,38 @@ func Build(fields []schema.Field, rows [][]value.Value, store storage.Store, cac
 // encoding a value or by copying the slot of another group. If cache is
 // non-nil, reads go through it.
 func BuildFunc(fields []schema.Field, n int, fill func(row int, slots [][]byte) error, store storage.Store, cache *amm.Cache) (*Group, error) {
+	return build(fields, n, store, cache, func(g *Group) error { return g.writeRows(fill) })
+}
+
+// Restore writes a group of n rows whose pages, PageCount(fields, n) of
+// them, are each filled in order by read — how recovery adopts the pages
+// a checkpoint copied byte for byte (ReadPages). If cache is non-nil,
+// reads go through it.
+func Restore(fields []schema.Field, n int, read func(page []byte) error, store storage.Store, cache *amm.Cache) (*Group, error) {
+	return build(fields, n, store, cache, func(g *Group) error {
+		page := make([]byte, storage.PageSize)
+		for range g.pageCount() {
+			if err := read(page); err != nil {
+				return err
+			}
+			if err := g.writePage(page); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// PageCount returns how many pages a group of n rows of fields occupies.
+func PageCount(fields []schema.Field, n int) int {
+	g := &Group{fields: fields, rows: n}
+	g.layOut()
+	return g.pageCount()
+}
+
+// build lays out a group of n rows of fields and writes its pages with
+// write.
+func build(fields []schema.Field, n int, store storage.Store, cache *amm.Cache, write func(g *Group) error) (*Group, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("sscg: no fields")
 	}
@@ -70,19 +102,9 @@ func BuildFunc(fields []schema.Field, n int, fill func(row int, slots [][]byte) 
 		cache:  cache,
 		rows:   n,
 	}
-	g.offsets = make([]int, len(fields))
-	for i, f := range fields {
-		g.offsets[i] = g.rowWidth
-		g.rowWidth += f.SlotWidth()
-	}
-	if g.rowWidth <= storage.PageSize {
-		g.rowsPerPage = storage.PageSize / g.rowWidth
-		g.pagesPerRow = 1
-	} else {
-		g.pagesPerRow = (g.rowWidth + storage.PageSize - 1) / storage.PageSize
-	}
+	g.layOut()
 	g.bufs.New = newPageBuf
-	if err := g.writeRows(fill); err != nil {
+	if err := write(g); err != nil {
 		// Return already-written pages to the freelist so an aborted
 		// build (e.g. a storage fault mid-merge) leaks nothing; the
 		// fault-injection tests assert the page count returns to its
@@ -95,6 +117,44 @@ func BuildFunc(fields []schema.Field, n int, fill func(row int, slots [][]byte) 
 	return g, nil
 }
 
+// layOut places the fields' slots in a row and the rows on pages.
+func (g *Group) layOut() {
+	g.offsets = make([]int, len(g.fields))
+	for i, f := range g.fields {
+		g.offsets[i] = g.rowWidth
+		g.rowWidth += f.SlotWidth()
+	}
+	if g.rowWidth <= storage.PageSize {
+		g.rowsPerPage = storage.PageSize / g.rowWidth
+		g.pagesPerRow = 1
+	} else {
+		g.pagesPerRow = (g.rowWidth + storage.PageSize - 1) / storage.PageSize
+	}
+}
+
+// pageCount returns how many pages the group's rows occupy.
+func (g *Group) pageCount() int {
+	if g.pagesPerRow > 1 {
+		return g.rows * g.pagesPerRow
+	}
+	return (g.rows + g.rowsPerPage - 1) / g.rowsPerPage
+}
+
+// writePage allocates the group's next page and writes data to it.
+func (g *Group) writePage(data []byte) error {
+	id, err := g.store.Allocate()
+	if err != nil {
+		return fmt.Errorf("sscg: allocate page: %w", err)
+	}
+	// Track the page before writing it: a failed write must still reach
+	// the abort path's FreePages or the page leaks.
+	g.pages = append(g.pages, id)
+	if err := g.store.WritePage(id, data); err != nil {
+		return fmt.Errorf("sscg: write page: %w", err)
+	}
+	return nil
+}
+
 // writeRows fills and persists all rows.
 func (g *Group) writeRows(fill func(row int, slots [][]byte) error) error {
 	rowBuf := make([]byte, g.rowWidth)
@@ -102,15 +162,8 @@ func (g *Group) writeRows(fill func(row int, slots [][]byte) error) error {
 	page := make([]byte, storage.PageSize)
 	inPage := 0
 	flush := func() error {
-		id, err := g.store.Allocate()
-		if err != nil {
-			return fmt.Errorf("sscg: allocate page: %w", err)
-		}
-		// Track the page before writing it: a failed write must still
-		// reach the abort path's FreePages or the page leaks.
-		g.pages = append(g.pages, id)
-		if err := g.store.WritePage(id, page); err != nil {
-			return fmt.Errorf("sscg: write page: %w", err)
+		if err := g.writePage(page); err != nil {
+			return err
 		}
 		clear(page)
 		inPage = 0
@@ -191,6 +244,19 @@ func (g *Group) ReadRows(lo, hi int, fn func(row int, slots [][]byte) error) err
 			return err
 		}
 		if err := fn(row, g.slots(rowBytes, slots)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadPages calls fn with each page of the group in order, read once
+// through the cache (when configured) as ReadRows reads them — how a
+// checkpoint copies the group byte for byte (Restore). The content is
+// only valid during the call.
+func (g *Group) ReadPages(fn func(page []byte) error) error {
+	for _, id := range g.pages {
+		if err := g.readPage(id, fn); err != nil {
 			return err
 		}
 	}

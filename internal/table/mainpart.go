@@ -37,8 +37,7 @@ type main struct {
 	versions   *mvcc.Versions
 	indexes    map[int]*bptree.Tree      // single-column indexes, always DRAM-resident
 	composites map[string]compositeIndex // multi-column indexes by canonical column list
-	distinct   []int                     // per-column distinct counts
-	hists      []*histogram.Histogram    // per-column equi-depth histograms (nil when empty)
+	hists      []*histogram.Histogram    // per-column equi-depth histograms and distinct counts (nil when empty)
 	epoch      *epoch                    // reclamation epoch owning group's pages
 }
 
@@ -84,57 +83,65 @@ func (m *main) value(row, col int) (value.Value, error) {
 	return m.group.ReadField(row, m.groupIdx[col])
 }
 
-// addIndex builds a DRAM-resident B+-tree over cols and registers it:
-// one column indexes its values, several index the order-preserving
-// byte encoding of the column tuple (cf. Hyrise's composite keys, paper
-// Section IV). cell supplies the cells — the merge's row buffer, or
-// value of the main a new index is created on. It writes m's index
-// maps, so m must not be installed yet.
-func (m *main) addIndex(cols []int, cell func(row, col int) (value.Value, error)) error {
-	typ := value.String
-	if len(cols) == 1 {
-		typ = m.schema.Field(cols[0]).Type
+// addIndex builds a DRAM-resident B+-tree over cols and registers it.
+// One column indexes its values, bulk-loaded from its codes
+// (bptree.FromCodes) — an SSCG column's values are encoded first;
+// several index the order-preserving byte encoding of the column tuple
+// (cf. Hyrise's composite keys, paper Section IV). column supplies each
+// column — the merge's encoding, or column of the main a new index is
+// created on. It writes m's index maps, so m must not be installed yet.
+func (m *main) addIndex(cols []int, column func(col int) (encoded, error)) error {
+	enc := make([]encoded, len(cols))
+	for i, c := range cols {
+		var err error
+		if enc[i], err = column(c); err != nil {
+			return fmt.Errorf("table %s: build index on columns %v: %w", m.name, cols, err)
+		}
 	}
-	tree := bptree.New(typ)
+	if len(cols) == 1 {
+		e, typ := enc[0], m.schema.Field(cols[0]).Type
+		if e.dict == nil {
+			var err error
+			if e.dict, e.codes, err = dict.Build(typ, e.vals); err != nil {
+				return fmt.Errorf("table %s: build index on column %d: %w", m.name, cols[0], err)
+			}
+		}
+		keys := make([]value.Value, e.dict.Size())
+		for i := range keys {
+			keys[i] = e.dict.At(i)
+		}
+		m.indexes[cols[0]] = bptree.FromCodes(typ, keys, e.codes)
+		return nil
+	}
+	tree := bptree.New(value.String)
 	key := make([]value.Value, len(cols))
 	for row := 0; row < m.rows; row++ {
-		for i, c := range cols {
-			v, err := cell(row, c)
-			if err != nil {
-				return fmt.Errorf("table %s: build index on columns %v: %w", m.name, cols, err)
-			}
-			key[i] = v
+		for i := range cols {
+			key[i] = enc[i].value(row)
 		}
-		k := key[0]
-		if len(cols) > 1 {
-			enc, err := keyenc.EncodeString(key)
-			if err != nil {
-				return fmt.Errorf("table %s: encode composite key: %w", m.name, err)
-			}
-			k = value.NewString(enc)
+		k, err := keyenc.EncodeString(key)
+		if err != nil {
+			return fmt.Errorf("table %s: encode composite key: %w", m.name, err)
 		}
-		tree.Insert(k, uint32(row))
+		tree.Insert(value.NewString(k), uint32(row))
 	}
-	if len(cols) == 1 {
-		m.indexes[cols[0]] = tree
-	} else {
-		m.composites[compositeKeyName(cols)] = compositeIndex{cols: append([]int(nil), cols...), tree: tree}
-	}
+	m.composites[compositeKeyName(cols)] = compositeIndex{cols: append([]int(nil), cols...), tree: tree}
 	return nil
 }
 
-// addIndexesOf builds on m every index that from has and m lacks.
-func (m *main) addIndexesOf(from *main, cell func(row, col int) (value.Value, error)) error {
+// addIndexesOf builds on m every index that from has and m lacks, from
+// the columns column supplies.
+func (m *main) addIndexesOf(from *main, column func(col int) (encoded, error)) error {
 	for col := range from.indexes {
 		if _, ok := m.indexes[col]; !ok {
-			if err := m.addIndex([]int{col}, cell); err != nil {
+			if err := m.addIndex([]int{col}, column); err != nil {
 				return err
 			}
 		}
 	}
 	for name, ci := range from.composites {
 		if _, ok := m.composites[name]; !ok {
-			if err := m.addIndex(ci.cols, cell); err != nil {
+			if err := m.addIndex(ci.cols, column); err != nil {
 				return err
 			}
 		}
@@ -142,8 +149,30 @@ func (m *main) addIndexesOf(from *main, cell func(row, col int) (value.Value, er
 	return nil
 }
 
-// histogramBuckets is the equi-depth histogram resolution.
-const histogramBuckets = 64
+// column returns column col: an MRC's dictionary and codes, or an SSCG
+// column's values decoded from one ordered walk of the group's pages.
+func (m *main) column(col int) (encoded, error) {
+	if mrc := m.mrcs[col]; mrc != nil {
+		codes := make([]uint32, m.rows)
+		for i := range codes {
+			codes[i] = mrc.Code(i)
+		}
+		return encoded{dict: mrc.Dictionary(), codes: codes}, nil
+	}
+	gi, f := m.groupIdx[col], m.schema.Field(col)
+	raw := make([]byte, 0, m.rows*f.SlotWidth())
+	err := m.group.ReadRows(0, m.rows, func(_ int, slots [][]byte) error {
+		raw = append(raw, slots[gi]...)
+		return nil
+	})
+	vals := make([]value.Value, m.rows)
+	decodeSlots(f.Type, raw, vals)
+	return encoded{vals: vals}, err
+}
+
+// HistogramBuckets is the equi-depth histogram resolution: no column
+// has more buckets.
+const HistogramBuckets = 64
 
 // source is what the next main is built from: the rows of old that
 // survive, then the rows of a frozen delta that are folded in, each list
@@ -176,13 +205,13 @@ func (e encoded) value(row int) value.Value {
 // dictionary, else by sorting its values.
 func (e encoded) histogram(typ value.Type) (*histogram.Histogram, error) {
 	if e.dict == nil {
-		return histogram.Build(typ, e.vals, histogramBuckets)
+		return histogram.Build(typ, e.vals, HistogramBuckets)
 	}
 	counts := make([]int, e.dict.Size())
 	for _, c := range e.codes {
 		counts[c]++
 	}
-	return histogram.FromSorted(typ, e.dict.At, counts, histogramBuckets)
+	return histogram.FromSorted(typ, e.dict.At, counts, HistogramBuckets)
 }
 
 // buildMain builds the main partition holding src's rows under layout,
@@ -203,28 +232,13 @@ func (e encoded) histogram(typ value.Type) (*histogram.Histogram, error) {
 // and every index of src.old; a main that ends up not installed is
 // abandoned with epoch.release, which frees the SSCG pages written here.
 func (t *Table) buildMain(layout []bool, src source) (*main, error) {
-	nCols := t.schema.Len()
 	nKeep := len(src.keep)
-	m := &main{
-		name:       t.name,
-		schema:     t.schema,
-		rows:       nKeep + len(src.fold),
-		layout:     append([]bool(nil), layout...),
-		mrcs:       make([]*column.MRC, nCols),
-		groupIdx:   make([]int, nCols),
-		versions:   src.versions,
-		indexes:    make(map[int]*bptree.Tree),
-		composites: make(map[string]compositeIndex),
-		distinct:   make([]int, nCols),
-		hists:      make([]*histogram.Histogram, nCols),
-	}
-	oldSlots, err := src.oldSlots(nCols)
+	m, groupFields := t.newMain(layout, nKeep+len(src.fold), src.versions)
+	oldSlots, err := src.oldSlots(len(layout))
 	if err != nil {
 		return nil, fmt.Errorf("table %s: merge read main rows: %w", t.name, err)
 	}
-	cols := make([]encoded, nCols)
-	var groupFields []schema.Field
-	var groupCols []int
+	cols := make([]encoded, len(layout))
 	for col := range cols {
 		f := t.schema.Field(col)
 		needCodes := layout[col] || src.old != nil && src.old.indexes[col] != nil
@@ -235,20 +249,17 @@ func (t *Table) buildMain(layout []bool, src source) (*main, error) {
 			if m.hists[col], err = cols[col].histogram(f.Type); err != nil {
 				return nil, fmt.Errorf("table %s: build histogram for %q: %w", t.name, f.Name, err)
 			}
-			m.distinct[col] = m.hists[col].DistinctCount()
 		}
-		m.groupIdx[col] = -1
 		if layout[col] {
-			m.mrcs[col] = column.New(f.Name, cols[col].dict, cols[col].codes)
-		} else {
-			m.groupIdx[col] = len(groupFields)
-			groupFields = append(groupFields, f)
-			groupCols = append(groupCols, col)
+			m.mrcs[col] = column.New(f.Name, cols[col].dict, cols[col].dict.Pack(cols[col].codes))
 		}
 	}
 	if len(groupFields) > 0 {
 		m.group, err = sscg.BuildFunc(groupFields, m.rows, func(row int, slots [][]byte) error {
-			for gi, col := range groupCols {
+			for col, gi := range m.groupIdx {
+				if gi < 0 {
+					continue
+				}
 				if old := oldSlots[col]; row < nKeep && old != nil {
 					w := len(slots[gi])
 					copy(slots[gi], old[row*w:(row+1)*w])
@@ -266,21 +277,38 @@ func (t *Table) buildMain(layout []bool, src source) (*main, error) {
 	if src.old == nil {
 		return m, nil
 	}
-	for col := range src.old.indexes {
-		d := cols[col].dict
-		keys := make([]value.Value, d.Size())
-		for i := range keys {
-			keys[i] = d.At(i)
-		}
-		m.indexes[col] = bptree.FromCodes(t.schema.Field(col).Type, keys, cols[col].codes)
-	}
-	for _, ci := range src.old.composites {
-		if err := m.addIndex(ci.cols, func(row, col int) (value.Value, error) { return cols[col].value(row), nil }); err != nil {
-			m.epoch.release()
-			return nil, err
-		}
+	if err := m.addIndexesOf(src.old, func(col int) (encoded, error) { return cols[col], nil }); err != nil {
+		m.epoch.release()
+		return nil, err
 	}
 	return m, nil
+}
+
+// newMain returns a main of rows rows under layout with versions, and
+// the fields of its SSCG: each SSCG column numbered in groupIdx, every
+// column's MRC and histogram still nil, and no index.
+func (t *Table) newMain(layout []bool, rows int, versions *mvcc.Versions) (*main, []schema.Field) {
+	m := &main{
+		name:       t.name,
+		schema:     t.schema,
+		rows:       rows,
+		layout:     append([]bool(nil), layout...),
+		mrcs:       make([]*column.MRC, len(layout)),
+		groupIdx:   make([]int, len(layout)),
+		versions:   versions,
+		indexes:    make(map[int]*bptree.Tree),
+		composites: make(map[string]compositeIndex),
+		hists:      make([]*histogram.Histogram, len(layout)),
+	}
+	var groupFields []schema.Field
+	for col := range m.groupIdx {
+		m.groupIdx[col] = -1
+		if !layout[col] {
+			m.groupIdx[col] = len(groupFields)
+			groupFields = append(groupFields, t.schema.Field(col))
+		}
+	}
+	return m, groupFields
 }
 
 // oldSlots copies, for every column in the old main's SSCG, the slot of

@@ -273,7 +273,7 @@ func (t *Table) swapMain(st *mergeState, b *rebuilt) error {
 
 	// Indexes created after the freeze exist on the current main (a copy
 	// of st.old, see installIndex) but not in the rebuilt set.
-	if err := b.next.addIndexesOf(t.main, b.next.value); err != nil {
+	if err := b.next.addIndexesOf(t.main, b.next.column); err != nil {
 		return fail(err)
 	}
 

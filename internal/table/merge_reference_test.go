@@ -7,6 +7,7 @@ import (
 	"tierdb/internal/column"
 	"tierdb/internal/delta"
 	"tierdb/internal/histogram"
+	"tierdb/internal/keyenc"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
 	"tierdb/internal/sscg"
@@ -19,9 +20,32 @@ import (
 // compare against it (TestOnlineMergeEquivalenceProperty through
 // MergeOffline, TestColumnarMainMatchesRowPath through buildMainRows).
 
-// bufferCells serves addIndex from the row buffer a main was built from.
-func bufferCells(rows [][]value.Value) func(row, col int) (value.Value, error) {
-	return func(row, col int) (value.Value, error) { return rows[row][col], nil }
+// addIndexesRowPath builds on m every index from has, from the row
+// buffer m was built from, one tree Insert per row.
+func (m *main) addIndexesRowPath(from *main, rows [][]value.Value) error {
+	for col := range from.indexes {
+		tree := bptree.New(m.schema.Field(col).Type)
+		for r, row := range rows {
+			tree.Insert(row[col], uint32(r))
+		}
+		m.indexes[col] = tree
+	}
+	for name, ci := range from.composites {
+		tree := bptree.New(value.String)
+		key := make([]value.Value, len(ci.cols))
+		for r, row := range rows {
+			for i, c := range ci.cols {
+				key[i] = row[c]
+			}
+			enc, err := keyenc.EncodeString(key)
+			if err != nil {
+				return err
+			}
+			tree.Insert(value.NewString(enc), uint32(r))
+		}
+		m.composites[name] = compositeIndex{cols: ci.cols, tree: tree}
+	}
+	return nil
 }
 
 // buildMainRows builds the main partition holding rows under layout:
@@ -50,7 +74,6 @@ func (t *Table) buildMainRows(layout []bool, rows [][]value.Value) (*main, error
 		versions:   mvcc.NewVersions(),
 		indexes:    make(map[int]*bptree.Tree),
 		composites: make(map[string]compositeIndex),
-		distinct:   make([]int, nCols),
 		hists:      make([]*histogram.Histogram, nCols),
 	}
 	for col := 0; col < nCols; col++ {
@@ -58,12 +81,11 @@ func (t *Table) buildMainRows(layout []bool, rows [][]value.Value) (*main, error
 		if len(rows) == 0 {
 			continue
 		}
-		h, err := histogram.Build(t.schema.Field(col).Type, colVals[col], histogramBuckets)
+		h, err := histogram.Build(t.schema.Field(col).Type, colVals[col], HistogramBuckets)
 		if err != nil {
 			return nil, fmt.Errorf("table %s: build histogram for %q: %w", t.name, t.schema.Field(col).Name, err)
 		}
 		m.hists[col] = h
-		m.distinct[col] = h.DistinctCount()
 	}
 
 	var groupFields []schema.Field
@@ -139,7 +161,7 @@ func (t *Table) MergeOffline() error {
 	for range rows {
 		next.versions.AppendCommitted(snapshot)
 	}
-	if err := next.addIndexesOf(old, bufferCells(rows)); err != nil {
+	if err := next.addIndexesRowPath(old, rows); err != nil {
 		next.epoch.release()
 		return err
 	}

@@ -3,10 +3,52 @@ package table
 import (
 	"fmt"
 
+	"tierdb/internal/column"
 	"tierdb/internal/delta"
+	"tierdb/internal/histogram"
 	"tierdb/internal/mvcc"
+	"tierdb/internal/schema"
+	"tierdb/internal/sscg"
 	"tierdb/internal/value"
 )
+
+// Image is a main partition as a checkpoint stores it (package
+// persist): its arrays, which Restore adopts as they are.
+type Image struct {
+	Layout []bool        // Layout[i]: column i is an MRC
+	Rows   int           // rows, hidden ones included
+	MRCs   []*column.MRC // per column, nil for one in the SSCG
+	// Pages fills the SSCG's pages, one per call, in order (sscg.Restore).
+	Pages  func(page []byte) error
+	Hists  []*histogram.Histogram // per column, all nil when Rows is 0
+	Hidden []int                  // the rows not visible at the snapshot, ascending
+}
+
+// Restore creates a table whose main partition is img, its rows visible
+// from ts on except the hidden ones, which end at ts: the next merge
+// purges them and ReplayDelete passes them over. Nothing is decoded or
+// re-encoded; CreateIndex builds the indexes from the codes afterwards.
+func Restore(name string, s *schema.Schema, opts Options, ts mvcc.Timestamp, img Image) (*Table, error) {
+	t, err := New(name, s, opts)
+	if err != nil {
+		return nil, err
+	}
+	m, groupFields := t.newMain(img.Layout, img.Rows, mvcc.NewVersionsAt(img.Rows, ts, nil))
+	m.mrcs, m.hists = img.MRCs, img.Hists
+	ends := make([]mvcc.Timestamp, len(img.Hidden))
+	for i := range ends {
+		ends[i] = ts
+	}
+	m.versions.SetEnds(img.Hidden, ends)
+	if len(groupFields) > 0 {
+		if m.group, err = sscg.Restore(groupFields, img.Rows, img.Pages, t.store, t.cache); err != nil {
+			return nil, fmt.Errorf("table %s: restore SSCG: %w", name, err)
+		}
+	}
+	m.epoch = newEpoch(m.group)
+	t.main = m
+	return t, nil
+}
 
 // BulkAppendAt loads rows outside any transaction, visible from the
 // explicit commit timestamp ts on, as one batch: a row that does not fit
@@ -58,19 +100,13 @@ func (t *Table) ReplayCommit(ts mvcc.Timestamp, ops []mvcc.RedoOp) error {
 func (t *Table) ReplayDelete(tuple []value.Value, ts mvcc.Timestamp) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for row := 0; row < t.main.rows; row++ {
-		st := t.main.versions.State(row)
-		if !liveCommitted(st) {
-			continue
-		}
-		got, err := t.main.tuple(row)
-		if err != nil {
-			return fmt.Errorf("table %s: replay delete: %w", t.name, err)
-		}
-		if rowsEqual(got, tuple) {
-			t.main.versions.SetEnds([]int{row}, []mvcc.Timestamp{ts})
-			return nil
-		}
+	row, err := t.main.find(tuple)
+	if err != nil {
+		return fmt.Errorf("table %s: replay delete: %w", t.name, err)
+	}
+	if row >= 0 {
+		t.main.versions.SetEnds([]int{row}, []mvcc.Timestamp{ts})
+		return nil
 	}
 	for _, p := range []*delta.Partition{t.frozen, t.delta} {
 		if p == nil {
@@ -93,6 +129,45 @@ func (t *Table) ReplayDelete(tuple []value.Value, ts mvcc.Timestamp) error {
 		}
 	}
 	return fmt.Errorf("table %s: replay delete: no live row matches %v", t.name, tuple)
+}
+
+// find returns the first committed-live row of m whose content is
+// tuple, or -1. The tuple is encoded once against each MRC's dictionary
+// — a value one lacks is in no row — and the codes are compared first:
+// a row is read, with one SSCG access, only when its codes all match.
+func (m *main) find(tuple []value.Value) (int, error) {
+	if len(tuple) != len(m.mrcs) {
+		return -1, nil
+	}
+	codes := make([]uint32, len(m.mrcs))
+	for col, mrc := range m.mrcs {
+		ok := true
+		if mrc != nil {
+			codes[col], ok = mrc.Dictionary().Encode(tuple[col])
+		}
+		if !ok {
+			return -1, nil
+		}
+	}
+rows:
+	for row := 0; row < m.rows; row++ {
+		for col, mrc := range m.mrcs {
+			if mrc != nil && mrc.Code(row) != codes[col] {
+				continue rows
+			}
+		}
+		if !liveCommitted(m.versions.State(row)) {
+			continue
+		}
+		got, err := m.tuple(row)
+		if err != nil {
+			return -1, err
+		}
+		if rowsEqual(got, tuple) {
+			return row, nil
+		}
+	}
+	return -1, nil
 }
 
 func liveCommitted(st mvcc.RowState) bool {

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"testing"
 
 	"tierdb/internal/mvcc"
@@ -112,5 +113,67 @@ func TestReplayDeleteDuplicateContent(t *testing.T) {
 	mgr.AdvanceTo(3)
 	if n := tbl.VisibleCount(); n != 1 {
 		t.Fatalf("visible count %d, want 1 (multiset delete)", n)
+	}
+}
+
+// TestReplayDeleteMainMultiset replays content-addressed deletes onto a
+// merged main whose rows repeat, share their MRC codes while their SSCG
+// values differ, and hold NaN and -0: each delete stamps one live row of
+// its content, as value.Equal judges it, until none is left; a value no
+// MRC dictionary holds matches no row.
+func TestReplayDeleteMainMultiset(t *testing.T) {
+	s := schema.MustNew([]schema.Field{
+		{Name: "id", Type: value.Int64},
+		{Name: "amount", Type: value.Float64},
+		{Name: "tag", Type: value.String, Width: 8},
+	})
+	row := func(id int64, amount float64, tag string) []value.Value {
+		return []value.Value{value.NewInt(id), value.NewFloat(amount), value.NewString(tag)}
+	}
+	rows := [][]value.Value{
+		row(1, 2.5, "x"), row(1, 2.5, "y"), row(1, 2.5, "x"), row(2, math.NaN(), "z"),
+		row(1, 2.5, "y"), row(1, math.Copysign(0, -1), "x"), row(1, 2.5, "x"),
+	}
+	for _, layout := range [][]bool{{true, false, false}, {false, false, false}, {true, true, false}} {
+		mgr := mvcc.NewManager()
+		tbl, err := New("t", s, Options{Manager: mgr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.BulkAppendAt(rows, 2); err != nil {
+			t.Fatal(err)
+		}
+		mgr.AdvanceTo(2)
+		if err := tbl.ApplyLayout(layout); err != nil {
+			t.Fatal(err)
+		}
+		ts := mvcc.Timestamp(2)
+		replay := func(tuple []value.Value, times int) {
+			t.Helper()
+			for i := 0; i < times; i++ {
+				ts++
+				if err := tbl.ReplayDelete(tuple, ts); err != nil {
+					t.Fatalf("layout %v: delete %d of %v: %v", layout, i+1, tuple, err)
+				}
+			}
+			if err := tbl.ReplayDelete(tuple, ts+1); err == nil {
+				t.Fatalf("layout %v: a delete of %v past its %d rows found a row", layout, tuple, times)
+			}
+		}
+		replay(row(1, 2.5, "y"), 2)
+		mgr.AdvanceTo(ts)
+		if n := tbl.VisibleCount(); n != 5 {
+			t.Fatalf("layout %v: %d rows visible, want 5", layout, n)
+		}
+		replay(row(1, 0, "x"), 1) // the -0 row
+		replay(row(2, math.NaN(), "z"), 1)
+		replay(row(1, 2.5, "x"), 3)
+		if err := tbl.ReplayDelete(row(99, 2.5, "x"), ts+1); err == nil {
+			t.Fatalf("layout %v: a delete of an id no row holds found a row", layout)
+		}
+		mgr.AdvanceTo(ts)
+		if n := tbl.VisibleCount(); n != 0 {
+			t.Fatalf("layout %v: %d rows visible after every row's delete, want 0", layout, n)
+		}
 	}
 }

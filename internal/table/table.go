@@ -301,7 +301,7 @@ func (t *Table) installIndex(cols []int) error {
 	next := *t.main
 	next.indexes = maps.Clone(t.main.indexes)
 	next.composites = maps.Clone(t.main.composites)
-	if err := next.addIndex(cols, t.main.value); err != nil {
+	if err := next.addIndex(cols, t.main.column); err != nil {
 		return err
 	}
 	t.main = &next
@@ -361,10 +361,8 @@ func (t *Table) Selectivity(col int) float64 {
 // Histogram returns the column's equi-depth histogram, or nil if the
 // main partition is empty.
 func (t *Table) Histogram(col int) *histogram.Histogram {
-	if col < 0 || col >= t.schema.Len() {
-		return nil
-	}
-	return t.peek().main.hists[col]
+	v := t.peek()
+	return v.Histogram(col)
 }
 
 // RangeSelectivity estimates the fraction of rows with lo <= col <= hi;

@@ -7,6 +7,7 @@ import (
 	"tierdb/internal/bptree"
 	"tierdb/internal/column"
 	"tierdb/internal/delta"
+	"tierdb/internal/histogram"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/sscg"
 	"tierdb/internal/value"
@@ -171,10 +172,13 @@ func (v *View) ActiveRows() int { return v.activeRows }
 // delta's running count, whichever is largest; at least 1, and 0 for a
 // column outside the schema.
 func (v *View) DistinctCount(col int) int {
-	if col < 0 || col >= len(v.main.distinct) {
+	if col < 0 || col >= len(v.main.hists) {
 		return 0
 	}
-	n := max(v.main.distinct[col], v.active.DistinctCount(col), 1)
+	n := max(v.active.DistinctCount(col), 1)
+	if h := v.main.hists[col]; h != nil {
+		n = max(n, h.DistinctCount())
+	}
 	if v.frozen != nil {
 		n = max(n, v.frozen.DistinctCount(col))
 	}
@@ -187,13 +191,22 @@ func (v *View) Selectivity(col int) float64 {
 	return 1 / float64(v.DistinctCount(col))
 }
 
+// Histogram returns the main partition's equi-depth histogram of col,
+// or nil if the main partition is empty or col is outside the schema.
+func (v *View) Histogram(col int) *histogram.Histogram {
+	if col < 0 || col >= len(v.main.hists) {
+		return nil
+	}
+	return v.main.hists[col]
+}
+
 // RangeSelectivity estimates the fraction of rows with lo <= col <= hi
 // from the main partition's equi-depth histogram, falling back to the
 // equi-predicate estimate when the main partition is empty. The bounds
 // must have the column's type.
 func (v *View) RangeSelectivity(col int, lo, hi value.Value) float64 {
-	if col >= 0 && col < len(v.main.hists) && v.main.hists[col] != nil {
-		return v.main.hists[col].RangeSelectivity(lo, hi)
+	if h := v.Histogram(col); h != nil {
+		return h.RangeSelectivity(lo, hi)
 	}
 	return v.Selectivity(col)
 }
