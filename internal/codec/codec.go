@@ -5,6 +5,14 @@
 // hostile or torn, so the Reader never trusts a length it cannot verify
 // against the remaining input: bad input yields the caller's sentinel
 // error — never a panic or an unbounded allocation.
+//
+// A Reader from NewReader copies every string it decodes. One from
+// NewSharedReader makes one string of its whole payload, at the first
+// non-empty string, and returns each string as a substring of it: a
+// reply's strings cost one allocation, and keeping one of them keeps
+// the reply's bytes. Only a reply the caller reads and lets go is
+// decoded that way; requests and WAL records are decoded by copying,
+// because the delta keeps their strings for as long as the table lives.
 package codec
 
 import (
@@ -16,9 +24,9 @@ import (
 	"tierdb/internal/value"
 )
 
-// MaxKeptBuffer is the largest encode buffer a long-lived writer — the
-// WAL, a server session — keeps for its next record once one is written;
-// a larger one, a bulk load's, is let go.
+// MaxKeptBuffer is the largest buffer a long-lived reader or writer —
+// the WAL, either end of a wire connection — keeps for its next record
+// once one is done; a larger one, a bulk load's, is let go.
 const MaxKeptBuffer = 1 << 20
 
 // AppendString appends s with a uvarint length prefix.
@@ -55,12 +63,21 @@ type Reader struct {
 	buf []byte
 	pos int
 	bad error
+	// share makes String return substrings of str, buf made a string
+	// once.
+	share bool
+	str   string
 }
 
 // NewReader reads buf; every malformed-input error it returns is bad,
 // or wraps it.
 func NewReader(buf []byte, bad error) *Reader {
 	return &Reader{buf: buf, bad: bad}
+}
+
+// NewSharedReader is NewReader whose strings share one copy of buf.
+func NewSharedReader(buf []byte, bad error) *Reader {
+	return &Reader{buf: buf, bad: bad, share: true}
 }
 
 // Remaining returns the number of unread bytes.
@@ -126,10 +143,13 @@ func (r *Reader) LenBytes() ([]byte, error) {
 // String reads a uvarint-prefixed string.
 func (r *Reader) String() (string, error) {
 	b, err := r.LenBytes()
-	if err != nil {
-		return "", err
+	if err != nil || !r.share || len(b) == 0 {
+		return string(b), err
 	}
-	return string(b), nil
+	if r.str == "" {
+		r.str = string(r.buf)
+	}
+	return r.str[r.pos-len(b) : r.pos], nil
 }
 
 // Value reads one self-describing value.
@@ -166,18 +186,22 @@ func (r *Reader) Row() ([]value.Value, error) { return r.appendRow(nil) }
 
 // Rows reads n counted rows into one backing array, row i a capped view
 // of it, so appending to one row cannot overwrite the next. The array is
-// sized from the first row's width, which the rows of a reply share.
+// sized from the first row's width, which the rows of a reply or a bulk
+// load share, and never beyond what the remaining payload can hold at
+// two bytes a value, the shortest encoding (a type byte and an empty
+// string's length).
 func (r *Reader) Rows(n int) ([][]value.Value, error) {
 	rows := make([][]value.Value, n)
 	var vals []value.Value
+	if width, k := binary.Uvarint(r.buf[r.pos:]); k > 0 {
+		most := uint64(r.Remaining() / 2)
+		vals = make([]value.Value, 0, min(min(width, most)*uint64(n), most))
+	}
 	for i := range rows {
 		start := len(vals)
 		var err error
 		if vals, err = r.appendRow(vals); err != nil {
 			return nil, err
-		}
-		if i == 0 {
-			vals = slices.Grow(vals, min(len(vals)*(n-1), r.Remaining()))
 		}
 		rows[i] = vals[start:] // for its length; cut from the final array below
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -266,7 +267,8 @@ func (e *Executor) RunTraced(q Query, tx *mvcc.Tx) (*Result, *metrics.Trace, err
 // RunTracedCtx is RunTraced with a context; see RunCtx for the span
 // family a sampled request span receives.
 func (e *Executor) RunTracedCtx(ctx context.Context, q Query, tx *mvcc.Tx) (*Result, *metrics.Trace, error) {
-	tr := e.newTrace()
+	t := e.newTrace()
+	tr := &t.trace
 	span := trace.FromContext(ctx).Child("exec.query", trace.String("table", e.tbl.Name()))
 	start := time.Now()
 	if span != nil {
@@ -277,7 +279,7 @@ func (e *Executor) RunTracedCtx(ctx context.Context, q Query, tx *mvcc.Tx) (*Res
 		tr.StartNs = start.UnixNano()
 	}
 	res, err := e.run(q, tx, tr)
-	e.capture(tr, start, time.Since(start), err, span)
+	e.capture(t, start, time.Since(start), err, span)
 	emitSpans(span, tr, err)
 	return res, tr, err
 }
@@ -327,7 +329,7 @@ func (e *Executor) Explain(q Query) (*metrics.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := e.newTrace()
+	tr := &e.newTrace().trace
 	fraction := 1.0
 	for i := range steps {
 		s := &steps[i]
@@ -346,31 +348,41 @@ func (e *Executor) Explain(q Query) (*metrics.Trace, error) {
 	return tr, nil
 }
 
+// traced is what tracing one query allocates, as one object: the trace,
+// with room for a typical plan's predicates and operators, and the
+// entry that publishes it to the recent ring.
+type traced struct {
+	entry metrics.TraceEntry
+	trace metrics.Trace
+	preds [4]metrics.PredicateTrace
+	ops   [8]metrics.OperatorTrace
+}
+
 // newTrace opens a trace carrying the executor's settings.
-func (e *Executor) newTrace() *metrics.Trace {
-	tr := &metrics.Trace{
+func (e *Executor) newTrace() *traced {
+	t := &traced{}
+	t.trace = metrics.Trace{
 		Table:          e.tbl.Name(),
 		Parallelism:    e.parallelism,
 		ProbeThreshold: e.threshold,
+		Predicates:     t.preds[:0],
+		Operators:      t.ops[:0],
 	}
 	if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
-		tr.Device = timed.Profile().Name
+		t.trace.Device = timed.Profile().Name
 	}
-	return tr
+	return t
 }
 
 // capture publishes a finished query's trace into the recent ring and,
 // past the slow-query threshold, the slow ring. No-op without rings.
-func (e *Executor) capture(tr *metrics.Trace, start time.Time, wall time.Duration, err error, span *trace.Span) {
+func (e *Executor) capture(t *traced, start time.Time, wall time.Duration, err error, span *trace.Span) {
 	if e.recent == nil && e.slow == nil {
 		return
 	}
 	e.m.wallNs.Observe(int64(wall))
-	entry := &metrics.TraceEntry{
-		UnixNano: start.UnixNano(),
-		WallNs:   int64(wall),
-		Trace:    tr,
-	}
+	entry := &t.entry
+	*entry = metrics.TraceEntry{UnixNano: start.UnixNano(), WallNs: int64(wall), Trace: &t.trace}
 	if span != nil {
 		entry.TraceID = span.Trace.String()
 	}
@@ -950,14 +962,17 @@ func runDeltaPart(sc *scratch, d *delta.Partition, bound int, offset uint32, par
 // of rows is filled by one worker, column by column over its main rows
 // — an SSCG-placed projection reads a row's bytes once into the
 // worker's buffer (one page access delivers all grouped attributes of a
-// row) and decodes the projected fields from them — and cell by cell
-// over its delta rows.
+// row) and decodes the projected fields from them, its strings into one
+// allocation per chunk — and cell by cell over its delta rows.
 func (e *Executor) materialize(v *table.View, sc *scratch, res *Result, project []int, tr *metrics.Trace) error {
-	mainRows := uint64(v.MainRows())
-	needGroup := false
+	sch, mainRows := e.tbl.Schema(), uint64(v.MainRows())
+	needGroup, strWidth := false, 0 // strWidth: the projected string slots' bytes per row
 	for _, c := range project {
 		if v.GroupField(c) >= 0 {
 			needGroup = true
+			if f := sch.Field(c); f.Type == value.String {
+				strWidth += f.SlotWidth()
+			}
 		}
 	}
 	k := len(project)
@@ -978,15 +993,31 @@ func (e *Executor) materialize(v *table.View, sc *scratch, res *Result, project 
 			var err error
 			if g := w.group; needGroup && mid > lo {
 				w.row = slices.Grow(w.row[:0], g.RowWidth())[:g.RowWidth()]
+				w.strs = slices.Grow(w.strs[:0], (mid-lo)*strWidth)
 				for i := lo; i < mid; i++ {
 					if err = g.ReadRowBytes(int(res.IDs[i]), w.row); err != nil {
 						return err
 					}
 					for j, c := range project {
-						if gf := v.GroupField(c); gf >= 0 {
+						switch gf := v.GroupField(c); {
+						case gf < 0:
+						case sch.Field(c).Type == value.String:
+							w.strs = append(w.strs, g.Slot(w.row, gf)...)
+						default:
 							if res.Rows[i][j], err = g.Field(w.row, gf); err != nil {
 								return err
 							}
+						}
+					}
+				}
+				// The chunk's string slots become one string, and each cell
+				// its slot's substring without the padding.
+				strs := string(w.strs)
+				for i := lo; i < mid && strs != ""; i++ {
+					for j, c := range project {
+						if f := sch.Field(c); f.Type == value.String && v.GroupField(c) >= 0 {
+							res.Rows[i][j] = value.NewString(strings.TrimRight(strs[:f.SlotWidth()], "\x00"))
+							strs = strs[f.SlotWidth():]
 						}
 					}
 				}

@@ -56,8 +56,9 @@ type worker struct {
 	// buf collects the positions this worker's units produced, unit after
 	// unit and operator after operator; it is emptied once per query.
 	buf []uint32
-	// row holds the bytes of the SSCG row being materialized.
-	row []byte
+	// row holds the bytes of the SSCG row being materialized, strs the
+	// string slots of the chunk's rows.
+	row, strs []byte
 }
 
 // countingStore is the backing store of a worker's view: it counts the
@@ -106,7 +107,7 @@ func (e *Executor) scratchFor(v *table.View) *scratch {
 	timed, _ := e.tbl.Store().(*storage.TimedStore)
 	for i := range sc.ws {
 		w := &sc.ws[i]
-		*w = worker{group: v.Group(), view: w.view, viewOf: w.viewOf, store: w.store, buf: w.buf[:0], row: w.row}
+		*w = worker{group: v.Group(), view: w.view, viewOf: w.viewOf, store: w.store, buf: w.buf[:0], row: w.row, strs: w.strs}
 		if timed == nil || w.group == nil {
 			continue
 		}
@@ -263,7 +264,11 @@ func morselCount(rows, size int) int { return (rows + size - 1) / size }
 
 // chunkCount splits n candidates into up to four chunks per worker so
 // morsel stealing can rebalance skew, but never more chunks than items.
+// One worker, with no one to steal from, takes them as one chunk.
 func chunkCount(n, workers int) int {
+	if workers == 1 {
+		return 1
+	}
 	return max(min(4*workers, n), 1)
 }
 

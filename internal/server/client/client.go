@@ -22,7 +22,6 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -93,8 +92,7 @@ type Client struct {
 // writes it, except that Close closes nc under Client.mu.
 type conn struct {
 	nc       net.Conn // nil: dial on next use
-	br       *bufio.Reader
-	bw       *bufio.Writer
+	st       *server.Stream
 	admitted bool      // nc has carried a reply only an admitted session gets
 	idle     time.Time // when the slot was last put back
 }
@@ -152,7 +150,7 @@ func (c *Client) connect(cn *conn) error {
 		nc.Close()
 		return ErrClosed
 	}
-	cn.nc, cn.br, cn.bw, cn.admitted = nc, bufio.NewReader(nc), bufio.NewWriter(nc), false
+	cn.nc, cn.st, cn.admitted = nc, server.NewStream(nc), false
 	return nil
 }
 
@@ -249,11 +247,8 @@ func (c *Client) do1(req server.Request) (server.Response, error) {
 // the stream in an unknown state: the caller must drop the connection.
 func (cn *conn) exchange(req server.Request, deadline time.Time) (server.Response, error) {
 	cn.nc.SetDeadline(deadline)
-	err := server.WriteRequest(cn.bw, req)
-	if err == nil {
-		err = cn.bw.Flush()
-	}
-	payload, rerr := server.ReadFrame(cn.br)
+	err := cn.st.WriteRequest(req)
+	payload, rerr := cn.st.Read()
 	if err != nil {
 		// A server that shed this connection said why before closing
 		// it; that frame, if it is there, explains the refused write.
@@ -362,6 +357,9 @@ func Between(column string, lo, hi value.Value) server.Predicate {
 }
 
 // Select runs a conjunctive filter query projecting the named columns.
+// The result's rows share one value array and its strings one copy of
+// the reply, so keeping one value keeps the reply's bytes; nothing in it
+// aliases the connection's buffers.
 func (c *Client) Select(table string, preds []server.Predicate, project ...string) (*server.Result, error) {
 	resp, err := c.do(server.Request{Op: server.OpSelect, Table: table, Predicates: preds, Project: project})
 	if err != nil {

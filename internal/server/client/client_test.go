@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -45,6 +46,20 @@ func (e *echoEngine) Insert(context.Context, string, []value.Value) error {
 	}
 	e.inserts.Add(1)
 	return nil
+}
+
+// Select answers table "t<n>" with echoRows("t<n>").
+func (e *echoEngine) Select(_ context.Context, table string, _ []server.Predicate, _ []string) (*server.Result, error) {
+	return &server.Result{IDs: []uint64{0, 1, 2}, Rows: echoRows(table)}, nil
+}
+
+// echoRows are three rows of strings naming table.
+func echoRows(table string) [][]value.Value {
+	rows := make([][]value.Value, 3)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewString(fmt.Sprintf("%s row %d", table, i)), value.NewString(table)}
+	}
+	return rows
 }
 
 func gated() *echoEngine {
@@ -98,6 +113,41 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestClientReplyStringsOutliveConnection: a reply's strings share a
+// copy of its payload, never the connection's read buffer, so each
+// caller's result keeps its strings while the one pooled connection
+// serves 100 more replies with other strings into that buffer.
+func TestClientReplyStringsOutliveConnection(t *testing.T) {
+	_, addr := boot(t, &echoEngine{}, server.Config{}, nil)
+	c := dial(t, Config{Addr: addr, PoolSize: 1})
+	const callers, later = 8, 100
+	selectAll := func(from, n int) []*server.Result {
+		results := make([]*server.Result, n)
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				res, err := c.Select(fmt.Sprintf("t%d", from+i), nil, "s")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[i] = res
+			}(i)
+		}
+		wg.Wait()
+		return results
+	}
+	first := selectAll(0, callers)
+	selectAll(callers, later)
+	for i, res := range first {
+		if want := echoRows(fmt.Sprintf("t%d", i)); res != nil && !reflect.DeepEqual(res.Rows, want) {
+			t.Errorf("caller %d: rows %v after %d more replies, want %v", i, res.Rows, later, want)
 		}
 	}
 }

@@ -5,7 +5,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
+
+	"tierdb/internal/codec"
+	"tierdb/internal/value"
 )
 
 // FuzzServerFrame throws arbitrary byte streams at the exact pipeline a
@@ -36,6 +41,7 @@ func FuzzServerFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add(starvedFrame())
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
@@ -48,7 +54,7 @@ func FuzzServerFrame(f *testing.F) {
 				}
 				return
 			}
-			req, err := decodeRequest(payload)
+			req, err := decodeRequest(payload, nil)
 			if err != nil {
 				if !errors.Is(err, ErrProtocol) {
 					t.Fatalf("decodeRequest: %v is not ErrProtocol", err)
@@ -69,9 +75,64 @@ func FuzzServerFrame(f *testing.F) {
 			if rerr != nil {
 				t.Fatalf("re-read of re-encoded request failed: %v", rerr)
 			}
-			if _, derr := decodeRequest(p2); derr != nil {
+			if _, derr := decodeRequest(p2, nil); derr != nil {
 				t.Fatalf("re-decode of re-encoded request failed: %v", derr)
 			}
 		}
 	})
+}
+
+// FuzzSharedResponseDecode is a differential check of the reply decoder:
+// for every input, DecodeResponse, whose strings share one copy of the
+// payload, returns what the copying decoder returns — the same error,
+// or values that are bitwise equal — and its strings stay so after the
+// payload buffer is overwritten, as a connection's kept buffer is by
+// the next reply.
+func FuzzSharedResponseDecode(f *testing.F) {
+	str := value.NewString
+	for _, tc := range []struct {
+		op   byte
+		resp Response
+	}{
+		{OpSelect, Response{IDs: []uint64{1}, Rows: [][]value.Value{{str(""), str("")}}}},
+		{OpSelect, Response{IDs: []uint64{1, 2}, Rows: [][]value.Value{{str("ab"), str("cd")}, {str("e"), value.NewFloat(math.NaN())}}}},
+		{OpSelect, Response{IDs: []uint64{3}, Rows: [][]value.Value{{value.NewInt(-1), str("ends the payload")}}}},
+		{OpTables, Response{Names: []string{"", "a", "bc"}}},
+		{OpSelect, Response{Status: StatusEngineErr, Msg: "no such table"}},
+		{OpInsert, Response{Status: StatusOverloaded, Msg: ""}},
+		{OpRows, Response{Count: 7}},
+	} {
+		f.Add(tc.op, encodeResponse(nil, tc.op, tc.resp))
+	}
+	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
+		want, werr := decodeResponse(op, codec.NewReader(payload, ErrProtocol))
+		got, gerr := DecodeResponse(op, payload)
+		if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+			t.Fatalf("shared decoder error %v, copying decoder error %v", gerr, werr)
+		}
+		for i := range payload {
+			payload[i] ^= 0xa5
+		}
+		if !sameResponse(got, want) {
+			t.Fatalf("shared decoder returned %+v, copying decoder %+v", got, want)
+		}
+	})
+}
+
+// sameResponse reports whether two responses are equal field by field,
+// their values bitwise.
+func sameResponse(a, b Response) bool {
+	if a.Status != b.Status || a.Msg != b.Msg || a.Count != b.Count ||
+		!slices.Equal(a.IDs, b.IDs) || !slices.Equal(a.Names, b.Names) || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i := range a.Rows {
+		if !slices.EqualFunc(a.Rows[i], b.Rows[i], func(x, y value.Value) bool {
+			return x.Type() == y.Type() && x.Int() == y.Int() && x.Str() == y.Str() &&
+				math.Float64bits(x.Float()) == math.Float64bits(y.Float())
+		}) {
+			return false
+		}
+	}
+	return true
 }

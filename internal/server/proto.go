@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"tierdb/internal/codec"
 	"tierdb/internal/schema"
@@ -119,7 +120,10 @@ type Predicate struct {
 }
 
 // Result carries a query answer: qualifying row ids and, when a
-// projection was requested, the projected rows.
+// projection was requested, the projected rows. In a Result the client
+// returns, the rows' strings share one allocation, a copy of the reply:
+// keeping one value keeps that reply's bytes, as one row of an
+// executor result keeps its arena.
 type Result struct {
 	IDs  []uint64
 	Rows [][]value.Value
@@ -148,7 +152,9 @@ type Request struct {
 }
 
 // Response is the decoded form of any response frame; which fields are
-// meaningful depends on the request's Op and on Status.
+// meaningful depends on the request's Op and on Status. Decoded by
+// DecodeResponse, its strings share one copy of the payload, so
+// keeping any one of them keeps the whole reply's bytes.
 type Response struct {
 	Status byte
 	Msg    string // non-OK statuses
@@ -169,11 +175,11 @@ func encodeRequest(buf []byte, req Request) []byte {
 		buf = binary.AppendUvarint(buf, uint64(req.SpanID))
 	}
 	buf = append(buf, req.Op)
-	switch req.Op {
-	case OpPing, OpCheckpoint, OpTables:
-		// no body
-	case OpCreateTable:
+	if namesTable(req.Op) {
 		buf = codec.AppendString(buf, req.Table)
+	}
+	switch req.Op {
+	case OpCreateTable:
 		buf = binary.AppendUvarint(buf, uint64(len(req.Fields)))
 		for _, f := range req.Fields {
 			buf = codec.AppendString(buf, f.Name)
@@ -181,23 +187,18 @@ func encodeRequest(buf []byte, req Request) []byte {
 			buf = binary.AppendUvarint(buf, uint64(f.Width))
 		}
 	case OpInsert:
-		buf = codec.AppendString(buf, req.Table)
 		buf = codec.AppendRow(buf, req.Row)
 	case OpDelete:
-		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, req.RowID)
 	case OpUpdate:
-		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, req.RowID)
 		buf = codec.AppendRow(buf, req.Row)
 	case OpBulkLoad:
-		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Rows)))
 		for _, row := range req.Rows {
 			buf = codec.AppendRow(buf, row)
 		}
 	case OpSelect:
-		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Predicates)))
 		for _, p := range req.Predicates {
 			buf = codec.AppendString(buf, p.Column)
@@ -211,10 +212,7 @@ func encodeRequest(buf []byte, req Request) []byte {
 		for _, name := range req.Project {
 			buf = codec.AppendString(buf, name)
 		}
-	case OpRows:
-		buf = codec.AppendString(buf, req.Table)
 	case OpApplyLayout:
-		buf = codec.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Layout)))
 		for _, inDRAM := range req.Layout {
 			b := byte(0)
@@ -257,16 +255,28 @@ func encodeResponse(buf []byte, op byte, resp Response) []byte {
 	return buf
 }
 
-// appendFrame frames payload into buf: length, CRC, payload.
-func appendFrame(buf, payload []byte) []byte {
+// frameStep is the least a frame's payload buffer grows by while the
+// payload arrives.
+const frameStep = 4 << 10
+
+// appendHeader appends payload's frame header: its length and CRC.
+func appendHeader(buf, payload []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
 }
 
-// writeFrame frames and writes one payload.
+// writeFrame writes one payload's header, then the payload. A
+// bufio.Writer's free buffer holds the header, so a frame written there
+// allocates nothing.
 func writeFrame(w io.Writer, payload []byte) error {
-	_, err := w.Write(appendFrame(make([]byte, 0, len(payload)+9), payload))
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		hdr = bw.AvailableBuffer()
+	}
+	if _, err := w.Write(appendHeader(hdr, payload)); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
 	return err
 }
 
@@ -276,9 +286,8 @@ func WriteRequest(w io.Writer, req Request) error {
 }
 
 // WriteResponse frames and writes one response for the given request
-// opcode. The server uses this path internally; it is exported so
-// alternative server implementations (and protocol tests) can answer
-// clients without reimplementing the codec.
+// opcode. It is exported so alternative server implementations (and
+// protocol tests) can answer clients without reimplementing the codec.
 func WriteResponse(w io.Writer, op byte, resp Response) error {
 	return writeFrame(w, encodeResponse(make([]byte, 0, 64), op, resp))
 }
@@ -287,7 +296,14 @@ func WriteResponse(w io.Writer, op byte, resp Response) error {
 // clean EOF at a frame boundary returns io.EOF; anything torn,
 // oversized or corrupt returns ErrProtocol. The stream must be
 // considered poisoned after any non-EOF error.
-func ReadFrame(br *bufio.Reader) ([]byte, error) {
+func ReadFrame(br *bufio.Reader) ([]byte, error) { return readFrame(br, nil) }
+
+// readFrame is ReadFrame reading the payload into buf's array. A
+// payload that does not fit grows the array only as its bytes arrive,
+// by at most as many as have arrived: a header that claims MaxFrame and
+// then stops costs frameStep bytes, not MaxFrame — the codec's rule
+// that no allocation is larger than the input backs.
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	plen, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.EOF {
@@ -298,24 +314,119 @@ func ReadFrame(br *bufio.Reader) ([]byte, error) {
 	if plen > MaxFrame {
 		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrProtocol, plen, MaxFrame)
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(4)
+	if err != nil {
 		return nil, fmt.Errorf("%w: frame CRC: %w", ErrProtocol, err)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("%w: torn frame: %w", ErrProtocol, err)
+	crc := binary.LittleEndian.Uint32(hdr)
+	_, _ = br.Discard(4) // cannot fail: Peek buffered the 4 bytes
+	n, payload := int(plen), buf[:0]
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(n-len(payload), max(len(payload), frameStep)))
+		}
+		got, err := io.ReadFull(br, payload[len(payload):min(n, cap(payload))])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			return nil, fmt.Errorf("%w: torn frame: %w", ErrProtocol, err)
+		}
 	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[:]) {
+	if crc32.Checksum(payload, crcTable) != crc {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrProtocol)
 	}
 	return payload, nil
 }
 
+// Stream is one end of a connection's frame stream: a server session's
+// or a client connection's. It reads frames into a buffer it keeps and
+// encodes them in another, and lets go of either once it has grown past
+// codec.MaxKeptBuffer, so in its steady state a connection allocates
+// nothing per frame. A payload Read returns is valid until the next
+// Read: decoding copies whatever outlives it.
+type Stream struct {
+	r       *bufio.Reader
+	w       *bufio.Writer
+	in, out []byte
+}
+
+// NewStream buffers both directions of rw.
+func NewStream(rw io.ReadWriter) *Stream {
+	return &Stream{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
+}
+
+// Read reads the next frame as ReadFrame does, into the kept buffer.
+func (s *Stream) Read() ([]byte, error) {
+	payload, err := readFrame(s.r, s.in)
+	if err == nil {
+		s.in = kept(payload)
+	}
+	return payload, err
+}
+
+// WriteRequest frames, writes and flushes one request.
+func (s *Stream) WriteRequest(req Request) error {
+	return s.write(encodeRequest(s.out[:0], req))
+}
+
+// WriteResponse frames, writes and flushes one response for the given
+// request opcode.
+func (s *Stream) WriteResponse(op byte, resp Response) error {
+	return s.write(encodeResponse(s.out[:0], op, resp))
+}
+
+// write writes payload, encoded in the kept buffer, as one frame and
+// flushes it.
+func (s *Stream) write(payload []byte) error {
+	s.out = kept(payload)
+	if err := writeFrame(s.w, payload); err != nil {
+		return err
+	}
+	return s.w.Flush()
+}
+
+// kept is buf, or nil once buf has grown past codec.MaxKeptBuffer.
+func kept(buf []byte) []byte {
+	if cap(buf) > codec.MaxKeptBuffer {
+		return nil
+	}
+	return buf
+}
+
 // --- decoding -------------------------------------------------------
 
-// decodeRequest decodes one request payload (as framed: opcode first).
-func decodeRequest(payload []byte) (Request, error) {
+// namesTable reports whether a request of opcode op names its table
+// first: every operation but ping, checkpoint, tables and adaptive.
+func namesTable(op byte) bool {
+	switch op {
+	case OpCreateTable, OpInsert, OpDelete, OpUpdate, OpBulkLoad, OpSelect, OpRows, OpApplyLayout:
+		return true
+	}
+	return false
+}
+
+// maxNames bounds the table and column names one session interns.
+const maxNames = 256
+
+// name reads a table or column name. A name in names is returned as
+// its interned copy, with no allocation; a new one is copied and, while
+// names (which may be nil) has room, interned.
+func name(r *codec.Reader, names map[string]string) (string, error) {
+	b, err := r.LenBytes()
+	s, ok := names[string(b)]
+	if err != nil || ok {
+		return s, err
+	}
+	s = string(b)
+	if names != nil && len(names) < maxNames {
+		names[s] = s
+	}
+	return s, nil
+}
+
+// decodeRequest decodes one request payload (as framed: opcode first),
+// interning its table and column names in names. Every string it
+// returns is a copy: none aliases payload.
+func decodeRequest(payload []byte, names map[string]string) (Request, error) {
 	r := codec.NewReader(payload, ErrProtocol)
 	op, err := r.Byte()
 	if err != nil {
@@ -343,13 +454,15 @@ func decodeRequest(payload []byte) (Request, error) {
 		}
 		req.Op = op
 	}
-	switch op {
-	case OpPing, OpCheckpoint, OpTables:
-		// no body
-	case OpCreateTable:
-		if req.Table, err = r.String(); err != nil {
+	if namesTable(op) {
+		if req.Table, err = name(r, names); err != nil {
 			return Request{}, err
 		}
+	}
+	switch op {
+	case OpPing, OpCheckpoint, OpTables, OpRows:
+		// no body past the table name
+	case OpCreateTable:
 		n, err := r.Count(3) // empty name + type + width
 		if err != nil {
 			return Request{}, err
@@ -379,23 +492,14 @@ func decodeRequest(payload []byte) (Request, error) {
 			req.Fields = append(req.Fields, f)
 		}
 	case OpInsert:
-		if req.Table, err = r.String(); err != nil {
-			return Request{}, err
-		}
 		if req.Row, err = r.Row(); err != nil {
 			return Request{}, err
 		}
 	case OpDelete:
-		if req.Table, err = r.String(); err != nil {
-			return Request{}, err
-		}
 		if req.RowID, err = r.Uvarint(); err != nil {
 			return Request{}, err
 		}
 	case OpUpdate:
-		if req.Table, err = r.String(); err != nil {
-			return Request{}, err
-		}
 		if req.RowID, err = r.Uvarint(); err != nil {
 			return Request{}, err
 		}
@@ -403,25 +507,14 @@ func decodeRequest(payload []byte) (Request, error) {
 			return Request{}, err
 		}
 	case OpBulkLoad:
-		if req.Table, err = r.String(); err != nil {
-			return Request{}, err
-		}
 		n, err := r.Count(1)
 		if err != nil {
 			return Request{}, err
 		}
-		req.Rows = make([][]value.Value, 0, n)
-		for i := 0; i < n; i++ {
-			row, err := r.Row()
-			if err != nil {
-				return Request{}, err
-			}
-			req.Rows = append(req.Rows, row)
-		}
-	case OpSelect:
-		if req.Table, err = r.String(); err != nil {
+		if req.Rows, err = r.Rows(n); err != nil {
 			return Request{}, err
 		}
+	case OpSelect:
 		nPred, err := r.Count(3) // empty column + op + value type
 		if err != nil {
 			return Request{}, err
@@ -429,7 +522,7 @@ func decodeRequest(payload []byte) (Request, error) {
 		req.Predicates = make([]Predicate, 0, nPred)
 		for i := 0; i < nPred; i++ {
 			var p Predicate
-			if p.Column, err = r.String(); err != nil {
+			if p.Column, err = name(r, names); err != nil {
 				return Request{}, err
 			}
 			if p.Op, err = r.Byte(); err != nil {
@@ -454,20 +547,13 @@ func decodeRequest(payload []byte) (Request, error) {
 		}
 		req.Project = make([]string, 0, nProj)
 		for i := 0; i < nProj; i++ {
-			name, err := r.String()
+			col, err := name(r, names)
 			if err != nil {
 				return Request{}, err
 			}
-			req.Project = append(req.Project, name)
-		}
-	case OpRows:
-		if req.Table, err = r.String(); err != nil {
-			return Request{}, err
+			req.Project = append(req.Project, col)
 		}
 	case OpApplyLayout:
-		if req.Table, err = r.String(); err != nil {
-			return Request{}, err
-		}
 		n, err := r.Count(1)
 		if err != nil {
 			return Request{}, err
@@ -500,9 +586,15 @@ func decodeRequest(payload []byte) (Request, error) {
 }
 
 // DecodeResponse decodes one response payload for the given request
-// opcode (as framed: status first).
+// opcode (as framed: status first). The response's strings — its
+// message, cells and names — are substrings of one copy of payload, so
+// keeping any one of them keeps that copy.
 func DecodeResponse(op byte, payload []byte) (Response, error) {
-	r := codec.NewReader(payload, ErrProtocol)
+	return decodeResponse(op, codec.NewSharedReader(payload, ErrProtocol))
+}
+
+// decodeResponse decodes a response payload from r.
+func decodeResponse(op byte, r *codec.Reader) (Response, error) {
 	status, err := r.Byte()
 	if err != nil {
 		return Response{}, err
@@ -549,11 +641,11 @@ func DecodeResponse(op byte, payload []byte) (Response, error) {
 		}
 		resp.Names = make([]string, 0, n)
 		for i := 0; i < n; i++ {
-			name, err := r.String()
+			table, err := r.String()
 			if err != nil {
 				return Response{}, err
 			}
-			resp.Names = append(resp.Names, name)
+			resp.Names = append(resp.Names, table)
 		}
 	}
 	return resp, r.Done()

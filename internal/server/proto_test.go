@@ -3,10 +3,13 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,6 +17,11 @@ import (
 	"tierdb/internal/schema"
 	"tierdb/internal/value"
 )
+
+// appendFrame frames payload into buf: length, CRC, payload.
+func appendFrame(buf, payload []byte) []byte {
+	return append(appendHeader(buf, payload), payload...)
+}
 
 // sampleRequests covers every opcode with a representative body.
 func sampleRequests() []Request {
@@ -83,7 +91,7 @@ func TestRequestRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d: read frame: %v", req.Op, err)
 		}
-		got, err := decodeRequest(payload)
+		got, err := decodeRequest(payload, nil)
 		if err != nil {
 			t.Fatalf("op %d: decode: %v", req.Op, err)
 		}
@@ -204,7 +212,7 @@ func TestHostileFrames(t *testing.T) {
 				// A flip the CRC did not catch can only be in the
 				// length prefix encoding the same value, so the
 				// payload must still decode to the original request.
-				if _, derr := decodeRequest(payload); derr != nil && !errors.Is(derr, ErrProtocol) {
+				if _, derr := decodeRequest(payload, nil); derr != nil && !errors.Is(derr, ErrProtocol) {
 					t.Fatalf("byte %d bit %d: decode error %v is not ErrProtocol", i, bit, derr)
 				}
 			}
@@ -226,39 +234,112 @@ func TestHostileFrames(t *testing.T) {
 	})
 }
 
+// starvedFrame is a frame header claiming a MaxFrame payload, then a
+// CRC and 10 payload bytes, then the end of the stream: 18 bytes.
+func starvedFrame() []byte {
+	return append(binary.AppendUvarint(nil, MaxFrame), make([]byte, 4+10)...)
+}
+
+// TestStarvedFrameAllocatesLittle: a header claiming MaxFrame bytes
+// that the stream does not deliver is ErrProtocol and costs an
+// allocation the size of what arrived, not of the claim — 256 sessions
+// sending it at once must not ask for 16 GiB.
+func TestStarvedFrameAllocatesLittle(t *testing.T) {
+	br := bufio.NewReader(bytes.NewReader(starvedFrame()))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(br)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("starved frame: err = %v, want ErrProtocol", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("starved frame allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// TestStreamKeepsBuffers: once its buffers have grown to a frame's
+// size, a Stream encodes, writes, reads and CRC-checks the next such
+// frame without allocating.
+func TestStreamKeepsBuffers(t *testing.T) {
+	var pipe bytes.Buffer
+	st := NewStream(&pipe)
+	resp := Response{IDs: []uint64{1, 2}, Rows: [][]value.Value{
+		{value.NewString("a"), value.NewInt(1)}, {value.NewString("b"), value.NewInt(2)},
+	}}
+	roundtrip := func() {
+		if err := st.WriteResponse(OpSelect, resp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundtrip()
+	if got := testing.AllocsPerRun(100, roundtrip); got != 0 {
+		t.Errorf("%.0f allocs per frame written and read, want 0", got)
+	}
+}
+
+// TestSessionNamesInterned: a session decodes a table name it has seen
+// without allocating, and interns at most maxNames names.
+func TestSessionNamesInterned(t *testing.T) {
+	names := map[string]string{}
+	rows := encodeRequest(nil, Request{Op: OpRows, Table: "orders"})
+	if _, err := decodeRequest(rows, names); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if req, err := decodeRequest(rows, names); err != nil || req.Table != "orders" {
+			t.Fatalf("decoded %q, %v", req.Table, err)
+		}
+	}); got != 0 {
+		t.Errorf("decoding an interned table name: %.0f allocs, want 0", got)
+	}
+	for i := 0; i < 2*maxNames; i++ {
+		table := fmt.Sprintf("t%d", i)
+		if req, err := decodeRequest(encodeRequest(nil, Request{Op: OpRows, Table: table}), names); err != nil || req.Table != table {
+			t.Fatalf("decoded %q, %v; want %q", req.Table, err, table)
+		}
+	}
+	if len(names) != maxNames {
+		t.Errorf("%d names interned, want at most %d", len(names), maxNames)
+	}
+}
+
 // TestHostilePayloads proves CRC-valid but malformed payloads are
 // ErrProtocol — truncations, trailing garbage, hostile counts.
 func TestHostilePayloads(t *testing.T) {
 	for _, req := range sampleRequests() {
 		payload := encodeRequest(nil, req)
 		for cut := 0; cut < len(payload); cut++ {
-			if _, err := decodeRequest(payload[:cut]); err != nil && !errors.Is(err, ErrProtocol) {
+			if _, err := decodeRequest(payload[:cut], nil); err != nil && !errors.Is(err, ErrProtocol) {
 				t.Fatalf("op %d truncated payload at %d: %v not ErrProtocol", req.Op, cut, err)
 			}
 		}
-		if _, err := decodeRequest(append(append([]byte(nil), payload...), 0)); !errors.Is(err, ErrProtocol) {
+		if _, err := decodeRequest(append(append([]byte(nil), payload...), 0), nil); !errors.Is(err, ErrProtocol) {
 			t.Fatalf("op %d trailing byte accepted", req.Op)
 		}
 	}
 	// A hostile element count must not drive a huge allocation: the
 	// count is bounds-checked against the remaining payload.
 	hostile := []byte{OpBulkLoad, 1, 't', 0xff, 0xff, 0xff, 0xff, 0x0f}
-	if _, err := decodeRequest(hostile); !errors.Is(err, ErrProtocol) {
+	if _, err := decodeRequest(hostile, nil); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("hostile count: err = %v, want ErrProtocol", err)
 	}
-	if _, err := decodeRequest(nil); !errors.Is(err, ErrProtocol) {
+	if _, err := decodeRequest(nil, nil); !errors.Is(err, ErrProtocol) {
 		t.Fatal("empty payload accepted")
 	}
-	if _, err := decodeRequest([]byte{250}); !errors.Is(err, ErrProtocol) {
+	if _, err := decodeRequest([]byte{250}, nil); !errors.Is(err, ErrProtocol) {
 		t.Fatal("unknown opcode accepted")
 	}
 	// An unknown predicate-op byte is a payload error, not a panic.
 	badOp := []byte{OpSelect, 1, 't', 1, 1, 'c', 9, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-	if _, err := decodeRequest(badOp); !errors.Is(err, ErrProtocol) {
+	if _, err := decodeRequest(badOp, nil); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("select bad predicate op: err = %v, want ErrProtocol", err)
 	}
 	for _, r := range retiredPayloads() {
-		if _, err := decodeRequest(r.payload); !errors.Is(err, ErrProtocol) {
+		if _, err := decodeRequest(r.payload, nil); !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s: err = %v, want ErrProtocol", r.name, err)
 		}
 	}

@@ -28,7 +28,7 @@ func TestTraceHeaderRoundtrip(t *testing.T) {
 		if payload[0] != OpTraced {
 			t.Fatalf("op %d: traced request does not start with the envelope opcode: %d", req.Op, payload[0])
 		}
-		got, err := decodeRequest(payload)
+		got, err := decodeRequest(payload, nil)
 		if err != nil {
 			t.Fatalf("op %d: decode: %v", req.Op, err)
 		}
@@ -62,17 +62,17 @@ func TestTraceHeaderRejects(t *testing.T) {
 	inner := encodeRequest(nil, Request{Op: OpPing})
 
 	zero := append([]byte{OpTraced, 0x00, 0x05}, inner...)
-	if _, err := decodeRequest(zero); !errors.Is(err, ErrProtocol) {
+	if _, err := decodeRequest(zero, nil); !errors.Is(err, ErrProtocol) {
 		t.Errorf("zero trace id: got %v, want ErrProtocol", err)
 	}
 
 	nested := append([]byte{OpTraced, 0x01, 0x02}, append([]byte{OpTraced, 0x03, 0x04}, inner...)...)
-	if _, err := decodeRequest(nested); !errors.Is(err, ErrProtocol) {
+	if _, err := decodeRequest(nested, nil); !errors.Is(err, ErrProtocol) {
 		t.Errorf("nested envelope: got %v, want ErrProtocol", err)
 	}
 
 	truncated := []byte{OpTraced, 0x07}
-	if _, err := decodeRequest(truncated); err == nil {
+	if _, err := decodeRequest(truncated, nil); err == nil {
 		t.Errorf("truncated envelope decoded without error")
 	}
 }

@@ -26,7 +26,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -36,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tierdb/internal/codec"
 	"tierdb/internal/metrics"
 	"tierdb/internal/schema"
 	"tierdb/internal/trace"
@@ -245,7 +243,7 @@ func (s *Server) admitSession(conn net.Conn) bool {
 		msg = ErrDraining.Error()
 	}
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	writeFrame(conn, encodeResponse(nil, 0, Response{Status: status, Msg: msg}))
+	WriteResponse(conn, 0, Response{Status: status, Msg: msg})
 	conn.Close()
 	return false
 }
@@ -264,17 +262,11 @@ func (s *Server) session(conn net.Conn) {
 		s.sessions.Add(-1)
 		conn.Close()
 	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var out []byte // the last response's payload buffer, kept unless a large one
+	st := NewStream(conn)
+	names := make(map[string]string) // the session's interned table and column names
 	respond := func(op byte, resp Response) bool {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		out = encodeResponse(out[:0], op, resp)
-		err := writeFrame(bw, out)
-		if cap(out) > codec.MaxKeptBuffer {
-			out = nil
-		}
-		return err == nil && bw.Flush() == nil
+		return st.WriteResponse(op, resp) == nil
 	}
 	for {
 		if s.draining.Load() {
@@ -286,7 +278,7 @@ func (s *Server) session(conn net.Conn) {
 		} else {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
-		payload, err := ReadFrame(br)
+		payload, err := st.Read()
 		if err != nil {
 			// Clean EOF, peer timeout and drain wakeups all end the
 			// session silently. Frame-level protocol damage gets a
@@ -305,7 +297,7 @@ func (s *Server) session(conn net.Conn) {
 			respond(0, Response{Status: StatusDraining, Msg: ErrDraining.Error()})
 			return
 		}
-		req, err := decodeRequest(payload)
+		req, err := decodeRequest(payload, names)
 		if err != nil {
 			// CRC-valid but malformed payload: the stream is still
 			// frame-aligned, so answer the error and keep the session.

@@ -338,10 +338,10 @@ func TestSessionShedding(t *testing.T) {
 	}
 }
 
-// TestPipelining issues many concurrent requests through a client with
-// a single connection, which they take in turn, and checks every one is
-// applied.
-func TestPipelining(t *testing.T) {
+// TestClientSharedConnInserts issues many concurrent requests through a
+// client with a single connection, which they take in turn, and checks
+// every one is applied.
+func TestClientSharedConnInserts(t *testing.T) {
 	e := newFakeEngine()
 	_, addr := boot(t, e, server.Config{})
 	c, err := client.Dial(client.Config{Addr: addr, PoolSize: 1})
@@ -368,12 +368,12 @@ func TestPipelining(t *testing.T) {
 	}
 }
 
-// TestPipelineSaturationFIFO hammers a single connection with far more
-// callers than it can serve at once, so nearly every request waits for
-// it, and checks each caller receives its own response. The count
-// engine answers Rows("t<n>") with n, so a response delivered to the
-// wrong caller is detected even though all frames are same-shaped.
-func TestPipelineSaturationFIFO(t *testing.T) {
+// TestClientSharedConnSaturationFIFO hammers a single connection with
+// far more callers than it can serve at once, so nearly every request
+// waits for it, and checks each caller receives its own response. The
+// count engine answers Rows("t<n>") with n, so a response delivered to
+// the wrong caller is detected even though all frames are same-shaped.
+func TestClientSharedConnSaturationFIFO(t *testing.T) {
 	_, addr := boot(t, &countEngine{}, server.Config{})
 	c, err := client.Dial(client.Config{Addr: addr, PoolSize: 1})
 	if err != nil {

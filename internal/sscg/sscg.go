@@ -431,12 +431,17 @@ func (g *Group) readRow(row int, buf []byte) error {
 	return nil
 }
 
+// Slot returns field f's slot of a row's bytes as ReadRowBytes left
+// them.
+func (g *Group) Slot(rowBytes []byte, f int) []byte {
+	return rowBytes[g.offsets[f] : g.offsets[f]+g.fields[f].SlotWidth()]
+}
+
 // Field decodes field f of a row's bytes as ReadRowBytes left them.
 func (g *Group) Field(rowBytes []byte, f int) (value.Value, error) {
-	fd := g.fields[f]
-	v, err := value.DecodeFixed(fd.Type, rowBytes[g.offsets[f]:g.offsets[f]+fd.SlotWidth()])
+	v, err := value.DecodeFixed(g.fields[f].Type, g.Slot(rowBytes, f))
 	if err != nil {
-		return value.Value{}, fmt.Errorf("sscg: decode field %q: %w", fd.Name, err)
+		return value.Value{}, fmt.Errorf("sscg: decode field %q: %w", g.fields[f].Name, err)
 	}
 	return v, nil
 }
@@ -444,14 +449,19 @@ func (g *Group) Field(rowBytes []byte, f int) (value.Value, error) {
 // ReadField reads a single field of a row, touching only the page(s)
 // covering its slot.
 func (g *Group) ReadField(row, field int) (value.Value, error) {
-	if err := g.checkRow(row); err != nil {
-		return value.Value{}, err
-	}
 	if err := g.checkField(field); err != nil {
 		return value.Value{}, err
 	}
+	return g.readField(row, field, make([]byte, g.fields[field].SlotWidth()))
+}
+
+// readField is ReadField reading the slot into slot, which holds the
+// field's SlotWidth bytes.
+func (g *Group) readField(row, field int, slot []byte) (value.Value, error) {
+	if err := g.checkRow(row); err != nil {
+		return value.Value{}, err
+	}
 	fd := g.fields[field]
-	slot := make([]byte, fd.SlotWidth())
 	if g.pagesPerRow == 1 {
 		pageIdx := row / g.rowsPerPage
 		off := (row%g.rowsPerPage)*g.rowWidth + g.offsets[field]
@@ -546,13 +556,15 @@ func (g *Group) ScanRows(field int, pred func(value.Value) bool, rowLo, rowHi in
 }
 
 // Probe evaluates pred at the given candidate positions only, appending
-// matches to out (point accesses, one page read per candidate).
+// matches to out (point accesses, one page read per candidate), reading
+// every candidate's slot into one buffer.
 func (g *Group) Probe(field int, pred func(value.Value) bool, candidates []uint32, out []uint32) ([]uint32, error) {
 	if err := g.checkField(field); err != nil {
 		return nil, err
 	}
+	slot := make([]byte, g.fields[field].SlotWidth())
 	for _, pos := range candidates {
-		v, err := g.ReadField(int(pos), field)
+		v, err := g.readField(int(pos), field, slot)
 		if err != nil {
 			return nil, err
 		}

@@ -61,10 +61,12 @@ func mustEq(t *testing.T, tbl *Table, column string, v int64) Predicate {
 }
 
 // TestSelectAllocations pins the per-query allocation count of the two
-// shapes the wall-clock benchmark leans on: 12 and 20 as measured with
-// the executor's position lists in pooled buffers (15 and 50 before).
-// The ceilings leave room for the race detector, under which sync.Pool
-// drops one Put in four and the three-predicate query reads 21-22.
+// shapes the wall-clock benchmark leans on: 8 and 13 since a query's
+// trace is one object and one worker probes its candidates as one chunk
+// (12 and 20 before; 15 and 50 before the executor's position lists
+// were pooled). The ceilings leave room for the race detector, under
+// which sync.Pool drops one Put in four and the two queries read 8-9 and
+// 14-15.
 func TestSelectAllocations(t *testing.T) {
 	_, tbl := loopTable(t, Config{Device: "3D XPoint", CacheFrames: 64})
 	if err := tbl.CreateIndex("id"); err != nil {
@@ -82,8 +84,8 @@ func TestSelectAllocations(t *testing.T) {
 		project []string
 		ceiling float64
 	}{
-		{"indexed lookup with projection", lookup, []string{"pay"}, 13},
-		{"three predicates", three, nil, 24},
+		{"indexed lookup with projection", lookup, []string{"pay"}, 10},
+		{"three predicates", three, nil, 16},
 	} {
 		run := func() {
 			if _, err := tbl.Select(nil, tc.preds, tc.project...); err != nil {
@@ -101,44 +103,73 @@ func TestSelectAllocations(t *testing.T) {
 
 // TestSelectAllocsFlatInRows: a projected Select's allocations do not
 // grow with the rows it returns — the executor decodes into one arena per
-// result and the client reads a reply's rows into one array — through
-// the root API and through the wire client alike. The projection reads
-// an MRC and an SSCG column.
+// result and a chunk's SSCG strings into one string, and the client reads
+// a reply's rows into one array and its strings out of one copy of the
+// reply — through the root API and through the wire client alike. Each
+// projection reads an MRC and an SSCG column: two integers, then two
+// strings.
 func TestSelectAllocsFlatInRows(t *testing.T) {
-	db, tbl := loopTable(t, Config{Device: "3D XPoint", CacheFrames: 64, ListenAddr: "127.0.0.1:0"})
+	db, _ := loopTable(t, Config{Device: "3D XPoint", CacheFrames: 64, ListenAddr: "127.0.0.1:0"})
+	strs, err := db.CreateTable("strs", []Field{
+		{Name: "id", Type: Int64Type},
+		{Name: "tag", Type: StringType, Width: 8},
+		{Name: "note", Type: StringType, Width: 24},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]Value, 4000)
+	for i := range rows {
+		rows[i] = []Value{Int(int64(i)), String(fmt.Sprintf("tag%d", i%50)), String(fmt.Sprintf("note %d", i))}
+	}
+	if err := strs.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := strs.ApplyLayout(Layout{InDRAM: []bool{true, true, false}}); err != nil {
+		t.Fatal(err)
+	}
 	c, err := client.Dial(client.Config{Addr: db.ServerAddr()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	allocs := func(hi int64) (root, wire float64) {
-		p, err := tbl.Between("id", Int(0), Int(hi))
+	for _, tc := range []struct {
+		table   string
+		project []string
+	}{{"loop", []string{"pay", "a"}}, {"strs", []string{"tag", "note"}}} {
+		tbl, err := db.Table(tc.table)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rootRun := func() {
-			if res, err := tbl.Select(nil, []Predicate{p}, "pay", "a"); err != nil || len(res.Rows) != int(hi+1) {
-				t.Fatalf("Select: %d rows, %v; want %d", len(res.Rows), err, hi+1)
+		allocs := func(hi int64) (root, wire float64) {
+			p, err := tbl.Between("id", Int(0), Int(hi))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		wp := []server.Predicate{client.Between("id", Int(0), Int(hi))}
-		wireRun := func() {
-			if res, err := c.Select("loop", wp, "pay", "a"); err != nil || len(res.Rows) != int(hi+1) {
-				t.Fatalf("wire Select: %d rows, %v; want %d", len(res.Rows), err, hi+1)
+			rootRun := func() {
+				if res, err := tbl.Select(nil, []Predicate{p}, tc.project...); err != nil || len(res.Rows) != int(hi+1) {
+					t.Fatalf("Select: %d rows, %v; want %d", len(res.Rows), err, hi+1)
+				}
 			}
+			wp := []server.Predicate{client.Between("id", Int(0), Int(hi))}
+			wireRun := func() {
+				if res, err := c.Select(tc.table, wp, tc.project...); err != nil || len(res.Rows) != int(hi+1) {
+					t.Fatalf("wire Select: %d rows, %v; want %d", len(res.Rows), err, hi+1)
+				}
+			}
+			rootRun()
+			wireRun()
+			return testing.AllocsPerRun(100, rootRun), testing.AllocsPerRun(100, wireRun)
 		}
-		rootRun()
-		wireRun()
-		return testing.AllocsPerRun(100, rootRun), testing.AllocsPerRun(100, wireRun)
-	}
-	root1, wire1 := allocs(0)
-	root1000, wire1000 := allocs(999)
-	t.Logf("root API: %.1f allocs for 1 row, %.1f for 1000; wire: %.1f, %.1f", root1, root1000, wire1, wire1000)
-	if root1000-root1 > 4 {
-		t.Errorf("root API: 1000 rows cost %.1f allocs more than 1 row, want <= 4", root1000-root1)
-	}
-	if wire1000-wire1 > 4 {
-		t.Errorf("wire client: 1000 rows cost %.1f allocs more than 1 row, want <= 4", wire1000-wire1)
+		root1, wire1 := allocs(0)
+		root1000, wire1000 := allocs(999)
+		t.Logf("%v: root API: %.1f allocs for 1 row, %.1f for 1000; wire: %.1f, %.1f", tc.project, root1, root1000, wire1, wire1000)
+		if root1000-root1 > 4 {
+			t.Errorf("%v: root API: 1000 rows cost %.1f allocs more than 1 row, want <= 4", tc.project, root1000-root1)
+		}
+		if wire1000-wire1 > 4 {
+			t.Errorf("%v: wire client: 1000 rows cost %.1f allocs more than 1 row, want <= 4", tc.project, wire1000-wire1)
+		}
 	}
 }
 

@@ -107,7 +107,7 @@ func (e dbEngine) Select(ctx context.Context, table string, preds []server.Predi
 	if err != nil {
 		return nil, err
 	}
-	return &server.Result{IDs: res.IDs, Rows: res.Rows}, nil
+	return (*server.Result)(res), nil // the same fields: row ids and rows
 }
 
 func (e dbEngine) Checkpoint(ctx context.Context) error { return e.db.Checkpoint() }

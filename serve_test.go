@@ -296,3 +296,41 @@ func TestServeCallerListener(t *testing.T) {
 		t.Fatalf("ServerAddr = %q; want %q", db.ServerAddr(), ln.Addr().String())
 	}
 }
+
+// TestServeInsertedStringOutlivesSessionBuffer: the session reads every
+// frame into one buffer it keeps, and a request's strings are copied out
+// of it — so a string inserted as a new distinct delta value reads back
+// unchanged after the same session has read 100 more frames with other
+// bytes into that buffer.
+func TestServeInsertedStringOutlivesSessionBuffer(t *testing.T) {
+	db, err := Open(Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c, err := client.Dial(client.Config{Addr: db.ServerAddr(), PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateTable("notes", []Field{{Name: "id", Type: Int64Type}, {Name: "note", Type: StringType, Width: 16}}); err != nil {
+		t.Fatal(err)
+	}
+	const first = "kept-0123456789"
+	for i := 0; i <= 100; i++ {
+		note := first
+		if i > 0 {
+			note = strings.Repeat(string(rune('a'+i%26)), len(first))
+		}
+		if err := c.Insert("notes", []Value{Int(int64(i)), String(note)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := c.Select("notes", []server.Predicate{client.Eq("id", Int(0))}, "note")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Str() != first {
+		t.Fatalf("inserted %q, read back %v", first, res.Rows)
+	}
+}
