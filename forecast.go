@@ -98,7 +98,8 @@ func (db *DB) RestoreTable(path string) (*Table, error) {
 }
 
 // CreateCompositeIndex builds a DRAM-resident multi-column index over
-// the named columns (order-preserving key encoding over a B+-tree).
+// the named columns (a group-key index over order-preserving key
+// encodings).
 func (t *Table) CreateCompositeIndex(columns ...string) error {
 	cols, err := t.resolve(columns)
 	if err != nil {

@@ -201,3 +201,25 @@ func TestCompositeIndexThroughFacade(t *testing.T) {
 		t.Error("unknown lookup column accepted")
 	}
 }
+
+// TestCompositeLookupRejectsMistypedKey pins that a composite key value
+// of the wrong type is an error, not a panic when a delta row is
+// compared with it (nor, since the delta probes a typed map, wrong rows).
+func TestCompositeLookupRejectsMistypedKey(t *testing.T) {
+	_, tbl := openLoaded(t, 100)
+	if err := tbl.CreateCompositeIndex("region", "note"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert([]Value{Int(100), Int(3), Float(1), String("n")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range [][]Value{{String("3"), String("n")}, {Int(3), Int(0)}, {Float(3), String("n")}} {
+		if ids, err := tbl.LookupComposite([]string{"region", "note"}, key); err == nil {
+			t.Errorf("LookupComposite(%v) = %v, want a type error", key, ids)
+		}
+	}
+	ids, err := tbl.LookupComposite([]string{"region", "note"}, []Value{Int(3), String("n")})
+	if err != nil || len(ids) != 14 {
+		t.Errorf("LookupComposite(3, n) = %d rows, %v; want 14", len(ids), err)
+	}
+}

@@ -1,10 +1,13 @@
 // Package delta implements the write-optimized, DRAM-resident delta
 // partition (paper Section II, cf. C-Store's writable store): data
 // modifications append here using an insert-only approach, each column
-// keeps an unsorted dictionary with an additional B+-tree for fast value
-// retrievals, and the partition is periodically merged into the
-// read-optimized main partition. The delta stays fully DRAM-resident,
-// which is why tiering does not affect modification throughput.
+// keeps an unsorted dictionary with one posting list per code for fast
+// value retrievals, and the partition is periodically merged into the
+// read-optimized main partition. The paper pairs the unsorted dictionary
+// with a B+-tree; posting lists need no descent per insert, since a new
+// row's position is the largest yet and so simply goes last in its
+// code's list. The delta stays fully DRAM-resident, which is why tiering
+// does not affect modification throughput.
 package delta
 
 import (
@@ -14,7 +17,6 @@ import (
 	"slices"
 	"sync"
 
-	"tierdb/internal/bptree"
 	"tierdb/internal/dict"
 	"tierdb/internal/metrics"
 	"tierdb/internal/mvcc"
@@ -31,16 +33,20 @@ var ErrFrozen = errors.New("delta: partition is frozen")
 // deltaColumn is one attribute of the delta: an unsorted dictionary —
 // the distinct values in insertion order, in one slice of their payload
 // type, and a map from each value to its code — plus the per-row code
-// vector and a B+-tree value index. Of the three maps only the one of
+// vector and each code's posting list. Of the three maps only the one of
 // vals.Type is used, made by the column's first row.
 type deltaColumn struct {
-	vals   dict.Values
-	ints   map[int64]uint32
-	floats map[float64]uint32
-	strs   map[string]uint32
-	codes  []uint32
-	tree   *bptree.Tree
+	vals     dict.Values
+	ints     map[int64]uint32
+	floats   map[float64]uint32
+	strs     map[string]uint32
+	codes    []uint32
+	postings [][]uint32 // postings[code]: the rows filed under code, ascending
+	nan      uint32     // the code every NaN row is filed under, noNaN before the first
 }
+
+// noNaN is a column's nan before its first NaN row.
+const noNaN = ^uint32(0)
 
 // Partition is a write-optimized delta partition. All methods are safe
 // for concurrent use.
@@ -51,11 +57,6 @@ type Partition struct {
 	versions *mvcc.Versions
 	frozen   bool
 	bytes    int64 // code vectors and dictionary payloads, summed as rows arrive
-
-	// Scratch of index's counting sort, reused by every batch: a count
-	// per code (all zero between batches), the batch's keys and its
-	// positions grouped by key.
-	count, keys, runs []uint32
 
 	// Observability handles (nil → no-op). Visibility checks are counted
 	// batched per scan call, never per row, to keep the hot path cheap.
@@ -71,8 +72,7 @@ func New(s *schema.Schema) *Partition {
 		versions: mvcc.NewVersions(),
 	}
 	for i := range p.cols {
-		typ := s.Field(i).Type
-		p.cols[i].vals, p.cols[i].tree = dict.Values{Type: typ}, bptree.New(typ)
+		p.cols[i] = deltaColumn{vals: dict.Values{Type: s.Field(i).Type}, nan: noNaN}
 	}
 	return p
 }
@@ -158,7 +158,13 @@ func (p *Partition) appendRows(rows [][]value.Value, version func() int) (int, e
 			c.codes = probe(&c.strs, &c.vals.Strs, rows, col, value.Value.Str, c.codes)
 		}
 		p.bytes += 4*int64(len(rows)) + c.vals.Bytes(distinct)
-		p.index(c, from)
+		for len(c.postings) < c.vals.Len() {
+			c.postings = append(c.postings, nil)
+		}
+		for i, code := range c.codes[from:] {
+			code = c.key(code)
+			c.postings[code] = append(c.postings[code], uint32(from+i))
+		}
 	}
 	if local := version(); local != from {
 		return 0, fmt.Errorf("delta: version store out of sync: row %d vs %d", local, from)
@@ -187,83 +193,16 @@ func probe[T comparable](codeOf *map[T]uint32, vals *[]T, rows [][]value.Value, 
 	return codes
 }
 
-// index files the positions of rows [from, len(c.codes)) in the column's
-// tree. A counting sort groups them by key, so each key's positions come
-// out ascending: a key is a code, except that every NaN is filed under
-// the batch's first NaN code, since value.Compare calls NaNs equal (-0
-// and +0 share a code already). An empty tree is built bottom-up from
-// the keys, sorted once; a non-empty one takes one descent per key, so
-// one row costs one Insert.
-func (p *Partition) index(c *deltaColumn, from int) {
-	codes := c.codes[from:]
-	for len(p.count) < c.vals.Len() {
-		p.count = append(p.count, 0)
+// key returns the code a row of code code is filed under: code itself,
+// except that every NaN goes under the column's first NaN code, since
+// value.Compare calls NaNs equal while the map gives each its own code
+// (-0 and +0 share a code already).
+func (c *deltaColumn) key(code uint32) uint32 {
+	if c.vals.Floats != nil && c.vals.Floats[code] != c.vals.Floats[code] {
+		c.nan = min(c.nan, code)
+		return c.nan
 	}
-	floats, nan := c.vals.Floats, ^uint32(0)
-	key := func(code uint32) uint32 {
-		if floats != nil && floats[code] != floats[code] {
-			nan = min(nan, code)
-			return nan
-		}
-		return code
-	}
-	count, keys := p.count, p.keys[:0]
-	for _, code := range codes {
-		k := key(code)
-		if count[k] == 0 {
-			keys = append(keys, k)
-		}
-		count[k]++
-	}
-	fresh := c.tree.Len() == 0
-	var runs []uint32
-	var vals []value.Value
-	var lists [][]uint32
-	if fresh {
-		switch c.vals.Type {
-		case value.Int64:
-			sortByValue(keys, c.vals.Ints)
-		case value.Float64:
-			sortByValue(keys, c.vals.Floats)
-		default:
-			sortByValue(keys, c.vals.Strs)
-		}
-		runs = make([]uint32, len(codes)) // the tree keeps it
-		vals, lists = make([]value.Value, 0, len(keys)), make([][]uint32, 0, len(keys))
-	} else {
-		runs = slices.Grow(p.runs[:0], len(codes))[:len(codes)]
-		p.runs = runs
-	}
-	p.keys = keys
-	// count[k] becomes where key k's run starts, then, as the positions
-	// are scattered, where it ends.
-	start := uint32(0)
-	for _, k := range keys {
-		start, count[k] = start+count[k], start
-	}
-	for i, code := range codes {
-		k := key(code)
-		runs[count[k]] = uint32(from + i)
-		count[k]++
-	}
-	start = 0
-	for _, k := range keys {
-		run := runs[start:count[k]:count[k]]
-		start, count[k] = count[k], 0
-		if fresh {
-			vals, lists = append(vals, c.vals.At(int(k))), append(lists, run)
-		} else {
-			c.tree.InsertRun(c.vals.At(int(k)), run)
-		}
-	}
-	if fresh {
-		c.tree = bptree.FromRuns(c.vals.Type, vals, lists)
-	}
-}
-
-// sortByValue sorts distinct codes by their values in vals.
-func sortByValue[T cmp.Ordered](codes []uint32, vals []T) {
-	slices.SortFunc(codes, func(a, b uint32) int { return cmp.Compare(vals[a], vals[b]) })
+	return code
 }
 
 // Insert appends a provisional row owned by tx; the row becomes visible
@@ -340,33 +279,82 @@ func (p *Partition) GetRow(pos int) ([]value.Value, error) {
 }
 
 // ScanEqual appends positions (local to the delta) whose column equals v
-// and which are visible at (snapshot, self). It uses the B+-tree index,
-// the delta's fast value-retrieval path, and checks the hits' visibility
-// under one hold of the version store's lock.
+// and which are visible at (snapshot, self). One map probe finds v's
+// code, whose posting list holds the hits, ascending; their visibility
+// is checked under one hold of the version store's lock.
 func (p *Partition) ScanEqual(col int, v value.Value, snapshot mvcc.Timestamp, self mvcc.TxID, out []uint32) ([]uint32, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if col < 0 || col >= len(p.cols) {
-		return nil, fmt.Errorf("delta: column %d out of range (%d)", col, len(p.cols))
+	c, err := p.checkedColumn(col, v)
+	if err != nil {
+		return nil, err
+	}
+	code, ok := noNaN, false
+	switch c.vals.Type {
+	case value.Int64:
+		code, ok = c.ints[v.Int()]
+	case value.Float64:
+		if f := v.Float(); f != f {
+			code, ok = c.nan, c.nan != noNaN
+		} else {
+			code, ok = c.floats[f]
+		}
+	default:
+		code, ok = c.strs[v.Str()]
 	}
 	from := len(out)
-	out = append(out, p.cols[col].tree.Lookup(v)...)
+	if ok {
+		out = append(out, c.postings[code]...)
+	}
 	return p.visible(out, from, snapshot, self), nil
 }
 
-// ScanRange appends visible positions with lo <= value <= hi.
+// ScanRange appends visible positions with lo <= value <= hi: one pass
+// over the column's distinct values gathers the posting list of each one
+// in range, so the positions come grouped by code, not ascending.
 func (p *Partition) ScanRange(col int, lo, hi value.Value, snapshot mvcc.Timestamp, self mvcc.TxID, out []uint32) ([]uint32, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	c, err := p.checkedColumn(col, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	from := len(out)
+	switch c.vals.Type {
+	case value.Int64:
+		out = gather(c.vals.Ints, lo.Int(), hi.Int(), c.postings, out)
+	case value.Float64:
+		out = gather(c.vals.Floats, lo.Float(), hi.Float(), c.postings, out)
+	default:
+		out = gather(c.vals.Strs, lo.Str(), hi.Str(), c.postings, out)
+	}
+	return p.visible(out, from, snapshot, self), nil
+}
+
+// checkedColumn returns column col, checking that it exists and that
+// every operand has its type.
+func (p *Partition) checkedColumn(col int, operands ...value.Value) (*deltaColumn, error) {
 	if col < 0 || col >= len(p.cols) {
 		return nil, fmt.Errorf("delta: column %d out of range (%d)", col, len(p.cols))
 	}
-	from := len(out)
-	p.cols[col].tree.Range(lo, hi, func(_ value.Value, positions []uint32) bool {
-		out = append(out, positions...)
-		return true
-	})
-	return p.visible(out, from, snapshot, self), nil
+	c := &p.cols[col]
+	for _, v := range operands {
+		if v.Type() != c.vals.Type {
+			return nil, fmt.Errorf("delta: column %d holds %s, not %s", col, c.vals.Type, v.Type())
+		}
+	}
+	return c, nil
+}
+
+// gather appends the posting list of every code whose value lies in
+// [lo, hi] in cmp.Compare's order, code by code.
+func gather[T cmp.Ordered](vals []T, lo, hi T, postings [][]uint32, out []uint32) []uint32 {
+	for code, v := range vals {
+		if cmp.Compare(v, lo) >= 0 && cmp.Compare(v, hi) <= 0 {
+			out = append(out, postings[code]...)
+		}
+	}
+	return out
 }
 
 // visible counts the index hits out[from:] as visibility checks and
@@ -398,7 +386,7 @@ func (p *Partition) Column(col int) (dict.Values, []uint32) {
 
 // Bytes estimates the DRAM footprint of the delta: code vectors, 8 bytes
 // a distinct number and a distinct string's bytes plus a 16-byte header,
-// and the MVCC vectors; maps and trees are ignored.
+// and the MVCC vectors; maps and posting lists are ignored.
 func (p *Partition) Bytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

@@ -4,7 +4,8 @@
 // databases (paper Section II-A; SAP HANA, HyPer). The dictionary is a
 // sorted array of distinct values; codes are positions in that array, so
 // code order equals value order and range predicates translate to code
-// ranges. Codes are packed with the minimal number of bits.
+// ranges. Codes are packed with the minimal number of bits. The same
+// code order makes the index of a column a grouping of its rows by code.
 package dict
 
 import (
@@ -288,6 +289,72 @@ func (d *Dictionary) search(v value.Value, above int) uint32 {
 // bound returns the smallest i with cmp.Compare(s[i], x) >= above.
 func bound[T cmp.Ordered](s []T, x T, above int) uint32 {
 	return uint32(sort.Search(len(s), func(i int) bool { return cmp.Compare(s[i], x) >= above }))
+}
+
+// Index is a group-key index over a dictionary-encoded column (Faust et
+// al., ADMS 2012): the column's dictionary, one offset per code, and the
+// column's positions grouped by code, ascending within each code. Codes
+// follow value order, so an equality is one code and a range one run of
+// codes — either way a single slice of positions. It is immutable and
+// shares the dictionary.
+type Index struct {
+	dict      *Dictionary
+	offsets   []uint32 // code c's positions are positions[offsets[c]:offsets[c+1]]
+	positions []uint32
+}
+
+// NewIndex returns the index of a column with dictionary d whose row i
+// has code codes[i]: a counting sort groups the rows by code.
+func NewIndex(d *Dictionary, codes []uint32) *Index {
+	// offsets[c] is first the count of code c's rows, then where they
+	// start, and after the scatter where they end — where code c+1's
+	// start, which one shift puts in place.
+	offsets := make([]uint32, d.size+1)
+	for _, c := range codes {
+		offsets[c]++
+	}
+	at := uint32(0)
+	for c, n := range offsets[:d.size] {
+		offsets[c], at = at, at+n
+	}
+	positions := make([]uint32, len(codes))
+	for row, c := range codes {
+		positions[offsets[c]] = uint32(row)
+		offsets[c]++
+	}
+	copy(offsets[1:], offsets[:d.size])
+	offsets[0] = 0
+	return &Index{dict: d, offsets: offsets, positions: positions}
+}
+
+// Dictionary returns the dictionary the index is keyed by.
+func (x *Index) Dictionary() *Dictionary { return x.dict }
+
+// Eq returns the positions whose value equals v, ascending. The slice is
+// the index's own and must not be modified.
+func (x *Index) Eq(v value.Value) []uint32 {
+	c, ok := x.dict.Encode(v)
+	if !ok {
+		return nil
+	}
+	return x.codes(c, c+1)
+}
+
+// Between returns the positions whose value lies in [lo, hi], grouped by
+// value in ascending order; it is empty when lo > hi. The slice is the
+// index's own and must not be modified.
+func (x *Index) Between(lo, hi value.Value) []uint32 {
+	return x.codes(x.dict.LowerBound(lo), x.dict.UpperBound(hi))
+}
+
+// codes returns the positions of the codes in [lo, hi), capped so that
+// an append to it copies.
+func (x *Index) codes(lo, hi uint32) []uint32 {
+	if lo >= hi {
+		return nil
+	}
+	end := x.offsets[hi]
+	return x.positions[x.offsets[lo]:end:end]
 }
 
 // BitPacked is an immutable vector of codes stored with the minimal

@@ -199,6 +199,22 @@ func TestDictionaryCodeRangePredicate(t *testing.T) {
 			t.Fatalf("unexpected position %d", p)
 		}
 	}
+	// The index answers it as one slice, grouped by value; an absent
+	// value, lo > hi and an empty column answer nothing.
+	idx := NewIndex(d, codes)
+	if got := idx.Between(value.NewInt(10), value.NewInt(25)); !slices.Equal(got, []uint32{0, 6, 3}) {
+		t.Errorf("Between(10, 25) = %v, want [0 6 3]", got)
+	}
+	if got := idx.Eq(value.NewInt(42)); !slices.Equal(got, []uint32{1, 4}) || idx.Dictionary() != d {
+		t.Errorf("Eq(42) = %v, want [1 4]", got)
+	}
+	empty, _, _ := Build(value.Int64, nil)
+	for _, got := range [][]uint32{idx.Eq(value.NewInt(5)), idx.Between(value.NewInt(25), value.NewInt(10)),
+		NewIndex(empty, nil).Between(value.NewInt(math.MinInt64), value.NewInt(math.MaxInt64))} {
+		if len(got) != 0 {
+			t.Errorf("got %v, want no positions", got)
+		}
+	}
 }
 
 // scanReference is the kernel's specification: a Get per row.

@@ -19,10 +19,10 @@ import (
 	"sync"
 	"time"
 
-	"tierdb/internal/bptree"
 	"tierdb/internal/column"
 	"tierdb/internal/delta"
 	"tierdb/internal/device"
+	"tierdb/internal/dict"
 	"tierdb/internal/metrics"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/storage"
@@ -534,10 +534,10 @@ type step struct {
 	query int
 	// path is the rank the filter order used.
 	path accessPath
-	// index is the column's B+-tree (nil without one); mrc its
+	// index is the column's group-key index (nil without one); mrc its
 	// DRAM-resident column, or nil when the column is tiered and field
 	// is its position within the SSCG.
-	index *bptree.Tree
+	index *dict.Index
 	mrc   *column.MRC
 	field int
 	// sel is the estimated qualifying fraction, read from the pinned
@@ -822,22 +822,19 @@ func probeGroup(sc *scratch, gf int, pred func(value.Value) bool, cand []uint32)
 	})
 }
 
-// indexLookup resolves a predicate through the column's B+-tree index,
-// returning in dst[:0] the matching positions vis can see, in ascending
-// row order. The tree descent is DRAM-cheap and stays on the calling
-// goroutine at any worker count.
-func indexLookup(sc *scratch, idx *bptree.Tree, p Predicate, dst []uint32, vis reader) []uint32 {
+// indexLookup resolves a predicate through the column's group-key
+// index, returning in dst[:0] the matching positions vis can see, in
+// ascending row order. The dictionary search is DRAM-cheap and stays on
+// the calling goroutine at any worker count.
+func indexLookup(sc *scratch, idx *dict.Index, p Predicate, dst []uint32, vis reader) []uint32 {
 	positions := dst[:0]
 	switch p.Op {
 	case Eq:
-		positions = append(positions, idx.Lookup(p.Value)...)
+		positions = append(positions, idx.Eq(p.Value)...)
 	case Between:
-		idx.Range(p.Value, p.Hi, func(_ value.Value, rows []uint32) bool {
-			positions = append(positions, rows...)
-			return true
-		})
+		positions = append(positions, idx.Between(p.Value, p.Hi)...)
 	}
-	sc.serial += int64(20 + len(positions)) // tree descent + leaf reads
+	sc.serial += int64(20 + len(positions)) // dictionary search + position reads
 	out := vis.versions.FilterVisible(positions, vis.snapshot, vis.self)
 	slices.Sort(out)
 	return out

@@ -78,7 +78,7 @@ func (s *countingStore) ReadPage(id storage.PageID, buf []byte) error {
 // the workers with their position buffers, where each unit of the
 // current operator left its positions, the candidate list one operator
 // hands the next, and the DRAM touches made on the calling goroutine
-// alone (index descents, the delta), which no worker shares. It is
+// alone (index lookups, the delta), which no worker shares. It is
 // allocated while serving, lives in the executor's pool between queries
 // and is taken by one query at a time; a Result never points into it
 // (runPinned copies the ids out).

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"tierdb/internal/bptree"
 	"tierdb/internal/column"
+	"tierdb/internal/dict"
 	"tierdb/internal/value"
 )
 
@@ -19,7 +19,7 @@ func TestOperatorFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := bptree.New(value.Int64)
+	idx := dict.NewIndex(mrc.Dictionary(), []uint32{0})
 	dram := step{pred: Predicate{Column: 3}, path: pathMRC, mrc: mrc}
 	tiered := step{pred: Predicate{Column: 3}, path: pathSSCG, field: 0}
 	indexedDRAM := step{pred: Predicate{Column: 3}, path: pathIndex, index: idx, mrc: mrc}

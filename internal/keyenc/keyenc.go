@@ -2,8 +2,8 @@
 // encodings of typed values and composite keys: for any two keys a, b,
 // bytes.Compare(Encode(a), Encode(b)) equals the tuple comparison of a
 // and b. Composite indexes (the paper mentions Hyrise's multi-column
-// composite keys) store these encodings as string keys in the ordinary
-// B+-tree, so a single tree handles any key arity.
+// composite keys) key a dictionary of these encodings as strings, so one
+// index structure handles any key arity.
 package keyenc
 
 import (
@@ -19,7 +19,8 @@ import (
 //   - Int64: big-endian with the sign bit flipped, so negative values
 //     sort before positive ones.
 //   - Float64: IEEE-754 bits, sign-flipped for positives and fully
-//     inverted for negatives (the standard sortable-double transform).
+//     inverted for negatives (the standard sortable-double transform);
+//     -0 encodes as +0 and every NaN as zero bytes, below -Inf.
 //   - String: raw bytes with 0x00 escaped as 0x00 0xFF and terminated
 //     by 0x00 0x01, so shorter strings sort before their extensions and
 //     field boundaries never bleed into each other.
@@ -35,9 +36,12 @@ func AppendValue(dst []byte, v value.Value) ([]byte, error) {
 			f = 0 // normalize -0 to +0 so equal values encode equally
 		}
 		bits := math.Float64bits(f)
-		if bits&(1<<63) != 0 {
+		switch {
+		case f != f:
+			bits = 0 // every NaN alike and first, as value.Compare has them
+		case bits&(1<<63) != 0:
 			bits = ^bits // negative: invert everything
-		} else {
+		default:
 			bits |= 1 << 63 // positive: set sign bit
 		}
 		var buf [8]byte
@@ -71,8 +75,8 @@ func Encode(key []value.Value) ([]byte, error) {
 	return out, nil
 }
 
-// EncodeString is Encode returning a string (usable as a B+-tree key of
-// type value.String).
+// EncodeString is Encode returning a string (usable as a dictionary key
+// of type value.String).
 func EncodeString(key []value.Value) (string, error) {
 	b, err := Encode(key)
 	if err != nil {

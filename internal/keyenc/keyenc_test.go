@@ -69,12 +69,17 @@ func TestFloatOrdering(t *testing.T) {
 }
 
 func TestFloatSpecialValues(t *testing.T) {
-	ordered := []float64{math.Inf(-1), -1e300, -1, -1e-300, 0, 1e-300, 1, 1e300, math.Inf(1)}
+	ordered := []float64{math.NaN(), math.Inf(-1), -1e300, -1, -1e-300, 0, 1e-300, 1, 1e300, math.Inf(1)}
 	for i := 1; i < len(ordered); i++ {
 		a := mustEncodeQuick(value.NewFloat(ordered[i-1]))
 		b := mustEncodeQuick(value.NewFloat(ordered[i]))
 		if bytes.Compare(a, b) >= 0 {
 			t.Errorf("%g should encode before %g", ordered[i-1], ordered[i])
+		}
+	}
+	for _, f := range []float64{math.Copysign(math.NaN(), -1), math.Float64frombits(0x7ff0000000000001)} {
+		if !bytes.Equal(mustEncodeQuick(value.NewFloat(f)), mustEncodeQuick(value.NewFloat(math.NaN()))) {
+			t.Errorf("NaN %#x encodes unlike math.NaN()", math.Float64bits(f))
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tierdb/internal/bptree"
 	"tierdb/internal/exec"
 	"tierdb/internal/histogram"
 	"tierdb/internal/mvcc"
@@ -377,27 +376,18 @@ func requireSameIndexes(t *testing.T, src, loaded *table.Table, want, got *table
 		}
 		for i, p := range probes {
 			k := p[col]
-			if g, w := gi.Lookup(k), wi.Lookup(k); !slices.Equal(g, w) {
+			if g, w := gi.Eq(k), wi.Eq(k); !slices.Equal(g, w) {
 				t.Errorf("column %d Eq %v: %v, want %v", col, k, g, w)
 			}
 			hi := probes[(i*7+3)%len(probes)][col]
 			if k.Compare(hi) > 0 {
 				k, hi = hi, k
 			}
-			if g, w := between(gi, k, hi), between(wi, k, hi); !slices.Equal(g, w) {
+			if g, w := gi.Between(k, hi), wi.Between(k, hi); !slices.Equal(g, w) {
 				t.Errorf("column %d Between %v and %v: %v, want %v", col, k, hi, g, w)
 			}
 		}
 	}
-}
-
-func between(tr *bptree.Tree, lo, hi value.Value) []uint32 {
-	var out []uint32
-	tr.Range(lo, hi, func(_ value.Value, positions []uint32) bool {
-		out = append(out, positions...)
-		return true
-	})
-	return out
 }
 
 // requireSameAnswers runs a fixed query set on the loaded table — every

@@ -23,9 +23,10 @@ func compositeKeyName(cols []int) string {
 
 // CreateCompositeIndex builds a DRAM-resident multi-column index over
 // the main partition (cf. Hyrise's composite keys, paper Section IV).
-// Keys are order-preserving byte encodings of the column tuple, stored
-// in an ordinary B+-tree; like single-column indexes, composite indexes
-// are never evicted and are rebuilt by Merge.
+// Keys are order-preserving byte encodings of the column tuple, indexed
+// like a single column: a dictionary of the keys and the rows grouped by
+// key code. Like single-column indexes, composite indexes are never
+// evicted and are rebuilt by Merge.
 func (t *Table) CreateCompositeIndex(cols []int) error {
 	if len(cols) < 2 {
 		return fmt.Errorf("table %s: composite index needs >= 2 columns, got %d", t.name, len(cols))
@@ -45,9 +46,9 @@ func (t *Table) CreateCompositeIndex(cols []int) error {
 
 // LookupComposite resolves a composite-key lookup in the View, using the
 // composite index over cols (which must have been created): the main
-// partition via the composite B+-tree, then the frozen (if any) and
-// active deltas by probing their first-column trees and verifying the
-// remaining columns.
+// partition via the composite index, then the frozen (if any) and
+// active deltas by probing their first column's postings and verifying
+// the remaining columns. Every key value must have its column's type.
 func (v *View) LookupComposite(cols []int, key []value.Value, snapshot mvcc.Timestamp, self mvcc.TxID) ([]RowID, error) {
 	if len(key) != len(cols) {
 		return nil, fmt.Errorf("table %s: composite key has %d values for %d columns", v.main.name, len(key), len(cols))
@@ -56,13 +57,18 @@ func (v *View) LookupComposite(cols []int, key []value.Value, snapshot mvcc.Time
 	if !ok {
 		return nil, fmt.Errorf("table %s: no composite index on columns %v", v.main.name, cols)
 	}
+	for i, c := range cols {
+		if f := v.main.schema.Field(c); key[i].Type() != f.Type {
+			return nil, fmt.Errorf("table %s: composite key value %d has type %s, column %q holds %s", v.main.name, i, key[i].Type(), f.Name, f.Type)
+		}
+	}
 	enc, err := keyenc.EncodeString(key)
 	if err != nil {
 		return nil, err
 	}
 	var out []RowID
-	// Lookup's slice is the tree's own: filter a copy.
-	for _, pos := range v.main.versions.FilterVisible(slices.Clone(idx.tree.Lookup(value.NewString(enc))), snapshot, self) {
+	// Eq's slice is the index's own: filter a copy.
+	for _, pos := range v.main.versions.FilterVisible(slices.Clone(idx.index.Eq(value.NewString(enc))), snapshot, self) {
 		out = append(out, RowID(pos))
 	}
 	probe := func(d *delta.Partition, base uint64, bound int) error {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"tierdb/internal/bptree"
 	"tierdb/internal/column"
 	"tierdb/internal/delta"
 	"tierdb/internal/dict"
@@ -35,16 +34,16 @@ type main struct {
 	group      *sscg.Group // nil when every column is an MRC
 	groupIdx   []int       // schema column -> field index within group, -1 if MRC
 	versions   *mvcc.Versions
-	indexes    map[int]*bptree.Tree      // single-column indexes, always DRAM-resident
+	indexes    map[int]*dict.Index       // single-column indexes, always DRAM-resident
 	composites map[string]compositeIndex // multi-column indexes by canonical column list
 	hists      []*histogram.Histogram    // per-column equi-depth histograms and distinct counts (nil when empty)
 	epoch      *epoch                    // reclamation epoch owning group's pages
 }
 
-// compositeIndex bundles the indexed columns with their tree.
+// compositeIndex bundles the indexed columns with their index.
 type compositeIndex struct {
-	cols []int
-	tree *bptree.Tree
+	cols  []int
+	index *dict.Index
 }
 
 // tuple reconstructs a full row: MRC attributes decode from their
@@ -83,13 +82,14 @@ func (m *main) value(row, col int) (value.Value, error) {
 	return m.group.ReadField(row, m.groupIdx[col])
 }
 
-// addIndex builds a DRAM-resident B+-tree over cols and registers it.
-// One column indexes its values, bulk-loaded from its codes
-// (bptree.FromCodes) — an SSCG column's values are encoded first;
-// several index the order-preserving byte encoding of the column tuple
-// (cf. Hyrise's composite keys, paper Section IV). column supplies each
-// column — the merge's encoding, or column of the main a new index is
-// created on. It writes m's index maps, so m must not be installed yet.
+// addIndex builds a DRAM-resident group-key index over cols
+// (dict.NewIndex) and registers it. One column's index is keyed by its
+// dictionary — an MRC's own, or, for an SSCG column, one built from its
+// values; several columns' index by a dictionary of the order-preserving
+// byte encodings of their tuples (cf. Hyrise's composite keys, paper
+// Section IV). column supplies each column — the merge's encoding, or
+// column of the main a new index is created on. It writes m's index
+// maps, so m must not be installed yet.
 func (m *main) addIndex(cols []int, column func(col int) (encoded, error)) error {
 	enc := make([]encoded, len(cols))
 	for i, c := range cols {
@@ -98,34 +98,33 @@ func (m *main) addIndex(cols []int, column func(col int) (encoded, error)) error
 			return fmt.Errorf("table %s: build index on columns %v: %w", m.name, cols, err)
 		}
 	}
-	if len(cols) == 1 {
-		e, typ := enc[0], m.schema.Field(cols[0]).Type
-		if e.dict == nil {
-			var err error
-			if e.dict, e.codes, err = dict.Build(typ, e.vals); err != nil {
-				return fmt.Errorf("table %s: build index on column %d: %w", m.name, cols[0], err)
+	e, typ := enc[0], m.schema.Field(cols[0]).Type
+	if len(cols) > 1 {
+		keys, key := make([]value.Value, m.rows), make([]value.Value, len(cols))
+		for row := range keys {
+			for i := range cols {
+				key[i] = enc[i].value(row)
 			}
+			k, err := keyenc.EncodeString(key)
+			if err != nil {
+				return fmt.Errorf("table %s: encode composite key: %w", m.name, err)
+			}
+			keys[row] = value.NewString(k)
 		}
-		keys := make([]value.Value, e.dict.Size())
-		for i := range keys {
-			keys[i] = e.dict.At(i)
-		}
-		m.indexes[cols[0]] = bptree.FromCodes(typ, keys, e.codes)
-		return nil
+		e, typ = encoded{vals: keys}, value.String
 	}
-	tree := bptree.New(value.String)
-	key := make([]value.Value, len(cols))
-	for row := 0; row < m.rows; row++ {
-		for i := range cols {
-			key[i] = enc[i].value(row)
+	if e.dict == nil {
+		var err error
+		if e.dict, e.codes, err = dict.Build(typ, e.vals); err != nil {
+			return fmt.Errorf("table %s: build index on columns %v: %w", m.name, cols, err)
 		}
-		k, err := keyenc.EncodeString(key)
-		if err != nil {
-			return fmt.Errorf("table %s: encode composite key: %w", m.name, err)
-		}
-		tree.Insert(value.NewString(k), uint32(row))
 	}
-	m.composites[compositeKeyName(cols)] = compositeIndex{cols: append([]int(nil), cols...), tree: tree}
+	idx := dict.NewIndex(e.dict, e.codes)
+	if len(cols) == 1 {
+		m.indexes[cols[0]] = idx
+	} else {
+		m.composites[compositeKeyName(cols)] = compositeIndex{cols: append([]int(nil), cols...), index: idx}
+	}
 	return nil
 }
 
@@ -222,7 +221,7 @@ func (e encoded) histogram(typ value.Type) (*histogram.Histogram, error) {
 // the histogram and the distinct count. A column that was in the SSCG
 // sorts its values once — by dict.Build when it becomes an MRC or is
 // indexed, else by histogram.Build. MRCs pack the codes and
-// single-column indexes are bulk-loaded from them. The next SSCG is
+// single-column indexes group the rows by them. The next SSCG is
 // written in one pass: old slots are copied byte for byte from one
 // ordered walk of the old pages, and only delta rows and columns
 // arriving from an MRC are encoded. The values each column carries are
@@ -296,7 +295,7 @@ func (t *Table) newMain(layout []bool, rows int, versions *mvcc.Versions) (*main
 		mrcs:       make([]*column.MRC, len(layout)),
 		groupIdx:   make([]int, len(layout)),
 		versions:   versions,
-		indexes:    make(map[int]*bptree.Tree),
+		indexes:    make(map[int]*dict.Index),
 		composites: make(map[string]compositeIndex),
 		hists:      make([]*histogram.Histogram, len(layout)),
 	}

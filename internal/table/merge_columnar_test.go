@@ -2,15 +2,13 @@ package table
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"tierdb/internal/amm"
-	"tierdb/internal/bptree"
+	"tierdb/internal/dict"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
 	"tierdb/internal/sscg"
@@ -231,10 +229,10 @@ func requireSameMain(t *testing.T, got, want *main) {
 		t.Fatalf("%d+%d indexes, want %d+%d", len(got.indexes), len(got.composites), len(want.indexes), len(want.composites))
 	}
 	for col, w := range want.indexes {
-		requireSameTree(t, fmt.Sprintf("index on %d", col), got.indexes[col], w)
+		requireSameIndex(t, fmt.Sprintf("index on %d", col), got.indexes[col], w)
 	}
 	for name, w := range want.composites {
-		requireSameTree(t, "composite "+name, got.composites[name].tree, w.tree)
+		requireSameIndex(t, "composite "+name, got.composites[name].index, w.index)
 	}
 }
 
@@ -257,42 +255,37 @@ func groupBytes(t *testing.T, g *sscg.Group) []byte {
 	return out
 }
 
-func requireSameTree(t *testing.T, what string, got, want *bptree.Tree) {
+func requireSameIndex(t *testing.T, what string, got, want *dict.Index) {
 	t.Helper()
-	if got == nil || got.Len() != want.Len() || got.Type() != want.Type() {
-		t.Fatalf("%s: %v, want %d keys", what, got, want.Len())
+	wd := want.Dictionary()
+	if got == nil || got.Dictionary().Size() != wd.Size() || got.Dictionary().Type() != wd.Type() {
+		t.Fatalf("%s: %v, want %d keys", what, got, wd.Size())
 	}
-	g, w := treeEntries(got), treeEntries(want)
-	if !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s: Range %v, want %v", what, g, w)
+	g, w := indexEntries(got), indexEntries(want)
+	if !slices.EqualFunc(g, w, func(a, b indexEntry) bool { return a.key.Equal(b.key) && slices.Equal(a.positions, b.positions) }) {
+		t.Fatalf("%s: entries %v, want %v", what, g, w)
 	}
 	for _, e := range w {
-		if l := got.Lookup(e.key); !slices.Equal(l, e.positions) {
-			t.Fatalf("%s: Lookup(%v) = %v, want %v", what, e.key, l, e.positions)
+		if l := got.Eq(e.key); !slices.Equal(l, e.positions) {
+			t.Fatalf("%s: Eq(%v) = %v, want %v", what, e.key, l, e.positions)
 		}
 	}
 }
 
-type treeEntry struct {
+type indexEntry struct {
 	key       value.Value
 	positions []uint32
 }
 
-// treeEntries lists a tree's keys and position lists through one Range
-// over the whole key domain.
-func treeEntries(tr *bptree.Tree) []treeEntry {
-	lo, hi := value.NewString(""), value.NewString(strings.Repeat("\xff", 64))
-	switch tr.Type() {
-	case value.Int64:
-		lo, hi = value.NewInt(math.MinInt64), value.NewInt(math.MaxInt64)
-	case value.Float64:
-		lo, hi = value.NewFloat(math.Inf(-1)), value.NewFloat(math.Inf(1))
+// indexEntries lists an index's keys, in dictionary order, each with the
+// positions a one-key Between returns.
+func indexEntries(idx *dict.Index) []indexEntry {
+	d := idx.Dictionary()
+	out := make([]indexEntry, d.Size())
+	for c := range out {
+		k := d.At(c)
+		out[c] = indexEntry{k, idx.Between(k, k)}
 	}
-	var out []treeEntry
-	tr.Range(lo, hi, func(k value.Value, positions []uint32) bool {
-		out = append(out, treeEntry{k, positions})
-		return true
-	})
 	return out
 }
 

@@ -2,10 +2,11 @@ package table
 
 import (
 	"fmt"
+	"slices"
 
-	"tierdb/internal/bptree"
 	"tierdb/internal/column"
 	"tierdb/internal/delta"
+	"tierdb/internal/dict"
 	"tierdb/internal/histogram"
 	"tierdb/internal/keyenc"
 	"tierdb/internal/mvcc"
@@ -21,17 +22,20 @@ import (
 // MergeOffline, TestColumnarMainMatchesRowPath through buildMainRows).
 
 // addIndexesRowPath builds on m every index from has, from the row
-// buffer m was built from, one tree Insert per row.
+// buffer m was built from, one row at a time (rowIndex).
 func (m *main) addIndexesRowPath(from *main, rows [][]value.Value) error {
+	keys := make([]value.Value, len(rows))
 	for col := range from.indexes {
-		tree := bptree.New(m.schema.Field(col).Type)
 		for r, row := range rows {
-			tree.Insert(row[col], uint32(r))
+			keys[r] = row[col]
 		}
-		m.indexes[col] = tree
+		idx, err := rowIndex(m.schema.Field(col).Type, keys)
+		if err != nil {
+			return err
+		}
+		m.indexes[col] = idx
 	}
 	for name, ci := range from.composites {
-		tree := bptree.New(value.String)
 		key := make([]value.Value, len(ci.cols))
 		for r, row := range rows {
 			for i, c := range ci.cols {
@@ -41,11 +45,54 @@ func (m *main) addIndexesRowPath(from *main, rows [][]value.Value) error {
 			if err != nil {
 				return err
 			}
-			tree.Insert(value.NewString(enc), uint32(r))
+			keys[r] = value.NewString(enc)
 		}
-		m.composites[name] = compositeIndex{cols: ci.cols, tree: tree}
+		idx, err := rowIndex(value.String, keys)
+		if err != nil {
+			return err
+		}
+		m.composites[name] = compositeIndex{cols: ci.cols, index: idx}
 	}
 	return nil
+}
+
+// rowIndex indexes keys, row r's at r, by brute force: a map from each
+// distinct key — keyenc-encoded, so that the values value.Compare calls
+// equal share an entry — to its rows in the order they come, then the
+// entries sorted by key and numbered as a dictionary's codes.
+func rowIndex(typ value.Type, keys []value.Value) (*dict.Index, error) {
+	type entry struct {
+		key  value.Value
+		rows []int
+	}
+	byKey := map[string]*entry{}
+	var entries []*entry
+	for r, k := range keys {
+		enc, err := keyenc.EncodeString([]value.Value{k})
+		if err != nil {
+			return nil, err
+		}
+		e := byKey[enc]
+		if e == nil {
+			e = &entry{key: k}
+			byKey[enc] = e
+			entries = append(entries, e)
+		}
+		e.rows = append(e.rows, r)
+	}
+	slices.SortFunc(entries, func(a, b *entry) int { return a.key.Compare(b.key) })
+	vals, codes := dict.Values{Type: typ}, make([]uint32, len(keys))
+	for c, e := range entries {
+		vals.Append(e.key)
+		for _, r := range e.rows {
+			codes[r] = uint32(c)
+		}
+	}
+	d, err := dict.FromSorted(vals)
+	if err != nil {
+		return nil, err
+	}
+	return dict.NewIndex(d, codes), nil
 }
 
 // buildMainRows builds the main partition holding rows under layout:
@@ -72,7 +119,7 @@ func (t *Table) buildMainRows(layout []bool, rows [][]value.Value) (*main, error
 		mrcs:       make([]*column.MRC, nCols),
 		groupIdx:   make([]int, nCols),
 		versions:   mvcc.NewVersions(),
-		indexes:    make(map[int]*bptree.Tree),
+		indexes:    make(map[int]*dict.Index),
 		composites: make(map[string]compositeIndex),
 		hists:      make([]*histogram.Histogram, nCols),
 	}

@@ -14,8 +14,8 @@ import (
 	"sync"
 
 	"tierdb/internal/amm"
-	"tierdb/internal/bptree"
 	"tierdb/internal/delta"
+	"tierdb/internal/dict"
 	"tierdb/internal/histogram"
 	"tierdb/internal/metrics"
 	"tierdb/internal/mvcc"
@@ -281,9 +281,11 @@ func (t *Table) GetTuple(id RowID) ([]value.Value, error) {
 	return v.GetTuple(id)
 }
 
-// CreateIndex builds a DRAM-resident B+-tree index over the main
-// partition of the given column (indexes are never evicted, paper
-// Section IV). It is rebuilt by Merge.
+// CreateIndex builds a DRAM-resident group-key index over the main
+// partition of the given column: its rows grouped by dictionary code,
+// keyed by the column's dictionary — an MRC's own, or one built for an
+// SSCG column (indexes are never evicted, paper Section IV). It is
+// rebuilt by Merge.
 func (t *Table) CreateIndex(col int) error {
 	if col < 0 || col >= t.schema.Len() {
 		return fmt.Errorf("table %s: index column %d out of range", t.name, col)
@@ -309,7 +311,7 @@ func (t *Table) installIndex(cols []int) error {
 }
 
 // Index returns the main-partition index for col, or nil.
-func (t *Table) Index(col int) *bptree.Tree { return t.peek().main.indexes[col] }
+func (t *Table) Index(col int) *dict.Index { return t.peek().main.indexes[col] }
 
 // VisibleCount returns the number of rows visible at the latest
 // snapshot, read with the pin (see PinLatest).

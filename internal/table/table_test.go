@@ -239,7 +239,7 @@ func TestIndexRebuildOnMerge(t *testing.T) {
 	if idx == nil {
 		t.Fatal("index missing")
 	}
-	if got := idx.Lookup(value.NewInt(17)); len(got) != 1 || got[0] != 17 {
+	if got := idx.Eq(value.NewInt(17)); len(got) != 1 || got[0] != 17 {
 		t.Errorf("index lookup = %v", got)
 	}
 	// After inserting + merging, the index covers the new row.
@@ -255,7 +255,7 @@ func TestIndexRebuildOnMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx = tbl.Index(0)
-	if got := idx.Lookup(value.NewInt(500)); len(got) != 1 {
+	if got := idx.Eq(value.NewInt(500)); len(got) != 1 {
 		t.Errorf("index missing merged row: %v", got)
 	}
 	if err := tbl.CreateIndex(99); err == nil {
@@ -272,7 +272,7 @@ func TestIndexOverSSCGColumn(t *testing.T) {
 	if err := tbl.CreateIndex(1); err != nil {
 		t.Fatal(err)
 	}
-	got := tbl.Index(1).Lookup(value.NewInt(7))
+	got := tbl.Index(1).Eq(value.NewInt(7))
 	if len(got) != 3 { // qty = i%10 == 7 for rows 7,17,27
 		t.Errorf("index over SSCG column found %d rows, want 3", len(got))
 	}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"tierdb/internal/bptree"
 	"tierdb/internal/column"
 	"tierdb/internal/delta"
+	"tierdb/internal/dict"
 	"tierdb/internal/histogram"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/sscg"
@@ -145,7 +145,7 @@ func (v *View) GroupField(col int) int {
 }
 
 // Index returns the snapshot's main-partition index for col, or nil.
-func (v *View) Index(col int) *bptree.Tree { return v.main.indexes[col] }
+func (v *View) Index(col int) *dict.Index { return v.main.indexes[col] }
 
 // MainVersions returns the snapshot's main-partition version store.
 func (v *View) MainVersions() *mvcc.Versions { return v.main.versions }

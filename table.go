@@ -239,8 +239,9 @@ func (t *Table) Sum(column string, ids []RowID) (float64, error) {
 	return t.exec.Sum(c, ids)
 }
 
-// CreateIndex builds a DRAM-resident B+-tree over the named column's
-// main partition (indexes are never evicted).
+// CreateIndex builds a DRAM-resident group-key index over the named
+// column's main partition — its rows grouped by dictionary code
+// (indexes are never evicted).
 func (t *Table) CreateIndex(column string) error {
 	c := t.inner.Schema().IndexOf(column)
 	if c < 0 {
