@@ -3,14 +3,10 @@ package tierdb
 import (
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"tierdb/internal/device"
-	"tierdb/internal/mvcc"
 	"tierdb/internal/persist"
-	"tierdb/internal/schema"
-	"tierdb/internal/table"
 	"tierdb/internal/wal"
 )
 
@@ -56,40 +52,20 @@ func (db *DB) openDurability(cfg Config) error {
 	return nil
 }
 
-// recover rebuilds committed state: every checkpoint snapshot is loaded
-// at its embedded snapshot timestamp, then the log replays on top,
-// skipping per table whatever its snapshot already covers. A TIERDB03
-// snapshot restores its main partition as stored: the MRCs' dictionaries
-// and packed codes are read back into DRAM, the SSCG's pages are written
-// back to the device undecoded, and only the indexes are built again —
-// so a snapshot's restart cost follows its MRC share, the paper's
-// reduced-recovery-time motivation. Log replay is reported via the
-// wal.recovery_ns metric as modeled DRAM sequential-read time over the
-// replayed bytes, which keeps the number machine-independent.
+// recover rebuilds committed state with persist.Recover — checkpoint
+// snapshots, then the log on top — and registers the tables; it runs
+// inside Open, before anything else can reach db.tables. Log replay is
+// reported via the wal.recovery_ns metric as modeled DRAM
+// sequential-read time over the replayed bytes, which keeps the number
+// machine-independent.
 func (db *DB) recover(fs wal.FS, dir string) error {
-	snaps, err := wal.ListSnapshots(fs, dir)
-	if err != nil {
-		return fmt.Errorf("tierdb: list snapshots: %w", err)
-	}
-	h := &replayHandler{db: db, snapTs: make(map[string]mvcc.Timestamp)}
-	for _, name := range snaps {
-		rc, err := fs.Open(dir + "/" + name)
-		if err != nil {
-			return fmt.Errorf("tierdb: open snapshot %s: %w", name, err)
-		}
-		inner, snapTs, err := persist.LoadAt(rc, db.tableOptions())
-		rc.Close()
-		if err != nil {
-			return fmt.Errorf("tierdb: snapshot %s: %w", name, err)
-		}
-		db.addTable(inner)
-		h.snapTs[inner.Name()] = snapTs
-	}
-	stats, err := wal.Replay(fs, dir, h)
+	tables, stats, err := persist.Recover(fs, dir, db.tableOptions())
 	if err != nil {
 		return err
 	}
-	db.mgr.AdvanceTo(stats.MaxTs)
+	for name, inner := range tables {
+		db.tables[name] = newTableHandle(db, inner)
+	}
 	if db.registry != nil {
 		db.registry.Counter("wal.replayed_records").Add(int64(stats.Records))
 		db.registry.Counter("wal.replayed_bytes").Add(stats.Bytes)
@@ -98,94 +74,6 @@ func (db *DB) recover(fs wal.FS, dir string) error {
 		db.registry.Counter("wal.recovery_ns").Add(int64(device.DRAM.SequentialReadTime(stats.Bytes, 1) / time.Nanosecond))
 	}
 	return nil
-}
-
-// replayHandler applies decoded WAL records to the database. Ops at or
-// below a table's snapshot timestamp are already in its checkpoint
-// snapshot and replay idempotently as no-ops.
-type replayHandler struct {
-	db     *DB
-	snapTs map[string]mvcc.Timestamp
-}
-
-func (h *replayHandler) table(name string) (*Table, error) {
-	h.db.mu.Lock()
-	defer h.db.mu.Unlock()
-	if t, ok := h.db.tables[name]; ok {
-		return t, nil
-	}
-	return nil, fmt.Errorf("tierdb: replay references unknown table %q", name)
-}
-
-func (h *replayHandler) CreateTable(name string, fields []schema.Field) error {
-	h.db.mu.Lock()
-	_, exists := h.db.tables[name]
-	h.db.mu.Unlock()
-	if exists {
-		// Restored from a checkpoint snapshot already.
-		return nil
-	}
-	s, err := schema.New(fields)
-	if err != nil {
-		return fmt.Errorf("tierdb: replay create table %q: %w", name, err)
-	}
-	inner, err := table.New(name, s, h.db.tableOptions())
-	if err != nil {
-		return err
-	}
-	h.db.addTable(inner)
-	return nil
-}
-
-func (h *replayHandler) ApplyLayout(name string, layout []bool) error {
-	t, err := h.table(name)
-	if err != nil {
-		return err
-	}
-	return t.inner.ApplyLayout(layout)
-}
-
-func (h *replayHandler) CreateIndex(name string, cols []int) error {
-	t, err := h.table(name)
-	if err != nil {
-		return err
-	}
-	if len(cols) == 1 {
-		return t.inner.CreateIndex(cols[0])
-	}
-	return t.inner.CreateCompositeIndex(cols)
-}
-
-// Commit re-applies one logged commit table by table, each table's
-// inserts as one batch.
-func (h *replayHandler) Commit(ts mvcc.Timestamp, ops []mvcc.RedoOp) error {
-	var done []string
-	for _, op := range ops {
-		if slices.Contains(done, op.Table) || ts <= h.snapTs[op.Table] {
-			continue // replayed already, or covered by the table's checkpoint snapshot
-		}
-		done = append(done, op.Table)
-		t, err := h.table(op.Table)
-		if err != nil {
-			return err
-		}
-		if err := t.inner.ReplayCommit(ts, ops); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (h *replayHandler) Checkpoint(mvcc.Timestamp) {}
-
-// addTable registers a recovered or restored engine table under the
-// public handle.
-func (db *DB) addTable(inner *table.Table) *Table {
-	t := newTableHandle(db, inner)
-	db.mu.Lock()
-	db.tables[inner.Name()] = t
-	db.mu.Unlock()
-	return t
 }
 
 // Checkpoint takes a durable, snapshot-consistent checkpoint of every

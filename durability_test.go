@@ -689,6 +689,93 @@ func TestRestoreTableIntoDurableDB(t *testing.T) {
 	}
 }
 
+// createHookFS runs onCreate before each file creation it passes on.
+type createHookFS struct {
+	wal.FS
+	onCreate func(name string)
+}
+
+func (h *createHookFS) Create(name string) (wal.File, error) {
+	if h.onCreate != nil {
+		h.onCreate(name)
+	}
+	return h.FS.Create(name)
+}
+
+// TestWALRecoveryRestoreTableWindow crashes a RestoreTable at the
+// creation of the restored table's snapshot file, where a writer tries
+// to insert into the table. A restored table must be durable before it
+// is visible: the writer cannot find the table yet, or its acknowledged
+// insert survives, and in every survival mode the database reopens —
+// never with a logged commit for a table no snapshot or create-table
+// record holds.
+func TestWALRecoveryRestoreTableWindow(t *testing.T) {
+	src, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := src.CreateTable("ext", walFields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.BulkLoad([][]Value{{Int(1), String("s")}, {Int(2), String("s")}}); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/ext.snap"
+	if err := tbl.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+
+	// restore runs RestoreTable on fs; at the snapshot's creation the
+	// writer inserts if the table is visible, and crashAt is the number
+	// of that creation among fs's mutating operations.
+	restore := func(fs *wal.CrashFS) (restoreErr error, acked bool, crashAt int) {
+		hfs := &createHookFS{FS: fs}
+		db, err := Open(walConfig(hfs, SyncAlways))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		hfs.onCreate = func(name string) {
+			if name != "wal/ext"+wal.SnapSuffix+".tmp" {
+				return
+			}
+			// A held db.mu means the table is being registered: a writer
+			// would wait for it, so it cannot find the table now.
+			if db.mu.TryLock() {
+				ext := db.tables["ext"]
+				db.mu.Unlock()
+				if ext != nil {
+					acked = ext.Insert([]Value{Int(3), String("w")}) == nil
+				}
+			}
+			crashAt = fs.Ops() + 1
+		}
+		_, restoreErr = db.RestoreTable(path)
+		return restoreErr, acked, crashAt
+	}
+	_, _, crashAt := restore(wal.NewMemFS())
+	if crashAt == 0 {
+		t.Fatal("RestoreTable never created the table's snapshot in the log directory")
+	}
+	fs := wal.NewCrashFS(crashAt)
+	restoreErr, acked, _ := restore(fs)
+	if !fs.Crashed() || restoreErr == nil {
+		t.Fatalf("RestoreTable survived a crash at its snapshot's creation: %v", restoreErr)
+	}
+	for _, mode := range wal.RecoverModes() {
+		db, err := Open(walConfig(fs.Recover(mode, 0), SyncAlways))
+		if err != nil {
+			t.Fatalf("%s: reopen after a crashed RestoreTable (insert acked: %v): %v", mode, acked, err)
+		}
+		if got, err := db.Table("ext"); err == nil {
+			t.Errorf("%s: a restore that failed left table ext with %d rows", mode, got.Rows())
+		}
+		db.Close()
+	}
+}
+
 // TestCommitRollsBackWhenLogDies pins the no-false-ack property from the
 // engine's public surface: once the log cannot be written, commits fail
 // and their rows never become visible.

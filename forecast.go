@@ -2,10 +2,14 @@ package tierdb
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 
 	"tierdb/internal/forecast"
 	"tierdb/internal/persist"
 	"tierdb/internal/table"
+	"tierdb/internal/wal"
 	"tierdb/internal/workload"
 )
 
@@ -64,36 +68,50 @@ func (t *Table) RecommendForecastLayout(opts PlacementOptions, fopts ForecastOpt
 }
 
 // Snapshot persists the table (schema, layout, index definitions, all
-// visible rows) to a file; restore with DB.RestoreTable.
+// visible rows) to a file, atomically and durably (see wal.WriteFile);
+// restore with DB.RestoreTable.
 func (t *Table) Snapshot(path string) error {
-	return persist.SaveFile(path, t.inner)
+	return wal.WriteFile(wal.OSFS{}, filepath.Dir(path), filepath.Base(path), func(w io.Writer) error {
+		return persist.Save(w, t.inner)
+	})
 }
 
 // RestoreTable loads a table snapshot into this database, re-tiering it
 // onto the database's device and registering it under its saved name.
-// With a WAL configured the restored table is made durable by an
-// immediate checkpoint (its rows are not in the log).
+// With a WAL configured the restored table is durable before it is
+// visible: its rows are not in the log, so its snapshot is published in
+// the log directory at the last commit, as a checkpoint would publish
+// it, before any writer can find the table and log a commit to it.
 func (db *DB) RestoreTable(path string) (*Table, error) {
-	inner, err := persist.LoadFile(path, db.tableOptions())
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	inner, err := persist.Load(f, db.tableOptions())
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	// A checkpoint quiesced before the load must not list the table: the
+	// restored rows are newer than its snapshot timestamp, and its
+	// snapshot of the table would replace this one without them.
+	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if _, exists := db.tables[inner.Name()]; exists {
-		db.mu.Unlock()
 		return nil, fmt.Errorf("tierdb: table %q already exists", inner.Name())
 	}
-	t := newTableHandle(db, inner)
-	db.tables[inner.Name()] = t
-	db.mu.Unlock()
 	if db.wal != nil {
-		if err := db.Checkpoint(); err != nil {
-			db.mu.Lock()
-			delete(db.tables, inner.Name())
-			db.mu.Unlock()
+		err := db.wal.WriteSnapshot(inner.Name()+wal.SnapSuffix, func(w io.Writer) error {
+			return persist.SaveAt(w, inner, db.mgr.LastCommit())
+		})
+		if err != nil {
 			return nil, fmt.Errorf("tierdb: restored table not durable: %w", err)
 		}
 	}
+	t := newTableHandle(db, inner)
+	db.tables[inner.Name()] = t
 	return t, nil
 }
 

@@ -1,10 +1,12 @@
 // Package codec is the byte-level vocabulary the WAL record codec and
-// the wire protocol share: uvarint-prefixed strings, self-describing
-// values (type byte, then 8 fixed bytes for numerics or a string) and
-// rows of them, plus the cursor that decodes them. Both inputs can be
-// hostile or torn, so the Reader never trusts a length it cannot verify
-// against the remaining input: bad input yields the caller's sentinel
-// error — never a panic or an unbounded allocation.
+// the wire protocol share: the frame header both put before a payload
+// (uvarint length, then the payload's CRC-32C, 4 bytes LE),
+// uvarint-prefixed strings, self-describing values (type byte, then 8
+// fixed bytes for numerics or a string) and rows of them, plus the
+// cursor that decodes them. Both inputs can be hostile or torn, so the
+// Reader never trusts a length it cannot verify against the remaining
+// input: bad input yields the caller's sentinel error — never a panic
+// or an unbounded allocation.
 //
 // A Reader from NewReader copies every string it decodes. One from
 // NewSharedReader makes one string of its whole payload, at the first
@@ -18,6 +20,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"slices"
 
@@ -28,6 +31,19 @@ import (
 // the WAL, either end of a wire connection — keeps for its next record
 // once one is done; a larger one, a bulk load's, is let go.
 const MaxKeptBuffer = 1 << 20
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum returns payload's CRC-32C, the checksum a frame header
+// carries.
+func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, crcTable) }
+
+// AppendFrameHeader appends payload's frame header to buf: its uvarint
+// length, then its Checksum, 4 bytes little-endian.
+func AppendFrameHeader(buf, payload []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(buf, Checksum(payload))
+}
 
 // AppendString appends s with a uvarint length prefix.
 func AppendString(buf []byte, s string) []byte {

@@ -13,6 +13,7 @@ import (
 	"tierdb/internal/exec"
 	"tierdb/internal/metrics"
 	"tierdb/internal/mvcc"
+	"tierdb/internal/persist"
 	"tierdb/internal/schema"
 	"tierdb/internal/storage"
 	"tierdb/internal/table"
@@ -236,11 +237,11 @@ func ciAdaptiveSolve(seed int64) (float64, error) {
 	return core.ScanCost(w, core.DefaultCostParams(), alloc.InDRAM) * 1e9, nil
 }
 
-// ciRecovery writes a seeded WAL through the real log layer, replays it
-// into a fresh table and returns the modeled replay time (DRAM
-// sequential read over the replayed bytes). Record counts are verified:
-// replay dropping commits fails the run outright rather than shifting a
-// metric.
+// ciRecovery writes a seeded WAL through the real log layer, recovers it
+// with persist.Recover, the path Open takes, and returns the modeled
+// replay time (DRAM sequential read over the replayed bytes). Record
+// counts are verified: replay dropping commits fails the run outright
+// rather than shifting a metric.
 func ciRecovery(seed int64, s *schema.Schema, registry *metrics.Registry) (time.Duration, error) {
 	const commits = 2000
 	fs := wal.NewMemFS()
@@ -266,57 +267,15 @@ func ciRecovery(seed int64, s *schema.Schema, registry *metrics.Registry) (time.
 	if err := log.Close(); err != nil {
 		return 0, err
 	}
-	h := &ciReplayHandler{mgr: mvcc.NewManager()}
-	rstats, err := wal.Replay(fs, "wal", h)
+	tables, rstats, err := persist.Recover(fs, "wal", table.Options{Manager: mvcc.NewManager()})
 	if err != nil {
 		return 0, err
 	}
-	h.mgr.AdvanceTo(rstats.MaxTs)
-	if h.tbl == nil || h.tbl.VisibleCount() != commits {
-		return 0, fmt.Errorf("ci recovery replayed %d of %d commits", h.rows, commits)
+	if got := tables["recovered"]; got == nil || got.VisibleCount() != commits {
+		return 0, fmt.Errorf("ci recovery did not replay all %d commits", commits)
 	}
 	return device.DRAM.SequentialReadTime(rstats.Bytes, 1), nil
 }
-
-// ciReplayHandler applies replayed records into a fresh engine table.
-type ciReplayHandler struct {
-	mgr  *mvcc.Manager
-	tbl  *table.Table
-	rows int
-}
-
-func (h *ciReplayHandler) CreateTable(name string, fields []schema.Field) error {
-	s, err := schema.New(fields)
-	if err != nil {
-		return err
-	}
-	h.tbl, err = table.New(name, s, table.Options{Manager: h.mgr})
-	return err
-}
-
-func (h *ciReplayHandler) ApplyLayout(name string, layout []bool) error {
-	return h.tbl.ApplyLayout(layout)
-}
-
-func (h *ciReplayHandler) CreateIndex(name string, cols []int) error {
-	if len(cols) == 1 {
-		return h.tbl.CreateIndex(cols[0])
-	}
-	return h.tbl.CreateCompositeIndex(cols)
-}
-
-func (h *ciReplayHandler) Commit(ts mvcc.Timestamp, ops []mvcc.RedoOp) error {
-	for _, op := range ops {
-		if op.Delete {
-			h.rows--
-		} else {
-			h.rows++
-		}
-	}
-	return h.tbl.ReplayCommit(ts, ops)
-}
-
-func (h *ciReplayHandler) Checkpoint(mvcc.Timestamp) {}
 
 // sortedMetricNames returns the metric names in stable order.
 func sortedMetricNames(m map[string]float64) []string {

@@ -278,15 +278,12 @@ func (m *Manager) CommitCtx(ctx context.Context, t *Tx) (Timestamp, error) {
 	m.gate.RLock()
 	var ts Timestamp
 	if m.dur != nil && len(t.redo) > 0 {
-		span := trace.FromContext(ctx).Child("wal.commit", trace.Int("redo_ops", int64(len(t.redo))))
 		allocated := false
-		_, err := m.dur.AppendCommit(trace.NewContext(ctx, span), func() Timestamp {
+		err := m.logCommit(ctx, t.redo, func() Timestamp {
 			ts = m.allocLocked(t)
 			allocated = true
 			return ts
-		}, t.redo)
-		span.SetError(err)
-		span.End()
+		})
 		if err != nil {
 			m.gate.RUnlock()
 			if !allocated {
@@ -317,11 +314,6 @@ func (m *Manager) CommitCtx(ctx context.Context, t *Tx) (Timestamp, error) {
 	return ts, nil
 }
 
-// BulkCommit is BulkCommitCtx without a trace context.
-func (m *Manager) BulkCommit(ops []RedoOp, apply func(ts Timestamp) error) (Timestamp, error) {
-	return m.BulkCommitCtx(context.Background(), ops, apply)
-}
-
 // BulkCommitCtx allocates one commit timestamp for a non-transactional
 // bulk write, logs ops (when durability is configured) and runs apply
 // with the timestamp — all under the commit gate, so a concurrent
@@ -344,11 +336,7 @@ func (m *Manager) BulkCommitCtx(ctx context.Context, ops []RedoOp, apply func(ts
 		}
 	}()
 	if m.dur != nil && len(ops) > 0 {
-		span := trace.FromContext(ctx).Child("wal.commit", trace.Int("redo_ops", int64(len(ops))))
-		_, err := m.dur.AppendCommit(trace.NewContext(ctx, span), alloc, ops)
-		span.SetError(err)
-		span.End()
-		if err != nil {
+		if err := m.logCommit(ctx, ops, alloc); err != nil {
 			return 0, err
 		}
 	} else {
@@ -360,6 +348,17 @@ func (m *Manager) BulkCommitCtx(ctx context.Context, ops []RedoOp, apply func(ts
 		}
 	}
 	return ts, nil
+}
+
+// logCommit appends ops to the log as one commit record whose timestamp
+// alloc allocates inside the append. When ctx carries a trace span, the
+// append is recorded as its "wal.commit" child.
+func (m *Manager) logCommit(ctx context.Context, ops []RedoOp, alloc func() Timestamp) error {
+	span := trace.FromContext(ctx).Child("wal.commit", trace.Int("redo_ops", int64(len(ops))))
+	_, err := m.dur.AppendCommit(trace.NewContext(ctx, span), alloc, ops)
+	span.SetError(err)
+	span.End()
+	return err
 }
 
 // Abort rolls the transaction's provisional writes back.

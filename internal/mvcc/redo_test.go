@@ -114,7 +114,7 @@ func TestBulkCommitAppliesUnderGate(t *testing.T) {
 	m.SetDurability(log)
 	ops := []RedoOp{{Table: "t", Row: []value.Value{value.NewInt(7)}}}
 	var applied Timestamp
-	ts, err := m.BulkCommit(ops, func(ts Timestamp) error {
+	ts, err := m.BulkCommitCtx(context.Background(), ops, func(ts Timestamp) error {
 		applied = ts
 		return nil
 	})

@@ -35,6 +35,10 @@
 // visibility point and replay can skip any logged operation the snapshot
 // already covers. Any other magic, the never-written TIERDB01 included,
 // is ErrBadSnapshot.
+//
+// Recover is the one way back from a write-ahead-log directory: it loads
+// every checkpoint snapshot there at its own timestamp and replays the
+// log on top. Snapshot files are published by wal.WriteFile.
 package persist
 
 import (
@@ -45,8 +49,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"tierdb/internal/column"
 	"tierdb/internal/dict"
@@ -457,60 +459,6 @@ func (d *decoder) columns(nFields int) []int {
 		cols = append(cols, d.count(uint64(nFields-1), "as an index column"))
 	}
 	return cols
-}
-
-// SaveFile snapshots to a file, atomically and durably: temp file,
-// fsync, rename, then fsync of the parent directory — without the two
-// fsyncs a snapshot could be silently empty (or the rename lost) after
-// a power failure despite the temp+rename dance.
-func SaveFile(path string, tbl *table.Table) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := Save(f, tbl); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory to make a completed rename durable; some
-// filesystems reject directory fsync, which is not fatal there.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return err
-	}
-	return nil
-}
-
-// LoadFile restores a snapshot file.
-func LoadFile(path string, opts table.Options) (*table.Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f, opts)
 }
 
 // --- primitive encoding ----------------------------------------------------

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"tierdb/internal/schema"
@@ -145,24 +144,6 @@ func TestSnapshotIncludesCommittedDelta(t *testing.T) {
 	}
 	if restored.VisibleCount() != 6 {
 		t.Errorf("restored rows = %d, want 6", restored.VisibleCount())
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	tbl := buildTable(t, 50)
-	path := filepath.Join(t.TempDir(), "table.snap")
-	if err := SaveFile(path, tbl); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadFile(path, table.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.VisibleCount() != 50 {
-		t.Errorf("rows = %d", restored.VisibleCount())
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.snap"), table.Options{}); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 

@@ -3,13 +3,13 @@
 //
 //	uvarint(payload length) | crc32c(payload), 4 bytes LE | payload
 //
-// the same framing the write-ahead log uses on disk, for the same
-// reason: a receiver can always tell a truncated or bit-flipped frame
-// from a valid one before it interprets a single payload byte. Request
-// payloads start with a one-byte opcode, response payloads with a
-// one-byte status. Values are self-describing (type byte, then 8 fixed
-// bytes for numerics or a uvarint-length string), consistent with the
-// WAL and persist codecs.
+// (codec.AppendFrameHeader), the same framing the write-ahead log uses
+// on disk, for the same reason: a receiver can always tell a truncated
+// or bit-flipped frame from a valid one before it interprets a single
+// payload byte. Request payloads start with a one-byte opcode, response
+// payloads with a one-byte status. Values are self-describing (type
+// byte, then 8 fixed bytes for numerics or a uvarint-length string),
+// consistent with the WAL and persist codecs.
 //
 // The decoder never trusts a length it cannot verify against the
 // remaining input: hostile input yields ErrProtocol — never a panic and
@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"slices"
 
@@ -107,8 +106,6 @@ var ErrOverloaded = errors.New("server: overloaded")
 // ErrDraining is signalled for requests that arrive while the server is
 // shutting down gracefully.
 var ErrDraining = errors.New("server: draining")
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Predicate is one conjunctive filter of a network query. Columns are
 // addressed by name; Op is PredEq or PredBetween.
@@ -259,12 +256,6 @@ func encodeResponse(buf []byte, op byte, resp Response) []byte {
 // payload arrives.
 const frameStep = 4 << 10
 
-// appendHeader appends payload's frame header: its length and CRC.
-func appendHeader(buf, payload []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-}
-
 // writeFrame writes one payload's header, then the payload. A
 // bufio.Writer's free buffer holds the header, so a frame written there
 // allocates nothing.
@@ -273,7 +264,7 @@ func writeFrame(w io.Writer, payload []byte) error {
 	if bw, ok := w.(*bufio.Writer); ok {
 		hdr = bw.AvailableBuffer()
 	}
-	if _, err := w.Write(appendHeader(hdr, payload)); err != nil {
+	if _, err := w.Write(codec.AppendFrameHeader(hdr, payload)); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -331,7 +322,7 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: torn frame: %w", ErrProtocol, err)
 		}
 	}
-	if crc32.Checksum(payload, crcTable) != crc {
+	if codec.Checksum(payload) != crc {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrProtocol)
 	}
 	return payload, nil

@@ -20,7 +20,7 @@ import (
 
 // appendFrame frames payload into buf: length, CRC, payload.
 func appendFrame(buf, payload []byte) []byte {
-	return append(appendHeader(buf, payload), payload...)
+	return append(codec.AppendFrameHeader(buf, payload), payload...)
 }
 
 // sampleRequests covers every opcode with a representative body.

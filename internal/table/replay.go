@@ -53,7 +53,7 @@ func Restore(name string, s *schema.Schema, opts Options, ts mvcc.Timestamp, img
 // BulkAppendAt loads rows outside any transaction, visible from the
 // explicit commit timestamp ts on, as one batch: a row that does not fit
 // the schema fails it whole, and nothing is appended. The durable
-// bulk-load path allocates ts via mvcc.Manager.BulkCommit (which logs
+// bulk-load path allocates ts via mvcc.Manager.BulkCommitCtx (which logs
 // the rows first); recovery uses it to restore checkpoint snapshots at
 // their snapshot timestamp and to replay each logged commit's inserts.
 func (t *Table) BulkAppendAt(rows [][]value.Value, ts mvcc.Timestamp) error {

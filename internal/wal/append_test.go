@@ -12,7 +12,7 @@ import (
 // appendFrame frames payload into buf the way Log writes it: header,
 // payload.
 func appendFrame(buf, payload []byte) []byte {
-	return append(appendHeader(buf, payload), payload...)
+	return append(codec.AppendFrameHeader(buf, payload), payload...)
 }
 
 // commitOps returns a commit of n three-column inserts.

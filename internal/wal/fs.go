@@ -8,6 +8,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -99,6 +100,40 @@ func (OSFS) SyncDir(dir string) error {
 	// filesystems reject it, which is not fatal for correctness there.
 	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
 		return err
+	}
+	return nil
+}
+
+// WriteFile durably publishes the file name in dir: write fills a temp
+// file beside it, which is fsynced, renamed to name, and made durable by
+// a directory fsync. After a crash name therefore holds either its old
+// content (nothing, for a new file) or all of the new one; never a
+// prefix. A failure before the rename removes the temp file, and Replay
+// removes one a crash left behind in a log directory. Checkpoints
+// publish their table snapshots with it (Log.WriteSnapshot), and so does
+// a table snapshot written to any other directory.
+func WriteFile(fs FS, dir, name string, write func(io.Writer) error) error {
+	tmp := joinDir(dir, name+tmpSuffix)
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("wal: create %s: %w", tmp, err)
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fs.Remove(tmp)
+		return fmt.Errorf("wal: write %s: %w", tmp, err)
+	}
+	if err := fs.Rename(tmp, joinDir(dir, name)); err != nil {
+		return fmt.Errorf("wal: publish %s: %w", name, err)
+	}
+	if err := fs.SyncDir(dir); err != nil {
+		return fmt.Errorf("wal: sync dir: %w", err)
 	}
 	return nil
 }

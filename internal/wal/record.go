@@ -2,9 +2,10 @@
 //
 //	uvarint(payload length) | crc32c(payload), 4 bytes LE | payload
 //
-// and the payload starts with a one-byte kind. Values are
-// self-describing (type byte, then 8 fixed bytes for numerics or a
-// uvarint-length string), consistent with persist's uvarint encoding.
+// (codec.AppendFrameHeader, the header the wire protocol uses too), and
+// the payload starts with a one-byte kind. Values are self-describing
+// (type byte, then 8 fixed bytes for numerics or a uvarint-length
+// string), consistent with persist's uvarint encoding.
 // The decoder works on a fully read segment and never trusts a length
 // it cannot verify against the remaining input, so corrupt or torn
 // input yields an error — never a panic or an unbounded allocation.
@@ -14,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"tierdb/internal/codec"
 	"tierdb/internal/mvcc"
@@ -40,8 +40,6 @@ const (
 // deliberately corrupted log, so replay fails loudly instead of
 // silently skipping it.
 var ErrBadRecord = errors.New("wal: malformed record")
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is the decoded form of any WAL record; which fields are
 // meaningful depends on Kind.
@@ -109,12 +107,6 @@ func encodePayload(buf []byte, rec Record) []byte {
 // frameHeaderMax is the longest frame header: a 10-byte uvarint length
 // and the CRC.
 const frameHeaderMax = binary.MaxVarintLen64 + 4
-
-// appendHeader appends payload's frame header to buf: length, CRC.
-func appendHeader(buf, payload []byte) []byte {
-	buf = appendUvarint(buf, uint64(len(payload)))
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-}
 
 // decodePayload decodes one record payload (as framed: kind byte first).
 func decodePayload(payload []byte) (Record, error) {
@@ -254,7 +246,7 @@ func decodeSegment(data []byte) (recs []Record, tornAt int, err error) {
 		}
 		crc := binary.LittleEndian.Uint32(data[hdr:])
 		payload := data[hdr+4 : hdr+4+int(plen)]
-		if crc32.Checksum(payload, crcTable) != crc {
+		if codec.Checksum(payload) != crc {
 			return recs, pos, nil // torn payload
 		}
 		rec, err := decodePayload(payload)

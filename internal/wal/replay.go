@@ -24,9 +24,6 @@ type ReplayHandler interface {
 	CreateIndex(name string, cols []int) error
 	// Commit replays one committed transaction's redo ops.
 	Commit(ts mvcc.Timestamp, ops []mvcc.RedoOp) error
-	// Checkpoint observes a checkpoint-end record: every table snapshot
-	// at ts was durable when it was written.
-	Checkpoint(ts mvcc.Timestamp)
 }
 
 // ReplayStats summarizes a recovery pass for metrics and tests.
@@ -123,10 +120,9 @@ func deliver(h ReplayHandler, rec Record) error {
 		return h.ApplyLayout(rec.Table, rec.Layout)
 	case kindIndex:
 		return h.CreateIndex(rec.Table, rec.Cols)
-	case kindCheckpointEnd:
-		h.Checkpoint(mvcc.Timestamp(rec.Ts))
-	case kindCheckpointBegin:
-		// Diagnostic only; checkpoint-end is what licenses anything.
+	case kindCheckpointBegin, kindCheckpointEnd:
+		// Nothing to apply: each snapshot carries its own timestamp, and
+		// checkpoint-end licensed the truncation that already happened.
 	}
 	return nil
 }

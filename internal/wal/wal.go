@@ -194,7 +194,7 @@ func (l *Log) appendLocked(rec Record) (uint64, error) {
 	// header is written in place just before it.
 	var hdr [frameHeaderMax]byte
 	buf := encodePayload(append(l.scratch[:0], hdr[:]...), rec)
-	h := appendHeader(hdr[:0], buf[frameHeaderMax:])
+	h := codec.AppendFrameHeader(hdr[:0], buf[frameHeaderMax:])
 	frame := buf[frameHeaderMax-len(h):]
 	copy(frame, h)
 	l.scratch = buf
@@ -358,38 +358,13 @@ func (l *Log) AppendCheckpointBegin(ts mvcc.Timestamp) error {
 	return l.afterAppend(seq)
 }
 
-// WriteSnapshot durably writes one checkpoint artifact (temp file,
-// fsync, rename, directory fsync) in the log directory. name must end
-// in SnapSuffix.
+// WriteSnapshot publishes one checkpoint snapshot in the log directory
+// with WriteFile. name must end in SnapSuffix.
 func (l *Log) WriteSnapshot(name string, write func(io.Writer) error) error {
 	if !strings.HasSuffix(name, SnapSuffix) {
 		return fmt.Errorf("wal: snapshot name %q must end in %s", name, SnapSuffix)
 	}
-	tmp := joinDir(l.dir, name+tmpSuffix)
-	final := joinDir(l.dir, name)
-	f, err := l.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: create snapshot: %w", err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		l.fs.Remove(tmp)
-		return fmt.Errorf("wal: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close snapshot: %w", err)
-	}
-	if err := l.fs.Rename(tmp, final); err != nil {
-		return fmt.Errorf("wal: publish snapshot: %w", err)
-	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		return fmt.Errorf("wal: sync dir: %w", err)
-	}
-	return nil
+	return WriteFile(l.fs, l.dir, name, write)
 }
 
 // EndCheckpoint completes a checkpoint at ts: it durably logs the

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -136,9 +138,6 @@ func (c *replayCollector) CreateIndex(name string, cols []int) error {
 func (c *replayCollector) Commit(ts mvcc.Timestamp, ops []mvcc.RedoOp) error {
 	c.recs = append(c.recs, Record{Kind: kindCommit, Ts: uint64(ts), Ops: ops})
 	return c.err
-}
-func (c *replayCollector) Checkpoint(ts mvcc.Timestamp) {
-	c.recs = append(c.recs, Record{Kind: kindCheckpointEnd, Ts: uint64(ts)})
 }
 
 func TestLogAppendReplayRoundTrip(t *testing.T) {
@@ -304,6 +303,54 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	snaps = 0
 	if names, err := ListSnapshots(fs, "wal"); err != nil || len(names) != 1 || names[0] != "t.snap" {
 		t.Fatalf("ListSnapshots = %v, %v", names, err)
+	}
+}
+
+// TestWriteFileCrashSweep crashes one WriteFile of a name outside any
+// log, as a table snapshot is written, at each of its mutating
+// operations and once after it returns: whatever survives the crash, the
+// file is absent or whole, and whole once WriteFile has returned.
+func TestWriteFileCrashSweep(t *testing.T) {
+	chunk := bytes.Repeat([]byte("snapshot"), 16)
+	publish := func(fs FS) error {
+		return WriteFile(fs, "dir", "orders.bin", func(w io.Writer) error {
+			for i := 0; i < 3; i++ {
+				if _, err := w.Write(chunk); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	probe := NewMemFS()
+	if err := publish(probe); err != nil {
+		t.Fatal(err)
+	}
+	whole := bytes.Repeat(chunk, 3)
+	absent := 0
+	for crashAt := 1; crashAt <= probe.Ops()+1; crashAt++ {
+		fs := NewCrashFS(crashAt)
+		done := crashAt > probe.Ops()
+		if err := publish(fs); done != (err == nil) {
+			t.Fatalf("crashAt=%d of %d ops: WriteFile returned %v", crashAt, probe.Ops(), err)
+		}
+		for _, mode := range RecoverModes() {
+			f, err := fs.Recover(mode, 0).Open("dir/orders.bin")
+			if errors.Is(err, os.ErrNotExist) && !done {
+				absent++
+				continue
+			}
+			if err != nil {
+				t.Fatalf("crashAt=%d %s: %v", crashAt, mode, err)
+			}
+			got, _ := io.ReadAll(f)
+			if !bytes.Equal(got, whole) {
+				t.Fatalf("crashAt=%d %s: published file holds %d of %d bytes", crashAt, mode, len(got), len(whole))
+			}
+		}
+	}
+	if absent == 0 {
+		t.Fatal("no crash state lacks the file: the sweep never crashed before the publish")
 	}
 }
 
