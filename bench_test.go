@@ -8,6 +8,7 @@ package tierdb
 // b.ReportMetric.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -229,51 +230,11 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		e := exec.New(tbl, exec.Options{Clock: clock, Parallelism: 4, Registry: metrics.NewRegistry()})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := e.RunTraced(q, nil); err != nil {
+			if _, _, err := e.RunTracedCtx(context.Background(), q, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkObservedSelectivityOverhead isolates what runtime
-// selectivity capture adds to the 1 M row parallel MRC range scan:
-// per query it is one qualifying-fraction computation, one EWMA CAS on
-// the table and one histogram observation per predicate — nothing per
-// row. The ns/op delta between capture=off and capture=on must stay
-// well inside the BenchmarkMetricsOverhead enabled budget (<5% wall
-// clock); in practice it is noise (<1%).
-func BenchmarkObservedSelectivityOverhead(b *testing.B) {
-	tbl, _, clock := benchTable(b, 1_000_000, nil)
-	q := exec.Query{Predicates: []exec.Predicate{
-		{Column: 2, Op: exec.Between, Value: value.NewInt(100), Hi: value.NewInt(500)},
-	}}
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"capture=off", true},
-		{"capture=on", false},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			e := exec.New(tbl, exec.Options{
-				Clock:             clock,
-				Parallelism:       4,
-				Registry:          metrics.NewRegistry(),
-				DisableSelCapture: tc.disable,
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(q, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if _, n := tbl.ObservedSelectivity(2); !tc.disable && n == 0 {
-				b.Fatal("capture=on recorded no samples")
-			}
-		})
-	}
 }
 
 func BenchmarkConjunctiveQuery(b *testing.B) {

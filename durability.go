@@ -41,7 +41,7 @@ func (db *DB) openDurability(cfg Config) error {
 		FS:            fs,
 		Dir:           cfg.WALDir,
 		Policy:        cfg.SyncPolicy,
-		GroupInterval: cfg.GroupCommitInterval,
+		GroupInterval: cfg.groupInterval,
 		Registry:      db.registry,
 	})
 	if err != nil {
@@ -66,13 +66,11 @@ func (db *DB) recover(fs wal.FS, dir string) error {
 	for name, inner := range tables {
 		db.tables[name] = newTableHandle(db, inner)
 	}
-	if db.registry != nil {
-		db.registry.Counter("wal.replayed_records").Add(int64(stats.Records))
-		db.registry.Counter("wal.replayed_bytes").Add(stats.Bytes)
-		// Modeled, deterministic recovery time: DRAM sequential read of
-		// the replayed log bytes (single threaded, as replay is).
-		db.registry.Counter("wal.recovery_ns").Add(int64(device.DRAM.SequentialReadTime(stats.Bytes, 1) / time.Nanosecond))
-	}
+	db.registry.Counter("wal.replayed_records").Add(int64(stats.Records))
+	db.registry.Counter("wal.replayed_bytes").Add(stats.Bytes)
+	// Modeled, deterministic recovery time: DRAM sequential read of the
+	// replayed log bytes (single threaded, as replay is).
+	db.registry.Counter("wal.recovery_ns").Add(int64(device.DRAM.SequentialReadTime(stats.Bytes, 1) / time.Nanosecond))
 	return nil
 }
 

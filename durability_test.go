@@ -18,8 +18,8 @@ func walConfig(fs wal.FS, policy SyncPolicy) Config {
 		SyncPolicy: policy,
 		// Long enough that the SyncGroup flusher never fires during a
 		// test: background syncs would make crash states nondeterministic.
-		GroupCommitInterval: time.Hour,
-		walFS:               fs,
+		groupInterval: time.Hour,
+		walFS:         fs,
 	}
 }
 

@@ -231,17 +231,6 @@ func (c *Cache) PinnedFrames() int {
 	return int(c.pinned.Load())
 }
 
-// Pin marks a cached page as unevictable until Unpin; it faults the
-// page in if absent. Unlike Get/Release pairs, Pin is sticky across
-// accesses (the paper pins MVCC columns and indices in DRAM).
-func (c *Cache) Pin(id storage.PageID) error {
-	_, _, err := c.Get(id)
-	return err // keep the Get pin
-}
-
-// Unpin releases a sticky pin.
-func (c *Cache) Unpin(id storage.PageID) { c.Release(id) }
-
 // evictLocked finds a victim frame via CLOCK and returns its index. The
 // caller holds c.mu.
 func (c *Cache) evictLocked() (int, error) {
@@ -356,21 +345,6 @@ func (c *Cache) Invalidate(ids []storage.PageID) {
 			f.valid = false
 			f.dirty = false
 			break
-		}
-	}
-}
-
-// Drop invalidates every unpinned frame without writing dirty data back;
-// test helper for fault-injection scenarios.
-func (c *Cache) Drop() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.frames {
-		f := &c.frames[i]
-		if f.valid && f.pins == 0 {
-			delete(c.index, f.id)
-			f.valid = false
-			f.dirty = false
 		}
 	}
 }

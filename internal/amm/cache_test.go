@@ -85,7 +85,8 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 func TestCachePinnedFramesNotEvicted(t *testing.T) {
 	s, ids := newTestStore(t, 4)
 	c, _ := New(2, s)
-	if err := c.Pin(ids[0]); err != nil {
+	// A Get holds its pin until the matching Release.
+	if _, _, err := c.Get(ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Stream the remaining pages through the other frame.
@@ -100,16 +101,16 @@ func TestCachePinnedFramesNotEvicted(t *testing.T) {
 		t.Error("pinned page was evicted")
 	}
 	c.Release(ids[0])
-	c.Unpin(ids[0])
+	c.Release(ids[0])
 }
 
 func TestCacheAllPinnedFails(t *testing.T) {
 	s, ids := newTestStore(t, 3)
 	c, _ := New(2, s)
-	if err := c.Pin(ids[0]); err != nil {
+	if _, _, err := c.Get(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Pin(ids[1]); err != nil {
+	if _, _, err := c.Get(ids[1]); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.Get(ids[2]); err != ErrNoEvictableFrame {
@@ -159,6 +160,8 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
+// TestCacheDrop drops a released page with Invalidate: the next Get
+// misses.
 func TestCacheDrop(t *testing.T) {
 	s, ids := newTestStore(t, 2)
 	c, _ := New(2, s)
@@ -166,13 +169,13 @@ func TestCacheDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Release(ids[0])
-	c.Drop()
+	c.Invalidate(ids[:1])
 	_, hit, err := c.Get(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
-		t.Error("Drop left page resident")
+		t.Error("Invalidate left page resident")
 	}
 	c.Release(ids[0])
 }

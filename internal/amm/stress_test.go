@@ -10,7 +10,7 @@ import (
 	"tierdb/internal/storage"
 )
 
-// TestCacheConcurrentStress hammers Get/Release/Write/Stats/Flush/Drop
+// TestCacheConcurrentStress hammers Get/Release/Write/Stats/Flush/Invalidate
 // from many goroutines against a cache much smaller than the page set,
 // under the race detector. Every Get must observe the page's one true
 // content (writers always store the same deterministic fill), pin
@@ -64,7 +64,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 						return
 					}
 				case 3:
-					cache.Drop()
+					cache.Invalidate([]storage.PageID{id})
 				default:
 					data, _, err := cache.Get(id)
 					if err != nil {

@@ -2,10 +2,8 @@ package erp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"tierdb/internal/schema"
-	"tierdb/internal/table"
 	"tierdb/internal/value"
 )
 
@@ -42,57 +40,4 @@ func BSEGSchema() *schema.Schema {
 		}
 	}
 	return schema.MustNew(fields)
-}
-
-// BSEGRow generates one deterministic pseudo-random BSEG row.
-func BSEGRow(s *schema.Schema, rowNum int, rng *rand.Rand) []value.Value {
-	row := make([]value.Value, s.Len())
-	for i := 0; i < s.Len(); i++ {
-		f := s.Field(i)
-		switch f.Type {
-		case value.Int64:
-			switch i {
-			case 0:
-				row[i] = value.NewInt(int64(rowNum)) // BELNR nearly unique
-			case 1:
-				row[i] = value.NewInt(int64(rng.Intn(8))) // few company codes
-			case 2:
-				row[i] = value.NewInt(int64(2010 + rng.Intn(8)))
-			default:
-				row[i] = value.NewInt(int64(rng.Intn(1000)))
-			}
-		case value.Float64:
-			row[i] = value.NewFloat(float64(rng.Intn(1_000_000)) / 100)
-		default:
-			row[i] = value.NewString(fmt.Sprintf("T%07d", rng.Intn(100000)))
-		}
-	}
-	return row
-}
-
-// BuildBSEGTable creates and loads a BSEG-like table with the given row
-// count and applies the paper's benchmark layout: the first
-// BSEGHotAttributes columns as MRCs, the remaining 325 in an SSCG.
-func BuildBSEGTable(rows int, opts table.Options, seed int64) (*table.Table, error) {
-	s := BSEGSchema()
-	tbl, err := table.New("BSEG", s, opts)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	data := make([][]value.Value, rows)
-	for r := range data {
-		data[r] = BSEGRow(s, r, rng)
-	}
-	if err := tbl.BulkAppend(data); err != nil {
-		return nil, err
-	}
-	layout := make([]bool, s.Len())
-	for i := range layout {
-		layout[i] = i < BSEGHotAttributes
-	}
-	if err := tbl.ApplyLayout(layout); err != nil {
-		return nil, err
-	}
-	return tbl, nil
 }

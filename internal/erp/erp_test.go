@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tierdb/internal/core"
-	"tierdb/internal/table"
 )
 
 func TestProfilesMatchPaperTable1(t *testing.T) {
@@ -139,44 +138,5 @@ func TestBSEGSchemaShape(t *testing.T) {
 	}
 	if s.IndexOf("BUKRS") != 1 || s.IndexOf("GJAHR") != 2 {
 		t.Error("key columns misplaced")
-	}
-}
-
-func TestBuildBSEGTable(t *testing.T) {
-	tbl, err := BuildBSEGTable(200, table.Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.MainRows() != 200 {
-		t.Errorf("rows = %d", tbl.MainRows())
-	}
-	// Layout: 20 MRCs + 325 SSCG fields.
-	layout := tbl.Layout()
-	mrcs := 0
-	for _, in := range layout {
-		if in {
-			mrcs++
-		}
-	}
-	if mrcs != BSEGHotAttributes {
-		t.Errorf("MRC count = %d, want %d", mrcs, BSEGHotAttributes)
-	}
-	v := tbl.Pin()
-	defer v.Release()
-	if v.Group() == nil || len(v.Group().Fields()) != BSEGAttributes-BSEGHotAttributes {
-		t.Error("SSCG shape wrong")
-	}
-	// Rows survive tiering.
-	row, err := tbl.GetTuple(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row[0].Int() != 42 {
-		t.Errorf("BELNR(42) = %v", row[0])
-	}
-	// BSEG rows (345 attrs, ~2.8 KB + strings) may span pages; the
-	// group must still reconstruct with few accesses.
-	if ppr := v.Group().PagesPerReconstruction(); ppr > 2 {
-		t.Errorf("pages per reconstruction = %d, want <= 2", ppr)
 	}
 }

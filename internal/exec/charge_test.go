@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -108,7 +109,7 @@ func TestTraceAttributionUnderConcurrency(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			e := New(tbl, Options{Parallelism: par, MorselRows: 1024, Clock: clock})
-			alone, want, err := e.RunTraced(qa, nil)
+			alone, want, err := e.RunTracedCtx(context.Background(), qa, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +137,7 @@ func TestTraceAttributionUnderConcurrency(t *testing.T) {
 			}
 			done := make(chan out, 1)
 			go func() {
-				res, tr, err := e.RunTraced(qa, nil)
+				res, tr, err := e.RunTracedCtx(context.Background(), qa, nil)
 				done <- out{res, tr, err}
 			}()
 			select {

@@ -92,9 +92,9 @@ type Options struct {
 	// probe switchovers, morsels, rows, modeled DRAM time). Nil runs
 	// unmetered at zero cost.
 	Registry *metrics.Registry
-	// TraceRing, when set, makes every query (Run and RunTraced alike)
-	// capture a full metrics.Trace with its wall-clock duration into
-	// the ring — the feed of the observability server's /traces
+	// TraceRing, when set, makes every query (Run and RunTracedCtx
+	// alike) capture a full metrics.Trace with its wall-clock duration
+	// into the ring — the feed of the observability server's /traces
 	// endpoint. Nil disables capture; Run then carries no trace at all.
 	TraceRing *metrics.TraceRing
 	// SlowRing additionally receives queries whose wall-clock duration
@@ -103,11 +103,6 @@ type Options struct {
 	SlowRing *metrics.TraceRing
 	// SlowQueryThreshold gates SlowRing; 0 disables the slow-query log.
 	SlowQueryThreshold time.Duration
-	// DisableSelCapture turns off observed-selectivity recording (the
-	// per-column EWMAs on the table and the selectivity.misestimate
-	// histogram). Capture costs one atomic CAS per predicate per query
-	// — never per row.
-	DisableSelCapture bool
 }
 
 // DefaultProbeThreshold is the paper's scan-to-probe switch point.
@@ -127,7 +122,6 @@ type Executor struct {
 	recent      *metrics.TraceRing
 	slow        *metrics.TraceRing
 	slowThresh  time.Duration
-	selCapture  bool
 	m           execInstruments
 	// pool holds the scratch of finished queries for the next ones.
 	pool sync.Pool
@@ -205,7 +199,6 @@ func New(tbl *table.Table, opts Options) *Executor {
 		recent:      opts.TraceRing,
 		slow:        opts.SlowRing,
 		slowThresh:  opts.SlowQueryThreshold,
-		selCapture:  !opts.DisableSelCapture,
 		m:           newExecInstruments(opts.Registry),
 		pool:        sync.Pool{New: func() any { return &scratch{ws: make([]worker, opts.Parallelism)} }},
 	}
@@ -235,7 +228,7 @@ func (e *Executor) chargeTouches(n int) {
 
 // Run executes q at the transaction's snapshot (tx may be nil for a
 // read at the latest snapshot). When a trace ring is configured, the
-// query is captured exactly like RunTraced.
+// query is captured exactly like RunTracedCtx.
 func (e *Executor) Run(q Query, tx *mvcc.Tx) (*Result, error) {
 	return e.RunCtx(context.Background(), q, tx)
 }
@@ -253,19 +246,15 @@ func (e *Executor) RunCtx(ctx context.Context, q Query, tx *mvcc.Tx) (*Result, e
 	return res, err
 }
 
-// RunTraced is Run with per-query tracing: the returned Trace records
-// the filter ordering chosen, per-operator access paths (including
-// scan-to-probe switchovers), morsels per worker, rows qualified and
-// the modeled cost split per device, all of it this query's own; the
-// trace is partially filled when an error is returned. When trace rings are
-// configured, the trace also enters the recent ring (and the slow ring
-// if the wall-clock duration reaches the slow-query threshold).
-func (e *Executor) RunTraced(q Query, tx *mvcc.Tx) (*Result, *metrics.Trace, error) {
-	return e.RunTracedCtx(context.Background(), q, tx)
-}
-
-// RunTracedCtx is RunTraced with a context; see RunCtx for the span
-// family a sampled request span receives.
+// RunTracedCtx is RunCtx with per-query tracing: the returned Trace
+// records the filter ordering chosen, per-operator access paths
+// (including scan-to-probe switchovers), morsels per worker, rows
+// qualified and the modeled cost split per device, all of it this
+// query's own; the trace is partially filled when an error is returned.
+// When trace rings are configured, the trace also enters the recent ring
+// (and the slow ring if the wall-clock duration reaches the slow-query
+// threshold). See RunCtx for the span family a sampled request span
+// receives.
 func (e *Executor) RunTracedCtx(ctx context.Context, q Query, tx *mvcc.Tx) (*Result, *metrics.Trace, error) {
 	t := e.newTrace()
 	tr := &t.trace
@@ -406,7 +395,7 @@ func (e *Executor) capture(t *traced, start time.Time, wall time.Duration, err e
 // A zero-match application is clamped to half a row so the log ratio
 // and the EWMA stay finite and model-valid.
 func (e *Executor) observeSelectivity(s *step, in, out int) {
-	if !e.selCapture || in <= 0 {
+	if in <= 0 {
 		return
 	}
 	f := float64(out) / float64(in)

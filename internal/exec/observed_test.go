@@ -72,21 +72,7 @@ func TestObservedSelectivityConditionalFractions(t *testing.T) {
 	}
 }
 
-// TestObservedSelectivityDisabled proves the capture knob: with
-// DisableSelCapture no EWMA ever updates.
-func TestObservedSelectivityDisabled(t *testing.T) {
-	tbl, clock := newTable(t, 1_000, nil)
-	e := New(tbl, Options{Clock: clock, DisableSelCapture: true})
-	q := Query{Predicates: []Predicate{{Column: 1, Op: Eq, Value: value.NewInt(3)}}}
-	if _, err := e.Run(q, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, samples := tbl.ObservedSelectivity(1); samples != 0 {
-		t.Errorf("capture disabled but %d samples recorded", samples)
-	}
-}
-
-// TestTraceRingCapture checks Run (not just RunTraced) captures into
+// TestTraceRingCapture checks Run (not just RunTracedCtx) captures into
 // the recent ring, and that slow queries additionally enter the slow
 // ring without ever exceeding its bound.
 func TestTraceRingCapture(t *testing.T) {

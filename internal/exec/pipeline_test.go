@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -202,7 +203,7 @@ func TestMaterializeRecordSameAtAnyParallelism(t *testing.T) {
 		Project:    []int{0, 2, 3},
 	}
 	record := func(par int) metrics.OperatorTrace {
-		_, tr, err := New(tbl, Options{Parallelism: par, MorselRows: 1024}).RunTraced(q, nil)
+		_, tr, err := New(tbl, Options{Parallelism: par, MorselRows: 1024}).RunTracedCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestPlanValidatesEveryPath(t *testing.T) {
 	} {
 		clock.Reset()
 		q := Query{Predicates: []Predicate{{Column: 3, Op: Eq, Value: value.NewInt(1)}, tc.p}}
-		if _, _, err := e.RunTraced(q, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := e.RunTracedCtx(context.Background(), q, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Run error = %v, want one containing %q", tc.name, err, tc.want)
 		}
 		if _, err := e.Explain(q); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -121,9 +122,9 @@ func explainMatchesRun(t *testing.T, e *Executor, q Query, where string) {
 	if err != nil {
 		t.Fatalf("%s: Explain: %v", where, err)
 	}
-	_, tr, err := e.RunTraced(q, nil)
+	_, tr, err := e.RunTracedCtx(context.Background(), q, nil)
 	if err != nil {
-		t.Fatalf("%s: RunTraced: %v", where, err)
+		t.Fatalf("%s: RunTracedCtx: %v", where, err)
 	}
 	if len(plan.Predicates) != len(tr.Predicates) {
 		t.Fatalf("%s: Explain orders %d predicates, the run %d", where, len(plan.Predicates), len(tr.Predicates))

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"tierdb/internal/metrics"
@@ -32,7 +33,7 @@ func TestRunTracedSerial(t *testing.T) {
 		{Column: 1, Op: Eq, Value: value.NewInt(3)},
 		{Column: 0, Op: Eq, Value: value.NewInt(123)},
 	}}
-	res, tr, err := e.RunTraced(q, nil)
+	res, tr, err := e.RunTracedCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestRunTracedParallel(t *testing.T) {
 		Predicates: []Predicate{{Column: 1, Op: Eq, Value: value.NewInt(7)}},
 		Project:    []int{0, 1},
 	}
-	res, tr, err := e.RunTraced(q, nil)
+	res, tr, err := e.RunTracedCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"tierdb/internal/value"
@@ -36,7 +35,7 @@ type Histogram struct {
 // over vals. All values must share one orderable type. It sorts the
 // values' typed payloads — an []int64, []float64 or []string, not
 // value.Value — counts the runs of equal values and hands them to
-// FromCounts.
+// FromSorted.
 func Build(typ value.Type, vals []value.Value, buckets int) (*Histogram, error) {
 	if len(vals) == 0 {
 		return nil, fmt.Errorf("histogram: no values")
@@ -73,19 +72,14 @@ func build[T cmp.Ordered](typ value.Type, vals []value.Value, key func(value.Val
 	return FromSorted(typ, func(i int) value.Value { return mk(keys[i]) }, counts, buckets)
 }
 
-// FromCounts builds the histogram Build builds over a column whose
-// distinct values, ascending, are sortedDistinct, value i occurring
-// counts[i] > 0 times — the form a dictionary-encoded column has its
-// statistics in once its codes are counted. Buckets hold about
+// FromSorted builds the histogram Build builds over a column whose
+// distinct values, ascending, are distinct(0), distinct(1), ..., value
+// i occurring counts[i] > 0 times — the form a dictionary-encoded column
+// has its statistics in once its codes are counted; distinct is then
+// the dictionary's At, called only for the bounds. Buckets hold about
 // total/buckets rows each and end on a run boundary, so equal values
-// never straddle one (keeps equi-predicate math consistent). String
-// bounds are copied: the histogram keeps alive none of sortedDistinct.
-func FromCounts(typ value.Type, sortedDistinct []value.Value, counts []int, buckets int) (*Histogram, error) {
-	return FromSorted(typ, func(i int) value.Value { return sortedDistinct[i] }, counts, buckets)
-}
-
-// FromSorted is FromCounts reading the i-th distinct value through
-// distinct — a dictionary's At — which it calls only for the bounds.
+// never straddle one. String bounds are copied: the histogram keeps
+// alive none of the dictionary.
 func FromSorted(typ value.Type, distinct func(i int) value.Value, counts []int, buckets int) (*Histogram, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("histogram: bucket count %d must be positive", buckets)
@@ -161,24 +155,6 @@ func (h *Histogram) Total() int { return h.total }
 // time.
 func (h *Histogram) DistinctCount() int { return h.distinct }
 
-// EqualSelectivity estimates the fraction of rows equal to v: the
-// containing bucket's share divided by an assumed uniform spread over
-// the bucket's distinct values (approximated by distinct/buckets).
-func (h *Histogram) EqualSelectivity(v value.Value) float64 {
-	if v.Type() != h.typ {
-		return 1.0 / float64(h.distinct)
-	}
-	b := h.bucketOf(v)
-	if b < 0 {
-		return 0
-	}
-	perBucketDistinct := float64(h.distinct) / float64(len(h.bounds))
-	if perBucketDistinct < 1 {
-		perBucketDistinct = 1
-	}
-	return float64(h.counts[b]) / float64(h.total) / perBucketDistinct
-}
-
 // RangeSelectivity estimates the fraction of rows in [lo, hi]: full
 // buckets count entirely, boundary buckets contribute linearly
 // interpolated shares (continuous-domain assumption).
@@ -211,19 +187,6 @@ func (h *Histogram) RangeSelectivity(lo, hi value.Value) float64 {
 		sel = 1
 	}
 	return sel
-}
-
-// bucketOf returns the bucket containing v, or -1 if v is outside the
-// histogram's range.
-func (h *Histogram) bucketOf(v value.Value) int {
-	if v.Compare(h.min) < 0 {
-		return -1
-	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i].Compare(v) >= 0 })
-	if i == len(h.bounds) {
-		return -1
-	}
-	return i
 }
 
 // overlapFraction estimates which share of the bucket [bLo, bHi] the

@@ -101,31 +101,6 @@ func TestRangeSelectivityHandlesSkew(t *testing.T) {
 	}
 }
 
-func TestEqualSelectivity(t *testing.T) {
-	vals := make([]value.Value, 1000)
-	for i := range vals {
-		vals[i] = value.NewInt(int64(i % 100))
-	}
-	h, err := Build(value.Int64, vals, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := h.EqualSelectivity(value.NewInt(42))
-	if math.Abs(got-0.01) > 0.005 {
-		t.Errorf("EqualSelectivity = %g, want ~0.01", got)
-	}
-	if h.EqualSelectivity(value.NewInt(-5)) != 0 {
-		t.Error("below-domain equality should be 0")
-	}
-	if h.EqualSelectivity(value.NewInt(10000)) != 0 {
-		t.Error("above-domain equality should be 0")
-	}
-	// Type mismatch falls back to 1/distinct.
-	if got := h.EqualSelectivity(value.NewString("x")); got != 1.0/100 {
-		t.Errorf("mismatch fallback = %g", got)
-	}
-}
-
 func TestFloatHistogram(t *testing.T) {
 	vals := make([]value.Value, 2000)
 	rng := rand.New(rand.NewSource(2))
@@ -173,9 +148,12 @@ func TestDuplicatesDoNotStraddleBuckets(t *testing.T) {
 	if h.Buckets() > 4 {
 		t.Errorf("buckets = %d, want <= 4 distinct-respecting buckets", h.Buckets())
 	}
-	got := h.EqualSelectivity(value.NewInt(2))
-	if math.Abs(got-0.25) > 0.1 {
-		t.Errorf("EqualSelectivity(dup) = %g, want ~0.25", got)
+	// Each bucket ends on a run boundary: it holds whole runs of 500.
+	_, _, counts, _ := h.Parts()
+	for b, c := range counts {
+		if c%500 != 0 {
+			t.Errorf("bucket %d holds %d rows, not whole runs of 500", b, c)
+		}
 	}
 }
 
@@ -207,7 +185,7 @@ func TestRangeSelectivityMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestFromCountsMatchesBuild gives FromCounts the distinct values and
+// TestFromCountsMatchesBuild gives FromSorted the distinct values and
 // run lengths of random columns, counted here by a map, and requires
 // exactly the histogram Build makes of the columns themselves.
 func TestFromCountsMatchesBuild(t *testing.T) {
@@ -245,12 +223,12 @@ func TestFromCountsMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := FromCounts(typ, distinct, runs, buckets)
+		got, err := FromSorted(typ, func(i int) value.Value { return distinct[i] }, runs, buckets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: FromCounts %+v, Build %+v", trial, got, want)
+			t.Fatalf("trial %d: FromSorted %+v, Build %+v", trial, got, want)
 		}
 		if naive := naiveHistogram(typ, vals, buckets); !reflect.DeepEqual(want, naive) {
 			t.Fatalf("trial %d: Build %+v, bucketing the sorted values %+v", trial, want, naive)

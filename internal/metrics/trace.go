@@ -11,7 +11,7 @@ import (
 // (including the scan-to-probe switchover against the 0.01 % paper
 // threshold), morsels executed per worker, rows qualified, and the
 // modeled cost split per device. The executor fills a Trace in when
-// asked (Executor.RunTraced, which Table.SelectExplained and EXPLAIN
+// asked (Executor.RunTracedCtx, which Table.SelectExplained and EXPLAIN
 // build their plans from); a nil *Trace is
 // valid everywhere and records nothing.
 //

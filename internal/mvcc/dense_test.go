@@ -135,7 +135,7 @@ func checkVersionsMatchDense(t *testing.T, b []byte) {
 				}
 			}
 		case 6:
-			v.AppendCommitted(ts)
+			v.AppendCommittedN(1, ts)
 			d.append(ts, Infinity, 0)
 		default:
 			end := ts + Timestamp(s.next(40))
@@ -261,7 +261,7 @@ func TestSharedVersionsBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.CommitDelete(17, 5)
-	v.AppendCommitted(6)
+	v.AppendCommittedN(1, 6)
 	if got := v.Bytes(); got != exceptionBytes+32 {
 		t.Fatalf("Bytes = %d, want %d", got, exceptionBytes+32)
 	}

@@ -83,9 +83,6 @@ func (t *Tx) OnAbort(fn func()) { t.onAbort = append(t.onAbort, fn) }
 // only log when durability is configured.
 func (t *Tx) LogRedo(op RedoOp) { t.redo = append(t.redo, op) }
 
-// Redo exposes the buffered redo ops (tests, diagnostics).
-func (t *Tx) Redo() []RedoOp { return t.redo }
-
 // Manager hands out transactions and commit timestamps.
 type Manager struct {
 	mu sync.Mutex
@@ -493,10 +490,6 @@ func (v *Versions) AppendAt(begin, end Timestamp) int {
 	defer v.mu.Unlock()
 	return v.appendLocked(1, begin, end, 0)
 }
-
-// AppendCommitted adds a row that is immediately visible from ts on
-// (bulk loads, merge output).
-func (v *Versions) AppendCommitted(ts Timestamp) int { return v.AppendCommittedN(1, ts) }
 
 // AppendCommittedN adds n rows that are immediately visible from ts on,
 // under one hold of the lock — a batch appended to a delta partition —

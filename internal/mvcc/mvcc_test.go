@@ -101,7 +101,7 @@ func TestAbortInsertNeverVisible(t *testing.T) {
 func TestDeleteLifecycle(t *testing.T) {
 	m := NewManager()
 	v := NewVersions()
-	row := v.AppendCommitted(m.LastCommit())
+	row := v.AppendCommittedN(1, m.LastCommit())
 
 	deleter := m.Begin()
 	if err := v.MarkDelete(row, deleter.ID()); err != nil {
@@ -134,7 +134,7 @@ func TestDeleteLifecycle(t *testing.T) {
 func TestWriteWriteConflict(t *testing.T) {
 	m := NewManager()
 	v := NewVersions()
-	row := v.AppendCommitted(m.LastCommit())
+	row := v.AppendCommittedN(1, m.LastCommit())
 
 	t1 := m.Begin()
 	t2 := m.Begin()
@@ -158,7 +158,7 @@ func TestWriteWriteConflict(t *testing.T) {
 func TestDeleteCommittedRowTwiceConflicts(t *testing.T) {
 	m := NewManager()
 	v := NewVersions()
-	row := v.AppendCommitted(m.LastCommit())
+	row := v.AppendCommittedN(1, m.LastCommit())
 	t1 := m.Begin()
 	if err := v.MarkDelete(row, t1.ID()); err != nil {
 		t.Fatal(err)
@@ -196,8 +196,8 @@ func TestMarkDeleteOutOfRange(t *testing.T) {
 
 func TestVersionsBytesAndLen(t *testing.T) {
 	v := NewVersions()
-	v.AppendCommitted(1)
-	v.AppendCommitted(1)
+	v.AppendCommittedN(1, 1)
+	v.AppendCommittedN(1, 1)
 	if v.Len() != 2 {
 		t.Errorf("Len = %d, want 2", v.Len())
 	}
@@ -269,11 +269,11 @@ func TestBatchedVisibilityMatchesVisible(t *testing.T) {
 			case 1: // aborted insert
 				v.AbortInsert(v.AppendPending(owner))
 			case 2: // committed before or after the snapshot
-				v.AppendCommitted(Timestamp(1 + rng.Intn(100)))
+				v.AppendCommittedN(1, Timestamp(1+rng.Intn(100)))
 			case 3: // deleted before or after the snapshot
 				v.AppendAt(Timestamp(1+rng.Intn(40)), Timestamp(41+rng.Intn(20)))
 			case 4: // delete intent, by self or another
-				if err := v.MarkDelete(v.AppendCommitted(10), owner); err != nil {
+				if err := v.MarkDelete(v.AppendCommittedN(1, 10), owner); err != nil {
 					t.Fatal(err)
 				}
 			case 5: // self deleting its own pending insert
@@ -281,7 +281,7 @@ func TestBatchedVisibilityMatchesVisible(t *testing.T) {
 					t.Fatal(err)
 				}
 			default:
-				v.AppendCommitted(1)
+				v.AppendCommittedN(1, 1)
 			}
 		}
 		n += shared
@@ -322,7 +322,7 @@ func TestFilterVisibleRacesWriters(t *testing.T) {
 	const rows = 2000
 	pos := make([]uint32, rows)
 	for i := range pos {
-		pos[i] = uint32(v.AppendCommitted(1))
+		pos[i] = uint32(v.AppendCommittedN(1, 1))
 	}
 	done := make(chan struct{})
 	go func() {

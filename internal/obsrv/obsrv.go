@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -331,7 +332,7 @@ func (s *Server) attachSpans(e *metrics.TraceEntry) traceEntry {
 	for id := range trace.SlowestPath(out.Spans[0]) {
 		out.SlowestPath = append(out.SlowestPath, id)
 	}
-	sort.Slice(out.SlowestPath, func(i, j int) bool { return out.SlowestPath[i] < out.SlowestPath[j] })
+	slices.Sort(out.SlowestPath)
 	return out
 }
 

@@ -4,6 +4,7 @@ package obsrv
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 
 	"tierdb/internal/trace"
@@ -55,17 +56,8 @@ func (s *Server) serveTrace(w http.ResponseWriter, r *http.Request) {
 	for sid := range highlight {
 		reply.SlowestPath = append(reply.SlowestPath, sid)
 	}
-	sortSpanIDs(reply.SlowestPath)
+	slices.Sort(reply.SlowestPath)
 	writeJSON(w, reply)
-}
-
-// sortSpanIDs orders span IDs ascending for deterministic JSON.
-func sortSpanIDs(ids []trace.SpanID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // serveHealthz is the liveness probe: if the handler runs, the process

@@ -79,9 +79,6 @@ type Config struct {
 	// ReadTimeout bounds how long a session waits for the next request
 	// frame (i.e. the idle timeout). 0 selects DefaultReadTimeout.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds writing one response. 0 selects
-	// DefaultWriteTimeout.
-	WriteTimeout time.Duration
 	// DrainTimeout bounds how long Shutdown waits for inflight
 	// requests before force-closing their connections. 0 selects
 	// DefaultDrainTimeout.
@@ -106,9 +103,11 @@ const (
 	DefaultMaxSessions  = 256
 	DefaultMaxInflight  = 64
 	DefaultReadTimeout  = 5 * time.Minute
-	DefaultWriteTimeout = 30 * time.Second
 	DefaultDrainTimeout = 10 * time.Second
 )
+
+// DefaultWriteTimeout bounds writing one response.
+const DefaultWriteTimeout = 30 * time.Second
 
 // Server serves the tierdb wire protocol on listeners passed to Serve.
 type Server struct {
@@ -144,9 +143,6 @@ func New(engine Engine, cfg Config) *Server {
 	}
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = DefaultReadTimeout
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
@@ -242,7 +238,7 @@ func (s *Server) admitSession(conn net.Conn) bool {
 	if status == StatusDraining {
 		msg = ErrDraining.Error()
 	}
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	WriteResponse(conn, 0, Response{Status: status, Msg: msg})
 	conn.Close()
 	return false
@@ -265,7 +261,7 @@ func (s *Server) session(conn net.Conn) {
 	st := NewStream(conn)
 	names := make(map[string]string) // the session's interned table and column names
 	respond := func(op byte, resp Response) bool {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 		return st.WriteResponse(op, resp) == nil
 	}
 	for {
@@ -554,6 +550,3 @@ func (s *Server) Shutdown() error {
 	// interrupt. It cleans itself up whenever the engine returns.
 	return fmt.Errorf("server: drain timed out, force-closed %d sessions", n)
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }

@@ -422,8 +422,10 @@ func TestGracefulDrain(t *testing.T) {
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- srv.Shutdown() }()
 	time.Sleep(100 * time.Millisecond)
-	if !srv.Draining() {
-		t.Fatal("server not draining")
+	// Shutdown has begun: the listener is closed.
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Fatal("server still accepting after Shutdown began")
 	}
 	select {
 	case <-shutdownDone:

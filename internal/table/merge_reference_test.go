@@ -206,7 +206,7 @@ func (t *Table) MergeOffline() error {
 	}
 	// Fresh MVCC state: all merged rows are committed & live.
 	for range rows {
-		next.versions.AppendCommitted(snapshot)
+		next.versions.AppendCommittedN(1, snapshot)
 	}
 	if err := next.addIndexesRowPath(old, rows); err != nil {
 		next.epoch.release()

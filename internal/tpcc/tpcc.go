@@ -318,46 +318,3 @@ func ItemJoinMap(items *table.Table, e *exec.Executor, fraction float64) (map[va
 	}
 	return e.BuildJoinMap(0, ids)
 }
-
-// RecordWorkload registers the TPC-C + CH plan mix in a plan cache for
-// the placement optimizer: deliveries filter the PK columns frequently,
-// CH-Q19 adds warehouse + quantity filters at analytical (lower)
-// frequency, matching the paper's observation that the model selects
-// the four PK attributes first.
-func RecordWorkload(pc interface{ RecordN([]int, float64) }, deliveries, chQueries float64) {
-	pc.RecordN([]int{OLWarehouseID, OLDistrictID}, deliveries)
-	pc.RecordN([]int{OLWarehouseID, OLDistrictID, OLOrderID, OLNumber}, deliveries/2)
-	pc.RecordN([]int{OLOrderID, OLDistrictID, OLWarehouseID}, deliveries/2)
-	pc.RecordN([]int{OLWarehouseID, OLQuantity}, chQueries)
-	pc.RecordN([]int{OLItemID, OLWarehouseID, OLQuantity}, chQueries/2)
-}
-
-// CHQuery1 is the CH-benCHmark query #1 equivalent over ORDERLINE:
-// per-line-number sums of quantity and amount for lines delivered after
-// a cutoff date (grouped aggregation; in the paper's layouts the group
-// key ol_number is a primary-key MRC while the aggregates may be
-// tiered).
-func CHQuery1(tbl *table.Table, e *exec.Executor, deliveredAfter int64) (map[value.Value]float64, error) {
-	res, err := e.Run(exec.Query{Predicates: []exec.Predicate{
-		{Column: OLDeliveryDate, Op: exec.Between,
-			Value: value.NewInt(deliveredAfter), Hi: value.NewInt(1 << 40)},
-	}}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return e.GroupBySum(OLNumber, OLAmount, res.IDs)
-}
-
-// CHQuery6 is the CH-benCHmark query #6 equivalent: total revenue of
-// lines with quantity in [qlo, qhi] delivered in a date window — two
-// range predicates whose placement the budget decides.
-func CHQuery6(tbl *table.Table, e *exec.Executor, dateLo, dateHi, qlo, qhi int64) (float64, error) {
-	res, err := e.Run(exec.Query{Predicates: []exec.Predicate{
-		{Column: OLDeliveryDate, Op: exec.Between, Value: value.NewInt(dateLo), Hi: value.NewInt(dateHi)},
-		{Column: OLQuantity, Op: exec.Between, Value: value.NewInt(qlo), Hi: value.NewInt(qhi)},
-	}}, nil)
-	if err != nil {
-		return 0, err
-	}
-	return e.Sum(OLAmount, res.IDs)
-}

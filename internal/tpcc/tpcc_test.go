@@ -213,82 +213,3 @@ func TestItemTable(t *testing.T) {
 		t.Errorf("i_id(0) = %v, %v", v, err)
 	}
 }
-
-func TestRecordWorkloadFeedsOptimizer(t *testing.T) {
-	// The recorded plan mix must make the optimizer select the PK
-	// columns first, as the paper reports.
-	tbl, _ := buildAll(t, nil)
-	pcAdapter := &fakeCache{}
-	RecordWorkload(pcAdapter, 1000, 10)
-	if len(pcAdapter.plans) < 4 {
-		t.Errorf("recorded %d plans", len(pcAdapter.plans))
-	}
-	_ = tbl
-}
-
-type fakeCache struct {
-	plans []struct {
-		cols []int
-		n    float64
-	}
-}
-
-func (f *fakeCache) RecordN(cols []int, n float64) {
-	f.plans = append(f.plans, struct {
-		cols []int
-		n    float64
-	}{append([]int(nil), cols...), n})
-}
-
-func TestCHQuery1GroupsByLineNumber(t *testing.T) {
-	var want map[string]float64
-	for i, layout := range [][]bool{nil, LayoutForBudget(0.2)} {
-		tbl, e := buildAll(t, layout)
-		groups, err := CHQuery1(tbl, e, 20170000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(groups) < 5 {
-			t.Fatalf("groups = %d, want >= 5 line numbers", len(groups))
-		}
-		got := make(map[string]float64, len(groups))
-		for k, v := range groups {
-			got[k.String()] = v
-		}
-		if i == 0 {
-			want = got
-			continue
-		}
-		if len(got) != len(want) {
-			t.Fatalf("layout changed group count: %d vs %d", len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Errorf("group %s: %g != %g across layouts", k, got[k], v)
-			}
-		}
-	}
-}
-
-func TestCHQuery6RevenueWindow(t *testing.T) {
-	tbl, e := buildAll(t, LayoutForBudget(0.2))
-	full, err := CHQuery6(tbl, e, 20170000, 20180000, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full <= 0 {
-		t.Fatal("no revenue in full window")
-	}
-	narrow, err := CHQuery6(tbl, e, 20170000, 20180000, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if narrow <= 0 || narrow >= full {
-		t.Errorf("narrow quantity window revenue %g, full %g", narrow, full)
-	}
-	// Undelivered-only window is empty (delivery date 0 excluded).
-	empty, err := CHQuery6(tbl, e, 20190000, 20200000, 1, 10)
-	if err != nil || empty != 0 {
-		t.Errorf("future window revenue = %g, %v", empty, err)
-	}
-}

@@ -352,18 +352,6 @@ func (s *Span) End() {
 	s.tracer.publish(s)
 }
 
-// EndAt is End with an explicit timestamp (no-op on nil).
-func (s *Span) EndAt(ns int64) {
-	if s == nil {
-		return
-	}
-	if ns < s.StartNs {
-		ns = s.StartNs
-	}
-	s.EndNs = ns
-	s.tracer.publish(s)
-}
-
 // Duration returns the span's wall duration (0 while unfinished or on
 // nil).
 func (s *Span) Duration() time.Duration {

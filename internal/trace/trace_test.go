@@ -75,7 +75,6 @@ func TestNilSafety(t *testing.T) {
 	s.ChildAt("y", 1, 2)
 	s.Child("z").End()
 	s.End()
-	s.EndAt(5)
 	if s.Duration() != 0 {
 		t.Fatal("nil span has duration")
 	}
@@ -250,8 +249,10 @@ func TestBuildTreeAndSlowestPath(t *testing.T) {
 	// Two completed children with explicit durations: exec slower.
 	srv.ChildAt("wal.commit", srv.StartNs, srv.StartNs+100)
 	srv.ChildAt("exec.query", srv.StartNs, srv.StartNs+1000, String("table", "t"))
-	srv.EndAt(srv.StartNs + 2000)
-	root.EndAt(srv.StartNs + 3000)
+	srv.EndNs = srv.StartNs + 2000
+	tr.publish(srv)
+	root.EndNs = srv.StartNs + 3000
+	tr.publish(root)
 
 	spans := tr.Ring().ByTrace(root.Trace)
 	roots := BuildTree(spans)
@@ -383,14 +384,9 @@ func TestDurations(t *testing.T) {
 	if s.Duration() != 0 {
 		t.Fatal("unfinished span has duration")
 	}
-	s.EndAt(s.StartNs + int64(3*time.Millisecond))
+	s.EndNs = s.StartNs + int64(3*time.Millisecond)
+	tr.publish(s)
 	if s.Duration() != 3*time.Millisecond {
 		t.Fatalf("duration = %s", s.Duration())
-	}
-	// EndAt before start clamps.
-	u := tr.Start("y")
-	u.EndAt(u.StartNs - 5)
-	if u.EndNs != u.StartNs {
-		t.Fatal("EndAt did not clamp")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"tierdb/internal/exec"
 	"tierdb/internal/obsrv"
 )
 
@@ -42,7 +43,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		CacheFrames:        64,
 		ObsAddr:            "127.0.0.1:0",
 		SlowQueryThreshold: time.Nanosecond, // everything is slow
-		TraceRingSize:      16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +111,15 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("selectivity.samples = %d, want >= 30", snap.Counters["selectivity.samples"])
 	}
 
-	// /traces holds at most TraceRingSize entries, newest first; the
-	// 1ns threshold routes everything into the slow ring too.
+	// Overflow both rings. The executor is driven directly, so the plan
+	// cache keeps exactly the 30 plans /workload is checked for below.
+	for i := 0; i < DefaultTraceRingSize; i++ {
+		if _, err := tbl.Executor().Run(exec.Query{Predicates: []Predicate{region}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// /traces holds at most DefaultTraceRingSize entries, newest first;
+	// the 1ns threshold routes everything into the slow ring too.
 	for _, path := range []string{"/traces", "/traces?slow=1"} {
 		code, body = obsGet(t, base+path)
 		if code != http.StatusOK {
@@ -128,8 +135,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		if reply.Added < 30 {
 			t.Errorf("%s: added %d, want >= 30", path, reply.Added)
 		}
-		if len(reply.Entries) != 16 {
-			t.Errorf("%s: %d entries, want the ring bound 16", path, len(reply.Entries))
+		if len(reply.Entries) != DefaultTraceRingSize {
+			t.Errorf("%s: %d entries, want the ring bound %d", path, len(reply.Entries), DefaultTraceRingSize)
 		}
 	}
 
@@ -273,38 +280,5 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if code, _ := obsGet(t, base+"/"); code != http.StatusOK {
 		t.Errorf("index: status %d", code)
-	}
-}
-
-// TestObservabilityDisabledCapture proves DisableCapture: no rings, no
-// EWMAs, but the server still answers.
-func TestObservabilityDisabledCapture(t *testing.T) {
-	db, err := Open(Config{ObsAddr: "127.0.0.1:0", DisableCapture: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	tbl, err := db.CreateTable("t", testFields())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.BulkLoad([][]Value{{Int(1), Int(2), Float(3), String("a")}}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := tbl.Eq("region", Int(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Select(nil, []Predicate{p}); err != nil {
-		t.Fatal(err)
-	}
-	if _, n := tbl.Inner().ObservedSelectivity(1); n != 0 {
-		t.Errorf("capture disabled but %d selectivity samples recorded", n)
-	}
-	if code, _ := obsGet(t, db.ObsURL()+"/traces"); code != http.StatusNotFound {
-		t.Errorf("/traces with capture disabled: status %d, want 404", code)
-	}
-	if code, _ := obsGet(t, db.ObsURL()+"/metrics"); code != http.StatusOK {
-		t.Errorf("/metrics with capture disabled: status %d", code)
 	}
 }

@@ -1,6 +1,7 @@
 package tierdb
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -79,7 +80,7 @@ func TestWrongTypedOperandIsAnError(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							res, tr, err := tbl.Executor().RunTraced(q, nil)
+							res, tr, err := tbl.Executor().RunTracedCtx(context.Background(), q, nil)
 							if err == nil {
 								t.Fatalf("Select(%+v) = %+v, want an error", preds, res)
 							}

@@ -80,34 +80,3 @@ func TestSelectExplainedSummary(t *testing.T) {
 		t.Error("explained query not recorded in plan cache")
 	}
 }
-
-// TestDisableMetrics proves the off switch: no registry, empty
-// snapshot, queries still run.
-func TestDisableMetrics(t *testing.T) {
-	db, err := Open(Config{DisableMetrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Registry() != nil {
-		t.Error("disabled instance has a registry")
-	}
-	tbl, err := db.CreateTable("t", testFields())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.BulkLoad([][]Value{{Int(1), Int(2), Float(3), String("a")}}); err != nil {
-		t.Fatal(err)
-	}
-	region, err := tbl.Eq("region", Int(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tbl.Select(nil, []Predicate{region})
-	if err != nil || len(res.IDs) != 1 {
-		t.Fatalf("select on unmetered db: %v, %d rows", err, len(res.IDs))
-	}
-	snap := db.Stats()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
-		t.Errorf("disabled metrics produced a non-empty snapshot: %+v", snap)
-	}
-}

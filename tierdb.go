@@ -96,15 +96,12 @@ type Config struct {
 	// Parallelism is the number of workers main-partition scans, probes
 	// and materialization are spread over; values <= 1 mean one worker,
 	// which runs inline on the querying goroutine. Every level runs the
-	// same pipeline and returns identical results.
+	// same pipeline and returns identical results. Open rejects values
+	// above MaxParallelism.
 	Parallelism int
 	// PageFile, when set, backs pages with a real file at this path
 	// instead of memory (the timing model still applies).
 	PageFile string
-	// DisableMetrics turns the engine's observability layer off. Metrics
-	// are on by default; disabled instances hand out nil instruments,
-	// which cost nothing on the hot paths.
-	DisableMetrics bool
 	// MergeDeltaRows triggers a background online merge of a table once
 	// its active delta holds at least this many rows; 0 disables the
 	// row threshold. Manual Table.MergeAsync works regardless.
@@ -127,14 +124,6 @@ type Config struct {
 	// into the slow-query trace ring (/traces?slow=1) in addition to the
 	// recent ring; 0 disables the slow log.
 	SlowQueryThreshold time.Duration
-	// TraceRingSize bounds the recent and slow trace rings; 0 selects
-	// DefaultTraceRingSize.
-	TraceRingSize int
-	// DisableCapture turns runtime workload capture off: no query trace
-	// rings and no observed-selectivity EWMAs. The observability server
-	// still works but /traces 404s and the layout advisor falls back to
-	// static selectivity estimates.
-	DisableCapture bool
 	// WALDir, when set, makes the instance durable: every commit is
 	// written to a group-committed, CRC-framed write-ahead log in this
 	// directory before it is acknowledged, checkpoints truncate the log,
@@ -147,9 +136,6 @@ type Config struct {
 	// (background interval, bounded loss window) or SyncOff (OS-paced).
 	// Ignored without WALDir.
 	SyncPolicy SyncPolicy
-	// GroupCommitInterval is the background fsync cadence under
-	// SyncGroup; 0 selects wal.DefaultGroupInterval. Ignored otherwise.
-	GroupCommitInterval time.Duration
 	// ListenAddr, when set, serves the tierdb wire protocol (the
 	// tierdbd network service: inserts, bulk loads, selects,
 	// checkpoints, stats, layout advice) on this TCP address for the
@@ -223,10 +209,20 @@ type Config struct {
 	// walFS overrides the log's filesystem; tests inject the
 	// crash-injection FS here. Nil selects the real OS filesystem.
 	walFS wal.FS
+	// groupInterval overrides the SyncGroup background fsync cadence;
+	// crash tests set an hour so no background sync makes a crash state
+	// nondeterministic. 0 selects wal.DefaultGroupInterval.
+	groupInterval time.Duration
 }
 
+// MaxParallelism bounds Config.Parallelism: every query scratch holds
+// one worker slot per unit and every operator starts Parallelism-1
+// goroutines, so an unbounded value from a command line would cost
+// memory and goroutines per query.
+const MaxParallelism = 256
+
 // DefaultTraceRingSize is how many recent (and slow) query traces the
-// observability rings retain when Config.TraceRingSize is zero.
+// observability rings retain.
 const DefaultTraceRingSize = 128
 
 // DB is a database instance: a shared transaction manager, a modeled
@@ -248,7 +244,6 @@ type DB struct {
 	recent     *metrics.TraceRing
 	slow       *metrics.TraceRing
 	slowThresh time.Duration
-	selCapture bool
 
 	obsMu   sync.Mutex
 	obsSrvs []*http.Server
@@ -266,6 +261,9 @@ type DB struct {
 
 // Open creates a database instance.
 func Open(cfg Config) (*DB, error) {
+	if cfg.Parallelism > MaxParallelism {
+		return nil, fmt.Errorf("tierdb: parallelism %d exceeds the bound of %d (MaxParallelism)", cfg.Parallelism, MaxParallelism)
+	}
 	if cfg.Device == "" {
 		cfg.Device = "3D XPoint"
 	}
@@ -285,10 +283,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	clock := &storage.Clock{}
 	timed := storage.NewTimedStore(base, profile, clock)
-	var registry *metrics.Registry
-	if !cfg.DisableMetrics {
-		registry = metrics.NewRegistry()
-	}
+	registry := metrics.NewRegistry()
 	timed.Observe(registry)
 	var cache *amm.Cache
 	if cfg.CacheFrames > 0 {
@@ -301,15 +296,18 @@ func Open(cfg Config) (*DB, error) {
 	mgr := mvcc.NewManager()
 	mgr.Observe(registry)
 	db := &DB{
-		mgr:      mgr,
-		clock:    clock,
-		store:    timed,
-		cache:    cache,
-		profile:  profile,
-		parallel: cfg.Parallelism,
-		registry: registry,
-		tables:   make(map[string]*Table),
-		start:    time.Now(),
+		mgr:        mgr,
+		clock:      clock,
+		store:      timed,
+		cache:      cache,
+		profile:    profile,
+		parallel:   cfg.Parallelism,
+		registry:   registry,
+		tables:     make(map[string]*Table),
+		recent:     metrics.NewTraceRing(DefaultTraceRingSize),
+		slow:       metrics.NewTraceRing(DefaultTraceRingSize),
+		slowThresh: cfg.SlowQueryThreshold,
+		start:      time.Now(),
 	}
 	db.log = cfg.Logger
 	if db.log == nil {
@@ -318,16 +316,6 @@ func Open(cfg Config) (*DB, error) {
 	db.tracer = trace.New(trace.Options{
 		SampleRate: cfg.TraceSampleRate,
 	})
-	if !cfg.DisableCapture {
-		size := cfg.TraceRingSize
-		if size <= 0 {
-			size = DefaultTraceRingSize
-		}
-		db.recent = metrics.NewTraceRing(size)
-		db.slow = metrics.NewTraceRing(size)
-		db.slowThresh = cfg.SlowQueryThreshold
-		db.selCapture = true
-	}
 	if cfg.WALDir != "" {
 		if err := db.openDurability(cfg); err != nil {
 			db.store.Close()
@@ -419,14 +407,13 @@ func parseLevel(s string) slog.Level {
 	}
 }
 
-// Registry exposes the engine's metrics registry (nil when metrics are
-// disabled); advanced callers register their own instruments on it.
+// Registry exposes the engine's metrics registry; advanced callers
+// register their own instruments on it.
 func (db *DB) Registry() *metrics.Registry { return db.registry }
 
 // Stats returns a point-in-time snapshot of every engine metric:
 // executor access-path counts, AMM cache effectiveness, per-device IO,
-// delta and transaction activity. The zero snapshot is returned when
-// metrics are disabled.
+// delta and transaction activity.
 func (db *DB) Stats() StatsSnapshot { return db.registry.Snapshot() }
 
 // Clock returns the virtual clock accumulating modeled device and DRAM
@@ -519,7 +506,6 @@ func newExecutor(db *DB, inner *table.Table) *exec.Executor {
 		TraceRing:          db.recent,
 		SlowRing:           db.slow,
 		SlowQueryThreshold: db.slowThresh,
-		DisableSelCapture:  !db.selCapture,
 	})
 }
 

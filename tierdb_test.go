@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"tierdb/internal/core"
@@ -49,6 +50,19 @@ func TestOpenValidation(t *testing.T) {
 	if db.Device().Name != "3D XPoint" {
 		t.Errorf("default device = %q", db.Device().Name)
 	}
+}
+
+// TestOpenRejectsParallelismAboveBound opens at the bound and past it;
+// no query runs, so no worker is ever started at either value.
+func TestOpenRejectsParallelismAboveBound(t *testing.T) {
+	if _, err := Open(Config{Parallelism: 1 << 20}); err == nil || !strings.Contains(err.Error(), "256") {
+		t.Errorf("Parallelism 1<<20: err = %v, want the bound of 256 named", err)
+	}
+	db, err := Open(Config{Parallelism: MaxParallelism})
+	if err != nil {
+		t.Fatalf("Parallelism at the bound: %v", err)
+	}
+	db.Close()
 }
 
 func TestCreateAndLookupTable(t *testing.T) {
