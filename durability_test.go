@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -447,6 +448,69 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 		if err := db2.Close(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+	}
+}
+
+// TestZonesSurviveCheckpoint checks that the zones a full scan skips are
+// rebuilt when recovery adopts a checkpointed main: after a checkpoint
+// and a reopen, the same query returns the same rows and scans the same
+// number of rows, fewer than the main holds.
+func TestZonesSurviveCheckpoint(t *testing.T) {
+	fs := wal.NewMemFS()
+	const rows = 20000
+	scan := func(db *DB) ([]RowID, int64) {
+		t.Helper()
+		tbl, err := db.Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := tbl.Between("id", Int(9000), Int(9999))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := db.Stats().Counters["exec.rows.scanned"]
+		res, err := tbl.Select(nil, []Predicate{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.IDs, db.Stats().Counters["exec.rows.scanned"] - before
+	}
+	db, err := Open(walConfig(fs, SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t", walFields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]Value, rows)
+	for i := range data {
+		data[i] = []Value{Int(int64(i)), String("x")}
+	}
+	if err := tbl.BulkLoad(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.ApplyLayout(Layout{InDRAM: []bool{true, false}}); err != nil {
+		t.Fatal(err)
+	}
+	ids, scanned := scan(db)
+	if len(ids) != 1000 || scanned <= 0 || scanned >= rows {
+		t.Fatalf("before the checkpoint: %d rows, %d scanned of %d", len(ids), scanned, rows)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(walConfig(fs, SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	ids2, scanned2 := scan(db2)
+	if !slices.Equal(ids2, ids) || scanned2 != scanned {
+		t.Fatalf("after reopen: %d rows, %d scanned; before: %d rows, %d scanned", len(ids2), scanned2, len(ids), scanned)
 	}
 }
 

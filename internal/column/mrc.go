@@ -74,23 +74,33 @@ func (c *MRC) Get(i int) (value.Value, error) {
 // materialization).
 func (c *MRC) Code(i int) uint32 { return c.codes.Get(i) }
 
+// CodeRange returns the code range [lo, hi) of the values in [vlo, vhi]
+// — the one code of v for [v, v] when v is in the dictionary — and an
+// empty range, lo == hi, when no value lies between them. Order
+// preservation makes every predicate of the column such a range.
+func (c *MRC) CodeRange(vlo, vhi value.Value) (lo, hi uint32) {
+	lo = c.dict.LowerBound(vlo)
+	return lo, max(lo, c.dict.UpperBound(vhi))
+}
+
+// codeRange is CodeRange for operands the caller has not type-checked.
+func (c *MRC) codeRange(vlo, vhi value.Value) (lo, hi uint32, err error) {
+	if vlo.Type() != c.typ || vhi.Type() != c.typ {
+		return 0, 0, fmt.Errorf("column %q: predicate types %s/%s, want %s", c.name, vlo.Type(), vhi.Type(), c.typ)
+	}
+	lo, hi = c.CodeRange(vlo, vhi)
+	return lo, hi, nil
+}
+
 // ScanEqual appends to out the positions equal to v. Predicate
 // evaluation happens on compressed codes.
 func (c *MRC) ScanEqual(v value.Value, out []uint32, skip func(int) bool) ([]uint32, error) {
-	return c.ScanEqualIn(v, 0, c.codes.Len(), out, skip)
+	return c.ScanRangeIn(v, v, 0, c.codes.Len(), out, skip)
 }
 
-// ScanEqualIn is ScanEqual restricted to rows in [rowLo, rowHi); the
-// morsel-driven parallel executor calls it with disjoint row ranges.
+// ScanEqualIn is ScanEqual restricted to rows in [rowLo, rowHi).
 func (c *MRC) ScanEqualIn(v value.Value, rowLo, rowHi int, out []uint32, skip func(int) bool) ([]uint32, error) {
-	if v.Type() != c.typ {
-		return nil, fmt.Errorf("column %q: predicate type %s, want %s", c.name, v.Type(), c.typ)
-	}
-	code, ok := c.dict.Encode(v)
-	if !ok {
-		return out, nil // value absent: empty result
-	}
-	return unmasked(c.codes.ScanEqualIn(code, rowLo, rowHi, out), len(out), skip), nil
+	return c.ScanRangeIn(v, v, rowLo, rowHi, out, skip)
 }
 
 // ScanRange appends positions with lo <= value <= hi to out.
@@ -100,10 +110,10 @@ func (c *MRC) ScanRange(lo, hi value.Value, out []uint32, skip func(int) bool) (
 
 // ScanRangeIn is ScanRange restricted to rows in [rowLo, rowHi).
 func (c *MRC) ScanRangeIn(lo, hi value.Value, rowLo, rowHi int, out []uint32, skip func(int) bool) ([]uint32, error) {
-	if lo.Type() != c.typ || hi.Type() != c.typ {
-		return nil, fmt.Errorf("column %q: range predicate types %s/%s, want %s", c.name, lo.Type(), hi.Type(), c.typ)
+	loCode, hiCode, err := c.codeRange(lo, hi)
+	if err != nil {
+		return nil, err
 	}
-	loCode, hiCode := c.dict.LowerBound(lo), c.dict.UpperBound(hi)
 	return unmasked(c.codes.ScanRangeIn(loCode, hiCode, rowLo, rowHi, out), len(out), skip), nil
 }
 
@@ -119,37 +129,20 @@ func unmasked(out []uint32, from int, skip func(int) bool) []uint32 {
 }
 
 // ProbeEqual reports for each position in candidates whether the value
-// at the position equals v, appending matches to out (the scan→probe
-// switch of the paper's executor uses this on DRAM-resident columns).
+// at the position equals v, appending matches to out. The executor
+// probes a DRAM-resident column the same way, through the packed codes
+// and the code range its plan bound.
 func (c *MRC) ProbeEqual(v value.Value, candidates []uint32, out []uint32) ([]uint32, error) {
-	if v.Type() != c.typ {
-		return nil, fmt.Errorf("column %q: predicate type %s, want %s", c.name, v.Type(), c.typ)
-	}
-	code, ok := c.dict.Encode(v)
-	if !ok {
-		return out, nil
-	}
-	for _, pos := range candidates {
-		if c.codes.Get(int(pos)) == code {
-			out = append(out, pos)
-		}
-	}
-	return out, nil
+	return c.ProbeRange(v, v, candidates, out)
 }
 
 // ProbeRange appends candidate positions whose value lies in [lo, hi].
 func (c *MRC) ProbeRange(lo, hi value.Value, candidates []uint32, out []uint32) ([]uint32, error) {
-	if lo.Type() != c.typ || hi.Type() != c.typ {
-		return nil, fmt.Errorf("column %q: range predicate types %s/%s, want %s", c.name, lo.Type(), hi.Type(), c.typ)
+	loCode, hiCode, err := c.codeRange(lo, hi)
+	if err != nil {
+		return nil, err
 	}
-	loCode := c.dict.LowerBound(lo)
-	hiCode := c.dict.UpperBound(hi)
-	for _, pos := range candidates {
-		if code := c.codes.Get(int(pos)); code >= loCode && code < hiCode {
-			out = append(out, pos)
-		}
-	}
-	return out, nil
+	return c.codes.Probe(loCode, hiCode, candidates, out), nil
 }
 
 // Dictionary exposes the underlying dictionary (read-only use).

@@ -357,13 +357,31 @@ func (x *Index) codes(lo, hi uint32) []uint32 {
 	return x.positions[x.offsets[lo]:end:end]
 }
 
+// ZoneRows is the number of rows of a zone: the vector keeps the
+// smallest and largest code of rows [z·ZoneRows, (z+1)·ZoneRows), so a
+// scan can pass over a zone no code of its range can occur in. It is a
+// multiple of 64, so at any code width a zone starts on a word boundary.
+const ZoneRows = 4096
+
 // BitPacked is an immutable vector of codes stored with the minimal
-// fixed bit width (bit-packed value vector of an MRC).
+// fixed bit width (bit-packed value vector of an MRC), with the code
+// bounds of each zone. The zones are rebuilt from the codes by both
+// constructors and are not part of the packed payload.
 type BitPacked struct {
 	bitsPer uint
 	n       int
 	words   []uint64
+	zones   []zone
 }
+
+// zone is the smallest and the largest code of one zone's rows.
+type zone struct{ lo, hi uint32 }
+
+// noZone is the bounds of no code, what a zone's first code replaces.
+var noZone = zone{^uint32(0), 0}
+
+// with returns z widened to code c.
+func (z zone) with(c uint32) zone { return zone{min(z.lo, c), max(z.hi, c)} }
 
 // Pack stores codes with enough bits for maxCode.
 func Pack(codes []uint32, maxCode uint32) *BitPacked {
@@ -371,12 +389,25 @@ func Pack(codes []uint32, maxCode uint32) *BitPacked {
 	if width == 0 {
 		width = 1
 	}
-	v := &BitPacked{bitsPer: width, n: len(codes)}
+	v := &BitPacked{bitsPer: width, n: len(codes), zones: make([]zone, 0, zoneCount(len(codes)))}
 	v.words = make([]uint64, (uint(len(codes))*width+63)/64)
-	for i, c := range codes {
-		v.set(i, c)
+	for lo := 0; lo < len(codes); lo += ZoneRows {
+		z := noZone
+		for i, c := range codes[lo:min(lo+ZoneRows, len(codes))] {
+			v.set(lo+i, c)
+			z = z.with(c)
+		}
+		v.zones = append(v.zones, z)
 	}
 	return v
+}
+
+// zoneCount is the number of zones of n rows.
+func zoneCount(n int) int { return (n + ZoneRows - 1) / ZoneRows }
+
+// Admits reports whether zone z may hold a code in [lo, hi).
+func (v *BitPacked) Admits(z int, lo, hi uint32) bool {
+	return lo < hi && v.zones[z].lo < hi && v.zones[z].hi >= lo
 }
 
 // Unpack returns the vector of n codes packed width bits each into
@@ -390,11 +421,17 @@ func Unpack(width uint, n int, words []uint64, limit uint32) (*BitPacked, error)
 	if uint64(len(words)) != (uint64(n)*uint64(width)+63)/64 {
 		return nil, fmt.Errorf("dict: %d words for %d %d-bit codes", len(words), n, width)
 	}
-	v := &BitPacked{bitsPer: width, n: n, words: words}
-	for i := range n {
-		if c := v.Get(i); c >= limit {
-			return nil, fmt.Errorf("dict: code %d at row %d, dictionary holds %d", c, i, limit)
+	v := &BitPacked{bitsPer: width, n: n, words: words, zones: make([]zone, 0, zoneCount(n))}
+	for lo := 0; lo < n; lo += ZoneRows {
+		z := noZone
+		for i := lo; i < min(lo+ZoneRows, n); i++ {
+			c := v.Get(i)
+			if c >= limit {
+				return nil, fmt.Errorf("dict: code %d at row %d, dictionary holds %d", c, i, limit)
+			}
+			z = z.with(c)
 		}
+		v.zones = append(v.zones, z)
 	}
 	return v, nil
 }
@@ -445,6 +482,20 @@ func (v *BitPacked) ScanRangeIn(lo, hi uint32, rowLo, rowHi int, out []uint32) [
 		return out
 	}
 	return v.scan(lo, hi-lo, rowLo, rowHi, out)
+}
+
+// Probe appends the candidates whose code lies in [lo, hi) to out, one
+// dependent access per candidate.
+func (v *BitPacked) Probe(lo, hi uint32, candidates, out []uint32) []uint32 {
+	if lo >= hi {
+		return out
+	}
+	for _, pos := range candidates {
+		if v.Get(int(pos))-lo < hi-lo {
+			out = append(out, pos)
+		}
+	}
+	return out
 }
 
 // scan is the one scan kernel: it appends the positions in [rowLo, rowHi)

@@ -161,6 +161,40 @@ func TestBitPackedCrossesWordBoundaries(t *testing.T) {
 	}
 }
 
+// TestZonesSurviveUnpack holds both constructors to one zone map: a
+// vector rebuilt from its words, as recovery adopts a checkpointed MRC,
+// has the zones Pack computed; each zone holds its rows' smallest and
+// largest code; and Admits answers from them, empty ranges and lo > hi
+// included.
+func TestZonesSurviveUnpack(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, ZoneRows - 1, ZoneRows, 3*ZoneRows + 77} {
+		codes := make([]uint32, n)
+		for i := range codes {
+			codes[i] = uint32(i/1000 + rng.Intn(3)) // clustered, as a load by warehouse is
+		}
+		limit := uint32(n/1000 + 3)
+		v := Pack(codes, limit-1)
+		u, err := Unpack(v.Bits(), v.Len(), v.Words(), limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v.zones) != zoneCount(n) || !slices.Equal(u.zones, v.zones) {
+			t.Fatalf("n %d: Pack zones %v, Unpack zones %v", n, v.zones, u.zones)
+		}
+		for z, b := range v.zones {
+			rows := codes[z*ZoneRows : min((z+1)*ZoneRows, n)]
+			if b != (zone{slices.Min(rows), slices.Max(rows)}) {
+				t.Fatalf("n %d zone %d: bounds %v, rows span [%d, %d]", n, z, b, slices.Min(rows), slices.Max(rows))
+			}
+			if !v.Admits(z, b.lo, b.lo+1) || !v.Admits(z, b.hi, b.hi+1) || !v.Admits(z, 0, limit) ||
+				v.Admits(z, b.hi+1, limit+1) || v.Admits(z, 0, b.lo) || v.Admits(z, b.hi, b.lo) || v.Admits(z, b.lo, b.lo) {
+				t.Fatalf("n %d zone %d %v: Admits disagrees with the bounds", n, z, b)
+			}
+		}
+	}
+}
+
 func TestScanEqualAndRange(t *testing.T) {
 	codes := []uint32{5, 1, 5, 3, 5, 2}
 	v := Pack(codes, 5)

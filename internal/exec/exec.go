@@ -529,6 +529,10 @@ type step struct {
 	index *dict.Index
 	mrc   *column.MRC
 	field int
+	// lo and hi are the predicate's code range on mrc, bound once: a
+	// kernel compares codes, and the zones of every DRAM conjunct decide
+	// which rows a full scan reads.
+	lo, hi uint32
 	// sel is the estimated qualifying fraction, read from the pinned
 	// view's statistics.
 	sel float64
@@ -582,9 +586,10 @@ func (e *Executor) plan(v *table.View, q Query, buf []step) ([]step, error) {
 		if s.mrc == nil && (v.Group() == nil || s.field < 0) {
 			return nil, fmt.Errorf("exec: column %d has no storage (internal layout error)", p.Column)
 		}
+		hi := p.Hi // an equality is the range [v, v]
 		switch p.Op {
 		case Eq:
-			s.sel = v.Selectivity(p.Column)
+			s.sel, hi = v.Selectivity(p.Column), p.Value
 		case Between:
 			if p.Hi.Type() != typ {
 				return nil, fmt.Errorf("exec: range bound on column %d has type %s, want %s", p.Column, p.Hi.Type(), typ)
@@ -592,6 +597,9 @@ func (e *Executor) plan(v *table.View, q Query, buf []step) ([]step, error) {
 			s.sel = v.RangeSelectivity(p.Column, p.Value, p.Hi)
 		default:
 			return nil, fmt.Errorf("exec: unknown operator %d", p.Op)
+		}
+		if s.mrc != nil {
+			s.lo, s.hi = s.mrc.CodeRange(p.Value, hi)
 		}
 		steps = append(steps, s)
 	}
@@ -680,6 +688,10 @@ func (e *Executor) runMain(v *table.View, sc *scratch, steps []step, vis reader,
 		})
 		return sc.cand, err
 	}
+	sc.admitted = mainRows
+	if steps[0].index == nil {
+		sc.admitted = sc.admit(steps, mainRows)
+	}
 	for i := range steps {
 		var err error
 		if sc.cand, err = e.apply(v, sc, &steps[i], sc.cand, i == 0, vis, tr); err != nil || len(sc.cand) == 0 {
@@ -698,7 +710,7 @@ func (e *Executor) apply(v *table.View, sc *scratch, s *step, cand []uint32, fir
 	k, op := s.operatorFor(first, float64(len(cand))/float64(mainRows), e.threshold)
 	op.RowsIn = len(cand)
 	if first {
-		op.RowsIn = mainRows
+		op.RowsIn = sc.admitted
 	}
 	err = operate(sc.ws, tr, op, func() (int, error) {
 		// in is what the kernel looked at: the predicate's observed
@@ -712,20 +724,21 @@ func (e *Executor) apply(v *table.View, sc *scratch, s *step, cand []uint32, fir
 		case kernelScanMRC:
 			// Full scan on the compressed DRAM column.
 			e.m.mrcScans.Inc()
-			e.m.rowsScanned.Add(int64(mainRows))
-			e.m.dramScanBytes.Add(s.mrc.Bytes())
-			out, err = e.scanMRC(sc, s.mrc, s.pred, mainRows, cand, vis)
+			e.m.rowsScanned.Add(int64(sc.admitted))
+			e.m.dramScanBytes.Add(s.mrc.Bytes() * int64(sc.admitted) / int64(mainRows))
+			out, err = e.scanMRC(sc, s, mainRows, cand, vis)
 		case kernelProbeMRC:
 			e.m.mrcProbes.Inc()
 			e.m.rowsScanned.Add(int64(len(cand)))
-			out, err = probeMRC(sc, s.mrc, s.pred, cand)
+			out, err = probeMRC(sc, s, cand)
 		case kernelScanSSCG:
-			// Scan the whole group (reads every page); the candidates are
-			// intersected below, after the full-partition match count —
-			// the predicate's own marginal fraction — has been observed.
-			in = mainRows
+			// Scan the group's admitted rows (reads their pages); the
+			// candidates are intersected below, after the match count over
+			// those rows — the predicate's own marginal fraction — has
+			// been observed.
+			in = sc.admitted
 			e.m.sscgScans.Inc()
-			e.m.rowsScanned.Add(int64(mainRows))
+			e.m.rowsScanned.Add(int64(sc.admitted))
 			// The matches go to the buffer's spare tail, past the candidates
 			// (none on the first step) they are intersected with.
 			out, err = e.scanGroup(sc, v.Group().RowsPerPage(), s.field, matcher(s.pred), mainRows, cand[len(cand):], vis)
@@ -749,17 +762,20 @@ func (e *Executor) apply(v *table.View, sc *scratch, s *step, cand []uint32, fir
 }
 
 // scanMRC is the MRC scan kernel: the first (DRAM-resident) predicate
-// evaluated morsel-wise on the compressed column; collect then drops a
-// morsel's matches vis cannot see.
-func (e *Executor) scanMRC(sc *scratch, mrc *column.MRC, p Predicate, mainRows int, dst []uint32, vis reader) ([]uint32, error) {
+// evaluated morsel-wise on the compressed column, over the rows the
+// zones admit; collect then drops a morsel's matches vis cannot see.
+func (e *Executor) scanMRC(sc *scratch, s *step, mainRows int, dst []uint32, vis reader) ([]uint32, error) {
+	// The kernel closure escapes (the pooled scheduler holds it), so it
+	// captures the step's codes by value: capturing the step would move
+	// run's stack buffer of steps to the heap.
+	codes, cLo, cHi := s.mrc.Codes(), s.lo, s.hi
 	out, err := collect(sc, morselCount(mainRows, e.morselRows), dst, vis, func(w *worker, m int, out []uint32) ([]uint32, error) {
-		lo := m * e.morselRows
-		hi := min(lo+e.morselRows, mainRows)
-		w.scanned += hi - lo
-		if p.Op == Eq {
-			return mrc.ScanEqualIn(p.Value, lo, hi, out, nil)
+		end := min((m+1)*e.morselRows, mainRows)
+		for lo, hi := sc.stretch(m*e.morselRows, end); lo < end; lo, hi = sc.stretch(hi, end) {
+			w.scanned += hi - lo
+			out = codes.ScanRangeIn(cLo, cHi, lo, hi, out)
 		}
-		return mrc.ScanRangeIn(p.Value, p.Hi, lo, hi, out, nil)
+		return out, nil
 	})
 	// Each worker streamed its share of the column's bytes with the
 	// others running concurrently: one latency charge per stream, and
@@ -767,7 +783,7 @@ func (e *Executor) scanMRC(sc *scratch, mrc *column.MRC, p Predicate, mainRows i
 	for i := range sc.ws {
 		if w := &sc.ws[i]; w.scanned > 0 {
 			share := float64(w.scanned) / float64(mainRows)
-			w.dram += device.DRAM.SequentialReadTime(int64(share*float64(mrc.Bytes())), len(sc.ws))
+			w.dram += device.DRAM.SequentialReadTime(int64(share*float64(s.mrc.Bytes())), len(sc.ws))
 			w.scanned = 0
 		}
 	}
@@ -778,26 +794,29 @@ func (e *Executor) scanMRC(sc *scratch, mrc *column.MRC, p Predicate, mainRows i
 // against a DRAM column, chunk-wise, one dependent access per candidate.
 // Like probeGroup it narrows cand in its own array: collect writes the
 // survivors over it once every chunk has been read.
-func probeMRC(sc *scratch, mrc *column.MRC, p Predicate, cand []uint32) ([]uint32, error) {
-	n := chunkCount(len(cand), len(sc.ws))
+func probeMRC(sc *scratch, s *step, cand []uint32) ([]uint32, error) {
+	n, codes, cLo, cHi := chunkCount(len(cand), len(sc.ws)), s.mrc.Codes(), s.lo, s.hi // by value, as in scanMRC
 	return collect(sc, n, cand, reader{}, func(w *worker, m int, out []uint32) ([]uint32, error) {
 		lo, hi := chunkBounds(len(cand), n, m)
 		w.touches += int64(hi - lo)
-		if p.Op == Eq {
-			return mrc.ProbeEqual(p.Value, cand[lo:hi], out)
-		}
-		return mrc.ProbeRange(p.Value, p.Hi, cand[lo:hi], out)
+		return codes.Probe(cLo, cHi, cand[lo:hi], out), nil
 	})
 }
 
-// scanGroup is the SSCG scan kernel. Morsel boundaries align to page
-// boundaries so no page is read twice; each worker reads through its
-// own view of the group, which counts the pages it reads.
+// scanGroup is the SSCG scan kernel, over the rows the zones admit.
+// Morsel boundaries align to page boundaries so no page is read twice
+// (two stretches of one morsel lie a rejected zone, at least a page,
+// apart); each worker reads through its own view of the group, which
+// counts the pages it reads.
 func (e *Executor) scanGroup(sc *scratch, rowsPerPage, gf int, pred func(value.Value) bool, mainRows int, dst []uint32, vis reader) ([]uint32, error) {
 	align := max(rowsPerPage, 1) // page-spanning rows: every row owns its pages
 	morsel := (e.morselRows + align - 1) / align * align
-	return collect(sc, morselCount(mainRows, morsel), dst, vis, func(w *worker, m int, out []uint32) ([]uint32, error) {
-		return w.group.ScanRows(gf, pred, m*morsel, min((m+1)*morsel, mainRows), out, nil)
+	return collect(sc, morselCount(mainRows, morsel), dst, vis, func(w *worker, m int, out []uint32) (_ []uint32, err error) {
+		end := min((m+1)*morsel, mainRows)
+		for lo, hi := sc.stretch(m*morsel, end); lo < end && err == nil; lo, hi = sc.stretch(hi, end) {
+			out, err = w.group.ScanRows(gf, pred, lo, hi, out, nil)
+		}
+		return out, err
 	})
 }
 

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tierdb/internal/dict"
 	"tierdb/internal/metrics"
 	"tierdb/internal/sscg"
 	"tierdb/internal/storage"
@@ -78,7 +79,8 @@ func (s *countingStore) ReadPage(id storage.PageID, buf []byte) error {
 // the workers with their position buffers, where each unit of the
 // current operator left its positions, the candidate list one operator
 // hands the next, and the DRAM touches made on the calling goroutine
-// alone (index lookups, the delta), which no worker shares. It is
+// alone (index lookups, the delta), which no worker shares, and which
+// zones of the main partition the query's full scans read. It is
 // allocated while serving, lives in the executor's pool between queries
 // and is taken by one query at a time; a Result never points into it
 // (runPinned copies the ids out).
@@ -88,6 +90,10 @@ type scratch struct {
 	units  []span
 	cand   []uint32
 	serial int64
+	// zones[z] says whether a full scan reads zone z (empty: every zone);
+	// admitted is the rows of the zones it reads.
+	zones    []bool
+	admitted int
 }
 
 // span is one unit's stretch w.buf[lo:hi] of its worker's positions.
@@ -103,7 +109,7 @@ type span struct {
 // e.pool.Put.
 func (e *Executor) scratchFor(v *table.View) *scratch {
 	sc := e.pool.Get().(*scratch)
-	sc.cand, sc.serial = sc.cand[:0], 0
+	sc.cand, sc.serial, sc.zones = sc.cand[:0], 0, sc.zones[:0]
 	timed, _ := e.tbl.Store().(*storage.TimedStore)
 	for i := range sc.ws {
 		w := &sc.ws[i]
@@ -118,6 +124,41 @@ func (e *Executor) scratchFor(v *table.View) *scratch {
 		w.group = w.view
 	}
 	return sc
+}
+
+// admit is the zone rule, applied before the first full scan: a zone
+// of the main partition is read only if every DRAM conjunct's zone
+// bounds admit its code range. It returns the admitted rows.
+func (sc *scratch) admit(steps []step, mainRows int) (rows int) {
+	n := (mainRows + dict.ZoneRows - 1) / dict.ZoneRows
+	sc.zones = slices.Grow(sc.zones[:0], n)[:n]
+	for z := range sc.zones {
+		ok := true
+		for i := range steps {
+			if s := &steps[i]; s.mrc != nil {
+				ok = ok && s.mrc.Codes().Admits(z, s.lo, s.hi)
+			}
+		}
+		if sc.zones[z] = ok; ok {
+			rows += min((z+1)*dict.ZoneRows, mainRows) - z*dict.ZoneRows
+		}
+	}
+	return rows
+}
+
+// stretch returns the first run [lo, hi) of admitted rows within
+// [from, end), lo == end when there is none: it starts and stops on zone
+// boundaries, or on from and end.
+func (sc *scratch) stretch(from, end int) (lo, hi int) {
+	if len(sc.zones) == 0 {
+		return from, end
+	}
+	next := func(row int) int { return min((row/dict.ZoneRows+1)*dict.ZoneRows, end) }
+	for lo = from; lo < end && !sc.zones[lo/dict.ZoneRows]; lo = next(lo) {
+	}
+	for hi = lo; hi < end && sc.zones[hi/dict.ZoneRows]; hi = next(hi) {
+	}
+	return lo, hi
 }
 
 // settle is the one place a query's modeled cost is charged. DRAM time

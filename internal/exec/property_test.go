@@ -3,10 +3,13 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"tierdb/internal/dict"
 	"tierdb/internal/metrics"
 	"tierdb/internal/schema"
 	"tierdb/internal/table"
@@ -106,6 +109,107 @@ func TestRandomQueriesMatchBruteForce(t *testing.T) {
 			}
 			explainMatchesRun(t, e, Query{Predicates: preds}, fmt.Sprintf("trial %d query %d (layout %v)", trial, q, layout))
 		}
+	}
+}
+
+// TestZonePruningMatchesBruteForce runs random queries over clustered
+// columns — repeating sorted runs, a constant tail like merged inserts' zero
+// delivery date, and a float column holding NaN and −0 — long enough to
+// span several zones, so a full scan skips the zones a DRAM conjunct
+// rules out. With a delta, deleted rows, an equality on a value the
+// dictionary does not hold and ranges with lo > hi, every result at
+// Parallelism 1 and 2 must equal the row-by-row evaluation, and some
+// first scans must have read fewer rows than the main holds.
+func TestZonePruningMatchesBruteForce(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	pruned := 0
+	for trial := 0; trial < 8; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		rows := 5*dict.ZoneRows + rng.Intn(dict.ZoneRows)
+		fields := []schema.Field{
+			{Name: "run", Type: value.Int64}, {Name: "day", Type: value.Int64},
+			{Name: "noise", Type: value.Int64}, {Name: "f", Type: value.Float64},
+		}
+		tbl, err := table.New("zones", schema.MustNew(fields), table.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := func(r int) []value.Value {
+			day := int64(1 + rng.Intn(400))
+			if r > rows*7/10 {
+				day = 0 // the tail's deliveries are pending
+			}
+			f := []float64{float64(r / 5000), nan, negZero, 0}[rng.Intn(4)*(r/7000%2)]
+			return []value.Value{value.NewInt(int64(r / 3000 % 5)), value.NewInt(day), value.NewInt(int64(rng.Intn(50))), value.NewFloat(f)}
+		}
+		data := make([][]value.Value, rows)
+		for r := range data {
+			data[r] = row(r)
+		}
+		if err := tbl.BulkAppend(data); err != nil {
+			t.Fatal(err)
+		}
+		layout := []bool{true, trial&1 == 0, trial&2 == 0, trial&4 == 0} // every placement of the other three
+		if err := tbl.ApplyLayout(layout); err != nil {
+			t.Fatal(err)
+		}
+		mgr := tbl.Manager()
+		for j := 0; j < 40; j++ {
+			tx := mgr.Begin()
+			if j%2 == 0 {
+				err = tbl.Delete(tx, table.RowID(rng.Intn(rows)))
+			} else {
+				err = tbl.Insert(tx, row(rng.Intn(rows)))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mgr.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		preds := []Predicate{
+			{Column: 0, Op: Eq, Value: value.NewInt(int64(rng.Intn(5)))},
+			// An equality on a value absent from the dictionary, and a range
+			// that has lo > hi in some trials.
+			{Column: 0, Op: Eq, Value: value.NewInt(999)},
+			{Column: 0, Op: Between, Value: value.NewInt(int64(rng.Intn(6))), Hi: value.NewInt(int64(rng.Intn(6)))},
+			{Column: 1, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(0)},
+			{Column: 1, Op: Between, Value: value.NewInt(int64(rng.Intn(400))), Hi: value.NewInt(int64(rng.Intn(400)))},
+			{Column: 2, Op: Eq, Value: value.NewInt(int64(rng.Intn(50)))},
+			{Column: 3, Op: Eq, Value: value.NewFloat(nan)},
+			{Column: 3, Op: Eq, Value: value.NewFloat(0)},
+			{Column: 3, Op: Between, Value: value.NewFloat(negZero), Hi: value.NewFloat(float64(rng.Intn(8)))},
+			{Column: 3, Op: Between, Value: value.NewFloat(nan), Hi: value.NewFloat(1)},
+		}
+		// Morsels within a zone, across zone boundaries and spanning the
+		// whole main, where one morsel holds several admitted stretches.
+		morsel := []int{64, 3008, 4096, DefaultMorselRows, 1 << 17}[trial%5]
+		for q := 0; q < 12; q++ {
+			query := Query{}
+			for n := 1 + rng.Intn(3); len(query.Predicates) < n; {
+				query.Predicates = append(query.Predicates, preds[rng.Intn(len(preds))])
+			}
+			want := bruteForce(t, tbl, query)
+			where := fmt.Sprintf("trial %d query %d (layout %v, preds %+v)", trial, q, layout, query.Predicates)
+			for _, par := range []int{1, 2} {
+				e := New(tbl, Options{Parallelism: par, MorselRows: morsel})
+				res, tr, err := e.RunTracedCtx(context.Background(), query, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if !slices.Equal(res.IDs, want) {
+					t.Fatalf("%s at Parallelism %d: got %d rows, want %d", where, par, len(res.IDs), len(want))
+				}
+				if op := tr.Operators[0]; op.Name == "scan" && op.RowsIn < tbl.MainRows() {
+					pruned++
+				}
+				explainMatchesRun(t, e, query, where)
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no full scan skipped a zone")
 	}
 }
 
