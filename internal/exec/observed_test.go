@@ -122,3 +122,39 @@ func TestTraceRingCapture(t *testing.T) {
 		t.Errorf("exec.wall_ns count = %d, want %d", snap.Histograms["exec.wall_ns"].Count, runs)
 	}
 }
+
+// TestObservedSelectivityUnderZonePruning pins what a first step records
+// when zones are skipped, on the clustered id column (20 000 rows, five
+// zones). Alone, id in [0, 999] admits only zone 0 and every rejected
+// zone holds none of its matches, so it records its fraction over the
+// whole main: 1000/20 000, not the 1000/4096 of the rows it scanned.
+// Behind a = 3, whose zones admit everything, id in [0, 4999] rejects
+// zones 2-4 that a = 3 admits, so a's matches over the admitted rows are
+// not its matches over the main and a records no sample; id, probed,
+// still records its conditional fraction. At both worker counts.
+func TestObservedSelectivityUnderZonePruning(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		tbl, _ := newTable(t, 20_000, nil)
+		e := New(tbl, Options{Parallelism: par, MorselRows: 1024})
+		alone := Query{Predicates: []Predicate{{Column: 0, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(999)}}}
+		if res, err := e.Run(alone, nil); err != nil || len(res.IDs) != 1000 {
+			t.Fatalf("Parallelism %d: %v, %v", par, res, err)
+		}
+		if sel, n := tbl.ObservedSelectivity(0); n != 1 || math.Abs(sel-0.05) > 1e-9 {
+			t.Errorf("Parallelism %d: id alone observed %g over %d samples, want 0.05 over 1", par, sel, n)
+		}
+		behind := Query{Predicates: []Predicate{
+			{Column: 0, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(4999)},
+			{Column: 1, Op: Eq, Value: value.NewInt(3)},
+		}}
+		if res, err := e.Run(behind, nil); err != nil || len(res.IDs) != 500 {
+			t.Fatalf("Parallelism %d: %v, %v", par, res, err)
+		}
+		if _, n := tbl.ObservedSelectivity(1); n != 0 {
+			t.Errorf("Parallelism %d: a = 3 recorded %d samples over zones id rejected, want none", par, n)
+		}
+		if sel, n := tbl.ObservedSelectivity(0); n != 2 || sel <= 0.05 {
+			t.Errorf("Parallelism %d: id probed recorded %g over %d samples, want its conditional fraction as a second sample", par, sel, n)
+		}
+	}
+}
