@@ -195,6 +195,32 @@ func BenchmarkParallelMRCScan(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelMRCProjection measures a query of two regions whose
+// second is large: a 1 M row MRC range scan fused with an MRC probe
+// (200 k rows qualify), then the materialization of two projected
+// columns of every qualifying row, in wall-clock ns per query at
+// increasing worker counts.
+func BenchmarkParallelMRCProjection(b *testing.B) {
+	tbl, _, clock := benchTable(b, 1_000_000, nil)
+	q := exec.Query{
+		Predicates: []exec.Predicate{
+			{Column: 2, Op: exec.Between, Value: value.NewInt(100), Hi: value.NewInt(499)},
+			{Column: 1, Op: exec.Between, Value: value.NewInt(0), Hi: value.NewInt(49)},
+		},
+		Project: []int{0, 1},
+	}
+	for _, par := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
+			e := exec.New(tbl, exec.Options{Clock: clock, Parallelism: par})
+			for i := 0; i < b.N; i++ {
+				if res, err := e.Run(q, nil); err != nil || len(res.IDs) != 200_000 {
+					b.Fatalf("%d rows, %v", len(res.IDs), err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMetricsOverhead measures what the observability layer costs
 // on the hottest path — the 1 M row parallel MRC range scan of
 // BenchmarkParallelMRCScan — in three configurations: metrics disabled

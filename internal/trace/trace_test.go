@@ -213,10 +213,10 @@ func TestRingConcurrent(t *testing.T) {
 			}
 		}
 	}()
-	wg.Add(-1)
+	wg.Add(-1) // wait for the writers first
 	wg.Wait()
+	wg.Add(1) // before the reader can see stop and call Done
 	close(stop)
-	wg.Add(1)
 	wg.Wait()
 	if tr.Ring().Added() != 8*500*2 {
 		t.Fatalf("Added = %d", tr.Ring().Added())
