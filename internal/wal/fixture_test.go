@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tierdb/internal/mvcc"
+	"tierdb/internal/schema"
 	"tierdb/internal/value"
 )
 
@@ -37,17 +38,28 @@ var (
 // fixtureSegment appends the fixture's two commits through a Log and
 // returns the segment's bytes.
 func fixtureSegment(t *testing.T) []byte {
+	return logSegment(t, func(l *Log) error {
+		for i, ops := range [][]mvcc.RedoOp{fixtureCommit, fixtureNext} {
+			ts := mvcc.Timestamp(fixtureTs + i)
+			if _, err := l.AppendCommit(context.Background(), func() mvcc.Timestamp { return ts }, ops); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// logSegment runs write against a fresh Log and returns the bytes of the
+// one segment it leaves.
+func logSegment(t *testing.T, write func(*Log) error) []byte {
 	t.Helper()
 	fs := NewMemFS()
 	l, err := Open(Options{FS: fs, Dir: "wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ops := range [][]mvcc.RedoOp{fixtureCommit, fixtureNext} {
-		ts := mvcc.Timestamp(fixtureTs + i)
-		if _, err := l.AppendCommit(context.Background(), func() mvcc.Timestamp { return ts }, ops); err != nil {
-			t.Fatal(err)
-		}
+	if err := write(l); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -90,5 +102,65 @@ func TestSegmentFixture(t *testing.T) {
 	full := fixtureSegment(t)
 	if !bytes.Equal(full[:min(len(data), len(full))], data) {
 		t.Errorf("re-encoded segment\n %x\ndoes not start with the fixture\n %x", full, data)
+	}
+}
+
+// testdata/ddl_checkpoint.log holds one record of every kind but commit,
+// as this package's append path wrote them: a table's creation (a field
+// of each type, one with a width), its layout, a single-column and a
+// composite index, then a checkpoint's begin and end. It pins the DDL
+// and checkpoint payloads: a change to how a field list, a layout or a
+// column list is encoded fails TestDDLSegmentFixture.
+var fixtureDDL = []Record{
+	{Kind: kindCreateTable, Table: "orders", Fields: []schema.Field{
+		{Name: "id", Type: value.Int64},
+		{Name: "amount", Type: value.Float64},
+		{Name: "note", Type: value.String, Width: 300},
+	}},
+	{Kind: kindLayout, Table: "orders", Layout: []bool{true, false, true}},
+	{Kind: kindIndex, Table: "orders", Cols: []int{0}},
+	{Kind: kindIndex, Table: "orders", Cols: []int{2, 0}},
+	{Kind: kindCheckpointBegin, Ts: 300},
+	{Kind: kindCheckpointEnd, Ts: 300},
+}
+
+// TestDDLSegmentFixture decodes the checked-in DDL segment to the pinned
+// records, then appends them again through a Log and requires the
+// fixture's bytes back exactly.
+func TestDDLSegmentFixture(t *testing.T) {
+	data, err := os.ReadFile("testdata/ddl_checkpoint.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, tornAt, err := decodeSegment(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(recs, fixtureDDL) || tornAt != len(data) {
+		t.Errorf("decoded %+v (clean to %d of %d bytes), want %+v", recs, tornAt, len(data), fixtureDDL)
+	}
+	got := logSegment(t, func(l *Log) error {
+		for _, rec := range fixtureDDL {
+			var err error
+			switch rec.Kind {
+			case kindCreateTable:
+				err = l.AppendCreateTable(rec.Table, rec.Fields)
+			case kindLayout:
+				err = l.AppendLayout(rec.Table, rec.Layout)
+			case kindIndex:
+				err = l.AppendIndex(rec.Table, rec.Cols)
+			case kindCheckpointBegin:
+				err = l.AppendCheckpointBegin(mvcc.Timestamp(rec.Ts))
+			case kindCheckpointEnd:
+				err = l.EndCheckpoint(mvcc.Timestamp(rec.Ts))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if !bytes.Equal(got, data) {
+		t.Errorf("re-encoded segment\n %x\nwant the fixture\n %x", got, data)
 	}
 }
