@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -251,7 +252,7 @@ func statsDemo() error {
 	if err != nil {
 		return err
 	}
-	_, plan, err := tbl.SelectExplained(nil, []tierdb.Predicate{region, amount}, "id")
+	_, plan, err := tbl.SelectExplainedCtx(context.Background(), nil, []tierdb.Predicate{region, amount}, "id")
 	if err != nil {
 		return err
 	}

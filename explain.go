@@ -21,8 +21,7 @@ import (
 type ExplainPlan = explain.Plan
 
 // ExplainSpec is the stringly-typed predicate form EXPLAIN accepts via
-// /explain and DB.Explain; the table resolves values against its
-// schema.
+// /explain; the table resolves values against its schema.
 type ExplainSpec = explain.PredicateSpec
 
 // RenderExplain renders a plan as the human-readable tree tierctl
@@ -45,18 +44,13 @@ func (t *Table) Explain(predicates []Predicate, project ...string) (*ExplainPlan
 	return t.buildExplain(explain.ModeExplain, q, tr, 0, "")
 }
 
-// SelectExplained is Select plus an ANALYZE plan: the query executes
+// SelectExplainedCtx is Select plus an ANALYZE plan: the query executes
 // normally (feeding the plan cache and observed selectivities exactly
 // like Select) and the plan annotates every operator with observed
 // wall time, rows, page reads and selectivity next to the modeled
 // numbers. EXPLAIN is strictly opt-in — plain Select never pays for it.
-func (t *Table) SelectExplained(tx *Tx, predicates []Predicate, project ...string) (*SelectResult, *ExplainPlan, error) {
-	return t.SelectExplainedCtx(context.Background(), tx, predicates, project...)
-}
-
-// SelectExplainedCtx is SelectExplained with a context; a sampled
-// request span carried by ctx links the plan to the trace tree via
-// its trace id.
+// A sampled request span carried by ctx links the plan to the trace
+// tree via its trace id.
 func (t *Table) SelectExplainedCtx(ctx context.Context, tx *Tx, predicates []Predicate, project ...string) (*SelectResult, *ExplainPlan, error) {
 	q, err := t.prepQuery(predicates, project)
 	if err != nil {
@@ -77,31 +71,6 @@ func (t *Table) SelectExplainedCtx(ctx context.Context, tx *Tx, predicates []Pre
 		return nil, nil, err
 	}
 	return res, plan, nil
-}
-
-// Explain runs EXPLAIN (analyze=false) or EXPLAIN ANALYZE
-// (analyze=true) for a query given in wire form: predicate values as
-// strings, resolved against the named table's schema. This is the
-// entry point the observability server's /explain endpoint (and so
-// tierctl explain) calls.
-func (db *DB) Explain(ctx context.Context, table string, specs []ExplainSpec, project []string, analyze bool) (*ExplainPlan, error) {
-	t, err := db.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	preds := make([]Predicate, 0, len(specs))
-	for _, s := range specs {
-		p, err := t.compileSpec(s)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, p)
-	}
-	if !analyze {
-		return t.Explain(preds, project...)
-	}
-	_, plan, err := t.SelectExplainedCtx(ctx, nil, preds, project...)
-	return plan, err
 }
 
 // compileSpec resolves one wire-form predicate against the schema,

@@ -1,6 +1,7 @@
 package tierdb
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -171,9 +172,9 @@ func TestExplainEndToEnd(t *testing.T) {
 }
 
 // BenchmarkExplainOverhead compares plain Select against
-// SelectExplained on the same table: the Select sub-benchmark is the
+// SelectExplainedCtx on the same table: the Select sub-benchmark is the
 // baseline proving EXPLAIN costs nothing when not requested (the
-// machinery is strictly opt-in), the SelectExplained one prices ANALYZE.
+// machinery is strictly opt-in), the SelectExplainedCtx one prices ANALYZE.
 func BenchmarkExplainOverhead(b *testing.B) {
 	db, err := Open(Config{})
 	if err != nil {
@@ -205,10 +206,10 @@ func BenchmarkExplainOverhead(b *testing.B) {
 			}
 		}
 	})
-	b.Run("SelectExplained", func(b *testing.B) {
+	b.Run("SelectExplainedCtx", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tbl.SelectExplained(nil, preds, "amount"); err != nil {
+			if _, _, err := tbl.SelectExplainedCtx(context.Background(), nil, preds, "amount"); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,11 +2,12 @@
 // the wire protocol share: the frame header both put before a payload
 // (uvarint length, then the payload's CRC-32C, 4 bytes LE),
 // uvarint-prefixed strings, self-describing values (type byte, then 8
-// fixed bytes for numerics or a string) and rows of them, plus the
-// cursor that decodes them. Both inputs can be hostile or torn, so the
-// Reader never trusts a length it cannot verify against the remaining
-// input: bad input yields the caller's sentinel error — never a panic
-// or an unbounded allocation.
+// fixed bytes for numerics or a string) and rows of them, a schema's
+// field list and a layout's DRAM bits, plus the cursor that decodes
+// them. A snapshot header holds the same field list. Both inputs can be
+// hostile or torn, so the Reader never trusts a length it cannot verify
+// against the remaining input: bad input yields the caller's sentinel
+// error — never a panic or an unbounded allocation.
 //
 // A Reader from NewReader copies every string it decodes. One from
 // NewSharedReader makes one string of its whole payload, at the first
@@ -24,8 +25,12 @@ import (
 	"math"
 	"slices"
 
+	"tierdb/internal/schema"
 	"tierdb/internal/value"
 )
+
+// MaxFieldWidth bounds a decoded field's width.
+const MaxFieldWidth = 1 << 24
 
 // MaxKeptBuffer is the largest buffer a long-lived reader or writer —
 // the WAL, either end of a wire connection — keeps for its next record
@@ -70,6 +75,32 @@ func AppendRow(buf []byte, row []value.Value) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(row)))
 	for _, v := range row {
 		buf = AppendValue(buf, v)
+	}
+	return buf
+}
+
+// AppendFields appends a uvarint field count, then each field's name,
+// type byte and uvarint width.
+func AppendFields(buf []byte, fields []schema.Field) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(fields)))
+	for _, f := range fields {
+		buf = AppendString(buf, f.Name)
+		buf = append(buf, byte(f.Type))
+		buf = binary.AppendUvarint(buf, uint64(f.Width))
+	}
+	return buf
+}
+
+// AppendBools appends a uvarint count, then one byte per bit: 1 for
+// true, 0 for false.
+func AppendBools(buf []byte, bits []bool) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(bits)))
+	for _, b := range bits {
+		if b {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
 	}
 	return buf
 }
@@ -244,6 +275,59 @@ func (r *Reader) appendRow(dst []value.Value) ([]value.Value, error) {
 		dst = append(dst, v)
 	}
 	return dst, nil
+}
+
+// Fields reads a field list as AppendFields writes it. A type past
+// value.String or a width past MaxFieldWidth is malformed.
+func (r *Reader) Fields() ([]schema.Field, error) {
+	n, err := r.Count(3) // empty name + type + width
+	if err != nil {
+		return nil, err
+	}
+	fields := make([]schema.Field, n)
+	for i := range fields {
+		f := &fields[i]
+		if f.Name, err = r.String(); err != nil {
+			return nil, err
+		}
+		t, err := r.Byte()
+		if err != nil {
+			return nil, err
+		}
+		if f.Type = value.Type(t); f.Type > value.String {
+			return nil, fmt.Errorf("%w: unknown value type %d", r.bad, t)
+		}
+		w, err := r.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if w > MaxFieldWidth {
+			return nil, fmt.Errorf("%w: field width %d", r.bad, w)
+		}
+		f.Width = int(w)
+	}
+	return fields, nil
+}
+
+// Bools reads bits as AppendBools writes them. A byte other than 0 or 1
+// is malformed.
+func (r *Reader) Bools() ([]bool, error) {
+	n, err := r.Count(1)
+	if err != nil {
+		return nil, err
+	}
+	bits := make([]bool, n)
+	for i := range bits {
+		b, err := r.Byte()
+		if err != nil {
+			return nil, err
+		}
+		if b > 1 {
+			return nil, fmt.Errorf("%w: bool byte %d", r.bad, b)
+		}
+		bits[i] = b == 1
+	}
+	return bits, nil
 }
 
 // Done reports trailing bytes as malformed input.

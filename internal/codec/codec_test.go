@@ -2,8 +2,10 @@ package codec
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
+	"tierdb/internal/schema"
 	"tierdb/internal/value"
 )
 
@@ -55,5 +57,46 @@ func TestMalformedInputReturnsTheSentinel(t *testing.T) {
 	}
 	if err := r.Done(); !errors.Is(err, errBad) {
 		t.Errorf("trailing byte: err = %v, want the sentinel", err)
+	}
+}
+
+// A field list and a layout decode to what was appended; every prefix,
+// an unknown type, a width past MaxFieldWidth and a bit byte past 1
+// fail with the sentinel.
+func TestFieldsAndBools(t *testing.T) {
+	fields := []schema.Field{{Name: "id", Type: value.Int64}, {Name: "", Type: value.String, Width: MaxFieldWidth}}
+	bits := []bool{true, false, true}
+	full := AppendBools(AppendFields(nil, fields), bits)
+	r := NewReader(full, errBad)
+	gotFields, err := r.Fields()
+	if err != nil || !reflect.DeepEqual(gotFields, fields) {
+		t.Fatalf("Fields = %+v, %v; want %+v", gotFields, err, fields)
+	}
+	if gotBits, err := r.Bools(); err != nil || !reflect.DeepEqual(gotBits, bits) {
+		t.Fatalf("Bools = %v, %v; want %v", gotBits, err, bits)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(full); n++ {
+		r := NewReader(full[:n], errBad)
+		_, err := r.Fields()
+		if err == nil {
+			_, err = r.Bools()
+		}
+		if !errors.Is(err, errBad) {
+			t.Errorf("prefix of %d bytes: err = %v, want the sentinel", n, err)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"type":  {1, 0, byte(value.String) + 1, 0},
+		"width": AppendFields(nil, []schema.Field{{Type: value.String, Width: MaxFieldWidth + 1}}),
+	} {
+		if _, err := NewReader(bad, errBad).Fields(); !errors.Is(err, errBad) {
+			t.Errorf("bad %s: err = %v, want the sentinel", name, err)
+		}
+	}
+	if _, err := NewReader([]byte{2, 1, 2}, errBad).Bools(); !errors.Is(err, errBad) {
+		t.Errorf("bit byte 2: err = %v, want the sentinel", err)
 	}
 }

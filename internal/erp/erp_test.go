@@ -127,16 +127,3 @@ func TestWorkloadRejectsBadProfile(t *testing.T) {
 		t.Error("filtered > attributes accepted")
 	}
 }
-
-func TestBSEGSchemaShape(t *testing.T) {
-	s := BSEGSchema()
-	if s.Len() != BSEGAttributes {
-		t.Errorf("schema has %d fields, want %d", s.Len(), BSEGAttributes)
-	}
-	if s.Field(0).Name != "BELNR" {
-		t.Error("BELNR not first")
-	}
-	if s.IndexOf("BUKRS") != 1 || s.IndexOf("GJAHR") != 2 {
-		t.Error("key columns misplaced")
-	}
-}

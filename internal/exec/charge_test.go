@@ -176,3 +176,29 @@ func TestTraceAttributionUnderConcurrency(t *testing.T) {
 		})
 	}
 }
+
+// TestMRCScanChargeIgnoresTheSplit runs one fused MRC scan over many
+// morsels at Parallelism 4, a hundred times: however many morsels each
+// helper happened to claim, the query's modeled DRAM time is the same.
+func TestMRCScanChargeIgnoresTheSplit(t *testing.T) {
+	tbl, _ := newTable(t, 40000, nil)
+	e := New(tbl, Options{Parallelism: 4, MorselRows: 1024})
+	q := Query{Predicates: []Predicate{
+		{Column: 1, Op: Eq, Value: value.NewInt(3)},
+		{Column: 2, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(49)},
+	}}
+	seen := map[int64]int{}
+	for i := 0; i < 100; i++ {
+		_, tr, err := e.RunTracedCtx(context.Background(), q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op := tr.Operators[0]; op.Name != "scan" || op.Path != "mrc" {
+			t.Fatalf("first operator %s %s, want an MRC scan", op.Name, op.Path)
+		}
+		seen[tr.DRAMNs]++
+	}
+	if len(seen) != 1 {
+		t.Errorf("DRAM ns over 100 runs: %v, want one value", seen)
+	}
+}

@@ -739,16 +739,12 @@ func (e *Executor) apply(v *table.View, sc *scratch, steps []step, first bool, t
 		e.m.rowsScanned.Add(int64(sc.admitted))
 		e.m.dramScanBytes.Add(s.mrc.Bytes() * int64(sc.admitted) / int64(r.rows))
 		out, err = sc.collect(sc.scanUnits(e.morselRows), sc.cand)
-		// Each worker streamed its share of the column's bytes with the
-		// others running concurrently: one latency charge per stream, and
-		// the whole column on one stream when there is one worker.
-		for i := range sc.ws {
-			if w := &sc.ws[i]; w.scanned > 0 {
-				share := float64(w.scanned) / float64(r.rows)
-				w.dram += device.DRAM.SequentialReadTime(int64(share*float64(s.mrc.Bytes())), len(sc.ws))
-				w.scanned = 0
-			}
-		}
+		// The workers stream the admitted share of the column's bytes as
+		// p balanced concurrent streams, whichever worker ran which
+		// morsel: one stream's time, latency included, for the region.
+		p := len(sc.ws)
+		share := float64(sc.admitted) / float64(r.rows)
+		sc.dram += device.DRAM.SequentialReadTime(int64(share*float64(s.mrc.Bytes())/float64(p)), p)
 	case kernelProbeMRC:
 		// One dependent access per candidate, chunk-wise.
 		e.m.mrcProbes.Inc()

@@ -52,22 +52,44 @@ func newTable(t *testing.T, n int, layout []bool) (*table.Table, *storage.Clock)
 // bruteForce evaluates the query by scanning every visible row.
 func bruteForce(t *testing.T, tbl *table.Table, q Query) []table.RowID {
 	t.Helper()
+	return visibleRows(t, tbl).match(q)
+}
+
+// oracle is every row of a table visible at its last commit, read once,
+// which the brute-force answer of any number of queries filters.
+type oracle struct {
+	ids  []table.RowID
+	rows [][]value.Value
+}
+
+// visibleRows reads tbl's rows visible at its last commit.
+func visibleRows(t *testing.T, tbl *table.Table) oracle {
+	t.Helper()
 	snapshot := tbl.Manager().LastCommit()
-	var out []table.RowID
-	total := tbl.MainRows() + tbl.DeltaRows()
 	view := tbl.Pin()
 	defer view.Release()
-	for r := 0; r < total; r++ {
+	var o oracle
+	for r := 0; r < tbl.MainRows()+tbl.DeltaRows(); r++ {
 		id := table.RowID(r)
 		if !view.Visible(id, snapshot, 0) {
 			continue
 		}
+		row, err := view.GetTuple(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.ids, o.rows = append(o.ids, id), append(o.rows, row)
+	}
+	return o
+}
+
+// match returns the ids of the rows every predicate of q accepts.
+func (o oracle) match(q Query) []table.RowID {
+	var out []table.RowID
+	for i, row := range o.rows {
 		ok := true
 		for _, p := range q.Predicates {
-			v, err := tbl.GetValue(id, p.Column)
-			if err != nil {
-				t.Fatal(err)
-			}
+			v := row[p.Column]
 			switch p.Op {
 			case Eq:
 				ok = ok && v.Equal(p.Value)
@@ -76,7 +98,7 @@ func bruteForce(t *testing.T, tbl *table.Table, q Query) []table.RowID {
 			}
 		}
 		if ok {
-			out = append(out, id)
+			out = append(out, o.ids[i])
 		}
 	}
 	return out

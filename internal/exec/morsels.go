@@ -25,12 +25,15 @@
 // slot.
 //
 // Cost accounting follows the same shape at every worker count: each
-// worker counts its own DRAM work and the device pages it reads through
-// its own view of the pinned SSCG, and settle charges the query once —
-// DRAM time and device time at the modeled wall-clock (the per-worker
-// share; see TimedStore.ChargeReads for why the mean stands in for the
-// slowest worker), page reads in full. Nothing is charged while the
-// query runs, so a query's trace holds its own reads and no one else's.
+// worker counts its own dependent DRAM touches and the device pages it
+// reads through its own view of the pinned SSCG, and settle charges the
+// query once — DRAM time and device time at the modeled wall-clock (the
+// per-worker share; see TimedStore.ChargeReads for why the mean stands
+// in for the slowest worker), page reads in full. An MRC scan is priced
+// per region, not per worker: its admitted bytes as p balanced
+// concurrent streams, so its charge does not depend on which worker ran
+// which morsel. Nothing is charged while the query runs, so a query's
+// trace holds its own reads and no one else's.
 package exec
 
 import (
@@ -69,11 +72,9 @@ type worker struct {
 	// retired group's layout and page ids, not its pages.
 	view, viewOf *sscg.Group
 	store        countingStore
-	reads        int64         // device pages read by this query
-	touches      int64         // dependent DRAM accesses performed
-	dram         time.Duration // modeled DRAM streaming time
-	scanned      int           // scratch: MRC rows scanned by the current region
-	morsels      int64         // units this worker claimed from the shared counter
+	reads        int64 // device pages read by this query
+	touches      int64 // dependent DRAM accesses performed
+	morsels      int64 // units this worker claimed from the shared counter
 	// buf collects the positions this worker's units produced, unit after
 	// unit and region after region; it is emptied once per query.
 	buf []uint32
@@ -110,6 +111,7 @@ type scratch struct {
 	units  []span
 	cand   []uint32
 	serial int64
+	dram   time.Duration // the MRC scans' streaming time, charged as is
 	// zones[z] says whether a full scan reads zone z (empty: every zone);
 	// admitted is the rows of the zones it reads, and partial says a zone
 	// the first step admits was rejected by another conjunct.
@@ -219,7 +221,7 @@ func newScratch(p int) *scratch {
 // retire and e.pool.Put.
 func (e *Executor) scratchFor(ctx context.Context, v *table.View, vis reader) *scratch {
 	sc := e.pool.Get().(*scratch)
-	sc.cand, sc.serial, sc.zones, sc.partial, sc.ctx = sc.cand[:0], 0, sc.zones[:0], false, ctx
+	sc.cand, sc.serial, sc.dram, sc.zones, sc.partial, sc.ctx = sc.cand[:0], 0, 0, sc.zones[:0], false, ctx
 	sc.r.vis, sc.r.rows, sc.r.size = vis, v.MainRows(), e.morselRows
 	timed, _ := e.tbl.Store().(*storage.TimedStore)
 	for i := range sc.ws {
@@ -300,21 +302,22 @@ func (sc *scratch) scanUnits(size int) int {
 }
 
 // settle is the one place a query's modeled cost is charged. DRAM time
-// advances by the calling goroutine's serial touches plus the per-worker
-// share of the workers' total; the device is charged for every page the
-// workers read at a queue depth of one stream per worker; the trace gets
-// both, and the page count. It is also the one place that decides what
-// counts as a parallel query: exec.queries.parallel needs more than one
-// worker, and morsels are reported only when units were handed out
-// through the shared counter.
+// advances by the calling goroutine's serial touches, the MRC scans'
+// streaming time (already the time of p concurrent streams) and the
+// per-worker share of the workers' touches; the device is charged for
+// every page the workers read at a queue depth of one stream per worker;
+// the trace gets both, and the page count. It is also the one place
+// that decides what counts as a parallel query: exec.queries.parallel
+// needs more than one worker, and morsels are reported only when units
+// were handed out through the shared counter.
 func (e *Executor) settle(sc *scratch, tr *metrics.Trace) {
 	ws := sc.ws
 	p := time.Duration(len(ws))
 	var sum time.Duration
 	for i := range ws {
-		sum += ws[i].dram + time.Duration(ws[i].touches)*DefaultDRAMTouch
+		sum += time.Duration(ws[i].touches) * DefaultDRAMTouch
 	}
-	dram := time.Duration(sc.serial)*DefaultDRAMTouch + (sum+p-1)/p
+	dram := time.Duration(sc.serial)*DefaultDRAMTouch + sc.dram + (sum+p-1)/p
 	e.charge(dram)
 	morsels, reads := tally(ws)
 	var device time.Duration
@@ -483,7 +486,6 @@ func (sc *scratch) unit(w *worker, m int) (err error) {
 			if r.kernel == kernelScanSSCG {
 				out, err = w.group.ScanRows(s.field, r.match, a, b, out, nil)
 			} else {
-				w.scanned += b - a
 				out = s.mrc.Codes().ScanRangeIn(s.lo, s.hi, a, b, out)
 			}
 		}

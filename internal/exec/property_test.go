@@ -185,12 +185,13 @@ func TestZonePruningMatchesBruteForce(t *testing.T) {
 		// Morsels within a zone, across zone boundaries and spanning the
 		// whole main, where one morsel holds several admitted stretches.
 		morsel := []int{64, 3008, 4096, DefaultMorselRows, 1 << 17}[trial%5]
+		visible := visibleRows(t, tbl)
 		for q := 0; q < 12; q++ {
 			query := Query{}
 			for n := 1 + rng.Intn(3); len(query.Predicates) < n; {
 				query.Predicates = append(query.Predicates, preds[rng.Intn(len(preds))])
 			}
-			want := bruteForce(t, tbl, query)
+			want := visible.match(query)
 			where := fmt.Sprintf("trial %d query %d (layout %v, preds %+v)", trial, q, layout, query.Predicates)
 			for _, par := range []int{1, 2} {
 				e := New(tbl, Options{Parallelism: par, MorselRows: morsel})

@@ -36,8 +36,7 @@ const (
 // PredicateSpec is the wire/HTTP form of one predicate: column by name,
 // operator "eq" or "between", and untyped value strings the owning
 // table resolves against its schema. It is deliberately stringly typed
-// so the same struct serves /explain query parameters and the library
-// entry point DB.Explain.
+// so that /explain query parameters decode into it as they are.
 type PredicateSpec struct {
 	// Column is the column name.
 	Column string `json:"column"`

@@ -50,6 +50,7 @@ import (
 	"io"
 	"math"
 
+	"tierdb/internal/codec"
 	"tierdb/internal/column"
 	"tierdb/internal/dict"
 	"tierdb/internal/histogram"
@@ -105,15 +106,8 @@ func save(w io.Writer, tbl *table.Table, v *table.View, snapshot mvcc.Timestamp)
 	e := encoder{bufio.NewWriter(w)}
 	e.Write(magicV3)
 	e.uvarint(snapshot)
-	e.string(tbl.Name())
 	s := tbl.Schema()
-	e.uvarint(uint64(s.Len()))
-	for i := 0; i < s.Len(); i++ {
-		f := s.Field(i)
-		e.string(f.Name)
-		e.WriteByte(byte(f.Type))
-		e.uvarint(uint64(f.Width))
-	}
+	e.Write(codec.AppendFields(codec.AppendString(e.AvailableBuffer(), tbl.Name()), s.Fields()))
 	for col := 0; col < s.Len(); col++ {
 		if v.MRC(col) != nil {
 			e.WriteByte(1)
@@ -238,7 +232,7 @@ func LoadAt(r io.Reader, opts table.Options) (*table.Table, mvcc.Timestamp, erro
 	fields := make([]schema.Field, 0, nFields)
 	for i := 0; i < nFields && d.err == nil; i++ {
 		f := schema.Field{Name: d.string(), Type: value.Type(d.byte())}
-		f.Width = d.count(maxStringLen, "bytes of field width")
+		f.Width = d.count(codec.MaxFieldWidth, "bytes of field width")
 		if f.Type > value.String {
 			d.fail("field type %d", f.Type)
 		}

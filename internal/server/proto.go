@@ -177,12 +177,7 @@ func encodeRequest(buf []byte, req Request) []byte {
 	}
 	switch req.Op {
 	case OpCreateTable:
-		buf = binary.AppendUvarint(buf, uint64(len(req.Fields)))
-		for _, f := range req.Fields {
-			buf = codec.AppendString(buf, f.Name)
-			buf = append(buf, byte(f.Type))
-			buf = binary.AppendUvarint(buf, uint64(f.Width))
-		}
+		buf = codec.AppendFields(buf, req.Fields)
 	case OpInsert:
 		buf = codec.AppendRow(buf, req.Row)
 	case OpDelete:
@@ -210,14 +205,7 @@ func encodeRequest(buf []byte, req Request) []byte {
 			buf = codec.AppendString(buf, name)
 		}
 	case OpApplyLayout:
-		buf = binary.AppendUvarint(buf, uint64(len(req.Layout)))
-		for _, inDRAM := range req.Layout {
-			b := byte(0)
-			if inDRAM {
-				b = 1
-			}
-			buf = append(buf, b)
-		}
+		buf = codec.AppendBools(buf, req.Layout)
 	case OpAdaptive:
 		buf = append(buf, req.Sub)
 	}
@@ -454,33 +442,8 @@ func decodeRequest(payload []byte, names map[string]string) (Request, error) {
 	case OpPing, OpCheckpoint, OpTables, OpRows:
 		// no body past the table name
 	case OpCreateTable:
-		n, err := r.Count(3) // empty name + type + width
-		if err != nil {
+		if req.Fields, err = r.Fields(); err != nil {
 			return Request{}, err
-		}
-		req.Fields = make([]schema.Field, 0, n)
-		for i := 0; i < n; i++ {
-			var f schema.Field
-			if f.Name, err = r.String(); err != nil {
-				return Request{}, err
-			}
-			t, err := r.Byte()
-			if err != nil {
-				return Request{}, err
-			}
-			if value.Type(t) > value.String {
-				return Request{}, fmt.Errorf("%w: unknown value type %d", ErrProtocol, t)
-			}
-			f.Type = value.Type(t)
-			w, err := r.Uvarint()
-			if err != nil {
-				return Request{}, err
-			}
-			if w > 1<<24 {
-				return Request{}, fmt.Errorf("%w: field width %d", ErrProtocol, w)
-			}
-			f.Width = int(w)
-			req.Fields = append(req.Fields, f)
 		}
 	case OpInsert:
 		if req.Row, err = r.Row(); err != nil {
@@ -545,20 +508,8 @@ func decodeRequest(payload []byte, names map[string]string) (Request, error) {
 			req.Project = append(req.Project, col)
 		}
 	case OpApplyLayout:
-		n, err := r.Count(1)
-		if err != nil {
+		if req.Layout, err = r.Bools(); err != nil {
 			return Request{}, err
-		}
-		req.Layout = make([]bool, 0, n)
-		for i := 0; i < n; i++ {
-			b, err := r.Byte()
-			if err != nil {
-				return Request{}, err
-			}
-			if b > 1 {
-				return Request{}, fmt.Errorf("%w: bad layout byte %d", ErrProtocol, b)
-			}
-			req.Layout = append(req.Layout, b == 1)
 		}
 	case OpAdaptive:
 		if req.Sub, err = r.Byte(); err != nil {

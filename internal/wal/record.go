@@ -5,7 +5,9 @@
 // (codec.AppendFrameHeader, the header the wire protocol uses too), and
 // the payload starts with a one-byte kind. Values are self-describing
 // (type byte, then 8 fixed bytes for numerics or a uvarint-length
-// string), consistent with persist's uvarint encoding.
+// string), consistent with persist's uvarint encoding; a create-table
+// record's field list and a layout record's DRAM bits are codec's, the
+// wire's encoding of the same two.
 // The decoder works on a fully read segment and never trusts a length
 // it cannot verify against the remaining input, so corrupt or torn
 // input yields an error — never a panic or an unbounded allocation.
@@ -19,7 +21,6 @@ import (
 	"tierdb/internal/codec"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
-	"tierdb/internal/value"
 )
 
 // Record kinds. A transaction commits as ONE atomic record carrying all
@@ -53,18 +54,13 @@ type Record struct {
 	Cols   []int
 }
 
-// appendUvarint appends x in unsigned varint encoding.
-func appendUvarint(buf []byte, x uint64) []byte {
-	return binary.AppendUvarint(buf, x)
-}
-
 // encodePayload appends the record's payload (kind byte included).
 func encodePayload(buf []byte, rec Record) []byte {
 	buf = append(buf, rec.Kind)
 	switch rec.Kind {
 	case kindCommit:
-		buf = appendUvarint(buf, rec.Ts)
-		buf = appendUvarint(buf, uint64(len(rec.Ops)))
+		buf = binary.AppendUvarint(buf, rec.Ts)
+		buf = binary.AppendUvarint(buf, uint64(len(rec.Ops)))
 		for _, op := range rec.Ops {
 			kind := byte(0)
 			if op.Delete {
@@ -75,31 +71,17 @@ func encodePayload(buf []byte, rec Record) []byte {
 			buf = codec.AppendRow(buf, op.Row)
 		}
 	case kindCreateTable:
-		buf = codec.AppendString(buf, rec.Table)
-		buf = appendUvarint(buf, uint64(len(rec.Fields)))
-		for _, f := range rec.Fields {
-			buf = codec.AppendString(buf, f.Name)
-			buf = append(buf, byte(f.Type))
-			buf = appendUvarint(buf, uint64(f.Width))
-		}
+		buf = codec.AppendFields(codec.AppendString(buf, rec.Table), rec.Fields)
 	case kindLayout:
-		buf = codec.AppendString(buf, rec.Table)
-		buf = appendUvarint(buf, uint64(len(rec.Layout)))
-		for _, inDRAM := range rec.Layout {
-			b := byte(0)
-			if inDRAM {
-				b = 1
-			}
-			buf = append(buf, b)
-		}
+		buf = codec.AppendBools(codec.AppendString(buf, rec.Table), rec.Layout)
 	case kindIndex:
 		buf = codec.AppendString(buf, rec.Table)
-		buf = appendUvarint(buf, uint64(len(rec.Cols)))
+		buf = binary.AppendUvarint(buf, uint64(len(rec.Cols)))
 		for _, c := range rec.Cols {
-			buf = appendUvarint(buf, uint64(c))
+			buf = binary.AppendUvarint(buf, uint64(c))
 		}
 	case kindCheckpointEnd, kindCheckpointBegin:
-		buf = appendUvarint(buf, rec.Ts)
+		buf = binary.AppendUvarint(buf, rec.Ts)
 	}
 	return buf
 }
@@ -148,52 +130,15 @@ func decodePayload(payload []byte) (Record, error) {
 		if rec.Table, err = r.String(); err != nil {
 			return Record{}, err
 		}
-		nFields, err := r.Count(3) // empty name + type + width
-		if err != nil {
+		if rec.Fields, err = r.Fields(); err != nil {
 			return Record{}, err
-		}
-		rec.Fields = make([]schema.Field, 0, nFields)
-		for i := 0; i < nFields; i++ {
-			var f schema.Field
-			if f.Name, err = r.String(); err != nil {
-				return Record{}, err
-			}
-			t, err := r.Byte()
-			if err != nil {
-				return Record{}, err
-			}
-			if value.Type(t) > value.String {
-				return Record{}, ErrBadRecord
-			}
-			f.Type = value.Type(t)
-			w, err := r.Uvarint()
-			if err != nil {
-				return Record{}, err
-			}
-			if w > 1<<24 {
-				return Record{}, ErrBadRecord
-			}
-			f.Width = int(w)
-			rec.Fields = append(rec.Fields, f)
 		}
 	case kindLayout:
 		if rec.Table, err = r.String(); err != nil {
 			return Record{}, err
 		}
-		n, err := r.Count(1)
-		if err != nil {
+		if rec.Layout, err = r.Bools(); err != nil {
 			return Record{}, err
-		}
-		rec.Layout = make([]bool, 0, n)
-		for i := 0; i < n; i++ {
-			b, err := r.Byte()
-			if err != nil {
-				return Record{}, err
-			}
-			if b > 1 {
-				return Record{}, ErrBadRecord
-			}
-			rec.Layout = append(rec.Layout, b == 1)
 		}
 	case kindIndex:
 		if rec.Table, err = r.String(); err != nil {

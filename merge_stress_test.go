@@ -1,6 +1,7 @@
 package tierdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -118,12 +119,12 @@ func TestMergeSchedulerConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				tx := db.Begin()
-				res1, _, err := tbl.SelectExplained(tx, []Predicate{region}, "k")
+				res1, _, err := tbl.SelectExplainedCtx(context.Background(), tx, []Predicate{region}, "k")
 				if err != nil {
 					errs <- fmt.Errorf("reader %d round %d first select: %w", r, round, err)
 					return
 				}
-				res2, _, err := tbl.SelectExplained(tx, []Predicate{region}, "k")
+				res2, _, err := tbl.SelectExplainedCtx(context.Background(), tx, []Predicate{region}, "k")
 				if err != nil {
 					errs <- fmt.Errorf("reader %d round %d second select: %w", r, round, err)
 					return

@@ -56,16 +56,30 @@ func (db *DB) Observability() *obsrv.Server {
 		Ready:    db.Ready,
 		Build:    buildInfo,
 		Uptime:   func() time.Duration { return time.Since(db.start) },
-		Explain: func(name string, specs []ExplainSpec, project []string, analyze bool) (*ExplainPlan, error) {
+		// Explain runs EXPLAIN, or EXPLAIN ANALYZE, of a query whose
+		// predicate values are strings, parsed by the column's type.
+		Explain: func(name string, specs []ExplainSpec, project []string, analyze bool) (plan *ExplainPlan, err error) {
 			// A sampled span links the plan to /trace/{id}; unsampled
 			// runs get a nil span and the context flows through inert.
 			span := db.tracer.Start("explain.query", trace.String("table", name))
-			ctx := trace.NewContext(context.Background(), span)
-			plan, err := db.Explain(ctx, name, specs, project, analyze)
-			if span != nil {
+			defer func() {
 				span.SetError(err)
 				span.End()
+			}()
+			t, err := db.Table(name)
+			if err != nil {
+				return nil, err
 			}
+			preds := make([]Predicate, len(specs))
+			for i, s := range specs {
+				if preds[i], err = t.compileSpec(s); err != nil {
+					return nil, err
+				}
+			}
+			if !analyze {
+				return t.Explain(preds, project...)
+			}
+			_, plan, err = t.SelectExplainedCtx(trace.NewContext(context.Background(), span), nil, preds, project...)
 			return plan, err
 		},
 	}

@@ -147,7 +147,7 @@ func TestExplainShowsTheRunsOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, analyzed, err := tbl.SelectExplained(nil, preds)
+	_, analyzed, err := tbl.SelectExplainedCtx(context.Background(), nil, preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestExplainLabelsSharedColumnPredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, analyzed, err := tbl.SelectExplained(nil, preds)
+	_, analyzed, err := tbl.SelectExplainedCtx(context.Background(), nil, preds)
 	if err != nil {
 		t.Fatal(err)
 	}

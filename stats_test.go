@@ -1,6 +1,7 @@
 package tierdb
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -59,7 +60,7 @@ func TestSelectExplainedSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, plan, err := tbl.SelectExplained(nil, []Predicate{region}, "id", "amount")
+	res, plan, err := tbl.SelectExplainedCtx(context.Background(), nil, []Predicate{region}, "id", "amount")
 	if err != nil {
 		t.Fatal(err)
 	}

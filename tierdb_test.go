@@ -1,6 +1,7 @@
 package tierdb
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"slices"
@@ -151,7 +152,7 @@ func TestTwoPredicatesOnOneColumn(t *testing.T) {
 	if _, err := tbl.Advise(AdvisorQuery{}); err != nil {
 		t.Errorf("Advise after the query: %v", err)
 	}
-	if _, _, err := tbl.SelectExplained(nil, []Predicate{p1, p2}); err != nil {
+	if _, _, err := tbl.SelectExplainedCtx(context.Background(), nil, []Predicate{p1, p2}); err != nil {
 		t.Errorf("EXPLAIN ANALYZE of the query: %v", err)
 	}
 }
