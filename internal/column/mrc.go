@@ -92,23 +92,14 @@ func (c *MRC) codeRange(vlo, vhi value.Value) (lo, hi uint32, err error) {
 	return lo, hi, nil
 }
 
-// ScanEqual appends to out the positions equal to v. Predicate
-// evaluation happens on compressed codes.
-func (c *MRC) ScanEqual(v value.Value, out []uint32, skip func(int) bool) ([]uint32, error) {
-	return c.ScanRangeIn(v, v, 0, c.codes.Len(), out, skip)
-}
-
-// ScanEqualIn is ScanEqual restricted to rows in [rowLo, rowHi).
+// ScanEqualIn appends to out the positions in [rowLo, rowHi) whose value
+// equals v. Predicate evaluation happens on compressed codes.
 func (c *MRC) ScanEqualIn(v value.Value, rowLo, rowHi int, out []uint32, skip func(int) bool) ([]uint32, error) {
 	return c.ScanRangeIn(v, v, rowLo, rowHi, out, skip)
 }
 
-// ScanRange appends positions with lo <= value <= hi to out.
-func (c *MRC) ScanRange(lo, hi value.Value, out []uint32, skip func(int) bool) ([]uint32, error) {
-	return c.ScanRangeIn(lo, hi, 0, c.codes.Len(), out, skip)
-}
-
-// ScanRangeIn is ScanRange restricted to rows in [rowLo, rowHi).
+// ScanRangeIn appends to out the positions in [rowLo, rowHi) whose value
+// lies in [lo, hi].
 func (c *MRC) ScanRangeIn(lo, hi value.Value, rowLo, rowHi int, out []uint32, skip func(int) bool) ([]uint32, error) {
 	loCode, hiCode, err := c.codeRange(lo, hi)
 	if err != nil {
@@ -128,15 +119,9 @@ func unmasked(out []uint32, from int, skip func(int) bool) []uint32 {
 	return out[:from+len(slices.DeleteFunc(out[from:], func(pos uint32) bool { return skip(int(pos)) }))]
 }
 
-// ProbeEqual reports for each position in candidates whether the value
-// at the position equals v, appending matches to out. The executor
-// probes a DRAM-resident column the same way, through the packed codes
-// and the code range its plan bound.
-func (c *MRC) ProbeEqual(v value.Value, candidates []uint32, out []uint32) ([]uint32, error) {
-	return c.ProbeRange(v, v, candidates, out)
-}
-
 // ProbeRange appends candidate positions whose value lies in [lo, hi].
+// The executor probes a DRAM-resident column the same way, through the
+// packed codes and the code range its plan bound.
 func (c *MRC) ProbeRange(lo, hi value.Value, candidates []uint32, out []uint32) ([]uint32, error) {
 	loCode, hiCode, err := c.codeRange(lo, hi)
 	if err != nil {
