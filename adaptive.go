@@ -23,10 +23,10 @@ type AdaptiveReport = obsrv.AdaptiveReport
 // AdaptiveDecision is one table's most recent adaptive decision.
 type AdaptiveDecision = obsrv.AdaptiveDecision
 
-// Adaptive placement defaults (Config.Adaptive* zero values).
+// Adaptive placement cadence and guardrails.
 const (
-	// DefaultAdaptiveInterval is the daemon's cycle cadence when
-	// adaptation is enabled without an explicit interval.
+	// DefaultAdaptiveInterval is the daemon's cycle cadence while
+	// DB.SetAdaptive has it enabled.
 	DefaultAdaptiveInterval = 30 * time.Second
 	// DefaultAdaptiveMinGain is the hysteresis floor: a re-solve must
 	// promise at least this relative modeled-cost improvement before
@@ -89,33 +89,24 @@ type adaptiveScheduler struct {
 	hSolve  *metrics.Histogram
 }
 
-// newAdaptiveScheduler builds the policy from the Config.Adaptive*
-// fields. DB.AdaptOnce and the server opcodes work regardless of
-// Config.AdaptiveInterval; > 0 only turns the periodic tick on at boot.
+// newAdaptiveScheduler builds the policy from Config.AdaptiveAlpha and
+// AdaptiveBeta and the guardrail constants. The periodic tick starts
+// disabled; DB.SetAdaptive and the wire protocol's adaptive opcode turn
+// it on, and DB.AdaptOnce works regardless.
 func newAdaptiveScheduler(db *DB, cfg Config) *adaptiveScheduler {
 	s := &adaptiveScheduler{
 		db:       db,
-		interval: cfg.AdaptiveInterval,
+		interval: cfg.adaptiveInterval,
 		alpha:    cfg.AdaptiveAlpha,
 		beta:     cfg.AdaptiveBeta,
-		minGain:  cfg.AdaptiveMinGain,
-		maxMove:  cfg.AdaptiveMaxMove,
-		cooldown: cfg.AdaptiveCooldown,
+		minGain:  DefaultAdaptiveMinGain,
+		maxMove:  DefaultAdaptiveMaxMove,
+		cooldown: DefaultAdaptiveCooldown,
 		last:     make(map[string]AdaptiveDecision),
 		state:    make(map[string]*adaptiveState),
 	}
-	s.enabled.Store(cfg.AdaptiveInterval > 0)
 	if s.interval <= 0 {
 		s.interval = DefaultAdaptiveInterval
-	}
-	if s.minGain <= 0 {
-		s.minGain = DefaultAdaptiveMinGain
-	}
-	if s.maxMove <= 0 || s.maxMove > 1 {
-		s.maxMove = DefaultAdaptiveMaxMove
-	}
-	if s.cooldown <= 0 {
-		s.cooldown = DefaultAdaptiveCooldown
 	}
 	r := db.registry
 	s.cCycles = r.Counter("adaptive.cycles")

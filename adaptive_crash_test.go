@@ -16,7 +16,6 @@ func adaptiveCrashConfig(fs wal.FS) Config {
 	cfg.CacheFrames = 256
 	cfg.AdaptiveAlpha = driftAlpha
 	cfg.AdaptiveBeta = driftBeta
-	cfg.AdaptiveMaxMove = 1
 	return cfg
 }
 
@@ -36,7 +35,8 @@ func runAdaptiveCrashScript(t *testing.T, fs *wal.CrashFS) (old, new []bool, pre
 		}
 		return nil, nil, 0, false
 	}
-	defer db.Close() // post-crash close errors are expected; ignore
+	defer db.Close()           // post-crash close errors are expected; ignore
+	db.sched.adapt.maxMove = 1 // the drift's first apply moves most bytes
 	tbl, err := db.CreateTable("drift", driftFields)
 	if err != nil {
 		if !fs.Crashed() {
@@ -110,6 +110,7 @@ func checkAdaptiveRecovered(t *testing.T, rec *wal.CrashFS, oldLayout, newLayout
 		t.Fatalf("%s: recovery must never fail, got: %v", label, err)
 	}
 	defer db.Close()
+	db.sched.adapt.maxMove = 1
 	tbl, err := db.Table("drift")
 	if err != nil {
 		t.Fatalf("%s: table lost: %v", label, err)

@@ -38,14 +38,14 @@ func TestAdaptiveMergeCheckpointRaceStress(t *testing.T) {
 	cfg.Device = "CSSD"
 	cfg.CacheFrames = 256
 	cfg.MergeDeltaRows = 200
-	cfg.MergeInterval = 1
+	cfg.mergeInterval = 1
 	cfg.AdaptiveAlpha = driftAlpha
 	cfg.AdaptiveBeta = driftBeta
-	cfg.AdaptiveMaxMove = 1
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.sched.adapt.maxMove = 1
 	defer db.Close()
 	tbl, err := db.CreateTable("stress", stressFields())
 	if err != nil {

@@ -72,20 +72,23 @@ var driftPhases = []driftPhase{
 
 func driftConfig() Config {
 	return Config{
-		Device:          "CSSD",
-		CacheFrames:     512,
-		AdaptiveAlpha:   driftAlpha,
-		AdaptiveBeta:    driftBeta,
-		AdaptiveMaxMove: 1, // phase flips legitimately move most bytes
+		Device:        "CSSD",
+		CacheFrames:   512,
+		AdaptiveAlpha: driftAlpha,
+		AdaptiveBeta:  driftBeta,
 	}
 }
 
+// newDriftDB opens cfg with the move cap lifted (phase flips
+// legitimately move most bytes) and loads the drift table. A test may
+// set another guardrail on db.sched.adapt before its first cycle.
 func newDriftDB(t *testing.T, cfg Config) (*DB, *Table) {
 	t.Helper()
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.sched.adapt.maxMove = 1
 	t.Cleanup(func() { db.Close() })
 	tbl, err := db.CreateTable("drift", driftFields)
 	if err != nil {
@@ -229,11 +232,10 @@ func TestAdaptiveDriftConvergence(t *testing.T) {
 }
 
 // TestAdaptiveMinGainGuardrail: a drift whose modeled gain stays under
-// AdaptiveMinGain must produce no apply, and the decision must say so.
+// the min-gain floor must produce no apply, and the decision must say so.
 func TestAdaptiveMinGainGuardrail(t *testing.T) {
-	cfg := driftConfig()
-	cfg.AdaptiveMinGain = 0.999 // nothing short of free DRAM clears this
-	db, tbl := newDriftDB(t, cfg)
+	db, tbl := newDriftDB(t, driftConfig())
+	db.sched.adapt.minGain = 0.999 // nothing short of free DRAM clears this
 	before := tbl.Layout()
 	for cycle := 1; cycle <= 3; cycle++ {
 		issueDriftBatch(t, tbl, driftPhases[0], cycle)
@@ -263,9 +265,8 @@ func TestAdaptiveMinGainGuardrail(t *testing.T) {
 // TestAdaptiveMoveCapGuardrail: capping the per-cycle moved fraction
 // low enough blocks the same drift the default config applies.
 func TestAdaptiveMoveCapGuardrail(t *testing.T) {
-	cfg := driftConfig()
-	cfg.AdaptiveMaxMove = 0.01 // the first re-solve wants to evict most of the table
-	db, tbl := newDriftDB(t, cfg)
+	db, tbl := newDriftDB(t, driftConfig())
+	db.sched.adapt.maxMove = 0.01 // the first re-solve wants to evict most of the table
 	before := tbl.Layout()
 	issueDriftBatch(t, tbl, driftPhases[0], 1)
 	if err := db.AdaptOnce(); err != nil {
@@ -300,12 +301,12 @@ func TestAdaptiveEmptyWindow(t *testing.T) {
 
 // TestAdaptiveFlipBackCooldown forces the oscillation damper: after
 // the daemon undoes its own previous apply (a flip-back), further
-// moves must sit out AdaptiveCooldown cycles — the flap rate is
-// bounded by the cooldown, not the cycle cadence.
+// moves must sit out the cooldown's cycles — the flap rate is bounded
+// by the cooldown, not the cycle cadence.
 func TestAdaptiveFlipBackCooldown(t *testing.T) {
-	cfg := driftConfig()
-	cfg.AdaptiveCooldown = 2
-	db, tbl := newDriftDB(t, cfg)
+	const cooldown = 2
+	db, tbl := newDriftDB(t, driftConfig())
+	db.sched.adapt.cooldown = cooldown
 	cycleWith := func(phase driftPhase, n int) {
 		t.Helper()
 		issueDriftBatch(t, tbl, phase, n)
@@ -331,8 +332,8 @@ func TestAdaptiveFlipBackCooldown(t *testing.T) {
 		t.Fatalf("flip-back apply not flagged: %+v", rep.Tables)
 	}
 	// The workload flips again, but the daemon is cooling down: the
-	// next AdaptiveCooldown cycles must hold the layout still.
-	for i := 0; i < cfg.AdaptiveCooldown; i++ {
+	// next cooldown cycles must hold the layout still.
+	for i := 0; i < cooldown; i++ {
 		cycleWith(driftPhases[1], 4+i)
 		if !equalLayout(tbl.Layout(), layoutA) {
 			t.Fatalf("cooldown cycle %d moved the layout: %v", i, tbl.Layout())
@@ -433,16 +434,18 @@ func randomDriftWorkload(rng *rand.Rand) *core.Workload {
 
 func driftColName(i int) string { return string(rune('a' + i%26)) }
 
-// TestAdaptivePeriodicDaemon exercises the real timer path: a short
-// interval applies the placement without any AdaptOnce, and the
-// runtime toggle flips the enabled flag.
+// TestAdaptivePeriodicDaemon exercises the real timer path: once
+// SetAdaptive(true) turns the tick on, a short interval applies the
+// placement without any AdaptOnce, and the runtime toggle flips the
+// enabled flag.
 func TestAdaptivePeriodicDaemon(t *testing.T) {
 	cfg := driftConfig()
-	cfg.AdaptiveInterval = 5 * time.Millisecond
+	cfg.adaptiveInterval = 5 * time.Millisecond
 	db, tbl := newDriftDB(t, cfg)
-	if !db.AdaptiveEnabled() {
-		t.Fatal("AdaptiveInterval > 0 should enable the periodic loop")
+	if db.AdaptiveEnabled() {
+		t.Fatal("the periodic loop is on before SetAdaptive(true)")
 	}
+	db.SetAdaptive(true)
 	issueDriftBatch(t, tbl, driftPhases[0], 1)
 	deadline := time.Now().Add(10 * time.Second)
 	for db.AdaptiveStatus().Applies == 0 {
@@ -473,7 +476,7 @@ func TestAdaptiveOpcode(t *testing.T) {
 	}
 	defer c.Close()
 	if db.AdaptiveEnabled() {
-		t.Fatal("daemon enabled without AdaptiveInterval")
+		t.Fatal("daemon enabled without SetAdaptive")
 	}
 	if err := c.SetAdaptive(true); err != nil {
 		t.Fatalf("enable over the wire: %v", err)

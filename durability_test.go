@@ -79,11 +79,11 @@ func visibleState(t *testing.T, db *DB) rowState {
 	snap := inner.Manager().LastCommit()
 	v := inner.Pin()
 	defer v.Release()
-	for id := RowID(0); id < RowID(inner.MainRows()+inner.DeltaRows()); id++ {
+	for id := RowID(0); id < RowID(v.MainRows()+v.FrozenRows()+v.ActiveRows()); id++ {
 		if !v.Visible(id, snap, 0) {
 			continue
 		}
-		tuple, err := inner.GetTuple(uint64(id))
+		tuple, err := v.GetTuple(id)
 		if err != nil {
 			t.Fatalf("visible row %d unreadable: %v", id, err)
 		}
@@ -100,11 +100,11 @@ func findRowID(t *testing.T, tbl *Table, id int64, tag string) RowID {
 	snap := inner.Manager().LastCommit()
 	v := inner.Pin()
 	defer v.Release()
-	for r := RowID(0); r < RowID(inner.MainRows()+inner.DeltaRows()); r++ {
+	for r := RowID(0); r < RowID(v.MainRows()+v.FrozenRows()+v.ActiveRows()); r++ {
 		if !v.Visible(r, snap, 0) {
 			continue
 		}
-		tuple, err := inner.GetTuple(uint64(r))
+		tuple, err := v.GetTuple(r)
 		if err != nil {
 			t.Fatalf("get tuple %d: %v", r, err)
 		}
@@ -581,7 +581,7 @@ func TestScheduledMergeCheckpoints(t *testing.T) {
 	fs := wal.NewMemFS()
 	cfg := walConfig(fs, SyncAlways)
 	cfg.MergeDeltaRows = 10
-	cfg.MergeInterval = time.Millisecond
+	cfg.mergeInterval = time.Millisecond
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,11 @@
 // Package amm provides a fixed-capacity page cache with pinning,
 // substituting for EMC's Advanced Memory Manager (AMM) the paper uses
 // for data eviction and caching (Section II-C): a pre-allocated
-// fixed-size page cache in front of secondary storage. Eviction uses the
-// CLOCK second-chance policy; pinned frames are never evicted.
+// fixed-size page cache in front of secondary storage. It is a read
+// cache: SSCG pages are written once when a main partition is built and
+// are immutable until the merge frees them, so a frame never holds data
+// the store lacks and eviction never writes. Eviction uses the CLOCK
+// second-chance policy; pinned frames are never evicted.
 package amm
 
 import (
@@ -43,7 +46,6 @@ type frame struct {
 	loading bool // fault IO in flight; data not yet readable
 	pins    int
 	refbit  bool
-	dirty   bool
 }
 
 // Cache is a fixed-size page cache over a storage.Store. All methods
@@ -88,9 +90,6 @@ func New(frames int, backing storage.Store) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// Capacity returns the number of frames.
-func (c *Cache) Capacity() int { return len(c.frames) }
 
 // Observe registers the cache's instruments with a metrics registry:
 // amm.hits / amm.misses / amm.evictions counters, an amm.fault_ns
@@ -217,7 +216,7 @@ func (c *Cache) Release(id storage.PageID) {
 	if fi, ok := c.index[id]; ok && c.frames[fi].pins > 0 {
 		c.unpinLocked(&c.frames[fi])
 		if c.frames[fi].pins == 0 {
-			c.loaded.Broadcast() // a writer may be waiting for readers to drain
+			c.loaded.Broadcast() // Invalidate may be waiting for readers to drain
 		}
 	}
 }
@@ -231,7 +230,8 @@ func (c *Cache) PinnedFrames() int {
 	return int(c.pinned.Load())
 }
 
-// evictLocked finds a victim frame via CLOCK and returns its index. The
+// evictLocked finds a victim frame via CLOCK and returns its index,
+// or ErrNoEvictableFrame when every frame is pinned or loading. The
 // caller holds c.mu.
 func (c *Cache) evictLocked() (int, error) {
 	for sweep := 0; sweep < 2*len(c.frames); sweep++ {
@@ -248,13 +248,6 @@ func (c *Cache) evictLocked() (int, error) {
 			f.refbit = false
 			continue
 		}
-		// Victim found.
-		if f.dirty {
-			if err := c.backing.WritePage(f.id, f.data); err != nil {
-				return 0, fmt.Errorf("amm: write back page %d: %w", f.id, err)
-			}
-			f.dirty = false
-		}
 		delete(c.index, f.id)
 		f.valid = false
 		c.stats.Evictions++
@@ -264,69 +257,11 @@ func (c *Cache) evictLocked() (int, error) {
 	return 0, ErrNoEvictableFrame
 }
 
-// Write updates a page through the cache (write-allocate) and marks the
-// frame dirty; the page reaches backing storage on eviction or Flush.
-// The write waits until no reader holds a pin on the page (Get hands
-// out the frame buffer directly, so mutating it under a reader would
-// race); a goroutine must not Write a page it still has pinned.
-func (c *Cache) Write(id storage.PageID, data []byte) error {
-	if len(data) != storage.PageSize {
-		return fmt.Errorf("amm: buffer is %d bytes, want %d", len(data), storage.PageSize)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var fi int
-	for {
-		var ok bool
-		fi, ok = c.index[id]
-		if !ok {
-			var err error
-			fi, err = c.evictLocked()
-			if err != nil {
-				return err
-			}
-			c.frames[fi].id = id
-			c.frames[fi].valid = true
-			c.frames[fi].pins = 0
-			c.index[id] = fi
-			c.stats.Misses++
-			c.cMisses.Inc()
-			break
-		}
-		if !c.frames[fi].loading && c.frames[fi].pins == 0 {
-			break
-		}
-		c.loaded.Wait() // drain concurrent readers / in-flight fault
-	}
-	f := &c.frames[fi]
-	copy(f.data, data)
-	f.refbit = true
-	f.dirty = true
-	return nil
-}
-
-// Flush writes all dirty frames back to the backing store.
-func (c *Cache) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.frames {
-		f := &c.frames[i]
-		if f.valid && f.dirty {
-			if err := c.backing.WritePage(f.id, f.data); err != nil {
-				return fmt.Errorf("amm: flush page %d: %w", f.id, err)
-			}
-			f.dirty = false
-		}
-	}
-	return nil
-}
-
-// Invalidate drops the given pages from the cache without writing dirty
-// data back. The merge calls it before returning a retired SSCG's pages
-// to the store freelist, so a recycled page id can never serve stale
-// bytes. It waits for in-flight pins and loads on those pages to drain
-// (by the time a group is freed no reader should reference it, so the
-// wait is normally instant).
+// Invalidate drops the given pages from the cache. The merge calls it
+// before returning a retired SSCG's pages to the store freelist, so a
+// recycled page id can never serve stale bytes. It waits for in-flight
+// pins and loads on those pages to drain (by the time a group is freed
+// no reader should reference it, so the wait is normally instant).
 func (c *Cache) Invalidate(ids []storage.PageID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -343,7 +278,6 @@ func (c *Cache) Invalidate(ids []storage.PageID) {
 			}
 			delete(c.index, id)
 			f.valid = false
-			f.dirty = false
 			break
 		}
 	}

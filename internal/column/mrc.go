@@ -37,27 +37,6 @@ func New(name string, d *dict.Dictionary, codes *dict.BitPacked) *MRC {
 	return &MRC{name: name, typ: d.Type(), dict: d, codes: codes}
 }
 
-// Name returns the column name.
-func (c *MRC) Name() string { return c.name }
-
-// Type returns the value type.
-func (c *MRC) Type() value.Type { return c.typ }
-
-// Len returns the number of rows.
-func (c *MRC) Len() int { return c.codes.Len() }
-
-// DistinctCount returns the dictionary size.
-func (c *MRC) DistinctCount() int { return c.dict.Size() }
-
-// Selectivity returns the paper's attribute selectivity estimate 1/n
-// for n distinct values (Section II-B).
-func (c *MRC) Selectivity() float64 {
-	if c.dict.Size() == 0 {
-		return 1
-	}
-	return 1 / float64(c.dict.Size())
-}
-
 // Bytes returns the DRAM footprint: bit-packed vector plus dictionary.
 func (c *MRC) Bytes() int64 { return c.codes.Bytes() + c.dict.Bytes() }
 

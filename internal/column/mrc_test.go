@@ -24,11 +24,11 @@ func intColumn(t *testing.T, vals ...int64) *MRC {
 
 func TestBuildAndGet(t *testing.T) {
 	c := intColumn(t, 5, 3, 5, 9, 3)
-	if c.Len() != 5 {
-		t.Errorf("Len = %d", c.Len())
+	if c.Codes().Len() != 5 {
+		t.Errorf("rows = %d", c.Codes().Len())
 	}
-	if c.DistinctCount() != 3 {
-		t.Errorf("DistinctCount = %d", c.DistinctCount())
+	if c.Dictionary().Size() != 3 {
+		t.Errorf("distinct = %d", c.Dictionary().Size())
 	}
 	want := []int64{5, 3, 5, 9, 3}
 	for i, w := range want {
@@ -43,21 +43,14 @@ func TestBuildAndGet(t *testing.T) {
 	if _, err := c.Get(99); err == nil {
 		t.Error("out-of-range Get accepted")
 	}
-	if c.Name() != "test" || c.Type() != value.Int64 {
-		t.Error("metadata wrong")
-	}
-}
-
-func TestSelectivity(t *testing.T) {
-	c := intColumn(t, 1, 2, 3, 4)
-	if got := c.Selectivity(); got != 0.25 {
-		t.Errorf("Selectivity = %g, want 0.25", got)
+	if c.Dictionary().Type() != value.Int64 {
+		t.Error("dictionary type wrong")
 	}
 }
 
 func TestScanEqual(t *testing.T) {
 	c := intColumn(t, 5, 3, 5, 9, 3)
-	got, err := c.ScanRangeIn(value.NewInt(5), value.NewInt(5), 0, c.Len(), nil, nil)
+	got, err := c.ScanRangeIn(value.NewInt(5), value.NewInt(5), 0, c.Codes().Len(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,16 +58,16 @@ func TestScanEqual(t *testing.T) {
 		t.Errorf("ScanRangeIn(5, 5) = %v", got)
 	}
 	// Absent value: empty result, no error.
-	got, err = c.ScanRangeIn(value.NewInt(77), value.NewInt(77), 0, c.Len(), nil, nil)
+	got, err = c.ScanRangeIn(value.NewInt(77), value.NewInt(77), 0, c.Codes().Len(), nil, nil)
 	if err != nil || len(got) != 0 {
 		t.Errorf("ScanRangeIn(77, 77) = %v, %v", got, err)
 	}
 	// Type mismatch errors.
-	if _, err := c.ScanRangeIn(value.NewString("x"), value.NewString("x"), 0, c.Len(), nil, nil); err == nil {
+	if _, err := c.ScanRangeIn(value.NewString("x"), value.NewString("x"), 0, c.Codes().Len(), nil, nil); err == nil {
 		t.Error("type mismatch accepted")
 	}
 	// Skip masks rows.
-	got, _ = c.ScanRangeIn(value.NewInt(5), value.NewInt(5), 0, c.Len(), nil, func(i int) bool { return i == 0 })
+	got, _ = c.ScanRangeIn(value.NewInt(5), value.NewInt(5), 0, c.Codes().Len(), nil, func(i int) bool { return i == 0 })
 	if len(got) != 1 || got[0] != 2 {
 		t.Errorf("ScanRangeIn(5, 5) with skip = %v", got)
 	}
@@ -82,7 +75,7 @@ func TestScanEqual(t *testing.T) {
 
 func TestScanRange(t *testing.T) {
 	c := intColumn(t, 10, 25, 40, 25, 5)
-	got, err := c.ScanRangeIn(value.NewInt(10), value.NewInt(30), 0, c.Len(), nil, nil)
+	got, err := c.ScanRangeIn(value.NewInt(10), value.NewInt(30), 0, c.Codes().Len(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +89,11 @@ func TestScanRange(t *testing.T) {
 		}
 	}
 	// Empty range.
-	got, err = c.ScanRangeIn(value.NewInt(41), value.NewInt(50), 0, c.Len(), nil, nil)
+	got, err = c.ScanRangeIn(value.NewInt(41), value.NewInt(50), 0, c.Codes().Len(), nil, nil)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty range = %v, %v", got, err)
 	}
-	if _, err := c.ScanRangeIn(value.NewString("a"), value.NewString("b"), 0, c.Len(), nil, nil); err == nil {
+	if _, err := c.ScanRangeIn(value.NewString("a"), value.NewString("b"), 0, c.Codes().Len(), nil, nil); err == nil {
 		t.Error("type mismatch accepted")
 	}
 }
@@ -150,7 +143,7 @@ func TestScanMatchesProbeOnRandomData(t *testing.T) {
 		all[i] = uint32(i)
 	}
 	for _, probe := range []int64{0, 17, 50, 99} {
-		s, err := c.ScanRangeIn(value.NewInt(probe), value.NewInt(probe), 0, c.Len(), nil, nil)
+		s, err := c.ScanRangeIn(value.NewInt(probe), value.NewInt(probe), 0, c.Codes().Len(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +182,7 @@ func TestBuildStringColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ScanRangeIn(value.NewString("a"), value.NewString("a"), 0, c.Len(), nil, nil)
+	got, err := c.ScanRangeIn(value.NewString("a"), value.NewString("a"), 0, c.Codes().Len(), nil, nil)
 	if err != nil || len(got) != 1 || got[0] != 1 {
 		t.Errorf("string range scan = %v, %v", got, err)
 	}
@@ -224,8 +217,8 @@ func TestDictionaryHoldsOnlyDistinct(t *testing.T) {
 	}
 	grown := int64(heap()) - int64(before)
 	runtime.KeepAlive(vals)
-	if mrc.DistinctCount() != distinct {
-		t.Fatalf("distinct = %d, want %d", mrc.DistinctCount(), distinct)
+	if mrc.Dictionary().Size() != distinct {
+		t.Fatalf("distinct = %d, want %d", mrc.Dictionary().Size(), distinct)
 	}
 	t.Logf("models %d B, holds %d B", mrc.Bytes(), grown)
 	if grown > 1<<20 {
@@ -262,9 +255,9 @@ func TestTypedDictionaryHoldsItsModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		grown := int64(heap()) - int64(before)
-		t.Logf("%s: %d distinct, models %d B, holds %d B", typ, mrc.DistinctCount(), mrc.Bytes(), grown)
+		t.Logf("%s: %d distinct, models %d B, holds %d B", typ, mrc.Dictionary().Size(), mrc.Bytes(), grown)
 		if float64(grown) > 1.25*float64(mrc.Bytes()) {
-			t.Errorf("%s column of %d distinct values holds %d B of heap, want <= 1.25 x the %d B it models", typ, mrc.DistinctCount(), grown, mrc.Bytes())
+			t.Errorf("%s column of %d distinct values holds %d B of heap, want <= 1.25 x the %d B it models", typ, mrc.Dictionary().Size(), grown, mrc.Bytes())
 		}
 		runtime.KeepAlive(mrc)
 	}

@@ -14,13 +14,6 @@ type Allocation struct {
 	Memory int64
 }
 
-// Clone returns a deep copy of the allocation.
-func (a Allocation) Clone() Allocation {
-	in := make([]bool, len(a.InDRAM))
-	copy(in, a.InDRAM)
-	return Allocation{InDRAM: in, Cost: a.Cost, Memory: a.Memory}
-}
-
 // CountInDRAM returns the number of DRAM-resident columns.
 func (a Allocation) CountInDRAM() int {
 	n := 0

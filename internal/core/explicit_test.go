@@ -313,12 +313,3 @@ func TestReallocationExplicitMatchesILP(t *testing.T) {
 		t.Errorf("explicit realloc solution off ILP frontier: %g > %g", objective(exp.InDRAM), objective(opt.InDRAM))
 	}
 }
-
-func TestCloneIsDeep(t *testing.T) {
-	a := Allocation{InDRAM: []bool{true, false}, Cost: 5, Memory: 10}
-	b := a.Clone()
-	b.InDRAM[0] = false
-	if !a.InDRAM[0] {
-		t.Error("Clone shares the decision vector")
-	}
-}

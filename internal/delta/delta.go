@@ -77,9 +77,6 @@ func New(s *schema.Schema) *Partition {
 	return p
 }
 
-// Schema returns the partition's schema.
-func (p *Partition) Schema() *schema.Schema { return p.schema }
-
 // Observe registers the partition's instruments (delta.inserts,
 // delta.visibility_checks) with a metrics registry. A merged-away delta
 // is replaced by a fresh Partition, so the owner must call Observe
@@ -102,13 +99,6 @@ func (p *Partition) Freeze() {
 	p.mu.Lock()
 	p.frozen = true
 	p.mu.Unlock()
-}
-
-// Frozen reports whether the partition has been frozen.
-func (p *Partition) Frozen() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.frozen
 }
 
 // AdoptRow appends a row carrying explicit begin/end version timestamps

@@ -207,11 +207,8 @@ func TestConcurrentInserts(t *testing.T) {
 	if n := len(p.VisibleRows(late.Snapshot(), late.ID())); n != workers*each {
 		t.Errorf("visible rows = %d, want %d", n, workers*each)
 	}
-	if p.Schema().Len() != 2 {
-		t.Error("Schema accessor broken")
-	}
-	if p.Versions().Len() != workers*each {
-		t.Error("Versions accessor broken")
+	if p.Rows() != workers*each {
+		t.Errorf("Rows = %d, want %d", p.Rows(), workers*each)
 	}
 	if p.DistinctCount(9) != 0 {
 		t.Error("DistinctCount out of range should be 0")

@@ -327,9 +327,6 @@ func NewIndex(d *Dictionary, codes []uint32) *Index {
 	return &Index{dict: d, offsets: offsets, positions: positions}
 }
 
-// Dictionary returns the dictionary the index is keyed by.
-func (x *Index) Dictionary() *Dictionary { return x.dict }
-
 // Eq returns the positions whose value equals v, ascending. The slice is
 // the index's own and must not be modified.
 func (x *Index) Eq(v value.Value) []uint32 {

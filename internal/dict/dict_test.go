@@ -240,7 +240,7 @@ func TestDictionaryCodeRangePredicate(t *testing.T) {
 	if got := idx.Between(value.NewInt(10), value.NewInt(25)); !slices.Equal(got, []uint32{0, 6, 3}) {
 		t.Errorf("Between(10, 25) = %v, want [0 6 3]", got)
 	}
-	if got := idx.Eq(value.NewInt(42)); !slices.Equal(got, []uint32{1, 4}) || idx.Dictionary() != d {
+	if got := idx.Eq(value.NewInt(42)); !slices.Equal(got, []uint32{1, 4}) || idx.dict != d {
 		t.Errorf("Eq(42) = %v, want [1 4]", got)
 	}
 	empty, _, _ := Build(value.Int64, nil)

@@ -74,7 +74,7 @@ func TestDeviceChargeAtAnyParallelism(t *testing.T) {
 		Project:    []int{0, 3},
 	}
 	for p := 1; p <= 4; p++ {
-		e := New(tbl, Options{Parallelism: p, MorselRows: 1024}) // no DRAM clock: the clock moves by device time alone
+		e := New(tbl, Options{Parallelism: p, morselRows: 1024}) // no DRAM clock: the clock moves by device time alone
 		ns0, reads0, modeled0 := clock.Elapsed(), clock.Reads(), modeled.Value()
 		if _, err := e.Run(q, nil); err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestTraceAttributionUnderConcurrency(t *testing.T) {
 	qb := Query{Predicates: []Predicate{{Column: 3, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(99)}}}
 	for _, par := range []int{1, 2} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			e := New(tbl, Options{Parallelism: par, MorselRows: 1024, Clock: clock})
+			e := New(tbl, Options{Parallelism: par, morselRows: 1024, Clock: clock})
 			alone, want, err := e.RunTracedCtx(context.Background(), qa, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -182,7 +182,7 @@ func TestTraceAttributionUnderConcurrency(t *testing.T) {
 // helper happened to claim, the query's modeled DRAM time is the same.
 func TestMRCScanChargeIgnoresTheSplit(t *testing.T) {
 	tbl, _ := newTable(t, 40000, nil)
-	e := New(tbl, Options{Parallelism: 4, MorselRows: 1024})
+	e := New(tbl, Options{Parallelism: 4, morselRows: 1024})
 	q := Query{Predicates: []Predicate{
 		{Column: 1, Op: Eq, Value: value.NewInt(3)},
 		{Column: 2, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(49)},

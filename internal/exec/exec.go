@@ -84,10 +84,6 @@ type Options struct {
 	// (no goroutine is started). Every level runs the same pipeline and
 	// returns byte-identical results.
 	Parallelism int
-	// MorselRows is the number of main-partition rows per scan morsel,
-	// rounded up to a multiple of 64; zero selects DefaultMorselRows.
-	// SSCG scan morsels are additionally aligned to page boundaries.
-	MorselRows int
 	// Registry receives executor metrics (access-path counts, scan-to-
 	// probe switchovers, morsels, rows, modeled DRAM time). Nil runs
 	// unmetered at zero cost.
@@ -103,6 +99,11 @@ type Options struct {
 	SlowRing *metrics.TraceRing
 	// SlowQueryThreshold gates SlowRing; 0 disables the slow-query log.
 	SlowQueryThreshold time.Duration
+
+	// morselRows overrides DefaultMorselRows with a multiple of 64; the
+	// package's tests use small morsels to get many units from small
+	// tables.
+	morselRows int
 }
 
 // DefaultProbeThreshold is the paper's scan-to-probe switch point.
@@ -187,15 +188,15 @@ func New(tbl *table.Table, opts Options) *Executor {
 	if opts.Parallelism < 1 {
 		opts.Parallelism = 1
 	}
-	if opts.MorselRows < 1 {
-		opts.MorselRows = DefaultMorselRows
+	if opts.morselRows < 1 {
+		opts.morselRows = DefaultMorselRows
 	}
 	return &Executor{
 		tbl:         tbl,
 		clock:       opts.Clock,
 		threshold:   opts.ProbeThreshold,
 		parallelism: opts.Parallelism,
-		morselRows:  (opts.MorselRows + 63) &^ 63,
+		morselRows:  opts.morselRows,
 		recent:      opts.TraceRing,
 		slow:        opts.SlowRing,
 		slowThresh:  opts.SlowQueryThreshold,
@@ -203,9 +204,6 @@ func New(tbl *table.Table, opts Options) *Executor {
 		pool:        sync.Pool{New: func() any { return newScratch(opts.Parallelism) }},
 	}
 }
-
-// Parallelism returns the configured worker count (1 = inline).
-func (e *Executor) Parallelism() int { return e.parallelism }
 
 // charge adds modeled DRAM time to the clock and the exec.dram_ns
 // counter.
@@ -338,13 +336,14 @@ func (e *Executor) Explain(q Query) (*metrics.Trace, error) {
 }
 
 // traced is what tracing one query allocates, as one object: the trace,
-// with room for a typical plan's predicates and operators, and the
-// entry that publishes it to the recent ring.
+// with room for a typical plan's predicates, operators and workers'
+// morsel counts, and the entry that publishes it to the recent ring.
 type traced struct {
-	entry metrics.TraceEntry
-	trace metrics.Trace
-	preds [4]metrics.PredicateTrace
-	ops   [8]metrics.OperatorTrace
+	entry   metrics.TraceEntry
+	trace   metrics.Trace
+	preds   [4]metrics.PredicateTrace
+	ops     [8]metrics.OperatorTrace
+	morsels [8]int64
 }
 
 // newTrace opens a trace carrying the executor's settings.
@@ -356,6 +355,7 @@ func (e *Executor) newTrace() *traced {
 		ProbeThreshold: e.threshold,
 		Predicates:     t.preds[:0],
 		Operators:      t.ops[:0],
+		WorkerMorsels:  t.morsels[:0],
 	}
 	if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
 		t.trace.Device = timed.Profile().Name

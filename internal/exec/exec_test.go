@@ -69,7 +69,7 @@ func visibleRows(t *testing.T, tbl *table.Table) oracle {
 	view := tbl.Pin()
 	defer view.Release()
 	var o oracle
-	for r := 0; r < tbl.MainRows()+tbl.DeltaRows(); r++ {
+	for r := 0; r < view.MainRows()+view.FrozenRows()+view.ActiveRows(); r++ {
 		id := table.RowID(r)
 		if !view.Visible(id, snapshot, 0) {
 			continue
@@ -412,9 +412,11 @@ func TestReconstructMatchesGetTuple(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tbl.GetTuple(id)
-		if err != nil {
-			t.Fatal(err)
+		want := make([]value.Value, len(got))
+		for c := range want {
+			if want[c], err = tbl.GetValue(id, c); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for c := range want {
 			if !got[c].Equal(want[c]) {

@@ -174,7 +174,7 @@ func TestGangHelpersServeEveryRegion(t *testing.T) {
 	tbl, _ := gangTable(t, store, 20000, 0)
 	base := runtime.NumGoroutine()
 	for _, par := range []int{2, 4} {
-		e := New(tbl, Options{Parallelism: par, MorselRows: 1024})
+		e := New(tbl, Options{Parallelism: par, morselRows: 1024})
 		for trial := 0; trial < 3; trial++ {
 			waitGoroutines(t, base)
 			store.reset()
@@ -197,7 +197,7 @@ func TestGangHelpersServeEveryRegion(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 	store.reset()
-	res, err := New(small, Options{Parallelism: 4, MorselRows: 1024}).Run(one, nil)
+	res, err := New(small, Options{Parallelism: 4, morselRows: 1024}).Run(one, nil)
 	if err != nil || len(res.IDs) != 1 {
 		t.Fatalf("single-unit query: %v, %v", res, err)
 	}
@@ -223,7 +223,7 @@ func TestLateHelperTouchesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
-	e := New(tbl, Options{Parallelism: 4, MorselRows: 1024})
+	e := New(tbl, Options{Parallelism: 4, morselRows: 1024})
 	held := 0
 	for i := 0; i < 10; i++ {
 		store.yield.Store(false)
@@ -268,7 +268,7 @@ func TestGangReturnsAfterClaimedUnits(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			store := &gangStore{delay: 100 * time.Microsecond}
 			tbl, cache := gangTable(t, store, 20000, 16)
-			e := New(tbl, Options{Parallelism: 4, MorselRows: 1024})
+			e := New(tbl, Options{Parallelism: 4, morselRows: 1024})
 			for trial := int64(0); trial < 5; trial++ {
 				ctx, cancel := context.WithCancel(context.Background())
 				store.reset()
@@ -307,7 +307,7 @@ func TestGangCallerSleepsWhileHelperReads(t *testing.T) {
 	const stall = 200 * time.Millisecond
 	store := &gangStore{owner: goroutineID()}
 	tbl, _ := gangTable(t, store, 5000, 0)
-	e := New(tbl, Options{Parallelism: 2, MorselRows: 1024})
+	e := New(tbl, Options{Parallelism: 2, morselRows: 1024})
 	cpu := func() time.Duration {
 		var ru syscall.Rusage
 		syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail with these arguments
@@ -356,7 +356,7 @@ func TestParallelQueryAllocs(t *testing.T) {
 	}
 	allocs := map[int]float64{}
 	for _, par := range []int{1, 2} {
-		e := New(tbl, Options{Parallelism: par, MorselRows: 1024})
+		e := New(tbl, Options{Parallelism: par, morselRows: 1024})
 		if res, err := e.Run(q, nil); err != nil || len(res.IDs) != 500 {
 			t.Fatalf("Parallelism %d: %v, %v", par, res, err)
 		}

@@ -55,9 +55,8 @@ import (
 // DefaultMorselRows is the number of main-partition rows per morsel.
 // Large enough to amortize dispatch, small enough that a query over a
 // million rows yields dozens of units for load balancing. A morsel is a
-// multiple of 64 rows (New rounds Options.MorselRows up), so at any code
-// width it starts on a word boundary of the packed vector and no word is
-// read by two workers.
+// multiple of 64 rows, so at any code width it starts on a word
+// boundary of the packed vector and no word is read by two workers.
 const DefaultMorselRows = 16384
 
 // worker carries one worker's execution state for one query.
@@ -332,11 +331,9 @@ func (e *Executor) settle(sc *scratch, tr *metrics.Trace) {
 	}
 	e.m.morsels.Add(morsels)
 	if morsels > 0 && tr != nil {
-		counts := make([]int64, len(ws))
 		for i := range ws {
-			counts[i] = ws[i].morsels
+			tr.WorkerMorsels = append(tr.WorkerMorsels, ws[i].morsels)
 		}
-		tr.AddWorkerMorsels(counts)
 	}
 }
 

@@ -135,7 +135,7 @@ func TestTraceRingCapture(t *testing.T) {
 func TestObservedSelectivityUnderZonePruning(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		tbl, _ := newTable(t, 20_000, nil)
-		e := New(tbl, Options{Parallelism: par, MorselRows: 1024})
+		e := New(tbl, Options{Parallelism: par, morselRows: 1024})
 		alone := Query{Predicates: []Predicate{{Column: 0, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(999)}}}
 		if res, err := e.Run(alone, nil); err != nil || len(res.IDs) != 1000 {
 			t.Fatalf("Parallelism %d: %v, %v", par, res, err)

@@ -71,7 +71,7 @@ func checkFaultRecovery(t *testing.T, tbl *table.Table, fs *storage.FaultStore, 
 		t.Errorf("%d cache frames left pinned after failed scan", pinned)
 	}
 	fs.Disarm()
-	got, err := New(tbl, Options{Parallelism: 4, MorselRows: 1024}).Run(q, nil)
+	got, err := New(tbl, Options{Parallelism: 4, morselRows: 1024}).Run(q, nil)
 	if err != nil {
 		t.Fatalf("post-disarm parallel run: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestParallelScanFaultInjection(t *testing.T) {
 	}{{"transient", false}, {"sticky", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl, fs, cache := newFaultTable(t, 20000)
-			e := New(tbl, Options{Parallelism: 4, MorselRows: 1024})
+			e := New(tbl, Options{Parallelism: 4, morselRows: 1024})
 			q := Query{Predicates: []Predicate{{Column: 1, Op: Eq, Value: value.NewInt(3)}}}
 			base := runtime.NumGoroutine()
 			fs.FailReadAfter(5, tc.sticky)
@@ -123,7 +123,7 @@ func TestParallelMaterializeFaultInjection(t *testing.T) {
 	}{{"transient", false}, {"sticky", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl, fs, cache := newFaultTable(t, 20000)
-			e := New(tbl, Options{Parallelism: 4, MorselRows: 1024})
+			e := New(tbl, Options{Parallelism: 4, morselRows: 1024})
 			q := Query{
 				Predicates: []Predicate{{Column: 0, Op: Between, Value: value.NewInt(0), Hi: value.NewInt(19999)}},
 				Project:    []int{0, 1},

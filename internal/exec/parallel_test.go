@@ -168,7 +168,7 @@ func TestParallelEqualsSerialProperty(t *testing.T) {
 				t.Fatalf("trial %d query %d serial: %v", trial, query, err)
 			}
 			for _, par := range []int{2, 4, 8} {
-				e := New(tbl, Options{Parallelism: par, MorselRows: 64 << rng.Intn(6)})
+				e := New(tbl, Options{Parallelism: par, morselRows: 64 << rng.Intn(6)})
 				got, err := e.Run(q, nil)
 				if err != nil {
 					t.Fatalf("trial %d query %d par %d: %v", trial, query, par, err)
@@ -209,7 +209,7 @@ func TestParallelAgainstBruteForce(t *testing.T) {
 		{false, false, false, false},
 	} {
 		tbl, _ := newTable(t, 5000, layout)
-		e := New(tbl, Options{Parallelism: 4, MorselRows: 512})
+		e := New(tbl, Options{Parallelism: 4, morselRows: 512})
 		for _, q := range []Query{
 			{},
 			{Predicates: []Predicate{{Column: 1, Op: Eq, Value: value.NewInt(3)}}},

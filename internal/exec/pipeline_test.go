@@ -179,7 +179,7 @@ func TestOneWorkerRunsInline(t *testing.T) {
 	}
 	peak := func(par int) int64 {
 		probe.peak.Store(0)
-		if _, err := New(tbl, Options{Parallelism: par, MorselRows: 1024}).Run(q, nil); err != nil {
+		if _, err := New(tbl, Options{Parallelism: par, morselRows: 1024}).Run(q, nil); err != nil {
 			t.Fatal(err)
 		}
 		return probe.peak.Load()
@@ -203,7 +203,7 @@ func TestMaterializeRecordSameAtAnyParallelism(t *testing.T) {
 		Project:    []int{0, 2, 3},
 	}
 	record := func(par int) metrics.OperatorTrace {
-		_, tr, err := New(tbl, Options{Parallelism: par, MorselRows: 1024}).RunTracedCtx(context.Background(), q, nil)
+		_, tr, err := New(tbl, Options{Parallelism: par, morselRows: 1024}).RunTracedCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestPooledBuffersNeverAliasAResult(t *testing.T) {
 		{},
 	}
 	for _, par := range []int{1, 2} {
-		e := New(tbl, Options{Parallelism: par, MorselRows: 1024})
+		e := New(tbl, Options{Parallelism: par, morselRows: 1024})
 		for i, qa := range small {
 			a, err := e.Run(qa, nil)
 			if err != nil {

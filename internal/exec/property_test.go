@@ -194,7 +194,7 @@ func TestZonePruningMatchesBruteForce(t *testing.T) {
 			want := visible.match(query)
 			where := fmt.Sprintf("trial %d query %d (layout %v, preds %+v)", trial, q, layout, query.Predicates)
 			for _, par := range []int{1, 2} {
-				e := New(tbl, Options{Parallelism: par, MorselRows: morsel})
+				e := New(tbl, Options{Parallelism: par, morselRows: morsel})
 				res, tr, err := e.RunTracedCtx(context.Background(), query, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)

@@ -111,7 +111,7 @@ func TestRunTracedSerial(t *testing.T) {
 func TestRunTracedParallel(t *testing.T) {
 	tbl, clock := newTable(t, 50_000, nil)
 	r := metrics.NewRegistry()
-	e := New(tbl, Options{Clock: clock, Parallelism: 4, MorselRows: 2048, Registry: r})
+	e := New(tbl, Options{Clock: clock, Parallelism: 4, morselRows: 2048, Registry: r})
 	q := Query{
 		Predicates: []Predicate{{Column: 1, Op: Eq, Value: value.NewInt(7)}},
 		Project:    []int{0, 1},

@@ -142,12 +142,6 @@ func FromParts(typ value.Type, min value.Value, bounds []value.Value, counts []i
 	return h, nil
 }
 
-// Type returns the column type.
-func (h *Histogram) Type() value.Type { return h.typ }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.bounds) }
-
 // Total returns the number of rows summarized.
 func (h *Histogram) Total() int { return h.total }
 

@@ -40,8 +40,8 @@ func TestEquiDepthBucketsBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Buckets() != 10 {
-		t.Fatalf("buckets = %d", h.Buckets())
+	if len(h.bounds) != 10 {
+		t.Fatalf("buckets = %d", len(h.bounds))
 	}
 	if h.Total() != 1000 || h.DistinctCount() != 1000 {
 		t.Errorf("total/distinct = %d/%d", h.Total(), h.DistinctCount())
@@ -145,8 +145,8 @@ func TestDuplicatesDoNotStraddleBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Buckets() > 4 {
-		t.Errorf("buckets = %d, want <= 4 distinct-respecting buckets", h.Buckets())
+	if len(h.bounds) > 4 {
+		t.Errorf("buckets = %d, want <= 4 distinct-respecting buckets", len(h.bounds))
 	}
 	// Each bucket ends on a run boundary: it holds whole runs of 500.
 	_, _, counts, _ := h.Parts()

@@ -85,7 +85,6 @@ func TestNilSafety(t *testing.T) {
 	var tr *Trace
 	tr.Op(OperatorTrace{})
 	tr.Predicate(PredicateTrace{})
-	tr.AddWorkerMorsels([]int64{1, 2})
 	if tr.String() != "(no trace)" {
 		t.Error("nil trace renders content")
 	}
@@ -207,13 +206,9 @@ func TestTraceString(t *testing.T) {
 	tr.Op(OperatorTrace{Name: "probe", Partition: "main", Path: "sscg", Column: 2,
 		SwitchedToProbe: true, CandidateFraction: 0.00005, RowsIn: 10, RowsOut: 3})
 	tr.DRAMNs = 500
-	tr.AddWorkerMorsels([]int64{2, 1})
-	tr.AddWorkerMorsels([]int64{1, 1, 1})
-	if got := tr.WorkerMorsels; len(got) != 3 || got[0] != 3 || got[1] != 2 || got[2] != 1 {
-		t.Errorf("worker morsels = %v", got)
-	}
+	tr.WorkerMorsels = []int64{3, 2, 1}
 	out := tr.String()
-	for _, want := range []string{"orders", "switched-to-probe", "CSSD", "filter order"} {
+	for _, want := range []string{"orders", "switched-to-probe", "CSSD", "filter order", "worker morsels: [3 2 1]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace render missing %q:\n%s", want, out)
 		}

@@ -148,20 +148,6 @@ func (t *Trace) Predicate(p PredicateTrace) {
 	}
 }
 
-// AddWorkerMorsels merges per-worker morsel counts element-wise (no-op
-// on nil). The executor calls it once per query that fanned out.
-func (t *Trace) AddWorkerMorsels(counts []int64) {
-	if t == nil {
-		return
-	}
-	for len(t.WorkerMorsels) < len(counts) {
-		t.WorkerMorsels = append(t.WorkerMorsels, 0)
-	}
-	for i, c := range counts {
-		t.WorkerMorsels[i] += c
-	}
-}
-
 // String renders the trace as an indented human-readable summary.
 func (t *Trace) String() string {
 	if t == nil {

@@ -155,8 +155,8 @@ func checkVersionsMatchDense(t *testing.T, b []byte) {
 func compareWithDense(t *testing.T, v *Versions, d *denseVersions, s *script, base Timestamp) {
 	t.Helper()
 	n := len(d.begin)
-	if v.Len() != n {
-		t.Fatalf("Len = %d, want %d", v.Len(), n)
+	if rowsOf(v) != n {
+		t.Fatalf("Len = %d, want %d", rowsOf(v), n)
 	}
 	unsettled := false
 	for row := range n {

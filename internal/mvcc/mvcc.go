@@ -70,9 +70,6 @@ func (t *Tx) ID() TxID { return t.id }
 // Snapshot returns the snapshot timestamp the transaction reads at.
 func (t *Tx) Snapshot() Timestamp { return t.snapshot }
 
-// Status returns the lifecycle state.
-func (t *Tx) Status() Status { return t.status }
-
 // OnCommit registers a callback run with the commit timestamp.
 func (t *Tx) OnCommit(fn func(ts Timestamp)) { t.onCommit = append(t.onCommit, fn) }
 
@@ -429,13 +426,6 @@ func NewVersionsAt(shared int, base Timestamp, tail []Timestamp) *Versions {
 		v.end[i] = Infinity
 	}
 	return v
-}
-
-// Len returns the number of rows tracked.
-func (v *Versions) Len() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.lenLocked()
 }
 
 // Shared returns how many leading rows share one begin, and that begin.

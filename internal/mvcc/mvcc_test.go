@@ -15,7 +15,7 @@ func TestBeginAssignsIncreasingIDs(t *testing.T) {
 	if t2.ID() <= t1.ID() {
 		t.Errorf("tx ids not increasing: %d then %d", t1.ID(), t2.ID())
 	}
-	if t1.Status() != Active {
+	if t1.status != Active {
 		t.Error("new tx not active")
 	}
 }
@@ -34,7 +34,7 @@ func TestCommitAdvancesTimestamp(t *testing.T) {
 	if m.LastCommit() != ts {
 		t.Errorf("LastCommit = %d, want %d", m.LastCommit(), ts)
 	}
-	if tx.Status() != Committed {
+	if tx.status != Committed {
 		t.Error("tx not committed")
 	}
 	if _, err := m.Commit(tx); !errors.Is(err, ErrTxFinished) {
@@ -198,8 +198,8 @@ func TestVersionsBytesAndLen(t *testing.T) {
 	v := NewVersions()
 	v.AppendCommittedN(1, 1)
 	v.AppendCommittedN(1, 1)
-	if v.Len() != 2 {
-		t.Errorf("Len = %d, want 2", v.Len())
+	if rowsOf(v) != 2 {
+		t.Errorf("Len = %d, want 2", rowsOf(v))
 	}
 	if v.Bytes() != 2*32 {
 		t.Errorf("Bytes = %d, want 64", v.Bytes())
@@ -247,7 +247,7 @@ func TestBatchedVisibilityMatchesVisible(t *testing.T) {
 		v := NewVersions()
 		if round >= 50 {
 			v = NewVersionsAt(1+rng.Intn(200), Timestamp(1+rng.Intn(60)), nil)
-			for row := 0; row < v.Len(); row++ {
+			for row := 0; row < rowsOf(v); row++ {
 				owner := []TxID{self, other}[rng.Intn(2)]
 				switch rng.Intn(6) {
 				case 0: // delete intent, by self or another
@@ -259,7 +259,7 @@ func TestBatchedVisibilityMatchesVisible(t *testing.T) {
 				}
 			}
 		}
-		shared := v.Len()
+		shared := rowsOf(v)
 		n := rng.Intn(300)
 		for i := 0; i < n; i++ {
 			owner := []TxID{self, other}[rng.Intn(2)]
@@ -347,7 +347,7 @@ func TestFilterVisibleRacesWriters(t *testing.T) {
 		if got := v.FilterVisible(buf, 5, 0); len(got) != rows {
 			t.Fatalf("FilterVisible kept %d of %d rows live at the snapshot", len(got), rows)
 		}
-		if got := v.VisibleIn(0, v.Len(), 5, 0, buf[:0]); len(got) != rows {
+		if got := v.VisibleIn(0, rowsOf(v), 5, 0, buf[:0]); len(got) != rows {
 			t.Fatalf("VisibleIn found %d rows, want %d", len(got), rows)
 		}
 	}
@@ -359,8 +359,8 @@ func TestFilterVisibleRacesWriters(t *testing.T) {
 // by later writes; SetEnds stamps only the rows it names.
 func TestStampsAndSetEnds(t *testing.T) {
 	v := NewVersionsAt(0, 0, []Timestamp{3, 5, 7, 9})
-	if v.Len() != 4 || v.LiveAt(6) != 2 || v.LiveAt(9) != 4 || v.Unsettled() {
-		t.Fatalf("Len %d, live at 6: %d, at 9: %d", v.Len(), v.LiveAt(6), v.LiveAt(9))
+	if rowsOf(v) != 4 || v.LiveAt(6) != 2 || v.LiveAt(9) != 4 || v.Unsettled() {
+		t.Fatalf("Len %d, live at 6: %d, at 9: %d", rowsOf(v), v.LiveAt(6), v.LiveAt(9))
 	}
 	if err := v.MarkDelete(1, 42); err != nil {
 		t.Fatal(err)
@@ -380,4 +380,12 @@ func TestStampsAndSetEnds(t *testing.T) {
 	if v.Visible(0, 12, 0) || !v.Visible(0, 11, 0) || !v.Visible(2, 100, 0) {
 		t.Fatal("visibility does not follow the stamped ends")
 	}
+}
+
+// rowsOf returns the number of rows v tracks, under its read lock:
+// writers may be appending.
+func rowsOf(v *Versions) int {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return v.lenLocked()
 }

@@ -66,8 +66,8 @@ func TestCommitRollsBackOnLogFailure(t *testing.T) {
 	if _, err := m.Commit(tx); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
-	if !aborted || tx.Status() != Aborted {
-		t.Fatalf("failed commit must roll back (aborted=%v status=%v)", aborted, tx.Status())
+	if !aborted || tx.status != Aborted {
+		t.Fatalf("failed commit must roll back (aborted=%v status=%v)", aborted, tx.status)
 	}
 	// The manager must not leak the transaction as active.
 	if got := m.OldestActiveSnapshot(); got != m.LastCommit() {

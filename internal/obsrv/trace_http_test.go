@@ -14,7 +14,7 @@ import (
 // trace, and health/build sources.
 func tracedServer(t *testing.T) (*Server, trace.TraceID) {
 	t.Helper()
-	tr := trace.New(trace.Options{SampleRate: 1, Seed: 7})
+	tr := trace.New(trace.Options{SampleRate: 1})
 	root := tr.Start("client.send")
 	child := root.Child("server.request")
 	child.End()

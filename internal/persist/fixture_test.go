@@ -122,7 +122,7 @@ func TestGoldenTIERDB03(t *testing.T) {
 	v := tbl.Pin()
 	defer v.Release()
 	for id, w := range want {
-		got, err := tbl.GetTuple(uint64(id))
+		got, err := getTuple(tbl, uint64(id))
 		if err != nil {
 			t.Fatal(err)
 		}

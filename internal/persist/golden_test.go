@@ -95,7 +95,7 @@ func TestCheckpointSnapshotSurvivesMergePurge(t *testing.T) {
 	tbl := buildTable(t, 10)
 	mgr := tbl.Manager()
 	snapTs, release := mgr.QuiescedLastCommit()
-	victim, err := tbl.GetTuple(3)
+	victim, err := getTuple(tbl, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestGoldenTIERDB02(t *testing.T) {
 			t.Fatalf("%s: %d rows visible, want %d", name, n, len(want))
 		}
 		for id, w := range want {
-			got, err := tbl.GetTuple(uint64(id))
+			got, err := getTuple(tbl, uint64(id))
 			if err != nil {
 				t.Fatal(err)
 			}

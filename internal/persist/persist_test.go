@@ -45,6 +45,14 @@ func buildTable(t testing.TB, rows int) *table.Table {
 	return tbl
 }
 
+// getTuple reconstructs a full row through a pinned view, the path the
+// checkpoint reads rows by.
+func getTuple(tbl *table.Table, id table.RowID) ([]value.Value, error) {
+	v := tbl.Pin()
+	defer v.Release()
+	return v.GetTuple(id)
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tbl := buildTable(t, 200)
 	var buf bytes.Buffer
@@ -68,11 +76,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Data intact across both tiers.
 	for _, r := range []uint64{0, 42, 199} {
-		got, err := restored.GetTuple(r)
+		got, err := getTuple(restored, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tbl.GetTuple(r)
+		want, err := getTuple(tbl, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +204,7 @@ func TestRoundTripSpecialValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := restored.GetTuple(1)
+	got, err := getTuple(restored, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,28 +81,6 @@ func (s *Schema) IndexOf(name string) int {
 	return -1
 }
 
-// RowWidth returns the summed fixed slot width of all fields.
-func (s *Schema) RowWidth() int {
-	w := 0
-	for _, f := range s.fields {
-		w += f.SlotWidth()
-	}
-	return w
-}
-
-// Project returns a new schema containing the given field positions, in
-// order.
-func (s *Schema) Project(cols []int) (*Schema, error) {
-	fields := make([]Field, len(cols))
-	for i, c := range cols {
-		if c < 0 || c >= len(s.fields) {
-			return nil, fmt.Errorf("schema: project index %d out of range (%d fields)", c, len(s.fields))
-		}
-		fields[i] = s.fields[c]
-	}
-	return New(fields)
-}
-
 // CheckRow validates that a row matches the schema's arity and types.
 func (s *Schema) CheckRow(row []value.Value) error {
 	if len(row) != len(s.fields) {

@@ -31,9 +31,6 @@ func TestNewAndAccessors(t *testing.T) {
 	if s.IndexOf("missing") != -1 {
 		t.Error("IndexOf(missing) != -1")
 	}
-	if got := s.RowWidth(); got != 8+16+8 {
-		t.Errorf("RowWidth = %d, want 32", got)
-	}
 	fields := s.Fields()
 	fields[0].Name = "mutated"
 	if s.Field(0).Name != "id" {
@@ -71,20 +68,6 @@ func TestSlotWidth(t *testing.T) {
 	}
 	if (Field{Type: value.String, Width: 20}).SlotWidth() != 20 {
 		t.Error("string slot width")
-	}
-}
-
-func TestProject(t *testing.T) {
-	s := MustNew(testFields())
-	p, err := s.Project([]int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 || p.Field(0).Name != "amount" || p.Field(1).Name != "id" {
-		t.Errorf("Project = %v", p.Fields())
-	}
-	if _, err := s.Project([]int{5}); err == nil {
-		t.Error("out-of-range projection accepted")
 	}
 }
 

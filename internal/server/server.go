@@ -76,9 +76,6 @@ type Config struct {
 	// response immediately instead of queuing. 0 selects
 	// DefaultMaxInflight.
 	MaxInflight int
-	// ReadTimeout bounds how long a session waits for the next request
-	// frame (i.e. the idle timeout). 0 selects DefaultReadTimeout.
-	ReadTimeout time.Duration
 	// DrainTimeout bounds how long Shutdown waits for inflight
 	// requests before force-closing their connections. 0 selects
 	// DefaultDrainTimeout.
@@ -102,12 +99,16 @@ type Config struct {
 const (
 	DefaultMaxSessions  = 256
 	DefaultMaxInflight  = 64
-	DefaultReadTimeout  = 5 * time.Minute
 	DefaultDrainTimeout = 10 * time.Second
 )
 
-// DefaultWriteTimeout bounds writing one response.
-const DefaultWriteTimeout = 30 * time.Second
+// DefaultReadTimeout bounds how long a session waits for the next
+// request frame (the idle timeout), and DefaultWriteTimeout bounds
+// writing one response.
+const (
+	DefaultReadTimeout  = 5 * time.Minute
+	DefaultWriteTimeout = 30 * time.Second
+)
 
 // Server serves the tierdb wire protocol on listeners passed to Serve.
 type Server struct {
@@ -140,9 +141,6 @@ func New(engine Engine, cfg Config) *Server {
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = DefaultMaxInflight
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = DefaultReadTimeout
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
@@ -272,7 +270,7 @@ func (s *Server) session(conn net.Conn) {
 			// already sitting in the buffer still decode.
 			conn.SetReadDeadline(time.Now())
 		} else {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+			conn.SetReadDeadline(time.Now().Add(DefaultReadTimeout))
 		}
 		payload, err := st.Read()
 		if err != nil {

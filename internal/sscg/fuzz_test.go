@@ -67,13 +67,13 @@ func FuzzRowRoundtrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		if rowWidth <= storage.PageSize {
-			if g.PagesPerReconstruction() != 1 {
-				t.Fatalf("row width %d: packed layout expected, got %d pages/row", rowWidth, g.PagesPerReconstruction())
+			if g.pagesPerRow != 1 {
+				t.Fatalf("row width %d: packed layout expected, got %d pages/row", rowWidth, g.pagesPerRow)
 			}
 		} else {
 			want := (rowWidth + storage.PageSize - 1) / storage.PageSize
-			if g.PagesPerReconstruction() != want {
-				t.Fatalf("row width %d: %d pages/row, want %d", rowWidth, g.PagesPerReconstruction(), want)
+			if g.pagesPerRow != want {
+				t.Fatalf("row width %d: %d pages/row, want %d", rowWidth, g.pagesPerRow, want)
 			}
 		}
 

@@ -110,7 +110,7 @@ func build(fields []schema.Field, n int, store storage.Store, cache *amm.Cache, 
 		// fault-injection tests assert the page count returns to its
 		// pre-merge level. Best effort: the original error wins.
 		if len(g.pages) > 0 {
-			_, _ = storage.FreePages(store, g.pages)
+			_ = store.FreePages(g.pages)
 		}
 		return nil, err
 	}
@@ -263,11 +263,6 @@ func (g *Group) ReadPages(fn func(page []byte) error) error {
 	return nil
 }
 
-// Fields returns the group's fields.
-func (g *Group) Fields() []schema.Field {
-	return append([]schema.Field(nil), g.fields...)
-}
-
 // FieldIndex returns the position of the named field within the group,
 // or -1.
 func (g *Group) FieldIndex(name string) int {
@@ -279,9 +274,6 @@ func (g *Group) FieldIndex(name string) int {
 	return -1
 }
 
-// Rows returns the number of rows.
-func (g *Group) Rows() int { return g.rows }
-
 // RowWidth returns the fixed row width in bytes.
 func (g *Group) RowWidth() int { return g.rowWidth }
 
@@ -290,11 +282,6 @@ func (g *Group) PageCount() int { return len(g.pages) }
 
 // Bytes returns the secondary-storage footprint.
 func (g *Group) Bytes() int64 { return int64(len(g.pages)) * storage.PageSize }
-
-// PagesPerReconstruction returns how many page accesses one full-width
-// tuple reconstruction needs (the paper's headline: 1 for tables up to
-// a page wide).
-func (g *Group) PagesPerReconstruction() int { return g.pagesPerRow }
 
 // RowsPerPage returns how many rows share one 4 KB page (0 when a row
 // spans multiple pages). Parallel scans align their morsel boundaries
@@ -329,7 +316,7 @@ func newPageBuf() any {
 }
 
 // Free invalidates the group's pages in the cache and returns them to
-// the store's freelist (a no-op for stores without storage.PageFreer).
+// the store's freelist.
 // Call it only on the canonical group — never on WithBacking views —
 // and only once no reader can touch the group again: the online merge
 // frees a retired main partition's group when the last pinned table
@@ -342,8 +329,7 @@ func (g *Group) Free() error {
 	if g.cache != nil {
 		g.cache.Invalidate(g.pages)
 	}
-	_, err := storage.FreePages(g.store, g.pages)
-	return err
+	return g.store.FreePages(g.pages)
 }
 
 // readPage fetches a page via the cache (if configured) or the store,

@@ -35,14 +35,14 @@ func TestBuildPackedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Rows() != 100 {
-		t.Errorf("Rows = %d", g.Rows())
+	if g.rows != 100 {
+		t.Errorf("Rows = %d", g.rows)
 	}
 	if g.RowWidth() != 80 {
 		t.Errorf("RowWidth = %d", g.RowWidth())
 	}
-	if g.PagesPerReconstruction() != 1 {
-		t.Errorf("PagesPerReconstruction = %d, want 1", g.PagesPerReconstruction())
+	if g.pagesPerRow != 1 {
+		t.Errorf("PagesPerReconstruction = %d, want 1", g.pagesPerRow)
 	}
 	wantPages := (100 + 50) / 51 // 51 rows per 4096/80 page
 	if g.PageCount() != wantPages {
@@ -104,8 +104,8 @@ func TestSpanningRowsWiderThanPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.PagesPerReconstruction() != 2 {
-		t.Errorf("PagesPerReconstruction = %d, want 2", g.PagesPerReconstruction())
+	if g.pagesPerRow != 2 {
+		t.Errorf("PagesPerReconstruction = %d, want 2", g.pagesPerRow)
 	}
 	if g.PageCount() != 40 {
 		t.Errorf("PageCount = %d, want 40", g.PageCount())
@@ -226,7 +226,7 @@ func TestWithCache(t *testing.T) {
 	// Zipfian-style skewed accesses should see a high hit rate even
 	// with a small cache.
 	rng := rand.New(rand.NewSource(1))
-	zipf := rand.NewZipf(rng, 1.5, 1, uint64(g.Rows()-1))
+	zipf := rand.NewZipf(rng, 1.5, 1, uint64(g.rows-1))
 	for i := 0; i < 2000; i++ {
 		if _, err := g.ReadRow(int(zipf.Uint64())); err != nil {
 			t.Fatal(err)
@@ -261,7 +261,7 @@ func TestMixedTypeRows(t *testing.T) {
 	if g.FieldIndex("name") != 1 || g.FieldIndex("missing") != -1 {
 		t.Error("FieldIndex wrong")
 	}
-	if len(g.Fields()) != 3 {
+	if len(g.fields) != 3 {
 		t.Error("Fields wrong")
 	}
 }

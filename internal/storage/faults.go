@@ -104,14 +104,9 @@ func (f *FaultStore) WritePage(id PageID, buf []byte) error {
 // Allocate implements Store.
 func (f *FaultStore) Allocate() (PageID, error) { return f.inner.Allocate() }
 
-// FreePages forwards to the inner store (never faulted: freeing is
-// in-memory metadata), implementing PageFreer when the inner store does.
-func (f *FaultStore) FreePages(ids []PageID) error {
-	if p, ok := f.inner.(PageFreer); ok {
-		return p.FreePages(ids)
-	}
-	return nil
-}
+// FreePages implements Store (never faulted: freeing is in-memory
+// metadata).
+func (f *FaultStore) FreePages(ids []PageID) error { return f.inner.FreePages(ids) }
 
 // NumPages implements Store.
 func (f *FaultStore) NumPages() int64 { return f.inner.NumPages() }

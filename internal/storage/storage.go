@@ -27,41 +27,26 @@ var ErrPageOutOfRange = errors.New("storage: page id out of range")
 // — a use-after-free guard for the merge's page-reclamation path.
 var ErrPageFreed = errors.New("storage: page freed")
 
-// Store is the minimal page device interface: random page reads and
-// writes plus allocation of new pages. Implementations must be safe for
-// concurrent use.
+// Store is the page device interface: random page reads and writes,
+// allocation of new pages and freeing of retired ones. Implementations
+// must be safe for concurrent use.
 type Store interface {
 	// ReadPage copies page id into buf; buf must be PageSize bytes.
 	ReadPage(id PageID, buf []byte) error
 	// WritePage copies buf (PageSize bytes) into page id.
 	WritePage(id PageID, buf []byte) error
-	// Allocate appends a zeroed page and returns its id.
+	// Allocate returns a zeroed page: a freed one when the freelist has
+	// one, a new one appended to the store otherwise.
 	Allocate() (PageID, error)
+	// FreePages returns pages to the freelist. The online merge frees a
+	// retired SSCG's pages once no reader references it, so repeated
+	// merges recycle storage instead of growing the store without
+	// bound. Freeing an already-free or unallocated id is an error.
+	FreePages(ids []PageID) error
 	// NumPages returns the number of allocated pages.
 	NumPages() int64
 	// Close releases underlying resources.
 	Close() error
-}
-
-// PageFreer is an optional Store capability: freed pages return to a
-// freelist and are handed out again by later Allocate calls (zeroed, as
-// Allocate promises). The online merge frees a retired SSCG's pages
-// once no reader references it, so repeated merges recycle storage
-// instead of growing the store without bound. FreePages on an
-// already-free or unallocated id is an error.
-type PageFreer interface {
-	FreePages(ids []PageID) error
-}
-
-// FreePages returns store's pages to its freelist when the store (or a
-// wrapper chain ending in one) supports PageFreer; stores without the
-// capability ignore the call. The boolean reports whether pages were
-// actually freed.
-func FreePages(store Store, ids []PageID) (bool, error) {
-	if f, ok := store.(PageFreer); ok {
-		return true, f.FreePages(ids)
-	}
-	return false, nil
 }
 
 func checkBuf(buf []byte) error {
@@ -80,6 +65,13 @@ type MemStore struct {
 	free  []PageID
 	freed map[PageID]bool
 }
+
+var (
+	_ Store = (*MemStore)(nil)
+	_ Store = (*FileStore)(nil)
+	_ Store = (*TimedStore)(nil)
+	_ Store = (*FaultStore)(nil)
+)
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{freed: make(map[PageID]bool)} }
@@ -133,7 +125,7 @@ func (s *MemStore) Allocate() (PageID, error) {
 	return PageID(len(s.pages) - 1), nil
 }
 
-// FreePages implements PageFreer.
+// FreePages implements Store.
 func (s *MemStore) FreePages(ids []PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -148,13 +140,6 @@ func (s *MemStore) FreePages(ids []PageID) error {
 		s.free = append(s.free, id)
 	}
 	return nil
-}
-
-// FreeCount returns the number of pages currently on the freelist.
-func (s *MemStore) FreeCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.free)
 }
 
 // NumPages implements Store.
@@ -173,7 +158,6 @@ type FileStore struct {
 	mu    sync.Mutex
 	f     *os.File
 	n     int64
-	path  string
 	free  []PageID
 	freed map[PageID]bool
 }
@@ -184,7 +168,7 @@ func NewFileStore(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: create page file: %w", err)
 	}
-	return &FileStore{f: f, path: path, freed: make(map[PageID]bool)}, nil
+	return &FileStore{f: f, freed: make(map[PageID]bool)}, nil
 }
 
 // checkLive verifies id is allocated and not on the freelist.
@@ -249,7 +233,7 @@ func (s *FileStore) Allocate() (PageID, error) {
 	return id, nil
 }
 
-// FreePages implements PageFreer.
+// FreePages implements Store.
 func (s *FileStore) FreePages(ids []PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -275,6 +259,3 @@ func (s *FileStore) NumPages() int64 {
 
 // Close implements Store.
 func (s *FileStore) Close() error { return s.f.Close() }
-
-// Path returns the backing file path.
-func (s *FileStore) Path() string { return s.path }

@@ -105,9 +105,6 @@ func NewTimedStore(inner Store, profile device.Profile, clock *Clock) *TimedStor
 // Profile returns the device profile used for timing.
 func (s *TimedStore) Profile() device.Profile { return s.profile }
 
-// Clock returns the virtual clock time is charged to.
-func (s *TimedStore) Clock() *Clock { return s.clock }
-
 // Untimed returns the wrapped store. Reads through it charge nothing
 // until they are passed to ChargeReads.
 func (s *TimedStore) Untimed() Store { return s.inner }
@@ -155,14 +152,8 @@ func (s *TimedStore) WritePage(id PageID, buf []byte) error {
 // Allocate implements Store (untimed; allocation is metadata).
 func (s *TimedStore) Allocate() (PageID, error) { return s.inner.Allocate() }
 
-// FreePages forwards to the inner store's freelist (untimed metadata),
-// implementing PageFreer when the inner store does.
-func (s *TimedStore) FreePages(ids []PageID) error {
-	if f, ok := s.inner.(PageFreer); ok {
-		return f.FreePages(ids)
-	}
-	return nil
-}
+// FreePages implements Store (untimed; freeing is metadata).
+func (s *TimedStore) FreePages(ids []PageID) error { return s.inner.FreePages(ids) }
 
 // NumPages implements Store.
 func (s *TimedStore) NumPages() int64 { return s.inner.NumPages() }

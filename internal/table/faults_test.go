@@ -42,11 +42,11 @@ func faultyTable(t *testing.T, cache bool) (*Table, *storage.FaultStore) {
 func TestReadFaultSurfacesFromGetTuple(t *testing.T) {
 	tbl, fs := faultyTable(t, false)
 	fs.FailReadAfter(1, false)
-	if _, err := tbl.GetTuple(7); !errors.Is(err, storage.ErrInjected) {
+	if _, err := getTuple(tbl, 7); !errors.Is(err, storage.ErrInjected) {
 		t.Errorf("GetTuple under fault: %v, want ErrInjected", err)
 	}
 	// Transient fault: the next access succeeds and data is intact.
-	got, err := tbl.GetTuple(7)
+	got, err := getTuple(tbl, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +61,12 @@ func TestReadFaultSurfacesFromGetTuple(t *testing.T) {
 func TestReadFaultThroughCacheDoesNotPoison(t *testing.T) {
 	tbl, fs := faultyTable(t, true)
 	fs.FailReadAfter(1, false)
-	if _, err := tbl.GetTuple(3); !errors.Is(err, storage.ErrInjected) {
+	if _, err := getTuple(tbl, 3); !errors.Is(err, storage.ErrInjected) {
 		t.Errorf("cached GetTuple under fault: %v", err)
 	}
 	// The failed fault-in must not leave a poisoned cache frame; the
 	// retry faults the page in properly.
-	got, err := tbl.GetTuple(3)
+	got, err := getTuple(tbl, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,9 +78,9 @@ func TestIndexesMatchScan(t *testing.T) {
 		} else if err := tbl.BulkAppend(draw(rng.Intn(30))); err != nil {
 			t.Fatal(err)
 		}
-		rows := make([][]value.Value, tbl.MainRows()+tbl.DeltaRows())
+		rows := make([][]value.Value, tbl.MainRows()+deltaRows(tbl))
 		for id := range rows {
-			if rows[id], err = tbl.GetTuple(RowID(id)); err != nil {
+			if rows[id], err = getTuple(tbl, RowID(id)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -370,7 +370,7 @@ func runEquivalenceTrial(t *testing.T, trial int) {
 	if after := tableContent(t, onl); !contentEqual(after, want) {
 		t.Fatalf("content changed across follow-up merge:\nbefore: %v\nafter:  %v", want, after)
 	}
-	if d := onl.DeltaRows(); d != 0 {
+	if d := deltaRows(onl); d != 0 {
 		t.Fatalf("DeltaRows = %d after quiescent follow-up merge", d)
 	}
 }

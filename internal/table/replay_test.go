@@ -79,9 +79,9 @@ func TestReplayInsertDeleteAcrossMerge(t *testing.T) {
 	found := false
 	v := tbl.Pin()
 	defer v.Release()
-	for id := RowID(0); id < RowID(tbl.MainRows()+tbl.DeltaRows()); id++ {
+	for id := RowID(0); id < RowID(tbl.MainRows()+deltaRows(tbl)); id++ {
 		if v.Visible(id, 6, 0) {
-			tuple, err := tbl.GetTuple(id)
+			tuple, err := getTuple(tbl, id)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,6 @@ import (
 	"tierdb/internal/amm"
 	"tierdb/internal/delta"
 	"tierdb/internal/dict"
-	"tierdb/internal/histogram"
 	"tierdb/internal/metrics"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
@@ -172,13 +171,6 @@ func (t *Table) Layout() []bool {
 // deleted-but-not-merged ones).
 func (t *Table) MainRows() int { return t.peek().main.rows }
 
-// DeltaRows returns the number of physical unmerged rows: the active
-// delta plus, while a merge is in flight, the frozen one.
-func (t *Table) DeltaRows() int {
-	v := t.peek()
-	return v.active.Rows() + v.frozenRows
-}
-
 // ActiveDeltaRows returns the physical row count of the active delta
 // only — the growth since the last freeze, which is what merge
 // scheduling thresholds watch.
@@ -274,13 +266,6 @@ func (t *Table) GetValue(id RowID, col int) (value.Value, error) {
 	return v.GetValue(id, col)
 }
 
-// GetTuple reconstructs a full row (no visibility check).
-func (t *Table) GetTuple(id RowID) ([]value.Value, error) {
-	v := t.Pin()
-	defer v.Release()
-	return v.GetTuple(id)
-}
-
 // CreateIndex builds a DRAM-resident group-key index over the main
 // partition of the given column: its rows grouped by dictionary code,
 // keyed by the column's dictionary — an MRC's own, or one built for an
@@ -346,32 +331,11 @@ func (t *Table) SecondaryBytes() int64 {
 	return 0
 }
 
-// DistinctCount estimates the number of distinct values in a column
-// of the current structure; see View.DistinctCount.
-func (t *Table) DistinctCount(col int) int {
-	v := t.peek()
-	return v.DistinctCount(col)
-}
-
 // Selectivity returns the paper's selectivity estimate 1/n for the
 // column (Section II-B).
 func (t *Table) Selectivity(col int) float64 {
 	v := t.peek()
 	return v.Selectivity(col)
-}
-
-// Histogram returns the column's equi-depth histogram, or nil if the
-// main partition is empty.
-func (t *Table) Histogram(col int) *histogram.Histogram {
-	v := t.peek()
-	return v.Histogram(col)
-}
-
-// RangeSelectivity estimates the fraction of rows with lo <= col <= hi;
-// see View.RangeSelectivity.
-func (t *Table) RangeSelectivity(col int, lo, hi value.Value) float64 {
-	v := t.peek()
-	return v.RangeSelectivity(col, lo, hi)
 }
 
 // ColumnBytes estimates the DRAM footprint column col would occupy as

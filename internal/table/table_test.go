@@ -62,8 +62,8 @@ func TestBulkLoadAndMerge(t *testing.T) {
 	if tbl.MainRows() != 100 {
 		t.Errorf("MainRows = %d", tbl.MainRows())
 	}
-	if tbl.DeltaRows() != 0 {
-		t.Errorf("DeltaRows = %d after merge", tbl.DeltaRows())
+	if deltaRows(tbl) != 0 {
+		t.Errorf("DeltaRows = %d after merge", deltaRows(tbl))
 	}
 	if tbl.VisibleCount() != 100 {
 		t.Errorf("VisibleCount = %d", tbl.VisibleCount())
@@ -74,7 +74,7 @@ func TestBulkLoadAndMerge(t *testing.T) {
 			t.Error("unexpected SSCG under full-DRAM layout")
 		}
 	})
-	got, err := tbl.GetTuple(42)
+	got, err := getTuple(tbl, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestApplyLayoutMovesColumnsToSSCG(t *testing.T) {
 		}
 	})
 	// Data survives the re-tiering.
-	got, err := tbl.GetTuple(42)
+	got, err := getTuple(tbl, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +187,13 @@ func TestInsertDeleteUpdateThroughTransactions(t *testing.T) {
 	if tbl.MainRows() != 10 {
 		t.Errorf("MainRows = %d after merge, want 10", tbl.MainRows())
 	}
-	if tbl.DeltaRows() != 0 {
-		t.Errorf("DeltaRows = %d after merge", tbl.DeltaRows())
+	if deltaRows(tbl) != 0 {
+		t.Errorf("DeltaRows = %d after merge", deltaRows(tbl))
 	}
 	// The updated tuple survived with new values.
 	found := false
 	for r := 0; r < tbl.MainRows(); r++ {
-		tuple, err := tbl.GetTuple(uint64(r))
+		tuple, err := getTuple(tbl, uint64(r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestIndexOverSSCGColumn(t *testing.T) {
 
 func TestDistinctCountAndSelectivity(t *testing.T) {
 	tbl := loadedTable(t, 100)
-	if got := tbl.DistinctCount(1); got != 10 {
+	if got := distinctCount(tbl, 1); got != 10 {
 		t.Errorf("DistinctCount(qty) = %d, want 10", got)
 	}
 	if got := tbl.Selectivity(1); got != 0.1 {
@@ -291,10 +291,10 @@ func TestDistinctCountAndSelectivity(t *testing.T) {
 	if err := tbl.ApplyLayout([]bool{true, false, false}); err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.DistinctCount(1); got != 10 {
+	if got := distinctCount(tbl, 1); got != 10 {
 		t.Errorf("DistinctCount(qty) after eviction = %d, want 10", got)
 	}
-	if got := tbl.DistinctCount(99); got != 0 {
+	if got := distinctCount(tbl, 99); got != 0 {
 		t.Errorf("DistinctCount(out of range) = %d", got)
 	}
 }
@@ -316,7 +316,7 @@ func TestGetValueErrors(t *testing.T) {
 	if _, err := tbl.GetValue(0, 99); err == nil {
 		t.Error("out-of-range column accepted")
 	}
-	if _, err := tbl.GetTuple(99); err == nil {
+	if _, err := getTuple(tbl, 99); err == nil {
 		t.Error("out-of-range tuple accepted")
 	}
 }
@@ -342,11 +342,34 @@ func TestTableWithCacheAndTimedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := tbl.GetTuple(uint64(i % 5)); err != nil {
+		if _, err := getTuple(tbl, uint64(i%5)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if cache.Stats().Hits == 0 {
 		t.Error("repeated tuple reconstructions never hit the cache")
 	}
+}
+
+// getTuple reconstructs a full row through a pinned view, as the
+// executor and the checkpoint do (no visibility check).
+func getTuple(tbl *Table, id RowID) ([]value.Value, error) {
+	v := tbl.Pin()
+	defer v.Release()
+	return v.GetTuple(id)
+}
+
+// deltaRows returns a pinned view's physical unmerged rows: the active
+// delta plus, while a merge is in flight, the frozen one.
+func deltaRows(tbl *Table) int {
+	v := tbl.Pin()
+	defer v.Release()
+	return v.ActiveRows() + v.FrozenRows()
+}
+
+// distinctCount is a pinned view's distinct-value estimate of col.
+func distinctCount(tbl *Table, col int) int {
+	v := tbl.Pin()
+	defer v.Release()
+	return v.DistinctCount(col)
 }

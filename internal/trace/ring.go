@@ -22,12 +22,6 @@ func (r *Ring) spans() *ring.Ring[Span] { return (*ring.Ring[Span])(r) }
 // the ring is full. No-op on a nil ring or span.
 func (r *Ring) Add(s *Span) { r.spans().Add(s) }
 
-// Cap returns the ring's capacity (0 on nil).
-func (r *Ring) Cap() int { return r.spans().Cap() }
-
-// Added returns the total number of spans ever published (0 on nil).
-func (r *Ring) Added() uint64 { return r.spans().Added() }
-
 // Snapshot returns the ring's current spans, newest first.
 func (r *Ring) Snapshot() []*Span { return r.spans().Snapshot() }
 

@@ -75,7 +75,7 @@ func TestRingWraparoundConcurrent(t *testing.T) {
 	close(done)
 	readers.Wait()
 
-	if got := r.Added(); got != writers*perW {
+	if got := r.spans().Added(); got != writers*perW {
 		t.Fatalf("Added = %d, want %d", got, writers*perW)
 	}
 	// A slow writer can be the last to store into a slot even though a
@@ -91,7 +91,7 @@ func TestRingWraparoundConcurrent(t *testing.T) {
 	if len(final) != capacity {
 		t.Fatalf("final snapshot has %d spans, want %d", len(final), capacity)
 	}
-	added := r.Added()
+	added := r.spans().Added()
 	for i, s := range final {
 		if want := added - 1 - uint64(i); s.Seq != want {
 			t.Fatalf("final[%d].Seq = %d, want %d", i, s.Seq, want)

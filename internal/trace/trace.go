@@ -142,14 +142,15 @@ type Options struct {
 	// (StartRemote) are always recorded — the sampling decision was
 	// made upstream.
 	SampleRate float64
-	// RingSize bounds the span ring (default 4096 spans).
-	RingSize int
-	// Seed overrides the RNG seed (0 = derive from the clock); tests
-	// use it for deterministic IDs.
-	Seed uint64
+
+	// ringSize overrides DefaultRingSize and seed the clock-derived RNG
+	// seed; the package's tests set them for small rings and
+	// deterministic IDs.
+	ringSize int
+	seed     uint64
 }
 
-// DefaultRingSize is the span ring capacity when Options.RingSize is 0.
+// DefaultRingSize is the span ring capacity.
 const DefaultRingSize = 4096
 
 // New builds a Tracer. Rate is clamped to [0,1].
@@ -161,12 +162,12 @@ func New(opts Options) *Tracer {
 	if rate > 1 {
 		rate = 1
 	}
-	size := opts.RingSize
+	size := opts.ringSize
 	if size <= 0 {
 		size = DefaultRingSize
 	}
 	t := &Tracer{ring: NewRing(size), rate: rate}
-	seed := opts.Seed
+	seed := opts.seed
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano()) ^ 0x9e3779b97f4a7c15
 	}
@@ -202,14 +203,6 @@ func (t *Tracer) sample() bool {
 	}
 	// 53 bits of the draw give a uniform float in [0,1).
 	return float64(t.next()>>11)/(1<<53) < t.rate
-}
-
-// SampleRate returns the configured root sampling rate (0 on nil).
-func (t *Tracer) SampleRate() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.rate
 }
 
 // Ring returns the tracer's span ring (nil on a nil tracer).

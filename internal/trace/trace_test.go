@@ -32,7 +32,7 @@ func TestIDRendering(t *testing.T) {
 }
 
 func TestSpanLifecycle(t *testing.T) {
-	tr := New(Options{SampleRate: 1, RingSize: 64, Seed: 7})
+	tr := New(Options{SampleRate: 1, ringSize: 64, seed: 7})
 	root := tr.Start("client.send", String("op", "select"))
 	if root == nil {
 		t.Fatal("sampled Start returned nil")
@@ -85,8 +85,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil ring returned spans")
 	}
 	tr.SetOnEnd(func(*Span) {})
-	if tr.SampleRate() != 0 {
-		t.Fatal("nil tracer has a sample rate")
+	if tr.Start("s") != nil {
+		t.Fatal("nil tracer sampled a root")
 	}
 	if FromContext(NewContext(context.Background(), nil)) != nil {
 		t.Fatal("nil span stored in context")
@@ -94,9 +94,9 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestSamplingRates(t *testing.T) {
-	never := New(Options{SampleRate: 0, Seed: 1})
-	always := New(Options{SampleRate: 1, Seed: 1})
-	half := New(Options{SampleRate: 0.5, Seed: 1})
+	never := New(Options{SampleRate: 0, seed: 1})
+	always := New(Options{SampleRate: 1, seed: 1})
+	half := New(Options{SampleRate: 0.5, seed: 1})
 	const n = 2000
 	sampled := 0
 	for i := 0; i < n; i++ {
@@ -117,17 +117,17 @@ func TestSamplingRates(t *testing.T) {
 		t.Fatalf("rate 0.5 sampled %d of %d", sampled, n)
 	}
 	// Out-of-range rates clamp rather than misbehave.
-	if New(Options{SampleRate: 7, Seed: 1}).Start("x") == nil {
+	if New(Options{SampleRate: 7, seed: 1}).Start("x") == nil {
 		t.Fatal("rate > 1 did not clamp to always")
 	}
-	if New(Options{SampleRate: -1, Seed: 1}).Start("x") != nil {
+	if New(Options{SampleRate: -1, seed: 1}).Start("x") != nil {
 		t.Fatal("rate < 0 did not clamp to never")
 	}
 }
 
 func TestStartRemoteContinuesTrace(t *testing.T) {
 	// Rate 0: propagated traces must still record (upstream sampled).
-	tr := New(Options{SampleRate: 0, RingSize: 8, Seed: 3})
+	tr := New(Options{SampleRate: 0, ringSize: 8, seed: 3})
 	s := tr.StartRemote(TraceID(42), SpanID(7), "server.request")
 	if s == nil {
 		t.Fatal("StartRemote dropped a propagated trace")
@@ -145,7 +145,7 @@ func TestStartRemoteContinuesTrace(t *testing.T) {
 }
 
 func TestContextPropagation(t *testing.T) {
-	tr := New(Options{SampleRate: 1, Seed: 9})
+	tr := New(Options{SampleRate: 1, seed: 9})
 	s := tr.Start("root")
 	ctx := NewContext(context.Background(), s)
 	if FromContext(ctx) != s {
@@ -160,7 +160,7 @@ func TestContextPropagation(t *testing.T) {
 }
 
 func TestRingOverwriteAndSeq(t *testing.T) {
-	tr := New(Options{SampleRate: 1, RingSize: 4, Seed: 5})
+	tr := New(Options{SampleRate: 1, ringSize: 4, seed: 5})
 	var last *Span
 	for i := 0; i < 10; i++ {
 		s := tr.Start("s")
@@ -174,8 +174,8 @@ func TestRingOverwriteAndSeq(t *testing.T) {
 	if snap[0] != last {
 		t.Fatal("newest span not first")
 	}
-	if tr.Ring().Added() != 10 {
-		t.Fatalf("Added = %d", tr.Ring().Added())
+	if tr.Ring().spans().Added() != 10 {
+		t.Fatalf("Added = %d", tr.Ring().spans().Added())
 	}
 	if snap[0].Seq != 9 {
 		t.Fatalf("seq = %d", snap[0].Seq)
@@ -185,7 +185,7 @@ func TestRingOverwriteAndSeq(t *testing.T) {
 // TestRingConcurrent hammers the ring from many goroutines; run under
 // -race this proves the lock-free publish path.
 func TestRingConcurrent(t *testing.T) {
-	tr := New(Options{SampleRate: 1, RingSize: 64, Seed: 11})
+	tr := New(Options{SampleRate: 1, ringSize: 64, seed: 11})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 8; g++ {
@@ -218,13 +218,13 @@ func TestRingConcurrent(t *testing.T) {
 	wg.Add(1) // before the reader can see stop and call Done
 	close(stop)
 	wg.Wait()
-	if tr.Ring().Added() != 8*500*2 {
-		t.Fatalf("Added = %d", tr.Ring().Added())
+	if tr.Ring().spans().Added() != 8*500*2 {
+		t.Fatalf("Added = %d", tr.Ring().spans().Added())
 	}
 }
 
 func TestOnEndHook(t *testing.T) {
-	tr := New(Options{SampleRate: 1, Seed: 13})
+	tr := New(Options{SampleRate: 1, seed: 13})
 	var mu sync.Mutex
 	var seen []string
 	tr.SetOnEnd(func(s *Span) {
@@ -243,7 +243,7 @@ func TestOnEndHook(t *testing.T) {
 }
 
 func TestBuildTreeAndSlowestPath(t *testing.T) {
-	tr := New(Options{SampleRate: 1, RingSize: 64, Seed: 17})
+	tr := New(Options{SampleRate: 1, ringSize: 64, seed: 17})
 	root := tr.Start("client.send")
 	srv := root.Child("server.request")
 	// Two completed children with explicit durations: exec slower.
@@ -344,7 +344,7 @@ func TestAttrJSON(t *testing.T) {
 }
 
 func TestSpanJSONIDsAreHex(t *testing.T) {
-	tr := New(Options{SampleRate: 1, Seed: 19})
+	tr := New(Options{SampleRate: 1, seed: 19})
 	s := tr.Start("x")
 	s.End()
 	data, err := json.Marshal(s)
@@ -361,7 +361,7 @@ func TestSpanJSONIDsAreHex(t *testing.T) {
 // surface — root sampling, context plumbing, every span method —
 // performs zero allocations.
 func TestUnsampledPathAllocatesNothing(t *testing.T) {
-	tr := New(Options{SampleRate: 0, Seed: 23})
+	tr := New(Options{SampleRate: 0, seed: 23})
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
 		s := tr.Start("q")
@@ -379,7 +379,7 @@ func TestUnsampledPathAllocatesNothing(t *testing.T) {
 }
 
 func TestDurations(t *testing.T) {
-	tr := New(Options{SampleRate: 1, Seed: 29})
+	tr := New(Options{SampleRate: 1, seed: 29})
 	s := tr.Start("x")
 	if s.Duration() != 0 {
 		t.Fatal("unfinished span has duration")

@@ -143,9 +143,6 @@ func (pc *PlanCache) Plans() []Plan {
 	return pc.collect(lifetime)
 }
 
-// Len returns the number of distinct plans.
-func (pc *PlanCache) Len() int { return len(pc.Plans()) }
-
 // Reset clears the lifetime counts (e.g. when an application keeps its
 // own moving window over the plan cache). The open window and the
 // closed-window history are untouched.

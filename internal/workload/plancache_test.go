@@ -14,8 +14,8 @@ func TestRecordDeduplicatesPlans(t *testing.T) {
 	pc.Record([]int{2, 0})
 	pc.Record([]int{0, 2}) // same plan, different order
 	pc.Record([]int{1})
-	if pc.Len() != 2 {
-		t.Errorf("Len = %d, want 2", pc.Len())
+	if n := len(pc.Plans()); n != 2 {
+		t.Errorf("%d plans, want 2", n)
 	}
 	plans := pc.Plans()
 	if plans[0].Count != 2 || len(plans[0].Columns) != 2 {
@@ -42,7 +42,7 @@ func TestReset(t *testing.T) {
 	pc := NewPlanCache()
 	pc.Record([]int{0})
 	pc.Reset()
-	if pc.Len() != 0 {
+	if len(pc.Plans()) != 0 {
 		t.Error("Reset did not clear")
 	}
 }

@@ -101,6 +101,45 @@ func TestSelectAllocations(t *testing.T) {
 	}
 }
 
+// TestParallelSelectAllocs: a Select whose scan hands morsels to two
+// workers allocates no more than the same Select on one worker — the
+// trace keeps each worker's morsel count inside the one traced object.
+// The race detector's sync.Pool drops one Put in four, which costs the
+// larger worker set more, so the comparison is made only without it.
+func TestParallelSelectAllocs(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, par := range []int{1, 2} {
+		db, err := Open(Config{Device: "3D XPoint", Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		tbl, err := db.CreateTable("scan", []Field{{Name: "id", Type: Int64Type}, {Name: "a", Type: Int64Type}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]Value, 1<<16) // four morsels
+		for i := range rows {
+			rows[i] = []Value{Int(int64(i)), Int(int64(i % 97))}
+		}
+		if err := tbl.BulkLoad(rows); err != nil {
+			t.Fatal(err)
+		}
+		p := mustEq(t, tbl, "a", 7)
+		run := func() {
+			if res, err := tbl.Select(nil, []Predicate{p}); err != nil || len(res.IDs) != 676 {
+				t.Fatalf("Parallelism %d: %v, %v", par, res, err)
+			}
+		}
+		run() // first execution creates the plan entry
+		allocs[par] = testing.AllocsPerRun(100, run)
+		t.Logf("Parallelism %d: %.1f allocs per Select", par, allocs[par])
+	}
+	if !raceEnabled && allocs[2] > allocs[1] {
+		t.Errorf("Parallelism 2 allocates %.1f per Select, Parallelism 1 %.1f", allocs[2], allocs[1])
+	}
+}
+
 // TestSelectAllocsFlatInRows: a projected Select's allocations do not
 // grow with the rows it returns — the executor decodes into one arena per
 // result and a chunk's SSCG strings into one string, and the client reads
@@ -202,14 +241,11 @@ func schedulerLoops(t *testing.T) int {
 // entry points report ErrClosed afterwards.
 func TestOneBackgroundGoroutine(t *testing.T) {
 	before := schedulerLoops(t) // databases earlier tests left open
-	db, err := Open(Config{
-		Device:           "CSSD",
-		MergeDeltaRows:   100,
-		AdaptiveInterval: time.Second,
-	})
+	db, err := Open(Config{Device: "CSSD", MergeDeltaRows: 100, adaptiveInterval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.SetAdaptive(true)
 	tbl, err := db.CreateTable("bg", testFields())
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +407,7 @@ func TestGlobalLayoutOneExtraction(t *testing.T) {
 		}
 	}()
 	for done := false; !done; {
-		done = tbl.PlanCache().Len() == columns
+		done = len(tbl.PlanCache().Plans()) == columns
 		g, err := db.RecommendGlobalLayout(PlacementOptions{RelativeBudget: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -390,3 +426,6 @@ func TestGlobalLayoutOneExtraction(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool

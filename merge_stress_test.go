@@ -59,7 +59,7 @@ func TestMergeSchedulerConcurrentStress(t *testing.T) {
 		initial   = 500
 		rounds    = 8
 	)
-	db, err := Open(Config{Device: "CSSD", CacheFrames: 256, MergeDeltaRows: 150, MergeInterval: 1})
+	db, err := Open(Config{Device: "CSSD", CacheFrames: 256, MergeDeltaRows: 150, mergeInterval: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +182,8 @@ func TestMergeSchedulerConcurrentStress(t *testing.T) {
 		t.Errorf("Rows = %d, want %d (%d initial + %d inserted - %d deleted)",
 			got, want, initial, writers*perWriter, deletes)
 	}
-	if got := tbl.Inner().DeltaRows(); got != 0 {
-		t.Errorf("DeltaRows after final merge = %d, want 0", got)
+	if got := tbl.Inner().ActiveDeltaRows(); got != 0 {
+		t.Errorf("delta rows after final merge = %d, want 0", got)
 	}
 	if tbl.Merging() {
 		t.Error("Merging() true after final merge")
@@ -299,7 +299,7 @@ func TestBulkLoadRacesScheduledMerge(t *testing.T) {
 	if got := tbl.Rows(); got != int(next) {
 		t.Errorf("%d rows after the final merge, want %d", got, next)
 	}
-	if d := tbl.Inner().DeltaRows(); d != 0 {
+	if d := tbl.Inner().ActiveDeltaRows(); d != 0 {
 		t.Errorf("%d rows left in the delta after the final merge", d)
 	}
 }

@@ -18,7 +18,7 @@ var ErrClosed = errors.New("tierdb: database closed")
 var ErrMergeInProgress = table.ErrMergeInProgress
 
 // DefaultMergeInterval is the scheduler's threshold-sweep cadence when
-// thresholds are configured but no interval is given.
+// a merge threshold is configured.
 const DefaultMergeInterval = 100 * time.Millisecond
 
 // scheduler is the database's one background goroutine, and the only
@@ -52,7 +52,7 @@ type scheduler struct {
 func startScheduler(db *DB, cfg Config) *scheduler {
 	s := &scheduler{
 		db:       db,
-		interval: cfg.MergeInterval,
+		interval: cfg.mergeInterval,
 		rows:     cfg.MergeDeltaRows,
 		bytes:    cfg.MergeDeltaBytes,
 		adapt:    newAdaptiveScheduler(db, cfg),

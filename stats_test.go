@@ -77,7 +77,7 @@ func TestSelectExplainedSummary(t *testing.T) {
 		t.Error("plan has no modeled DRAM cost")
 	}
 	// Explained queries feed the plan cache like Select.
-	if tbl.PlanCache().Len() == 0 {
+	if len(tbl.PlanCache().Plans()) == 0 {
 		t.Error("explained query not recorded in plan cache")
 	}
 }

@@ -103,17 +103,14 @@ type Config struct {
 	// instead of memory (the timing model still applies).
 	PageFile string
 	// MergeDeltaRows triggers a background online merge of a table once
-	// its active delta holds at least this many rows; 0 disables the
-	// row threshold. Manual Table.MergeAsync works regardless.
+	// its active delta holds at least this many rows; the scheduler
+	// checks every DefaultMergeInterval. 0 disables the row threshold.
+	// Manual Table.MergeAsync works regardless.
 	MergeDeltaRows int
 	// MergeDeltaBytes triggers a background online merge once a table's
 	// delta footprint reaches this many bytes; 0 disables the byte
 	// threshold.
 	MergeDeltaBytes int64
-	// MergeInterval is how often the scheduler checks the
-	// thresholds; 0 selects DefaultMergeInterval. Irrelevant when both
-	// thresholds are 0.
-	MergeInterval time.Duration
 	// ObsAddr, when set, serves the observability HTTP endpoints
 	// (/metrics, /stats.json, /traces, /workload, /layout/advisor,
 	// /debug/pprof/) on this address for the lifetime of the instance.
@@ -157,15 +154,8 @@ type Config struct {
 	// requests before force-closing their sessions; 0 selects
 	// server.DefaultDrainTimeout. Ignored without ListenAddr.
 	DrainTimeout time.Duration
-	// AdaptiveInterval, when > 0, turns on self-driving placement: the
-	// adaptive scheduler rotates each table's workload window every
-	// interval, re-solves the explicit column selection model with
-	// reallocation costs (y = current layout) and applies the result
-	// online, gated by hysteresis guardrails. 0 leaves periodic
-	// adaptation off; DB.AdaptOnce, DB.SetAdaptive and the wire
-	// protocol's adaptive opcode work regardless.
-	AdaptiveInterval time.Duration
-	// AdaptiveAlpha, when > 0, makes the daemon solve the penalty form
+	// AdaptiveAlpha, when > 0, makes the adaptive scheduler (see
+	// DB.SetAdaptive) solve the penalty form
 	// F(x) + alpha*M(x) (alpha = DRAM price per byte-second) instead of
 	// re-solving within each table's current modeled footprint — the
 	// placement breathes with the workload.
@@ -174,26 +164,12 @@ type Config struct {
 	// formulation (6)-(7)); higher values make placements stickier. 0
 	// re-solves from scratch each cycle.
 	AdaptiveBeta float64
-	// AdaptiveMinGain is the minimum relative modeled-cost improvement
-	// a re-solve must promise before its layout is applied; 0 selects
-	// DefaultAdaptiveMinGain.
-	AdaptiveMinGain float64
-	// AdaptiveMaxMove caps the fraction of a table's bytes one cycle
-	// may relocate; 0 selects DefaultAdaptiveMaxMove.
-	AdaptiveMaxMove float64
-	// AdaptiveCooldown is how many cycles a table sits out after a
-	// flip-back apply; 0 selects DefaultAdaptiveCooldown.
-	AdaptiveCooldown int
-	// Logger receives the engine's structured log records: listener
-	// failures, scheduler errors, adaptive placement decisions, and —
-	// with RequestLog — one event per network request. Nil builds a
-	// default logger from LogLevel/LogFormat writing to stderr.
-	Logger *slog.Logger
-	// LogLevel is the default logger's minimum level: "debug", "info",
-	// "warn" or "error" (empty = info). Ignored when Logger is set.
+	// LogLevel is the minimum level of the engine's structured log on
+	// stderr (listener failures, scheduler errors, adaptive placement
+	// decisions and, with RequestLog, one event per network request):
+	// "debug", "info", "warn" or "error" (empty = info).
 	LogLevel string
-	// LogFormat selects the default logger's encoding: "text" (default)
-	// or "json". Ignored when Logger is set.
+	// LogFormat selects the log's encoding: "text" (default) or "json".
 	LogFormat string
 	// RequestLog, when true, emits one structured wide event per
 	// network request (trace ID, opcode, table, rows, queue wait,
@@ -213,6 +189,10 @@ type Config struct {
 	// crash tests set an hour so no background sync makes a crash state
 	// nondeterministic. 0 selects wal.DefaultGroupInterval.
 	groupInterval time.Duration
+	// mergeInterval and adaptiveInterval override the scheduler's
+	// threshold sweep and adaptive tick cadences; tests set milliseconds.
+	// 0 selects DefaultMergeInterval and DefaultAdaptiveInterval.
+	mergeInterval, adaptiveInterval time.Duration
 }
 
 // MaxParallelism bounds Config.Parallelism: every query scratch holds
@@ -309,10 +289,7 @@ func Open(cfg Config) (*DB, error) {
 		slowThresh: cfg.SlowQueryThreshold,
 		start:      time.Now(),
 	}
-	db.log = cfg.Logger
-	if db.log == nil {
-		db.log = newLogger(cfg.LogLevel, cfg.LogFormat, os.Stderr)
-	}
+	db.log = newLogger(cfg.LogLevel, cfg.LogFormat, os.Stderr)
 	db.tracer = trace.New(trace.Options{
 		SampleRate: cfg.TraceSampleRate,
 	})
