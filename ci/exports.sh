@@ -1,263 +1,9 @@
 #!/usr/bin/env bash
-# Export ledger: every exported top-level function and method declared
-# in a non-test Go file of a library package (bench/ and the main
-# packages under cmd/ and examples/ declare none that count) that no
-# non-test Go file of the module uses, bench/, cmd/ and examples/
-# included. Uses are resolved with go/types, so a method is matched by
-# its receiver, not by its name, and a function's calls from its own
-# body do not count. A method that satisfies a named interface declared
-# in the module or in a package it imports (storage.Store, wal.FS,
-# slog.Handler, json.Marshaler, fmt.Stringer, ...) is skipped: a call
-# through the interface does not name it. Such a listed name has no
-# shipped caller: it is either a public entry point kept on purpose or
-# a candidate for deletion. Report only; CI prints it and nothing gates
-# on it. It uses the standard library alone (go/parser, go/types and
-# the compiler's export data for the standard library's packages) and
-# downloads nothing.
+# Export ledger: the exported functions and methods no non-test file of
+# the module uses, resolved with go/types (ci/exports/main.go says how).
+# Report only; CI prints it and nothing gates on it.
 #
 #   ci/exports.sh    "<file>: <Type.>Name" per line, then the count
 set -euo pipefail
 cd "$(dirname "$0")/.."
-root=$(pwd)
-
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-cat > "$tmp/go.mod" <<'EOF'
-module exportscan
-
-go 1.22
-EOF
-cat > "$tmp/main.go" <<'EOF'
-package main
-
-import (
-	"bufio"
-	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-)
-
-type pkg struct {
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
-}
-
-type loader struct {
-	root, module string
-	fset         *token.FileSet
-	std          types.Importer
-	pkgs         map[string]*pkg // by import path
-	order        []*pkg          // in the order they were type-checked
-}
-
-func (l *loader) Import(path string) (*types.Package, error) {
-	if path != l.module && !strings.HasPrefix(path, l.module+"/") {
-		return l.std.Import(path)
-	}
-	p, err := l.load(path)
-	if err != nil {
-		return nil, err
-	}
-	return p.types, nil
-}
-
-// load parses and type-checks the non-test files of one module package.
-func (l *loader) load(path string) (*pkg, error) {
-	if p, ok := l.pkgs[path]; ok {
-		if p.types == nil {
-			return nil, fmt.Errorf("import cycle through %s", path)
-		}
-		return p, nil
-	}
-	dir := filepath.Join(l.root, strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/"))
-	p := &pkg{}
-	l.pkgs[path] = p
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		p.files = append(p.files, f)
-	}
-	p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-	conf := types.Config{Importer: l}
-	if p.types, err = conf.Check(path, l.fset, p.files, p.info); err != nil {
-		return nil, err
-	}
-	l.order = append(l.order, p)
-	return p, nil
-}
-
-func main() {
-	root := os.Args[1]
-	mod, err := os.Open(filepath.Join(root, "go.mod"))
-	check(err)
-	sc := bufio.NewScanner(mod)
-	module := ""
-	for sc.Scan() {
-		if f := strings.Fields(sc.Text()); len(f) == 2 && f[0] == "module" {
-			module = f[1]
-		}
-	}
-	mod.Close()
-	fset := token.NewFileSet()
-	l := &loader{root: root, module: module, fset: fset, std: importer.Default(), pkgs: map[string]*pkg{}}
-	check(filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		files, _ := filepath.Glob(filepath.Join(path, "*.go"))
-		test, _ := filepath.Glob(filepath.Join(path, "*_test.go"))
-		if len(files) == len(test) {
-			return nil // no package, or tests alone
-		}
-		rel, _ := filepath.Rel(root, path)
-		ip := module
-		if rel != "." {
-			ip += "/" + filepath.ToSlash(rel)
-		}
-		_, err = l.load(ip)
-		return err
-	}))
-
-	// Every use, outside the body of the function it names.
-	type span struct{ lo, hi token.Pos }
-	bodies := map[*types.Func]span{}
-	for _, p := range l.order {
-		for _, f := range p.files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					if fn, ok := p.info.Defs[fd.Name].(*types.Func); ok {
-						bodies[fn] = span{fd.Pos(), fd.End()}
-					}
-				}
-			}
-		}
-	}
-	used := map[*types.Func]bool{}
-	for _, p := range l.order {
-		for id, obj := range p.info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				continue
-			}
-			fn = fn.Origin()
-			if b, ok := bodies[fn]; ok && id.Pos() >= b.lo && id.Pos() < b.hi {
-				continue
-			}
-			used[fn] = true
-		}
-	}
-
-	// Every named interface reachable from the module's packages.
-	var ifaces []*types.Interface
-	seen := map[*types.Package]bool{}
-	var visit func(*types.Package)
-	visit = func(tp *types.Package) {
-		if seen[tp] {
-			return
-		}
-		seen[tp] = true
-		for _, name := range tp.Scope().Names() {
-			tn, ok := tp.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() {
-				continue
-			}
-			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams() == nil {
-				if it, ok := n.Underlying().(*types.Interface); ok && it.IsMethodSet() && it.NumMethods() > 0 {
-					ifaces = append(ifaces, it)
-				}
-			}
-		}
-		for _, imp := range tp.Imports() {
-			visit(imp)
-		}
-	}
-	for _, p := range l.order {
-		visit(p.types)
-	}
-	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
-	satisfies := func(fn *types.Func) bool {
-		recv := fn.Type().(*types.Signature).Recv().Type()
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		for _, it := range ifaces {
-			for i := 0; i < it.NumMethods(); i++ {
-				if it.Method(i).Name() == fn.Name() && (types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-
-	var out []string
-	for _, p := range l.order {
-		if p.types.Name() == "main" {
-			continue
-		}
-		for _, f := range p.files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				fn := p.info.Defs[fd.Name].(*types.Func)
-				if used[fn] {
-					continue
-				}
-				name := fn.Name()
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-					if satisfies(fn) {
-						continue
-					}
-					t := recv.Type()
-					if ptr, ok := t.(*types.Pointer); ok {
-						t = ptr.Elem()
-					}
-					name = t.(*types.Named).Obj().Name() + "." + name
-				}
-				file, _ := filepath.Rel(l.root, fset.Position(fd.Pos()).Filename)
-				out = append(out, filepath.ToSlash(file)+": "+name)
-			}
-		}
-	}
-	sort.Strings(out)
-	for _, s := range out {
-		fmt.Println(s)
-	}
-	fmt.Printf("%d exported functions and methods no non-test file uses\n", len(out))
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "exports:", err)
-		os.Exit(1)
-	}
-}
-EOF
-(cd "$tmp" && GOWORK=off GOFLAGS= go run . "$root")
+exec go run ./ci/exports

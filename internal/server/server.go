@@ -93,22 +93,22 @@ type Config struct {
 	// request on Logger: trace ID, opcode, table, rows, queue wait,
 	// duration and status — the greppable join key to /trace/{id}.
 	RequestLog bool
+
+	// readTimeout overrides DefaultReadTimeout; the package's tests use
+	// a short one to see an idle session closed.
+	readTimeout time.Duration
 }
 
 // Defaults for Config's zero values.
 const (
 	DefaultMaxSessions  = 256
 	DefaultMaxInflight  = 64
+	DefaultReadTimeout  = 5 * time.Minute // a session's wait for its next request frame
 	DefaultDrainTimeout = 10 * time.Second
 )
 
-// DefaultReadTimeout bounds how long a session waits for the next
-// request frame (the idle timeout), and DefaultWriteTimeout bounds
-// writing one response.
-const (
-	DefaultReadTimeout  = 5 * time.Minute
-	DefaultWriteTimeout = 30 * time.Second
-)
+// DefaultWriteTimeout bounds writing one response.
+const DefaultWriteTimeout = 30 * time.Second
 
 // Server serves the tierdb wire protocol on listeners passed to Serve.
 type Server struct {
@@ -141,6 +141,9 @@ func New(engine Engine, cfg Config) *Server {
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = DefaultMaxInflight
+	}
+	if cfg.readTimeout <= 0 {
+		cfg.readTimeout = DefaultReadTimeout
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
@@ -270,7 +273,7 @@ func (s *Server) session(conn net.Conn) {
 			// already sitting in the buffer still decode.
 			conn.SetReadDeadline(time.Now())
 		} else {
-			conn.SetReadDeadline(time.Now().Add(DefaultReadTimeout))
+			conn.SetReadDeadline(time.Now().Add(s.cfg.readTimeout))
 		}
 		payload, err := st.Read()
 		if err != nil {

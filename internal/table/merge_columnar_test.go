@@ -9,6 +9,7 @@ import (
 
 	"tierdb/internal/amm"
 	"tierdb/internal/dict"
+	"tierdb/internal/keyenc"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
 	"tierdb/internal/sscg"
@@ -229,10 +230,10 @@ func requireSameMain(t *testing.T, got, want *main) {
 		t.Fatalf("%d+%d indexes, want %d+%d", len(got.indexes), len(got.composites), len(want.indexes), len(want.composites))
 	}
 	for col, w := range want.indexes {
-		requireSameIndex(t, fmt.Sprintf("index on %d", col), got.indexes[col], w)
+		requireSameIndex(t, fmt.Sprintf("index on %d", col), want, []int{col}, got.indexes[col], w)
 	}
 	for name, w := range want.composites {
-		requireSameIndex(t, "composite "+name, got.composites[name].index, w.index)
+		requireSameIndex(t, "composite "+name, want, w.cols, got.composites[name].index, w.index)
 	}
 }
 
@@ -255,22 +256,64 @@ func groupBytes(t *testing.T, g *sscg.Group, n int) []byte {
 	return out
 }
 
-func requireSameIndex(t *testing.T, what string, got, want *dict.Index) {
+// requireSameIndex compares two indexes over cols of the main m through
+// their lookups: for every key of m's rows, got's Eq and one-key Between
+// return want's positions, and a Between over all keys returns want's.
+func requireSameIndex(t *testing.T, what string, m *main, cols []int, got, want *dict.Index) {
 	t.Helper()
-	if g, w := indexState(got), indexState(want); g != w {
-		t.Fatalf("%s: %s, want %s", what, g, w)
+	if got == nil {
+		t.Fatalf("%s: missing", what)
+	}
+	keys := indexKeys(t, m, cols)
+	for c := range keys.Size() {
+		k := keys.At(c)
+		w := want.Eq(k)
+		if g := got.Eq(k); !slices.Equal(g, w) {
+			t.Fatalf("%s: Eq(%v) = %v, want %v", what, k, g, w)
+		}
+		if g := got.Between(k, k); !slices.Equal(g, w) {
+			t.Fatalf("%s: Between(%v, %v) = %v, want %v", what, k, k, g, w)
+		}
+	}
+	if n := keys.Size(); n > 0 {
+		lo, hi := keys.At(0), keys.At(n-1)
+		if g, w := got.Between(lo, hi), want.Between(lo, hi); !slices.Equal(g, w) {
+			t.Fatalf("%s: Between(%v, %v) = %v, want %v", what, lo, hi, g, w)
+		}
 	}
 }
 
-// indexState renders an index's dictionary, per-code offsets and
-// positions, so two indexes compare by content: an empty dictionary may
-// hold a nil or an empty slice.
-func indexState(idx *dict.Index) string {
-	if idx == nil {
-		return "<nil>"
+// indexKeys returns the distinct keys of m's rows for an index over
+// cols, in order: one column's values, or the encodings of the tuples.
+func indexKeys(t *testing.T, m *main, cols []int) *dict.Dictionary {
+	t.Helper()
+	typ := m.schema.Field(cols[0]).Type
+	if len(cols) > 1 {
+		typ = value.String
 	}
-	v := reflect.ValueOf(idx).Elem()
-	return fmt.Sprint(v.FieldByName("dict").Elem(), v.FieldByName("offsets"), v.FieldByName("positions"))
+	vals, key := make([]value.Value, m.rows), make([]value.Value, len(cols))
+	for row := range vals {
+		for i, c := range cols {
+			v, err := m.value(row, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key[i] = v
+		}
+		vals[row] = key[0]
+		if len(cols) > 1 {
+			k, err := keyenc.EncodeString(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals[row] = value.NewString(k)
+		}
+	}
+	d, _, err := dict.Build(typ, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // TestMergeAllocsIndependentOfRows pins what one merge allocates to

@@ -182,9 +182,11 @@ func TestMergeSchedulerConcurrentStress(t *testing.T) {
 		t.Errorf("Rows = %d, want %d (%d initial + %d inserted - %d deleted)",
 			got, want, initial, writers*perWriter, deletes)
 	}
-	if got := tbl.Inner().ActiveDeltaRows(); got != 0 {
-		t.Errorf("delta rows after final merge = %d, want 0", got)
+	v := tbl.Inner().Pin()
+	if d := v.ActiveRows() + v.FrozenRows(); d != 0 {
+		t.Errorf("delta rows after final merge = %d, want 0", d)
 	}
+	v.Release()
 	if tbl.Merging() {
 		t.Error("Merging() true after final merge")
 	}
@@ -299,7 +301,9 @@ func TestBulkLoadRacesScheduledMerge(t *testing.T) {
 	if got := tbl.Rows(); got != int(next) {
 		t.Errorf("%d rows after the final merge, want %d", got, next)
 	}
-	if d := tbl.Inner().ActiveDeltaRows(); d != 0 {
+	v := tbl.Inner().Pin()
+	if d := v.ActiveRows() + v.FrozenRows(); d != 0 {
 		t.Errorf("%d rows left in the delta after the final merge", d)
 	}
+	v.Release()
 }
