@@ -9,6 +9,13 @@
 // against the remaining input: bad input yields the caller's sentinel
 // error — never a panic or an unbounded allocation.
 //
+// A Reader keeps its first error. A failed read, or a Fail call for a
+// value the caller rejects, records the sentinel (wrapped with Fail's
+// message), and the reader drops the rest of its input, so every later
+// read returns a zero value. A decoder therefore reads straight
+// through and has one error exit: Done, which returns that first error
+// or, failing none, reports trailing bytes.
+//
 // A Reader from NewReader copies every string it decodes. One from
 // NewSharedReader makes one string of its whole payload, at the first
 // non-empty string, and returns each string as a substring of it: a
@@ -105,11 +112,16 @@ func AppendBools(buf []byte, bits []bool) []byte {
 	return buf
 }
 
-// Reader is a bounds-checked cursor over a decoded payload.
+// Reader is a bounds-checked cursor over a decoded payload. It keeps
+// its first error: a failed read, or a Fail call, records it and drops
+// the rest of the input, so every later read fails its own bounds check
+// and returns a zero value. A decoder reads on regardless and checks
+// once, with Done.
 type Reader struct {
 	buf []byte
 	pos int
-	bad error
+	bad error // the caller's sentinel
+	err error // the first failure
 	// share makes String return substrings of str, buf made a string
 	// once.
 	share bool
@@ -130,106 +142,118 @@ func NewSharedReader(buf []byte, bad error) *Reader {
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
 
-// Byte reads one byte.
-func (r *Reader) Byte() (byte, error) {
-	if r.Remaining() < 1 {
-		return 0, r.bad
+// Fail records the sentinel, wrapped with the formatted message unless
+// format is empty, when it is the reader's first failure, and drops the
+// rest of the input.
+func (r *Reader) Fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = r.bad
+		if format != "" {
+			r.err = fmt.Errorf("%w: %s", r.bad, fmt.Sprintf(format, args...))
+		}
 	}
-	b := r.buf[r.pos]
+	r.pos = len(r.buf)
+}
+
+// Done returns the reader's first error or, failing none, reports
+// trailing bytes as malformed input.
+func (r *Reader) Done() error {
+	if r.err == nil && r.Remaining() != 0 {
+		r.Fail("%d trailing bytes", r.Remaining())
+	}
+	return r.err
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if r.Remaining() < 1 {
+		r.Fail("")
+		return 0
+	}
 	r.pos++
-	return b, nil
+	return r.buf[r.pos-1]
 }
 
 // Uvarint reads an unsigned varint.
-func (r *Reader) Uvarint() (uint64, error) {
+func (r *Reader) Uvarint() uint64 {
 	x, n := binary.Uvarint(r.buf[r.pos:])
 	if n <= 0 {
-		return 0, r.bad
+		r.Fail("")
+		return 0
 	}
 	r.pos += n
-	return x, nil
+	return x
 }
 
 // Count reads a uvarint element count and rejects it when even at min
 // bytes per element it cannot fit in the remaining payload — the bound
 // that keeps corrupt or hostile counts from driving huge allocations.
-func (r *Reader) Count(minBytesPerElem int) (int, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (r *Reader) Count(minBytesPerElem int) int {
+	n := r.Uvarint()
 	if n > uint64(r.Remaining()/minBytesPerElem) {
-		return 0, r.bad
+		r.Fail("")
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
 // Bytes reads n bytes, aliasing the payload.
-func (r *Reader) Bytes(n int) ([]byte, error) {
+func (r *Reader) Bytes(n int) []byte {
 	if n < 0 || r.Remaining() < n {
-		return nil, r.bad
+		r.Fail("")
+		return nil
 	}
-	b := r.buf[r.pos : r.pos+n]
 	r.pos += n
-	return b, nil
+	return r.buf[r.pos-n : r.pos]
 }
 
 // LenBytes reads a uvarint length and that many bytes, aliasing the
 // payload.
-func (r *Reader) LenBytes() ([]byte, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
+func (r *Reader) LenBytes() []byte {
+	n := r.Uvarint()
 	if n > uint64(r.Remaining()) {
-		return nil, r.bad
+		r.Fail("")
+		return nil
 	}
 	return r.Bytes(int(n))
 }
 
 // String reads a uvarint-prefixed string.
-func (r *Reader) String() (string, error) {
-	b, err := r.LenBytes()
-	if err != nil || !r.share || len(b) == 0 {
-		return string(b), err
+func (r *Reader) String() string {
+	b := r.LenBytes()
+	if !r.share || len(b) == 0 {
+		return string(b)
 	}
 	if r.str == "" {
 		r.str = string(r.buf)
 	}
-	return r.str[r.pos-len(b) : r.pos], nil
+	return r.str[r.pos-len(b) : r.pos]
+}
+
+// fixed reads 8 bytes little-endian.
+func (r *Reader) fixed() uint64 {
+	if b := r.Bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 
 // Value reads one self-describing value.
-func (r *Reader) Value() (value.Value, error) {
-	t, err := r.Byte()
-	if err != nil {
-		return value.Value{}, err
-	}
-	switch value.Type(t) {
+func (r *Reader) Value() value.Value {
+	switch value.Type(r.Byte()) {
 	case value.Int64:
-		b, err := r.Bytes(8)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewInt(int64(binary.LittleEndian.Uint64(b))), nil
+		return value.NewInt(int64(r.fixed()))
 	case value.Float64:
-		b, err := r.Bytes(8)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
+		return value.NewFloat(math.Float64frombits(r.fixed()))
 	case value.String:
-		s, err := r.String()
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewString(s), nil
+		return value.NewString(r.String())
 	}
-	return value.Value{}, r.bad
+	r.Fail("")
+	return value.Value{}
 }
 
 // Row reads a counted row of values.
-func (r *Reader) Row() ([]value.Value, error) { return r.appendRow(nil) }
+func (r *Reader) Row() []value.Value { return r.appendRow(nil) }
 
 // Rows reads n counted rows into one backing array, row i a capped view
 // of it, so appending to one row cannot overwrite the next. The array is
@@ -237,7 +261,7 @@ func (r *Reader) Row() ([]value.Value, error) { return r.appendRow(nil) }
 // load share, and never beyond what the remaining payload can hold at
 // two bytes a value, the shortest encoding (a type byte and an empty
 // string's length).
-func (r *Reader) Rows(n int) ([][]value.Value, error) {
+func (r *Reader) Rows(n int) [][]value.Value {
 	rows := make([][]value.Value, n)
 	var vals []value.Value
 	if width, k := binary.Uvarint(r.buf[r.pos:]); k > 0 {
@@ -246,10 +270,7 @@ func (r *Reader) Rows(n int) ([][]value.Value, error) {
 	}
 	for i := range rows {
 		start := len(vals)
-		var err error
-		if vals, err = r.appendRow(vals); err != nil {
-			return nil, err
-		}
+		vals = r.appendRow(vals)
 		rows[i] = vals[start:] // for its length; cut from the final array below
 	}
 	start := 0
@@ -257,83 +278,48 @@ func (r *Reader) Rows(n int) ([][]value.Value, error) {
 		end := start + len(row)
 		rows[i], start = vals[start:end:end], end
 	}
-	return rows, nil
+	return rows
 }
 
 // appendRow reads a counted row of values onto dst.
-func (r *Reader) appendRow(dst []value.Value) ([]value.Value, error) {
-	n, err := r.Count(1)
-	if err != nil {
-		return nil, err
-	}
+func (r *Reader) appendRow(dst []value.Value) []value.Value {
+	n := r.Count(1)
 	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		v, err := r.Value()
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, v)
+		dst = append(dst, r.Value())
 	}
-	return dst, nil
+	return dst
 }
 
 // Fields reads a field list as AppendFields writes it. A type past
 // value.String or a width past MaxFieldWidth is malformed.
-func (r *Reader) Fields() ([]schema.Field, error) {
-	n, err := r.Count(3) // empty name + type + width
-	if err != nil {
-		return nil, err
-	}
-	fields := make([]schema.Field, n)
+func (r *Reader) Fields() []schema.Field {
+	fields := make([]schema.Field, r.Count(3)) // empty name + type + width
 	for i := range fields {
 		f := &fields[i]
-		if f.Name, err = r.String(); err != nil {
-			return nil, err
+		f.Name, f.Type = r.String(), value.Type(r.Byte())
+		if f.Type > value.String {
+			r.Fail("unknown value type %d", f.Type)
 		}
-		t, err := r.Byte()
-		if err != nil {
-			return nil, err
-		}
-		if f.Type = value.Type(t); f.Type > value.String {
-			return nil, fmt.Errorf("%w: unknown value type %d", r.bad, t)
-		}
-		w, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
+		w := r.Uvarint()
 		if w > MaxFieldWidth {
-			return nil, fmt.Errorf("%w: field width %d", r.bad, w)
+			r.Fail("field width %d", w)
 		}
 		f.Width = int(w)
 	}
-	return fields, nil
+	return fields
 }
 
 // Bools reads bits as AppendBools writes them. A byte other than 0 or 1
 // is malformed.
-func (r *Reader) Bools() ([]bool, error) {
-	n, err := r.Count(1)
-	if err != nil {
-		return nil, err
-	}
-	bits := make([]bool, n)
+func (r *Reader) Bools() []bool {
+	bits := make([]bool, r.Count(1))
 	for i := range bits {
-		b, err := r.Byte()
-		if err != nil {
-			return nil, err
-		}
+		b := r.Byte()
 		if b > 1 {
-			return nil, fmt.Errorf("%w: bool byte %d", r.bad, b)
+			r.Fail("bool byte %d", b)
 		}
 		bits[i] = b == 1
 	}
-	return bits, nil
-}
-
-// Done reports trailing bytes as malformed input.
-func (r *Reader) Done() error {
-	if r.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", r.bad, r.Remaining())
-	}
-	return nil
+	return bits
 }

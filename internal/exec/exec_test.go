@@ -429,7 +429,7 @@ func TestReconstructMatchesGetTuple(t *testing.T) {
 	}
 }
 
-func TestSumAndJoin(t *testing.T) {
+func TestSum(t *testing.T) {
 	tbl, _ := newTable(t, 100, nil)
 	e := New(tbl, Options{})
 	ids := []table.RowID{0, 1, 2, 3}
@@ -442,19 +442,6 @@ func TestSumAndJoin(t *testing.T) {
 	}
 	if _, err := e.Sum(0, nil); err != nil {
 		t.Errorf("empty sum: %v", err)
-	}
-
-	build, err := e.BuildJoinMap(1, []table.RowID{0, 1, 10, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := e.JoinProbe(1, []table.RowID{20, 21}, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a(20)=0 matches rows 0 and 10; a(21)=1 matches rows 1 and 11.
-	if len(pairs) != 4 {
-		t.Errorf("join pairs = %v", pairs)
 	}
 }
 

@@ -479,6 +479,7 @@ func (sc *scratch) unit(w *worker, m int) (err error) {
 		}
 	case kernelScanMRC, kernelScanSSCG:
 		s, end := &r.steps[0], min((sc.mors[m]+1)*r.size, r.rows)
+		out = slices.Grow(out, r.size) // so a fresh buffer is not grown match by match
 		for a, b := sc.stretch(sc.mors[m]*r.size, end); a < end && err == nil; a, b = sc.stretch(b, end) {
 			if r.kernel == kernelScanSSCG {
 				out, err = w.group.ScanRows(s.field, r.match, a, b, out, nil)

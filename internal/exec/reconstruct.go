@@ -72,43 +72,6 @@ func (e *Executor) Sum(col int, ids []table.RowID) (float64, error) {
 	return total, nil
 }
 
-// JoinProbe performs the probe side of a hash join: for every row id of
-// this executor's table, look its join-key value up in the prepared hash
-// map and emit matching pairs. Build the map with BuildJoinMap on the
-// other table's executor.
-func (e *Executor) JoinProbe(col int, ids []table.RowID, build map[value.Value][]table.RowID) ([][2]table.RowID, error) {
-	v := e.tbl.Pin()
-	defer v.Release()
-	var out [][2]table.RowID
-	for _, id := range ids {
-		e.chargeTouches(3) // key fetch + hash probe
-		val, err := v.GetValue(id, col)
-		if err != nil {
-			return nil, err
-		}
-		for _, other := range build[val] {
-			out = append(out, [2]table.RowID{id, other})
-		}
-	}
-	return out, nil
-}
-
-// BuildJoinMap hashes the join-key column of the given rows.
-func (e *Executor) BuildJoinMap(col int, ids []table.RowID) (map[value.Value][]table.RowID, error) {
-	v := e.tbl.Pin()
-	defer v.Release()
-	m := make(map[value.Value][]table.RowID, len(ids))
-	for _, id := range ids {
-		e.chargeTouches(3)
-		val, err := v.GetValue(id, col)
-		if err != nil {
-			return nil, err
-		}
-		m[val] = append(m[val], id)
-	}
-	return m, nil
-}
-
 // GroupBySum groups the given rows by groupCol and sums aggCol within
 // each group (the aggregation building block of the CH-benCHmark
 // queries). For main-partition rows whose group or aggregate column is

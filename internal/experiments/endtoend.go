@@ -64,7 +64,7 @@ func (env *table3Env) runDeliveries(cfg tpcc.Config) (time.Duration, error) {
 func (env *table3Env) runQ19(cfg tpcc.Config) (time.Duration, error) {
 	env.clock.Reset()
 	for w := 1; w <= cfg.Warehouses; w++ {
-		if _, err := tpcc.CHQuery19(env.tbl, env.exec, w, 4, 4, nil); err != nil {
+		if _, err := tpcc.CHQuery19(env.tbl, env.exec, w, 4, 4); err != nil {
 			return 0, err
 		}
 	}

@@ -389,17 +389,16 @@ const maxNames = 256
 // name reads a table or column name. A name in names is returned as
 // its interned copy, with no allocation; a new one is copied and, while
 // names (which may be nil) has room, interned.
-func name(r *codec.Reader, names map[string]string) (string, error) {
-	b, err := r.LenBytes()
-	s, ok := names[string(b)]
-	if err != nil || ok {
-		return s, err
+func name(r *codec.Reader, names map[string]string) string {
+	b := r.LenBytes()
+	if s, ok := names[string(b)]; ok {
+		return s
 	}
-	s = string(b)
+	s := string(b)
 	if names != nil && len(names) < maxNames {
 		names[s] = s
 	}
-	return s, nil
+	return s
 }
 
 // decodeRequest decodes one request payload (as framed: opcode first),
@@ -407,119 +406,57 @@ func name(r *codec.Reader, names map[string]string) (string, error) {
 // returns is a copy: none aliases payload.
 func decodeRequest(payload []byte, names map[string]string) (Request, error) {
 	r := codec.NewReader(payload, ErrProtocol)
-	op, err := r.Byte()
-	if err != nil {
-		return Request{}, err
-	}
-	req := Request{Op: op}
-	if op == OpTraced {
-		id, err := r.Uvarint()
-		if err != nil {
-			return Request{}, err
-		}
+	req := Request{Op: r.Byte()}
+	if req.Op == OpTraced {
+		id := r.Uvarint()
 		if id == 0 {
-			return Request{}, fmt.Errorf("%w: zero trace id in header", ErrProtocol)
+			r.Fail("zero trace id in header")
 		}
-		span, err := r.Uvarint()
-		if err != nil {
-			return Request{}, err
-		}
-		req.TraceID, req.SpanID = trace.TraceID(id), trace.SpanID(span)
-		if op, err = r.Byte(); err != nil {
-			return Request{}, err
-		}
-		if op == OpTraced {
-			return Request{}, fmt.Errorf("%w: nested trace header", ErrProtocol)
-		}
-		req.Op = op
-	}
-	if namesTable(op) {
-		if req.Table, err = name(r, names); err != nil {
-			return Request{}, err
+		req.TraceID, req.SpanID = trace.TraceID(id), trace.SpanID(r.Uvarint())
+		if req.Op = r.Byte(); req.Op == OpTraced {
+			r.Fail("nested trace header")
 		}
 	}
-	switch op {
+	if namesTable(req.Op) {
+		req.Table = name(r, names)
+	}
+	switch req.Op {
 	case OpPing, OpCheckpoint, OpTables, OpRows:
 		// no body past the table name
 	case OpCreateTable:
-		if req.Fields, err = r.Fields(); err != nil {
-			return Request{}, err
-		}
+		req.Fields = r.Fields()
 	case OpInsert:
-		if req.Row, err = r.Row(); err != nil {
-			return Request{}, err
-		}
+		req.Row = r.Row()
 	case OpDelete:
-		if req.RowID, err = r.Uvarint(); err != nil {
-			return Request{}, err
-		}
+		req.RowID = r.Uvarint()
 	case OpUpdate:
-		if req.RowID, err = r.Uvarint(); err != nil {
-			return Request{}, err
-		}
-		if req.Row, err = r.Row(); err != nil {
-			return Request{}, err
-		}
+		req.RowID, req.Row = r.Uvarint(), r.Row()
 	case OpBulkLoad:
-		n, err := r.Count(1)
-		if err != nil {
-			return Request{}, err
-		}
-		if req.Rows, err = r.Rows(n); err != nil {
-			return Request{}, err
-		}
+		req.Rows = r.Rows(r.Count(1))
 	case OpSelect:
-		nPred, err := r.Count(3) // empty column + op + value type
-		if err != nil {
-			return Request{}, err
-		}
-		req.Predicates = make([]Predicate, 0, nPred)
-		for i := 0; i < nPred; i++ {
-			var p Predicate
-			if p.Column, err = name(r, names); err != nil {
-				return Request{}, err
-			}
-			if p.Op, err = r.Byte(); err != nil {
-				return Request{}, err
-			}
+		req.Predicates = make([]Predicate, r.Count(3)) // empty column + op + value type
+		for i := range req.Predicates {
+			p := &req.Predicates[i]
+			p.Column, p.Op = name(r, names), r.Byte()
 			if p.Op != PredEq && p.Op != PredBetween {
-				return Request{}, fmt.Errorf("%w: unknown predicate op %d", ErrProtocol, p.Op)
+				r.Fail("unknown predicate op %d", p.Op)
 			}
-			if p.Value, err = r.Value(); err != nil {
-				return Request{}, err
+			if p.Value = r.Value(); p.Op == PredBetween {
+				p.Hi = r.Value()
 			}
-			if p.Op == PredBetween {
-				if p.Hi, err = r.Value(); err != nil {
-					return Request{}, err
-				}
-			}
-			req.Predicates = append(req.Predicates, p)
 		}
-		nProj, err := r.Count(1)
-		if err != nil {
-			return Request{}, err
-		}
-		req.Project = make([]string, 0, nProj)
-		for i := 0; i < nProj; i++ {
-			col, err := name(r, names)
-			if err != nil {
-				return Request{}, err
-			}
-			req.Project = append(req.Project, col)
+		req.Project = make([]string, r.Count(1))
+		for i := range req.Project {
+			req.Project[i] = name(r, names)
 		}
 	case OpApplyLayout:
-		if req.Layout, err = r.Bools(); err != nil {
-			return Request{}, err
-		}
+		req.Layout = r.Bools()
 	case OpAdaptive:
-		if req.Sub, err = r.Byte(); err != nil {
-			return Request{}, err
-		}
-		if req.Sub != AdaptiveEnable && req.Sub != AdaptiveDisable {
-			return Request{}, fmt.Errorf("%w: unknown adaptive subcommand %d", ErrProtocol, req.Sub)
+		if req.Sub = r.Byte(); req.Sub != AdaptiveEnable && req.Sub != AdaptiveDisable {
+			r.Fail("unknown adaptive subcommand %d", req.Sub)
 		}
 	default:
-		return Request{}, fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
+		r.Fail("unknown opcode %d", req.Op)
 	}
 	if err := r.Done(); err != nil {
 		return Request{}, err
@@ -537,58 +474,28 @@ func DecodeResponse(op byte, payload []byte) (Response, error) {
 
 // decodeResponse decodes a response payload from r.
 func decodeResponse(op byte, r *codec.Reader) (Response, error) {
-	status, err := r.Byte()
-	if err != nil {
+	resp := Response{Status: r.Byte()}
+	switch {
+	case resp.Status > StatusDraining:
+		r.Fail("unknown status %d", resp.Status)
+	case resp.Status != StatusOK:
+		resp.Msg = r.String()
+	case op == OpSelect:
+		resp.IDs = make([]uint64, r.Count(1))
+		for i := range resp.IDs {
+			resp.IDs[i] = r.Uvarint()
+		}
+		resp.Rows = r.Rows(r.Count(1))
+	case op == OpRows:
+		resp.Count = r.Uvarint()
+	case op == OpTables:
+		resp.Names = make([]string, r.Count(1))
+		for i := range resp.Names {
+			resp.Names[i] = r.String()
+		}
+	}
+	if err := r.Done(); err != nil {
 		return Response{}, err
 	}
-	resp := Response{Status: status}
-	if status != StatusOK {
-		if status > StatusDraining {
-			return Response{}, fmt.Errorf("%w: unknown status %d", ErrProtocol, status)
-		}
-		if resp.Msg, err = r.String(); err != nil {
-			return Response{}, err
-		}
-		return resp, r.Done()
-	}
-	switch op {
-	case OpSelect:
-		nIDs, err := r.Count(1)
-		if err != nil {
-			return Response{}, err
-		}
-		resp.IDs = make([]uint64, 0, nIDs)
-		for i := 0; i < nIDs; i++ {
-			id, err := r.Uvarint()
-			if err != nil {
-				return Response{}, err
-			}
-			resp.IDs = append(resp.IDs, id)
-		}
-		nRows, err := r.Count(1)
-		if err != nil {
-			return Response{}, err
-		}
-		if resp.Rows, err = r.Rows(nRows); err != nil {
-			return Response{}, err
-		}
-	case OpRows:
-		if resp.Count, err = r.Uvarint(); err != nil {
-			return Response{}, err
-		}
-	case OpTables:
-		n, err := r.Count(1)
-		if err != nil {
-			return Response{}, err
-		}
-		resp.Names = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			table, err := r.String()
-			if err != nil {
-				return Response{}, err
-			}
-			resp.Names = append(resp.Names, table)
-		}
-	}
-	return resp, r.Done()
+	return resp, nil
 }

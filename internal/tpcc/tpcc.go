@@ -241,12 +241,11 @@ func Delivery(tbl *table.Table, e *exec.Executor, sched *Scheduler, warehouse, d
 }
 
 // CHQuery19 runs the CH-benCHmark query #19 equivalent over ORDERLINE:
-// revenue = sum(ol_amount) for lines of a warehouse whose item joins a
-// filtered item set and whose quantity lies in [qlo, qhi]. With the
-// paper's warehouse count, the quantity predicate qualifies ~5 % of a
-// warehouse's lines and — under w = 0.2 — executes against a tiered
-// column, the paper's 6.7x slowdown case.
-func CHQuery19(tbl *table.Table, e *exec.Executor, warehouse int, qlo, qhi int64, items map[value.Value][]table.RowID) (float64, error) {
+// revenue = sum(ol_amount) for lines of a warehouse whose quantity lies
+// in [qlo, qhi]. With the paper's warehouse count, the quantity
+// predicate qualifies ~5 % of a warehouse's lines and — under w = 0.2 —
+// executes against a tiered column, the paper's 6.7x slowdown case.
+func CHQuery19(tbl *table.Table, e *exec.Executor, warehouse int, qlo, qhi int64) (float64, error) {
 	res, err := e.Run(exec.Query{Predicates: []exec.Predicate{
 		{Column: OLWarehouseID, Op: exec.Eq, Value: value.NewInt(int64(warehouse))},
 		{Column: OLQuantity, Op: exec.Between, Value: value.NewInt(qlo), Hi: value.NewInt(qhi)},
@@ -254,67 +253,5 @@ func CHQuery19(tbl *table.Table, e *exec.Executor, warehouse int, qlo, qhi int64
 	if err != nil {
 		return 0, err
 	}
-	ids := res.IDs
-	if items != nil {
-		pairs, err := e.JoinProbe(OLItemID, ids, items)
-		if err != nil {
-			return 0, err
-		}
-		ids = ids[:0]
-		for _, p := range pairs {
-			ids = append(ids, p[0])
-		}
-	}
-	return e.Sum(OLAmount, ids)
-}
-
-// ItemSchema returns the (scaled) TPC-C ITEM schema used as the join
-// build side of CH query #19.
-func ItemSchema() *schema.Schema {
-	return schema.MustNew([]schema.Field{
-		{Name: "i_id", Type: value.Int64},
-		{Name: "i_price", Type: value.Float64},
-		{Name: "i_data", Type: value.String, Width: 24},
-	})
-}
-
-// BuildItems creates the ITEM table (always fully DRAM-resident; it is
-// small and hot).
-func BuildItems(cfg Config, opts table.Options) (*table.Table, error) {
-	cfg.setDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	tbl, err := table.New("ITEM", ItemSchema(), opts)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]value.Value, cfg.Items)
-	for i := range rows {
-		rows[i] = []value.Value{
-			value.NewInt(int64(i + 1)),
-			value.NewFloat(float64(100+rng.Intn(9900)) / 100),
-			value.NewString(fmt.Sprintf("item-%08d", rng.Intn(1e8))),
-		}
-	}
-	if err := tbl.BulkAppend(rows); err != nil {
-		return nil, err
-	}
-	if err := tbl.Merge(); err != nil {
-		return nil, err
-	}
-	return tbl, nil
-}
-
-// ItemJoinMap builds the hash map over a subset of items (those matching
-// CH-Q19's item filters; fraction selects the share kept).
-func ItemJoinMap(items *table.Table, e *exec.Executor, fraction float64) (map[value.Value][]table.RowID, error) {
-	n := items.MainRows()
-	keep := int(float64(n) * fraction)
-	if keep < 1 {
-		keep = 1
-	}
-	ids := make([]table.RowID, 0, keep)
-	for r := 0; r < n && len(ids) < keep; r++ {
-		ids = append(ids, table.RowID(r))
-	}
-	return e.BuildJoinMap(0, ids)
+	return e.Sum(OLAmount, res.IDs)
 }

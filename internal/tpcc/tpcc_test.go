@@ -159,7 +159,7 @@ func TestCHQuery19ConsistentAcrossLayouts(t *testing.T) {
 	var want float64
 	for i, layout := range [][]bool{nil, LayoutForBudget(0.4), LayoutForBudget(0.2)} {
 		tbl, e := buildAll(t, layout)
-		got, err := CHQuery19(tbl, e, 1, 3, 5, nil)
+		got, err := CHQuery19(tbl, e, 1, 3, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,43 +173,5 @@ func TestCHQuery19ConsistentAcrossLayouts(t *testing.T) {
 		if got != want {
 			t.Errorf("layout %d: revenue %g != %g (results must not depend on placement)", i, got, want)
 		}
-	}
-}
-
-func TestCHQuery19WithItemJoin(t *testing.T) {
-	tbl, e := buildAll(t, nil)
-	items, err := BuildItems(smallConfig(), table.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ie := exec.New(items, exec.Options{})
-	joinMap, err := ItemJoinMap(items, ie, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := CHQuery19(tbl, e, 1, 1, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined, err := CHQuery19(tbl, e, 1, 1, 10, joinMap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joined <= 0 || joined >= full {
-		t.Errorf("joined revenue %g, full %g; join should restrict", joined, full)
-	}
-}
-
-func TestItemTable(t *testing.T) {
-	items, err := BuildItems(Config{Items: 50}, table.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if items.MainRows() != 50 {
-		t.Errorf("items = %d", items.MainRows())
-	}
-	v, err := items.GetValue(0, 0)
-	if err != nil || v.Int() != 1 {
-		t.Errorf("i_id(0) = %v, %v", v, err)
 	}
 }

@@ -16,7 +16,6 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"tierdb/internal/codec"
 	"tierdb/internal/mvcc"
@@ -93,78 +92,37 @@ const frameHeaderMax = binary.MaxVarintLen64 + 4
 // decodePayload decodes one record payload (as framed: kind byte first).
 func decodePayload(payload []byte) (Record, error) {
 	r := codec.NewReader(payload, ErrBadRecord)
-	kind, err := r.Byte()
-	if err != nil {
-		return Record{}, err
-	}
-	rec := Record{Kind: kind}
-	switch kind {
+	rec := Record{Kind: r.Byte()}
+	switch rec.Kind {
 	case kindCommit:
-		if rec.Ts, err = r.Uvarint(); err != nil {
-			return Record{}, err
-		}
-		nOps, err := r.Count(3) // op kind + empty name + empty row
-		if err != nil {
-			return Record{}, err
-		}
-		rec.Ops = make([]mvcc.RedoOp, 0, nOps)
-		for i := 0; i < nOps; i++ {
-			var op mvcc.RedoOp
-			k, err := r.Byte()
-			if err != nil {
-				return Record{}, err
-			}
+		rec.Ts = r.Uvarint()
+		rec.Ops = make([]mvcc.RedoOp, r.Count(3)) // op kind + empty name + empty row
+		for i := range rec.Ops {
+			op := &rec.Ops[i]
+			k := r.Byte()
 			if k > 1 {
-				return Record{}, ErrBadRecord
+				r.Fail("")
 			}
-			op.Delete = k == 1
-			if op.Table, err = r.String(); err != nil {
-				return Record{}, err
-			}
-			if op.Row, err = r.Row(); err != nil {
-				return Record{}, err
-			}
-			rec.Ops = append(rec.Ops, op)
+			op.Delete, op.Table, op.Row = k == 1, r.String(), r.Row()
 		}
 	case kindCreateTable:
-		if rec.Table, err = r.String(); err != nil {
-			return Record{}, err
-		}
-		if rec.Fields, err = r.Fields(); err != nil {
-			return Record{}, err
-		}
+		rec.Table, rec.Fields = r.String(), r.Fields()
 	case kindLayout:
-		if rec.Table, err = r.String(); err != nil {
-			return Record{}, err
-		}
-		if rec.Layout, err = r.Bools(); err != nil {
-			return Record{}, err
-		}
+		rec.Table, rec.Layout = r.String(), r.Bools()
 	case kindIndex:
-		if rec.Table, err = r.String(); err != nil {
-			return Record{}, err
-		}
-		n, err := r.Count(1)
-		if err != nil {
-			return Record{}, err
-		}
-		rec.Cols = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			c, err := r.Uvarint()
-			if err != nil {
-				return Record{}, err
-			}
+		rec.Table = r.String()
+		rec.Cols = make([]int, r.Count(1))
+		for i := range rec.Cols {
+			c := r.Uvarint()
 			if c > 1<<20 {
-				return Record{}, ErrBadRecord
+				r.Fail("")
 			}
-			rec.Cols = append(rec.Cols, int(c))
+			rec.Cols[i] = int(c)
 		}
 	case kindCheckpointEnd, kindCheckpointBegin:
-		if rec.Ts, err = r.Uvarint(); err != nil {
-			return Record{}, err
-		}
+		rec.Ts = r.Uvarint()
 	default:
-		return Record{}, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, kind)
+		r.Fail("unknown kind %d", rec.Kind)
 	}
 	if err := r.Done(); err != nil {
 		return Record{}, err
